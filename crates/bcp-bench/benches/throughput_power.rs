@@ -1,10 +1,9 @@
 //! The Sec. IV-B performance claims: ~6400 fps (n-CNV, full pipeline) and
 //! ~1.6 W idle. Prints the modeled table for all prototypes and measures
-//! the threaded streaming simulator's software throughput.
+//! the simulator's software throughput, blocked and frame-at-a-time.
 
 use bcp_bench::{frames, pipeline_for};
 use bcp_finn::perf::CLOCK_100MHZ;
-use bcp_finn::stream::run_streaming;
 use binarycop::arch::ArchKind;
 use binarycop::experiments::perf_power_report;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -22,7 +21,7 @@ fn bench_throughput(c: &mut Criterion) {
     );
 
     let batch = frames(16);
-    let mut group = c.benchmark_group("streaming_simulator_throughput");
+    let mut group = c.benchmark_group("blocked_forward_throughput");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(4))
@@ -30,13 +29,13 @@ fn bench_throughput(c: &mut Criterion) {
     for kind in ArchKind::ALL {
         let (pipeline, arch) = pipeline_for(kind, 2);
         group.bench_with_input(BenchmarkId::from_parameter(&arch.name), &(), |b, _| {
-            b.iter(|| std::hint::black_box(run_streaming(&pipeline, &batch, 4)))
+            b.iter(|| std::hint::black_box(pipeline.forward_batch(&batch)))
         });
     }
     group.finish();
 
-    // Sequential (non-threaded) forward for the same batch: the dataflow
-    // overlap ablation.
+    // Frame-at-a-time forward for the same batch: the weight-row reuse
+    // ablation.
     let mut group = c.benchmark_group("sequential_forward_throughput");
     group
         .sample_size(10)

@@ -39,7 +39,7 @@ impl BitVec64 {
     pub fn zeros(len: usize) -> Self {
         BitVec64 {
             len,
-            // audit: allow(alloc): constructing a packed vector allocates by definition — hot callers recycle via layer-level buffer reuse (ROADMAP item 2)
+            // audit: allow(alloc): constructing a packed vector allocates by definition — hot callers recycle via layer-level buffer reuse (ROADMAP item 3)
             words: vec![0; words_for(len)],
         }
     }

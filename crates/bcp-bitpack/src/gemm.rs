@@ -92,7 +92,7 @@ pub fn xnor_gemm_block(weights: &BitMatrix, block: &BitPlaneBlock) -> Vec<i32> {
         block.bits()
     );
     let (rows, frames, bits) = (weights.rows(), block.frames(), block.bits());
-    // audit: allow(alloc): one accumulator buffer per layer invocation — layer-level buffer reuse is ROADMAP item 2
+    // audit: allow(alloc): one accumulator buffer per layer invocation — layer-level buffer reuse is ROADMAP item 3
     let mut out = vec![0i32; rows * frames];
     for r in 0..rows {
         let wrow = weights.row_words(r);
@@ -147,7 +147,7 @@ pub fn xnor_gemm_block_thresholded(
     // below then runs two branch-free integer compares per neuron instead
     // of an enum dispatch that mispredicts on random sign data.
     let windows = thresholds.windows();
-    // audit: allow(alloc): one packed output vector per frame per layer pass — layer-level buffer reuse is ROADMAP item 2
+    // audit: allow(alloc): one packed output vector per frame per layer pass — layer-level buffer reuse is ROADMAP item 3
     let mut outs: Vec<BitVec64> = (0..frames).map(|_| BitVec64::zeros(rows)).collect();
     for r in 0..rows {
         let wrow = weights.row_words(r);

@@ -123,7 +123,7 @@ impl BitPlaneBlock {
         }
         let words_per_frame = words_for(bits);
         let blocks = frames.len().div_ceil(BLOCK_LANES);
-        // audit: allow(alloc): one interleaved buffer per block pack — layer-level buffer reuse is ROADMAP item 2
+        // audit: allow(alloc): one interleaved buffer per block pack — layer-level buffer reuse is ROADMAP item 3
         let mut words = Vec::with_capacity(blocks * words_per_frame * BLOCK_LANES);
         for g in 0..blocks {
             for i in 0..words_per_frame {

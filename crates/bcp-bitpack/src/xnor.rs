@@ -57,7 +57,7 @@ pub fn xnor_gemm(a: &BitMatrix, b_t: &BitMatrix) -> Vec<i32> {
         b_t.cols()
     );
     let (m, n, k) = (a.rows(), b_t.rows(), a.cols());
-    // audit: allow(alloc): one accumulator buffer per layer invocation — layer-level buffer reuse is ROADMAP item 2
+    // audit: allow(alloc): one accumulator buffer per layer invocation — layer-level buffer reuse is ROADMAP item 3
     let mut out = vec![0i32; m.saturating_mul(n)];
     out.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
         let arow = a.row_words(i);
@@ -76,7 +76,7 @@ pub fn xnor_matvec(a: &BitMatrix, x: &BitVec64) -> Vec<i32> {
     assert_eq!(a.cols(), x.len(), "xnor_matvec length mismatch");
     (0..a.rows())
         .map(|r| xnor_dot_words(a.row_words(r), x.words(), a.cols()))
-        // audit: allow(alloc): one accumulator vector per layer invocation — layer-level buffer reuse is ROADMAP item 2
+        // audit: allow(alloc): one accumulator vector per layer invocation — layer-level buffer reuse is ROADMAP item 3
         .collect()
 }
 

@@ -21,10 +21,6 @@
 //!    calibrated against Table II, plus device budgets for the Z7020/Z7010
 //!    ([`device`]) and the PE/SIMD design-space search of Sec. IV-B
 //!    ([`dse`]).
-//!
-//! [`stream`] additionally *executes* the pipeline as real concurrent
-//! dataflow: one thread per stage over bounded channels, the software
-//! analogue of Fig. 1's streaming architecture.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::arithmetic_side_effects)]
@@ -43,7 +39,6 @@ pub mod pipeline;
 pub mod pool;
 pub mod power;
 pub mod resource;
-pub mod stream;
 pub mod swu;
 pub mod threshold;
 
@@ -53,6 +48,3 @@ pub use digest::{GoldenDigest, IntegrityFault, StageDigest};
 pub use fault::{FaultError, FaultRecord};
 pub use folding::{Folding, FoldingError};
 pub use pipeline::{Pipeline, Stage};
-pub use stream::{
-    correlation_report, run_streaming, run_streaming_blocked, CorrelationReport, StreamStats,
-};

@@ -108,7 +108,7 @@ impl BinaryMvtu {
         );
         (0..self.weights.rows())
             .map(|r| xnor_dot_words(self.weights.row_words(r), input.words(), input.len()) as i64)
-            // audit: allow(alloc): one accumulator vector per layer pass — layer-level buffer reuse is ROADMAP item 2
+            // audit: allow(alloc): one accumulator vector per layer pass — layer-level buffer reuse is ROADMAP item 3
             .collect()
     }
 
@@ -132,31 +132,11 @@ impl BinaryMvtu {
                 (0..rows)
                     // audit: allow(index): r < rows and f < frames bound r·frames+f inside the kernel's rows·frames buffer
                     .map(|r| i64::from(accs[r * frames + f]))
-                    // audit: allow(alloc): one accumulator vector per frame per layer pass — layer-level buffer reuse is ROADMAP item 2
+                    // audit: allow(alloc): one accumulator vector per frame per layer pass — layer-level buffer reuse is ROADMAP item 3
                     .collect()
             })
             // audit: allow(alloc): one frame-indexed vector per layer pass
             .collect()
-    }
-
-    /// [`accumulate_block`](BinaryMvtu::accumulate_block) over unpacked
-    /// frames: packs the [`BitPlaneBlock`] and runs the blocked kernel.
-    // bcp:hot-path — batched accumulate entry of the logits layer
-    pub fn accumulate_batch(&self, inputs: &[BitVec64]) -> Vec<Vec<i64>> {
-        if inputs.is_empty() {
-            // audit: allow(alloc): Vec::new is capacity-0 (no heap) — the empty-batch early return
-            return Vec::new();
-        }
-        let block = BitPlaneBlock::pack(inputs);
-        // audit: allow(panic): fan-in mismatch is a programming error, checked once per layer pass
-        assert_eq!(
-            block.bits(),
-            self.weights.cols(),
-            "input length {} vs fan-in {}",
-            block.bits(),
-            self.weights.cols()
-        );
-        self.accumulate_block(&block)
     }
 
     /// Thresholded output bits for a pre-packed block of input vectors,
@@ -209,7 +189,7 @@ impl BinaryMvtu {
             // audit: allow(panic): calling the threshold stage on a logits-mode unit is a wiring error caught at the first frame
             .expect("threshold_bits() on a logits-mode MVTU");
         let accs = self.accumulate(input);
-        // audit: allow(alloc): one packed output vector per layer pass — layer-level buffer reuse is ROADMAP item 2
+        // audit: allow(alloc): one packed output vector per layer pass — layer-level buffer reuse is ROADMAP item 3
         let mut out = BitVec64::zeros(accs.len());
         for (i, &a) in accs.iter().enumerate() {
             if t.apply(i, a) {
@@ -309,7 +289,7 @@ impl FixedInputMvtu {
                 }
                 acc
             })
-            // audit: allow(alloc): one accumulator vector per layer pass — layer-level buffer reuse is ROADMAP item 2
+            // audit: allow(alloc): one accumulator vector per layer pass — layer-level buffer reuse is ROADMAP item 3
             .collect()
     }
 
@@ -317,7 +297,7 @@ impl FixedInputMvtu {
     // bcp:hot-path — first-layer threshold stage, once per frame
     pub fn threshold_bits(&self, input: &[i32]) -> BitVec64 {
         let accs = self.accumulate(input);
-        // audit: allow(alloc): one packed output vector per layer pass — layer-level buffer reuse is ROADMAP item 2
+        // audit: allow(alloc): one packed output vector per layer pass — layer-level buffer reuse is ROADMAP item 3
         let mut out = BitVec64::zeros(accs.len());
         for (i, &a) in accs.iter().enumerate() {
             if self.thresholds.apply(i, a) {
@@ -414,7 +394,7 @@ mod tests {
         let m = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
         for b in [0usize, 1, 3, 4, 5, 9] {
             let frames = lcg_frames(b, 4, 77);
-            let batched = m.accumulate_batch(&frames);
+            let batched = m.accumulate_block(&BitPlaneBlock::pack(&frames));
             let single: Vec<Vec<i64>> = frames.iter().map(|f| m.accumulate(f)).collect();
             assert_eq!(batched, single, "B={b}");
         }

@@ -325,6 +325,18 @@ impl Stage {
     }
 }
 
+/// Argmax over a logits vector, first index on ties — the one decision
+/// rule shared by every classification path over a [`Pipeline`].
+pub fn argmax(logits: &[i64]) -> usize {
+    let mut best = 0usize;
+    for (i, &v) in logits.iter().enumerate() {
+        if v > logits.get(best).copied().unwrap_or(i64::MIN) {
+            best = i;
+        }
+    }
+    best
+}
+
 /// A complete accelerator: an ordered stage chain, validated at build time.
 ///
 /// Cloning produces an independent replica (weights and thresholds are
@@ -416,27 +428,9 @@ impl Pipeline {
             .collect()
     }
 
-    /// Run one frame and keep every intermediate token (equivalence tests).
-    pub fn forward_trace(&self, input: &QuantMap) -> Vec<StageData> {
-        let mut trace = Vec::with_capacity(self.stages.len());
-        let mut token = StageData::Quant(input.clone());
-        for stage in &self.stages {
-            token = stage.process(token);
-            trace.push(token.clone());
-        }
-        trace
-    }
-
-    /// Classify one frame: argmax of the logits (first index on ties).
+    /// Classify one frame: [`argmax`] of the logits.
     pub fn classify(&self, input: &QuantMap) -> usize {
-        let logits = self.forward(input);
-        let mut best = 0usize;
-        for (i, &v) in logits.iter().enumerate() {
-            if v > logits[best] {
-                best = i;
-            }
-        }
-        best
+        argmax(&self.forward(input))
     }
 
     /// Structural description in the layout of Fig. 1: stage kind, dims,
@@ -572,18 +566,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trace_exposes_intermediates() {
-        let p = tiny_pipeline();
-        let trace = p.forward_trace(&white_input());
-        assert_eq!(trace.len(), 4);
-        match &trace[0] {
-            StageData::Bits(b) => assert_eq!((b.c, b.h, b.w), (2, 4, 4)),
-            other => panic!("expected bits, got {other:?}"),
-        }
-        assert!(matches!(trace[3], StageData::Logits(_)));
     }
 
     #[test]

@@ -41,11 +41,6 @@ pub struct ServeConfig {
     /// completed with [`ServeError::DeadlineExpired`]; a successful
     /// response is only ever delivered inside the deadline.
     pub deadline: Option<Duration>,
-    /// Batches at least this large run through the threaded streaming
-    /// pipeline (`run_streaming`) instead of frame-at-a-time inference,
-    /// and their [`StreamStats`](bcp_finn::StreamStats) are accumulated
-    /// for cycle-model correlation. `None` disables the streaming path.
-    pub streaming_min_batch: Option<usize>,
     /// Integrity canary: a frame whose golden output is captured from the
     /// replicas at startup. Workers re-run it every `canary_every` batches;
     /// a mismatch (e.g. an SEU-style stuck-at fault in that worker's weight
@@ -82,7 +77,6 @@ impl Default for ServeConfig {
             max_wait: Duration::from_micros(500),
             policy: BackpressurePolicy::Block,
             deadline: None,
-            streaming_min_batch: None,
             canary: None,
             canary_every: 1,
             recovery: None,

@@ -35,7 +35,6 @@ use crate::oneshot::{Expired, Slot};
 use crate::recovery::{WorkerState, WorkerStateCell};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
-use bcp_finn::StreamStats;
 use bcp_telemetry::{Counter, Gauge, Histogram, Registry};
 use bcp_tensor::Tensor;
 use bcp_trace::{stamp, ActiveTrace, TraceEvent, TraceOutcome, Tracer};
@@ -127,8 +126,6 @@ struct Shared {
     states: Vec<WorkerStateCell>,
     /// Pending chaos fault plans per worker, applied between batches.
     fault_mailboxes: Vec<Mutex<Vec<(usize, u64)>>>,
-    /// Aggregate streaming statistics across all workers and batches.
-    stream_stats: Mutex<Option<StreamStats>>,
     /// Request-lifecycle tracer (None = tracing disabled).
     tracer: Option<Arc<Tracer>>,
     /// Retired response slots awaiting reuse. A slot re-enters the pool
@@ -367,7 +364,6 @@ impl Engine {
                 .map(|_| WorkerStateCell::new(WorkerState::Healthy))
                 .collect(),
             fault_mailboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            stream_stats: Mutex::new(None),
             tracer,
             slot_pool,
             shell_pool,
@@ -444,7 +440,7 @@ impl Engine {
         // audit: external — `sample` also names Tensor::sample; the tracer's sampler is audited at its own root
         let trace = self.shared.tracer.as_ref().and_then(|t| t.sample());
         let mut req = Request {
-            // audit: allow(alloc): the single ingestion copy that decouples the caller's buffer from the pipeline (ROADMAP item 1 tracks batch-level reuse downstream of this point)
+            // audit: allow(alloc): the single ingestion copy that decouples the caller's buffer from the pipeline (ROADMAP item 3 tracks batch-level reuse downstream of this point)
             frame: frame.clone(),
             slot: Arc::clone(&slot),
             enqueued: now,
@@ -559,13 +555,6 @@ impl Engine {
     /// Requests currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
         self.shared.shed_rx.len()
-    }
-
-    /// Aggregate streaming-pipeline statistics accumulated so far (only
-    /// populated when `streaming_min_batch` routed batches through the
-    /// threaded pipeline). Feed to [`bcp_finn::correlation_report`].
-    pub fn stream_stats(&self) -> Option<StreamStats> {
-        self.shared.stream_stats.lock().clone()
     }
 
     /// The registry handed to [`Engine::start`], if any.
@@ -932,10 +921,6 @@ fn serve_batch<R: Replica>(
     // audit: allow(alloc): refills the per-worker scratch in place — `mem::take` moves each frame without copying
     frames.extend(batch.iter_mut().map(|r| std::mem::take(&mut r.frame)));
     let frames: &[Tensor] = frames;
-    let stream = shared
-        .cfg
-        .streaming_min_batch
-        .is_some_and(|min| frames.len() >= min);
     if shared.tracer.is_some() {
         let size = batch.len();
         for r in batch.iter_mut() {
@@ -945,48 +930,15 @@ fn serve_batch<R: Replica>(
             }
         }
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if stream {
-            // audit: external — replica inference is audited at the XNOR kernel roots
-            if let Some((classes, stats)) = replica.infer_batch_streaming(frames) {
-                return (classes, Some(stats));
-            }
-        }
-        // audit: external — replica inference is audited at the XNOR kernel roots
-        (replica.infer_batch(frames), None)
-    }));
+    // audit: external — replica inference is audited at the XNOR kernel roots
+    let outcome = catch_unwind(AssertUnwindSafe(|| replica.infer_batch(frames)));
     if shared.tracer.is_some() {
         for r in batch.iter_mut() {
             stamp(&mut r.trace, &shared.tracer, TraceEvent::ComputeEnd);
         }
     }
     match outcome {
-        Ok((classes, stats)) if classes.len() == batch.len() => {
-            if let Some(stats) = stats {
-                if let Some(r) = &shared.registry {
-                    // audit: external — streaming-stats export runs only on streaming batches, off steady state
-                    stats.record_into(r);
-                }
-                // Per-pipeline-stage compute sub-spans for the traced
-                // requests of this batch (shared, one Arc per batch).
-                if shared.tracer.is_some() && batch.iter().any(|r| r.trace.is_some()) {
-                    // audit: external — per-frame stage attribution runs only for traced streaming batches
-                    // audit: allow(alloc): one shared Arc of stage spans per traced batch, amortized over its requests
-                    let stages = std::sync::Arc::new(stats.stage_busy_per_frame());
-                    for r in batch.iter_mut() {
-                        if let Some(t) = r.trace.as_mut() {
-                            t.set_stage_ns(std::sync::Arc::clone(&stages));
-                        }
-                    }
-                }
-                // audit: allow(block): streaming-stats aggregation, taken only when a streaming batch completes
-                let mut agg = shared.stream_stats.lock();
-                match &mut *agg {
-                    // audit: external — stats merging is accounting, not serving work
-                    Some(a) => a.merge(&stats),
-                    None => *agg = Some(stats),
-                }
-            }
+        Ok(classes) if classes.len() == batch.len() => {
             let now = Instant::now();
             for (mut req, class) in batch.drain(..).zip(classes) {
                 if req.deadline.is_some_and(|d| now >= d) {

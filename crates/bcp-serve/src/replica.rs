@@ -8,7 +8,6 @@
 //! without dragging in a trained network.
 
 use bcp_dataset::MaskClass;
-use bcp_finn::StreamStats;
 use bcp_tensor::Tensor;
 
 /// One worker's private copy of the model. Workers own their replica
@@ -17,18 +16,6 @@ use bcp_tensor::Tensor;
 pub trait Replica: Send + 'static {
     /// Classify frames in order, one result per frame.
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass>;
-
-    /// Classify through a threaded streaming pipeline, returning per-stage
-    /// statistics for cycle-model correlation. Implementations without a
-    /// streaming path return `None` and the engine falls back to
-    /// [`infer_batch`](Replica::infer_batch).
-    fn infer_batch_streaming(
-        &mut self,
-        frames: &[Tensor],
-    ) -> Option<(Vec<MaskClass>, StreamStats)> {
-        let _ = frames;
-        None
-    }
 
     /// Raw output for an integrity canary frame. Must be deterministic on
     /// a healthy replica; any weight-memory corruption should perturb it
@@ -64,13 +51,6 @@ pub trait Replica: Send + 'static {
 impl Replica for Box<dyn Replica> {
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         (**self).infer_batch(frames)
-    }
-
-    fn infer_batch_streaming(
-        &mut self,
-        frames: &[Tensor],
-    ) -> Option<(Vec<MaskClass>, StreamStats)> {
-        (**self).infer_batch_streaming(frames)
     }
 
     fn canary(&self, frame: &Tensor) -> Vec<i64> {

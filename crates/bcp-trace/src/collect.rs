@@ -8,10 +8,10 @@
 //!   and speedscope; counts are nanoseconds summed across requests, so
 //!   the flame widths are time, not sample counts.
 //! * **Self-contained JSONL** ([`TraceSet::to_jsonl`]) — one record per
-//!   line with absolute stamps, per-segment durations and per-stage
-//!   compute sub-spans; enough to rebuild any waterfall offline.
+//!   line with absolute stamps and per-segment durations; enough to
+//!   rebuild any waterfall offline.
 
-use crate::record::{Segment, TraceOutcome, TraceRecord, EVENTS, SEGMENTS};
+use crate::record::{TraceOutcome, TraceRecord, EVENTS, SEGMENTS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 /// that tile (a subset of) it.
 #[derive(Clone, Debug)]
 pub struct SpanNode {
-    /// Span name (`request`, a segment name, or a pipeline stage name).
+    /// Span name (`request` or a segment name).
     pub name: String,
     /// Start, nanoseconds since tracer epoch.
     pub start_ns: u64,
@@ -36,11 +36,8 @@ impl SpanNode {
     }
 }
 
-/// Build the span tree of one record: a `request` root, one child per
-/// reached segment, and per-pipeline-stage grandchildren inside
-/// `compute` when the batch ran the streaming pipeline (stage sub-spans
-/// are laid out sequentially, scaled to fill the measured compute span in
-/// proportion to their busy time).
+/// Build the span tree of one record: a `request` root with one child per
+/// reached segment.
 pub fn span_tree(record: &TraceRecord) -> Option<SpanNode> {
     let start = record.stamp(crate::TraceEvent::Enqueue)?;
     let mut children = Vec::new();
@@ -49,18 +46,12 @@ pub fn span_tree(record: &TraceRecord) -> Option<SpanNode> {
         let (Some(s), Some(e)) = (record.stamp(from), record.stamp(to)) else {
             continue;
         };
-        let mut node = SpanNode {
+        children.push(SpanNode {
             name: seg.name().to_string(),
             start_ns: s,
             end_ns: e,
             children: Vec::new(),
-        };
-        if seg == Segment::Compute {
-            if let Some(stages) = &record.stage_ns {
-                node.children = scale_stages(stages, s, e);
-            }
-        }
-        children.push(node);
+        });
     }
     let end = children.last().map_or(start, |c| c.end_ns);
     Some(SpanNode {
@@ -69,36 +60,6 @@ pub fn span_tree(record: &TraceRecord) -> Option<SpanNode> {
         end_ns: end.max(start),
         children,
     })
-}
-
-/// Lay the per-stage busy times out back-to-back inside `[start, end]`,
-/// scaled so they fill the span in proportion to their shares.
-fn scale_stages(stages: &[(String, u64)], start: u64, end: u64) -> Vec<SpanNode> {
-    let total: u128 = stages.iter().map(|(_, ns)| u128::from(*ns)).sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let span = u128::from(end.saturating_sub(start));
-    let mut out = Vec::with_capacity(stages.len());
-    let mut cursor = start;
-    let mut acc: u128 = 0;
-    for (i, (name, ns)) in stages.iter().enumerate() {
-        acc = acc.saturating_add(u128::from(*ns));
-        let next = if i.saturating_add(1) == stages.len() {
-            end
-        } else {
-            let offset = span.saturating_mul(acc).checked_div(total).unwrap_or(0);
-            start.saturating_add(u64::try_from(offset).unwrap_or(u64::MAX))
-        };
-        out.push(SpanNode {
-            name: name.clone(),
-            start_ns: cursor,
-            end_ns: next.max(cursor),
-            children: Vec::new(),
-        });
-        cursor = next.max(cursor);
-    }
-    out
 }
 
 /// A drained batch of trace records plus the collector's accounting.
@@ -123,7 +84,7 @@ impl TraceSet {
             .filter(|r| r.outcome == TraceOutcome::Ok && r.is_complete())
     }
 
-    /// Collapsed-stack export: `request;<segment>[;<stage>] <ns>` lines,
+    /// Collapsed-stack export: `request;<segment> <ns>` lines,
     /// nanoseconds summed over all completed records, sorted for
     /// determinism. Feed to `inferno-flamegraph` or paste into
     /// speedscope.
@@ -134,15 +95,8 @@ impl TraceSet {
                 continue;
             };
             for seg in &tree.children {
-                if seg.children.is_empty() {
-                    let key = format!("request;{}", seg.name);
-                    add_ns(&mut stacks, key, seg.dur_ns());
-                } else {
-                    for stage in &seg.children {
-                        let key = format!("request;{};{}", seg.name, stage.name);
-                        add_ns(&mut stacks, key, stage.dur_ns());
-                    }
-                }
+                let slot = stacks.entry(format!("request;{}", seg.name)).or_insert(0);
+                *slot = slot.saturating_add(u128::from(seg.dur_ns()));
             }
         }
         let mut out = String::new();
@@ -211,11 +165,6 @@ impl TraceSet {
     }
 }
 
-fn add_ns(stacks: &mut BTreeMap<String, u128>, key: String, ns: u64) {
-    let slot = stacks.entry(key).or_insert(0);
-    *slot = slot.saturating_add(u128::from(ns));
-}
-
 /// Sanity-check a record set the way the integrity tests do: stamps
 /// non-decreasing in lifecycle order, unique ids, and (for completed
 /// records) segment sums equal to end-to-end latency. Returns an error
@@ -268,7 +217,6 @@ mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
     use crate::record::{TraceEvent, N_EVENTS};
-    use std::sync::Arc;
 
     fn record(id: u64, base: u64) -> TraceRecord {
         let mut r = TraceRecord::new(id);
@@ -295,27 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_subspans_fill_the_compute_span() {
-        let mut r = record(0, 0);
-        r.stage_ns = Some(Arc::new(vec![
-            ("conv0".into(), 30),
-            ("pool".into(), 10),
-            ("fc".into(), 60),
-        ]));
-        let tree = span_tree(&r).unwrap();
-        let compute = tree
-            .children
-            .iter()
-            .find(|c| c.name == "compute")
-            .expect("compute span");
-        assert_eq!(compute.children.len(), 3);
-        assert_eq!(compute.children[0].start_ns, compute.start_ns);
-        assert_eq!(compute.children.last().unwrap().end_ns, compute.end_ns);
-        let sum: u64 = compute.children.iter().map(SpanNode::dur_ns).sum();
-        assert_eq!(sum, compute.dur_ns());
-    }
-
-    #[test]
     fn folded_output_sums_nanoseconds_across_records() {
         let set = TraceSet::new(vec![record(0, 0), record(1, 1000)], 0);
         let folded = set.to_folded();
@@ -327,17 +254,6 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort_unstable();
         assert_eq!(lines, sorted, "folded output must be deterministic");
-    }
-
-    #[test]
-    fn folded_output_breaks_compute_into_stages() {
-        let mut r = record(0, 0);
-        r.stage_ns = Some(Arc::new(vec![("conv0".into(), 1), ("fc".into(), 1)]));
-        let set = TraceSet::new(vec![r], 0);
-        let folded = set.to_folded();
-        assert!(folded.contains("request;compute;conv0 50"));
-        assert!(folded.contains("request;compute;fc 50"));
-        assert!(!folded.contains("request;compute 100"));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! trees, collapsed-stack flamegraph text, JSONL, an ASCII waterfall,
 //! and the [`AttributionReport`] that decomposes latency into
 //! queue-wait / batch-wait / dispatch / compute / delivery and prices
-//! the engine against raw `classify_batch`.
+//! the engine against raw `classify_block`.
 
 #![deny(unsafe_code)]
 #![warn(clippy::arithmetic_side_effects)]

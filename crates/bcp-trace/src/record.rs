@@ -8,7 +8,6 @@
 //! crosses threads, through a [`Ring`](crate::Ring).
 
 use serde::Serialize;
-use std::sync::Arc;
 
 /// Unique id of one sampled request. Allocated from a per-tracer atomic
 /// counter; ids are dense over *sampled* requests, not over all requests.
@@ -164,10 +163,6 @@ pub struct TraceRecord {
     pub worker: usize,
     /// Size of the micro-batch it rode in (0 when it never joined one).
     pub batch_size: u32,
-    /// Per-pipeline-stage busy time inside the compute segment, when the
-    /// batch ran through the streaming pipeline: `(stage name, ns/frame)`.
-    /// Shared across the batch's sampled records.
-    pub stage_ns: Option<Arc<Vec<(String, u64)>>>,
 }
 
 impl TraceRecord {
@@ -179,7 +174,6 @@ impl TraceRecord {
             outcome: TraceOutcome::Failed,
             worker: usize::MAX,
             batch_size: 0,
-            stage_ns: None,
         }
     }
 
@@ -246,13 +240,6 @@ impl TraceRecord {
             }
         }
         m.insert("segments_ns".into(), Value::Object(segs));
-        if let Some(stages) = &self.stage_ns {
-            let mut st = Map::new();
-            for (name, ns) in stages.iter() {
-                st.insert(name.clone(), Value::UInt(*ns));
-            }
-            m.insert("compute_stages_ns".into(), Value::Object(st));
-        }
         serde_json::to_string(&Value::Object(m)).expect("trace record json")
     }
 }
@@ -295,14 +282,12 @@ mod tests {
 
     #[test]
     fn json_line_carries_stamps_and_segments() {
-        let mut r = complete_record();
-        r.stage_ns = Some(Arc::new(vec![("conv0".into(), 40), ("fc".into(), 60)]));
+        let r = complete_record();
         let v: serde::Value = serde_json::from_str(&r.to_json_line()).unwrap();
         assert_eq!(v["id"].as_u64(), Some(3));
         assert_eq!(v["outcome"].as_str(), Some("ok"));
         assert_eq!(v["stamps_ns"]["deliver"].as_u64(), Some(700));
         assert_eq!(v["segments_ns"]["queue_wait"].as_u64(), Some(100));
-        assert_eq!(v["compute_stages_ns"]["conv0"].as_u64(), Some(40));
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct AttributionReport {
     /// p99 end-to-end latency, ns.
     pub p99_e2e_ns: u64,
     /// Raw single-caller inference cost per frame, when the caller
-    /// measured one (`bcp profile` times `classify_batch` directly).
+    /// measured one (`bcp profile` times `classify_block` directly, in
+    /// chunks of the engine's `max_batch`).
     pub raw_compute_ns: Option<u64>,
 }
 
@@ -128,7 +129,7 @@ impl AttributionReport {
     }
 
     /// Engine overhead over *raw* single-caller inference, percent —
-    /// "the exact percentage the engine adds over raw `classify_batch`".
+    /// "the exact percentage the engine adds over raw `classify_block`".
     /// `None` when no raw measurement was supplied.
     pub fn overhead_over_raw_pct(&self) -> Option<f64> {
         let raw = self.raw_compute_ns?;
@@ -189,7 +190,7 @@ impl AttributionReport {
             let raw = self.raw_compute_ns.unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  engine overhead over raw classify_batch ({:.3} ms/frame): {:+.1}%",
+                "  engine overhead over raw classify_block ({:.3} ms/frame): {:+.1}%",
                 raw as f64 / 1e6,
                 pct
             );
@@ -273,7 +274,7 @@ mod tests {
         assert!((rep.overhead_over_compute_pct() - 400.0 / 6.0).abs() < 0.1);
         // vs raw 500 → 100%.
         assert!((rep.overhead_over_raw_pct().unwrap() - 100.0).abs() < 1e-9);
-        assert!(rep.render_text().contains("classify_batch"));
+        assert!(rep.render_text().contains("classify_block"));
     }
 
     #[test]

@@ -222,12 +222,6 @@ impl ActiveTrace {
         self.record.batch_size = u32::try_from(size).unwrap_or(u32::MAX);
     }
 
-    /// Attach per-pipeline-stage compute sub-spans (shared per batch).
-    #[inline]
-    pub fn set_stage_ns(&mut self, stages: std::sync::Arc<Vec<(String, u64)>>) {
-        self.record.stage_ns = Some(stages);
-    }
-
     /// Read-only view of the record being built (tests).
     pub fn record(&self) -> &TraceRecord {
         &self.record

@@ -14,9 +14,7 @@
 //! `serve-bench` stands up the `bcp-serve` micro-batching engine over a
 //! pool of predictor replicas and drives it with concurrent closed-loop
 //! clients, printing throughput/latency percentiles, a sequential
-//! baseline, exact response accounting, and (with
-//! `--streaming-min-batch`) the cycle-model correlation measured under
-//! real concurrent load.
+//! baseline and exact response accounting.
 //!
 //! `check` runs the `bcp-check` static verifier (shape inference, folding
 //! legality, cycle budgets, FIFO/rate balance, device resource fit) and
@@ -437,9 +435,6 @@ fn cmd_serve_bench(args: &Args) {
             exit(2);
         })));
     }
-    if args.flags.contains_key("streaming-min-batch") {
-        cfg.streaming_min_batch = Some(get("streaming-min-batch", 4).max(1));
-    }
     let trace_dir = args.flags.get("trace").map(std::path::PathBuf::from);
     if trace_dir.is_some() {
         cfg.trace = Some(bcp_trace::TraceConfig {
@@ -499,16 +494,6 @@ fn cmd_serve_bench(args: &Args) {
         "response accounting: exact ({} submitted, {} resolved)",
         report.total, report.total
     );
-    if let Some(stats) = engine.stream_stats() {
-        println!(
-            "cycle-model correlation under load ({} streamed frames):",
-            stats.frames
-        );
-        print!(
-            "{}",
-            bcp_finn::correlation_report(predictor.pipeline(), &stats).render_text()
-        );
-    }
     if let (Some(dir), Some(tracer)) = (&trace_dir, engine.tracer()) {
         let raw_ns = (1e9 / seq_fps.max(1e-9)) as u64;
         let (set, trace_report) = write_trace_artifacts(&tracer, dir, Some(raw_ns));
@@ -532,7 +517,7 @@ fn cmd_serve_bench(args: &Args) {
 /// `bcp profile`: dedicated profiling run — every request traced
 /// (sample rate 1 by default), flamegraph + waterfall + attribution
 /// artifacts written to `--out`, and the engine's overhead priced against
-/// a raw `classify_batch` baseline measured in the same process.
+/// a raw `classify_block` baseline measured in the same process.
 fn cmd_profile(args: &Args) {
     use bcp_serve::ServeConfig;
     use bcp_trace::{TimeSeriesSampler, TraceConfig};
@@ -555,33 +540,34 @@ fn cmd_profile(args: &Args) {
     let predictor = bench_predictor(args).with_telemetry(registry.clone());
     let frames = bench_frames(&predictor, n_frames, 0x920F);
 
-    // Raw inference baseline: same frames, no engine, one caller calling
-    // `classify_batch` directly. This is the denominator of the "exact
-    // percentage the engine adds" line.
-    let rounds = 3usize;
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        let _ = predictor.classify_batch(&frames);
-    }
-    let raw_ns = (t0.elapsed().as_nanos() / (rounds as u128 * frames.len() as u128).max(1)) as u64;
-    println!(
-        "raw classify_batch baseline: {:.3} ms/frame ({} frames × {} rounds)",
-        raw_ns as f64 / 1e6,
-        frames.len(),
-        rounds
-    );
-
     let mut cfg = ServeConfig::default();
     cfg.max_batch = get("max-batch", cfg.max_batch).max(1);
     cfg.max_wait =
         Duration::from_micros(get("max-wait-us", cfg.max_wait.as_micros() as usize) as u64);
-    if args.flags.contains_key("streaming-min-batch") {
-        cfg.streaming_min_batch = Some(get("streaming-min-batch", 4).max(1));
-    }
     cfg.trace = Some(TraceConfig {
         sample_rate,
         ..TraceConfig::default()
     });
+
+    // Raw inference baseline: same frames, no engine, one caller calling
+    // `classify_block` on chunks of `max_batch` — the program one engine
+    // worker runs per sealed batch. This is the denominator of the "exact
+    // percentage the engine adds" line.
+    let rounds = 3usize;
+    let t0 = Instant::now();
+    for _ in 0..rounds {
+        for chunk in frames.chunks(cfg.max_batch) {
+            let _ = predictor.classify_block(chunk);
+        }
+    }
+    let raw_ns = (t0.elapsed().as_nanos() / (rounds as u128 * frames.len() as u128).max(1)) as u64;
+    println!(
+        "raw classify_block baseline: {:.3} ms/frame ({} frames in chunks of {} × {} rounds)",
+        raw_ns as f64 / 1e6,
+        frames.len(),
+        cfg.max_batch,
+        rounds
+    );
 
     let engine = binarycop::serve::engine(&predictor, workers, cfg);
     // Queue-depth / worker-occupancy time series, probed off the hot path
@@ -1410,7 +1396,7 @@ fn main() {
                 "  bcp serve-bench [--arch tiny|cnv|ncnv|ucnv | --arch <a> --accel accel.json] \
                  [--workers 2] [--clients 8] [--requests 50] [--frames 32] [--max-batch 8] \
                  [--max-wait-us 500] [--queue-cap 64] [--policy block|reject|shed] \
-                 [--deadline-ms N] [--streaming-min-batch N] [--trace <dir>] \
+                 [--deadline-ms N] [--trace <dir>] \
                  [--sample-rate 64] [--dump-metrics]"
             );
             eprintln!(
@@ -1426,7 +1412,7 @@ fn main() {
             eprintln!(
                 "  bcp profile  [--arch tiny|cnv|ncnv|ucnv] [--workers 2] [--clients 8] \
                  [--requests 40] [--frames 32] [--sample-rate 1] [--max-batch 8] \
-                 [--max-wait-us 500] [--streaming-min-batch N] [--out profile-out]"
+                 [--max-wait-us 500] [--out profile-out]"
             );
             eprintln!(
                 "  bcp scrub-bench [--arch tiny|cnv|ncnv|ucnv] [--faults 64] [--seed 7] \

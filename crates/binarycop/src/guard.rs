@@ -12,7 +12,7 @@
 
 use crate::predictor::BinaryCoP;
 use bcp_dataset::MaskClass;
-use bcp_finn::{GoldenDigest, IntegrityFault, StreamStats};
+use bcp_finn::{GoldenDigest, IntegrityFault};
 use bcp_guard::Scrubber;
 use bcp_serve::{canary_frame, Engine, RecoveryPolicy, Replica, ServeConfig};
 use bcp_tensor::Tensor;
@@ -77,13 +77,6 @@ impl GuardedReplica {
 impl Replica for GuardedReplica {
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         self.predictor.infer_batch(frames)
-    }
-
-    fn infer_batch_streaming(
-        &mut self,
-        frames: &[Tensor],
-    ) -> Option<(Vec<MaskClass>, StreamStats)> {
-        self.predictor.infer_batch_streaming(frames)
     }
 
     fn canary(&self, frame: &Tensor) -> Vec<i64> {

@@ -13,10 +13,9 @@ use bcp_dataset::MaskClass;
 use bcp_finn::data::QuantMap;
 use bcp_finn::device::ResourceUsage;
 use bcp_finn::perf::{ClockModel, PerfReport, CLOCK_100MHZ};
+use bcp_finn::pipeline::{argmax, Pipeline};
 use bcp_finn::power::{PowerModel, DEFAULT_POWER};
 use bcp_finn::resource::estimate;
-use bcp_finn::stream::run_streaming_blocked;
-use bcp_finn::Pipeline;
 use bcp_nn::Sequential;
 use bcp_telemetry::Registry;
 use bcp_tensor::Tensor;
@@ -35,12 +34,6 @@ pub enum OperatingMode {
     CrowdStatistics,
 }
 
-/// Frames per channel token in crowd-mode streaming: two register blocks
-/// of the blocked GEMM ([`bcp_bitpack::BLOCK_LANES`] = 4), so the dense
-/// stages' weight rows are streamed once per 8 frames while token
-/// granularity stays fine enough to keep all stage threads busy.
-pub const STREAM_BLOCK_FRAMES: usize = 8;
-
 /// A deployed BinaryCoP classifier.
 ///
 /// Cloning deep-copies the pipeline (each clone owns independent weight
@@ -54,18 +47,6 @@ pub struct BinaryCoP {
     power: PowerModel,
     usage: ResourceUsage,
     telemetry: Option<Registry>,
-}
-
-/// Argmax over a logits vector, first index on ties — the one decision
-/// rule shared by every classification path.
-fn argmax_class(logits: &[i64]) -> MaskClass {
-    let mut best = 0usize;
-    for (i, &v) in logits.iter().enumerate() {
-        if v > logits.get(best).copied().unwrap_or(i64::MIN) {
-            best = i;
-        }
-    }
-    MaskClass::from_label(best)
 }
 
 /// Counter-name suffix for a predicted class (`predict.class.<slug>`).
@@ -120,9 +101,9 @@ impl BinaryCoP {
     /// Attach a telemetry registry. Afterwards every [`classify`]
     /// (BinaryCoP::classify) records its wall time into the
     /// `predict.latency_ns` histogram and bumps `predict.frames` plus a
-    /// `predict.class.<slug>` counter; [`classify_batch`]
-    /// (BinaryCoP::classify_batch) additionally exports the streaming
-    /// pipeline's per-stage busy/idle/blocked metrics.
+    /// `predict.class.<slug>` counter; [`classify_block`]
+    /// (BinaryCoP::classify_block) records the same per frame, with the
+    /// batch's wall time amortized over its frames.
     pub fn with_telemetry(mut self, registry: Registry) -> Self {
         self.telemetry = Some(registry);
         self
@@ -195,27 +176,24 @@ impl BinaryCoP {
         class
     }
 
-    /// Classify a batch through the threaded streaming pipeline (crowd
-    /// mode); results in input order.
-    pub fn classify_batch(&self, images: &[Tensor]) -> Vec<MaskClass> {
-        self.classify_batch_with_stats(images).0
-    }
-
-    /// Classify a micro-batch in the calling thread through the
+    /// Classify a batch (crowd mode) in the calling thread through the
     /// register-blocked multi-frame kernel ([`Pipeline::forward_batch`]):
-    /// no stage threads are spawned, and the dense layers stream each
-    /// weight row once for the whole group. This is the serving engine's
-    /// dispatch path for small batches, where thread spin-up would cost
-    /// more than it overlaps. Results are bit-identical to
-    /// [`classify`](BinaryCoP::classify) per frame, in input order.
+    /// the dense layers stream each weight row once for the whole group.
+    /// This is the serving engine's dispatch path; multi-core crowd
+    /// traffic runs one such call per engine worker. Results are
+    /// bit-identical to [`classify`](BinaryCoP::classify) per frame, in
+    /// input order.
     pub fn classify_block(&self, images: &[Tensor]) -> Vec<MaskClass> {
         let t0 = Instant::now();
         let frames: Vec<QuantMap> = images.iter().map(|i| self.quantize(i)).collect();
         let logits = self.pipeline.forward_batch(&frames);
-        let classes: Vec<MaskClass> = logits.iter().map(|l| argmax_class(l)).collect();
+        let classes: Vec<MaskClass> = logits
+            .iter()
+            .map(|l| MaskClass::from_label(argmax(l)))
+            .collect();
         if self.telemetry.is_some() {
-            // Amortized per-frame latency, as in crowd mode: the frames
-            // share one pass over the weight memory.
+            // Amortized per-frame latency: the frames share one pass over
+            // the weight memory.
             let per_frame = t0
                 .elapsed()
                 .checked_div(classes.len().max(1) as u32)
@@ -225,34 +203,6 @@ impl BinaryCoP {
             }
         }
         classes
-    }
-
-    /// [`classify_batch`](BinaryCoP::classify_batch), also returning the
-    /// streaming run's [`StreamStats`](bcp_finn::StreamStats) — feed them
-    /// to [`bcp_finn::correlation_report`] to compare measured stage time
-    /// against the analytical cycle model.
-    pub fn classify_batch_with_stats(
-        &self,
-        images: &[Tensor],
-    ) -> (Vec<MaskClass>, bcp_finn::StreamStats) {
-        let frames: Vec<QuantMap> = images.iter().map(|i| self.quantize(i)).collect();
-        let t0 = Instant::now();
-        let (logits, stats) =
-            run_streaming_blocked(&self.pipeline, &frames, 4, STREAM_BLOCK_FRAMES);
-        let wall = t0.elapsed();
-        let classes: Vec<MaskClass> = logits.iter().map(|l| argmax_class(l)).collect();
-        if let Some(t) = &self.telemetry {
-            stats.record_into(t);
-            // Per-frame latency in crowd mode is the amortized pipeline
-            // time, not a per-frame wall measurement (frames overlap).
-            let per_frame = wall
-                .checked_div(classes.len().max(1) as u32)
-                .unwrap_or_default();
-            for &class in &classes {
-                self.record_prediction(class, Some(per_frame));
-            }
-        }
-        (classes, stats)
     }
 
     /// Timing report at the 100 MHz target clock.
@@ -404,37 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single_frame() {
-        let p = predictor();
-        let imgs = images(8);
-        let batch = p.classify_batch(&imgs);
-        let single: Vec<MaskClass> = imgs.iter().map(|i| p.classify(i)).collect();
-        assert_eq!(batch, single);
-    }
-
-    #[test]
     fn block_classify_matches_single_frame() {
         // The in-thread blocked path (the serving engine's dispatch) must
         // agree bit-for-bit with per-frame classify, including at batch
-        // sizes off the register-block grid.
+        // sizes off the register-block grid and spanning several blocks.
         let p = predictor();
-        for n in [0usize, 1, 5, 8, 11] {
+        for n in [0usize, 1, 5, 8, 11, 19] {
             let imgs = images(n.max(1))[..n].to_vec();
             let block = p.classify_block(&imgs);
             let single: Vec<MaskClass> = imgs.iter().map(|i| p.classify(i)).collect();
             assert_eq!(block, single, "n={n}");
         }
-    }
-
-    #[test]
-    fn batch_spanning_many_stream_blocks_matches_single_frame() {
-        // More frames than STREAM_BLOCK_FRAMES with a ragged tail: the
-        // blocked streaming path must stay bit-exact across token joints.
-        let p = predictor();
-        let imgs = images(super::STREAM_BLOCK_FRAMES * 2 + 3);
-        let batch = p.classify_batch(&imgs);
-        let single: Vec<MaskClass> = imgs.iter().map(|i| p.classify(i)).collect();
-        assert_eq!(batch, single);
     }
 
     #[test]
@@ -537,7 +467,7 @@ mod tests {
         let p = predictor().with_telemetry(registry.clone());
         let imgs = images(12);
         let single: Vec<MaskClass> = imgs[..4].iter().map(|i| p.classify(i)).collect();
-        let batch = p.classify_batch(&imgs[4..]);
+        let batch = p.classify_block(&imgs[4..]);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["predict.frames"], 12);
         let per_class: u64 = MaskClass::ALL
@@ -565,8 +495,6 @@ mod tests {
             assert_eq!(got, expected, "count for {c:?}");
         }
         assert_eq!(snap.histograms["predict.latency_ns"].count, 12);
-        // Batch mode also exports the streaming pipeline's stage metrics.
-        assert_eq!(snap.counters["stream.frames"], 8);
     }
 
     #[test]

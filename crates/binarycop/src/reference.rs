@@ -263,18 +263,27 @@ mod tests {
         }
     }
 
+    /// The batched executor against the oracle directly (not via
+    /// `forward`): every paper network, batch sizes on and off the 4-lane
+    /// register-block grid.
     #[test]
-    fn streaming_is_bit_exact_against_reference() {
-        let arch = ArchKind::MicroCnv.arch();
-        let mut net = build_bnn(&arch, 9);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 10);
-        let _ = net.forward(&x, Mode::Train);
-        let pipeline = deploy(&net, &arch);
-        let reference = IntegerReference::from_network(&net, &arch);
-        let frames: Vec<QuantMap> = (0..6).map(|s| quant_image(s + 1)).collect();
-        let (streamed, _) = bcp_finn::stream::run_streaming(&pipeline, &frames, 2);
-        for (f, got) in frames.iter().zip(&streamed) {
-            assert_eq!(got, &reference.forward(f));
+    fn batched_executor_is_bit_exact_against_reference() {
+        for kind in ArchKind::ALL {
+            let arch = kind.arch();
+            let mut net = build_bnn(&arch, 9);
+            let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 10);
+            let _ = net.forward(&x, Mode::Train);
+            let pipeline = deploy(&net, &arch);
+            let reference = IntegerReference::from_network(&net, &arch);
+            let frames: Vec<QuantMap> = (0..9).map(|s| quant_image(s + 1)).collect();
+            let expected: Vec<Vec<i64>> = frames.iter().map(|f| reference.forward(f)).collect();
+            for n in [1usize, 3, 4, 5, 9] {
+                assert_eq!(
+                    pipeline.forward_batch(&frames[..n]),
+                    expected[..n],
+                    "{kind:?} batch of {n}: logits diverge"
+                );
+            }
         }
     }
 

@@ -6,18 +6,10 @@
 //! [`Replica`] for [`BinaryCoP`] (each worker owns an independent deployed
 //! pipeline) and provides [`engine`] to stand up a pool of replicas with a
 //! sensible integrity canary.
-//!
-//! The streaming fast path routes large micro-batches through the
-//! threaded FINN dataflow (`classify_batch_with_stats`), so serving under
-//! load also produces the per-stage [`StreamStats`](bcp_finn::StreamStats)
-//! that `bcp_finn::correlation_report` compares against the analytical
-//! cycle model — measured occupancy under a real concurrent workload,
-//! not just in a microbenchmark.
 
 use crate::predictor::BinaryCoP;
 use bcp_dataset::MaskClass;
 use bcp_finn::fault::inject_random_faults;
-use bcp_finn::StreamStats;
 use bcp_serve::{canary_frame, Engine, Replica, ServeConfig};
 use bcp_tensor::Tensor;
 
@@ -28,13 +20,6 @@ impl Replica for BinaryCoP {
     /// per-frame [`BinaryCoP::classify`].
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         self.classify_block(frames)
-    }
-
-    fn infer_batch_streaming(
-        &mut self,
-        frames: &[Tensor],
-    ) -> Option<(Vec<MaskClass>, StreamStats)> {
-        Some(self.classify_batch_with_stats(frames))
     }
 
     /// Raw output logits for `frame` — bit-exact on a healthy pipeline, and
@@ -111,27 +96,5 @@ mod tests {
         assert_ne!(Replica::canary(&replicas[0], &frame), golden);
         assert_eq!(Replica::canary(&replicas[1], &frame), golden);
         assert_eq!(Replica::canary(&p, &frame), golden);
-    }
-
-    #[test]
-    fn streaming_path_accumulates_stream_stats() {
-        let p = predictor();
-        let e = engine(
-            &p,
-            1,
-            ServeConfig {
-                streaming_min_batch: Some(2),
-                max_batch: 8,
-                ..ServeConfig::default()
-            },
-        );
-        let imgs = images(8);
-        let tickets: Vec<_> = imgs.iter().map(|i| e.submit(i).unwrap()).collect();
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
-        e.shutdown();
-        let stats = e.stream_stats().expect("batches of ≥2 must stream");
-        assert!(stats.frames >= 2, "streamed at least one real batch");
     }
 }

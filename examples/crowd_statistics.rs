@@ -3,9 +3,10 @@
 //! "This high-performance can be used to split large crowd images and
 //! classify them at a high-rate to detect uncovered faces in a scene."
 //! This example builds a synthetic crowd scene as a grid of faces, splits
-//! it into 32×32 tiles, and pushes all tiles through the *threaded*
-//! streaming pipeline at once — the software analogue of keeping the
-//! accelerator's pipeline full.
+//! it into 32×32 tiles, and pushes all tiles through the blocked batch
+//! executor in one call — each dense weight row is streamed once for the
+//! whole scene. (Multi-core crowd traffic runs one such call per engine
+//! worker: `binarycop::serve::engine(&p, n, cfg)`.)
 //!
 //! ```sh
 //! cargo run --release --example crowd_statistics
@@ -49,9 +50,9 @@ fn main() {
         tiles.len()
     );
 
-    // Classify the whole scene through the threaded streaming pipeline.
+    // Classify the whole scene in one blocked batch.
     let t0 = std::time::Instant::now();
-    let (decisions, stream_stats) = predictor.classify_batch_with_stats(&tiles);
+    let decisions = predictor.classify_block(&tiles);
     let wall = t0.elapsed().as_secs_f64();
 
     let mut counts = [0usize; 4];
@@ -88,13 +89,7 @@ fn main() {
         modeled * 1e3
     );
 
-    // Does the software pipeline behave like the cycle model predicts?
-    // Compare each stage's share of measured busy time against its share
-    // of modeled cycles.
-    let report = bcp_finn::correlation_report(predictor.pipeline(), &stream_stats);
-    println!("\n{}", report.render_text());
-
-    // Full meter dump: training dynamics, per-stage stream metrics and the
-    // per-tile prediction counters, all from one registry.
+    // Full meter dump: training dynamics and the per-tile prediction
+    // counters, all from one registry.
     println!("{}", telemetry.snapshot().render_text());
 }

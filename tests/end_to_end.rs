@@ -77,7 +77,7 @@ fn predictor_beats_chance_on_fresh_data() {
 }
 
 #[test]
-fn streaming_batch_equals_single_frame_classification() {
+fn crowd_batch_equals_single_frame_classification() {
     let model = run(&small_recipe(), |_| {});
     let predictor = BinaryCoP::from_trained(&model.net, &model.arch);
     let gen = GeneratorConfig {
@@ -86,7 +86,7 @@ fn streaming_batch_equals_single_frame_classification() {
     };
     let ds = Dataset::generate_raw(&gen, 12, 0xCAFE);
     let images: Vec<_> = (0..ds.len()).map(|i| ds.image(i)).collect();
-    let batch = predictor.classify_batch(&images);
+    let batch = predictor.classify_block(&images);
     for (i, img) in images.iter().enumerate() {
         assert_eq!(batch[i], predictor.classify(img), "frame {i}");
     }

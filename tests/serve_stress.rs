@@ -3,7 +3,7 @@
 //!
 //! * **Determinism**: the same 256 frames produce byte-identical
 //!   `MaskClass` sequences through the engine at worker counts 1, 2 and 8
-//!   as through plain `classify_batch` — concurrency must never change
+//!   as through plain `classify_block` — concurrency must never change
 //!   answers, only their timing.
 //! * **Saturation safety**: under `Reject` and `ShedOldest` with a tiny
 //!   queue and many closed-loop clients, the engine never deadlocks and
@@ -44,8 +44,9 @@ fn images(n: usize) -> Vec<Tensor> {
 fn engine_is_deterministic_across_worker_counts() {
     let p = predictor();
     let frames = images(256);
-    // Reference: the threaded streaming pipeline, no serving layer at all.
-    let reference = p.classify_batch(&frames);
+    // Reference: the blocked executor over all frames at once, no serving
+    // layer at all.
+    let reference = p.classify_block(&frames);
     for workers in [1usize, 2, 8] {
         let e = engine(&p, workers, ServeConfig::default());
         let tickets: Vec<_> = frames
@@ -58,28 +59,28 @@ fn engine_is_deterministic_across_worker_counts() {
             .collect();
         assert_eq!(
             served, reference,
-            "engine with {workers} workers diverged from classify_batch"
+            "engine with {workers} workers diverged from classify_block"
         );
         e.shutdown();
     }
 }
 
 #[test]
-fn batched_kernel_engine_is_byte_identical_to_classify_batch() {
+fn batched_kernel_engine_is_byte_identical_to_classify_block() {
     // Same shape as the determinism test above, but tuned so worker
     // dispatch actually forms large micro-batches: max_batch 16 spans four
     // register blocks of the blocked GEMM, and a non-zero max_wait lets the
-    // queue coalesce. The register-blocked kernel inside `infer_batch` must
-    // be byte-identical to the threaded streaming `classify_batch` — and to
-    // the in-thread `classify_block` it is built from — at every worker
-    // count.
+    // queue coalesce. However the engine cuts the 96 frames into sealed
+    // batches, the register-blocked kernel inside `infer_batch` must be
+    // byte-identical to one `classify_block` over all of them — and to
+    // per-frame `classify` — at every worker count.
     let p = predictor();
     let frames = images(96);
-    let reference = p.classify_batch(&frames);
+    let reference = p.classify_block(&frames);
     assert_eq!(
-        p.classify_block(&frames),
+        frames.iter().map(|f| p.classify(f)).collect::<Vec<_>>(),
         reference,
-        "blocked in-thread path diverged from streaming classify_batch"
+        "blocked in-thread path diverged from per-frame classify"
     );
     for workers in [1usize, 2, 8] {
         let e = engine(
@@ -101,7 +102,7 @@ fn batched_kernel_engine_is_byte_identical_to_classify_batch() {
             .collect();
         assert_eq!(
             served, reference,
-            "batched-kernel engine with {workers} workers diverged from classify_batch"
+            "batched-kernel engine with {workers} workers diverged from classify_block"
         );
         e.shutdown();
     }
@@ -204,7 +205,7 @@ fn submitting_threads_and_waiting_threads_can_be_different() {
     let p = predictor();
     let e = engine(&p, 2, ServeConfig::default());
     let frames = images(32);
-    let reference = p.classify_batch(&frames);
+    let reference = p.classify_block(&frames);
     let tickets: Vec<_> = frames.iter().map(|f| e.submit(f).unwrap()).collect();
     let served = std::thread::scope(|s| {
         s.spawn(|| {

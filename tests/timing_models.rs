@@ -1,19 +1,16 @@
-//! Cross-validation of the three timing views on the published
-//! architectures: the analytical model (`perf`), the discrete-event
-//! simulation (`cyclesim`), and the threaded software execution
-//! (`stream`) must tell one consistent story.
+//! Cross-validation of the two timing views on the published
+//! architectures: the analytical model (`perf`) and the discrete-event
+//! simulation (`cyclesim`) must tell one consistent story.
 
 use bcp_finn::cyclesim::simulate;
-use bcp_finn::data::QuantMap;
 use bcp_finn::perf::CLOCK_100MHZ;
-use bcp_finn::stream::run_streaming;
 use bcp_nn::Mode;
 use bcp_tensor::Shape;
 use binarycop::arch::ArchKind;
 use binarycop::deploy::deploy;
 use binarycop::model::build_bnn;
 
-fn deployed(kind: ArchKind) -> (bcp_finn::Pipeline, usize) {
+fn deployed(kind: ArchKind) -> bcp_finn::Pipeline {
     let arch = kind.arch();
     let mut net = build_bnn(&arch, 3);
     let x = bcp_tensor::init::uniform(
@@ -23,13 +20,13 @@ fn deployed(kind: ArchKind) -> (bcp_finn::Pipeline, usize) {
         4,
     );
     let _ = net.forward(&x, Mode::Train);
-    (deploy(&net, &arch), arch.input_size)
+    deploy(&net, &arch)
 }
 
 #[test]
 fn event_sim_matches_analytical_for_all_prototypes() {
     for kind in ArchKind::ALL {
-        let (pipeline, _) = deployed(kind);
+        let pipeline = deployed(kind);
         let analytical = CLOCK_100MHZ.analyze(&pipeline);
         let sim = simulate(&pipeline, 64, 2);
         assert_eq!(
@@ -51,29 +48,11 @@ fn event_sim_matches_analytical_for_all_prototypes() {
 fn ncnv_headline_claim_order_of_magnitude() {
     // The ~6400 fps n-CNV claim, validated through the *event simulation*
     // rather than the closed-form model.
-    let (pipeline, _) = deployed(ArchKind::NCnv);
+    let pipeline = deployed(ArchKind::NCnv);
     let sim = simulate(&pipeline, 64, 2);
     let fps = CLOCK_100MHZ.hz / sim.measured_ii as f64;
     assert!(
         (2_000.0..20_000.0).contains(&fps),
         "n-CNV event-sim throughput {fps} fps out of band"
     );
-}
-
-#[test]
-fn threaded_execution_is_functionally_identical_for_ncnv() {
-    let (pipeline, size) = deployed(ArchKind::NCnv);
-    let frames: Vec<QuantMap> = (0..4u64)
-        .map(|s| {
-            let px: Vec<f32> = (0..3 * size * size)
-                .map(|i| (((i as u64 * 37 + s * 101) % 256) as f32) / 255.0)
-                .collect();
-            QuantMap::from_unit_floats(3, size, size, &px)
-        })
-        .collect();
-    let (streamed, stats) = run_streaming(&pipeline, &frames, 2);
-    for (f, got) in frames.iter().zip(&streamed) {
-        assert_eq!(got, &pipeline.forward(f));
-    }
-    assert!(stats.per_stage_processed.iter().all(|&c| c == 4));
 }

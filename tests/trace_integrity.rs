@@ -120,58 +120,49 @@ proptest! {
 }
 
 /// The register-blocked batch dispatch (`infer_batch` → `classify_block`)
-/// and the threaded streaming dispatch (`streaming_min_batch`) both run
-/// under the same tracer: compute-segment attribution must still telescope
-/// exactly to end-to-end latency on every record, whichever kernel path a
-/// batch took.
+/// runs under the tracer: compute-segment attribution must still telescope
+/// exactly to end-to-end latency on every record of a multi-frame batch.
 #[test]
 fn compute_attribution_telescopes_through_the_batched_paths() {
-    for streaming_min_batch in [None, Some(2)] {
-        let cfg = ServeConfig {
-            max_batch: 16,
-            max_wait: Duration::from_micros(500),
-            streaming_min_batch,
-            trace: Some(TraceConfig::sample_all()),
-            ..ServeConfig::default()
-        };
-        let e = engine(predictor(), 2, cfg);
-        let frames = images(24);
-        let tickets: Vec<_> = frames
-            .iter()
-            .map(|f| e.submit(f).expect("Block policy never refuses"))
-            .collect();
-        for t in tickets {
-            t.wait().expect("lossless config");
-        }
-        let tracer = e.tracer().expect("tracing enabled");
-        e.shutdown();
-        let records = tracer.drain();
-        assert_eq!(records.len(), 24);
-
-        let mut saw_multi_frame_batch = false;
-        for r in &records {
-            assert_eq!(r.outcome, TraceOutcome::Ok);
-            assert!(r.is_complete());
-            let seg_sum: u64 = SEGMENTS
-                .iter()
-                .map(|&s| r.segment_ns(s).expect("complete record"))
-                .sum();
-            assert_eq!(
-                Some(seg_sum),
-                r.end_to_end_ns(),
-                "segments must telescope under streaming_min_batch {streaming_min_batch:?}"
-            );
-            saw_multi_frame_batch |= r.batch_size >= 2;
-        }
-        // 24 requests through a 16-deep queue with coalescing wait must
-        // form at least one multi-frame batch, so the blocked (or
-        // streaming) kernel path genuinely ran.
-        assert!(
-            saw_multi_frame_batch,
-            "no batch reached the multi-frame kernel path"
-        );
-        audit(&records).expect("records audit clean");
+    let cfg = ServeConfig {
+        max_batch: 16,
+        max_wait: Duration::from_micros(500),
+        trace: Some(TraceConfig::sample_all()),
+        ..ServeConfig::default()
+    };
+    let e = engine(predictor(), 2, cfg);
+    let frames = images(24);
+    let tickets: Vec<_> = frames
+        .iter()
+        .map(|f| e.submit(f).expect("Block policy never refuses"))
+        .collect();
+    for t in tickets {
+        t.wait().expect("lossless config");
     }
+    let tracer = e.tracer().expect("tracing enabled");
+    e.shutdown();
+    let records = tracer.drain();
+    assert_eq!(records.len(), 24);
+
+    let mut saw_multi_frame_batch = false;
+    for r in &records {
+        assert_eq!(r.outcome, TraceOutcome::Ok);
+        assert!(r.is_complete());
+        let seg_sum: u64 = SEGMENTS
+            .iter()
+            .map(|&s| r.segment_ns(s).expect("complete record"))
+            .sum();
+        assert_eq!(Some(seg_sum), r.end_to_end_ns(), "segments must telescope");
+        saw_multi_frame_batch |= r.batch_size >= 2;
+    }
+    // 24 requests through a 16-deep queue with coalescing wait must form
+    // at least one multi-frame batch, so the blocked kernel path genuinely
+    // ran.
+    assert!(
+        saw_multi_frame_batch,
+        "no batch reached the multi-frame kernel path"
+    );
+    audit(&records).expect("records audit clean");
 }
 
 /// Under concurrent producers with a deliberately tiny ring, finished
