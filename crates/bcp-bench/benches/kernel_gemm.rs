@@ -1,5 +1,7 @@
-//! Register-blocked multi-frame GEMM versus the single-frame kernel it
-//! replaces on the batch path.
+//! Register-blocked multi-frame GEMM versus a matvec per frame — the loop
+//! it replaced everywhere. The per-frame baseline is local to this bench
+//! (a row loop over the public `xnor_dot_words`); the workspace has one
+//! binary kernel, the blocked one.
 //!
 //! The blocked kernel streams each packed weight row once per register
 //! block of `BLOCK_LANES` frames instead of once per frame, accumulating
@@ -26,16 +28,16 @@
 //!   weight words + activation words actually read per pass). The blocked
 //!   kernel touches the weight matrix once per register block, so its
 //!   byte count per frame is lower *and* its rate is higher.
-//! * `mvtu_*_fps_B8` — operator level: the full pre-PR per-frame MVTU
-//!   pass (matvec → i64 accumulators → threshold dispatch → bit-pack)
-//!   against the fused blocked kernel that produces packed bits directly.
+//! * `mvtu_*_fps_B8` — operator level: a full per-frame MVTU pass
+//!   (matvec → i64 accumulators → threshold dispatch → bit-pack) against
+//!   the fused blocked kernel that produces packed bits directly.
 //!
 //! Frames are pre-packed outside the timed region in both variants: the
 //! bit-plane interleave is a per-layer-pass cost amortized over every
 //! output row, exactly as `pack_matrix` is for the single-frame path.
 
 use bcp_bitpack::pack::pack_matrix;
-use bcp_bitpack::xnor::xnor_matvec;
+use bcp_bitpack::xnor::xnor_dot_words;
 use bcp_bitpack::{
     xnor_gemm_block, xnor_gemm_block_thresholded, BitMatrix, BitPlaneBlock, BitVec64, ThresholdUnit,
 };
@@ -87,10 +89,19 @@ fn bank(rows: usize) -> ThresholdUnit {
     )
 }
 
-/// The pre-PR per-frame MVTU operator: matvec, widen to i64, threshold
-/// dispatch per channel, bit-pack. Mirrors `BinaryMvtu::threshold_bits`.
+/// The single-frame baseline: one weight-matrix sweep per frame, a scalar
+/// XNOR-popcount dot product per row.
+fn matvec(a: &BitMatrix, x: &BitVec64) -> Vec<i32> {
+    assert_eq!(a.cols(), x.len(), "matvec length mismatch");
+    (0..a.rows())
+        .map(|r| xnor_dot_words(a.row_words(r), x.words(), a.cols()))
+        .collect()
+}
+
+/// The per-frame MVTU operator: matvec, widen to i64, threshold dispatch
+/// per channel, bit-pack.
 fn mvtu_single_frame(weights: &BitMatrix, bank: &ThresholdUnit, f: &BitVec64) -> BitVec64 {
-    let accs: Vec<i64> = xnor_matvec(weights, f).into_iter().map(i64::from).collect();
+    let accs: Vec<i64> = matvec(weights, f).into_iter().map(i64::from).collect();
     let mut out = BitVec64::zeros(accs.len());
     for (i, &a) in accs.iter().enumerate() {
         if bank.apply(i, a) {
@@ -117,7 +128,7 @@ fn bench_gated_large(c: &mut Criterion) {
             |ben, _| {
                 ben.iter(|| {
                     for f in &fs {
-                        std::hint::black_box(xnor_matvec(&weights, f));
+                        std::hint::black_box(matvec(&weights, f));
                     }
                 })
             },
@@ -144,7 +155,7 @@ fn bench_gated_large(c: &mut Criterion) {
     group.bench_function("single_gbps_B8", |ben| {
         ben.iter(|| {
             for f in &fs {
-                std::hint::black_box(xnor_matvec(&weights, f));
+                std::hint::black_box(matvec(&weights, f));
             }
         })
     });
@@ -155,8 +166,8 @@ fn bench_gated_large(c: &mut Criterion) {
         ben.iter(|| std::hint::black_box(xnor_gemm_block(&weights, &block)))
     });
 
-    // Operator level at the gated batch size: the full pre-PR per-frame
-    // pass against the fused kernel (accumulate + threshold + pack in one
+    // Operator level at the gated batch size: the full per-frame pass
+    // against the fused kernel (accumulate + threshold + pack in one
     // sweep, no intermediate vectors).
     let t = bank(BIG_ROWS);
     group.throughput(Throughput::Elements(b as u64));
@@ -187,7 +198,7 @@ fn bench_cnv_context(c: &mut Criterion) {
     group.bench_function("single_fps_B8", |ben| {
         ben.iter(|| {
             for f in &fs {
-                std::hint::black_box(xnor_matvec(&weights, f));
+                std::hint::black_box(matvec(&weights, f));
             }
         })
     });
@@ -216,7 +227,7 @@ fn sanity(c: &mut Criterion) {
     let block = BitPlaneBlock::pack(&fs);
     let blocked = xnor_gemm_block(&weights, &block);
     for (f, frame) in fs.iter().enumerate() {
-        for (r, &want) in xnor_matvec(&weights, frame).iter().enumerate() {
+        for (r, &want) in matvec(&weights, frame).iter().enumerate() {
             assert_eq!(blocked[r * fs.len() + f], want, "frame {f} row {r}");
         }
     }

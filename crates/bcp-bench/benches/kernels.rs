@@ -1,8 +1,8 @@
 //! Kernel microbenches: the XNOR-popcount datapath against the float math
 //! it replaces (the paper's core efficiency claim, Sec. II-B/III-A).
 
-use bcp_bitpack::pack;
-use bcp_bitpack::xnor::{gemm_naive_signs, xnor_gemm};
+use bcp_bitpack::xnor::gemm_naive_signs;
+use bcp_bitpack::{pack, xnor_gemm_block, BitMatrix, BitPlaneBlock, BitVec64};
 use bcp_tensor::matmul::matmul_tb;
 use bcp_tensor::{Shape, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,6 +29,13 @@ const SHAPES: [(usize, usize, usize); 3] = [
     (256, 2304, 16),  // conv3_2-like (fewer windows)
 ];
 
+/// A packed activation matrix's rows as one bit-plane block (the SWU's
+/// window vectors are the blocked kernel's frames).
+fn block_of_rows(m: &BitMatrix) -> BitPlaneBlock {
+    let rows: Vec<BitVec64> = (0..m.rows()).map(|r| m.row(r)).collect();
+    BitPlaneBlock::pack(&rows)
+}
+
 fn bench_xnor_vs_float(c: &mut Criterion) {
     let mut group = c.benchmark_group("xnor_vs_float_gemm");
     group
@@ -38,13 +45,13 @@ fn bench_xnor_vs_float(c: &mut Criterion) {
         let w_signs = random_signs(rows * cols, 1);
         let a_signs = random_signs(windows * cols, 2);
         let wbits = pack::pack_matrix(rows, cols, &w_signs);
-        let abits = pack::pack_matrix(windows, cols, &a_signs);
+        let ablock = block_of_rows(&pack::pack_matrix(windows, cols, &a_signs));
         let wf = Tensor::from_vec(Shape::d2(rows, cols), w_signs);
         let af = Tensor::from_vec(Shape::d2(windows, cols), a_signs);
         group.bench_with_input(
             BenchmarkId::new("xnor_popcount", format!("{rows}x{cols}x{windows}")),
             &(),
-            |b, _| b.iter(|| std::hint::black_box(xnor_gemm(&abits, &wbits))),
+            |b, _| b.iter(|| std::hint::black_box(xnor_gemm_block(&wbits, &ablock))),
         );
         group.bench_with_input(
             BenchmarkId::new("float_gemm", format!("{rows}x{cols}x{windows}")),
@@ -103,11 +110,12 @@ fn sanity(c: &mut Criterion) {
     // kernel can't silently "win".
     let w = pack::pack_matrix(8, 100, &random_signs(800, 7));
     let a = pack::pack_matrix(4, 100, &random_signs(400, 8));
-    assert_eq!(xnor_gemm(&a, &w), gemm_naive_signs(&a, &w));
+    let ablock = block_of_rows(&a);
+    assert_eq!(xnor_gemm_block(&w, &ablock), gemm_naive_signs(&w, &a));
     let mut g = c.benchmark_group("sanity");
     g.sample_size(10);
     g.bench_function("xnor_small", |b| {
-        b.iter(|| std::hint::black_box(xnor_gemm(&a, &w)))
+        b.iter(|| std::hint::black_box(xnor_gemm_block(&w, &ablock)))
     });
     g.finish();
 }

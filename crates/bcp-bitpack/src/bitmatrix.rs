@@ -132,38 +132,6 @@ impl BitMatrix {
         BitVec64::from_words(self.cols, self.row_words(r).to_vec())
     }
 
-    /// XNOR-popcount ±1 dot product between row `r` and a packed vector of
-    /// matching length.
-    // Popcounts are bounded by cols (≪ 2^31 for any representable layer), so the
-    // agreement arithmetic cannot overflow; plain ops keep the PE lane vectorizable.
-    #[allow(clippy::arithmetic_side_effects)]
-    // bcp:hot-path — one PE-lane inner product per output neuron
-    pub fn row_dot(&self, r: usize, v: &BitVec64) -> i32 {
-        // audit: allow(panic): length mismatch is a programming error, checked once per row — not per word
-        assert_eq!(
-            v.len(),
-            self.cols,
-            "vector length {} vs cols {}",
-            v.len(),
-            self.cols
-        );
-        let a = self.row_words(r);
-        let b = v.words();
-        let full = self.cols / WORD_BITS;
-        let mut agree = 0u32;
-        for i in 0..full {
-            // audit: allow(index): i < full = cols/64 ≤ words per row for both operands (lengths asserted above)
-            agree += (!(a[i] ^ b[i])).count_ones();
-        }
-        let tail = self.cols % WORD_BITS;
-        if tail != 0 {
-            // audit: allow(index): a ragged tail implies a final partial word at index full
-            agree += ((!(a[full] ^ b[full])) & low_mask(tail)).count_ones();
-        }
-        // audit: allow(cast): popcount ≤ cols and layer widths are far below 2^31, so both casts are value-preserving
-        2 * agree as i32 - self.cols as i32
-    }
-
     /// Per-row CRC-32 integrity codes over the packed words (padding
     /// included — it is zero by construction, so the code is stable).
     /// Captured at deploy time and re-checked by the `bcp-guard` scrubber;
@@ -205,7 +173,6 @@ impl BitMatrix {
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn zeros_and_set_get() {
@@ -224,14 +191,6 @@ mod tests {
         let m = BitMatrix::from_rows(&[r0.clone(), r1.clone()]);
         assert_eq!(m.row(0), r0);
         assert_eq!(m.row(1), r1);
-    }
-
-    #[test]
-    fn row_dot_matches_bitvec_dot() {
-        let r0 = BitVec64::from_bools(&[true, true, false, true, false]);
-        let v = BitVec64::from_bools(&[true, false, false, true, true]);
-        let m = BitMatrix::from_rows(std::slice::from_ref(&r0));
-        assert_eq!(m.row_dot(0, &v), r0.dot(&v));
     }
 
     #[test]
@@ -271,37 +230,5 @@ mod tests {
     #[should_panic(expected = "padding bits")]
     fn from_words_rejects_dirty_padding() {
         BitMatrix::from_words(1, 3, vec![0b1111]);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_row_dot_equals_naive(rows in 1usize..5, cols in 1usize..150, seed in any::<u64>()) {
-            let mut m = BitMatrix::zeros(rows, cols);
-            let mut v = BitVec64::zeros(cols);
-            let mut state = seed | 1;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                state >> 33 & 1 == 1
-            };
-            for r in 0..rows {
-                for c in 0..cols {
-                    if next() { m.set(r, c, true); }
-                }
-            }
-            for c in 0..cols {
-                if next() { v.set(c, true); }
-            }
-            for r in 0..rows {
-                let naive: i32 = (0..cols)
-                    .map(|c| {
-                        let a = if m.get(r, c) { 1i32 } else { -1 };
-                        let b = if v.get(c) { 1i32 } else { -1 };
-                        a * b
-                    })
-                    .sum();
-                prop_assert_eq!(m.row_dot(r, &v), naive);
-            }
-        }
     }
 }

@@ -153,43 +153,6 @@ impl BitVec64 {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Popcount of `XNOR(self, other)` over the valid bits only —
-    /// the number of positions where the two ±1 vectors agree.
-    // Word counts are len/64-bounded and popcount sums fit u32 for any
-    // representable vector; plain ops keep the XNOR loop vectorizable.
-    #[allow(clippy::arithmetic_side_effects)]
-    // bcp:hot-path — agreement count of the packed ±1 kernel
-    pub fn xnor_popcount(&self, other: &BitVec64) -> u32 {
-        // audit: allow(panic): length mismatch is a programming error, checked once per call — not per word
-        assert_eq!(self.len, other.len, "xnor_popcount length mismatch");
-        if self.len == 0 {
-            return 0;
-        }
-        let full_words = self.len / WORD_BITS;
-        let mut count = 0u32;
-        for i in 0..full_words {
-            // audit: allow(index): i < full_words = len/64 ≤ word count for both operands (lengths asserted equal)
-            count += (!(self.words[i] ^ other.words[i])).count_ones();
-        }
-        let tail = self.len % WORD_BITS;
-        if tail != 0 {
-            // audit: allow(index): a ragged tail implies a final partial word at index full_words
-            let x = !(self.words[full_words] ^ other.words[full_words]) & low_mask(tail);
-            count += x.count_ones();
-        }
-        count
-    }
-
-    /// ±1 dot product via XNOR + popcount: `2·agreements − len`.
-    #[inline]
-    // 2·agreements − len cannot overflow i32 for any representable layer width.
-    #[allow(clippy::arithmetic_side_effects)]
-    // bcp:hot-path — per-neuron ±1 dot product (paper Eq. 3)
-    pub fn dot(&self, other: &BitVec64) -> i32 {
-        // audit: allow(cast): popcount ≤ len and layer widths are far below 2^31, so both casts are value-preserving
-        2 * self.xnor_popcount(other) as i32 - self.len as i32
-    }
-
     /// Bitwise OR (used by the FINN pooling unit: max of ±1 values == OR).
     pub fn or(&self, other: &BitVec64) -> BitVec64 {
         assert_eq!(self.len, other.len, "or length mismatch");
@@ -244,7 +207,6 @@ impl BitVec64 {
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn set_get_roundtrip() {
@@ -290,27 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn xnor_popcount_ignores_padding() {
-        // Two all-(−1) vectors of 65 bits: all 65 agree; the 63 padding bit
-        // positions (which XNOR to 1) must not be counted.
-        let a = BitVec64::zeros(65);
-        let b = BitVec64::zeros(65);
-        assert_eq!(a.xnor_popcount(&b), 65);
-        assert_eq!(a.dot(&b), 65);
-    }
-
-    #[test]
-    fn dot_known_values() {
-        let a = BitVec64::from_bools(&[true, true, false, false]);
-        let b = BitVec64::from_bools(&[true, false, true, false]);
-        // Agreements at positions 0 and 3 → dot = 2·2 − 4 = 0.
-        assert_eq!(a.dot(&b), 0);
-        assert_eq!(a.dot(&a), 4);
-        let c = BitVec64::from_bools(&[false, false, true, true]);
-        assert_eq!(a.dot(&c), -4);
-    }
-
-    #[test]
     fn or_is_binary_max() {
         let a = BitVec64::from_bools(&[true, false, false]);
         let b = BitVec64::from_bools(&[false, false, true]);
@@ -331,40 +272,6 @@ mod tests {
         let signs = v.to_signs();
         for (s, b) in signs.iter().zip(bits) {
             assert_eq!(*s, if b { 1.0 } else { -1.0 });
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn prop_dot_matches_naive(bits_a in proptest::collection::vec(any::<bool>(), 1..200),
-                                  bits_b_seed in any::<u64>()) {
-            let n = bits_a.len();
-            // Derive b deterministically from the seed so lengths match.
-            let bits_b: Vec<bool> = (0..n).map(|i| (bits_b_seed >> (i % 64)) & 1 == 1).collect();
-            let a = BitVec64::from_bools(&bits_a);
-            let b = BitVec64::from_bools(&bits_b);
-            let naive: i32 = bits_a.iter().zip(&bits_b)
-                .map(|(&x, &y)| {
-                    let xs = if x { 1i32 } else { -1 };
-                    let ys = if y { 1i32 } else { -1 };
-                    xs * ys
-                })
-                .sum();
-            prop_assert_eq!(a.dot(&b), naive);
-        }
-
-        #[test]
-        fn prop_dot_bounds_and_symmetry(bits in proptest::collection::vec(any::<(bool, bool)>(), 1..128)) {
-            let a = BitVec64::from_bools(&bits.iter().map(|p| p.0).collect::<Vec<_>>());
-            let b = BitVec64::from_bools(&bits.iter().map(|p| p.1).collect::<Vec<_>>());
-            let d = a.dot(&b);
-            let n = bits.len() as i32;
-            prop_assert!(d >= -n && d <= n);
-            // Same parity as n.
-            prop_assert_eq!((d - n).rem_euclid(2), 0);
-            prop_assert_eq!(a.dot(&b), b.dot(&a));
-            prop_assert_eq!(a.dot(&a), n);
         }
     }
 }

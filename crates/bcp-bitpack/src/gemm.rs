@@ -1,10 +1,12 @@
 //! Register-blocked multi-frame XNOR-popcount GEMM.
 //!
-//! The single-frame kernels in [`crate::xnor`] stream every weight row once
-//! *per frame*, so at batch size B each weight word is loaded B times — the
-//! loop is memory-bound. This module is the software analogue of FINN's
-//! SIMD×PE folding (paper Sec. III-B): activations for B frames are packed
-//! into a [`BitPlaneBlock`] whose words are interleaved in groups of
+//! The one binary MVTU kernel: every XNOR-popcount layer product in the
+//! workspace runs here, and a single frame is a block of one. A matvec per
+//! frame would stream every weight row once *per frame*, so at batch size B
+//! each weight word is loaded B times — the loop is memory-bound. This
+//! module is the software analogue of FINN's SIMD×PE folding (paper
+//! Sec. III-B): activations for B frames are packed into a
+//! [`BitPlaneBlock`] whose words are interleaved in groups of
 //! [`BLOCK_LANES`], and each weight row is streamed exactly once per block
 //! while [`BLOCK_LANES`] independent popcount accumulators advance side by
 //! side. One weight-word load now feeds four XNOR+popcounts — weight reuse
@@ -17,9 +19,10 @@
 //! is complete, and only the packed output bit is written — no intermediate
 //! accumulator vector exists.
 //!
-//! Every kernel here is bit-exact against the single-frame path and the
-//! float reference; `tests/proptest_kernels.rs` pins the equivalence over
-//! random shapes, batch sizes, and the full accumulator range.
+//! Every kernel here is bit-exact against the dense sign-decode oracle
+//! ([`crate::xnor::gemm_naive_signs`]) and the float reference;
+//! `tests/proptest_kernels.rs` pins the equivalence over random shapes,
+//! batch sizes, and the full accumulator range.
 
 use crate::bitmatrix::BitMatrix;
 use crate::bitvec64::{low_mask, BitVec64, WORD_BITS};
@@ -77,7 +80,7 @@ fn lane_agreements(wrow: &[u64], quads: &[u64], bits: usize) -> [u64; BLOCK_LANE
 /// Register-blocked multi-frame GEMM: signed ±1 accumulators of every
 /// weight row against every packed frame. Returns a `rows × frames`
 /// row-major buffer (`out[r·frames + f]`), empty when the block holds no
-/// frames. Bit-exact against [`crate::xnor::xnor_matvec`] per frame.
+/// frames.
 // Accumulator indices are bounded by rows·frames (asserted once) and the
 // signed accumulator 2·agree − bits fits i32 for any representable layer.
 #[allow(clippy::arithmetic_side_effects)]
@@ -115,8 +118,8 @@ pub fn xnor_gemm_block(weights: &BitMatrix, block: &BitPlaneBlock) -> Vec<i32> {
 /// Register-blocked GEMM with the folded-threshold compare fused into the
 /// accumulator loop: each completed accumulator is compared against its
 /// channel's τ immediately and only the packed output bit is stored.
-/// Returns one `rows`-bit vector per frame. Bit-exact against
-/// `accumulate → ThresholdUnit::apply` per frame.
+/// Returns one `rows`-bit vector per frame, bit-exact against
+/// [`xnor_gemm_block`] followed by [`ThresholdUnit::apply`].
 // The signed accumulator 2·agree − bits fits i64 trivially; index products
 // are bounded by rows·frames as in the unfused kernel.
 #[allow(clippy::arithmetic_side_effects)]
@@ -173,7 +176,8 @@ mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
     use crate::threshold::ThresholdChannel;
-    use crate::xnor::xnor_matvec;
+    use crate::xnor::gemm_naive_signs;
+    use proptest::prelude::*;
 
     fn random_bitmatrix(rows: usize, cols: usize, seed: u64) -> BitMatrix {
         let mut m = BitMatrix::zeros(rows, cols);
@@ -197,37 +201,90 @@ mod tests {
             .collect()
     }
 
-    /// Reference: the single-frame kernel, one matvec per frame.
-    fn per_frame(weights: &BitMatrix, frames: &[BitVec64]) -> Vec<i32> {
-        let mut out = vec![0i32; weights.rows() * frames.len()];
-        for (f, frame) in frames.iter().enumerate() {
-            for (r, acc) in xnor_matvec(weights, frame).into_iter().enumerate() {
-                out[r * frames.len() + f] = acc;
-            }
-        }
-        out
+    /// Reference: the dense sign-decode GEMM, `out[r·frames + f]` like the
+    /// blocked kernel.
+    fn naive(weights: &BitMatrix, frames: &[BitVec64]) -> Vec<i32> {
+        gemm_naive_signs(weights, &BitMatrix::from_rows(frames))
+    }
+
+    /// A bank mixing all three channel kinds around τ = 0.
+    fn mixed_bank(rows: usize) -> ThresholdUnit {
+        ThresholdUnit::new(
+            (0..rows)
+                .map(|i| match i % 3 {
+                    0 => ThresholdChannel::Ge(i as i64 % 7 - 3),
+                    1 => ThresholdChannel::Le(3 - i as i64 % 5),
+                    _ => ThresholdChannel::Const(i % 2 == 0),
+                })
+                .collect(),
+        )
     }
 
     #[test]
     fn b0_yields_empty_output() {
-        let w = random_bitmatrix(5, 70, 1);
         let block = BitPlaneBlock::pack(&[]);
         // An empty block reports 0 bits; pair it with a 0-col matrix.
         let w0 = BitMatrix::zeros(5, 0);
         assert!(xnor_gemm_block(&w0, &block).is_empty());
         let t = ThresholdUnit::new(vec![ThresholdChannel::Ge(0); 5]);
         assert!(xnor_gemm_block_thresholded(&w0, &block, &t).is_empty());
-        // And a non-empty matrix with a matching empty frame list.
-        let frames: Vec<BitVec64> = Vec::new();
-        assert!(per_frame(&w, &frames).is_empty());
     }
 
     #[test]
-    fn b1_matches_single_frame_kernel() {
-        let w = random_bitmatrix(6, 100, 3);
-        let frames = random_frames(1, 100, 11);
-        let block = BitPlaneBlock::pack(&frames);
-        assert_eq!(xnor_gemm_block(&w, &block), per_frame(&w, &frames));
+    fn fixed_shapes_match_naive_signs() {
+        // (rows, fan-in, frames): two blocks of one, a ragged second
+        // register block, a fan-in that is an exact multiple of the word
+        // size — then a square self-product whose diagonal must equal the
+        // fan-in.
+        for (rows, k, b) in [
+            (6usize, 100usize, 1usize),
+            (6, 90, 1),
+            (7, 130, 5),
+            (2, 128, 2),
+        ] {
+            let w = random_bitmatrix(rows, k, 3);
+            let frames = random_frames(b, k, 11);
+            let block = BitPlaneBlock::pack(&frames);
+            assert_eq!(
+                xnor_gemm_block(&w, &block),
+                naive(&w, &frames),
+                "{rows}x{k} @ B={b}"
+            );
+        }
+        let a = random_bitmatrix(4, 100, 7);
+        let rows: Vec<BitVec64> = (0..4).map(|r| a.row(r)).collect();
+        let c = xnor_gemm_block(&a, &BitPlaneBlock::pack(&rows));
+        assert_eq!(c, naive(&a, &rows));
+        for i in 0..4 {
+            assert_eq!(c[i * 4 + i], 100);
+        }
+    }
+
+    #[test]
+    fn block_of_one_edge_cases() {
+        // B = 1 leaves three padding lanes in the only register block; the
+        // fan-ins straddle word boundaries and the row counts straddle the
+        // fused kernel's 64-bit output words.
+        for bits in [1usize, 63, 64, 65, 259] {
+            for rows in [1usize, 63, 65, 130] {
+                let w = random_bitmatrix(rows, bits, 19);
+                let frames = random_frames(1, bits, 23);
+                let block = BitPlaneBlock::pack(&frames);
+                let want = naive(&w, &frames);
+                assert_eq!(xnor_gemm_block(&w, &block), want, "{rows}x{bits}");
+                let t = mixed_bank(rows);
+                let fused = xnor_gemm_block_thresholded(&w, &block, &t);
+                assert_eq!(fused.len(), 1);
+                assert_eq!(fused[0].len(), rows);
+                for (r, &acc) in want.iter().enumerate() {
+                    assert_eq!(
+                        fused[0].get(r),
+                        t.apply(r, i64::from(acc)),
+                        "{rows}x{bits} row {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -238,7 +295,7 @@ mod tests {
             let frames = random_frames(b, 96, 21 + b as u64);
             let block = BitPlaneBlock::pack(&frames);
             assert_eq!(block.blocks(), 2);
-            assert_eq!(xnor_gemm_block(&w, &block), per_frame(&w, &frames), "B={b}");
+            assert_eq!(xnor_gemm_block(&w, &block), naive(&w, &frames), "B={b}");
         }
     }
 
@@ -251,7 +308,7 @@ mod tests {
             let block = BitPlaneBlock::pack(&frames);
             assert_eq!(
                 xnor_gemm_block(&w, &block),
-                per_frame(&w, &frames),
+                naive(&w, &frames),
                 "bits={bits}"
             );
         }
@@ -270,7 +327,7 @@ mod tests {
         ];
         let block = BitPlaneBlock::pack(&frames);
         let got = xnor_gemm_block(&w, &block);
-        assert_eq!(got, per_frame(&w, &frames));
+        assert_eq!(got, naive(&w, &frames));
         // All-ones vs all-zeros planes are exact complements: row r's
         // accumulator against 1s is the negation of the one against 0s.
         for r in 0..4 {
@@ -316,7 +373,7 @@ mod tests {
         let frames = random_frames(10, 150, 41);
         let block = BitPlaneBlock::pack(&frames);
         let fused = xnor_gemm_block_thresholded(&w, &block, &t);
-        let accs = xnor_gemm_block(&w, &block);
+        let accs = naive(&w, &frames);
         for (f, out) in fused.iter().enumerate() {
             for r in 0..9 {
                 let want = t.apply(r, accs[r * frames.len() + f] as i64);
@@ -340,5 +397,26 @@ mod tests {
         let block = BitPlaneBlock::pack(&random_frames(1, 10, 2));
         let t = ThresholdUnit::new(vec![ThresholdChannel::Ge(0)]);
         xnor_gemm_block_thresholded(&w, &block, &t);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_blocked_equals_naive(m in 1usize..6, n in 1usize..6, k in 1usize..200, seed in any::<u64>()) {
+            let w = random_bitmatrix(m, k, seed);
+            let frames = random_frames(n, k, seed.wrapping_add(99));
+            prop_assert_eq!(xnor_gemm_block(&w, &BitPlaneBlock::pack(&frames)), naive(&w, &frames));
+        }
+
+        #[test]
+        fn prop_accumulator_parity(k in 1usize..300, seed in any::<u64>()) {
+            // Every accumulator has the same parity as k and magnitude ≤ k.
+            let w = random_bitmatrix(3, k, seed);
+            let frames = random_frames(3, k, seed.wrapping_add(1));
+            for acc in xnor_gemm_block(&w, &BitPlaneBlock::pack(&frames)) {
+                prop_assert!(acc.unsigned_abs() as usize <= k);
+                prop_assert_eq!((acc - k as i32).rem_euclid(2), 0);
+            }
+        }
     }
 }

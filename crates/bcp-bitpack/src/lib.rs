@@ -5,14 +5,15 @@
 //! bit 1, the dot product of two ±1 vectors of length `n` with `p` matching
 //! positions is `2p − n`. This crate provides that arithmetic:
 //!
-//! - [`BitVec64`]: a packed bit vector over `u64` words with masked
-//!   popcount (padding bits never leak into counts).
+//! - [`BitVec64`]: a packed bit vector over `u64` words whose padding bits
+//!   stay zero (they never leak into counts).
 //! - [`BitMatrix`]: row-major packed matrix, one padded word row each.
-//! - [`xnor`]: rayon-parallel XNOR-popcount GEMM returning integer ±1 dot
-//!   products — the simulator's MVTU arithmetic and the fast inference path.
-//! - [`gemm`]: register-blocked multi-frame GEMM over [`BitPlaneBlock`]
-//!   layouts — each weight row streamed once while `BLOCK_LANES` popcount
-//!   accumulators advance, with an optional fused threshold compare.
+//! - [`xnor`]: XNOR-popcount word arithmetic (one PE lane) and the dense
+//!   sign-decode oracle the kernel tests compare with.
+//! - [`gemm`]: the one binary MVTU kernel — register-blocked multi-frame
+//!   GEMM over [`BitPlaneBlock`] layouts, each weight row streamed once
+//!   while `BLOCK_LANES` popcount accumulators advance, with an optional
+//!   fused threshold compare; a single frame is a block of one.
 //! - [`pack`]: `sign()` packing of float tensors (ties at 0 → +1, Eq. 1),
 //!   plus the [`BitPlaneBlock`] interleaved multi-frame layout.
 //! - [`threshold`]: per-channel integer threshold units, the hardware form

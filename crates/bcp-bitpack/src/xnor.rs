@@ -1,14 +1,14 @@
-//! XNOR-popcount GEMM — the MVTU arithmetic (paper Eq. 3).
+//! XNOR-popcount word arithmetic — one PE lane of the MVTU (paper Eq. 3).
 //!
 //! `PopCnt(XNOR(H, B))` over packed words gives the number of agreeing ±1
-//! positions; the signed accumulator is `2·agreements − k`. The GEMM kernel
-//! parallelises over output rows with rayon; each inner product streams two
-//! word-aligned rows, so the core loop is pure `XOR → NOT → POPCNT` exactly
-//! like one PE lane of the FPGA design.
+//! positions; the signed accumulator is `2·agreements − k`. An inner
+//! product streams two word-aligned rows, so the core loop is pure
+//! `XOR → NOT → POPCNT` exactly like one PE lane of the FPGA design. The
+//! layer-level product built from these lanes is [`crate::gemm`];
+//! [`gemm_naive_signs`] is the dense-decode oracle its tests compare with.
 
 use crate::bitmatrix::BitMatrix;
-use crate::bitvec64::{low_mask, BitVec64, WORD_BITS};
-use rayon::prelude::*;
+use crate::bitvec64::{low_mask, WORD_BITS};
 
 /// Popcount of XNOR between two word slices over `bits` valid bits.
 #[inline]
@@ -42,44 +42,6 @@ pub fn xnor_dot_words(a: &[u64], b: &[u64], bits: usize) -> i32 {
     2 * xnor_popcount_words(a, b, bits) as i32 - bits as i32
 }
 
-/// `C = A · Bᵀ` over ±1 entries: `a` is `m × k`, `b_t` is `n × k`
-/// (i.e. `b_t` stores the columns of the logical right-hand matrix as rows,
-/// which is how MVTU weight memories are laid out). Returns the `m × n`
-/// signed accumulator matrix, row-major.
-// bcp:hot-path — batched MVTU GEMM, once per layer per batch
-pub fn xnor_gemm(a: &BitMatrix, b_t: &BitMatrix) -> Vec<i32> {
-    // audit: allow(panic): dimension mismatch is a programming error, checked once per call — never per element
-    assert_eq!(
-        a.cols(),
-        b_t.cols(),
-        "xnor_gemm inner dims disagree: {} vs {}",
-        a.cols(),
-        b_t.cols()
-    );
-    let (m, n, k) = (a.rows(), b_t.rows(), a.cols());
-    // audit: allow(alloc): one accumulator buffer per layer invocation — layer-level buffer reuse is ROADMAP item 3
-    let mut out = vec![0i32; m.saturating_mul(n)];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-        let arow = a.row_words(i);
-        for (j, c) in crow.iter_mut().enumerate() {
-            *c = xnor_dot_words(arow, b_t.row_words(j), k);
-        }
-    });
-    out
-}
-
-/// Matrix–vector product `y = A · x` over ±1 entries (one MVTU output
-/// column at full unfold).
-// bcp:hot-path — per-frame MVTU matvec at full unfold
-pub fn xnor_matvec(a: &BitMatrix, x: &BitVec64) -> Vec<i32> {
-    // audit: allow(panic): length mismatch is a programming error, checked once per call
-    assert_eq!(a.cols(), x.len(), "xnor_matvec length mismatch");
-    (0..a.rows())
-        .map(|r| xnor_dot_words(a.row_words(r), x.words(), a.cols()))
-        // audit: allow(alloc): one accumulator vector per layer invocation — layer-level buffer reuse is ROADMAP item 3
-        .collect()
-}
-
 /// Reference ±1 GEMM via dense decode (tests/benches baseline: this is the
 /// "what the FPGA replaces" float path).
 // The textbook reference is kept as plainly-written loops; dims are the same
@@ -107,83 +69,77 @@ pub fn gemm_naive_signs(a: &BitMatrix, b_t: &BitMatrix) -> Vec<i32> {
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
+    use crate::bitvec64::BitVec64;
     use proptest::prelude::*;
 
-    fn random_bitmatrix(rows: usize, cols: usize, seed: u64) -> BitMatrix {
-        let mut m = BitMatrix::zeros(rows, cols);
-        let mut state = seed | 1;
-        for r in 0..rows {
-            for c in 0..cols {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if state >> 40 & 1 == 1 {
-                    m.set(r, c, true);
-                }
-            }
-        }
-        m
+    fn dot(a: &BitVec64, b: &BitVec64) -> i32 {
+        xnor_dot_words(a.words(), b.words(), a.len())
     }
 
     #[test]
-    fn gemm_identity_like() {
-        // A row dotted with itself gives k.
-        let a = random_bitmatrix(4, 100, 7);
-        let c = xnor_gemm(&a, &a);
-        for i in 0..4 {
-            assert_eq!(c[i * 4 + i], 100);
-        }
+    fn xnor_popcount_ignores_padding() {
+        // Two all-(−1) vectors of 65 bits: all 65 agree; the 63 padding bit
+        // positions (which XNOR to 1) must not be counted.
+        let a = BitVec64::zeros(65);
+        let b = BitVec64::zeros(65);
+        assert_eq!(xnor_popcount_words(a.words(), b.words(), 65), 65);
+        assert_eq!(dot(&a, &b), 65);
     }
 
     #[test]
-    fn gemm_matches_naive() {
-        let a = random_bitmatrix(7, 130, 1);
-        let b = random_bitmatrix(5, 130, 2);
-        assert_eq!(xnor_gemm(&a, &b), gemm_naive_signs(&a, &b));
+    fn dot_known_values() {
+        let a = BitVec64::from_bools(&[true, true, false, false]);
+        let b = BitVec64::from_bools(&[true, false, true, false]);
+        // Agreements at positions 0 and 3 → dot = 2·2 − 4 = 0.
+        assert_eq!(dot(&a, &b), 0);
+        assert_eq!(dot(&a, &a), 4);
+        let c = BitVec64::from_bools(&[false, false, true, true]);
+        assert_eq!(dot(&a, &c), -4);
     }
 
     #[test]
-    fn matvec_matches_gemm_column() {
-        let a = random_bitmatrix(6, 90, 3);
-        let x = random_bitmatrix(1, 90, 4).row(0);
-        let mv = xnor_matvec(&a, &x);
-        let g = xnor_gemm(&a, &BitMatrix::from_rows(&[x]));
-        assert_eq!(mv, g);
-    }
-
-    #[test]
-    fn word_kernel_handles_exact_multiples() {
-        let a = random_bitmatrix(2, 128, 5);
-        let b = random_bitmatrix(2, 128, 6);
-        assert_eq!(xnor_gemm(&a, &b), gemm_naive_signs(&a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dims disagree")]
-    fn gemm_checks_dims() {
-        let a = BitMatrix::zeros(2, 10);
-        let b = BitMatrix::zeros(2, 11);
-        xnor_gemm(&a, &b);
+    fn naive_signs_known_answer() {
+        // The oracle itself is pinned to a hand-checked product:
+        // [[+1 −1 +1], [−1 −1 −1]] · [[+1 +1 +1]]ᵀ = [+1, −3].
+        let a = BitMatrix::from_rows(&[
+            BitVec64::from_bools(&[true, false, true]),
+            BitVec64::zeros(3),
+        ]);
+        let b = BitMatrix::from_rows(&[BitVec64::ones(3)]);
+        assert_eq!(gemm_naive_signs(&a, &b), vec![1, -3]);
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn prop_gemm_equals_naive(m in 1usize..6, n in 1usize..6, k in 1usize..200, seed in any::<u64>()) {
-            let a = random_bitmatrix(m, k, seed);
-            let b = random_bitmatrix(n, k, seed.wrapping_add(99));
-            prop_assert_eq!(xnor_gemm(&a, &b), gemm_naive_signs(&a, &b));
+        fn prop_dot_matches_naive(bits_a in proptest::collection::vec(any::<bool>(), 1..200),
+                                  bits_b_seed in any::<u64>()) {
+            let n = bits_a.len();
+            // Derive b deterministically from the seed so lengths match.
+            let bits_b: Vec<bool> = (0..n).map(|i| (bits_b_seed >> (i % 64)) & 1 == 1).collect();
+            let a = BitVec64::from_bools(&bits_a);
+            let b = BitVec64::from_bools(&bits_b);
+            let naive: i32 = bits_a.iter().zip(&bits_b)
+                .map(|(&x, &y)| {
+                    let xs = if x { 1i32 } else { -1 };
+                    let ys = if y { 1i32 } else { -1 };
+                    xs * ys
+                })
+                .sum();
+            prop_assert_eq!(dot(&a, &b), naive);
         }
 
         #[test]
-        fn prop_accumulator_parity(k in 1usize..300, seed in any::<u64>()) {
-            // Every accumulator has the same parity as k and magnitude ≤ k.
-            let a = random_bitmatrix(3, k, seed);
-            let b = random_bitmatrix(3, k, seed.wrapping_add(1));
-            for acc in xnor_gemm(&a, &b) {
-                prop_assert!(acc.unsigned_abs() as usize <= k);
-                prop_assert_eq!((acc - k as i32).rem_euclid(2), 0);
-            }
+        fn prop_dot_bounds_and_symmetry(bits in proptest::collection::vec(any::<(bool, bool)>(), 1..128)) {
+            let a = BitVec64::from_bools(&bits.iter().map(|p| p.0).collect::<Vec<_>>());
+            let b = BitVec64::from_bools(&bits.iter().map(|p| p.1).collect::<Vec<_>>());
+            let d = dot(&a, &b);
+            let n = bits.len() as i32;
+            prop_assert!(d >= -n && d <= n);
+            // Same parity as n.
+            prop_assert_eq!((d - n).rem_euclid(2), 0);
+            prop_assert_eq!(dot(&a, &b), dot(&b, &a));
+            prop_assert_eq!(dot(&a, &a), n);
         }
     }
 }

@@ -6,7 +6,6 @@ use crate::generator::{generate_sample, raw_class_sample, GeneratorConfig};
 use bcp_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// A labelled image set (NCHW images on the 8-bit grid + integer labels).
 #[derive(Clone, Debug)]
@@ -61,7 +60,7 @@ impl Dataset {
     }
 
     /// Generate a dataset with MaskedFace-Net's **raw** class imbalance
-    /// (51/39/5/5 %), rayon-parallel across samples.
+    /// (51/39/5/5 %).
     pub fn generate_raw(cfg: &GeneratorConfig, n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
         let classes: Vec<MaskClass> = (0..n).map(|_| raw_class_sample(&mut rng)).collect();
@@ -84,7 +83,7 @@ impl Dataset {
 
     fn generate_classes(cfg: &GeneratorConfig, classes: &[MaskClass], seed: u64) -> Dataset {
         let samples: Vec<(Vec<f32>, usize)> = classes
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(i, &class)| {
                 let (img, _) = generate_sample(cfg, class, seed.wrapping_add(i as u64 * 7919));
@@ -157,8 +156,7 @@ impl Dataset {
             return self.clone();
         }
         let copies: Vec<(Vec<f32>, usize)> = (0..self.len())
-            .into_par_iter()
-            .flat_map_iter(|i| {
+            .flat_map(|i| {
                 let img = self.image(i);
                 let label = self.labels[i];
                 (0..extra_per_sample).map(move |k| {

@@ -11,7 +11,6 @@ use crate::generator::{generate_sample, raw_class_sample, GeneratorConfig};
 use bcp_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// A composed crowd frame with per-tile ground truth.
 #[derive(Clone, Debug)]
@@ -35,7 +34,7 @@ pub fn generate_crowd_scene(cfg: &GeneratorConfig, grid: usize, seed: u64) -> Cr
         .map(|_| raw_class_sample(&mut rng))
         .collect();
     let tiles: Vec<(Vec<f32>, usize)> = classes
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, &class)| {
             let (img, _) = generate_sample(cfg, class, seed ^ (i as u64 * 2654435761 + 1));

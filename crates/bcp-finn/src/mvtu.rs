@@ -3,11 +3,12 @@
 //! A binary MVTU computes, for each output neuron, the XNOR-popcount dot
 //! product of its weight row with the input vector (Eq. 3), then compares
 //! the integer accumulator against the neuron's threshold (the folded
-//! batch-norm + sign, Sec. III-A). The first-layer variant accumulates
-//! 8-bit fixed-point pixels against binary weights — ±add instead of
-//! XNOR — as FINN's first layer does.
+//! batch-norm + sign, Sec. III-A). It has one entry per output kind, both
+//! over a packed [`BitPlaneBlock`] — a single input vector is a block of
+//! one. The first-layer variant accumulates 8-bit fixed-point pixels
+//! against binary weights — ±add instead of XNOR — as FINN's first layer
+//! does.
 
-use bcp_bitpack::xnor::xnor_dot_words;
 use bcp_bitpack::{
     xnor_gemm_block, xnor_gemm_block_thresholded, BitMatrix, BitPlaneBlock, BitVec64, ThresholdUnit,
 };
@@ -95,27 +96,10 @@ impl BinaryMvtu {
         self.thresholds = Some(thresholds);
     }
 
-    /// Raw signed accumulators for one input vector.
-    // bcp:hot-path — one MVTU pass per hidden layer per frame
-    pub fn accumulate(&self, input: &BitVec64) -> Vec<i64> {
-        // audit: allow(panic): fan-in mismatch is a programming error, checked once per layer pass
-        assert_eq!(
-            input.len(),
-            self.weights.cols(),
-            "input length {} vs fan-in {}",
-            input.len(),
-            self.weights.cols()
-        );
-        (0..self.weights.rows())
-            .map(|r| xnor_dot_words(self.weights.row_words(r), input.words(), input.len()) as i64)
-            // audit: allow(alloc): one accumulator vector per layer pass — layer-level buffer reuse is ROADMAP item 3
-            .collect()
-    }
-
     /// Raw signed accumulators for a pre-packed block of input vectors,
     /// one `Vec<i64>` per frame in block order. Runs the register-blocked
-    /// multi-frame kernel — each weight row is streamed once for the whole
-    /// block — and is bit-identical to [`BinaryMvtu::accumulate`] per frame.
+    /// multi-frame kernel: each weight row is streamed once for the whole
+    /// block.
     // Reshape indices are bounded by rows·frames, the size of the kernel's
     // output buffer; plain ops keep the de-interleave loop tight.
     #[allow(clippy::arithmetic_side_effects)]
@@ -141,8 +125,7 @@ impl BinaryMvtu {
 
     /// Thresholded output bits for a pre-packed block of input vectors,
     /// one packed vector per frame. The folded-threshold compare is fused
-    /// into the blocked accumulator loop; results are bit-identical to
-    /// [`BinaryMvtu::threshold_bits`] per frame. Panics when built without
+    /// into the blocked accumulator loop. Panics when built without
     /// thresholds.
     // bcp:hot-path — blocked threshold stage, once per layer per micro-batch
     pub fn threshold_bits_block(&self, block: &BitPlaneBlock) -> Vec<BitVec64> {
@@ -156,47 +139,6 @@ impl BinaryMvtu {
             return Vec::new();
         }
         xnor_gemm_block_thresholded(&self.weights, block, t)
-    }
-
-    /// [`threshold_bits_block`](BinaryMvtu::threshold_bits_block) over
-    /// unpacked frames: packs the [`BitPlaneBlock`] and runs the fused
-    /// kernel.
-    // bcp:hot-path — batched threshold entry of every hidden layer
-    pub fn threshold_bits_batch(&self, inputs: &[BitVec64]) -> Vec<BitVec64> {
-        if inputs.is_empty() {
-            // audit: allow(alloc): Vec::new is capacity-0 (no heap) — the empty-batch early return
-            return Vec::new();
-        }
-        let block = BitPlaneBlock::pack(inputs);
-        // audit: allow(panic): fan-in mismatch is a programming error, checked once per layer pass
-        assert_eq!(
-            block.bits(),
-            self.weights.cols(),
-            "input length {} vs fan-in {}",
-            block.bits(),
-            self.weights.cols()
-        );
-        self.threshold_bits_block(&block)
-    }
-
-    /// Thresholded output bits for one input vector. Panics when built
-    /// without thresholds.
-    // bcp:hot-path — threshold stage of every hidden layer
-    pub fn threshold_bits(&self, input: &BitVec64) -> BitVec64 {
-        let t = self
-            .thresholds
-            .as_ref()
-            // audit: allow(panic): calling the threshold stage on a logits-mode unit is a wiring error caught at the first frame
-            .expect("threshold_bits() on a logits-mode MVTU");
-        let accs = self.accumulate(input);
-        // audit: allow(alloc): one packed output vector per layer pass — layer-level buffer reuse is ROADMAP item 3
-        let mut out = BitVec64::zeros(accs.len());
-        for (i, &a) in accs.iter().enumerate() {
-            if t.apply(i, a) {
-                out.set(i, true);
-            }
-        }
-        out
     }
 }
 
@@ -310,8 +252,10 @@ impl FixedInputMvtu {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::arithmetic_side_effects)]
     use super::*;
     use bcp_bitpack::pack::pack_matrix;
+    use bcp_bitpack::xnor::gemm_naive_signs;
     use bcp_bitpack::ThresholdChannel;
 
     fn weights_2x4() -> BitMatrix {
@@ -319,23 +263,27 @@ mod tests {
         pack_matrix(2, 4, &[1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     }
 
+    fn block_of_one(bools: &[bool]) -> BitPlaneBlock {
+        BitPlaneBlock::pack(&[BitVec64::from_bools(bools)])
+    }
+
     #[test]
     fn binary_accumulate_known() {
         let m = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
-        let x = BitVec64::from_bools(&[true, true, true, true]); // all +1
-                                                                 // Row 0: 1+1−1−1 = 0; Row 1: 1−1+1−1 = 0.
-        assert_eq!(m.accumulate(&x), vec![0, 0]);
-        let x = BitVec64::from_bools(&[true, true, false, false]);
+        // All +1 — Row 0: 1+1−1−1 = 0; Row 1: 1−1+1−1 = 0.
+        let x = block_of_one(&[true, true, true, true]);
+        assert_eq!(m.accumulate_block(&x), vec![vec![0, 0]]);
         // Row 0 agrees everywhere → 4; Row 1: +1−1−1+1 = 0.
-        assert_eq!(m.accumulate(&x), vec![4, 0]);
+        let x = block_of_one(&[true, true, false, false]);
+        assert_eq!(m.accumulate_block(&x), vec![vec![4, 0]]);
     }
 
     #[test]
     fn threshold_bits_apply_bank() {
         let t = ThresholdUnit::new(vec![ThresholdChannel::Ge(4), ThresholdChannel::Ge(-1)]);
         let m = BinaryMvtu::new(weights_2x4(), Some(t), Folding::sequential());
-        let x = BitVec64::from_bools(&[true, true, false, false]);
-        let bits = m.threshold_bits(&x); // accs [4, 0]
+        let x = block_of_one(&[true, true, false, false]);
+        let bits = &m.threshold_bits_block(&x)[0]; // accs [4, 0]
         assert!(bits.get(0)); // 4 ≥ 4
         assert!(bits.get(1)); // 0 ≥ −1
     }
@@ -356,8 +304,8 @@ mod tests {
         // The fold is a scheduling choice; arithmetic must be identical.
         let a = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
         let b = BinaryMvtu::new(weights_2x4(), None, Folding::new(2, 4));
-        let x = BitVec64::from_bools(&[false, true, true, false]);
-        assert_eq!(a.accumulate(&x), b.accumulate(&x));
+        let x = block_of_one(&[false, true, true, false]);
+        assert_eq!(a.accumulate_block(&x), b.accumulate_block(&x));
     }
 
     #[test]
@@ -371,7 +319,7 @@ mod tests {
     #[should_panic(expected = "logits-mode")]
     fn logits_mode_has_no_threshold_bits() {
         let m = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
-        m.threshold_bits(&BitVec64::zeros(4));
+        m.threshold_bits_block(&block_of_one(&[false; 4]));
     }
 
     fn lcg_frames(n: usize, bits: usize, seed: u64) -> Vec<BitVec64> {
@@ -389,33 +337,43 @@ mod tests {
             .collect()
     }
 
+    /// Per-frame accumulators from the dense sign-decode oracle.
+    fn naive_accs(weights: &BitMatrix, frames: &[BitVec64]) -> Vec<Vec<i64>> {
+        if frames.is_empty() {
+            return Vec::new();
+        }
+        let flat = gemm_naive_signs(weights, &BitMatrix::from_rows(frames));
+        (0..frames.len())
+            .map(|f| {
+                (0..weights.rows())
+                    .map(|r| i64::from(flat[r * frames.len() + f]))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn batched_accumulate_matches_per_frame() {
+    fn blocked_accumulate_matches_naive_signs() {
         let m = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
         for b in [0usize, 1, 3, 4, 5, 9] {
             let frames = lcg_frames(b, 4, 77);
-            let batched = m.accumulate_block(&BitPlaneBlock::pack(&frames));
-            let single: Vec<Vec<i64>> = frames.iter().map(|f| m.accumulate(f)).collect();
-            assert_eq!(batched, single, "B={b}");
+            let blocked = m.accumulate_block(&BitPlaneBlock::pack(&frames));
+            assert_eq!(blocked, naive_accs(m.weights(), &frames), "B={b}");
         }
     }
 
     #[test]
-    fn batched_threshold_matches_per_frame() {
+    fn blocked_threshold_matches_naive_signs() {
         let t = ThresholdUnit::new(vec![ThresholdChannel::Ge(0), ThresholdChannel::Le(-2)]);
-        let m = BinaryMvtu::new(weights_2x4(), Some(t), Folding::sequential());
+        let m = BinaryMvtu::new(weights_2x4(), Some(t.clone()), Folding::sequential());
         for b in [0usize, 1, 2, 6, 7] {
             let frames = lcg_frames(b, 4, 123);
-            let batched = m.threshold_bits_batch(&frames);
-            let single: Vec<BitVec64> = frames.iter().map(|f| m.threshold_bits(f)).collect();
-            assert_eq!(batched, single, "B={b}");
+            let blocked = m.threshold_bits_block(&BitPlaneBlock::pack(&frames));
+            let want: Vec<BitVec64> = naive_accs(m.weights(), &frames)
+                .iter()
+                .map(|accs| BitVec64::from_bools(&t.apply_all(accs)))
+                .collect();
+            assert_eq!(blocked, want, "B={b}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "logits-mode")]
-    fn logits_mode_has_no_batched_threshold_bits() {
-        let m = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
-        m.threshold_bits_batch(&[BitVec64::zeros(4)]);
     }
 }

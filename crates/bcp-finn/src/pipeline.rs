@@ -5,7 +5,7 @@ use crate::folding::Folding;
 use crate::mvtu::{BinaryMvtu, FixedInputMvtu};
 use crate::pool::or_pool;
 use crate::swu::{out_dim, windows_binary, windows_quant};
-use bcp_bitpack::BitVec64;
+use bcp_bitpack::{BitPlaneBlock, BitVec64};
 use serde::{Deserialize, Serialize};
 
 /// One hardware stage of the accelerator.
@@ -189,115 +189,81 @@ impl Stage {
         }
     }
 
-    /// Process one token. All arithmetic is integer-exact.
+    /// Process one token: a batch of one through [`Stage::process_batch`].
     pub fn process(&self, input: StageData) -> StageData {
+        self.process_batch(vec![input])
+            .pop()
+            .expect("a stage emits one token per input token")
+    }
+
+    /// Process a group of tokens as one micro-batch — the one stage body;
+    /// all arithmetic is integer-exact. Dense stages pack the group into
+    /// one [`BitPlaneBlock`] so each weight row is streamed once for all of
+    /// it; conv stages block over each token's SWU windows (every weight
+    /// row is streamed once per output map instead of once per pixel); pool
+    /// stages carry no weights and run per token.
+    pub fn process_batch(&self, inputs: Vec<StageData>) -> Vec<StageData> {
+        if inputs.is_empty() {
+            return Vec::new();
+        }
         match self {
             Stage::ConvFixed {
                 name,
                 mvtu,
                 k,
                 in_dims,
-            } => {
-                let q = input.expect_quant(name);
-                assert_eq!(
-                    (q.c, q.h, q.w),
-                    *in_dims,
-                    "stage '{name}' input dims mismatch"
-                );
-                let (oh, ow) = (out_dim(q.h, *k), out_dim(q.w, *k));
-                let mut out = BinMap::zeros(mvtu.rows(), oh, ow);
-                for (p, window) in windows_quant(&q, *k).iter().enumerate() {
-                    let bits = mvtu.threshold_bits(window);
-                    // ow ≥ 1 whenever a window exists, so the divisor is never zero.
-                    let (oy, ox) = (
-                        p.checked_div(ow).unwrap_or(0),
-                        p.checked_rem(ow).unwrap_or(0),
+            } => inputs
+                .into_iter()
+                .map(|t| {
+                    let q = t.expect_quant(name);
+                    assert_eq!(
+                        (q.c, q.h, q.w),
+                        *in_dims,
+                        "stage '{name}' input dims mismatch"
                     );
-                    for ch in 0..mvtu.rows() {
-                        if bits.get(ch) {
-                            out.set(ch, oy, ox, true);
-                        }
-                    }
-                }
-                StageData::Bits(out)
-            }
+                    let windows = windows_quant(&q, *k);
+                    let pixels = windows.iter().map(|window| mvtu.threshold_bits(window));
+                    let (oh, ow) = (out_dim(q.h, *k), out_dim(q.w, *k));
+                    StageData::Bits(map_from_pixels(mvtu.rows(), oh, ow, pixels))
+                })
+                .collect(),
             Stage::ConvBinary {
                 name,
                 mvtu,
                 k,
                 in_dims,
-            } => {
-                let b = input.expect_bits(name);
-                assert_eq!(
-                    (b.c, b.h, b.w),
-                    *in_dims,
-                    "stage '{name}' input dims mismatch"
-                );
-                let (oh, ow) = (out_dim(b.h, *k), out_dim(b.w, *k));
-                let mut out = BinMap::zeros(mvtu.rows(), oh, ow);
-                // The SWU's window vectors are the natural frame batch for
-                // the register-blocked kernel: every weight row is streamed
-                // once for the whole output map instead of once per pixel.
-                let windows = windows_binary(&b, *k);
-                for (p, bits) in mvtu.threshold_bits_batch(&windows).iter().enumerate() {
-                    // ow ≥ 1 whenever a window exists, so the divisor is never zero.
-                    let (oy, ox) = (
-                        p.checked_div(ow).unwrap_or(0),
-                        p.checked_rem(ow).unwrap_or(0),
+            } => inputs
+                .into_iter()
+                .map(|t| {
+                    let b = t.expect_bits(name);
+                    assert_eq!(
+                        (b.c, b.h, b.w),
+                        *in_dims,
+                        "stage '{name}' input dims mismatch"
                     );
-                    for ch in 0..mvtu.rows() {
-                        if bits.get(ch) {
-                            out.set(ch, oy, ox, true);
-                        }
-                    }
-                }
-                StageData::Bits(out)
-            }
-            Stage::PoolOr { name, k, in_dims } => {
-                let b = input.expect_bits(name);
-                assert_eq!(
-                    (b.c, b.h, b.w),
-                    *in_dims,
-                    "stage '{name}' input dims mismatch"
-                );
-                StageData::Bits(or_pool(&b, *k))
-            }
-            Stage::DenseBinary { name, mvtu } => {
-                let b = input.expect_bits(name);
-                let flat: &BitVec64 = b.as_bits();
-                let bits = mvtu.threshold_bits(flat);
-                StageData::Bits(BinMap::from_bits(mvtu.rows(), 1, 1, bits))
-            }
-            Stage::DenseLogits { name, mvtu } => {
-                let b = input.expect_bits(name);
-                StageData::Logits(mvtu.accumulate(b.as_bits()))
-            }
-        }
-    }
-
-    /// Process a group of tokens as one micro-batch. Dense stages run the
-    /// register-blocked multi-frame kernel (one weight-row stream for the
-    /// whole group); conv and pool stages process per token — conv stages
-    /// already block over their SWU windows inside [`Stage::process`].
-    /// Results are bit-identical to calling [`Stage::process`] per token,
-    /// in order, which the tests assert.
-    pub fn process_batch(&self, inputs: Vec<StageData>) -> Vec<StageData> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        match self {
+                    let windows = windows_binary(&b, *k);
+                    let block = pack_for(name, mvtu, &windows.iter().collect::<Vec<_>>());
+                    let pixels = mvtu.threshold_bits_block(&block);
+                    let (oh, ow) = (out_dim(b.h, *k), out_dim(b.w, *k));
+                    StageData::Bits(map_from_pixels(mvtu.rows(), oh, ow, pixels))
+                })
+                .collect(),
+            Stage::PoolOr { name, k, in_dims } => inputs
+                .into_iter()
+                .map(|t| {
+                    let b = t.expect_bits(name);
+                    assert_eq!(
+                        (b.c, b.h, b.w),
+                        *in_dims,
+                        "stage '{name}' input dims mismatch"
+                    );
+                    StageData::Bits(or_pool(&b, *k))
+                })
+                .collect(),
             Stage::DenseBinary { name, mvtu } => {
                 let maps: Vec<BinMap> = inputs.into_iter().map(|t| t.expect_bits(name)).collect();
                 let flats: Vec<&BitVec64> = maps.iter().map(BinMap::as_bits).collect();
-                let block = bcp_bitpack::BitPlaneBlock::pack_refs(&flats);
-                assert_eq!(
-                    block.bits(),
-                    mvtu.cols(),
-                    "stage '{name}' input length {} vs fan-in {}",
-                    block.bits(),
-                    mvtu.cols()
-                );
-                mvtu.threshold_bits_block(&block)
+                mvtu.threshold_bits_block(&pack_for(name, mvtu, &flats))
                     .into_iter()
                     .map(|bits| StageData::Bits(BinMap::from_bits(mvtu.rows(), 1, 1, bits)))
                     .collect()
@@ -305,24 +271,50 @@ impl Stage {
             Stage::DenseLogits { name, mvtu } => {
                 let maps: Vec<BinMap> = inputs.into_iter().map(|t| t.expect_bits(name)).collect();
                 let flats: Vec<&BitVec64> = maps.iter().map(BinMap::as_bits).collect();
-                let block = bcp_bitpack::BitPlaneBlock::pack_refs(&flats);
-                assert_eq!(
-                    block.bits(),
-                    mvtu.cols(),
-                    "stage '{name}' input length {} vs fan-in {}",
-                    block.bits(),
-                    mvtu.cols()
-                );
-                mvtu.accumulate_block(&block)
+                mvtu.accumulate_block(&pack_for(name, mvtu, &flats))
                     .into_iter()
                     .map(StageData::Logits)
                     .collect()
             }
-            Stage::ConvFixed { .. } | Stage::ConvBinary { .. } | Stage::PoolOr { .. } => {
-                inputs.into_iter().map(|t| self.process(t)).collect()
+        }
+    }
+}
+
+/// Pack a stage's input vectors into one block, checking the fan-in.
+fn pack_for(name: &str, mvtu: &BinaryMvtu, vectors: &[&BitVec64]) -> BitPlaneBlock {
+    let block = BitPlaneBlock::pack_refs(vectors);
+    assert_eq!(
+        block.bits(),
+        mvtu.cols(),
+        "stage '{name}' input length {} vs fan-in {}",
+        block.bits(),
+        mvtu.cols()
+    );
+    block
+}
+
+/// Assemble a conv stage's `oh × ow` output map from its per-pixel channel
+/// vectors, output pixels row-major.
+fn map_from_pixels(
+    channels: usize,
+    oh: usize,
+    ow: usize,
+    pixels: impl IntoIterator<Item = BitVec64>,
+) -> BinMap {
+    let mut out = BinMap::zeros(channels, oh, ow);
+    for (p, bits) in pixels.into_iter().enumerate() {
+        // ow ≥ 1 whenever a window exists, so the divisor is never zero.
+        let (oy, ox) = (
+            p.checked_div(ow).unwrap_or(0),
+            p.checked_rem(ow).unwrap_or(0),
+        );
+        for ch in 0..channels {
+            if bits.get(ch) {
+                out.set(ch, oy, ox, true);
             }
         }
     }
+    out
 }
 
 /// Argmax over a logits vector, first index on ties — the one decision
@@ -403,19 +395,17 @@ impl Pipeline {
         &mut self.stages[i]
     }
 
-    /// Run one frame through every stage; returns the class logits.
+    /// Run one frame through every stage; returns the class logits. A
+    /// batch of one through [`Pipeline::forward_batch`].
     pub fn forward(&self, input: &QuantMap) -> Vec<i64> {
-        let mut token = StageData::Quant(input.clone());
-        for stage in &self.stages {
-            token = stage.process(token);
-        }
-        token.expect_logits("pipeline output")
+        self.forward_batch(std::slice::from_ref(input))
+            .pop()
+            .expect("forward_batch returns one logits vector per frame")
     }
 
     /// Run a group of frames through every stage as one micro-batch via
     /// [`Stage::process_batch`]: dense stages stream each weight row once
-    /// for the whole group. Returns per-frame logits in input order,
-    /// bit-identical to [`Pipeline::forward`] per frame.
+    /// for the whole group. Returns per-frame logits in input order.
     pub fn forward_batch(&self, inputs: &[QuantMap]) -> Vec<Vec<i64>> {
         let mut tokens: Vec<StageData> =
             inputs.iter().map(|q| StageData::Quant(q.clone())).collect();
@@ -480,9 +470,16 @@ mod tests {
     /// A tiny but complete pipeline: conv(2ch,3×3) on a 6×6 RGB-ish input →
     /// pool → dense → logits.
     fn tiny_pipeline() -> Pipeline {
+        tiny_pipeline_with(all_ones_weights, ge0)
+    }
+
+    fn tiny_pipeline_with(
+        weights: impl Fn(usize, usize) -> bcp_bitpack::BitMatrix,
+        bank: impl Fn(usize) -> ThresholdUnit,
+    ) -> Pipeline {
         let conv1 = Stage::ConvFixed {
             name: "conv1".into(),
-            mvtu: FixedInputMvtu::new(all_ones_weights(2, 3 * 9), ge0(2), Folding::new(2, 9)),
+            mvtu: FixedInputMvtu::new(weights(2, 3 * 9), bank(2), Folding::new(2, 9)),
             k: 3,
             in_dims: (3, 6, 6),
         };
@@ -493,13 +490,107 @@ mod tests {
         };
         let fc1 = Stage::DenseBinary {
             name: "fc1".into(),
-            mvtu: BinaryMvtu::new(all_ones_weights(5, 8), Some(ge0(5)), Folding::new(1, 8)),
+            mvtu: BinaryMvtu::new(weights(5, 8), Some(bank(5)), Folding::new(1, 8)),
         };
         let fc2 = Stage::DenseLogits {
             name: "fc2".into(),
-            mvtu: BinaryMvtu::new(all_ones_weights(4, 5), None, Folding::sequential()),
+            mvtu: BinaryMvtu::new(weights(4, 5), None, Folding::sequential()),
         };
         Pipeline::new("tiny", vec![conv1, pool1, fc1, fc2])
+    }
+
+    /// The tiny geometry with sign-varied weights and a bank mixing Ge and
+    /// Le channels, so an oracle comparison can see a misplaced weight.
+    fn varied_pipeline() -> Pipeline {
+        tiny_pipeline_with(
+            |rows, cols| {
+                let signs: Vec<f32> = (0..rows * cols)
+                    .map(|i| if (i * 7 + rows) % 3 == 0 { -1.0 } else { 1.0 })
+                    .collect();
+                pack_matrix(rows, cols, &signs)
+            },
+            |rows| {
+                ThresholdUnit::new(
+                    (0..rows)
+                        .map(|r| match r % 2 {
+                            0 => ThresholdChannel::Ge(r as i64 - 1),
+                            _ => ThresholdChannel::Le(1),
+                        })
+                        .collect(),
+                )
+            },
+        )
+    }
+
+    /// Dense-loop oracle for one tiny-pipeline stage on one token: per-bit
+    /// `get`s and `ThresholdUnit::apply` — no packing, no SWU, no blocked
+    /// kernel.
+    fn oracle(stage: &Stage, token: &StageData) -> StageData {
+        let sign = |b: bool| if b { 1i64 } else { -1 };
+        let dense = |mvtu: &BinaryMvtu, input: &BinMap| -> Vec<i64> {
+            (0..mvtu.rows())
+                .map(|r| {
+                    (0..mvtu.cols())
+                        .map(|i| sign(mvtu.weights().get(r, i)) * sign(input.as_bits().get(i)))
+                        .sum()
+                })
+                .collect()
+        };
+        match (stage, token) {
+            (Stage::ConvFixed { mvtu, k, .. }, StageData::Quant(q)) => {
+                let (oh, ow) = (q.h - k + 1, q.w - k + 1);
+                let mut out = BinMap::zeros(mvtu.rows(), oh, ow);
+                for co in 0..mvtu.rows() {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut acc = 0i64;
+                            for ci in 0..q.c {
+                                for ky in 0..*k {
+                                    for kx in 0..*k {
+                                        let w = mvtu.weights().get(co, (ci * k + ky) * k + kx);
+                                        acc += sign(w) * i64::from(q.get(ci, oy + ky, ox + kx));
+                                    }
+                                }
+                            }
+                            out.set(co, oy, ox, mvtu.thresholds().apply(co, acc));
+                        }
+                    }
+                }
+                StageData::Bits(out)
+            }
+            (Stage::PoolOr { k, .. }, StageData::Bits(b)) => {
+                let mut out = BinMap::zeros(b.c, b.h / k, b.w / k);
+                for ch in 0..b.c {
+                    for oy in 0..b.h / k {
+                        for ox in 0..b.w / k {
+                            let any = (0..k * k).any(|i| b.get(ch, oy * k + i / k, ox * k + i % k));
+                            out.set(ch, oy, ox, any);
+                        }
+                    }
+                }
+                StageData::Bits(out)
+            }
+            (Stage::DenseBinary { mvtu, .. }, StageData::Bits(b)) => {
+                let t = mvtu.thresholds().expect("hidden dense stage thresholds");
+                let fired = BitVec64::from_bools(&t.apply_all(&dense(mvtu, b)));
+                StageData::Bits(BinMap::from_bits(mvtu.rows(), 1, 1, fired))
+            }
+            (Stage::DenseLogits { mvtu, .. }, StageData::Bits(b)) => {
+                StageData::Logits(dense(mvtu, b))
+            }
+            (stage, token) => panic!("no oracle for {} on {token:?}", stage.name()),
+        }
+    }
+
+    fn varied_frames(n: usize, stride: usize) -> Vec<QuantMap> {
+        (0..n)
+            .map(|i| {
+                let px: Vec<f32> = (0..3 * 36)
+                    .map(|j| (((i * stride + j * 17) % 256) as f32) / 255.0)
+                    .collect();
+                QuantMap::from_unit_floats(3, 6, 6, &px)
+            })
+            .collect()
     }
 
     fn white_input() -> QuantMap {
@@ -518,52 +609,40 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_matches_per_frame_forward() {
-        let p = tiny_pipeline();
+    fn forward_batch_matches_dense_oracle() {
         // Frames with varied content, counts spanning empty, single, a full
         // register block, and ragged tails.
-        for n in [0usize, 1, 3, 4, 5, 9] {
-            let frames: Vec<QuantMap> = (0..n)
-                .map(|i| {
-                    let px: Vec<f32> = (0..3 * 36)
-                        .map(|j| (((i * 53 + j * 17) % 256) as f32) / 255.0)
-                        .collect();
-                    QuantMap::from_unit_floats(3, 6, 6, &px)
-                })
-                .collect();
-            let batched = p.forward_batch(&frames);
-            let single: Vec<Vec<i64>> = frames.iter().map(|f| p.forward(f)).collect();
-            assert_eq!(batched, single, "n={n}");
+        for p in [tiny_pipeline(), varied_pipeline()] {
+            for n in [0usize, 1, 3, 4, 5, 9] {
+                let frames = varied_frames(n, 53);
+                let want: Vec<Vec<i64>> = frames
+                    .iter()
+                    .map(|f| {
+                        p.stages()
+                            .iter()
+                            .fold(StageData::Quant(f.clone()), |t, s| oracle(s, &t))
+                            .expect_logits("oracle output")
+                    })
+                    .collect();
+                assert_eq!(p.forward_batch(&frames), want, "n={n}");
+            }
         }
     }
 
     #[test]
-    fn process_batch_matches_process_per_stage() {
-        // Drive every stage kind with its own batched tokens and pin the
-        // outputs to the per-token path.
-        let p = tiny_pipeline();
-        let frames: Vec<QuantMap> = (0..6)
-            .map(|i| {
-                let px: Vec<f32> = (0..3 * 36)
-                    .map(|j| (((i * 29 + j * 13) % 256) as f32) / 255.0)
-                    .collect();
-                QuantMap::from_unit_floats(3, 6, 6, &px)
-            })
-            .collect();
-        let mut batched: Vec<StageData> =
-            frames.iter().map(|q| StageData::Quant(q.clone())).collect();
-        let mut single: Vec<StageData> =
-            frames.iter().map(|q| StageData::Quant(q.clone())).collect();
-        for stage in p.stages() {
-            batched = stage.process_batch(batched);
-            single = single.into_iter().map(|t| stage.process(t)).collect();
-            assert_eq!(batched.len(), single.len());
-            for (b, s) in batched.iter().zip(&single) {
-                match (b, s) {
-                    (StageData::Bits(x), StageData::Bits(y)) => assert_eq!(x, y),
-                    (StageData::Logits(x), StageData::Logits(y)) => assert_eq!(x, y),
-                    other => panic!("token kind mismatch at {}: {other:?}", stage.name()),
-                }
+    fn process_batch_matches_dense_oracle_per_stage() {
+        // Drive every stage of the chain with its own batched tokens and
+        // pin each intermediate to the oracle's.
+        for p in [tiny_pipeline(), varied_pipeline()] {
+            let mut batched: Vec<StageData> = varied_frames(6, 29)
+                .into_iter()
+                .map(StageData::Quant)
+                .collect();
+            let mut want = batched.clone();
+            for stage in p.stages() {
+                batched = stage.process_batch(batched);
+                want = want.iter().map(|t| oracle(stage, t)).collect();
+                assert_eq!(batched, want, "stage {}", stage.name());
             }
         }
     }

@@ -42,14 +42,11 @@ pub struct ServeConfig {
     /// response is only ever delivered inside the deadline.
     pub deadline: Option<Duration>,
     /// Integrity canary: a frame whose golden output is captured from the
-    /// replicas at startup. Workers re-run it every `canary_every` batches;
-    /// a mismatch (e.g. an SEU-style stuck-at fault in that worker's weight
+    /// replicas at startup. Workers re-run it before every batch; a
+    /// mismatch (e.g. an SEU-style stuck-at fault in that worker's weight
     /// memory) marks the worker unhealthy, fails only its current batch,
     /// and removes it from dispatch — healthy workers keep serving.
     pub canary: Option<Tensor>,
-    /// Batches between canary checks (1 = before every batch; meaningful
-    /// only with `canary` set).
-    pub canary_every: u64,
     /// Self-healing: when set, a canary-failed worker is quarantined
     /// instead of permanently removed — its thread attempts
     /// [`Replica::repair`](crate::Replica::repair) off the hot path, then
@@ -78,7 +75,6 @@ impl Default for ServeConfig {
             policy: BackpressurePolicy::Block,
             deadline: None,
             canary: None,
-            canary_every: 1,
             recovery: None,
             background_scrub: None,
             trace: None,

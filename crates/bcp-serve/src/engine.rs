@@ -710,7 +710,6 @@ fn worker_loop<R: Replica>(
     canary: Option<(Tensor, Vec<i64>)>,
     shared: Arc<Shared>,
 ) {
-    let mut batches_done = 0u64;
     let mut strikes = 0u32;
     let mut probation_passes = 0u32;
     // Per-worker scratch the inference frames are moved into, reused
@@ -767,15 +766,7 @@ fn worker_loop<R: Replica>(
             }
 
             if shared.state(w) == WorkerState::Healthy {
-                serve_batch(
-                    w,
-                    &mut replica,
-                    &mut batch,
-                    &mut frames,
-                    &canary,
-                    &shared,
-                    &mut batches_done,
-                );
+                serve_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared);
                 if shared.state(w) == WorkerState::Healthy {
                     if let Some(units) = shared.cfg.background_scrub {
                         // audit: external — background scrubbing belongs to the guard layer and is audited there
@@ -889,27 +880,23 @@ fn serve_batch<R: Replica>(
     frames: &mut Vec<Tensor>,
     canary: &Option<(Tensor, Vec<i64>)>,
     shared: &Shared,
-    batches_done: &mut u64,
 ) {
     let ring = shared.worker_ring(w);
-    // Integrity gate: with canary_every = 1 a corrupted replica can
-    // never emit a wrong classification, because every batch is
-    // preceded by a golden-output check.
+    // Integrity gate: a corrupted replica can never emit a wrong
+    // classification, because every batch is preceded by a golden-output
+    // check.
     if let Some((frame, expected)) = canary {
-        if shared.cfg.canary_every > 0 && batches_done.is_multiple_of(shared.cfg.canary_every) {
-            // audit: external — the canary runs the replica's own inference, audited at the kernel roots
-            let got = catch_unwind(AssertUnwindSafe(|| replica.canary(frame))).ok();
-            if got.as_deref() != Some(expected.as_slice()) {
-                shared.set_state(w, WorkerState::Quarantined);
-                if let Some(m) = shared.m() {
-                    m.worker_fault.inc();
-                }
-                shared.fail_batch(batch, ServeError::WorkerFault { worker: w }, ring);
-                return;
+        // audit: external — the canary runs the replica's own inference, audited at the kernel roots
+        let got = catch_unwind(AssertUnwindSafe(|| replica.canary(frame))).ok();
+        if got.as_deref() != Some(expected.as_slice()) {
+            shared.set_state(w, WorkerState::Quarantined);
+            if let Some(m) = shared.m() {
+                m.worker_fault.inc();
             }
+            shared.fail_batch(batch, ServeError::WorkerFault { worker: w }, ring);
+            return;
         }
     }
-    *batches_done = batches_done.saturating_add(1);
 
     shared.expire(batch, ring);
     if batch.is_empty() {
@@ -1158,7 +1145,6 @@ mod tests {
     fn canary_fault_takes_one_worker_out_of_rotation() {
         let cfg = ServeConfig {
             canary: Some(canary_frame(3, 8, 8)),
-            canary_every: 1,
             max_batch: 1,
             ..ServeConfig::default()
         };
@@ -1182,7 +1168,6 @@ mod tests {
     fn all_workers_faulted_yields_no_healthy_workers() {
         let cfg = ServeConfig {
             canary: Some(canary_frame(3, 8, 8)),
-            canary_every: 1,
             max_batch: 1,
             ..ServeConfig::default()
         };
@@ -1210,7 +1195,6 @@ mod tests {
     fn recovery_cfg() -> ServeConfig {
         ServeConfig {
             canary: Some(canary_frame(3, 8, 8)),
-            canary_every: 1,
             max_batch: 1,
             recovery: Some(crate::recovery::RecoveryPolicy {
                 probation_passes: 2,

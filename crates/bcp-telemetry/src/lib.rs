@@ -1,7 +1,7 @@
 //! Instrumentation for the BinaryCoP workspace.
 //!
 //! A deliberately small observability layer — counters, gauges,
-//! log-bucketed histograms, RAII span timers, a JSONL event stream and an
+//! log-bucketed histograms, a JSONL event stream and an
 //! end-of-run summary report — built only on std plus the workspace's
 //! existing `parking_lot`/`serde`/`serde_json`. No external telemetry
 //! dependency: the edge-deployment story of the paper (a Zynq SoC with no
@@ -18,8 +18,6 @@
 //!   occupancy at sample time).
 //! * **Histograms** — log₂-bucketed `u64` distributions with `p50/p95/p99`
 //!   summaries (per-frame latency in ns, per-epoch wall time).
-//! * **Spans** — RAII timers ([`Registry::span`]) that record their
-//!   lifetime into a histogram and optionally emit a JSONL event.
 //!
 //! [`Registry::snapshot`] freezes everything into a serializable
 //! [`Snapshot`]; [`Registry::write_artifacts`] writes `events.jsonl` and
@@ -41,6 +39,6 @@ mod report;
 mod sink;
 
 pub use histogram::{HistogramSummary, LogHistogram};
-pub use registry::{Counter, Gauge, Histogram, Registry, Span};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use report::Snapshot;
 pub use sink::Event;

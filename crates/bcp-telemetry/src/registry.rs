@@ -4,7 +4,7 @@ use crate::histogram::LogHistogram;
 use crate::report::Snapshot;
 use crate::sink::{Event, Sink};
 use parking_lot::{Mutex, RwLock};
-use serde::{Map, Value};
+use serde::Map;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,17 +107,6 @@ impl Registry {
                 .or_insert_with(|| Arc::new(Mutex::new(LogHistogram::new())))
                 .clone(),
         )
-    }
-
-    /// Start an RAII span timer. On drop it records its lifetime (ns) into
-    /// the histogram `name` and, when an event sink is attached, emits a
-    /// `{"kind":"span","name":…,"dur_ns":…}` JSONL event.
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            registry: self.clone(),
-            name: name.to_string(),
-            start: Instant::now(),
-        }
     }
 
     /// Emit a free-form `mark` event carrying `fields`. No-op without a
@@ -308,38 +297,10 @@ impl Histogram {
     }
 }
 
-/// RAII span timer from [`Registry::span`]. Dropping records the elapsed
-/// time; [`Span::finish`] drops explicitly and returns the duration.
-pub struct Span {
-    registry: Registry,
-    name: String,
-    start: Instant,
-}
-
-impl Span {
-    /// End the span now and return its duration.
-    // audit: cold — spans time CLI phases, never the serving path (shares its name with Tracer::finish)
-    pub fn finish(self) -> Duration {
-        let d = self.start.elapsed();
-        drop(self);
-        d
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed();
-        let ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-        self.registry.histogram(&self.name).record(ns);
-        let mut fields = Map::new();
-        fields.insert("dur_ns".into(), Value::UInt(ns));
-        self.registry.emit("span", &self.name, fields);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn counters_gauges_histograms_roundtrip() {
@@ -379,24 +340,6 @@ mod tests {
             }
         });
         assert_eq!(r.counter("hits").get(), 80_000);
-    }
-
-    #[test]
-    fn span_records_into_histogram_and_events() {
-        let r = Registry::with_event_buffer();
-        {
-            let _s = r.span("work");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let s = r.snapshot();
-        assert_eq!(s.histograms["work"].count, 1);
-        assert!(s.histograms["work"].min >= 1_000_000, "span under 1ms?");
-        let events = r.take_events();
-        assert_eq!(events.len(), 1);
-        let v: Value = serde_json::from_str(&events[0]).unwrap();
-        assert_eq!(v["kind"].as_str(), Some("span"));
-        assert_eq!(v["name"].as_str(), Some("work"));
-        assert!(v["dur_ns"].as_u64().unwrap() >= 1_000_000);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! JSONL event stream.
 //!
-//! Events are point-in-time records (span completions, explicit marks)
-//! serialized one JSON object per line. The sink either buffers in memory
-//! (tests, short runs) or streams through a `BufWriter` to a file so long
-//! runs don't accumulate unbounded state.
+//! Events are point-in-time records (explicit marks) serialized one JSON
+//! object per line. The sink either buffers in memory (tests, short runs)
+//! or streams through a `BufWriter` to a file so long runs don't
+//! accumulate unbounded state.
 
 use serde::{Map, Serialize, Value};
 use std::fs::File;
@@ -16,9 +16,9 @@ use std::path::Path;
 pub struct Event {
     /// Microseconds since the owning registry was created.
     pub ts_us: u64,
-    /// Event kind: `"span"`, `"mark"`, …
+    /// Event kind: `"mark"`, …
     pub kind: &'static str,
-    /// Metric/span name (dotted path, see crate docs).
+    /// Event name (dotted path, see crate docs).
     pub name: String,
     /// Kind-specific payload, merged into the top-level object.
     pub fields: Map,

@@ -8,7 +8,7 @@
 //!
 //! - [`Tensor`]: contiguous row-major N-d array of `f32` (rank ≤ 4,
 //!   NCHW convention for rank-4).
-//! - [`matmul`]: cache-blocked, rayon-parallel GEMM kernels (plain,
+//! - [`matmul`]: cache-blocked GEMM kernels (plain,
 //!   transposed-A, transposed-B) — the workhorse behind im2col convolution.
 //! - [`im2col`]: lowering of convolutions to GEMM and its transpose
 //!   (`col2im`) for the backward pass.

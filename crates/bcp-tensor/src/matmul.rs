@@ -1,14 +1,13 @@
-//! Cache-blocked, rayon-parallel GEMM kernels.
+//! Cache-blocked GEMM kernels.
 //!
 //! im2col lowers every convolution in the training path to one of these three
 //! products, so they are the hot loops of the whole workspace. The kernels
-//! split the output row range across the rayon pool and use a fixed
-//! K-blocking so the B panel stays in cache; inner loops are written over
-//! slices so the compiler can elide bounds checks and vectorize.
+//! walk the output one row at a time and use a fixed K-blocking so the B
+//! panel stays in cache; inner loops are written over slices so the compiler
+//! can elide bounds checks and vectorize.
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// K-dimension block size. 256 f32 ≈ 1 KiB per A row fragment, keeping the
 /// B panel (256×N_block) within L2 for the layer sizes used by CNV.
@@ -25,7 +24,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     let av = a.as_slice();
     let bv = b.as_slice();
-    out.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    out.chunks_mut(n).enumerate().for_each(|(i, crow)| {
         let arow = &av[i * k..(i + 1) * k];
         for k0 in (0..k).step_by(KBLOCK) {
             let kend = (k0 + KBLOCK).min(k);
@@ -57,9 +56,9 @@ pub fn matmul_ta(a: &Tensor, b: &Tensor) -> Tensor {
     let av = a.as_slice();
     let bv = b.as_slice();
     let mut out = vec![0.0f32; m * n];
-    // Parallelise over output rows (columns of A); each task streams down the
-    // K dimension reading one strided column of A and full rows of B.
-    out.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    // One output row per column of A: each streams down the K dimension
+    // reading one strided column of A and full rows of B.
+    out.chunks_mut(n).enumerate().for_each(|(i, crow)| {
         for kk in 0..k {
             let aki = av[kk * m + i];
             if aki == 0.0 {
@@ -88,7 +87,7 @@ pub fn matmul_tb(a: &Tensor, b: &Tensor) -> Tensor {
     let av = a.as_slice();
     let bv = b.as_slice();
     let mut out = vec![0.0f32; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
+    out.chunks_mut(n).enumerate().for_each(|(i, crow)| {
         let arow = &av[i * k..(i + 1) * k];
         for (j, c) in crow.iter_mut().enumerate() {
             let brow = &bv[j * k..(j + 1) * k];

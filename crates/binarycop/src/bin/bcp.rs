@@ -377,14 +377,14 @@ fn bench_frames(predictor: &BinaryCoP, n_frames: usize, seed: u64) -> Vec<bcp_te
 fn write_trace_artifacts(
     tracer: &bcp_trace::Tracer,
     dir: &std::path::Path,
-    raw_compute_ns: Option<u64>,
+    raw_compute_ns: u64,
 ) -> (bcp_trace::TraceSet, bcp_trace::AttributionReport) {
     let set = bcp_trace::TraceSet::new(tracer.drain(), tracer.dropped());
     if let Err(e) = bcp_trace::audit(&set.records) {
         eprintln!("BUG: trace audit failed: {e}");
         exit(1);
     }
-    let report = bcp_trace::AttributionReport::from_traces(&set, raw_compute_ns);
+    let report = bcp_trace::AttributionReport::from_traces(&set, Some(raw_compute_ns));
     std::fs::create_dir_all(dir).unwrap_or_else(|e| {
         eprintln!("cannot create {}: {e}", dir.display());
         exit(1);
@@ -435,22 +435,15 @@ fn cmd_serve_bench(args: &Args) {
             exit(2);
         })));
     }
-    let trace_dir = args.flags.get("trace").map(std::path::PathBuf::from);
-    if trace_dir.is_some() {
-        cfg.trace = Some(bcp_trace::TraceConfig {
-            sample_rate: get("sample-rate", 64).max(1) as u64,
-            ..bcp_trace::TraceConfig::default()
-        });
-    }
     let dump_metrics = args.flags.contains_key("dump-metrics");
 
     let telemetry = telemetry_of(args);
     let mut predictor = bench_predictor(args);
     if let Some((registry, _)) = &telemetry {
         predictor = predictor.with_telemetry(registry.clone());
-    } else if trace_dir.is_some() || dump_metrics {
-        // Trace counters and the metrics dump need a registry even when no
-        // --telemetry artifacts were requested.
+    } else if dump_metrics {
+        // The metrics dump needs a registry even when no --telemetry
+        // artifacts were requested.
         predictor = predictor.with_telemetry(bcp_telemetry::Registry::new());
     }
 
@@ -494,18 +487,6 @@ fn cmd_serve_bench(args: &Args) {
         "response accounting: exact ({} submitted, {} resolved)",
         report.total, report.total
     );
-    if let (Some(dir), Some(tracer)) = (&trace_dir, engine.tracer()) {
-        let raw_ns = (1e9 / seq_fps.max(1e-9)) as u64;
-        let (set, trace_report) = write_trace_artifacts(&tracer, dir, Some(raw_ns));
-        println!(
-            "trace: {} records sampled at 1/{} ({} dropped) → {}",
-            set.records.len(),
-            tracer.config().sample_rate,
-            set.dropped,
-            dir.display()
-        );
-        print!("{}", trace_report.render_text());
-    }
     if dump_metrics {
         if let Some(registry) = engine.registry() {
             print!("{}", registry.render_text());
@@ -599,7 +580,7 @@ fn cmd_profile(args: &Args) {
         exit(1);
     }
 
-    let (set, report) = write_trace_artifacts(&tracer, &out_dir, Some(raw_ns));
+    let (set, report) = write_trace_artifacts(&tracer, &out_dir, raw_ns);
     std::fs::write(out_dir.join("timeseries.jsonl"), series.to_jsonl()).unwrap_or_else(|e| {
         eprintln!("cannot write timeseries.jsonl: {e}");
         exit(1);
@@ -1396,8 +1377,7 @@ fn main() {
                 "  bcp serve-bench [--arch tiny|cnv|ncnv|ucnv | --arch <a> --accel accel.json] \
                  [--workers 2] [--clients 8] [--requests 50] [--frames 32] [--max-batch 8] \
                  [--max-wait-us 500] [--queue-cap 64] [--policy block|reject|shed] \
-                 [--deadline-ms N] [--trace <dir>] \
-                 [--sample-rate 64] [--dump-metrics]"
+                 [--deadline-ms N] [--dump-metrics]"
             );
             eprintln!(
                 "  bcp gateway  [--arch tiny|…] [--shards 3] [--workers 1] [--addr 127.0.0.1:0] \

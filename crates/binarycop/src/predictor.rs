@@ -98,12 +98,11 @@ impl BinaryCoP {
         bcp_check::check_pipeline(&self.pipeline, self.arch.dsp_offload, cfg)
     }
 
-    /// Attach a telemetry registry. Afterwards every [`classify`]
-    /// (BinaryCoP::classify) records its wall time into the
-    /// `predict.latency_ns` histogram and bumps `predict.frames` plus a
-    /// `predict.class.<slug>` counter; [`classify_block`]
-    /// (BinaryCoP::classify_block) records the same per frame, with the
-    /// batch's wall time amortized over its frames.
+    /// Attach a telemetry registry. Afterwards every [`classify_block`]
+    /// (BinaryCoP::classify_block) records, per frame, the batch's wall
+    /// time amortized over its frames into the `predict.latency_ns`
+    /// histogram and bumps `predict.frames` plus a `predict.class.<slug>`
+    /// counter; [`classify`](BinaryCoP::classify) is a block of one.
     pub fn with_telemetry(mut self, registry: Registry) -> Self {
         self.telemetry = Some(registry);
         self
@@ -112,17 +111,6 @@ impl BinaryCoP {
     /// The attached telemetry registry, if any.
     pub fn telemetry(&self) -> Option<&Registry> {
         self.telemetry.as_ref()
-    }
-
-    fn record_prediction(&self, class: MaskClass, latency: Option<std::time::Duration>) {
-        if let Some(t) = &self.telemetry {
-            t.counter("predict.frames").inc();
-            t.counter(&format!("predict.class.{}", class_slug(class)))
-                .inc();
-            if let Some(d) = latency {
-                t.histogram("predict.latency_ns").record_duration(d);
-            }
-        }
     }
 
     /// The underlying pipeline.
@@ -168,21 +156,19 @@ impl BinaryCoP {
         QuantMap::from_unit_floats(c, h, w, image.as_slice())
     }
 
-    /// Classify one frame (gate mode).
+    /// Classify one frame (gate mode): a block of one through
+    /// [`classify_block`](BinaryCoP::classify_block), which also records
+    /// the telemetry.
     pub fn classify(&self, image: &Tensor) -> MaskClass {
-        let t0 = Instant::now();
-        let class = MaskClass::from_label(self.pipeline.classify(&self.quantize(image)));
-        self.record_prediction(class, Some(t0.elapsed()));
-        class
+        self.classify_block(std::slice::from_ref(image))[0]
     }
 
     /// Classify a batch (crowd mode) in the calling thread through the
     /// register-blocked multi-frame kernel ([`Pipeline::forward_batch`]):
     /// the dense layers stream each weight row once for the whole group.
     /// This is the serving engine's dispatch path; multi-core crowd
-    /// traffic runs one such call per engine worker. Results are
-    /// bit-identical to [`classify`](BinaryCoP::classify) per frame, in
-    /// input order.
+    /// traffic runs one such call per engine worker. Results are in input
+    /// order.
     pub fn classify_block(&self, images: &[Tensor]) -> Vec<MaskClass> {
         let t0 = Instant::now();
         let frames: Vec<QuantMap> = images.iter().map(|i| self.quantize(i)).collect();
@@ -191,7 +177,7 @@ impl BinaryCoP {
             .iter()
             .map(|l| MaskClass::from_label(argmax(l)))
             .collect();
-        if self.telemetry.is_some() {
+        if let Some(t) = &self.telemetry {
             // Amortized per-frame latency: the frames share one pass over
             // the weight memory.
             let per_frame = t0
@@ -199,7 +185,10 @@ impl BinaryCoP {
                 .checked_div(classes.len().max(1) as u32)
                 .unwrap_or_default();
             for &class in &classes {
-                self.record_prediction(class, Some(per_frame));
+                t.counter("predict.frames").inc();
+                t.counter(&format!("predict.class.{}", class_slug(class)))
+                    .inc();
+                t.histogram("predict.latency_ns").record_duration(per_frame);
             }
         }
         classes
@@ -304,16 +293,24 @@ mod tests {
     use super::*;
     use crate::model::build_bnn;
     use crate::recipe::tiny_arch;
+    use crate::reference::IntegerReference;
     use bcp_dataset::{Dataset, GeneratorConfig};
     use bcp_nn::Mode;
     use bcp_tensor::Shape;
 
     fn predictor() -> BinaryCoP {
+        predictor_and_reference().0
+    }
+
+    fn predictor_and_reference() -> (BinaryCoP, IntegerReference) {
         let arch = tiny_arch();
         let mut net = build_bnn(&arch, 5);
         let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
         let _ = net.forward(&x, Mode::Train);
-        BinaryCoP::from_trained(&net, &arch)
+        (
+            BinaryCoP::from_trained(&net, &arch),
+            IntegerReference::from_network(&net, &arch),
+        )
     }
 
     fn images(n: usize) -> Vec<Tensor> {
@@ -354,16 +351,19 @@ mod tests {
     }
 
     #[test]
-    fn block_classify_matches_single_frame() {
+    fn block_classify_matches_integer_reference() {
         // The in-thread blocked path (the serving engine's dispatch) must
-        // agree bit-for-bit with per-frame classify, including at batch
-        // sizes off the register-block grid and spanning several blocks.
-        let p = predictor();
+        // agree with the dense-loop oracle, including at batch sizes off
+        // the register-block grid and spanning several blocks.
+        let (p, reference) = predictor_and_reference();
         for n in [0usize, 1, 5, 8, 11, 19] {
             let imgs = images(n.max(1))[..n].to_vec();
             let block = p.classify_block(&imgs);
-            let single: Vec<MaskClass> = imgs.iter().map(|i| p.classify(i)).collect();
-            assert_eq!(block, single, "n={n}");
+            let want: Vec<MaskClass> = imgs
+                .iter()
+                .map(|i| MaskClass::from_label(reference.classify(&p.quantize(i))))
+                .collect();
+            assert_eq!(block, want, "n={n}");
         }
     }
 

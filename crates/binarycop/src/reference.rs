@@ -220,11 +220,15 @@ mod tests {
     use crate::arch::ArchKind;
     use crate::deploy::deploy;
     use crate::model::build_bnn;
+    use crate::BinaryCoP;
+    use bcp_dataset::MaskClass;
+    use bcp_finn::data::StageData;
     use bcp_nn::Mode;
-    use bcp_tensor::Shape;
+    use bcp_tensor::{Shape, Tensor};
 
-    fn quant_image(seed: u64) -> QuantMap {
-        let px: Vec<f32> = (0..3 * 32 * 32)
+    /// A 3×32×32 image on the 8-bit grid `[0, 1]`, CHW order.
+    fn unit_pixels(seed: u64) -> Vec<f32> {
+        (0..3 * 32 * 32)
             .map(|i| {
                 let q = ((i as u64 + 1)
                     .wrapping_mul(seed | 1)
@@ -233,13 +237,18 @@ mod tests {
                     % 256;
                 q as f32 / 255.0
             })
-            .collect();
-        QuantMap::from_unit_floats(3, 32, 32, &px)
+            .collect()
+    }
+
+    fn quant_image(seed: u64) -> QuantMap {
+        QuantMap::from_unit_floats(3, 32, 32, &unit_pixels(seed))
     }
 
     /// THE bit-exactness invariant: the packed/folded/streamed pipeline and
     /// this dense-loop evaluator agree on every logit, for every
-    /// architecture, multiple random initializations and inputs.
+    /// architecture, multiple random initializations and inputs — through
+    /// each single-frame entry (`Stage::process` chained, `Pipeline::forward`,
+    /// `BinaryCoP::classify`), all of which are blocks of one.
     #[test]
     fn pipeline_is_bit_exact_against_reference() {
         for kind in ArchKind::ALL {
@@ -249,14 +258,31 @@ mod tests {
                 // Populate batch-norm running stats with a train pass.
                 let x = bcp_tensor::init::uniform(Shape::nchw(4, 3, 32, 32), -1.0, 1.0, seed + 100);
                 let _ = net.forward(&x, Mode::Train);
-                let pipeline = deploy(&net, &arch);
+                let predictor = BinaryCoP::from_trained(&net, &arch);
+                let pipeline = predictor.pipeline();
                 let reference = IntegerReference::from_network(&net, &arch);
                 for img_seed in 0..4u64 {
-                    let q = quant_image(img_seed * 31 + seed);
+                    let px = unit_pixels(img_seed * 31 + seed);
+                    let q = QuantMap::from_unit_floats(3, 32, 32, &px);
+                    let want = reference.forward(&q);
                     assert_eq!(
                         pipeline.forward(&q),
-                        reference.forward(&q),
+                        want,
                         "{kind:?} seed {seed} image {img_seed}: logits diverge"
+                    );
+                    let chained = pipeline
+                        .stages()
+                        .iter()
+                        .fold(StageData::Quant(q.clone()), |t, s| s.process(t));
+                    assert_eq!(
+                        chained.expect_logits("stage chain"),
+                        want,
+                        "{kind:?} seed {seed} image {img_seed}: stage chain diverges"
+                    );
+                    assert_eq!(
+                        predictor.classify(&Tensor::from_vec(Shape::d3(3, 32, 32), px)),
+                        MaskClass::from_label(reference.classify(&q)),
+                        "{kind:?} seed {seed} image {img_seed}: class diverges"
                     );
                 }
             }

@@ -15,9 +15,9 @@ Two enforced invariants, both measured by `cargo bench -p bcp-bench`
    pipelined closed-loop load must track the same predictor driven
    sequentially, up to two explicitly budgeted costs:
 
-   * The canary integrity tax. With `canary_every = 1` (the default, and
-     the invariant that a corrupted replica can never emit a wrong
-     classification) the worker runs exactly one extra full-frame
+   * The canary integrity tax. The canary runs before every batch (the
+     invariant that a corrupted replica can never emit a wrong
+     classification), so the worker runs exactly one extra full-frame
      inference per batch — a tax of 1/max_batch = 1/8 on compute. Hiding
      the canary for the benchmark would gate a configuration nobody
      serves with, so the gate budgets it instead.

@@ -86,9 +86,11 @@ fn crowd_batch_equals_single_frame_classification() {
     };
     let ds = Dataset::generate_raw(&gen, 12, 0xCAFE);
     let images: Vec<_> = (0..ds.len()).map(|i| ds.image(i)).collect();
+    let reference = IntegerReference::from_network(&model.net, &model.arch);
     let batch = predictor.classify_block(&images);
     for (i, img) in images.iter().enumerate() {
-        assert_eq!(batch[i], predictor.classify(img), "frame {i}");
+        let single = reference.classify(&predictor.quantize(img));
+        assert_eq!(batch[i], MaskClass::from_label(single), "frame {i}");
     }
 }
 

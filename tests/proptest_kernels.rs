@@ -2,30 +2,29 @@
 //! accelerator rests on, each checked against an independent reference
 //! implementation:
 //!
-//! 1. The bitpacked XNOR-popcount GEMM (`bcp_bitpack::xnor_gemm`) against
-//!    a naive float matmul over the same ±1 matrices (`bcp_tensor`).
-//!    PopCnt(XNOR) over packed words and a dot product over ±1 floats are
-//!    wildly different code paths that must agree exactly — ±1 integer
+//! 1. The register-blocked XNOR-popcount GEMM (`xnor_gemm_block`, the
+//!    one binary MVTU kernel) against *both* a naive float matmul over the
+//!    same ±1 matrices (`bcp_tensor`) and the dense sign-decode GEMM
+//!    (`gemm_naive_signs`), over random shapes and batch sizes spanning
+//!    1..=2·BLOCK_LANES — the interleaved bit-plane layout, the 4-wide
+//!    unroll, and both ragged tails (frames off the register-block grid,
+//!    fan-ins off the 64-lane grid) must never change a single accumulator
+//!    bit. PopCnt(XNOR) over packed words and a dot product over ±1 floats
+//!    are wildly different code paths that must agree exactly — ±1 integer
 //!    dot products are exactly representable in `f32` far beyond any `k`
-//!    used here, so the comparison is equality, not tolerance.
+//!    used here, so the comparison is equality, not tolerance. The
+//!    fused-threshold variant is additionally pinned to the unfused
+//!    compare over the accumulator's full legal range.
 //! 2. The folded integer thresholds (`from_batchnorm`) against the
 //!    float batch-norm + sign reference they were folded from, over the
 //!    accumulator's entire legal range (paper Eq. 1 / Sec. III-B).
-//! 3. The register-blocked multi-frame GEMM (`xnor_gemm_block`) against
-//!    *both* the float reference and the single-frame kernel, over random
-//!    shapes and batch sizes spanning 1..=2·BLOCK_LANES — the interleaved
-//!    bit-plane layout, the 4-wide unroll, and both ragged tails (frames
-//!    off the register-block grid, fan-ins off the 64-lane grid) must
-//!    never change a single accumulator bit. The fused-threshold variant
-//!    is additionally pinned to the unfused compare over the accumulator's
-//!    full legal range.
 //!
 //! Case count honors `PROPTEST_CASES` (CI sets 64); seeds are fixed per
 //! test name, so failures replay deterministically.
 
 use bcp_bitpack::pack::pack_matrix;
 use bcp_bitpack::threshold::{batchnorm_sign_reference, ThresholdChannel, ThresholdUnit};
-use bcp_bitpack::xnor::{xnor_gemm, xnor_matvec};
+use bcp_bitpack::xnor::gemm_naive_signs;
 use bcp_bitpack::{xnor_gemm_block, xnor_gemm_block_thresholded, BitPlaneBlock, BLOCK_LANES};
 use bcp_tensor::{matmul::matmul_tb, Shape, Tensor};
 use proptest::prelude::*;
@@ -49,28 +48,6 @@ fn signs(rows: usize, cols: usize, mut seed: u64) -> Vec<f32> {
 
 proptest! {
     #[test]
-    fn xnor_gemm_matches_float_matmul(
-        m in 1usize..9,
-        n in 1usize..9,
-        k in 1usize..260,
-        seed in any::<u64>(),
-    ) {
-        let a = signs(m, k, seed);
-        let b = signs(n, k, seed ^ 0x9E3779B97F4A7C15);
-        // Bit domain: pack and popcount-multiply.
-        let bits = xnor_gemm(&pack_matrix(m, k, &a), &pack_matrix(n, k, &b));
-        // Float domain: dense A·Bᵀ.
-        let floats = matmul_tb(
-            &Tensor::from_vec(Shape::d2(m, k), a),
-            &Tensor::from_vec(Shape::d2(n, k), b),
-        );
-        prop_assert_eq!(bits.len(), m * n);
-        for (i, (&got, &want)) in bits.iter().zip(floats.as_slice()).enumerate() {
-            prop_assert_eq!(got as f32, want, "accumulator {} of {}x{}·{}ᵀ", i, m, k, n);
-        }
-    }
-
-    #[test]
     fn xnor_gemm_bounds_and_parity(
         m in 1usize..5,
         n in 1usize..5,
@@ -81,14 +58,15 @@ proptest! {
         // product over k terms lies in [-k, k] and has k's parity.
         let a = pack_matrix(m, k, &signs(m, k, seed));
         let b = pack_matrix(n, k, &signs(n, k, seed.wrapping_add(7)));
-        for acc in xnor_gemm(&a, &b) {
+        let frames: Vec<_> = (0..n).map(|f| b.row(f)).collect();
+        for acc in xnor_gemm_block(&a, &BitPlaneBlock::pack(&frames)) {
             prop_assert!(acc.unsigned_abs() as usize <= k);
             prop_assert_eq!((acc - k as i32).rem_euclid(2), 0);
         }
     }
 
     #[test]
-    fn blocked_gemm_matches_float_reference_and_single_frame_kernel(
+    fn blocked_gemm_matches_float_reference_and_naive_signs(
         rows in 1usize..9,
         k in 1usize..260,
         b in 1usize..2 * BLOCK_LANES + 1,
@@ -113,13 +91,8 @@ proptest! {
             prop_assert_eq!(got as f32, want, "accumulator {} of {}x{} @ B={}", i, rows, k, b);
         }
 
-        // Reference 2: the single-frame kernel, one matvec per frame.
-        for (f, frame) in frames.iter().enumerate() {
-            let single = xnor_matvec(&weights, frame);
-            for (r, &want) in single.iter().enumerate() {
-                prop_assert_eq!(blocked[r * b + f], want, "frame {} row {}", f, r);
-            }
-        }
+        // Reference 2: the dense sign-decode GEMM, same layout.
+        prop_assert_eq!(&blocked, &gemm_naive_signs(&weights, &frame_mat));
     }
 
     #[test]
@@ -227,21 +200,12 @@ proptest! {
 }
 
 #[test]
-fn gemm_differential_has_a_known_answer_anchor() {
-    // One hand-checked case pins both implementations to ground truth, so
-    // the property above cannot pass by both being wrong the same way:
-    // a = [+1 -1 +1], b = [+1 +1 +1] → dot = +1.
-    let a = pack_matrix(1, 3, &[1.0, -1.0, 1.0]);
-    let b = pack_matrix(1, 3, &[1.0, 1.0, 1.0]);
-    assert_eq!(xnor_gemm(&a, &b), vec![1]);
-}
-
-#[test]
 fn blocked_gemm_has_a_known_answer_anchor() {
-    // Hand-checked multi-frame case: weight row [+1 -1 +1] against frames
-    // [+1 +1 +1] → +1, [-1 -1 -1] → -1, [+1 -1 +1] → +3 (self), and
-    // [-1 +1 -1] → -3 (complement). Five frames force a ragged second
-    // register block.
+    // One hand-checked case pins the kernel and its references to ground
+    // truth, so the properties above cannot pass by all being wrong the
+    // same way. Weight row [+1 -1 +1] against frames [+1 +1 +1] → +1,
+    // [-1 -1 -1] → -1, [+1 -1 +1] → +3 (self), and [-1 +1 -1] → -3
+    // (complement). Five frames force a ragged second register block.
     let w = pack_matrix(1, 3, &[1.0, -1.0, 1.0]);
     let f = pack_matrix(
         5,

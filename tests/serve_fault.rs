@@ -5,9 +5,9 @@
 //! healthy workers keep serving correct answers.
 //!
 //! Determinism comes from the engine's design: dispatch is round-robin
-//! over per-worker queues starting at worker 0, and with `canary_every: 1`
-//! every batch is preceded by a golden-output check, so a fault injected
-//! before the first request is caught on exactly that request.
+//! over per-worker queues starting at worker 0, and every batch is
+//! preceded by a golden-output check, so a fault injected before the first
+//! request is caught on exactly that request.
 
 use bcp_dataset::{Dataset, GeneratorConfig};
 use bcp_nn::Mode;
@@ -62,7 +62,6 @@ fn faulty_worker_is_isolated_and_healthy_workers_keep_serving() {
         2,
         ServeConfig {
             max_batch: 1,
-            canary_every: 1,
             ..ServeConfig::default()
         },
     );
@@ -92,7 +91,6 @@ fn all_workers_faulted_degrades_to_explicit_errors() {
         1,
         ServeConfig {
             max_batch: 1,
-            canary_every: 1,
             ..ServeConfig::default()
         },
     );
@@ -115,7 +113,6 @@ fn concurrent_traffic_over_a_faulty_pool_is_correct_or_explicit() {
         &p,
         2,
         ServeConfig {
-            canary_every: 1,
             ..ServeConfig::default()
         },
     );

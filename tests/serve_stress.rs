@@ -12,23 +12,31 @@
 //! * **Deadline honesty**: every successful response lands within the
 //!   configured deadline.
 
-use bcp_dataset::{Dataset, GeneratorConfig};
+use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_nn::Mode;
 use bcp_serve::{BackpressurePolicy, ServeConfig};
 use bcp_telemetry::Registry;
 use bcp_tensor::{Shape, Tensor};
 use binarycop::model::build_bnn;
 use binarycop::recipe::tiny_arch;
+use binarycop::reference::IntegerReference;
 use binarycop::serve::engine;
 use binarycop::BinaryCoP;
 use std::time::Duration;
 
 fn predictor() -> BinaryCoP {
+    predictor_and_reference().0
+}
+
+fn predictor_and_reference() -> (BinaryCoP, IntegerReference) {
     let arch = tiny_arch();
     let mut net = build_bnn(&arch, 5);
     let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
     let _ = net.forward(&x, Mode::Train);
-    BinaryCoP::from_trained(&net, &arch)
+    (
+        BinaryCoP::from_trained(&net, &arch),
+        IntegerReference::from_network(&net, &arch),
+    )
 }
 
 fn images(n: usize) -> Vec<Tensor> {
@@ -73,14 +81,17 @@ fn batched_kernel_engine_is_byte_identical_to_classify_block() {
     // queue coalesce. However the engine cuts the 96 frames into sealed
     // batches, the register-blocked kernel inside `infer_batch` must be
     // byte-identical to one `classify_block` over all of them — and to
-    // per-frame `classify` — at every worker count.
-    let p = predictor();
+    // the dense-loop integer oracle frame by frame — at every worker count.
+    let (p, oracle) = predictor_and_reference();
     let frames = images(96);
     let reference = p.classify_block(&frames);
     assert_eq!(
-        frames.iter().map(|f| p.classify(f)).collect::<Vec<_>>(),
+        frames
+            .iter()
+            .map(|f| MaskClass::from_label(oracle.classify(&p.quantize(f))))
+            .collect::<Vec<_>>(),
         reference,
-        "blocked in-thread path diverged from per-frame classify"
+        "blocked in-thread path diverged from the integer reference"
     );
     for workers in [1usize, 2, 8] {
         let e = engine(
