@@ -1,8 +1,11 @@
-//! Ablations of the design choices DESIGN.md §7 calls out:
+//! Ablations of the design choices DESIGN.md §9 calls out: the
+//! XNOR-popcount datapath against the float math it replaces (GEMM and
+//! pooling — the paper's core efficiency claim, Sec. II-B/III-A),
 //! im2col-GEMM vs direct convolution, integer thresholds vs float
 //! batch-norm + sign, and (printed once) balanced vs raw-imbalanced
 //! training and augmentation on/off.
 
+use bcp_bitpack::{pack, xnor_gemm_block, BitMatrix, BitPlaneBlock, BitVec64};
 use bcp_dataset::Dataset;
 use bcp_nn::metrics::predictions;
 use bcp_nn::optim::Adam;
@@ -10,10 +13,85 @@ use bcp_nn::train::{train_epoch, LossKind};
 use bcp_nn::Mode;
 use bcp_tensor::conv::{conv2d_direct, conv2d_forward, Conv2dSpec};
 use bcp_tensor::init::uniform;
-use bcp_tensor::Shape;
+use bcp_tensor::matmul::matmul_tb;
+use bcp_tensor::{Shape, Tensor};
 use binarycop::recipe::{run, Recipe};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
+
+fn random_signs(n: usize, seed: u64) -> Vec<f32> {
+    let mut s = seed | 1;
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+            if s >> 62 & 1 == 1 {
+                1.0
+            } else {
+                -1.0
+            }
+        })
+        .collect()
+}
+
+/// CNV-layer-shaped GEMMs: (rows=C_out, cols=C_in·9, batch=windows).
+const SHAPES: [(usize, usize, usize); 3] = [
+    (64, 576, 128),   // conv1_2-like
+    (128, 1152, 100), // conv2_2-like
+    (256, 2304, 16),  // conv3_2-like (fewer windows)
+];
+
+/// A packed activation matrix's rows as one bit-plane block (the SWU's
+/// window vectors are the blocked kernel's frames).
+fn block_of_rows(m: &BitMatrix) -> BitPlaneBlock {
+    let rows: Vec<BitVec64> = (0..m.rows()).map(|r| m.row(r)).collect();
+    BitPlaneBlock::pack(&rows)
+}
+
+fn bench_xnor_vs_float(c: &mut Criterion) {
+    let mut group = c.benchmark_group("xnor_vs_float_gemm");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    for (rows, cols, windows) in SHAPES {
+        let w_signs = random_signs(rows * cols, 1);
+        let a_signs = random_signs(windows * cols, 2);
+        let wbits = pack::pack_matrix(rows, cols, &w_signs);
+        let ablock = block_of_rows(&pack::pack_matrix(windows, cols, &a_signs));
+        let wf = Tensor::from_vec(Shape::d2(rows, cols), w_signs);
+        let af = Tensor::from_vec(Shape::d2(windows, cols), a_signs);
+        group.bench_with_input(
+            BenchmarkId::new("xnor_popcount", format!("{rows}x{cols}x{windows}")),
+            &(),
+            |b, _| b.iter(|| std::hint::black_box(xnor_gemm_block(&wbits, &ablock))),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("float_gemm", format!("{rows}x{cols}x{windows}")),
+            &(),
+            |b, _| b.iter(|| std::hint::black_box(matmul_tb(&af, &wf))),
+        );
+    }
+    group.finish();
+}
+
+fn bench_or_pool_vs_float(c: &mut Criterion) {
+    use bcp_finn::data::BinMap;
+    use bcp_finn::pool::or_pool;
+    use bcp_tensor::{maxpool2d_forward, MaxPoolSpec};
+    let mut group = c.benchmark_group("pool_or_vs_float");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    let signs = random_signs(64 * 28 * 28, 4);
+    let map = BinMap::from_signs(64, 28, 28, &signs);
+    let dense = Tensor::from_vec(Shape::nchw(1, 64, 28, 28), signs);
+    group.bench_function("or_pool_64x28x28", |b| {
+        b.iter(|| std::hint::black_box(or_pool(&map, 2)))
+    });
+    group.bench_function("float_maxpool_64x28x28", |b| {
+        b.iter(|| std::hint::black_box(maxpool2d_forward(&dense, MaxPoolSpec::two_by_two())))
+    });
+    group.finish();
+}
 
 fn bench_im2col_vs_direct(c: &mut Criterion) {
     let spec = Conv2dSpec::new(32, 32, 3, 0);
@@ -188,6 +266,8 @@ fn bench_cyclesim_and_fault(c: &mut Criterion) {
 
 fn ablation_entry(c: &mut Criterion) {
     print_training_ablations();
+    bench_xnor_vs_float(c);
+    bench_or_pool_vs_float(c);
     bench_im2col_vs_direct(c);
     bench_threshold_vs_float_bn(c);
     bench_cyclesim_and_fault(c);

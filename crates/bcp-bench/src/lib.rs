@@ -1,13 +1,14 @@
 //! Shared fixtures for the criterion bench targets.
 //!
-//! Each bench regenerates one table/figure of the paper (see DESIGN.md §5)
-//! and measures the computation behind it. Training-scale is kept small —
-//! the benches measure *mechanisms* (inference, export, Grad-CAM, resource
-//! estimation), and print the regenerated artifact once per run.
+//! The targets time what the frame-path benchmark (`benchmark/`) puts out
+//! of scope — training, Grad-CAM, resource estimation/DSE and the
+//! design-choice ablations of DESIGN.md §9 — and print the regenerated
+//! artifact once per run. Training-scale is kept small: they measure
+//! *mechanisms*. Host time of the frame path itself has one owner,
+//! `benchmark/`.
 
 #![forbid(unsafe_code)]
 
-use bcp_finn::data::QuantMap;
 use bcp_finn::Pipeline;
 use bcp_nn::{Mode, Sequential};
 use bcp_tensor::Shape;
@@ -32,24 +33,4 @@ pub fn deployable(kind: ArchKind, seed: u64) -> (Sequential, Arch) {
 pub fn pipeline_for(kind: ArchKind, seed: u64) -> (Pipeline, Arch) {
     let (net, arch) = deployable(kind, seed);
     (binarycop::deploy::deploy(&net, &arch), arch)
-}
-
-/// A deterministic quantized 32×32 frame.
-pub fn frame(seed: u64) -> QuantMap {
-    let px: Vec<f32> = (0..3 * 32 * 32)
-        .map(|i| {
-            let q = ((i as u64 + 1)
-                .wrapping_mul(seed | 1)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                >> 33)
-                % 256;
-            q as f32 / 255.0
-        })
-        .collect();
-    QuantMap::from_unit_floats(3, 32, 32, &px)
-}
-
-/// A batch of deterministic frames.
-pub fn frames(n: usize) -> Vec<QuantMap> {
-    (0..n as u64).map(|s| frame(s * 17 + 3)).collect()
 }

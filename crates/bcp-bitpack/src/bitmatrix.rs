@@ -182,6 +182,10 @@ mod tests {
         assert!(m.get(2, 69));
         assert!(!m.get(2, 68));
         assert!(!m.get(0, 69));
+        // 128 columns pack into 2 words a row: ×32 smaller than the same
+        // matrix in f32 (the paper's storage claim, Sec. II-B).
+        let m = BitMatrix::zeros(10, 128);
+        assert_eq!(10 * 128 * 4 / (m.words().len() * 8), 32);
     }
 
     #[test]

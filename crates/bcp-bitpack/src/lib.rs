@@ -18,8 +18,6 @@
 //!   plus the [`BitPlaneBlock`] interleaved multi-frame layout.
 //! - [`threshold`]: per-channel integer threshold units, the hardware form
 //!   of batch-norm + sign (Sec. III-A).
-//! - [`serialize`]: compact bitstream framing via `bytes` for checkpointing
-//!   deployed (binarized) weights.
 //! - [`checksum`]: CRC-32 integrity codes over packed rows, the detection
 //!   half of the weight-memory scrubbing in `bcp-guard`.
 
@@ -31,7 +29,6 @@ pub mod bitvec64;
 pub mod checksum;
 pub mod gemm;
 pub mod pack;
-pub mod serialize;
 pub mod threshold;
 pub mod xnor;
 

@@ -60,11 +60,6 @@ impl Device {
     pub fn fits(&self, usage: &ResourceUsage) -> bool {
         usage.luts <= self.luts && usage.bram18 <= self.bram18 && usage.dsps <= self.dsps
     }
-
-    /// Fractional LUT utilization (>1 = over budget).
-    pub fn lut_utilization(&self, usage: &ResourceUsage) -> f64 {
-        usage.luts as f64 / self.luts as f64
-    }
 }
 
 #[cfg(test)]

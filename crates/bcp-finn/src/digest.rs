@@ -45,11 +45,6 @@ impl StageDigest {
         self.cols
     }
 
-    /// Golden CRC of weight row `r`.
-    pub fn row_crc(&self, r: usize) -> u32 {
-        self.row_crcs[r]
-    }
-
     /// Golden CRC of the stage's threshold table, when it has one.
     pub fn threshold_crc(&self) -> Option<u32> {
         self.threshold_crc

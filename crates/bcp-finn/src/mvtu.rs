@@ -62,12 +62,6 @@ impl BinaryMvtu {
         &self.weights
     }
 
-    /// Whether this unit thresholds (hidden layer) or emits accumulators
-    /// (logits layer).
-    pub fn has_thresholds(&self) -> bool {
-        self.thresholds.is_some()
-    }
-
     /// Threshold bank access (static analysis reads τ ranges).
     pub fn thresholds(&self) -> Option<&ThresholdUnit> {
         self.thresholds.as_ref()

@@ -60,11 +60,6 @@ impl Sequential {
         self.layers[i].as_ref()
     }
 
-    /// Mutable layer by position.
-    pub fn layer_mut(&mut self, i: usize) -> &mut dyn Layer {
-        self.layers[i].as_mut()
-    }
-
     /// Position of the layer named `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.layers.iter().position(|l| l.name() == name)

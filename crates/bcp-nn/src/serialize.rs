@@ -3,7 +3,7 @@
 //! The state dict keys parameters by `"<layer>.<param>"` and additionally
 //! carries batch-norm running statistics (which are state, not parameters).
 //! JSON keeps checkpoints human-inspectable; the *deployed* binarized
-//! weights use the compact bitstream in `bcp-bitpack::serialize` instead.
+//! weights persist as a `bcp_finn::image::PipelineImage` instead.
 
 use crate::batchnorm::BatchNorm;
 use crate::layer::Layer;

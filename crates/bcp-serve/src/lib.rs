@@ -58,7 +58,7 @@ pub use config::{BackpressurePolicy, ServeConfig, ServeError};
 #[cfg(not(bcp_model))]
 pub use engine::{Completion, Engine, Ticket};
 #[cfg(not(bcp_model))]
-pub use loadgen::{run_closed_loop, run_closed_loop_pipelined, LoadReport};
+pub use loadgen::{run_closed_loop, LoadReport};
 pub use recovery::{RecoveryPolicy, WorkerState, WorkerStateCell};
 #[cfg(not(bcp_model))]
 pub use replica::{canary_frame, Replica, SyntheticReplica};

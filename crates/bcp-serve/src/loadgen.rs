@@ -1,22 +1,13 @@
-//! Closed-loop load generators and their throughput/latency report.
+//! Closed-loop load generator and its throughput/latency report.
 //!
-//! Two client models:
-//!
-//! * [`run_closed_loop`] — each client holds exactly one request in
-//!   flight: submit, wait, repeat (the classic benchmark-harness model,
-//!   and gate mode's camera setting — a camera cannot have two "current"
-//!   frames). On a single core every frame then pays a full round-trip
-//!   thread wake before the next can even be submitted.
-//! * [`run_closed_loop_pipelined`] — each client keeps `depth` tickets
-//!   outstanding (submit until `depth` deep, then wait-oldest, submit
-//!   next). This is crowd mode's actual shape: one camera frame yields
-//!   several face crops that are all submitted together, so the engine's
-//!   admission queue stays deep enough to seal full batches without
-//!   waiting out `max_wait`, and one client wake collects a whole burst
-//!   of completions.
-//!
-//! In both, offered load tracks service capacity; saturation shows up as
-//! latency growth rather than unbounded queueing.
+//! [`run_closed_loop`]: each client holds exactly one request in flight —
+//! submit, wait, repeat (the classic benchmark-harness model, and gate
+//! mode's camera setting — a camera cannot have two "current" frames). On
+//! a single core every frame then pays a full round-trip thread wake
+//! before the next can even be submitted. Offered load tracks service
+//! capacity; saturation shows up as latency growth rather than unbounded
+//! queueing. (Crowd mode's shape — a burst of tickets in flight per
+//! client — is the frame-path benchmark's `engine_tiny` workload.)
 
 use crate::config::ServeError;
 use crate::engine::Engine;
@@ -136,69 +127,6 @@ pub fn run_closed_loop(
     assemble_report(clients, requests_per_client, per_client, wall)
 }
 
-/// Drive `engine` with `clients` pipelined closed-loop clients, each
-/// keeping up to `depth` requests in flight and issuing
-/// `requests_per_client` requests total, drawn round-robin from `frames`
-/// (staggered per client). A submit refusal is tallied immediately; every
-/// admitted request is waited on, so the report accounts for all of them.
-/// Latency is submit-to-completion, which for a pipelined client includes
-/// time queued behind its own earlier requests — the crowd-mode contract,
-/// where a burst of face crops shares one arrival instant.
-pub fn run_closed_loop_pipelined(
-    engine: &Engine,
-    frames: &[Tensor],
-    clients: usize,
-    depth: usize,
-    requests_per_client: usize,
-) -> LoadReport {
-    assert!(
-        !frames.is_empty(),
-        "load generator needs at least one frame"
-    );
-    assert!(clients > 0, "need at least one client");
-    assert!(depth > 0, "pipeline depth must be positive");
-    let started = Instant::now();
-    let per_client: Vec<(Vec<u64>, [usize; 5])> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(requests_per_client);
-                    // [ok, rejected, shed, expired, faulted]
-                    let mut tally = [0usize; 5];
-                    let mut in_flight: std::collections::VecDeque<(crate::Ticket, Instant)> =
-                        std::collections::VecDeque::with_capacity(depth);
-                    for i in 0..requests_per_client {
-                        if in_flight.len() == depth {
-                            if let Some((ticket, t0)) = in_flight.pop_front() {
-                                record_outcome(ticket.wait(), t0, &mut latencies, &mut tally);
-                            }
-                        }
-                        let idx = c
-                            .saturating_add(i.saturating_mul(clients))
-                            .checked_rem(frames.len())
-                            .unwrap_or(0);
-                        let t0 = Instant::now();
-                        match engine.submit(&frames[idx]) {
-                            Ok(ticket) => in_flight.push_back((ticket, t0)),
-                            Err(e) => record_outcome(Err(e), t0, &mut latencies, &mut tally),
-                        }
-                    }
-                    for (ticket, t0) in in_flight {
-                        record_outcome(ticket.wait(), t0, &mut latencies, &mut tally);
-                    }
-                    (latencies, tally)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let wall = started.elapsed();
-    assemble_report(clients, requests_per_client, per_client, wall)
-}
-
 /// Tally one resolved request into the per-client accumulators.
 fn record_outcome(
     outcome: Result<bcp_dataset::MaskClass, ServeError>,
@@ -288,21 +216,6 @@ mod tests {
         assert!(report.p50 <= report.p99 && report.p99 <= report.max);
         let rendered = report.render_text();
         assert!(rendered.contains("throughput") && rendered.contains("p99"));
-    }
-
-    #[test]
-    fn pipelined_loop_accounts_and_matches_blocking_outcomes() {
-        let e = Engine::start(
-            vec![SyntheticReplica::new()],
-            ServeConfig::default(),
-            Some(Registry::new()),
-        );
-        let frames: Vec<_> = (0..6).map(|i| canary_frame(3, 8, 8 + i)).collect();
-        let report = run_closed_loop_pipelined(&e, &frames, 4, 3, 25);
-        assert!(report.accounted());
-        assert_eq!(report.ok, 100, "lossless config: every request succeeds");
-        assert!(report.throughput_fps > 0.0);
-        assert!(report.p50 <= report.p99 && report.p99 <= report.max);
     }
 
     #[test]

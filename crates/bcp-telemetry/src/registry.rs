@@ -57,13 +57,6 @@ impl Registry {
         r
     }
 
-    /// Registry that streams JSONL events to `path` as they happen.
-    pub fn with_jsonl_file(path: impl AsRef<Path>) -> std::io::Result<Registry> {
-        let r = Registry::new();
-        *r.inner.sink.lock() = Sink::file(path.as_ref())?;
-        Ok(r)
-    }
-
     /// Microseconds elapsed since the registry was created (the `ts_us`
     /// timebase of every event).
     pub fn elapsed_us(&self) -> u64 {
@@ -207,23 +200,17 @@ impl Registry {
     }
 
     /// Write run artifacts into `dir` (created if missing):
-    /// `events.jsonl` (buffered events; for a file sink the stream is
-    /// flushed wherever it already points) and `summary.json` (the
+    /// `events.jsonl` (buffered events) and `summary.json` (the
     /// [`Snapshot`]). Returns the summary path.
     pub fn write_artifacts(&self, dir: impl AsRef<Path>) -> std::io::Result<std::path::PathBuf> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        {
-            let mut sink = self.inner.sink.lock();
-            if let Sink::Memory(lines) = &mut *sink {
-                let mut body = lines.join("\n");
-                if !body.is_empty() {
-                    body.push('\n');
-                }
-                std::fs::write(dir.join("events.jsonl"), body)?;
-            } else {
-                sink.flush();
+        if let Sink::Memory(lines) = &*self.inner.sink.lock() {
+            let mut body = lines.join("\n");
+            if !body.is_empty() {
+                body.push('\n');
             }
+            std::fs::write(dir.join("events.jsonl"), body)?;
         }
         let summary = dir.join("summary.json");
         std::fs::write(&summary, self.snapshot().to_pretty_json())?;

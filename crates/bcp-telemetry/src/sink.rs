@@ -1,14 +1,10 @@
 //! JSONL event stream.
 //!
 //! Events are point-in-time records (explicit marks) serialized one JSON
-//! object per line. The sink either buffers in memory (tests, short runs)
-//! or streams through a `BufWriter` to a file so long runs don't
-//! accumulate unbounded state.
+//! object per line, buffered in memory until `Registry::write_artifacts`
+//! or `take_events` drains them.
 
 use serde::{Map, Serialize, Value};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 
 /// One telemetry event. Flat on purpose: every field lands at the top
 /// level of the JSON object so `grep`/`jq` one-liners work on the stream.
@@ -42,33 +38,15 @@ pub(crate) enum Sink {
     Null,
     /// Keep serialized lines in memory.
     Memory(Vec<String>),
-    /// Stream lines to a file.
-    File(BufWriter<File>),
 }
 
 impl Sink {
-    pub(crate) fn file(path: &Path) -> std::io::Result<Sink> {
-        Ok(Sink::File(BufWriter::new(File::create(path)?)))
-    }
-
     pub(crate) fn emit(&mut self, event: &Event) {
         match self {
             Sink::Null => {}
             Sink::Memory(lines) => {
                 lines.push(serde_json::to_string(&event.to_value()).expect("event json"))
             }
-            Sink::File(w) => {
-                let line = serde_json::to_string(&event.to_value()).expect("event json");
-                // A full disk shouldn't take down the pipeline; drop the
-                // event instead.
-                let _ = writeln!(w, "{line}");
-            }
-        }
-    }
-
-    pub(crate) fn flush(&mut self) {
-        if let Sink::File(w) = self {
-            let _ = w.flush();
         }
     }
 

@@ -39,11 +39,6 @@ impl Conv2dSpec {
         Shape(vec![self.c_out, self.c_in, self.window.k, self.window.k])
     }
 
-    /// Number of weight parameters.
-    pub fn weight_count(&self) -> usize {
-        self.c_out * self.c_in * self.window.k * self.window.k
-    }
-
     fn check_weight(&self, w: &Tensor) {
         assert_eq!(
             *w.shape(),

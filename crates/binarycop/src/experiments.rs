@@ -21,7 +21,7 @@ use bcp_gradcam::{gradcam, heat_centroid};
 use bcp_nn::{Mode, Sequential};
 use bcp_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -717,15 +717,6 @@ pub fn untrained_with_stats(kind: ArchKind, seed: u64) -> (Sequential, Arch) {
     );
     let _ = net.forward(&x, Mode::Train);
     (net, arch)
-}
-
-/// Deterministic pseudo-random test image on the u8 grid (benches).
-pub fn random_u8_image(size: usize, seed: u64) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let data: Vec<f32> = (0..3 * size * size)
-        .map(|_| rng.gen_range(0..=255u32) as f32 / 255.0)
-        .collect();
-    Tensor::from_vec(Shape::d3(3, size, size), data)
 }
 
 #[cfg(test)]

@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Perf gate over a result file written by benchmark/suite.py.
+
+    python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
+    python3 scripts/perf_gate.py benchmark/out/gate.json
+
+Two bounds on per-layer metrics of the file's traced runs; both sides of each
+are timed in alternating slices of one run, so host drift cancels:
+
+1. `serve.overhead_over_direct_pct` on `engine_tiny` (1-worker engine against
+   `classify_block` on the same blocks) <= the canary's 1/max_batch, one extra
+   inference per sealed batch, plus a 0.25 budget for completion wakes that
+   preempt the worker on a small host. Batches collapsing to ~1 read >= 60.
+2. The median `serve.trace_overhead_pct` over every traced run <= 3. It is
+   taken at sample_rate 1, 64x the production rate, so it bounds the
+   production cost from above.
+
+Prints both verdicts; exits non-zero when either bound is exceeded.
+"""
+import json
+import statistics
+import sys
+
+MAX_BATCH = 8  # ServeConfig::default().max_batch
+ENGINE_BOUND_PCT = 100.0 * (1.0 / MAX_BATCH + 0.25)
+TRACE_BOUND_PCT = 3.0
+
+
+def main():
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    workloads = json.load(open(sys.argv[1]))["workloads"]
+    traced = {name: w["traced"] for name, w in workloads.items()}
+    if not traced.get("engine_tiny"):
+        sys.exit("perf gate: no traced engine_tiny run in the file (suite.py --traced 1)")
+    values = lambda runs, metric: [r["metrics"][metric]["value"] for r in runs]
+    engine = values(traced["engine_tiny"], "serve.overhead_over_direct_pct")
+    trace = [v for runs in traced.values() for v in values(runs, "serve.trace_overhead_pct")]
+    checks = [("engine over direct classify_block, engine_tiny", engine, ENGINE_BOUND_PCT),
+              ("tracing at sample_rate 1, all workloads", trace, TRACE_BOUND_PCT)]
+    verdicts = [(name, statistics.median(got), len(got), bound) for name, got, bound in checks]
+    for name, med, n, bound in verdicts:
+        print(f"[{'ok' if med <= bound else 'FAIL'}] {name}: {med:+.2f} % "
+              f"(median of {n}; bound <= {bound} %)")
+    failed = [name for name, med, _, bound in verdicts if med > bound]
+    sys.exit(f"perf gate failed: {', '.join(failed)}" if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

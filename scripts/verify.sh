@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# What CI's build-and-test and lint jobs gate on, in one local command.
-# Tier-1 (`cargo build --release && cargo test -q`) covers only the root
-# package's suites; this also runs the other crates' tests, the frozen
-# benchmark's smoke, the source analyzers and the perf gates, so local
-# green means CI green. Run from anywhere inside the repository; takes
-# ~15 min on one core.
+# What CI's build-and-test and lint jobs gate on, in one local command:
+# tier-1 (`cargo build --release && cargo test -q`, which is the whole
+# workspace), the frozen benchmark's smoke, the source analyzers and the
+# perf gate, so local green means CI green. Run from anywhere inside the
+# repository; takes ~4 min on two cores from a clean checkout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 bcp() { cargo run --release --offline -q -p binarycop --bin bcp -- "$@"; }
 
-cargo build --release --offline --workspace
-cargo test -q --offline --workspace
+cargo build --release --offline
+cargo test -q --offline
 
 # benchmark/ is a workspace of its own: this is the step that fails when a
 # name the frozen benchmark calls is renamed. Cargo may re-resolve its lock
@@ -24,12 +23,10 @@ bcp check --all-arches --json >/dev/null
 bcp lint --root . --json
 bcp audit --root . --json
 
-export BENCH_SUMMARY_PATH="${BENCH_SUMMARY_PATH:-$PWD/BENCH_summary.json}"
-cargo bench --offline -p bcp-bench --bench kernels
-cargo bench --offline -p bcp-bench --bench kernel_gemm
-cargo bench --offline -p bcp-bench --bench serve_throughput
-python3 scripts/bench_gate.py "$BENCH_SUMMARY_PATH"
-python3 scripts/trace_gate.py "$BENCH_SUMMARY_PATH"
+# The perf gate reads the benchmark's own paired per-layer metrics: one
+# traced run of each workload (4 x 20 s), then the two bounds.
+python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
+python3 scripts/perf_gate.py benchmark/out/gate.json
 
 # The exception budget, so a PR can state before/after: hot-path roots and
 # `audit: allow(<kind>)` directives outside crates/bcp-check (whose sources
