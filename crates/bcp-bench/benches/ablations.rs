@@ -243,13 +243,13 @@ fn bench_cyclesim_and_fault(c: &mut Criterion) {
     use bcp_finn::fault::inject_random_faults;
     use binarycop::arch::ArchKind;
 
-    let (pipeline, _) = bcp_bench::pipeline_for(ArchKind::NCnv, 1);
+    let plan = ArchKind::NCnv.arch().plan();
     let mut group = c.benchmark_group("ablation_timing_and_fault_tools");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     group.bench_function("cyclesim_ncnv_64frames", |b| {
-        b.iter(|| std::hint::black_box(simulate(&pipeline, 64, 2)))
+        b.iter(|| std::hint::black_box(simulate(&plan, 64, 2)))
     });
     group.bench_function("fault_injection_100bits", |b| {
         b.iter_batched(

@@ -38,7 +38,8 @@ fn bench_table2(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for kind in ArchKind::ALL {
         let arch = kind.arch();
-        let layers = arch.layer_dims();
+        let mut layers = arch.plan();
+        layers.retain(|stage| stage.is_compute());
         group.bench_with_input(BenchmarkId::from_parameter(&arch.name), &(), |b, _| {
             b.iter(|| std::hint::black_box(allocate(&layers, 25_000.0)))
         });

@@ -4,17 +4,16 @@
 //!
 //! Each pass appends [`Diagnostic`]s to a shared list; none panics. They
 //! operate on [`StagePlan`]s so the same code runs pre-deployment (from an
-//! [`crate::ArchSpec`]) and post-deployment (from a built `Pipeline`).
+//! [`crate::Arch`]) and post-deployment (from a built `Pipeline`).
 
 use crate::diag::{Code, Diagnostic};
-use crate::graph::StagePlan;
 use crate::CheckConfig;
 use bcp_bitpack::{ThresholdChannel, ThresholdUnit};
 use bcp_finn::cyclesim::simulate_service;
 use bcp_finn::device::Device;
 use bcp_finn::pipeline::{Pipeline, Stage};
-use bcp_finn::resource::{estimate_specs, StageResourceSpec};
-use bcp_finn::Folding;
+use bcp_finn::resource::estimate_plan;
+use bcp_finn::StagePlan;
 
 /// Frames fed to the discrete-event rate simulation — enough for the
 /// steady state to dominate the fill transient.
@@ -67,8 +66,9 @@ pub fn check_config(cfg: &CheckConfig, diags: &mut Vec<Diagnostic>) {
 /// Folding legality (`BCP010`–`BCP012`): positive factors, PE dividing the
 /// output neurons, SIMD dividing the fan-in.
 pub fn check_folding(subject: &str, plan: &[StagePlan], diags: &mut Vec<Diagnostic>) {
-    for p in plan.iter().filter(|p| p.is_compute()) {
-        let li = p.layer_index.unwrap_or(0);
+    // `li` indexes the architecture's `pe`/`simd` vectors: compute layers
+    // only, pools skipped.
+    for (li, p) in plan.iter().filter(|p| p.is_compute()).enumerate() {
         if p.pe == 0 || p.simd == 0 {
             let which = if p.pe == 0 { "pe" } else { "simd" };
             diags.push(Diagnostic::error(
@@ -158,9 +158,9 @@ pub fn check_cycles(
 
     if cfg.target_fps.is_finite() && cfg.target_fps > 0.0 && cfg.clock.hz > 0.0 {
         let budget = cfg.clock.hz / cfg.target_fps;
-        for (p, &c) in plan.iter().zip(&service) {
+        for (i, (p, &c)) in plan.iter().zip(&service).enumerate() {
             if c as f64 > budget {
-                let li = p.layer_index.unwrap_or(0);
+                let li = plan.iter().take(i).filter(|q| q.is_compute()).count();
                 diags.push(
                     Diagnostic::error(
                         Code::CycleBudgetExceeded,
@@ -252,19 +252,7 @@ pub fn check_resources(
     {
         return; // BCP010 already reported; no folding to cost.
     }
-    let specs: Vec<StageResourceSpec> = plan
-        .iter()
-        .map(|p| StageResourceSpec {
-            folding: if p.is_compute() {
-                Folding::new(p.pe, p.simd)
-            } else {
-                Folding::sequential()
-            },
-            weight_bits: p.weight_bits(),
-            is_pool: !p.is_compute(),
-        })
-        .collect();
-    let usage = estimate_specs(&specs, dsp_offload);
+    let usage = estimate_plan(plan, dsp_offload);
     let on_target = device.name == target.name;
     let axes = [
         (Code::LutOverBudget, "luts", usage.luts, device.luts),
@@ -420,7 +408,7 @@ fn check_bank(
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
-    use crate::graph::StageKind;
+    use bcp_finn::StageKind;
 
     fn stage(
         name: &str,
@@ -429,7 +417,6 @@ mod tests {
         vectors: usize,
         pe: usize,
         simd: usize,
-        li: usize,
     ) -> StagePlan {
         StagePlan {
             name: name.into(),
@@ -439,16 +426,17 @@ mod tests {
             vectors,
             pe,
             simd,
-            layer_index: Some(li),
+            k: 1,
+            in_dims: (cols, 1, vectors),
         }
     }
 
     #[test]
     fn folding_legality_catches_non_divisors_and_zero() {
         let plan = vec![
-            stage("conv1", 64, 27, 900, 16, 3, 0),
-            stage("conv2", 64, 576, 784, 33, 30, 1),
-            stage("conv3", 64, 576, 784, 0, 32, 2),
+            stage("conv1", 64, 27, 900, 16, 3),
+            stage("conv2", 64, 576, 784, 33, 30),
+            stage("conv3", 64, 576, 784, 0, 32),
         ];
         let mut diags = Vec::new();
         check_folding("x", &plan, &mut diags);
@@ -468,14 +456,14 @@ mod tests {
     #[test]
     fn cycle_budget_flags_slow_stages() {
         let cfg = CheckConfig::default(); // 30 fps at 100 MHz → 3.33 M cycles
-        let plan = vec![stage("fc1", 1024, 4096, 1, 1, 1, 0)]; // 4.2 M cycles
+        let plan = vec![stage("fc1", 1024, 4096, 1, 1, 1)]; // 4.2 M cycles
         let mut diags = Vec::new();
         let service = check_cycles("x", &plan, &cfg, &mut diags).unwrap();
         assert_eq!(service, vec![1024 * 4096]);
         assert!(diags.iter().any(|d| d.code == Code::CycleBudgetExceeded));
 
         // The same stage folded 64× fits easily.
-        let plan = vec![stage("fc1", 1024, 4096, 1, 64, 64, 0)];
+        let plan = vec![stage("fc1", 1024, 4096, 1, 64, 64)];
         let mut diags = Vec::new();
         check_cycles("x", &plan, &cfg, &mut diags).unwrap();
         assert!(diags.is_empty());
@@ -483,7 +471,7 @@ mod tests {
 
     #[test]
     fn cycle_overflow_is_reported_not_wrapped() {
-        let plan = vec![stage("huge", usize::MAX, usize::MAX, usize::MAX, 1, 1, 0)];
+        let plan = vec![stage("huge", usize::MAX, usize::MAX, usize::MAX, 1, 1)];
         let mut diags = Vec::new();
         assert!(check_cycles("x", &plan, &CheckConfig::default(), &mut diags).is_none());
         assert!(diags.iter().any(|d| d.code == Code::CycleOverflow));
@@ -492,9 +480,9 @@ mod tests {
     #[test]
     fn starved_stage_reported_as_info() {
         let plan = vec![
-            stage("conv1", 64, 576, 784, 1, 1, 0), // ~28.9 M cycles
-            stage("fc1", 512, 256, 1, 64, 64, 1),  // 32 cycles — but under floor
-            stage("fc2", 512, 256, 1, 2, 2, 2),    // 32768 cycles — starved
+            stage("conv1", 64, 576, 784, 1, 1), // ~28.9 M cycles
+            stage("fc1", 512, 256, 1, 64, 64),  // 32 cycles — but under floor
+            stage("fc2", 512, 256, 1, 2, 2),    // 32768 cycles — starved
         ];
         let cfg = CheckConfig {
             target_fps: 1.0,
@@ -546,8 +534,8 @@ mod tests {
         use bcp_finn::device::{Z7010, Z7020};
         // A plan far too big for the Z7010 but fine on the Z7020.
         let plan = vec![
-            stage("conv1", 256, 2304, 900, 64, 36, 0),
-            stage("fc1", 512, 4096, 1, 8, 64, 1),
+            stage("conv1", 256, 2304, 900, 64, 36),
+            stage("fc1", 512, 4096, 1, 8, 64),
         ];
         // Z7010 as *target*: over-budget is an error.
         let mut diags = Vec::new();

@@ -1,20 +1,31 @@
-//! The checker's view of a model/accelerator description, and whole-graph
-//! shape inference over it.
+//! The architecture description — one column of the paper's Table I — and
+//! the one walk that lays it out as hardware stages.
 //!
-//! [`ArchSpec`] is a plain-data mirror of `binarycop::Arch` (this crate
-//! sits *below* `binarycop` in the dependency order, so it defines its own
-//! input type; `Arch::spec()` converts). Shape inference walks the conv
-//! trunk and dense head exactly the way `deploy()` would build stages,
-//! but instead of asserting it emits localized [`Diagnostic`]s and — when
-//! the graph is consistent — a [`StagePlan`] per hardware stage for the
-//! downstream folding/timing/rate/resource analyses.
+//! [`Arch`] is the only architecture type in the workspace (`binarycop`
+//! re-exports it next to the Table I constructors). [`infer_shapes`] walks
+//! its conv trunk and dense head once: every inconsistency becomes a
+//! localized [`Diagnostic`] instead of an `assert!`, and a consistent graph
+//! yields the [`StagePlan`] per hardware stage that the folding/timing/
+//! rate/resource analyses read and that `binarycop::deploy` builds its
+//! stages from.
 
 use crate::diag::{Code, Diagnostic};
+use bcp_finn::device::{Device, Z7010, Z7020};
+use bcp_finn::{StageKind, StagePlan};
 use serde::{Deserialize, Serialize};
 
-/// One conv layer, as the checker sees it.
+/// Kernel size shared by every BinaryCoP convolution (stride 1, no padding).
+pub const K: usize = 3;
+/// Number of output classes.
+pub const CLASSES: usize = 4;
+/// How much a valid K×K convolution shrinks each spatial extent.
+const SHRINK: usize = K - 1;
+/// Window positions per input channel (an MVTU's fan-in is `c_in · WINDOW`).
+const WINDOW: usize = K * K;
+
+/// One convolutional layer's description.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConvSpec {
+pub struct ConvLayer {
     /// Input channels.
     pub c_in: usize,
     /// Output channels.
@@ -23,147 +34,127 @@ pub struct ConvSpec {
     pub pool_after: bool,
 }
 
-/// One FC layer, as the checker sees it.
+/// One fully-connected layer's description.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FcSpec {
+pub struct FcLayer {
     /// Input features.
     pub f_in: usize,
     /// Output features.
     pub f_out: usize,
 }
 
-/// A complete architecture description to verify.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ArchSpec {
+/// A complete architecture: layer stack + the paper's PE/SIMD vectors.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Arch {
     /// Display name (used in diagnostic locations).
     pub name: String,
-    /// Input image edge.
+    /// Input image edge (32 for all prototypes).
     pub input_size: usize,
-    /// Convolution kernel edge (3 for every BinaryCoP prototype).
-    pub kernel: usize,
-    /// Output class count (4 for BinaryCoP).
-    pub classes: usize,
-    /// Conv trunk, in order.
-    pub convs: Vec<ConvSpec>,
-    /// Dense head, in order.
-    pub fcs: Vec<FcSpec>,
-    /// PE count per compute layer (convs then FCs).
+    /// Conv trunk, in order. All kernels are [`K`]×[`K`], stride 1, no padding.
+    pub convs: Vec<ConvLayer>,
+    /// Dense head, in order; the last layer emits the [`CLASSES`] logits.
+    pub fcs: Vec<FcLayer>,
+    /// PE count per compute layer (convs then FCs) — Table I.
     pub pe: Vec<usize>,
-    /// SIMD lanes per compute layer.
+    /// SIMD lanes per compute layer — Table I.
     pub simd: Vec<usize>,
-    /// OrthrusPE-style XNOR-to-DSP offload (μ-CNV on the Z7010).
+    /// Whether the deployment offloads XNOR logic to DSP blocks
+    /// (μ-CNV on the Z7010, OrthrusPE — paper ref 27).
     pub dsp_offload: bool,
 }
 
-/// What kind of hardware stage a [`StagePlan`] describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageKind {
-    /// First conv: fixed-point input MVTU (accumulators scale ×255).
-    ConvFixed,
-    /// Hidden conv: binary MVTU.
-    ConvBinary,
-    /// Boolean-OR 2×2 pool.
-    Pool,
-    /// Hidden dense layer.
-    DenseBinary,
-    /// Final dense layer emitting logits.
-    DenseLogits,
+/// The device a design targets in the paper: the Z7010 for the
+/// DSP-offloaded μ-CNV (Sec. IV-A, OrthrusPE), the Z7020 otherwise.
+/// Resource overruns on the target are errors; on any other device they
+/// are expected and degrade to warnings.
+pub(crate) fn target_device(dsp_offload: bool) -> Device {
+    if dsp_offload {
+        Z7010
+    } else {
+        Z7020
+    }
 }
 
-/// One planned hardware stage: everything the folding/timing/rate/resource
-/// analyses need, derived either from an [`ArchSpec`] (pre-deployment) or
-/// from a built `Pipeline` (post-deployment).
-#[derive(Clone, Debug)]
-pub struct StagePlan {
-    /// Stage name (`conv1`, `pool2`, `fc3`, …).
-    pub name: String,
-    /// Stage kind.
-    pub kind: StageKind,
-    /// MVTU matrix rows (output neurons); 0 for pool stages.
-    pub rows: usize,
-    /// MVTU matrix cols (fan-in); 0 for pool stages.
-    pub cols: usize,
-    /// Input vectors per frame (conv windows / 1 for dense); for pool
-    /// stages this is the *output* pixel count (its cycles/frame).
-    pub vectors: usize,
-    /// PE count (1 for pool stages).
-    pub pe: usize,
-    /// SIMD lanes (1 for pool stages).
-    pub simd: usize,
-    /// Compute-layer index into the `pe`/`simd` vectors (`None` for pools).
-    pub layer_index: Option<usize>,
-}
+impl Arch {
+    /// The device this design targets in the paper.
+    pub fn target_device(&self) -> Device {
+        target_device(self.dsp_offload)
+    }
 
-impl StagePlan {
-    /// Weight-memory bits (0 for pool stages).
+    /// Validate internal consistency: a conv trunk and a dense head exist,
+    /// channel chaining, FC fan-in matching the flattened conv output,
+    /// PE/SIMD vector lengths, pool parity. Every inconsistency is reported
+    /// as a typed, localized `BCP0xx` diagnostic; `Ok(())` means a pipeline
+    /// can be laid out.
+    ///
+    /// This is the shape-inference band only — scheduling and resource
+    /// findings (folding divisibility, cycle budgets, device fit) come from
+    /// the full [`crate::check_arch`], which `bcp check` runs; foldings
+    /// that don't divide their matrices are functionally legal (the fuzz
+    /// suite deploys them), just never used by the published designs.
+    pub fn try_validate(&self) -> Result<(), Vec<Diagnostic>> {
+        infer_shapes(self).map(drop)
+    }
+
+    /// The hardware stages of this architecture ([`infer_shapes`]), for call
+    /// sites where a broken architecture is a programming error: panics
+    /// with the rendered diagnostics.
+    pub fn plan(&self) -> Vec<StagePlan> {
+        infer_shapes(self).unwrap_or_else(|diags| {
+            let rendered: Vec<String> = diags.iter().map(|d| d.render()).collect();
+            panic!(
+                "architecture {} failed validation:\n{}",
+                self.name,
+                rendered.join("\n")
+            )
+        })
+    }
+
+    /// Panicking wrapper over [`Arch::try_validate`].
+    pub fn validate(&self) {
+        self.plan();
+    }
+
+    /// Total binary weight bits (the BNN memory footprint the paper's ×32
+    /// claim applies to).
     pub fn weight_bits(&self) -> u64 {
-        match self.kind {
-            StageKind::Pool => 0,
-            _ => (self.rows as u64).saturating_mul(self.cols as u64),
-        }
-    }
-
-    /// Cycles per frame under the planned folding, with overflow reported
-    /// rather than wrapped. Pool stages take one cycle per output pixel.
-    /// Requires positive folding factors (gate on `BCP010` first).
-    pub fn cycles_per_frame(&self) -> Option<u64> {
-        if self.kind == StageKind::Pool {
-            return Some(self.vectors as u64);
-        }
-        if self.pe == 0 || self.simd == 0 {
-            return None;
-        }
-        let fold = (self.rows.div_ceil(self.pe) as u64)
-            .checked_mul(self.cols.div_ceil(self.simd) as u64)?;
-        fold.checked_mul(self.vectors as u64)
-    }
-
-    /// Whether this stage contains an MVTU (pool stages do not).
-    pub fn is_compute(&self) -> bool {
-        self.kind != StageKind::Pool
+        let matrix = |rows: usize, cols: usize| (rows as u64).saturating_mul(cols as u64);
+        let conv = self
+            .convs
+            .iter()
+            .map(|c| matrix(c.c_out, c.c_in.saturating_mul(WINDOW)));
+        let fc = self.fcs.iter().map(|f| matrix(f.f_out, f.f_in));
+        conv.chain(fc).fold(0, u64::saturating_add)
     }
 }
 
-/// Shape-inference outcome: diagnostics plus a stage plan when the graph
-/// was consistent enough to lay out hardware stages.
-pub struct ShapeAnalysis {
-    /// Findings from the walk.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Planned stages in dataflow order; `None` when shape errors make a
-    /// layout meaningless.
-    pub plan: Option<Vec<StagePlan>>,
-}
-
-/// Whole-graph shape inference over an [`ArchSpec`] with mismatch
-/// localization. This is the diagnostic twin of `Arch::spatial_plan()` +
-/// `Arch::validate()`: instead of `assert!`ing, it reports every
-/// inconsistency it can find in one pass.
-pub fn infer_shapes(spec: &ArchSpec) -> ShapeAnalysis {
+/// Lay an architecture out as hardware stages — the one walk over an
+/// [`Arch`], and the only place the conv-shrinks-by-`K − 1` / pool-halves
+/// arithmetic and the stage-naming rule live. Every inconsistency it can
+/// find in one pass is reported with its location; `Ok` carries the stages
+/// in dataflow order, exactly the ones `deploy()` builds.
+pub fn infer_shapes(arch: &Arch) -> Result<Vec<StagePlan>, Vec<Diagnostic>> {
     let mut diags = Vec::new();
-    let name = &spec.name;
-    let k = spec.kernel;
+    let name = &arch.name;
 
-    if spec.fcs.is_empty() {
+    if arch.fcs.is_empty() {
         diags.push(Diagnostic::error(
             Code::PipelineStructure,
             format!("{name}.fcs"),
             "architecture has no dense head; the final logits layer is mandatory",
         ));
     }
-    if k == 0 {
+    if arch.convs.is_empty() {
         diags.push(Diagnostic::error(
-            Code::InvalidConfig,
-            format!("{name}.kernel"),
-            "kernel size must be positive",
+            Code::PipelineStructure,
+            format!("{name}.convs"),
+            "architecture has no conv trunk; the first stage must be the \
+             fixed-input conv that consumes the quantized camera image",
         ));
-        return ShapeAnalysis {
-            diagnostics: diags,
-            plan: None,
-        };
     }
 
     // Conv channel chaining.
-    for (i, w) in spec.convs.windows(2).enumerate() {
+    for (i, w) in arch.convs.windows(2).enumerate() {
         if w[0].c_out != w[1].c_in {
             let j = i.saturating_add(1);
             diags.push(
@@ -183,23 +174,45 @@ pub fn infer_shapes(spec: &ArchSpec) -> ShapeAnalysis {
         }
     }
 
-    // Spatial walk: valid k×k convs shrink by k−1; pools halve.
-    let mut hw = spec.input_size;
+    // Compute layers take their folding in Table I order; a missing entry
+    // reads as 0 and the length checks below reject the architecture.
+    let mut foldings = arch.pe.iter().zip(&arch.simd);
+    let mut next_folding = || foldings.next().map_or((0, 0), |(&pe, &simd)| (pe, simd));
+
+    // Spatial walk: valid K×K convs shrink by K−1; pools halve.
+    let mut plan = Vec::new();
+    let mut hw = arch.input_size;
     let mut spatial_ok = true;
-    let mut conv_out_hw = Vec::with_capacity(spec.convs.len());
-    for (i, conv) in spec.convs.iter().enumerate() {
+    let mut pools = 0usize;
+    for (i, conv) in arch.convs.iter().enumerate() {
         let stage = i.saturating_add(1);
-        if hw < k {
+        if hw < K {
             diags.push(Diagnostic::error(
                 Code::SpatialUnderflow,
                 format!("{name}.convs[{i}]"),
-                format!("conv{stage} input extent {hw} is below the {k}×{k} kernel"),
+                format!("conv{stage} input extent {hw} is below the {K}×{K} kernel"),
             ));
             spatial_ok = false;
             break;
         }
-        hw = hw.saturating_sub(k.saturating_sub(1));
-        conv_out_hw.push(hw);
+        let in_dims = (conv.c_in, hw, hw);
+        hw = hw.saturating_sub(SHRINK);
+        let (pe, simd) = next_folding();
+        plan.push(StagePlan {
+            name: format!("conv{stage}"),
+            kind: if i == 0 {
+                StageKind::ConvFixed
+            } else {
+                StageKind::ConvBinary
+            },
+            rows: conv.c_out,
+            cols: conv.c_in.saturating_mul(WINDOW),
+            vectors: hw.saturating_mul(hw),
+            pe,
+            simd,
+            k: K,
+            in_dims,
+        });
         if conv.pool_after {
             if !hw.is_multiple_of(2) {
                 diags.push(
@@ -213,37 +226,50 @@ pub fn infer_shapes(spec: &ArchSpec) -> ShapeAnalysis {
                 spatial_ok = false;
                 break;
             }
+            let in_dims = (conv.c_out, hw, hw);
             hw /= 2;
+            pools = pools.saturating_add(1);
+            plan.push(StagePlan {
+                name: format!("pool{pools}"),
+                kind: StageKind::Pool,
+                rows: 0,
+                cols: 0,
+                vectors: hw.saturating_mul(hw),
+                pe: 1,
+                simd: 1,
+                k: 2,
+                in_dims,
+            });
         }
     }
 
-    // Flattened feature count feeding the dense head.
-    if spatial_ok {
-        let last_c = spec.convs.last().map(|c| c.c_out).unwrap_or(3);
+    // Flattened feature count feeding the dense head (a missing trunk or
+    // head already carries its BCP009).
+    let flatten = arch.convs.last().zip(arch.fcs.first());
+    if let Some((last, fc0)) = flatten.filter(|_| spatial_ok) {
+        let last_c = last.c_out;
         let flat = last_c
             .checked_mul(hw)
             .and_then(|v| v.checked_mul(hw))
             .unwrap_or(usize::MAX);
-        if let Some(fc0) = spec.fcs.first() {
-            if fc0.f_in != flat {
-                diags.push(
-                    Diagnostic::error(
-                        Code::FlattenMismatch,
-                        format!("{name}.fcs[0].f_in"),
-                        format!(
-                            "conv trunk flattens to {last_c}×{hw}×{hw} = {flat} features \
-                             but fc1 expects {}",
-                            fc0.f_in
-                        ),
-                    )
-                    .with_help(format!("set fcs[0].f_in = {flat}")),
-                );
-            }
+        if fc0.f_in != flat {
+            diags.push(
+                Diagnostic::error(
+                    Code::FlattenMismatch,
+                    format!("{name}.fcs[0].f_in"),
+                    format!(
+                        "conv trunk flattens to {last_c}×{hw}×{hw} = {flat} features \
+                         but fc1 expects {}",
+                        fc0.f_in
+                    ),
+                )
+                .with_help(format!("set fcs[0].f_in = {flat}")),
+            );
         }
     }
 
     // FC chaining and head width.
-    for (i, w) in spec.fcs.windows(2).enumerate() {
+    for (i, w) in arch.fcs.windows(2).enumerate() {
         if w[0].f_out != w[1].f_in {
             let j = i.saturating_add(1);
             diags.push(Diagnostic::error(
@@ -259,142 +285,92 @@ pub fn infer_shapes(spec: &ArchSpec) -> ShapeAnalysis {
             ));
         }
     }
-    if let Some(last) = spec.fcs.last() {
-        if last.f_out != spec.classes {
-            let i = spec.fcs.len().saturating_sub(1);
+    let n_fc = arch.fcs.len();
+    for (i, fc) in arch.fcs.iter().enumerate() {
+        let stage = i.saturating_add(1);
+        let is_head = stage == n_fc;
+        if is_head && fc.f_out != CLASSES {
             diags.push(Diagnostic::error(
                 Code::HeadWidthMismatch,
                 format!("{name}.fcs[{i}].f_out"),
                 format!(
-                    "classifier head emits {} logits but the task has {} classes",
-                    last.f_out, spec.classes
+                    "classifier head emits {} logits but the task has {CLASSES} classes",
+                    fc.f_out
                 ),
             ));
         }
+        let (pe, simd) = next_folding();
+        plan.push(StagePlan {
+            name: format!("fc{stage}"),
+            kind: if is_head {
+                StageKind::DenseLogits
+            } else {
+                StageKind::DenseBinary
+            },
+            rows: fc.f_out,
+            cols: fc.f_in,
+            vectors: 1,
+            pe,
+            simd,
+            k: 1,
+            in_dims: (fc.f_in, 1, 1),
+        });
     }
 
     // PE/SIMD vector lengths.
-    let n_layers = spec.convs.len().saturating_add(spec.fcs.len());
-    if spec.pe.len() != n_layers {
+    let n_layers = arch.convs.len().saturating_add(n_fc);
+    if arch.pe.len() != n_layers {
         diags.push(Diagnostic::error(
             Code::PeVectorLength,
             format!("{name}.pe"),
             format!(
                 "PE vector has {} entries for {n_layers} compute layers",
-                spec.pe.len()
+                arch.pe.len()
             ),
         ));
     }
-    if spec.simd.len() != n_layers {
+    if arch.simd.len() != n_layers {
         diags.push(Diagnostic::error(
             Code::SimdVectorLength,
             format!("{name}.simd"),
             format!(
                 "SIMD vector has {} entries for {n_layers} compute layers",
-                spec.simd.len()
+                arch.simd.len()
             ),
         ));
     }
 
-    if !diags.is_empty() {
-        return ShapeAnalysis {
-            diagnostics: diags,
-            plan: None,
-        };
-    }
-
-    // Consistent graph: lay out the hardware stages deploy() would build.
-    let mut plan = Vec::new();
-    let mut hw = spec.input_size;
-    let mut pool_idx = 0usize;
-    for (i, conv) in spec.convs.iter().enumerate() {
-        let oh = hw.saturating_sub(k.saturating_sub(1));
-        let stage_no = i.saturating_add(1);
-        plan.push(StagePlan {
-            name: format!("conv{stage_no}"),
-            kind: if i == 0 {
-                StageKind::ConvFixed
-            } else {
-                StageKind::ConvBinary
-            },
-            rows: conv.c_out,
-            cols: conv
-                .c_in
-                .checked_mul(k)
-                .and_then(|v| v.checked_mul(k))
-                .unwrap_or(usize::MAX),
-            vectors: oh.saturating_mul(oh),
-            pe: spec.pe[i],
-            simd: spec.simd[i],
-            layer_index: Some(i),
-        });
-        hw = oh;
-        if conv.pool_after {
-            pool_idx = pool_idx.saturating_add(1);
-            hw /= 2;
-            plan.push(StagePlan {
-                name: format!("pool{pool_idx}"),
-                kind: StageKind::Pool,
-                rows: 0,
-                cols: 0,
-                vectors: hw.saturating_mul(hw),
-                pe: 1,
-                simd: 1,
-                layer_index: None,
-            });
-        }
-    }
-    let n_fc = spec.fcs.len();
-    for (i, fc) in spec.fcs.iter().enumerate() {
-        let li = spec.convs.len().saturating_add(i);
-        plan.push(StagePlan {
-            name: format!("fc{}", i.saturating_add(1)),
-            kind: if i.saturating_add(1) < n_fc {
-                StageKind::DenseBinary
-            } else {
-                StageKind::DenseLogits
-            },
-            rows: fc.f_out,
-            cols: fc.f_in,
-            vectors: 1,
-            pe: spec.pe[li],
-            simd: spec.simd[li],
-            layer_index: Some(li),
-        });
-    }
-
-    ShapeAnalysis {
-        diagnostics: diags,
-        plan: Some(plan),
+    if diags.is_empty() {
+        Ok(plan)
+    } else {
+        Err(diags)
     }
 }
 
-/// A 2-conv/2-fc toy spec that is fully consistent (shared test fixture).
+/// A 2-conv/2-fc toy architecture that is fully consistent (shared test fixture).
 #[cfg(test)]
-pub(crate) fn toy_spec() -> ArchSpec {
-    ArchSpec {
+pub(crate) fn toy_arch() -> Arch {
+    Arch {
         name: "toy".into(),
         input_size: 8,
-        kernel: 3,
-        classes: 4,
         convs: vec![
-            ConvSpec {
+            ConvLayer {
                 c_in: 3,
                 c_out: 8,
                 pool_after: false,
             },
-            ConvSpec {
+            ConvLayer {
                 c_in: 8,
                 c_out: 8,
                 pool_after: true,
             },
         ],
         fcs: vec![
-            FcSpec {
+            FcLayer {
                 f_in: 32,
                 f_out: 16,
             },
-            FcSpec { f_in: 16, f_out: 4 },
+            FcLayer { f_in: 16, f_out: 4 },
         ],
         pe: vec![2, 4, 2, 1],
         simd: vec![3, 8, 8, 4],
@@ -409,9 +385,7 @@ mod tests {
 
     #[test]
     fn consistent_spec_plans_all_stages() {
-        let a = infer_shapes(&toy_spec());
-        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-        let plan = a.plan.unwrap();
+        let plan = infer_shapes(&toy_arch()).unwrap();
         // conv1, conv2, pool1, fc1, fc2.
         assert_eq!(plan.len(), 5);
         assert_eq!(plan[0].kind, StageKind::ConvFixed);
@@ -428,11 +402,10 @@ mod tests {
 
     #[test]
     fn broken_conv_chain_is_localized() {
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.convs[1].c_in = 5;
-        let a = infer_shapes(&s);
-        assert!(a.plan.is_none());
-        let d = &a.diagnostics[0];
+        let diags = infer_shapes(&s).unwrap_err();
+        let d = &diags[0];
         assert_eq!(d.code, Code::ConvChainMismatch);
         assert_eq!(d.location, "toy.convs[1].c_in");
         assert!(d.message.contains("8 channels"));
@@ -441,61 +414,46 @@ mod tests {
 
     #[test]
     fn odd_pool_and_underflow_detected() {
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.input_size = 7; // 7→5→3: pool on odd 3.
-        let a = infer_shapes(&s);
-        assert!(a.diagnostics.iter().any(|d| d.code == Code::OddPoolExtent));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::OddPoolExtent));
 
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.input_size = 4; // 4→2: below the 3×3 kernel for conv2.
-        let a = infer_shapes(&s);
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::SpatialUnderflow));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::SpatialUnderflow));
     }
 
     #[test]
     fn fc_head_checks() {
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.fcs[1].f_in = 99;
-        let a = infer_shapes(&s);
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::FcChainMismatch));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::FcChainMismatch));
 
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.fcs[1].f_out = 5;
-        let a = infer_shapes(&s);
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::HeadWidthMismatch));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::HeadWidthMismatch));
 
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.fcs[0].f_in = 31;
-        let a = infer_shapes(&s);
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::FlattenMismatch));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::FlattenMismatch));
     }
 
     #[test]
     fn vector_length_checks() {
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.pe.pop();
-        let a = infer_shapes(&s);
-        assert!(a.diagnostics.iter().any(|d| d.code == Code::PeVectorLength));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::PeVectorLength));
 
-        let mut s = toy_spec();
+        let mut s = toy_arch();
         s.simd.push(1);
-        let a = infer_shapes(&s);
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::SimdVectorLength));
+        let diags = infer_shapes(&s).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == Code::SimdVectorLength));
     }
 
     #[test]
@@ -508,7 +466,8 @@ mod tests {
             vectors: 49,
             pe: 16,
             simd: 32,
-            layer_index: Some(0),
+            k: 3,
+            in_dims: (11, 9, 9),
         };
         assert_eq!(p.cycles_per_frame(), Some(5 * 4 * 49));
         let huge = StagePlan {

@@ -7,8 +7,8 @@
 //! stable `BCP0xx` codes:
 //!
 //! 1. **Shape inference** ([`graph`]) — walks the conv trunk and dense head
-//!    of an [`ArchSpec`], localizing every chain/flatten/head mismatch, and
-//!    lays out the hardware stages `deploy()` would build.
+//!    of an [`Arch`] once, localizing every chain/flatten/head mismatch, and
+//!    lays out the hardware stages (`bcp_finn::StagePlan`) `deploy()` builds.
 //! 2. **Folding legality** — PE must divide each layer's output neurons and
 //!    SIMD its fan-in, and both must be positive.
 //! 3. **Cycle budgets** — each stage's cycles/frame (ceiling-division fold
@@ -21,9 +21,10 @@
 //!    batch-norm threshold against its accumulator's reachable range.
 //!
 //! Entry points: [`check_arch`] for a pre-deployment architecture
-//! description, [`check_pipeline`] for a built `bcp_finn::Pipeline`.
-//! `binarycop` calls these from `Arch::try_validate` / `deploy` and the
-//! `bcp check` CLI subcommand.
+//! description, [`check_pipeline`] for a built `bcp_finn::Pipeline`; both
+//! run the same analyses over a stage plan. `binarycop` re-exports
+//! [`Arch`], deploys from [`infer_shapes`]' plan, and drives the rest from
+//! the `bcp check` CLI subcommand.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::arithmetic_side_effects)]
@@ -37,17 +38,18 @@ pub mod lint;
 mod srcmodel;
 
 pub use diag::{Code, Diagnostic, Report, Severity};
-pub use graph::{infer_shapes, ArchSpec, ConvSpec, FcSpec, ShapeAnalysis, StageKind, StagePlan};
+pub use graph::{infer_shapes, Arch, ConvLayer, FcLayer, CLASSES, K};
 
-use bcp_finn::device::{Device, Z7010, Z7020};
+use bcp_finn::device::Device;
 use bcp_finn::perf::{ClockModel, CLOCK_100MHZ};
-use bcp_finn::pipeline::{Pipeline, Stage};
+use bcp_finn::pipeline::Pipeline;
+use bcp_finn::StagePlan;
 
 /// Knobs for a verification run.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
     /// Device the resource-fit analysis runs against; `None` means the
-    /// design's paper target device ([`ArchSpec::target_device`]).
+    /// design's paper target device ([`Arch::target_device`]).
     pub device: Option<Device>,
     /// Frame-rate the cycle-budget analysis must sustain. The paper's
     /// camera scenario needs real-time video, so the default is 30 fps —
@@ -71,130 +73,51 @@ impl Default for CheckConfig {
     }
 }
 
-impl ArchSpec {
-    /// The device this design targets in the paper: the Z7010 for the
-    /// DSP-offloaded μ-CNV (Sec. IV-A, OrthrusPE), the Z7020 otherwise.
-    /// Resource overruns on the target are errors; on any other device
-    /// they are expected and degrade to warnings.
-    pub fn target_device(&self) -> Device {
-        if self.dsp_offload {
-            Z7010
-        } else {
-            Z7020
-        }
-    }
-}
-
 /// Statically verify an architecture description. Runs shape inference,
 /// folding legality, cycle budgets, rate balance, and resource fit; the
 /// returned [`Report`] is clean iff a pipeline may be constructed.
-pub fn check_arch(spec: &ArchSpec, cfg: &CheckConfig) -> Report {
-    let target = spec.target_device();
-    let device = cfg.device.unwrap_or(target);
-    let mut report = Report::new(&spec.name, device.name, target.name);
-    analyses::check_config(cfg, &mut report.diagnostics);
-
-    let shapes = graph::infer_shapes(spec);
-    report.diagnostics.extend(shapes.diagnostics);
-    let Some(plan) = shapes.plan else {
-        return report; // shape errors make the later analyses meaningless
-    };
-
-    analyses::check_folding(&spec.name, &plan, &mut report.diagnostics);
-    if let Some(service) = analyses::check_cycles(&spec.name, &plan, cfg, &mut report.diagnostics) {
-        analyses::check_rates(&spec.name, &plan, &service, cfg, &mut report.diagnostics);
-    }
-    analyses::check_resources(
-        &spec.name,
-        &plan,
-        spec.dsp_offload,
-        &device,
-        &target,
-        &mut report.diagnostics,
-    );
-    report
+pub fn check_arch(arch: &Arch, cfg: &CheckConfig) -> Report {
+    check_plan(&arch.name, infer_shapes(arch), arch.dsp_offload, cfg)
 }
 
 /// Statically verify a *built* pipeline: the same folding/cycle/rate/
-/// resource analyses as [`check_arch`] (on a plan derived from the real
-/// stages), plus threshold soundness, which needs the folded integer
-/// thresholds to exist.
+/// resource analyses as [`check_arch`] (on the plan of the real stages),
+/// plus threshold soundness, which needs the folded integer thresholds to
+/// exist.
 pub fn check_pipeline(pipeline: &Pipeline, dsp_offload: bool, cfg: &CheckConfig) -> Report {
-    let target = if dsp_offload { Z7010 } else { Z7020 };
-    let device = cfg.device.unwrap_or(target);
-    let subject = pipeline.name().to_owned();
-    let mut report = Report::new(&subject, device.name, target.name);
-    analyses::check_config(cfg, &mut report.diagnostics);
-
-    let plan = plan_from_pipeline(pipeline);
-    analyses::check_folding(&subject, &plan, &mut report.diagnostics);
-    if let Some(service) = analyses::check_cycles(&subject, &plan, cfg, &mut report.diagnostics) {
-        analyses::check_rates(&subject, &plan, &service, cfg, &mut report.diagnostics);
-    }
-    analyses::check_resources(
-        &subject,
-        &plan,
-        dsp_offload,
-        &device,
-        &target,
-        &mut report.diagnostics,
-    );
-    analyses::check_thresholds(&subject, pipeline, &mut report.diagnostics);
+    let mut report = check_plan(pipeline.name(), Ok(pipeline.plan()), dsp_offload, cfg);
+    analyses::check_thresholds(pipeline.name(), pipeline, &mut report.diagnostics);
     report
 }
 
-/// Derive [`StagePlan`]s from a built pipeline, so the plan-based analyses
-/// see exactly the stages the hardware would run. `layer_index` counts
-/// compute layers only, matching the `pe`/`simd` vector indexing of the
-/// architecture that produced the pipeline.
-fn plan_from_pipeline(pipeline: &Pipeline) -> Vec<StagePlan> {
-    let mut compute_idx = 0usize;
-    pipeline
-        .stages()
-        .iter()
-        .map(|s| {
-            let (_, oh, ow) = s.out_dims();
-            let f = s.folding();
-            let (kind, rows, cols, vectors) = match s {
-                Stage::ConvFixed { mvtu, .. } => (
-                    StageKind::ConvFixed,
-                    mvtu.rows(),
-                    mvtu.cols(),
-                    oh.saturating_mul(ow),
-                ),
-                Stage::ConvBinary { mvtu, .. } => (
-                    StageKind::ConvBinary,
-                    mvtu.rows(),
-                    mvtu.cols(),
-                    oh.saturating_mul(ow),
-                ),
-                Stage::PoolOr { .. } => (StageKind::Pool, 0, 0, oh.saturating_mul(ow)),
-                Stage::DenseBinary { mvtu, .. } => {
-                    (StageKind::DenseBinary, mvtu.rows(), mvtu.cols(), 1)
-                }
-                Stage::DenseLogits { mvtu, .. } => {
-                    (StageKind::DenseLogits, mvtu.rows(), mvtu.cols(), 1)
-                }
-            };
-            let layer_index = if kind == StageKind::Pool {
-                None
-            } else {
-                let i = compute_idx;
-                compute_idx = compute_idx.saturating_add(1);
-                Some(i)
-            };
-            StagePlan {
-                name: s.name().to_owned(),
-                kind,
-                rows,
-                cols,
-                vectors,
-                pe: f.pe,
-                simd: f.simd,
-                layer_index,
-            }
-        })
-        .collect()
+/// The analysis sequence both entry points share, over a stage plan or the
+/// shape diagnostics that prevented one.
+fn check_plan(
+    subject: &str,
+    plan: Result<Vec<StagePlan>, Vec<Diagnostic>>,
+    dsp_offload: bool,
+    cfg: &CheckConfig,
+) -> Report {
+    let target = graph::target_device(dsp_offload);
+    let device = cfg.device.unwrap_or(target);
+    let mut report = Report::new(subject, device.name, target.name);
+    let diags = &mut report.diagnostics;
+    analyses::check_config(cfg, diags);
+
+    let plan = match plan {
+        Ok(plan) => plan,
+        Err(shape_errors) => {
+            // Shape errors make the later analyses meaningless.
+            diags.extend(shape_errors);
+            return report;
+        }
+    };
+    analyses::check_folding(subject, &plan, diags);
+    if let Some(service) = analyses::check_cycles(subject, &plan, cfg, diags) {
+        analyses::check_rates(subject, &plan, &service, cfg, diags);
+    }
+    analyses::check_resources(subject, &plan, dsp_offload, &device, &target, diags);
+    report
 }
 
 #[cfg(test)]
@@ -203,7 +126,9 @@ mod tests {
     use super::*;
     use bcp_bitpack::pack::pack_matrix;
     use bcp_bitpack::{ThresholdChannel, ThresholdUnit};
+    use bcp_finn::device::Z7010;
     use bcp_finn::mvtu::{BinaryMvtu, FixedInputMvtu};
+    use bcp_finn::pipeline::Stage;
     use bcp_finn::Folding;
 
     fn w(r: usize, c: usize) -> bcp_bitpack::BitMatrix {
@@ -249,7 +174,7 @@ mod tests {
 
     #[test]
     fn toy_arch_checks_clean() {
-        let spec = crate::graph::toy_spec();
+        let spec = crate::graph::toy_arch();
         let report = check_arch(&spec, &CheckConfig::default());
         assert!(report.is_clean(), "{}", report.render_text());
         assert!(report.diagnostics.is_empty(), "{}", report.render_text());
@@ -264,33 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_plan_reproduces_stage_cycles() {
-        let p = toy_pipeline();
-        let plan = plan_from_pipeline(&p);
-        assert_eq!(plan.len(), p.stages().len());
-        for (sp, st) in plan.iter().zip(p.stages()) {
-            assert_eq!(
-                sp.cycles_per_frame(),
-                Some(st.cycles_per_frame()),
-                "plan/stage cycle mismatch at {}",
-                sp.name
-            );
-            assert_eq!(sp.weight_bits(), st.weight_bits());
-        }
-        // Compute layers are indexed skipping pools.
-        assert_eq!(plan[2].layer_index, None);
-        assert_eq!(plan[3].layer_index, Some(2));
-    }
-
-    #[test]
     fn arch_mutations_are_rejected_with_typed_codes() {
-        let mut spec = crate::graph::toy_spec();
+        let mut spec = crate::graph::toy_arch();
         spec.pe[1] = 3; // 3 ∤ 8 output channels
         let report = check_arch(&spec, &CheckConfig::default());
         assert!(!report.is_clean());
         assert!(report.has_code(Code::PeNotDivisor));
 
-        let mut spec = crate::graph::toy_spec();
+        let mut spec = crate::graph::toy_arch();
         spec.fcs[0].f_in = 33;
         let report = check_arch(&spec, &CheckConfig::default());
         assert!(report.has_code(Code::FlattenMismatch));
@@ -317,7 +223,7 @@ mod tests {
     #[test]
     fn device_override_degrades_foreign_overruns_to_warnings() {
         // The toy design fits everything; force a huge one instead.
-        let mut spec = crate::graph::toy_spec();
+        let mut spec = crate::graph::toy_arch();
         spec.convs[1].c_out = 512;
         spec.fcs[0].f_in = 512 * 2 * 2;
         spec.pe[1] = 512;

@@ -11,7 +11,7 @@
 //! The agreement test between the two models is the strongest evidence the
 //! throughput claims in EXPERIMENTS.md rest on the right arithmetic.
 
-use crate::pipeline::Pipeline;
+use crate::plan::StagePlan;
 use serde::{Deserialize, Serialize};
 
 /// Result of simulating `frames` frames through the pipeline.
@@ -29,13 +29,12 @@ pub struct CycleSimReport {
 }
 
 /// Simulate `frames` back-to-back frames with `fifo_depth` slots between
-/// consecutive stages (≥ 1). Service times are each stage's per-frame
-/// cycles; the source can always supply the next frame immediately.
-pub fn simulate(pipeline: &Pipeline, frames: usize, fifo_depth: usize) -> CycleSimReport {
-    let service: Vec<u64> = pipeline
-        .stages()
+/// consecutive stages (≥ 1). Service times are each planned stage's
+/// per-frame cycles; the source can always supply the next frame immediately.
+pub fn simulate(plan: &[StagePlan], frames: usize, fifo_depth: usize) -> CycleSimReport {
+    let service: Vec<u64> = plan
         .iter()
-        .map(|s| s.cycles_per_frame())
+        .map(|p| p.cycles_per_frame().unwrap_or(u64::MAX))
         .collect();
     simulate_service(&service, frames, fifo_depth)
 }
@@ -112,7 +111,7 @@ mod tests {
     use crate::folding::Folding;
     use crate::mvtu::{BinaryMvtu, FixedInputMvtu};
     use crate::perf::CLOCK_100MHZ;
-    use crate::pipeline::Stage;
+    use crate::pipeline::{Pipeline, Stage};
     use bcp_bitpack::pack::pack_matrix;
     use bcp_bitpack::{ThresholdChannel, ThresholdUnit};
 
@@ -147,7 +146,7 @@ mod tests {
 
     #[test]
     fn event_sim_confirms_analytical_model() {
-        let p = pipeline();
+        let p = pipeline().plan();
         let analytical = CLOCK_100MHZ.analyze(&p);
         let sim = simulate(&p, 200, 2);
         assert_eq!(
@@ -162,7 +161,7 @@ mod tests {
 
     #[test]
     fn deeper_fifos_do_not_change_steady_state() {
-        let p = pipeline();
+        let p = pipeline().plan();
         let shallow = simulate(&p, 100, 1);
         let deep = simulate(&p, 100, 64);
         assert_eq!(shallow.measured_ii, deep.measured_ii);
@@ -172,7 +171,7 @@ mod tests {
 
     #[test]
     fn completions_are_monotone_and_ii_spaced() {
-        let p = pipeline();
+        let p = pipeline().plan();
         let sim = simulate(&p, 50, 2);
         let ii = sim.measured_ii;
         for w in sim.completion_cycles.windows(2) {
@@ -188,7 +187,7 @@ mod tests {
 
     #[test]
     fn bottleneck_utilization_approaches_one() {
-        let p = pipeline();
+        let p = pipeline().plan();
         let sim = simulate(&p, 400, 2);
         let max_util = sim.stage_utilization.iter().cloned().fold(0.0f64, f64::max);
         assert!(
@@ -199,7 +198,7 @@ mod tests {
 
     #[test]
     fn single_frame_and_empty_runs() {
-        let p = pipeline();
+        let p = pipeline().plan();
         let one = simulate(&p, 1, 2);
         assert_eq!(one.completion_cycles.len(), 1);
         assert_eq!(one.measured_ii, 0);
@@ -211,7 +210,7 @@ mod tests {
     fn service_vector_entry_point_matches_pipeline_entry_point() {
         let p = pipeline();
         let service: Vec<u64> = p.stages().iter().map(|s| s.cycles_per_frame()).collect();
-        let a = simulate(&p, 60, 3);
+        let a = simulate(&p.plan(), 60, 3);
         let b = simulate_service(&service, 60, 3);
         assert_eq!(a.completion_cycles, b.completion_cycles);
         assert_eq!(a.stage_utilization, b.stage_utilization);
@@ -226,13 +225,14 @@ mod tests {
         // discrete-event II must land on exactly that number (floor division
         // would predict 4·3·49 = 588 and disagree).
         let ragged = Folding::new(16, 32);
-        assert_eq!(ragged.cycles_per_frame(65, 100, 49), 980);
+        assert_eq!(ragged.cycles_per_frame(65, 100, 49), Some(980));
         let service = vec![980u64, 196, 5, 32];
         let sim = simulate_service(&service, 120, 2);
         assert_eq!(sim.measured_ii, 980);
         // And a second ragged stage between exact ones keeps the recurrence
         // consistent: II is still the (ceiling-division) maximum.
-        let service = vec![512u64, Folding::new(4, 4).cycles_per_frame(7, 13, 3), 600];
+        let ragged = Folding::new(4, 4).cycles_per_frame(7, 13, 3).unwrap();
+        let service = vec![512u64, ragged, 600];
         let sim = simulate_service(&service, 120, 4);
         assert_eq!(sim.measured_ii, 600);
         assert_eq!(service[1], 24);
@@ -246,8 +246,8 @@ mod tests {
         let p = pipeline();
         let q = QuantMap::from_unit_floats(3, 10, 10, &vec![0.5f32; 300]);
         assert_eq!(p.forward(&q).len(), 4);
-        let sim = simulate(&p, 64, 4);
-        let analytical = CLOCK_100MHZ.analyze(&p);
+        let sim = simulate(&p.plan(), 64, 4);
+        let analytical = CLOCK_100MHZ.analyze(&p.plan());
         assert_eq!(sim.measured_ii, analytical.initiation_interval);
     }
 }

@@ -136,12 +136,6 @@ impl QuantMap {
     pub fn get(&self, ch: usize, y: usize, x: usize) -> i32 {
         self.values[(ch * self.h + y) * self.w + x]
     }
-
-    /// The float-normalized image the reference network consumes
-    /// (`value / 255`).
-    pub fn to_normalized_floats(&self) -> Vec<f32> {
-        self.values.iter().map(|&v| v as f32 / 255.0).collect()
-    }
 }
 
 /// A token flowing between pipeline stages.
@@ -216,17 +210,6 @@ mod tests {
         assert_eq!(q.values[0], -255);
         assert_eq!(q.values[255], 255);
         assert_eq!(q.values[128], 1);
-    }
-
-    #[test]
-    fn quantmap_matches_float_normalization() {
-        let px = vec![0.0f32, 1.0, 128.0 / 255.0, 37.0 / 255.0];
-        let q = QuantMap::from_unit_floats(1, 2, 2, &px);
-        let back = q.to_normalized_floats();
-        for (p, b) in px.iter().zip(&back) {
-            let expect = 2.0 * p - 1.0;
-            assert!((expect - b).abs() < 1e-6, "{expect} vs {b}");
-        }
     }
 
     #[test]

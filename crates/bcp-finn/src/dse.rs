@@ -8,35 +8,15 @@
 //! lanes) until the LUT budget is exhausted or nothing improves.
 
 use crate::folding::Folding;
-use crate::resource::{LUT_PER_PE, LUT_PER_STAGE, LUT_PER_SYNAPSE};
+use crate::plan::StagePlan;
+use crate::resource::mvtu_luts;
 use serde::{Deserialize, Serialize};
 
-/// Abstract MVTU workload: a `rows × cols` matrix applied to `vectors`
-/// input vectors per frame.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct LayerDims {
-    /// Layer name.
-    pub name: String,
-    /// Output neurons.
-    pub rows: usize,
-    /// Fan-in.
-    pub cols: usize,
-    /// Input vectors per frame (OH·OW for conv, 1 for dense).
-    pub vectors: usize,
-}
-
-impl LayerDims {
-    /// Cycles per frame under a folding.
-    pub fn cycles(&self, f: Folding) -> u64 {
-        f.cycles_per_frame(self.rows, self.cols, self.vectors)
-    }
-
-    /// LUT cost of an MVTU with this folding (same constants as the
-    /// resource estimator, weight memory excluded — it is folding-invariant
-    /// to first order).
-    pub fn lut_cost(&self, f: Folding) -> f64 {
-        f.parallelism() as f64 * LUT_PER_SYNAPSE + f.pe as f64 * LUT_PER_PE + LUT_PER_STAGE
-    }
+/// Cycles per frame of layer `l` refolded to `f`; a count that overflows
+/// reads as the worst possible bottleneck.
+fn cycles_under(l: &StagePlan, f: Folding) -> u64 {
+    f.cycles_per_frame(l.rows, l.cols, l.vectors)
+        .unwrap_or(u64::MAX)
 }
 
 /// DSE outcome.
@@ -57,23 +37,21 @@ fn next_divisor(n: usize, cur: usize) -> Option<usize> {
 
 /// Greedy throughput-matching allocation under a LUT budget.
 ///
-/// Foldings stay exact divisors of the matrix dimensions (no padding
-/// waste), exactly like hand-dimensioned FINN designs.
-pub fn allocate(layers: &[LayerDims], lut_budget: f64) -> DseResult {
+/// `layers` are the compute stages of a plan (their own `pe`/`simd` are
+/// ignored: the search starts fully sequential). Foldings stay exact
+/// divisors of the matrix dimensions (no padding waste), exactly like
+/// hand-dimensioned FINN designs.
+pub fn allocate(layers: &[StagePlan], lut_budget: f64) -> DseResult {
     assert!(!layers.is_empty(), "DSE needs at least one layer");
     let mut foldings = vec![Folding::sequential(); layers.len()];
-    let mut spent: f64 = layers
-        .iter()
-        .zip(&foldings)
-        .map(|(l, &f)| l.lut_cost(f))
-        .sum();
+    let mut spent: f64 = foldings.iter().map(|&f| mvtu_luts(f)).sum();
 
     loop {
         // Bottleneck stage under current foldings.
         let (bottleneck, _) = layers
             .iter()
             .zip(&foldings)
-            .map(|(l, &f)| l.cycles(f))
+            .map(|(l, &f)| cycles_under(l, f))
             .enumerate()
             .max_by_key(|&(_, c)| c)
             .expect("non-empty layers");
@@ -92,14 +70,14 @@ pub fn allocate(layers: &[LayerDims], lut_budget: f64) -> DseResult {
         .into_iter()
         .flatten()
         {
-            let delta = l.lut_cost(cand) - l.lut_cost(f);
-            let cycles = l.cycles(cand);
+            let delta = mvtu_luts(cand) - mvtu_luts(f);
+            let cycles = cycles_under(l, cand);
             let better = match best {
                 None => true,
                 // Prefer the bigger cycle reduction per LUT.
                 Some((_, bd, bc)) => {
-                    let gain = l.cycles(f).saturating_sub(cycles) as f64 / delta.max(1e-9);
-                    let bgain = l.cycles(f).saturating_sub(bc) as f64 / bd.max(1e-9);
+                    let gain = cycles_under(l, f).saturating_sub(cycles) as f64 / delta.max(1e-9);
+                    let bgain = cycles_under(l, f).saturating_sub(bc) as f64 / bd.max(1e-9);
                     gain > bgain
                 }
             };
@@ -109,7 +87,9 @@ pub fn allocate(layers: &[LayerDims], lut_budget: f64) -> DseResult {
         }
 
         match best {
-            Some((cand, delta, cycles)) if spent + delta <= lut_budget && cycles < l.cycles(f) => {
+            Some((cand, delta, cycles))
+                if spent + delta <= lut_budget && cycles < cycles_under(l, f) =>
+            {
                 foldings[bottleneck] = cand;
                 spent += delta;
             }
@@ -120,7 +100,7 @@ pub fn allocate(layers: &[LayerDims], lut_budget: f64) -> DseResult {
     let initiation_interval = layers
         .iter()
         .zip(&foldings)
-        .map(|(l, &f)| l.cycles(f))
+        .map(|(l, &f)| cycles_under(l, f))
         .max()
         .unwrap();
     DseResult {
@@ -134,7 +114,7 @@ pub fn allocate(layers: &[LayerDims], lut_budget: f64) -> DseResult {
 /// reaches an initiation interval of at most `target_ii` cycles — i.e.
 /// "what does X fps cost?". Returns `None` when even full unfolding cannot
 /// reach the target.
-pub fn allocate_for_target(layers: &[LayerDims], target_ii: u64) -> Option<DseResult> {
+pub fn allocate_for_target(layers: &[StagePlan], target_ii: u64) -> Option<DseResult> {
     assert!(!layers.is_empty(), "DSE needs at least one layer");
     assert!(target_ii > 0, "target II must be positive");
     let mut foldings = vec![Folding::sequential(); layers.len()];
@@ -142,7 +122,7 @@ pub fn allocate_for_target(layers: &[LayerDims], target_ii: u64) -> Option<DseRe
         let (bottleneck, worst) = layers
             .iter()
             .zip(&foldings)
-            .map(|(l, &f)| l.cycles(f))
+            .map(|(l, &f)| cycles_under(l, f))
             .enumerate()
             .max_by_key(|&(_, c)| c)
             .expect("non-empty layers");
@@ -163,10 +143,10 @@ pub fn allocate_for_target(layers: &[LayerDims], target_ii: u64) -> Option<DseRe
         .into_iter()
         .flatten()
         {
-            if l.cycles(cand) >= l.cycles(f) {
+            if cycles_under(l, cand) >= cycles_under(l, f) {
                 continue;
             }
-            let delta = l.lut_cost(cand) - l.lut_cost(f);
+            let delta = mvtu_luts(cand) - mvtu_luts(f);
             if best.is_none() || delta < best.unwrap().1 {
                 best = Some((cand, delta));
             }
@@ -179,14 +159,10 @@ pub fn allocate_for_target(layers: &[LayerDims], target_ii: u64) -> Option<DseRe
     let initiation_interval = layers
         .iter()
         .zip(&foldings)
-        .map(|(l, &f)| l.cycles(f))
+        .map(|(l, &f)| cycles_under(l, f))
         .max()
         .unwrap();
-    let luts = layers
-        .iter()
-        .zip(&foldings)
-        .map(|(l, &f)| l.lut_cost(f))
-        .sum();
+    let luts = foldings.iter().map(|&f| mvtu_luts(f)).sum();
     Some(DseResult {
         foldings,
         initiation_interval,
@@ -197,64 +173,34 @@ pub fn allocate_for_target(layers: &[LayerDims], target_ii: u64) -> Option<DseRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::StageKind;
 
-    fn cnv_like() -> Vec<LayerDims> {
+    fn layer(name: &str, rows: usize, cols: usize, vectors: usize) -> StagePlan {
+        StagePlan {
+            name: name.into(),
+            kind: StageKind::ConvBinary,
+            rows,
+            cols,
+            vectors,
+            pe: 1,
+            simd: 1,
+            k: 1,
+            in_dims: (cols, 1, vectors),
+        }
+    }
+
+    fn cnv_like() -> Vec<StagePlan> {
         // The CNV workload shape (Table I on 32×32 inputs).
         vec![
-            LayerDims {
-                name: "conv1_1".into(),
-                rows: 64,
-                cols: 27,
-                vectors: 900,
-            },
-            LayerDims {
-                name: "conv1_2".into(),
-                rows: 64,
-                cols: 576,
-                vectors: 784,
-            },
-            LayerDims {
-                name: "conv2_1".into(),
-                rows: 128,
-                cols: 576,
-                vectors: 144,
-            },
-            LayerDims {
-                name: "conv2_2".into(),
-                rows: 128,
-                cols: 1152,
-                vectors: 100,
-            },
-            LayerDims {
-                name: "conv3_1".into(),
-                rows: 256,
-                cols: 1152,
-                vectors: 9,
-            },
-            LayerDims {
-                name: "conv3_2".into(),
-                rows: 256,
-                cols: 2304,
-                vectors: 1,
-            },
-            LayerDims {
-                name: "fc1".into(),
-                rows: 512,
-                cols: 256,
-                vectors: 1,
-            },
-            LayerDims {
-                name: "fc2".into(),
-                rows: 512,
-                cols: 512,
-                vectors: 1,
-            },
-            LayerDims {
-                name: "fc3".into(),
-                rows: 4,
-                cols: 512,
-                vectors: 1,
-            },
+            layer("conv1_1", 64, 27, 900),
+            layer("conv1_2", 64, 576, 784),
+            layer("conv2_1", 128, 576, 144),
+            layer("conv2_2", 128, 1152, 100),
+            layer("conv3_1", 256, 1152, 9),
+            layer("conv3_2", 256, 2304, 1),
+            layer("fc1", 512, 256, 1),
+            layer("fc2", 512, 512, 1),
+            layer("fc3", 4, 512, 1),
         ]
     }
 
@@ -270,16 +216,13 @@ mod tests {
     #[test]
     fn allocation_respects_budget_and_improves() {
         let layers = cnv_like();
-        let base: f64 = layers
-            .iter()
-            .map(|l| l.lut_cost(Folding::sequential()))
-            .sum();
+        let base = layers.len() as f64 * mvtu_luts(Folding::sequential());
         let budget = base + 10_000.0;
         let r = allocate(&layers, budget);
         assert!(r.luts <= budget + 1e-6);
         let seq_ii = layers
             .iter()
-            .map(|l| l.cycles(Folding::sequential()))
+            .map(|l| cycles_under(l, Folding::sequential()))
             .max()
             .unwrap();
         assert!(
@@ -317,7 +260,7 @@ mod tests {
         let mut cycles: Vec<u64> = layers
             .iter()
             .zip(&r.foldings)
-            .map(|(l, &f)| l.cycles(f))
+            .map(|(l, &f)| cycles_under(l, f))
             .collect();
         cycles.sort_unstable();
         let median = cycles[cycles.len() / 2];
@@ -353,7 +296,7 @@ mod tests {
         let layers = cnv_like();
         let seq_ii = layers
             .iter()
-            .map(|l| l.cycles(Folding::sequential()))
+            .map(|l| cycles_under(l, Folding::sequential()))
             .max()
             .unwrap();
         let r = allocate_for_target(&layers, seq_ii).unwrap();
@@ -365,12 +308,7 @@ mod tests {
 
     #[test]
     fn single_layer_saturates() {
-        let layers = vec![LayerDims {
-            name: "fc".into(),
-            rows: 4,
-            cols: 8,
-            vectors: 1,
-        }];
+        let layers = vec![layer("fc", 4, 8, 1)];
         let r = allocate(&layers, 1e9);
         // Fully unfolded: 1 cycle per frame.
         assert_eq!(r.initiation_interval, 1);

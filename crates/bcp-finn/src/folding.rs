@@ -68,15 +68,17 @@ impl Folding {
         Folding { pe: 1, simd: 1 }
     }
 
-    /// Cycles to process one input vector of a `rows × cols` matrix.
-    pub fn fold(&self, rows: usize, cols: usize) -> u64 {
-        (rows.div_ceil(self.pe) as u64).saturating_mul(cols.div_ceil(self.simd) as u64)
+    /// Cycles to process one input vector of a `rows × cols` matrix;
+    /// `None` when the count overflows `u64`.
+    pub fn fold(&self, rows: usize, cols: usize) -> Option<u64> {
+        (rows.div_ceil(self.pe) as u64).checked_mul(cols.div_ceil(self.simd) as u64)
     }
 
     /// Cycles per frame for an MVTU fed `vectors` input vectors
-    /// (`OH·OW` for conv layers, 1 for dense layers).
-    pub fn cycles_per_frame(&self, rows: usize, cols: usize, vectors: usize) -> u64 {
-        self.fold(rows, cols).saturating_mul(vectors as u64)
+    /// (`OH·OW` for conv layers, 1 for dense layers) — the one copy of the
+    /// Sec. III-B formula; `None` when the count overflows `u64`.
+    pub fn cycles_per_frame(&self, rows: usize, cols: usize, vectors: usize) -> Option<u64> {
+        self.fold(rows, cols)?.checked_mul(vectors as u64)
     }
 
     /// Hardware parallelism (synapse ops per cycle).
@@ -98,35 +100,38 @@ mod tests {
     fn fold_exact_division() {
         let f = Folding::new(16, 32);
         // 64 rows / 16 PE = 4; 576 cols / 32 SIMD = 18.
-        assert_eq!(f.fold(64, 576), 72);
+        assert_eq!(f.fold(64, 576), Some(72));
         assert!(f.is_exact(64, 576));
     }
 
     #[test]
     fn fold_rounds_up_on_ragged_division() {
         let f = Folding::new(16, 32);
-        assert_eq!(f.fold(65, 576), 5 * 18);
+        assert_eq!(f.fold(65, 576), Some(5 * 18));
         assert!(!f.is_exact(65, 576));
     }
 
     #[test]
     fn sequential_fold_is_matrix_size() {
         let f = Folding::sequential();
-        assert_eq!(f.fold(10, 20), 200);
+        assert_eq!(f.fold(10, 20), Some(200));
     }
 
     #[test]
     fn conv_cycles_scale_with_output_pixels() {
         let f = Folding::new(4, 8);
-        assert_eq!(f.cycles_per_frame(32, 144, 12 * 12), f.fold(32, 144) * 144);
+        assert_eq!(
+            f.cycles_per_frame(32, 144, 12 * 12),
+            f.fold(32, 144).map(|fold| fold * 144)
+        );
     }
 
     #[test]
     fn doubling_pe_halves_cycles_when_divisible() {
         let rows = 64;
         let cols = 128;
-        let a = Folding::new(4, 8).fold(rows, cols);
-        let b = Folding::new(8, 8).fold(rows, cols);
+        let a = Folding::new(4, 8).fold(rows, cols).unwrap();
+        let b = Folding::new(8, 8).fold(rows, cols).unwrap();
         assert_eq!(a, 2 * b);
     }
 
@@ -138,11 +143,11 @@ mod tests {
         // conv2_2: 32×32 input chans→rows=32? rows=C_out=32, cols=32·9=288,
         // 10×10 outputs, PE=16 SIMD=32 → fold=2·9=18 → 1800 cycles.
         let f = Folding::new(16, 32);
-        assert!(f.cycles_per_frame(32, 288, 100) <= 15_625);
+        assert!(f.cycles_per_frame(32, 288, 100).unwrap() <= 15_625);
         // conv1_2: rows=16, cols=144, 28×28 outputs, PE=16 SIMD=16 →
         // fold=1·9=9 → 7056 cycles.
         let f = Folding::new(16, 16);
-        assert!(f.cycles_per_frame(16, 144, 28 * 28) <= 15_625);
+        assert!(f.cycles_per_frame(16, 144, 28 * 28).unwrap() <= 15_625);
     }
 
     #[test]
@@ -166,15 +171,18 @@ mod tests {
         // exact cycle counts so a future regression to floor division fails.
         let f = Folding::new(16, 32);
         // 65 rows → 5 PE passes (not 4), 100 cols → 4 SIMD passes (not 3).
-        assert_eq!(f.fold(65, 100), 5 * 4);
-        assert_eq!(f.cycles_per_frame(65, 100, 49), 5 * 4 * 49);
+        assert_eq!(f.fold(65, 100), Some(5 * 4));
+        assert_eq!(f.cycles_per_frame(65, 100, 49), Some(5 * 4 * 49));
         // One row / one col over an exact boundary costs a whole extra pass.
-        assert_eq!(f.fold(64, 576), 4 * 18);
-        assert_eq!(f.fold(65, 576), 5 * 18);
-        assert_eq!(f.fold(64, 577), 4 * 19);
+        assert_eq!(f.fold(64, 576), Some(4 * 18));
+        assert_eq!(f.fold(65, 576), Some(5 * 18));
+        assert_eq!(f.fold(64, 577), Some(4 * 19));
         // Folding wider than the matrix clamps to a single pass.
-        assert_eq!(Folding::new(128, 1024).fold(64, 576), 1);
+        assert_eq!(Folding::new(128, 1024).fold(64, 576), Some(1));
         // Prime dims never divide: 7×13 under 4×4 → ⌈7/4⌉·⌈13/4⌉ = 2·4.
-        assert_eq!(Folding::new(4, 4).cycles_per_frame(7, 13, 3), 2 * 4 * 3);
+        assert_eq!(
+            Folding::new(4, 4).cycles_per_frame(7, 13, 3),
+            Some(2 * 4 * 3)
+        );
     }
 }

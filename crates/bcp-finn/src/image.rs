@@ -49,7 +49,7 @@ impl PipelineImage {
 
     /// Total weight bits carried by the image (the "bitstream" payload).
     pub fn weight_bits(&self) -> u64 {
-        self.stages.iter().map(|s| s.weight_bits()).sum()
+        self.stages.iter().map(|s| s.plan().weight_bits()).sum()
     }
 }
 

@@ -6,7 +6,7 @@
 //! XNOR/popcount/threshold with a PE×SIMD folding, and boolean-OR max-pool
 //! units — synthesized for a Zynq SoC at 100 MHz. No FPGA or vendor tools
 //! are available here, so this crate simulates that design at three levels,
-//! all sharing one source of truth:
+//! all sharing one source of truth — the per-stage geometry of [`plan`]:
 //!
 //! 1. **Functional, bit-exact**: every stage computes the same integer
 //!    XNOR-popcount-threshold arithmetic the RTL would, on packed words
@@ -36,6 +36,7 @@ pub mod image;
 pub mod mvtu;
 pub mod perf;
 pub mod pipeline;
+pub mod plan;
 pub mod pool;
 pub mod power;
 pub mod resource;
@@ -48,3 +49,4 @@ pub use digest::{GoldenDigest, IntegrityFault, StageDigest};
 pub use fault::{FaultError, FaultRecord};
 pub use folding::{Folding, FoldingError};
 pub use pipeline::{Pipeline, Stage};
+pub use plan::{StageKind, StagePlan};

@@ -1,6 +1,6 @@
 //! Timing model: latency, initiation interval, throughput.
 
-use crate::pipeline::Pipeline;
+use crate::plan::StagePlan;
 use serde::{Deserialize, Serialize};
 
 /// Clock model for a synthesized design. All BinaryCoP prototypes target
@@ -31,12 +31,13 @@ pub struct PerfReport {
 }
 
 impl ClockModel {
-    /// Analyze a pipeline.
-    pub fn analyze(&self, pipeline: &Pipeline) -> PerfReport {
-        let stage_cycles: Vec<u64> = pipeline
-            .stages()
+    /// Analyze a stage plan (`Pipeline::plan`, or the checker's plan of an
+    /// architecture that is not deployed yet). A stage whose cycle count
+    /// is undefined or overflows reads as `u64::MAX`.
+    pub fn analyze(&self, plan: &[StagePlan]) -> PerfReport {
+        let stage_cycles: Vec<u64> = plan
             .iter()
-            .map(|s| s.cycles_per_frame())
+            .map(|p| p.cycles_per_frame().unwrap_or(u64::MAX))
             .collect();
         let initiation_interval = stage_cycles.iter().copied().max().unwrap_or(1).max(1);
         let latency_cycles: u64 = stage_cycles.iter().sum();
@@ -89,7 +90,7 @@ mod tests {
     use crate::data::QuantMap;
     use crate::folding::Folding;
     use crate::mvtu::{BinaryMvtu, FixedInputMvtu};
-    use crate::pipeline::Stage;
+    use crate::pipeline::{Pipeline, Stage};
     use bcp_bitpack::pack::pack_matrix;
     use bcp_bitpack::{ThresholdChannel, ThresholdUnit};
 
@@ -120,7 +121,7 @@ mod tests {
 
     #[test]
     fn ii_is_max_stage_latency_is_sum() {
-        let r = CLOCK_100MHZ.analyze(&pipeline());
+        let r = CLOCK_100MHZ.analyze(&pipeline().plan());
         // conv1: 2·27·16 = 864; pool: 4; fc: 32.
         assert_eq!(r.stage_cycles, vec![864, 4, 32]);
         assert_eq!(r.initiation_interval, 864);
@@ -130,7 +131,7 @@ mod tests {
 
     #[test]
     fn batch_time_amortizes_fill() {
-        let r = CLOCK_100MHZ.analyze(&pipeline());
+        let r = CLOCK_100MHZ.analyze(&pipeline().plan());
         let one = r.batch_seconds(1, &CLOCK_100MHZ);
         let thousand = r.batch_seconds(1000, &CLOCK_100MHZ);
         assert!((one - 900.0 / 100.0e6).abs() < 1e-12);
@@ -145,14 +146,14 @@ mod tests {
         // The functional pipeline and the timing model describe the same
         // object; make sure analyze() doesn't disturb execution.
         let p = pipeline();
-        let _ = CLOCK_100MHZ.analyze(&p);
+        let _ = CLOCK_100MHZ.analyze(&p.plan());
         let q = QuantMap::from_unit_floats(3, 6, 6, &vec![0.5f32; 108]);
         assert_eq!(p.forward(&q).len(), 4);
     }
 
     #[test]
     fn imbalance_ignores_cheap_stages() {
-        let r = CLOCK_100MHZ.analyze(&pipeline());
+        let r = CLOCK_100MHZ.analyze(&pipeline().plan());
         // Only conv1 (864) exceeds the 64-cycle floor → perfectly "matched".
         assert_eq!(r.imbalance(), 1.0);
     }

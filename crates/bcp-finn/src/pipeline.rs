@@ -3,6 +3,7 @@
 use crate::data::{BinMap, QuantMap, StageData};
 use crate::folding::Folding;
 use crate::mvtu::{BinaryMvtu, FixedInputMvtu};
+use crate::plan::{StageKind, StagePlan};
 use crate::pool::or_pool;
 use crate::swu::{out_dim, windows_binary, windows_quant};
 use bcp_bitpack::{BitPlaneBlock, BitVec64};
@@ -70,62 +71,66 @@ impl Stage {
         }
     }
 
-    /// Output (channels, height, width); logits report `(classes, 1, 1)`.
-    pub fn out_dims(&self) -> (usize, usize, usize) {
-        match self {
+    /// The stage's geometry and folding — the one place they are read off
+    /// the five variants; every model of the stage (cycles, resources, chain
+    /// validation) works from the returned [`StagePlan`].
+    pub fn plan(&self) -> StagePlan {
+        let (kind, (rows, cols), folding, k, in_dims) = match self {
             Stage::ConvFixed {
                 mvtu, k, in_dims, ..
-            } => (mvtu.rows(), out_dim(in_dims.1, *k), out_dim(in_dims.2, *k)),
+            } => (
+                StageKind::ConvFixed,
+                (mvtu.rows(), mvtu.cols()),
+                mvtu.folding,
+                *k,
+                *in_dims,
+            ),
             Stage::ConvBinary {
                 mvtu, k, in_dims, ..
-            } => (mvtu.rows(), out_dim(in_dims.1, *k), out_dim(in_dims.2, *k)),
-            Stage::PoolOr { k, in_dims, .. } => (
-                in_dims.0,
-                in_dims.1.checked_div(*k).unwrap_or(0),
-                in_dims.2.checked_div(*k).unwrap_or(0),
+            } => (
+                StageKind::ConvBinary,
+                (mvtu.rows(), mvtu.cols()),
+                mvtu.folding,
+                *k,
+                *in_dims,
             ),
-            Stage::DenseBinary { mvtu, .. } => (mvtu.rows(), 1, 1),
-            Stage::DenseLogits { mvtu, .. } => (mvtu.rows(), 1, 1),
-        }
-    }
-
-    /// Declared input element count (for chain validation).
-    pub fn in_count(&self) -> usize {
-        match self {
-            Stage::ConvFixed { in_dims, .. }
-            | Stage::ConvBinary { in_dims, .. }
-            | Stage::PoolOr { in_dims, .. } => in_dims
-                .0
-                .saturating_mul(in_dims.1)
-                .saturating_mul(in_dims.2),
-            Stage::DenseBinary { mvtu, .. } | Stage::DenseLogits { mvtu, .. } => mvtu.cols(),
-        }
-    }
-
-    /// The stage's PE×SIMD folding (pool stages report 1×1).
-    pub fn folding(&self) -> Folding {
-        match self {
-            Stage::ConvFixed { mvtu, .. } => mvtu.folding,
-            Stage::ConvBinary { mvtu, .. }
-            | Stage::DenseBinary { mvtu, .. }
-            | Stage::DenseLogits { mvtu, .. } => mvtu.folding,
-            Stage::PoolOr { .. } => Folding::sequential(),
-        }
-    }
-
-    /// Weight-memory size in bits (0 for pool stages).
-    pub fn weight_bits(&self) -> u64 {
-        match self {
-            Stage::ConvFixed { mvtu, .. } => {
-                (mvtu.rows() as u64).saturating_mul(mvtu.cols() as u64)
+            Stage::PoolOr { k, in_dims, .. } => {
+                (StageKind::Pool, (0, 0), Folding::sequential(), *k, *in_dims)
             }
-            Stage::ConvBinary { mvtu, .. }
-            | Stage::DenseBinary { mvtu, .. }
-            | Stage::DenseLogits { mvtu, .. } => {
-                (mvtu.rows() as u64).saturating_mul(mvtu.cols() as u64)
-            }
-            Stage::PoolOr { .. } => 0,
-        }
+            Stage::DenseBinary { mvtu, .. } => (
+                StageKind::DenseBinary,
+                (mvtu.rows(), mvtu.cols()),
+                mvtu.folding,
+                1,
+                (mvtu.cols(), 1, 1),
+            ),
+            Stage::DenseLogits { mvtu, .. } => (
+                StageKind::DenseLogits,
+                (mvtu.rows(), mvtu.cols()),
+                mvtu.folding,
+                1,
+                (mvtu.cols(), 1, 1),
+            ),
+        };
+        let mut plan = StagePlan {
+            name: self.name().to_owned(),
+            kind,
+            rows,
+            cols,
+            vectors: 1,
+            pe: folding.pe,
+            simd: folding.simd,
+            k,
+            in_dims,
+        };
+        let (_, oh, ow) = plan.out_dims();
+        plan.vectors = oh.saturating_mul(ow);
+        plan
+    }
+
+    /// Output (channels, height, width); logits report `(classes, 1, 1)`.
+    pub fn out_dims(&self) -> (usize, usize, usize) {
+        self.plan().out_dims()
     }
 
     /// The stage's packed weight memory (`None` for pool stages, which
@@ -164,29 +169,10 @@ impl Stage {
         }
     }
 
-    /// Cycles to process one frame (Sec. III-B folding arithmetic).
+    /// Cycles to process one frame (Sec. III-B folding arithmetic),
+    /// saturating where the count overflows `u64`.
     pub fn cycles_per_frame(&self) -> u64 {
-        match self {
-            Stage::ConvFixed {
-                mvtu, k, in_dims, ..
-            } => {
-                let vecs = out_dim(in_dims.1, *k).saturating_mul(out_dim(in_dims.2, *k));
-                mvtu.folding
-                    .cycles_per_frame(mvtu.rows(), mvtu.cols(), vecs)
-            }
-            Stage::ConvBinary {
-                mvtu, k, in_dims, ..
-            } => {
-                let vecs = out_dim(in_dims.1, *k).saturating_mul(out_dim(in_dims.2, *k));
-                mvtu.folding
-                    .cycles_per_frame(mvtu.rows(), mvtu.cols(), vecs)
-            }
-            Stage::PoolOr { k, in_dims, .. } => (in_dims.1.checked_div(*k).unwrap_or(0) as u64)
-                .saturating_mul(in_dims.2.checked_div(*k).unwrap_or(0) as u64),
-            Stage::DenseBinary { mvtu, .. } | Stage::DenseLogits { mvtu, .. } => {
-                mvtu.folding.cycles_per_frame(mvtu.rows(), mvtu.cols(), 1)
-            }
-        }
+        self.plan().cycles_per_frame().unwrap_or(u64::MAX)
     }
 
     /// Process one token: a batch of one through [`Stage::process_batch`].
@@ -346,29 +332,30 @@ impl Pipeline {
     /// emit logits.
     pub fn new(name: impl Into<String>, stages: Vec<Stage>) -> Self {
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
+        let plan: Vec<StagePlan> = stages.iter().map(Stage::plan).collect();
         assert!(
-            matches!(stages[0], Stage::ConvFixed { .. }),
+            plan[0].kind == StageKind::ConvFixed,
             "first stage must consume the quantized camera input"
         );
-        for pair in stages.windows(2) {
+        for pair in plan.windows(2) {
             let (prev, cur) = (&pair[0], &pair[1]);
             let (c, h, w) = prev.out_dims();
             assert_eq!(
                 c.saturating_mul(h).saturating_mul(w),
                 cur.in_count(),
                 "stage '{}' output {}×{}×{} does not feed stage '{}' (expects {} elements)",
-                prev.name(),
+                prev.name,
                 c,
                 h,
                 w,
-                cur.name(),
+                cur.name,
                 cur.in_count()
             );
         }
-        for (i, s) in stages.iter().enumerate() {
-            let is_last = i.saturating_add(1) == stages.len();
+        for (i, p) in plan.iter().enumerate() {
+            let is_last = i.saturating_add(1) == plan.len();
             assert_eq!(
-                matches!(s, Stage::DenseLogits { .. }),
+                p.kind == StageKind::DenseLogits,
                 is_last,
                 "exactly the final stage must be the logits layer"
             );
@@ -423,28 +410,32 @@ impl Pipeline {
         argmax(&self.forward(input))
     }
 
+    /// Every stage's [`StagePlan`], in dataflow order.
+    pub fn plan(&self) -> Vec<StagePlan> {
+        self.stages.iter().map(Stage::plan).collect()
+    }
+
     /// Structural description in the layout of Fig. 1: stage kind, dims,
     /// folding, per-frame cycles.
     pub fn describe(&self) -> String {
         let mut s = format!("{} — FINN streaming pipeline\n", self.name);
         s.push_str("  camera → 8-bit quantization →\n");
-        for stage in &self.stages {
-            let (c, h, w) = stage.out_dims();
-            let f = stage.folding();
-            let kind = match stage {
-                Stage::ConvFixed { .. } => "SWU→MVTU (fixed-input)",
-                Stage::ConvBinary { .. } => "SWU→MVTU (XNOR)",
-                Stage::PoolOr { .. } => "OR-pool",
-                Stage::DenseBinary { .. } => "MVTU (XNOR)",
-                Stage::DenseLogits { .. } => "MVTU (accumulate)",
+        for p in self.plan() {
+            let (c, h, w) = p.out_dims();
+            let kind = match p.kind {
+                StageKind::ConvFixed => "SWU→MVTU (fixed-input)",
+                StageKind::ConvBinary => "SWU→MVTU (XNOR)",
+                StageKind::Pool => "OR-pool",
+                StageKind::DenseBinary => "MVTU (XNOR)",
+                StageKind::DenseLogits => "MVTU (accumulate)",
             };
             s.push_str(&format!(
                 "  {:<10} {:<24} out {c}×{h}×{w}  PE={:<3} SIMD={:<3} cycles/frame={}\n",
-                stage.name(),
+                p.name,
                 kind,
-                f.pe,
-                f.simd,
-                stage.cycles_per_frame()
+                p.pe,
+                p.simd,
+                p.cycles_per_frame().unwrap_or(u64::MAX)
             ));
         }
         s.push_str("  → argmax class\n");

@@ -17,7 +17,8 @@
 
 use crate::device::ResourceUsage;
 use crate::folding::Folding;
-use crate::pipeline::{Pipeline, Stage};
+use crate::pipeline::Pipeline;
+use crate::plan::StagePlan;
 
 /// LUTs per synapse-bit of parallelism (XNOR gate + popcount-tree share).
 pub const LUT_PER_SYNAPSE: f64 = 6.5;
@@ -36,51 +37,40 @@ pub const BRAM18_BITS: u64 = 18 * 1024;
 /// Fixed DSP infrastructure.
 pub const DSP_BASE: u64 = 6;
 
-/// Abstract per-stage input to the resource model: what the estimator needs
-/// to know about a stage, without weights or thresholds existing yet.
-/// `bcp-check` derives these from an architecture description for its
-/// device-fit analysis; [`estimate`] derives them from a built pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct StageResourceSpec {
-    /// PE×SIMD dimensioning (ignored for pool stages).
-    pub folding: Folding,
-    /// Weight-memory size in bits (0 for pool stages).
-    pub weight_bits: u64,
-    /// Boolean-OR pool stage (costs only control logic).
-    pub is_pool: bool,
+/// LUT cost of one MVTU under a folding: XNOR + popcount tree, per-PE
+/// accumulator and comparator, stage control. Weight memory is excluded —
+/// it is folding-invariant to first order — which is why the DSE prices
+/// its candidates with this alone.
+pub fn mvtu_luts(f: Folding) -> f64 {
+    f.parallelism() as f64 * LUT_PER_SYNAPSE + f.pe as f64 * LUT_PER_PE + LUT_PER_STAGE
 }
 
 /// Estimate resources for a pipeline. `dsp_offload` models the
 /// OrthrusPE-style XNOR-to-DSP mapping used to fit the Z7010.
 pub fn estimate(pipeline: &Pipeline, dsp_offload: bool) -> ResourceUsage {
-    let specs: Vec<StageResourceSpec> = pipeline
-        .stages()
-        .iter()
-        .map(|stage| StageResourceSpec {
-            folding: stage.folding(),
-            weight_bits: stage.weight_bits(),
-            is_pool: matches!(stage, Stage::PoolOr { .. }),
-        })
-        .collect();
-    estimate_specs(&specs, dsp_offload)
+    estimate_plan(&pipeline.plan(), dsp_offload)
 }
 
-/// [`estimate`] over abstract stage specs — the shared model both the built
+/// The resource model over a stage plan — the one estimator both a built
 /// pipeline and the pre-deployment static checker are costed with.
-pub fn estimate_specs(specs: &[StageResourceSpec], dsp_offload: bool) -> ResourceUsage {
+/// Requires positive folding factors (gate on `BCP010` first).
+pub fn estimate_plan(plan: &[StagePlan], dsp_offload: bool) -> ResourceUsage {
     let mut luts = LUT_BASE;
     let mut bram18 = 0u64;
     let mut total_parallelism = 0u64;
     let mut first_layer_pe = 0u64;
 
-    for (i, spec) in specs.iter().enumerate() {
-        let f = spec.folding;
-        let bits = spec.weight_bits;
-        if spec.is_pool {
+    for (i, stage) in plan.iter().enumerate() {
+        if !stage.is_compute() {
             luts += LUT_PER_STAGE / 2.0; // pooling is a trivial OR tree
             continue;
         }
-        luts += f.parallelism() as f64 * LUT_PER_SYNAPSE + f.pe as f64 * LUT_PER_PE + LUT_PER_STAGE;
+        let f = Folding {
+            pe: stage.pe,
+            simd: stage.simd,
+        };
+        let bits = stage.weight_bits();
+        luts += mvtu_luts(f);
         total_parallelism = total_parallelism.saturating_add(f.parallelism());
         if i == 0 {
             first_layer_pe = f.pe as u64;
@@ -210,23 +200,6 @@ mod tests {
         let off = estimate(&small_pipeline(8, 16), true);
         assert!(off.dsps > plain.dsps);
         assert!(off.luts < plain.luts);
-    }
-
-    #[test]
-    fn spec_entry_point_matches_pipeline_entry_point() {
-        let p = small_pipeline(8, 16);
-        let specs: Vec<StageResourceSpec> = p
-            .stages()
-            .iter()
-            .map(|s| StageResourceSpec {
-                folding: s.folding(),
-                weight_bits: s.weight_bits(),
-                is_pool: matches!(s, Stage::PoolOr { .. }),
-            })
-            .collect();
-        for offload in [false, true] {
-            assert_eq!(estimate(&p, offload), estimate_specs(&specs, offload));
-        }
     }
 
     #[test]

@@ -1,29 +1,11 @@
 //! The Table I architectures and their hardware dimensioning.
+//!
+//! [`Arch`] itself is defined in `bcp-check` (the lowest crate that reads
+//! one: the checker lays it out, this crate builds networks and pipelines
+//! from it); this module names the paper's three prototypes.
 
-use bcp_check::{ArchSpec, ConvSpec, Diagnostic, FcSpec};
-use bcp_finn::dse::LayerDims;
-use bcp_finn::Folding;
+pub use bcp_check::{Arch, ConvLayer, FcLayer, CLASSES, K};
 use serde::{Deserialize, Serialize};
-
-/// One convolutional layer's description.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConvLayer {
-    /// Input channels.
-    pub c_in: usize,
-    /// Output channels.
-    pub c_out: usize,
-    /// 2×2 max-pool follows this layer.
-    pub pool_after: bool,
-}
-
-/// One fully-connected layer's description.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FcLayer {
-    /// Input features.
-    pub f_in: usize,
-    /// Output features.
-    pub f_out: usize,
-}
 
 /// Which BinaryCoP prototype (Sec. IV-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,31 +17,6 @@ pub enum ArchKind {
     /// μ-CNV: one conv layer fewer, fits the Z7010 after DSP offload.
     MicroCnv,
 }
-
-/// A complete architecture: layer stack + the paper's PE/SIMD vectors.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Arch {
-    /// Display name.
-    pub name: String,
-    /// Input image edge (32 for all prototypes).
-    pub input_size: usize,
-    /// Conv trunk, in order. All kernels are K=3, stride 1, no padding.
-    pub convs: Vec<ConvLayer>,
-    /// Dense head, in order; the last layer emits the 4 class logits.
-    pub fcs: Vec<FcLayer>,
-    /// PE count per compute layer (convs then FCs) — Table I.
-    pub pe: Vec<usize>,
-    /// SIMD lanes per compute layer — Table I.
-    pub simd: Vec<usize>,
-    /// Whether the deployment offloads XNOR logic to DSP blocks
-    /// (μ-CNV on the Z7010, OrthrusPE — paper ref 27).
-    pub dsp_offload: bool,
-}
-
-/// Kernel size shared by every BinaryCoP convolution.
-pub const K: usize = 3;
-/// Number of output classes.
-pub const CLASSES: usize = 4;
 
 impl ArchKind {
     /// All prototypes in Table I order.
@@ -222,160 +179,10 @@ impl ArchKind {
     }
 }
 
-impl Arch {
-    /// Spatial size after each conv layer (before any pool), plus the final
-    /// flattened feature count. Returns `(per_conv_out_hw, flat_features)`.
-    pub fn spatial_plan(&self) -> (Vec<usize>, usize) {
-        let mut hw = self.input_size;
-        let mut outs = Vec::with_capacity(self.convs.len());
-        for conv in &self.convs {
-            hw -= K - 1; // valid 3×3 convolution
-            outs.push(hw);
-            if conv.pool_after {
-                assert!(
-                    hw.is_multiple_of(2),
-                    "pool requires an even extent, got {hw}"
-                );
-                hw /= 2;
-            }
-        }
-        let flat = self.convs.last().map(|c| c.c_out).unwrap_or(3) * hw * hw;
-        (outs, flat)
-    }
-
-    /// The static checker's plain-data view of this architecture
-    /// (`bcp-check` sits below this crate, so it defines its own type).
-    pub fn spec(&self) -> ArchSpec {
-        ArchSpec {
-            name: self.name.clone(),
-            input_size: self.input_size,
-            kernel: K,
-            classes: CLASSES,
-            convs: self
-                .convs
-                .iter()
-                .map(|c| ConvSpec {
-                    c_in: c.c_in,
-                    c_out: c.c_out,
-                    pool_after: c.pool_after,
-                })
-                .collect(),
-            fcs: self
-                .fcs
-                .iter()
-                .map(|f| FcSpec {
-                    f_in: f.f_in,
-                    f_out: f.f_out,
-                })
-                .collect(),
-            pe: self.pe.clone(),
-            simd: self.simd.clone(),
-            dsp_offload: self.dsp_offload,
-        }
-    }
-
-    /// Validate internal consistency: channel chaining, FC fan-in matching
-    /// the flattened conv output, PE/SIMD vector lengths, pool parity.
-    /// Every inconsistency is reported as a typed, localized `BCP0xx`
-    /// diagnostic; `Ok(())` means a pipeline can be laid out.
-    ///
-    /// This is the shape-inference band only — scheduling and resource
-    /// findings (folding divisibility, cycle budgets, device fit) come from
-    /// the full [`bcp_check::check_arch`], which `bcp check` runs; foldings
-    /// that don't divide their matrices are functionally legal (the fuzz
-    /// suite deploys them), just never used by the published designs.
-    pub fn try_validate(&self) -> Result<(), Vec<Diagnostic>> {
-        let analysis = bcp_check::infer_shapes(&self.spec());
-        if analysis.diagnostics.is_empty() {
-            Ok(())
-        } else {
-            Err(analysis.diagnostics)
-        }
-    }
-
-    /// Panicking wrapper over [`Arch::try_validate`] for call sites where a
-    /// broken architecture is a programming error.
-    pub fn validate(&self) {
-        if let Err(diags) = self.try_validate() {
-            let rendered: Vec<String> = diags.iter().map(|d| d.render()).collect();
-            panic!(
-                "architecture {} failed validation:\n{}",
-                self.name,
-                rendered.join("\n")
-            );
-        }
-    }
-
-    /// The folding of compute layer `i` (convs then FCs, Table I order).
-    pub fn folding(&self, i: usize) -> Folding {
-        Folding::new(self.pe[i], self.simd[i])
-    }
-
-    /// Total binary weight bits (the BNN memory footprint the paper's ×32
-    /// claim applies to).
-    pub fn weight_bits(&self) -> u64 {
-        let conv: u64 = self
-            .convs
-            .iter()
-            .map(|c| (c.c_in * c.c_out * K * K) as u64)
-            .sum();
-        let fc: u64 = self.fcs.iter().map(|f| (f.f_in * f.f_out) as u64).sum();
-        conv + fc
-    }
-
-    /// Abstract MVTU workloads for the DSE and the timing model: matrix
-    /// dims + vectors/frame per compute layer.
-    pub fn layer_dims(&self) -> Vec<LayerDims> {
-        let mut dims = Vec::with_capacity(self.convs.len() + self.fcs.len());
-        let mut hw = self.input_size;
-        for (i, conv) in self.convs.iter().enumerate() {
-            hw -= K - 1;
-            dims.push(LayerDims {
-                name: format!("conv{}", i + 1),
-                rows: conv.c_out,
-                cols: conv.c_in * K * K,
-                vectors: hw * hw,
-            });
-            if conv.pool_after {
-                hw /= 2;
-            }
-        }
-        for (i, fc) in self.fcs.iter().enumerate() {
-            dims.push(LayerDims {
-                name: format!("fc{}", i + 1),
-                rows: fc.f_out,
-                cols: fc.f_in,
-                vectors: 1,
-            });
-        }
-        dims
-    }
-
-    /// Render this column of Table I.
-    pub fn table1_column(&self) -> String {
-        let mut s = format!("{}\n", self.name);
-        for (i, c) in self.convs.iter().enumerate() {
-            let group = i / 2 + 1;
-            let idx = i % 2 + 1;
-            s.push_str(&format!("  Conv.{group}.{idx} [{}, {}]\n", c.c_in, c.c_out));
-        }
-        for (i, f) in self.fcs.iter().enumerate() {
-            s.push_str(&format!("  FC.{} [{}]\n", i + 1, f.f_out));
-        }
-        let pe: Vec<String> = self.pe.iter().map(|p| p.to_string()).collect();
-        let simd: Vec<String> = self.simd.iter().map(|p| p.to_string()).collect();
-        s.push_str(&format!(
-            "  PE:   {}\n  SIMD: {}\n",
-            pe.join(", "),
-            simd.join(", ")
-        ));
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcp_finn::{Folding, StageKind};
 
     #[test]
     fn all_archs_validate() {
@@ -409,15 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_mirrors_arch_and_targets_paper_devices() {
-        let a = ArchKind::MicroCnv.arch();
-        let s = a.spec();
-        assert_eq!(s.convs.len(), a.convs.len());
-        assert_eq!(s.pe, a.pe);
-        assert_eq!(s.kernel, K);
-        assert_eq!(s.classes, CLASSES);
-        assert_eq!(s.target_device().name, "XC7Z010");
-        assert_eq!(ArchKind::Cnv.arch().spec().target_device().name, "XC7Z020");
+    fn prototypes_target_paper_devices() {
+        assert_eq!(ArchKind::MicroCnv.arch().target_device().name, "XC7Z010");
+        assert_eq!(ArchKind::NCnv.arch().target_device().name, "XC7Z020");
+        assert_eq!(ArchKind::Cnv.arch().target_device().name, "XC7Z020");
     }
 
     #[test]
@@ -432,18 +234,28 @@ mod tests {
         assert_eq!(a.simd, vec![3, 32, 32, 32, 32, 32, 4, 8, 1]);
     }
 
+    /// Output extent of every conv stage of the plan, and fc1's fan-in.
+    fn conv_extents_and_flat(a: &Arch) -> (Vec<usize>, usize) {
+        let plan = a.plan();
+        let outs = plan
+            .iter()
+            .filter(|p| matches!(p.kind, StageKind::ConvFixed | StageKind::ConvBinary))
+            .map(|p| p.out_dims().1)
+            .collect();
+        let fc1 = plan.iter().find(|p| p.name == "fc1").unwrap();
+        (outs, fc1.cols)
+    }
+
     #[test]
     fn spatial_plan_matches_paper_geometry() {
         // 32 → 30 → 28 →(pool)14 → 12 → 10 →(pool)5 → 3 → 1.
-        let a = ArchKind::Cnv.arch();
-        let (outs, flat) = a.spatial_plan();
+        let (outs, flat) = conv_extents_and_flat(&ArchKind::Cnv.arch());
         assert_eq!(outs, vec![30, 28, 12, 10, 3, 1]);
         assert_eq!(flat, 256);
         // μ-CNV stops one conv earlier: 3×3×64 = 576 flat features — the
         // "larger spatial dimension before the fully-connected layers"
         // trade-off Sec. IV-B describes.
-        let u = ArchKind::MicroCnv.arch();
-        let (outs, flat) = u.spatial_plan();
+        let (outs, flat) = conv_extents_and_flat(&ArchKind::MicroCnv.arch());
         assert_eq!(outs, vec![30, 28, 12, 10, 3]);
         assert_eq!(flat, 576);
     }
@@ -471,30 +283,23 @@ mod tests {
     fn layer_dims_cover_all_compute_layers() {
         for kind in ArchKind::ALL {
             let a = kind.arch();
-            let dims = a.layer_dims();
-            assert_eq!(dims.len(), a.pe.len());
+            let plan = a.plan();
+            let layers: Vec<_> = plan.iter().filter(|p| p.is_compute()).collect();
+            assert_eq!(layers.len(), a.pe.len());
             // Every published folding divides its matrix exactly.
-            for (i, d) in dims.iter().enumerate() {
-                let f = a.folding(i);
+            for (i, l) in layers.iter().enumerate() {
+                assert_eq!((l.pe, l.simd), (a.pe[i], a.simd[i]), "{}", l.name);
                 assert!(
-                    f.is_exact(d.rows, d.cols),
+                    Folding::new(l.pe, l.simd).is_exact(l.rows, l.cols),
                     "{} layer {} ({}×{}) vs PE={} SIMD={}",
                     a.name,
-                    d.name,
-                    d.rows,
-                    d.cols,
-                    f.pe,
-                    f.simd
+                    l.name,
+                    l.rows,
+                    l.cols,
+                    l.pe,
+                    l.simd
                 );
             }
         }
-    }
-
-    #[test]
-    fn table1_column_renders() {
-        let s = ArchKind::NCnv.arch().table1_column();
-        assert!(s.contains("Conv.1.1 [3, 16]"));
-        assert!(s.contains("FC.3 [4]"));
-        assert!(s.contains("PE:   16, 16, 16, 16, 4, 1, 1, 1, 1"));
     }
 }

@@ -155,7 +155,7 @@ fn cmd_check(args: &Args) {
     let mut reports = Vec::new();
     let mut failed = false;
     for kind in kinds {
-        let report = check_arch(&kind.arch().spec(), &cfg);
+        let report = check_arch(&kind.arch(), &cfg);
         failed |= !report.is_clean();
         if json {
             reports.push(report);
@@ -215,7 +215,7 @@ fn cmd_train(args: &Args) {
 fn cmd_deploy(args: &Args) {
     let arch = arch_of(args);
     // Full static verification before any pipeline stage is constructed.
-    let report = bcp_check::check_arch(&arch.spec(), &bcp_check::CheckConfig::default());
+    let report = bcp_check::check_arch(&arch, &bcp_check::CheckConfig::default());
     if !report.is_clean() {
         eprint!("{}", report.render_text());
         eprintln!("static checks failed; refusing to deploy");

@@ -7,48 +7,38 @@
 //! folding. The first conv stage consumes 8-bit camera pixels, so its
 //! thresholds absorb the ×255 input scale.
 
-use crate::arch::{Arch, K};
+use crate::arch::Arch;
 use bcp_bitpack::pack::pack_matrix;
 use bcp_bitpack::{BitMatrix, ThresholdUnit};
 use bcp_finn::mvtu::{BinaryMvtu, FixedInputMvtu};
 use bcp_finn::threshold::scaled_threshold_unit;
-use bcp_finn::{Pipeline, Stage};
+use bcp_finn::{Folding, Pipeline, Stage, StageKind, StagePlan};
 use bcp_nn::batchnorm::{BatchNorm, BN_EPS};
 use bcp_nn::conv::BinaryConv2d;
 use bcp_nn::linear::BinaryLinear;
 use bcp_nn::Sequential;
+use bcp_tensor::Tensor;
 
 /// The integer scale of the first stage's accumulators relative to the
 /// float network (see `bcp_finn::data::INPUT_SCALE`).
 pub const FIRST_LAYER_SCALE: f64 = 255.0;
 
-/// Packed binary weight matrix of conv layer `i` (0-based): rows = C_out,
-/// cols = C_in·K·K in (channel, ky, kx) order — the SWU window order.
-pub fn conv_weight_matrix(net: &Sequential, arch: &Arch, i: usize) -> BitMatrix {
-    let name = format!("conv{}", i + 1);
+/// Packed binary weight matrix of an MVTU stage, read from the network
+/// layer of type `L` that carries the stage's name. Conv weights flatten to
+/// C_in·K·K columns in (channel, ky, kx) order — the SWU window order.
+fn weight_matrix<L: 'static>(
+    net: &Sequential,
+    stage: &StagePlan,
+    binary_weight: fn(&L) -> Tensor,
+) -> BitMatrix {
+    let name = &stage.name;
     let idx = net
-        .index_of(&name)
+        .index_of(name)
         .unwrap_or_else(|| panic!("network has no layer '{name}'"));
-    let conv = net
-        .layer_as::<BinaryConv2d>(idx)
-        .unwrap_or_else(|| panic!("layer '{name}' is not a BinaryConv2d"));
-    let c = &arch.convs[i];
-    let w = conv.binary_weight();
-    pack_matrix(c.c_out, c.c_in * K * K, w.as_slice())
-}
-
-/// Packed binary weight matrix of FC layer `i` (0-based).
-pub fn fc_weight_matrix(net: &Sequential, arch: &Arch, i: usize) -> BitMatrix {
-    let name = format!("fc{}", i + 1);
-    let idx = net
-        .index_of(&name)
-        .unwrap_or_else(|| panic!("network has no layer '{name}'"));
-    let fc = net
-        .layer_as::<BinaryLinear>(idx)
-        .unwrap_or_else(|| panic!("layer '{name}' is not a BinaryLinear"));
-    let f = &arch.fcs[i];
-    let w = fc.binary_weight();
-    pack_matrix(f.f_out, f.f_in, w.as_slice())
+    let layer = net
+        .layer_as::<L>(idx)
+        .unwrap_or_else(|| panic!("layer '{name}' is not a {}", std::any::type_name::<L>()));
+    pack_matrix(stage.rows, stage.cols, binary_weight(layer).as_slice())
 }
 
 /// Threshold bank folded from the batch-norm that follows layer
@@ -80,8 +70,8 @@ pub fn thresholds_from_bn(net: &Sequential, bn_name: &str, scale: f64) -> Thresh
 /// functionally legal (run [`bcp_check::check_arch`] or `bcp check` for
 /// the full verdict).
 pub fn try_deploy(net: &Sequential, arch: &Arch) -> Result<Pipeline, Vec<bcp_check::Diagnostic>> {
-    arch.try_validate()?;
-    Ok(build_pipeline(net, arch))
+    let plan = bcp_check::infer_shapes(arch)?;
+    Ok(build_pipeline(net, &arch.name, &plan))
 }
 
 /// Panicking wrapper over [`try_deploy`] with the checker's rendered
@@ -100,63 +90,52 @@ pub fn deploy(net: &Sequential, arch: &Arch) -> Pipeline {
     }
 }
 
-/// Stage construction shared by [`deploy`]/[`try_deploy`]; assumes the
-/// architecture's shape already checked out.
-fn build_pipeline(net: &Sequential, arch: &Arch) -> Pipeline {
-    let mut stages = Vec::new();
-    let mut hw = arch.input_size;
-    let mut pool_idx = 0usize;
-    for (i, conv) in arch.convs.iter().enumerate() {
-        let weights = conv_weight_matrix(net, arch, i);
-        let folding = arch.folding(i);
-        let bn = format!("bn_conv{}", i + 1);
-        if i == 0 {
-            let thresholds = thresholds_from_bn(net, &bn, FIRST_LAYER_SCALE);
-            stages.push(Stage::ConvFixed {
-                name: format!("conv{}", i + 1),
-                mvtu: FixedInputMvtu::new(weights, thresholds, folding),
-                k: K,
-                in_dims: (conv.c_in, hw, hw),
-            });
-        } else {
-            let thresholds = thresholds_from_bn(net, &bn, 1.0);
-            stages.push(Stage::ConvBinary {
-                name: format!("conv{}", i + 1),
-                mvtu: BinaryMvtu::new(weights, Some(thresholds), folding),
-                k: K,
-                in_dims: (conv.c_in, hw, hw),
-            });
-        }
-        hw -= K - 1;
-        if conv.pool_after {
-            pool_idx += 1;
-            stages.push(Stage::PoolOr {
-                name: format!("pool{pool_idx}"),
-                k: 2,
-                in_dims: (conv.c_out, hw, hw),
-            });
-            hw /= 2;
-        }
-    }
-    let n_fc = arch.fcs.len();
-    for i in 0..n_fc {
-        let weights = fc_weight_matrix(net, arch, i);
-        let folding = arch.folding(arch.convs.len() + i);
-        let name = format!("fc{}", i + 1);
-        if i + 1 < n_fc {
-            let thresholds = thresholds_from_bn(net, &format!("bn_fc{}", i + 1), 1.0);
-            stages.push(Stage::DenseBinary {
-                name,
-                mvtu: BinaryMvtu::new(weights, Some(thresholds), folding),
-            });
-        } else {
-            stages.push(Stage::DenseLogits {
-                name,
-                mvtu: BinaryMvtu::new(weights, None, folding),
-            });
-        }
-    }
-    Pipeline::new(arch.name.clone(), stages)
+/// Build each planned stage from the trained network: the plan carries the
+/// geometry and folding, the network the weights and batch-norm statistics
+/// (stage `convN`/`fcN` reads layers `convN`/`fcN` and `bn_convN`/`bn_fcN`).
+fn build_pipeline(net: &Sequential, name: &str, plan: &[StagePlan]) -> Pipeline {
+    let stages = plan
+        .iter()
+        .map(|p| {
+            let name = p.name.clone();
+            let folding = Folding::new(p.pe, p.simd);
+            let thresholds = |scale| thresholds_from_bn(net, &format!("bn_{}", p.name), scale);
+            let conv_weights = || weight_matrix(net, p, BinaryConv2d::binary_weight);
+            let fc_weights = || weight_matrix(net, p, BinaryLinear::binary_weight);
+            match p.kind {
+                StageKind::ConvFixed => Stage::ConvFixed {
+                    name,
+                    mvtu: FixedInputMvtu::new(
+                        conv_weights(),
+                        thresholds(FIRST_LAYER_SCALE),
+                        folding,
+                    ),
+                    k: p.k,
+                    in_dims: p.in_dims,
+                },
+                StageKind::ConvBinary => Stage::ConvBinary {
+                    name,
+                    mvtu: BinaryMvtu::new(conv_weights(), Some(thresholds(1.0)), folding),
+                    k: p.k,
+                    in_dims: p.in_dims,
+                },
+                StageKind::Pool => Stage::PoolOr {
+                    name,
+                    k: p.k,
+                    in_dims: p.in_dims,
+                },
+                StageKind::DenseBinary => Stage::DenseBinary {
+                    name,
+                    mvtu: BinaryMvtu::new(fc_weights(), Some(thresholds(1.0)), folding),
+                },
+                StageKind::DenseLogits => Stage::DenseLogits {
+                    name,
+                    mvtu: BinaryMvtu::new(fc_weights(), None, folding),
+                },
+            }
+        })
+        .collect();
+    Pipeline::new(name, stages)
 }
 
 #[cfg(test)]
@@ -269,8 +248,8 @@ mod tests {
         // But the timing differs: sequential folding is far slower.
         use bcp_finn::perf::CLOCK_100MHZ;
         assert!(
-            CLOCK_100MHZ.analyze(&pb).initiation_interval
-                > CLOCK_100MHZ.analyze(&pa).initiation_interval
+            CLOCK_100MHZ.analyze(&pb.plan()).initiation_interval
+                > CLOCK_100MHZ.analyze(&pa.plan()).initiation_interval
         );
     }
 

@@ -16,7 +16,7 @@ use bcp_dataset::{Dataset, MaskClass};
 use bcp_finn::device::{ResourceUsage, Z7010, Z7020};
 use bcp_finn::perf::CLOCK_100MHZ;
 use bcp_finn::power::{PowerModel, DEFAULT_POWER};
-use bcp_finn::resource::estimate;
+use bcp_finn::resource::estimate_plan;
 use bcp_gradcam::{gradcam, heat_centroid};
 use bcp_nn::{Mode, Sequential};
 use bcp_tensor::{Shape, Tensor};
@@ -34,7 +34,7 @@ pub fn table1_report() -> String {
     let mut s = String::from("TABLE I: Network architectures and hardware dimensioning\n\n");
     for kind in ArchKind::ALL {
         let arch = kind.arch();
-        s.push_str(&arch.table1_column());
+        s.push_str(&table1_column(&arch));
         s.push_str(&format!(
             "  weight memory: {} bits ({:.1} KiB binary vs {:.1} KiB float32 — ×32)\n\n",
             arch.weight_bits(),
@@ -42,6 +42,27 @@ pub fn table1_report() -> String {
             arch.weight_bits() as f64 * 4.0 / 1024.0,
         ));
     }
+    s
+}
+
+/// Render one column of Table I.
+fn table1_column(arch: &Arch) -> String {
+    let mut s = format!("{}\n", arch.name);
+    for (i, c) in arch.convs.iter().enumerate() {
+        let group = i / 2 + 1;
+        let idx = i % 2 + 1;
+        s.push_str(&format!("  Conv.{group}.{idx} [{}, {}]\n", c.c_in, c.c_out));
+    }
+    for (i, f) in arch.fcs.iter().enumerate() {
+        s.push_str(&format!("  FC.{} [{}]\n", i + 1, f.f_out));
+    }
+    let pe: Vec<String> = arch.pe.iter().map(|p| p.to_string()).collect();
+    let simd: Vec<String> = arch.simd.iter().map(|p| p.to_string()).collect();
+    s.push_str(&format!(
+        "  PE:   {}\n  SIMD: {}\n",
+        pe.join(", "),
+        simd.join(", ")
+    ));
     s
 }
 
@@ -66,16 +87,14 @@ pub struct Table2Row {
 
 /// Compute Table II resource rows. Accuracy slots are filled by the caller
 /// (training scale is a runtime decision); resource estimates only need the
-/// architecture, so untrained networks suffice.
+/// architecture's stage plan, so nothing is trained or deployed.
 pub fn table2_rows(accuracies: &[Option<f32>; 3]) -> Vec<Table2Row> {
     ArchKind::ALL
         .iter()
         .zip(accuracies)
         .map(|(&kind, &accuracy)| {
             let arch = kind.arch();
-            let net = build_bnn(&arch, 0);
-            let pipeline = deploy(&net, &arch);
-            let usage = estimate(&pipeline, arch.dsp_offload);
+            let usage = estimate_plan(&arch.plan(), arch.dsp_offload);
             Table2Row {
                 name: arch.name.clone(),
                 fits_z7020: Z7020.fits(&usage),
@@ -142,10 +161,9 @@ pub fn perf_power_report() -> String {
     );
     for kind in ArchKind::ALL {
         let arch = kind.arch();
-        let net = build_bnn(&arch, 0);
-        let pipeline = deploy(&net, &arch);
-        let perf = CLOCK_100MHZ.analyze(&pipeline);
-        let usage = estimate(&pipeline, arch.dsp_offload);
+        let plan = arch.plan();
+        let perf = CLOCK_100MHZ.analyze(&plan);
+        let usage = estimate_plan(&plan, arch.dsp_offload);
         let gate_duty = PowerModel::gate_duty(0.5, perf.latency_us * 1e-6);
         s.push_str(&format!(
             "{:<10} {:>9.0} {:>12} {:>12.1} {:>8.2} {:>8.3} {:>9.2}\n",
@@ -724,6 +742,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn table1_column_renders() {
+        let s = table1_column(&ArchKind::NCnv.arch());
+        assert!(s.contains("Conv.1.1 [3, 16]"));
+        assert!(s.contains("FC.3 [4]"));
+        assert!(s.contains("PE:   16, 16, 16, 16, 4, 1, 1, 1, 1"));
+    }
+
+    #[test]
     fn table1_mentions_all_architectures() {
         let s = table1_report();
         for name in ["CNV", "n-CNV", "μ-CNV"] {
@@ -757,7 +783,7 @@ mod tests {
         // The n-CNV full-pipeline throughput claim: ~6400 fps. Check the
         // actual computed value through the pipeline itself.
         let (net, arch) = untrained_with_stats(ArchKind::NCnv, 0);
-        let perf = CLOCK_100MHZ.analyze(&deploy(&net, &arch));
+        let perf = CLOCK_100MHZ.analyze(&deploy(&net, &arch).plan());
         assert!(
             (4000.0..16000.0).contains(&perf.throughput_fps),
             "n-CNV throughput {} fps outside the paper's order of magnitude",

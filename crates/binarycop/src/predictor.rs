@@ -84,7 +84,7 @@ impl BinaryCoP {
         arch: &Arch,
         cfg: &bcp_check::CheckConfig,
     ) -> Result<Self, bcp_check::Report> {
-        let report = bcp_check::check_arch(&arch.spec(), cfg);
+        let report = bcp_check::check_arch(arch, cfg);
         if !report.is_clean() {
             return Err(report);
         }
@@ -196,7 +196,7 @@ impl BinaryCoP {
 
     /// Timing report at the 100 MHz target clock.
     pub fn perf(&self) -> PerfReport {
-        self.clock.analyze(&self.pipeline)
+        self.clock.analyze(&self.pipeline.plan())
     }
 
     /// Estimated resource usage (Table II's LUT/BRAM/DSP columns).

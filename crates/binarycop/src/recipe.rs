@@ -270,10 +270,16 @@ mod tests {
 
     #[test]
     fn tiny_arch_is_consistent() {
-        tiny_arch().validate();
         // 16 → 14 → 12 → pool 6 → 4; flat = 16·4·4.
-        let (outs, flat) = tiny_arch().spatial_plan();
-        assert_eq!(outs, vec![14, 12, 4]);
-        assert_eq!(flat, 256);
+        let plan = tiny_arch().plan();
+        let extents: Vec<usize> = plan.iter().map(|p| p.out_dims().1).collect();
+        assert_eq!(extents, vec![14, 12, 6, 4, 1, 1]);
+        assert_eq!(plan[4].name, "fc1");
+        assert_eq!(plan[4].cols, 256);
+
+        // The deployed pipeline reports the same plan, field by field.
+        let arch = tiny_arch();
+        let net = crate::model::build_bnn(&arch, 1);
+        assert_eq!(crate::deploy::deploy(&net, &arch).plan(), plan);
     }
 }

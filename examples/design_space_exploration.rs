@@ -11,6 +11,8 @@
 
 use bcp_finn::dse::{allocate, allocate_for_target};
 use bcp_finn::perf::CLOCK_100MHZ;
+use bcp_finn::resource::mvtu_luts;
+use bcp_finn::{Folding, StagePlan};
 use binarycop::arch::ArchKind;
 
 fn main() {
@@ -18,7 +20,14 @@ fn main() {
 
     for kind in ArchKind::ALL {
         let arch = kind.arch();
-        let layers = arch.layer_dims();
+        // The MVTU layers of the plan; each carries its Table I folding.
+        let mut layers = arch.plan();
+        layers.retain(StagePlan::is_compute);
+        let paper = |l: &StagePlan| Folding::new(l.pe, l.simd);
+        let cycles = |l: &StagePlan, f: Folding| {
+            f.cycles_per_frame(l.rows, l.cols, l.vectors)
+                .expect("Table I cycle counts fit u64")
+        };
         println!("=== {} frontier (greedy DSE) ===", arch.name);
         println!(
             "{:>12} {:>12} {:>12} {:>10}",
@@ -36,17 +45,8 @@ fn main() {
         }
 
         // The paper's hand dimensioning, for comparison.
-        let paper_ii = layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| l.cycles(arch.folding(i)))
-            .max()
-            .unwrap();
-        let paper_luts: f64 = layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| l.lut_cost(arch.folding(i)))
-            .sum();
+        let paper_ii = layers.iter().map(|l| cycles(l, paper(l))).max().unwrap();
+        let paper_luts: f64 = layers.iter().map(|l| mvtu_luts(paper(l))).sum();
         println!(
             "{:>12} {:>12.0} {:>12} {:>10.0}   ← Table I hand dimensioning",
             "paper",
@@ -71,17 +71,17 @@ fn main() {
         // Show the allocator's per-layer choice at the paper's budget.
         let r = allocate(&layers, paper_luts);
         println!("  per-layer folding at the paper's LUT point (DSE vs Table I):");
-        for (i, (l, f)) in layers.iter().zip(&r.foldings).enumerate() {
-            let p = arch.folding(i);
+        for (l, f) in layers.iter().zip(&r.foldings) {
+            let p = paper(l);
             println!(
                 "    {:<8} DSE: PE={:<3} SIMD={:<3} ({} cyc)   paper: PE={:<3} SIMD={:<3} ({} cyc)",
                 l.name,
                 f.pe,
                 f.simd,
-                l.cycles(*f),
+                cycles(l, *f),
                 p.pe,
                 p.simd,
-                l.cycles(p)
+                cycles(l, p)
             );
         }
         println!();

@@ -7,20 +7,20 @@
 //! devices, so the corpus also pins the verifier's false-positive rate at
 //! zero for the designs the paper actually builds.
 
-use bcp_check::{check_arch, check_pipeline, ArchSpec, CheckConfig, Code, Report, Severity};
+use bcp_check::{check_arch, check_pipeline, Arch, CheckConfig, Code, Report, Severity};
 use bcp_finn::device::{Z7010, Z7020};
 use bcp_finn::mvtu::{BinaryMvtu, FixedInputMvtu};
 use bcp_finn::pipeline::{Pipeline, Stage};
 use bcp_finn::Folding;
 use binarycop::arch::ArchKind;
 
-fn spec_of(kind: ArchKind) -> ArchSpec {
-    kind.arch().spec()
+fn spec_of(kind: ArchKind) -> Arch {
+    kind.arch()
 }
 
 /// Apply `mutate` to a fresh spec of `kind` and assert the checker rejects
 /// it with `expected` among its *error*-severity findings.
-fn assert_rejected(kind: ArchKind, expected: Code, mutate: impl FnOnce(&mut ArchSpec)) {
+fn assert_rejected(kind: ArchKind, expected: Code, mutate: impl FnOnce(&mut Arch)) {
     let mut spec = spec_of(kind);
     mutate(&mut spec);
     let report = check_arch(&spec, &CheckConfig::default());
@@ -190,6 +190,18 @@ fn mucnv_missing_head_is_bcp009() {
         s.fcs.clear();
         s.pe.truncate(5);
         s.simd.truncate(5);
+    });
+}
+
+#[test]
+fn mucnv_missing_trunk_is_bcp009() {
+    // No conv trunk: the dense head would have to consume the quantized
+    // camera image itself, which no stage of the accelerator can do.
+    assert_rejected(ArchKind::MicroCnv, Code::PipelineStructure, |s| {
+        s.convs.clear();
+        s.fcs[0].f_in = 3 * s.input_size * s.input_size;
+        s.pe.drain(..5);
+        s.simd.drain(..5);
     });
 }
 

@@ -11,7 +11,7 @@ use bcp_finn::data::QuantMap;
 use bcp_nn::Mode;
 use bcp_tensor::Shape;
 use binarycop::arch::{Arch, ConvLayer, FcLayer};
-use binarycop::deploy::deploy;
+use binarycop::deploy::{deploy, try_deploy};
 use binarycop::model::build_bnn;
 use binarycop::reference::IntegerReference;
 
@@ -151,7 +151,8 @@ fn random_architectures_have_consistent_timing_model() {
         );
         let _ = net.forward(&x, Mode::Train);
         let pipeline = deploy(&net, &arch);
-        let perf = CLOCK_100MHZ.analyze(&pipeline);
+        assert_eq!(pipeline.plan(), arch.plan(), "{}", arch.name);
+        let perf = CLOCK_100MHZ.analyze(&pipeline.plan());
         assert_eq!(perf.latency_cycles, perf.stage_cycles.iter().sum::<u64>());
         assert_eq!(
             perf.initiation_interval,
@@ -160,6 +161,31 @@ fn random_architectures_have_consistent_timing_model() {
         let usage = bcp_finn::resource::estimate(&pipeline, false);
         assert!(usage.luts > 0);
     }
+}
+
+#[test]
+fn architecture_without_conv_trunk_is_refused_not_panicked() {
+    // Shape-consistent on paper (fc1 reads the 3·s·s input pixels), but no
+    // stage can consume the quantized camera image: `try_deploy` must
+    // answer with BCP009, not with an assert inside `Pipeline::new`.
+    let mut arch = random_arch(7);
+    arch.convs.clear();
+    arch.fcs.truncate(1);
+    arch.fcs[0] = FcLayer {
+        f_in: 3 * arch.input_size * arch.input_size,
+        f_out: 4,
+    };
+    arch.pe = vec![1];
+    arch.simd = vec![1];
+    // The refusal comes before any layer is looked up, so no network is needed.
+    let diags = match try_deploy(&bcp_nn::Sequential::new("head-only"), &arch) {
+        Ok(_) => panic!("a conv-less architecture must be refused"),
+        Err(diags) => diags,
+    };
+    assert!(diags
+        .iter()
+        .any(|d| d.code == bcp_check::Code::PipelineStructure
+            && d.location == format!("{}.convs", arch.name)));
 }
 
 #[test]

@@ -177,9 +177,9 @@ fn checkpoint_roundtrip_preserves_deployment() {
 
 #[test]
 fn tiny_arch_deploys_with_exact_foldings() {
-    let arch = tiny_arch();
-    for (i, d) in arch.layer_dims().iter().enumerate() {
-        assert!(arch.folding(i).is_exact(d.rows, d.cols), "layer {}", d.name);
+    for l in tiny_arch().plan().iter().filter(|l| l.is_compute()) {
+        let folding = bcp_finn::Folding::new(l.pe, l.simd);
+        assert!(folding.is_exact(l.rows, l.cols), "layer {}", l.name);
     }
 }
 

@@ -10,7 +10,7 @@ use binarycop::arch::ArchKind;
 use binarycop::deploy::deploy;
 use binarycop::model::build_bnn;
 
-fn deployed(kind: ArchKind) -> bcp_finn::Pipeline {
+fn deployed_plan(kind: ArchKind) -> Vec<bcp_finn::StagePlan> {
     let arch = kind.arch();
     let mut net = build_bnn(&arch, 3);
     let x = bcp_tensor::init::uniform(
@@ -20,15 +20,22 @@ fn deployed(kind: ArchKind) -> bcp_finn::Pipeline {
         4,
     );
     let _ = net.forward(&x, Mode::Train);
-    deploy(&net, &arch)
+    deploy(&net, &arch).plan()
 }
 
 #[test]
 fn event_sim_matches_analytical_for_all_prototypes() {
     for kind in ArchKind::ALL {
-        let pipeline = deployed(kind);
-        let analytical = CLOCK_100MHZ.analyze(&pipeline);
-        let sim = simulate(&pipeline, 64, 2);
+        let plan = deployed_plan(kind);
+        // The one thing the stage models rest on: the checker's plan of the
+        // architecture is the deployed pipeline's plan, field by field.
+        assert_eq!(
+            plan,
+            kind.arch().plan(),
+            "{kind:?}: plan(Arch) vs plan(Pipeline)"
+        );
+        let analytical = CLOCK_100MHZ.analyze(&plan);
+        let sim = simulate(&plan, 64, 2);
         assert_eq!(
             sim.first_frame_latency, analytical.latency_cycles,
             "{kind:?}: fill latency"
@@ -48,8 +55,7 @@ fn event_sim_matches_analytical_for_all_prototypes() {
 fn ncnv_headline_claim_order_of_magnitude() {
     // The ~6400 fps n-CNV claim, validated through the *event simulation*
     // rather than the closed-form model.
-    let pipeline = deployed(ArchKind::NCnv);
-    let sim = simulate(&pipeline, 64, 2);
+    let sim = simulate(&deployed_plan(ArchKind::NCnv), 64, 2);
     let fps = CLOCK_100MHZ.hz / sim.measured_ii as f64;
     assert!(
         (2_000.0..20_000.0).contains(&fps),
