@@ -28,11 +28,20 @@ pub struct ServeConfig {
     /// Admission (request) queue capacity. Bounds memory and queueing
     /// delay; the backpressure `policy` decides what happens beyond it.
     pub queue_cap: usize,
-    /// Flush a micro-batch as soon as it reaches this many requests.
+    /// Seal a micro-batch as soon as it reaches this many requests
+    /// (counted as `serve.seal.full`).
     pub max_batch: usize,
-    /// Flush a partial micro-batch this long after its first request
-    /// arrived, so a lone request never waits for company that isn't
-    /// coming.
+    /// How long a partial micro-batch may wait for company *while every
+    /// healthy worker is busy*, measured from its first request
+    /// (`serve.seal.age`). It is the bound under load, not a fixed tax: a
+    /// partial batch is sealed at once whenever the admission queue is
+    /// drained and a healthy worker has nothing in flight
+    /// (`serve.seal.idle`), so a lone request on an idle engine never
+    /// waits at all. The batcher looks for an idle worker each time it is
+    /// about to wait, so a worker that frees up mid-wait is noticed at the
+    /// next arrival or when this bound runs out. A value too large to add
+    /// to the clock (`Duration::MAX`) means no age limit: coalesce for as
+    /// long as the workers stay busy.
     pub max_wait: Duration,
     /// Overload behavior of the admission queue.
     pub policy: BackpressurePolicy,

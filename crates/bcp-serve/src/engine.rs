@@ -1,15 +1,26 @@
 //! The concurrent micro-batching inference engine.
 //!
 //! ```text
-//!            submit()                dispatch (round-robin over
-//!  clients ──────────► bounded MPMC ──────────► healthy workers)
+//!            submit()                dispatch (an idle healthy worker
+//!  clients ──────────► bounded MPMC ──────────► first, else round-robin)
 //!            policy:    admission     batcher    ┌─ worker 0 ── replica 0
-//!            Block /    queue         coalesces  ├─ worker 1 ── replica 1
-//!            Reject /   (queue_cap)   batches    └─ worker N ── replica N
-//!            ShedOldest               (max_batch │
-//!                                      / max_wait)▼
+//!            Block /    queue         seals on   ├─ worker 1 ── replica 1
+//!            Reject /   (queue_cap)   full·idle  └─ worker N ── replica N
+//!            ShedOldest               ·age       │
+//!                                                ▼
 //!                                             per-request oneshot slots
 //! ```
+//!
+//! **The seal rule.** A forming batch is sealed by the first of three
+//! events: it is *full* (`max_batch` requests); the admission queue is
+//! drained while a healthy worker is *idle* — nothing queued for it,
+//! nothing being computed — so holding the batch back could only add
+//! latency; or, with every healthy worker busy, its *age* reaches
+//! `max_wait`. The batcher checks for an idle worker each time it is
+//! about to wait (when a batch opens and after every arrival), so a worker
+//! that frees up while the batcher is parked is noticed at the next
+//! arrival or at `max_wait`, which therefore stays the bound under load.
+//! `serve.seal.{full,idle,age}` count the reasons.
 //!
 //! Invariants the stress suite pins:
 //!
@@ -32,13 +43,13 @@
 
 use crate::config::{BackpressurePolicy, ServeConfig, ServeError};
 use crate::oneshot::{Expired, Slot};
-use crate::recovery::{WorkerState, WorkerStateCell};
+use crate::recovery::{InFlight, InFlightCell, WorkerState, WorkerStateCell};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
 use bcp_telemetry::{Counter, Gauge, Histogram, Registry};
 use bcp_tensor::Tensor;
 use bcp_trace::{stamp, ActiveTrace, TraceEvent, TraceOutcome, Tracer};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use crossbeam::queue::ArrayQueue;
 use parking_lot::{Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,6 +71,28 @@ struct Request {
     trace: Option<Box<ActiveTrace>>,
 }
 
+/// A sealed batch on its way to a worker, with the in-flight count it
+/// holds against that worker.
+struct Batch {
+    requests: Vec<Request>,
+    in_flight: InFlight,
+}
+
+/// The batcher's end of one worker: its hand-off queue, and how many
+/// batches that queue and the worker still hold.
+struct WorkerPort {
+    tx: Sender<Batch>,
+    in_flight: Arc<InFlightCell>,
+}
+
+/// Why the batcher sealed a batch (see the module docs).
+#[derive(Clone, Copy)]
+enum Seal {
+    Full,
+    Idle,
+    Age,
+}
+
 /// Pre-resolved telemetry handles so the hot path never does a name
 /// lookup. All under the `serve.` namespace.
 struct Metrics {
@@ -72,6 +105,9 @@ struct Metrics {
     abandoned: Counter,
     failed: Counter,
     batches: Counter,
+    seal_full: Counter,
+    seal_idle: Counter,
+    seal_age: Counter,
     worker_fault: Counter,
     queue_depth: Gauge,
     batch_size: Histogram,
@@ -96,6 +132,9 @@ impl Metrics {
             abandoned: r.counter("serve.abandoned"),
             failed: r.counter("serve.failed"),
             batches: r.counter("serve.batches"),
+            seal_full: r.counter("serve.seal.full"),
+            seal_idle: r.counter("serve.seal.idle"),
+            seal_age: r.counter("serve.seal.age"),
             worker_fault: r.counter("serve.worker_fault"),
             queue_depth: r.gauge("serve.queue_depth"),
             batch_size: r.histogram("serve.batch_size"),
@@ -370,11 +409,14 @@ impl Engine {
         });
 
         let mut handles = Vec::with_capacity(workers.saturating_add(1));
-        let mut worker_txs = Vec::with_capacity(workers);
+        let mut ports = Vec::with_capacity(workers);
         for (w, replica) in replicas.into_iter().enumerate() {
             // Two batches of headroom per worker: one in flight, one ready.
-            let (btx, brx) = bounded::<Vec<Request>>(2);
-            worker_txs.push(btx);
+            let (tx, brx) = bounded::<Batch>(2);
+            ports.push(WorkerPort {
+                tx,
+                in_flight: Arc::new(InFlightCell::new()),
+            });
             let shared = shared.clone();
             let canary = canary.clone();
             handles.push(
@@ -389,7 +431,7 @@ impl Engine {
             handles.push(
                 std::thread::Builder::new()
                     .name("bcp-serve-batcher".into())
-                    .spawn(move || batcher_loop(request_rx, worker_txs, shared))
+                    .spawn(move || batcher_loop(request_rx, ports, shared))
                     .expect("spawn batcher thread"),
             );
         }
@@ -607,11 +649,13 @@ impl Drop for Engine {
     }
 }
 
-/// Coalesce queued requests into micro-batches and hand them to healthy
-/// workers round-robin. Batches are built inside recycled shells from the
-/// [`Shared::shell_pool`], so steady-state sealing does not allocate.
+/// Coalesce queued requests into micro-batches, seal each on the first of
+/// full · idle · age (module docs), and hand it to an idle healthy worker
+/// if there is one, else to the next healthy one in rotation. Batches are
+/// built inside recycled shells from the [`Shared::shell_pool`], so
+/// steady-state sealing does not allocate.
 // bcp:hot-path — batch formation and dispatch
-fn batcher_loop(rx: Receiver<Request>, worker_txs: Vec<Sender<Vec<Request>>>, shared: Arc<Shared>) {
+fn batcher_loop(rx: Receiver<Request>, ports: Vec<WorkerPort>, shared: Arc<Shared>) {
     let mut next = 0usize;
     let mut closed = false;
     let ring = shared.batcher_ring();
@@ -630,24 +674,38 @@ fn batcher_loop(rx: Receiver<Request>, worker_txs: Vec<Sender<Vec<Request>>>, sh
         let mut batch = shared.acquire_shell();
         // audit: allow(alloc): append into a recycled shell whose capacity is retained across batches
         batch.push(first);
-        // …and flushes on size or age, whichever comes first.
-        let now = Instant::now();
-        let flush_at = now.checked_add(shared.cfg.max_wait).unwrap_or(now);
-        while batch.len() < shared.cfg.max_batch {
-            // audit: allow(block): deadline-bounded coalescing wait implementing cfg.max_wait
-            match rx.recv_deadline(flush_at) {
+        // …and seals on the first of full, idle or age.
+        let opened = Instant::now();
+        let seal = loop {
+            if batch.len() >= shared.cfg.max_batch {
+                break Seal::Full;
+            }
+            // With a worker free only what is already queued may join;
+            // with all of them busy, waiting for company costs nothing.
+            let idle = pick_worker(&shared.states, &ports, next).is_some_and(|(.., idle)| idle);
+            let arrival = if idle {
+                let got = rx.try_recv();
+                got.map_err(|e| (Seal::Idle, e == TryRecvError::Disconnected))
+            } else {
+                // What is left of `max_wait`; one too long for the clock
+                // to add (`Duration::MAX`) is no age limit, not a zero one.
+                let left = shared.cfg.max_wait.saturating_sub(opened.elapsed());
+                // audit: allow(block): age-bounded coalescing wait implementing cfg.max_wait
+                let got = rx.recv_timeout(left);
+                got.map_err(|e| (Seal::Age, e == RecvTimeoutError::Disconnected))
+            };
+            match arrival {
                 Ok(mut r) => {
                     stamp(&mut r.trace, &shared.tracer, TraceEvent::AdmissionDequeue);
                     // audit: allow(alloc): append into a recycled shell whose capacity is retained across batches
                     batch.push(r);
                 }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    closed = true;
-                    break;
+                Err((seal, disconnected)) => {
+                    closed = disconnected;
+                    break seal;
                 }
             }
-        }
+        };
         if shared.tracer.is_some() {
             for r in &mut batch {
                 stamp(&mut r.trace, &shared.tracer, TraceEvent::BatchSeal);
@@ -661,13 +719,24 @@ fn batcher_loop(rx: Receiver<Request>, worker_txs: Vec<Sender<Vec<Request>>>, sh
         if let Some(m) = shared.m() {
             m.batch_size.record(batch.len() as u64);
             m.batches.inc();
+            match seal {
+                Seal::Full => m.seal_full.inc(),
+                Seal::Idle => m.seal_idle.inc(),
+                Seal::Age => m.seal_age.inc(),
+            }
         }
-        match next_healthy(&shared.states, &mut next).and_then(|w| Some((w, worker_txs.get(w)?))) {
-            Some((w, tx)) => {
+        match pick_worker(&shared.states, &ports, next) {
+            Some((w, port, _)) => {
+                next = w.wrapping_add(1);
+                let sealed = Batch {
+                    requests: batch,
+                    in_flight: port.in_flight.begin(),
+                };
                 // audit: allow(block): bounded worker hand-off — two batches of headroom is the designed backpressure
-                if let Err(e) = tx.send(batch) {
-                    // Worker thread gone (can only happen on teardown).
-                    let mut failed = e.0;
+                if let Err(e) = port.tx.send(sealed) {
+                    // Worker thread gone (can only happen on teardown);
+                    // the returned batch drops its in-flight count here.
+                    let mut failed = e.0.requests;
                     shared.fail_batch(&mut failed, ServeError::WorkerFault { worker: w }, ring);
                     shared.release_shell(failed);
                 }
@@ -680,33 +749,49 @@ fn batcher_loop(rx: Receiver<Request>, worker_txs: Vec<Sender<Vec<Request>>>, sh
     }
 }
 
-fn next_healthy(states: &[WorkerStateCell], next: &mut usize) -> Option<usize> {
-    let n = states.len();
-    for _ in 0..n {
+/// The worker the next batch goes to and whether it is idle: scanning in
+/// rotation from `next`, the first healthy worker with nothing in flight,
+/// else the first healthy one (plain round-robin).
+fn pick_worker<'a>(
+    states: &[WorkerStateCell],
+    ports: &'a [WorkerPort],
+    next: usize,
+) -> Option<(usize, &'a WorkerPort, bool)> {
+    let n = ports.len();
+    let mut busy = None;
+    for i in 0..n {
         // `n > 0` whenever the loop body runs, so the rem cannot fail.
-        let w = next.checked_rem(n)?;
-        *next = w.wrapping_add(1);
-        if states
-            .get(w)
-            .is_some_and(|c| c.load() == WorkerState::Healthy)
-        {
-            return Some(w);
+        let w = next.wrapping_add(i).checked_rem(n)?;
+        let (state, port) = (states.get(w)?, ports.get(w)?);
+        // Count before state: the count's Acquire load is what makes the
+        // state byte of a worker seen idle current.
+        let idle = port.in_flight.count() == 0;
+        if state.load() == WorkerState::Healthy {
+            if idle {
+                return Some((w, port, true));
+            }
+            if busy.is_none() {
+                busy = Some((w, port, false));
+            }
         }
     }
-    None
+    busy
 }
 
 /// One worker: owns a replica, pulls batches, gates each on the integrity
-/// canary, infers, completes slots. Never exits before its queue closes —
-/// an unhealthy worker degrades to failing its traffic so the batcher can
-/// never block forever behind it. With a recovery policy configured, an
-/// off-rotation worker additionally runs repair attempts and probation
-/// canaries between (timed) queue polls, entirely off the serving path.
+/// canary, infers, completes slots. A batch stops counting as in flight
+/// once its results exist and before the first is delivered, so a client
+/// that resubmits the moment it is answered finds this worker idle. Never
+/// exits before its queue closes — an unhealthy worker degrades to failing
+/// its traffic so the batcher can never block forever behind it. With a
+/// recovery policy configured, an off-rotation worker additionally runs
+/// repair attempts and probation canaries between (timed) queue polls,
+/// entirely off the serving path.
 // bcp:hot-path — batch execution and completion
 fn worker_loop<R: Replica>(
     w: usize,
     mut replica: R,
-    rx: Receiver<Vec<Request>>,
+    rx: Receiver<Batch>,
     canary: Option<(Tensor, Vec<i64>)>,
     shared: Arc<Shared>,
 ) {
@@ -745,7 +830,11 @@ fn worker_loop<R: Replica>(
             },
         };
 
-        if let Some(mut batch) = received {
+        if let Some(Batch {
+            requests: mut batch,
+            in_flight,
+        }) = received
+        {
             if shared.tracer.is_some() {
                 for r in &mut batch {
                     stamp(&mut r.trace, &shared.tracer, TraceEvent::WorkerDispatch);
@@ -765,21 +854,28 @@ fn worker_loop<R: Replica>(
                 }
             }
 
-            if shared.state(w) == WorkerState::Healthy {
-                serve_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared);
-                if shared.state(w) == WorkerState::Healthy {
-                    if let Some(units) = shared.cfg.background_scrub {
-                        // audit: external — background scrubbing belongs to the guard layer and is audited there
-                        replica.scrub_tick(units);
-                    }
-                }
+            // A batch that expired whole in the hand-off queue costs no
+            // inference, not even the canary's.
+            let ring = shared.worker_ring(w);
+            shared.expire(&mut batch, ring);
+            // `None` fails what is left in the batch: nothing when it all
+            // expired, else a worker fault — just now, or earlier with
+            // this batch racing in after the worker left rotation.
+            let classes = if !batch.is_empty() && shared.state(w) == WorkerState::Healthy {
+                run_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared)
             } else {
-                // Out of rotation; drain any batch that raced in.
-                shared.fail_batch(
-                    &mut batch,
-                    ServeError::WorkerFault { worker: w },
-                    shared.worker_ring(w),
-                );
+                None
+            };
+            drop(in_flight);
+            match classes {
+                Some(classes) => deliver(w, &mut batch, classes, &shared),
+                None => shared.fail_batch(&mut batch, ServeError::WorkerFault { worker: w }, ring),
+            }
+            if shared.state(w) == WorkerState::Healthy {
+                if let Some(units) = shared.cfg.background_scrub {
+                    // audit: external — background scrubbing belongs to the guard layer and is audited there
+                    replica.scrub_tick(units);
+                }
             }
             shared.release_shell(batch);
         }
@@ -866,22 +962,28 @@ fn recovery_step<R: Replica>(
     }
 }
 
-/// Canary-gate and run one batch on a healthy worker, completing every
-/// slot. On a canary mismatch or a panic the worker leaves rotation
-/// (`Quarantined`) and the batch fails with `WorkerFault`.
+/// Canary-gate and run one non-empty batch on a healthy worker: one class
+/// per request. `None` is a worker fault — a canary mismatch, a panic, or
+/// a broken length contract — on which the worker leaves rotation
+/// (`Quarantined`) and the caller fails the batch with `WorkerFault`.
 ///
-/// `batch` is always drained before returning so the caller can recycle
-/// the shell; `frames` is the worker's long-lived scratch that each
-/// request's tensor is *moved* into (no per-batch copies).
-fn serve_batch<R: Replica>(
+/// `frames` is the worker's long-lived scratch that each request's tensor
+/// is *moved* into (no per-batch copies).
+fn run_batch<R: Replica>(
     w: usize,
     replica: &mut R,
-    batch: &mut Vec<Request>,
+    batch: &mut [Request],
     frames: &mut Vec<Tensor>,
     canary: &Option<(Tensor, Vec<i64>)>,
     shared: &Shared,
-) {
-    let ring = shared.worker_ring(w);
+) -> Option<Vec<MaskClass>> {
+    let fault = || {
+        shared.set_state(w, WorkerState::Quarantined);
+        if let Some(m) = shared.m() {
+            m.worker_fault.inc();
+        }
+        None
+    };
     // Integrity gate: a corrupted replica can never emit a wrong
     // classification, because every batch is preceded by a golden-output
     // check.
@@ -889,19 +991,10 @@ fn serve_batch<R: Replica>(
         // audit: external — the canary runs the replica's own inference, audited at the kernel roots
         let got = catch_unwind(AssertUnwindSafe(|| replica.canary(frame))).ok();
         if got.as_deref() != Some(expected.as_slice()) {
-            shared.set_state(w, WorkerState::Quarantined);
-            if let Some(m) = shared.m() {
-                m.worker_fault.inc();
-            }
-            shared.fail_batch(batch, ServeError::WorkerFault { worker: w }, ring);
-            return;
+            return fault();
         }
     }
 
-    shared.expire(batch, ring);
-    if batch.is_empty() {
-        return;
-    }
     frames.clear();
     // Frames are moved out of the requests (each leaves a rank-0
     // placeholder behind); the scratch's capacity is reused every batch.
@@ -925,50 +1018,48 @@ fn serve_batch<R: Replica>(
         }
     }
     match outcome {
-        Ok(classes) if classes.len() == batch.len() => {
-            let now = Instant::now();
-            for (mut req, class) in batch.drain(..).zip(classes) {
-                if req.deadline.is_some_and(|d| now >= d) {
-                    // Result exists but arrived too late to honor the
-                    // deadline contract: a success is only delivered
-                    // inside its deadline.
-                    shared.finish_trace(&mut req.trace, TraceOutcome::Expired, ring);
-                    if req.slot.complete(Err(ServeError::DeadlineExpired)) {
-                        if let Some(m) = shared.m() {
-                            m.expired.inc();
-                        }
-                    } else if let Some(m) = shared.m() {
-                        m.abandoned.inc();
-                    }
-                    shared.release_slot(req.slot);
-                    continue;
-                }
-                let latency = now.duration_since(req.enqueued);
-                let delivered = req.slot.complete(Ok(class));
-                shared.finish_trace(&mut req.trace, TraceOutcome::Ok, ring);
-                if delivered {
-                    if let Some(m) = shared.m() {
-                        m.ok.inc();
-                        m.latency.record_duration(latency);
-                    }
-                } else if let Some(m) = shared.m() {
-                    m.abandoned.inc();
-                }
-                shared.release_slot(req.slot);
-            }
-            if let Some(c) = shared.m().and_then(|m| m.worker_batches.get(w)) {
-                c.inc();
-            }
-        }
+        Ok(classes) if classes.len() == batch.len() => Some(classes),
         // Panicked mid-inference, or the replica broke its length
         // contract: treat both as a hard worker fault.
-        _ => {
-            shared.set_state(w, WorkerState::Quarantined);
-            if let Some(m) = shared.m() {
-                m.worker_fault.inc();
+        _ => fault(),
+    }
+}
+
+/// Complete every slot of a served batch with its class, draining `batch`
+/// so the caller can recycle the shell.
+fn deliver(w: usize, batch: &mut Vec<Request>, classes: Vec<MaskClass>, shared: &Shared) {
+    let ring = shared.worker_ring(w);
+    let now = Instant::now();
+    for (mut req, class) in batch.drain(..).zip(classes) {
+        if req.deadline.is_some_and(|d| now >= d) {
+            // Result exists but arrived too late to honor the deadline
+            // contract: a success is only delivered inside its deadline.
+            shared.finish_trace(&mut req.trace, TraceOutcome::Expired, ring);
+            if req.slot.complete(Err(ServeError::DeadlineExpired)) {
+                if let Some(m) = shared.m() {
+                    m.expired.inc();
+                }
+            } else if let Some(m) = shared.m() {
+                m.abandoned.inc();
             }
-            shared.fail_batch(batch, ServeError::WorkerFault { worker: w }, ring);
+            shared.release_slot(req.slot);
+            continue;
         }
+        let latency = now.duration_since(req.enqueued);
+        let delivered = req.slot.complete(Ok(class));
+        shared.finish_trace(&mut req.trace, TraceOutcome::Ok, ring);
+        if delivered {
+            if let Some(m) = shared.m() {
+                m.ok.inc();
+                m.latency.record_duration(latency);
+            }
+        } else if let Some(m) = shared.m() {
+            m.abandoned.inc();
+        }
+        shared.release_slot(req.slot);
+    }
+    if let Some(c) = shared.m().and_then(|m| m.worker_batches.get(w)) {
+        c.inc();
     }
 }
 
@@ -977,6 +1068,7 @@ mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
     use crate::replica::{canary_frame, SyntheticReplica};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn frames(n: usize) -> Vec<Tensor> {
@@ -1347,8 +1439,187 @@ mod tests {
         }
     }
 
+    /// A latch inside `infer_batch`: while closed, a worker that enters
+    /// announces itself and parks, so a test decides what "busy" means
+    /// instead of a clock.
+    #[derive(Default)]
+    struct Gate {
+        state: std::sync::Mutex<GateState>,
+        cv: std::sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        closed: bool,
+        entered: usize,
+    }
+
+    impl Gate {
+        fn closed() -> Arc<Gate> {
+            let g = Gate::default();
+            g.state.lock().unwrap().closed = true;
+            Arc::new(g)
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().closed = false;
+            self.cv.notify_all();
+        }
+
+        /// Worker side: count the entry, then park while closed — or for
+        /// ten seconds, so that a test whose assertion fails before it
+        /// opens the gate fails instead of hanging in the engine's drop.
+        fn pass(&self) {
+            let mut st = self.state.lock().unwrap();
+            st.entered += 1;
+            self.cv.notify_all();
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while st.closed && Instant::now() < give_up {
+                st = self.cv.wait_timeout(st, Duration::from_secs(1)).unwrap().0;
+            }
+        }
+
+        /// Test side: block until `n` batches have entered.
+        fn await_entered(&self, n: usize) {
+            let mut st = self.state.lock().unwrap();
+            while st.entered < n {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+    }
+
+    /// `SyntheticReplica` with a [`Gate`] in front of inference, call
+    /// counters, and one panic on demand.
+    struct Probe {
+        inner: SyntheticReplica,
+        gate: Arc<Gate>,
+        canaries: Arc<AtomicUsize>,
+        infers: Arc<AtomicUsize>,
+        panic_once: Arc<AtomicBool>,
+    }
+
+    impl Probe {
+        fn new(gate: &Arc<Gate>) -> Probe {
+            Probe {
+                inner: SyntheticReplica::repairable(),
+                gate: Arc::clone(gate),
+                canaries: Arc::default(),
+                infers: Arc::default(),
+                panic_once: Arc::default(),
+            }
+        }
+    }
+
+    // Relaxed throughout: the engine's own hand-offs (and the shutdown
+    // join) order every test-side read after the write it checks.
+    impl Replica for Probe {
+        fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
+            self.infers.fetch_add(1, Ordering::Relaxed);
+            self.gate.pass();
+            if self.panic_once.swap(false, Ordering::Relaxed) {
+                // Unwinds like a panic, without the hook's stderr noise.
+                std::panic::resume_unwind(Box::new("probe fault"));
+            }
+            self.inner.infer_batch(frames)
+        }
+
+        fn canary(&self, frame: &Tensor) -> Vec<i64> {
+            self.canaries.fetch_add(1, Ordering::Relaxed);
+            self.inner.canary(frame)
+        }
+
+        fn inject_faults(&mut self, n: usize, seed: u64) {
+            self.inner.inject_faults(n, seed)
+        }
+
+        fn repair(&mut self) -> bool {
+            self.inner.repair()
+        }
+    }
+
+    /// Long enough that a request left to the age rule visibly hangs the
+    /// test; nothing below may depend on it running out.
+    const NEVER: Duration = Duration::from_secs(30);
+
+    /// `(full, idle, age)` seal counts, after a shutdown has quiesced them.
+    fn seals(e: &Engine) -> (u64, u64, u64) {
+        let snap = e.registry().unwrap().snapshot();
+        let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (
+            c("serve.seal.full"),
+            c("serve.seal.idle"),
+            c("serve.seal.age"),
+        )
+    }
+
+    fn batches(e: &Engine) -> u64 {
+        let snap = e.registry().unwrap().snapshot();
+        snap.counters.get("serve.batches").copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn lone_request_on_an_idle_engine_seals_at_once() {
+        for workers in [1, 2] {
+            let e = engine(
+                workers,
+                ServeConfig {
+                    max_wait: NEVER,
+                    ..ServeConfig::default()
+                },
+            );
+            assert!(e.classify(&frames(1)[0]).is_ok());
+            e.shutdown();
+            assert_eq!(seals(&e), (0, 1, 0), "{workers} workers");
+        }
+    }
+
     #[test]
     fn zero_delay_batching_coalesces_under_pressure() {
+        // With the only worker held busy, exactly `max_batch` queued
+        // requests make one full batch however long `max_wait` is —
+        // `Duration::MAX`, which no clock can add, included.
+        for max_wait in [NEVER, Duration::MAX] {
+            let gate = Gate::closed();
+            let e = Engine::start(
+                vec![Probe::new(&gate)],
+                ServeConfig {
+                    max_batch: 4,
+                    max_wait,
+                    ..ServeConfig::default()
+                },
+                Some(Registry::new()),
+            );
+            let fs = frames(5);
+            let head = e.submit(&fs[0]).unwrap();
+            gate.await_entered(1);
+            // One at a time, each taken into the forming batch before the
+            // next is sent, so the batch has to *wait* between them.
+            let tickets: Vec<Ticket> = fs[1..]
+                .iter()
+                .map(|f| {
+                    let t = e.submit(f).unwrap();
+                    assert!(eventually(|| e.queue_depth() == 0));
+                    t
+                })
+                .collect();
+            assert!(
+                eventually(|| batches(&e) == 2),
+                "the four must seal while the worker is still held"
+            );
+            gate.open();
+            assert!(head.wait().is_ok());
+            for t in tickets {
+                assert!(t.wait().is_ok());
+            }
+            e.shutdown();
+            assert_eq!(seals(&e), (1, 1, 0), "max_wait {max_wait:?}");
+            let snap = e.registry().unwrap().snapshot();
+            assert_eq!(snap.histograms["serve.batch_size"].max, 4);
+        }
+
+        // Free-running: 32 requests in at most-4 batches are at least 8
+        // batches, the batcher never exceeds the configured cap, and every
+        // batch has exactly one seal reason.
         let e = engine(
             1,
             ServeConfig {
@@ -1363,9 +1634,142 @@ mod tests {
         }
         e.shutdown();
         let snap = e.registry().unwrap().snapshot();
-        // 32 requests in at most-4 batches: at least 8 batches, and the
-        // batcher must never exceed the configured cap.
         assert!(snap.counters["serve.batches"] >= 8);
         assert!(snap.histograms["serve.batch_size"].max <= 4);
+        let (full, idle, age) = seals(&e);
+        assert_eq!(full + idle + age, snap.counters["serve.batches"]);
+    }
+
+    #[test]
+    fn lone_requests_go_to_the_idle_worker_not_the_next_in_rotation() {
+        let held = Gate::closed();
+        let e = Engine::start(
+            vec![Probe::new(&held), Probe::new(&Arc::default())],
+            ServeConfig {
+                max_wait: NEVER,
+                ..ServeConfig::default()
+            },
+            Some(Registry::new()),
+        );
+        let fs = frames(6);
+        // Rotation starts at worker 0, which parks on its gate…
+        let stuck = e.submit(&fs[0]).unwrap();
+        held.await_entered(1);
+        // …so every later lone request must find worker 1, each time.
+        for f in &fs[1..] {
+            assert!(e.classify(f).is_ok());
+        }
+        held.open();
+        assert!(stuck.wait().is_ok());
+        e.shutdown();
+        let snap = e.registry().unwrap().snapshot();
+        assert_eq!(snap.counters["serve.worker.0.batches"], 1);
+        assert_eq!(snap.counters["serve.worker.1.batches"], 5);
+        assert_eq!(seals(&e), (0, 6, 0));
+    }
+
+    /// The in-flight count must come back to zero on every way a batch can
+    /// end, or the worker reads busy forever and lone requests silently
+    /// fall back to `max_wait` (here: hang).
+    fn accounting_cfg() -> ServeConfig {
+        ServeConfig {
+            max_batch: 2,
+            max_wait: NEVER,
+            ..recovery_cfg()
+        }
+    }
+
+    #[test]
+    fn in_flight_count_balances_after_canary_fault_and_reinstatement() {
+        let e = Engine::start(
+            vec![SyntheticReplica::repairable()],
+            accounting_cfg(),
+            Some(Registry::new()),
+        );
+        let f = frames(1).remove(0);
+        e.inject_faults(0, 1, 42);
+        assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
+        assert!(eventually(|| e.worker_state(0) == WorkerState::Healthy));
+        assert!(e.classify(&f).is_ok());
+        e.shutdown();
+        assert_eq!(seals(&e), (0, 2, 0));
+    }
+
+    #[test]
+    fn in_flight_count_balances_after_a_panicking_replica() {
+        let probe = Probe::new(&Arc::default());
+        probe.panic_once.store(true, Ordering::Relaxed);
+        let e = Engine::start(vec![probe], accounting_cfg(), Some(Registry::new()));
+        let f = frames(1).remove(0);
+        assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
+        assert!(eventually(|| e.worker_state(0) == WorkerState::Healthy));
+        assert!(e.classify(&f).is_ok());
+        e.shutdown();
+        assert_eq!(seals(&e), (0, 2, 0));
+    }
+
+    #[test]
+    fn in_flight_count_balances_after_an_off_rotation_drain() {
+        let gate = Gate::closed();
+        let probe = Probe::new(&gate);
+        probe.panic_once.store(true, Ordering::Relaxed);
+        let e = Engine::start(vec![probe], accounting_cfg(), Some(Registry::new()));
+        let fs = frames(3);
+        // The first batch parks in the replica and will fault on release;
+        // a full second batch queues behind it on the same worker…
+        let first = e.submit(&fs[0]).unwrap();
+        gate.await_entered(1);
+        let raced: Vec<Ticket> = fs[1..].iter().map(|f| e.submit(f).unwrap()).collect();
+        assert!(eventually(|| batches(&e) == 2));
+        gate.open();
+        // …and is drained by the worker once it is out of rotation.
+        let fault = Err(ServeError::WorkerFault { worker: 0 });
+        assert_eq!(first.wait(), fault);
+        for t in raced {
+            assert_eq!(t.wait(), fault);
+        }
+        assert!(eventually(|| e.worker_state(0) == WorkerState::Healthy));
+        assert!(e.classify(&fs[0]).is_ok());
+        e.shutdown();
+        assert_eq!(seals(&e), (1, 2, 0));
+    }
+
+    #[test]
+    fn batch_expired_in_the_hand_off_queue_costs_no_canary() {
+        let gate = Gate::closed();
+        let probe = Probe::new(&gate);
+        let (canaries, infers) = (Arc::clone(&probe.canaries), Arc::clone(&probe.infers));
+        let e = Engine::start(
+            vec![probe],
+            ServeConfig {
+                canary: Some(canary_frame(3, 8, 8)),
+                max_batch: 1,
+                ..ServeConfig::default()
+            },
+            Some(Registry::new()),
+        );
+        let fs = frames(3);
+        let head = e.submit(&fs[0]).unwrap();
+        gate.await_entered(1);
+        // Sealed and handed off in time, then left to expire in the
+        // worker's queue behind the held batch.
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let late = e.submit_with_deadline(&fs[1], Some(deadline)).unwrap();
+        assert!(eventually(|| batches(&e) == 2));
+        while Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        gate.open();
+        assert!(head.wait().is_ok());
+        assert_eq!(late.wait(), Err(ServeError::DeadlineExpired));
+        // A live batch is still gated exactly as before.
+        assert!(e.classify(&fs[2]).is_ok());
+        e.shutdown();
+        assert_eq!(
+            canaries.load(Ordering::Relaxed),
+            3,
+            "engine start, head, live — not late"
+        );
+        assert_eq!(infers.load(Ordering::Relaxed), 2);
     }
 }

@@ -24,7 +24,8 @@
 //! accumulates strikes and is retired — the old permanent-removal
 //! behavior, reached deliberately instead of by omission.
 
-use bcp_sync::atomic::{AtomicU8, Ordering};
+use bcp_sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use bcp_sync::Arc;
 use std::time::Duration;
 
 /// Where a worker sits in the health lifecycle. Stored as one atomic byte
@@ -71,7 +72,7 @@ impl std::fmt::Display for WorkerState {
 /// One worker's lifecycle state as a single atomic byte.
 ///
 /// **Single-writer**: only the owning worker thread transitions the
-/// cell; the batcher (`next_healthy`) and the public API merely observe
+/// cell; the batcher (`pick_worker`) and the public API merely observe
 /// it. The cell is built on [`bcp_sync`] atomics, so the model suite in
 /// `tests/model.rs` checks the dispatch invariant — no request is ever
 /// handed to a worker after it was observed `Quarantined`/`Retired` —
@@ -98,6 +99,68 @@ impl WorkerStateCell {
         // associated data; readers tolerate bounded staleness (a worker
         // leaving rotation is observed on the next dispatch decision).
         self.0.store(state as u8, Ordering::Relaxed);
+    }
+}
+
+/// Batches handed to one worker whose results do not exist yet: queued in
+/// its hand-off channel or being computed. Zero means the worker has
+/// nothing left to compute, which is what lets the batcher seal a partial
+/// batch at once instead of waiting out `max_wait` for company.
+///
+/// The batcher is the only incrementer ([`begin`](InFlightCell::begin),
+/// before the hand-off) and the only reader that acts on the value; the
+/// count comes back down when the [`InFlight`] guard riding with the batch
+/// drops, wherever that happens — computed (the worker lets it go before
+/// it delivers the results), failed at the canary gate, panicked, drained
+/// off-rotation, or left in a queue at teardown. The model suite in
+/// `tests/model.rs` checks that under every interleaving the count is
+/// never observed above the batches handed off (so never wrapped) and
+/// returns to zero.
+pub struct InFlightCell(AtomicUsize);
+
+impl InFlightCell {
+    /// Cell of an idle worker.
+    pub fn new() -> InFlightCell {
+        InFlightCell(AtomicUsize::new(0))
+    }
+
+    /// Count one batch about to be handed to this worker; it stays
+    /// counted until the returned guard drops.
+    pub fn begin(self: &Arc<Self>) -> InFlight {
+        // ordering: Relaxed — the batcher thread is the only incrementer
+        // and the only reader; the batch itself is published by the
+        // hand-off channel, not by this count.
+        self.0.fetch_add(1, Ordering::Relaxed);
+        InFlight(Arc::clone(self))
+    }
+
+    /// Batches currently counted against this worker.
+    pub fn count(&self) -> usize {
+        // ordering: Acquire — pairs with the Release decrement in
+        // `InFlight::drop`: a batcher that sees the worker idle also sees
+        // the state byte the worker left its last batch with, so a lone
+        // request is never sealed for a worker that has just quarantined
+        // itself.
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+impl Default for InFlightCell {
+    fn default() -> Self {
+        InFlightCell::new()
+    }
+}
+
+/// One counted batch (see [`InFlightCell::begin`]); dropping it is the
+/// only way the count comes back down.
+pub struct InFlight(Arc<InFlightCell>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        // ordering: Release — publishes everything the worker did while
+        // it held the batch (above all a `Quarantined` store) to the
+        // batcher's Acquire load in `InFlightCell::count`.
+        self.0 .0.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -142,6 +205,17 @@ mod tests {
         ] {
             assert_eq!(WorkerState::from_u8(s as u8), s);
         }
+    }
+
+    #[test]
+    fn in_flight_guards_balance_the_count() {
+        let cell = Arc::new(InFlightCell::new());
+        let (a, b) = (cell.begin(), cell.begin());
+        assert_eq!(cell.count(), 2);
+        drop(a);
+        assert_eq!(cell.count(), 1);
+        drop(b);
+        assert_eq!(cell.count(), 0);
     }
 
     #[test]

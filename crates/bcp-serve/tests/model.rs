@@ -1,5 +1,5 @@
-//! Model-checked interleaving suites for the oneshot `Slot` and the
-//! `WorkerState` dispatch invariant.
+//! Model-checked interleaving suites for the oneshot `Slot`, the
+//! `WorkerState` dispatch invariant and the per-worker in-flight count.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg bcp_model"`; under a normal
 //! `cargo test` this file is empty. Run with:
@@ -10,10 +10,11 @@
 #![cfg(bcp_model)]
 
 use bcp_serve::oneshot::{Expired, Slot};
-use bcp_serve::{WorkerState, WorkerStateCell};
+use bcp_serve::{InFlight, InFlightCell, WorkerState, WorkerStateCell};
+use bcp_sync::cell::UnsafeCell;
 use bcp_sync::model::Builder;
 use bcp_sync::time::{Duration, Instant};
-use bcp_sync::{thread, Arc};
+use bcp_sync::{thread, Arc, Condvar, Mutex};
 
 fn builder(name: &str) -> Builder {
     Builder {
@@ -226,6 +227,67 @@ fn probation_cycle_never_dispatches_mid_recovery() {
         // in this forward-only lifecycle.
         assert!(!(d1 && !d2), "dispatch legality may not regress");
         assert_eq!(cell.load(), WorkerState::Healthy);
+    });
+    assert!(
+        stats.complete || stats.schedules >= 10_000,
+        "expected exhaustive or >=10k schedules, got {} (complete: {})",
+        stats.schedules,
+        stats.complete
+    );
+}
+
+/// The in-flight count the work-conserving seal rule reads: the batcher
+/// counts a batch *before* handing it off, the worker's guard un-counts it
+/// on drop, and the two race freely. Under every schedule the batcher
+/// never observes more batches than it has handed off (a decrement
+/// overtaking its increment would read as a wrapped, enormous count and
+/// pin the worker busy forever) and the count is back at zero once the
+/// guard is gone. A worker seen idle again is also seen with everything it
+/// did while busy — modelled by a plain cell next to the `Quarantined`
+/// store, so that weakening the Release/Acquire pair is a reported race.
+#[test]
+fn in_flight_count_never_wraps_and_returns_to_zero() {
+    let stats = builder("in-flight-count").check(|| {
+        let cell = Arc::new(InFlightCell::new());
+        let state = Arc::new(WorkerStateCell::new(WorkerState::Healthy));
+        let left_behind = Arc::new(UnsafeCell::new(0u32));
+        let queue = Arc::new((Mutex::new(None::<InFlight>), Condvar::new()));
+        // Worker: takes the batch, faults on it, lets it go.
+        let worker = {
+            let (q, st, lb) = (
+                Arc::clone(&queue),
+                Arc::clone(&state),
+                Arc::clone(&left_behind),
+            );
+            thread::spawn(move || {
+                let mut slot = q.0.lock();
+                while slot.is_none() {
+                    slot = q.1.wait(slot);
+                }
+                let in_flight = slot.take();
+                drop(slot);
+                st.store(WorkerState::Quarantined);
+                lb.with_mut(|p| unsafe { *p = 1 });
+                drop(in_flight);
+            })
+        };
+        // Batcher: one hand-off, then two looks at the count the way
+        // `pick_worker` takes them for the batches that follow.
+        assert_eq!(cell.count(), 0);
+        let in_flight = cell.begin();
+        *queue.0.lock() = Some(in_flight);
+        queue.1.notify_one();
+        for _ in 0..2 {
+            let seen = cell.count();
+            assert!(seen <= 1, "{seen} in flight of 1 handed off");
+            if seen == 0 {
+                // Idle again: what the worker did with the batch is visible.
+                assert_eq!(state.load(), WorkerState::Quarantined);
+                left_behind.with(|p| assert_eq!(unsafe { *p }, 1));
+            }
+        }
+        worker.join().unwrap();
+        assert_eq!(cell.count(), 0, "guard dropped, nothing in flight");
     });
     assert!(
         stats.complete || stats.schedules >= 10_000,

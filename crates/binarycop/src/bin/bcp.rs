@@ -1380,6 +1380,11 @@ fn main() {
                  [--deadline-ms N] [--dump-metrics]"
             );
             eprintln!(
+                "      --max-wait-us: how long a partial batch may wait for company while every \
+                 worker is busy; a batch seals at once when full (--max-batch), or when the queue \
+                 is drained and a worker is idle"
+            );
+            eprintln!(
                 "  bcp gateway  [--arch tiny|…] [--shards 3] [--workers 1] [--addr 127.0.0.1:0] \
                  [--deadline-ms 2000] [--read-timeout-ms 100] [--probe-interval-ms 50] \
                  [--tenant-rate N] [--tenant-burst N] [--tenant-quota N] [--duration-s 0]"
@@ -1393,6 +1398,9 @@ fn main() {
                 "  bcp profile  [--arch tiny|cnv|ncnv|ucnv] [--workers 2] [--clients 8] \
                  [--requests 40] [--frames 32] [--sample-rate 1] [--max-batch 8] \
                  [--max-wait-us 500] [--out profile-out]"
+            );
+            eprintln!(
+                "      --max-wait-us: as for serve-bench (the bound under load, not a fixed wait)"
             );
             eprintln!(
                 "  bcp scrub-bench [--arch tiny|cnv|ncnv|ucnv] [--faults 64] [--seed 7] \

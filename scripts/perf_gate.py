@@ -4,8 +4,8 @@
     python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
     python3 scripts/perf_gate.py benchmark/out/gate.json
 
-Two bounds on per-layer metrics of the file's traced runs; both sides of each
-are timed in alternating slices of one run, so host drift cancels:
+Three bounds on per-layer metrics of the file's traced runs; both sides of the
+first two are timed in alternating slices of one run, so host drift cancels:
 
 1. `serve.overhead_over_direct_pct` on `engine_tiny` (1-worker engine against
    `classify_block` on the same blocks) <= the canary's 1/max_batch, one extra
@@ -14,8 +14,11 @@ are timed in alternating slices of one run, so host drift cancels:
 2. The median `serve.trace_overhead_pct` over every traced run <= 3. It is
    taken at sample_rate 1, 64x the production rate, so it bounds the
    production cost from above.
+3. `serve.batch_wait_ms_p50` on `gateway_tiny` <= 0.1 ms: its requests are
+   lone, so with a worker idle the batcher seals them at once (microseconds).
+   A return of the idle wait reads as `max_wait`, 0.5 ms and more.
 
-Prints both verdicts; exits non-zero when either bound is exceeded.
+Prints the verdicts; exits non-zero when any bound is exceeded.
 """
 import json
 import statistics
@@ -24,6 +27,7 @@ import sys
 MAX_BATCH = 8  # ServeConfig::default().max_batch
 ENGINE_BOUND_PCT = 100.0 * (1.0 / MAX_BATCH + 0.25)
 TRACE_BOUND_PCT = 3.0
+LONE_WAIT_BOUND_MS = 0.1
 
 
 def main():
@@ -31,18 +35,22 @@ def main():
         sys.exit(__doc__)
     workloads = json.load(open(sys.argv[1]))["workloads"]
     traced = {name: w["traced"] for name, w in workloads.items()}
-    if not traced.get("engine_tiny"):
-        sys.exit("perf gate: no traced engine_tiny run in the file (suite.py --traced 1)")
+    for name in ("engine_tiny", "gateway_tiny"):
+        if not traced.get(name):
+            sys.exit(f"perf gate: no traced {name} run in the file (suite.py --traced 1)")
     values = lambda runs, metric: [r["metrics"][metric]["value"] for r in runs]
     engine = values(traced["engine_tiny"], "serve.overhead_over_direct_pct")
     trace = [v for runs in traced.values() for v in values(runs, "serve.trace_overhead_pct")]
-    checks = [("engine over direct classify_block, engine_tiny", engine, ENGINE_BOUND_PCT),
-              ("tracing at sample_rate 1, all workloads", trace, TRACE_BOUND_PCT)]
-    verdicts = [(name, statistics.median(got), len(got), bound) for name, got, bound in checks]
-    for name, med, n, bound in verdicts:
-        print(f"[{'ok' if med <= bound else 'FAIL'}] {name}: {med:+.2f} % "
-              f"(median of {n}; bound <= {bound} %)")
-    failed = [name for name, med, _, bound in verdicts if med > bound]
+    lone = values(traced["gateway_tiny"], "serve.batch_wait_ms_p50")
+    checks = [("engine over direct classify_block, engine_tiny", engine, ENGINE_BOUND_PCT, "%"),
+              ("tracing at sample_rate 1, all workloads", trace, TRACE_BOUND_PCT, "%"),
+              ("batcher wait of a lone request, gateway_tiny", lone, LONE_WAIT_BOUND_MS, "ms")]
+    verdicts = [(name, statistics.median(got), len(got), bound, unit)
+                for name, got, bound, unit in checks]
+    for name, med, n, bound, unit in verdicts:
+        print(f"[{'ok' if med <= bound else 'FAIL'}] {name}: {med:+.4g} {unit} "
+              f"(median of {n}; bound <= {bound} {unit})")
+    failed = [name for name, med, _, bound, _ in verdicts if med > bound]
     sys.exit(f"perf gate failed: {', '.join(failed)}" if failed else 0)
 
 

@@ -33,7 +33,7 @@ bcp lint --root . --json
 bcp audit --root . --json
 
 # The perf gate reads the benchmark's own paired per-layer metrics: one
-# traced run of each workload (4 x 20 s), then the two bounds.
+# traced run of each workload (4 x 20 s), then the three bounds.
 python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
 python3 scripts/perf_gate.py benchmark/out/gate.json
 
