@@ -115,7 +115,7 @@ pub(crate) struct FnDef {
 }
 
 impl FnDef {
-    /// Qualified display name: `Engine::submit` or `batcher_loop`.
+    /// Qualified display name: `Engine::submit` or `worker_loop`.
     pub(crate) fn qual(&self) -> String {
         match &self.impl_ty {
             Some(t) => format!("{t}::{}", self.name),
@@ -716,11 +716,11 @@ mod tests {
         let g = graph(
             "struct Engine;\n\
              impl Engine {\n    pub fn submit(&self) {}\n    fn helper() {}\n}\n\
-             fn batcher_loop() {}\n",
+             fn worker_loop() {}\n",
         );
         assert!(find(&g, "Engine::submit").has_self);
         assert!(!find(&g, "Engine::helper").has_self);
-        assert!(find(&g, "batcher_loop").impl_ty.is_none());
+        assert!(find(&g, "worker_loop").impl_ty.is_none());
     }
 
     #[test]

@@ -28,39 +28,29 @@ pub struct ServeConfig {
     /// Admission (request) queue capacity. Bounds memory and queueing
     /// delay; the backpressure `policy` decides what happens beyond it.
     pub queue_cap: usize,
-    /// Seal a micro-batch as soon as it reaches this many requests
-    /// (counted as `serve.seal.full`).
+    /// The most requests a worker takes off the admission queue for one
+    /// batch. A pull that reaches it counts as `serve.seal.full`, one that
+    /// took everything that was queued as `serve.seal.idle`.
     pub max_batch: usize,
-    /// How long a partial micro-batch may wait for company *while every
-    /// healthy worker is busy*, measured from its first request
-    /// (`serve.seal.age`). It is the bound under load, not a fixed tax: a
-    /// partial batch is sealed at once whenever the admission queue is
-    /// drained and a healthy worker has nothing in flight
-    /// (`serve.seal.idle`), so a lone request on an idle engine never
-    /// waits at all. The batcher looks for an idle worker each time it is
-    /// about to wait, so a worker that frees up mid-wait is noticed at the
-    /// next arrival or when this bound runs out. A value too large to add
-    /// to the clock (`Duration::MAX`) means no age limit: coalesce for as
-    /// long as the workers stay busy.
-    pub max_wait: Duration,
     /// Overload behavior of the admission queue.
     pub policy: BackpressurePolicy,
     /// Per-request deadline measured from `submit`. A request past its
-    /// deadline is dropped wherever it is (queue, batcher, worker) and
-    /// completed with [`ServeError::DeadlineExpired`]; a successful
-    /// response is only ever delivered inside the deadline.
+    /// deadline is dropped where that is found out — at the pull, before
+    /// the canary, or at delivery — and completed with
+    /// [`ServeError::DeadlineExpired`]; a successful response is only ever
+    /// delivered inside the deadline.
     pub deadline: Option<Duration>,
     /// Integrity canary: a frame whose golden output is captured from the
     /// replicas at startup. Workers re-run it before every batch; a
     /// mismatch (e.g. an SEU-style stuck-at fault in that worker's weight
     /// memory) marks the worker unhealthy, fails only its current batch,
-    /// and removes it from dispatch — healthy workers keep serving.
+    /// and takes it out of rotation — healthy workers keep serving.
     pub canary: Option<Tensor>,
     /// Self-healing: when set, a canary-failed worker is quarantined
     /// instead of permanently removed — its thread attempts
     /// [`Replica::repair`](crate::Replica::repair) off the hot path, then
     /// must pass `probation_passes` consecutive canaries to rejoin
-    /// dispatch (see [`RecoveryPolicy`]). `None` keeps the original
+    /// rotation (see [`RecoveryPolicy`]). `None` keeps the original
     /// one-way removal.
     pub recovery: Option<RecoveryPolicy>,
     /// Background scrubbing: when set, each worker calls
@@ -80,7 +70,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_cap: 64,
             max_batch: 8,
-            max_wait: Duration::from_micros(500),
             policy: BackpressurePolicy::Block,
             deadline: None,
             canary: None,
@@ -107,7 +96,7 @@ pub enum ServeError {
         /// Index of the faulty worker.
         worker: usize,
     },
-    /// Every worker is unhealthy; the batch could not be dispatched.
+    /// Every worker is unhealthy; nobody is left to pull the request.
     NoHealthyWorkers,
     /// The engine is shutting down and no longer accepts requests.
     ShuttingDown,
@@ -140,7 +129,6 @@ mod tests {
         assert!(c.queue_cap >= c.max_batch);
         assert_eq!(c.policy, BackpressurePolicy::Block);
         assert!(c.deadline.is_none() && c.canary.is_none());
-        assert!(c.max_wait > Duration::ZERO);
     }
 
     #[test]

@@ -1,26 +1,30 @@
 //! The concurrent micro-batching inference engine.
 //!
 //! ```text
-//!            submit()                dispatch (an idle healthy worker
-//!  clients ──────────► bounded MPMC ──────────► first, else round-robin)
-//!            policy:    admission     batcher    ┌─ worker 0 ── replica 0
-//!            Block /    queue         seals on   ├─ worker 1 ── replica 1
-//!            Reject /   (queue_cap)   full·idle  └─ worker N ── replica N
-//!            ShedOldest               ·age       │
-//!                                                ▼
-//!                                             per-request oneshot slots
+//!            submit()                 each healthy worker pulls its own batch
+//!  clients ──────────► bounded MPMC ──┬─► worker 0 ── replica 0
+//!            policy:    admission     ├─► worker 1 ── replica 1
+//!            Block /    queue         └─► worker N ── replica N
+//!            Reject /   (queue_cap)         │
+//!            ShedOldest                     ▼
+//!                                    per-request oneshot slots
 //! ```
 //!
-//! **The seal rule.** A forming batch is sealed by the first of three
-//! events: it is *full* (`max_batch` requests); the admission queue is
-//! drained while a healthy worker is *idle* — nothing queued for it,
-//! nothing being computed — so holding the batch back could only add
-//! latency; or, with every healthy worker busy, its *age* reaches
-//! `max_wait`. The batcher checks for an idle worker each time it is
-//! about to wait (when a batch opens and after every arrival), so a worker
-//! that frees up while the batcher is parked is noticed at the next
-//! arrival or at `max_wait`, which therefore stays the bound under load.
-//! `serve.seal.{full,idle,age}` count the reasons.
+//! **The pull.** There is one queue and one thread role. A healthy worker
+//! blocks on the admission queue, takes the first request, takes what else
+//! is already queued up to `max_batch` without waiting, and runs that as
+//! its batch. A free worker therefore never waits for company, and while
+//! every worker is busy requests coalesce in the queue by themselves — no
+//! dispatch decision, no timer. `serve.seal.full` counts batches that
+//! reached `max_batch`, `serve.seal.idle` those that took everything that
+//! was queued; they sum to `serve.batches`.
+//!
+//! **Nobody left to pull.** A worker that is not `Healthy` does not pull,
+//! so with every worker off rotation the queue would hold its requests
+//! forever. One rule covers it: *whoever observes zero healthy workers
+//! drains the admission queue with [`ServeError::NoHealthyWorkers`]* — a
+//! worker right after it left rotation, and every submitter right after
+//! its enqueue ([`WorkerStateCell`] says why that pair cannot both miss).
 //!
 //! Invariants the stress suite pins:
 //!
@@ -34,22 +38,22 @@
 //!   beyond it the configured [`BackpressurePolicy`] decides, and no
 //!   policy can deadlock the engine.
 //! * **Fault isolation**: a replica that fails its integrity canary (or
-//!   panics) fails only its current batch, leaves dispatch, and keeps
-//!   draining its queue so the batcher can never wedge behind it. With a
+//!   panics) fails only its current batch and stops pulling, so it holds
+//!   nothing anyone could wedge behind. With a
 //!   [`RecoveryPolicy`](crate::RecoveryPolicy) configured, the worker then
 //!   runs the self-healing lifecycle off the hot path — `Quarantined` →
 //!   repair → `Probation` → K consecutive canary passes → `Healthy` —
-//!   instead of staying out forever (see [`crate::recovery`]).
+//!   instead of ending its thread (see [`crate::recovery`]).
 
 use crate::config::{BackpressurePolicy, ServeConfig, ServeError};
 use crate::oneshot::{Expired, Slot};
-use crate::recovery::{InFlight, InFlightCell, WorkerState, WorkerStateCell};
+use crate::recovery::{RecoveryPolicy, WorkerState, WorkerStateCell};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
 use bcp_telemetry::{Counter, Gauge, Histogram, Registry};
 use bcp_tensor::Tensor;
 use bcp_trace::{stamp, ActiveTrace, TraceEvent, TraceOutcome, Tracer};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use crossbeam::queue::ArrayQueue;
 use parking_lot::{Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,28 +75,6 @@ struct Request {
     trace: Option<Box<ActiveTrace>>,
 }
 
-/// A sealed batch on its way to a worker, with the in-flight count it
-/// holds against that worker.
-struct Batch {
-    requests: Vec<Request>,
-    in_flight: InFlight,
-}
-
-/// The batcher's end of one worker: its hand-off queue, and how many
-/// batches that queue and the worker still hold.
-struct WorkerPort {
-    tx: Sender<Batch>,
-    in_flight: Arc<InFlightCell>,
-}
-
-/// Why the batcher sealed a batch (see the module docs).
-#[derive(Clone, Copy)]
-enum Seal {
-    Full,
-    Idle,
-    Age,
-}
-
 /// Pre-resolved telemetry handles so the hot path never does a name
 /// lookup. All under the `serve.` namespace.
 struct Metrics {
@@ -107,7 +89,6 @@ struct Metrics {
     batches: Counter,
     seal_full: Counter,
     seal_idle: Counter,
-    seal_age: Counter,
     worker_fault: Counter,
     queue_depth: Gauge,
     batch_size: Histogram,
@@ -134,7 +115,6 @@ impl Metrics {
             batches: r.counter("serve.batches"),
             seal_full: r.counter("serve.seal.full"),
             seal_idle: r.counter("serve.seal.idle"),
-            seal_age: r.counter("serve.seal.age"),
             worker_fault: r.counter("serve.worker_fault"),
             queue_depth: r.gauge("serve.queue_depth"),
             batch_size: r.histogram("serve.batch_size"),
@@ -158,10 +138,13 @@ struct Shared {
     metrics: Option<Metrics>,
     /// `None` once shutdown began; closing it is what drains the engine.
     submit_tx: RwLock<Option<Sender<Request>>>,
-    /// Receiver clone used by `ShedOldest` to evict the oldest request.
-    shed_rx: Receiver<Request>,
-    /// Per-worker [`WorkerState`] bytes. Written only by the owning worker
-    /// thread (single writer), read by the batcher and the public API.
+    /// The admission queue's receiving end: healthy workers pull their
+    /// batches from it, `ShedOldest` evicts its head, and whoever finds no
+    /// healthy worker drains it.
+    queue: Receiver<Request>,
+    /// Per-worker [`WorkerState`] bytes, each written only by its worker
+    /// thread — the one reader that pulls on it. Everyone else reads them
+    /// to find out whether anybody pulls at all.
     states: Vec<WorkerStateCell>,
     /// Pending chaos fault plans per worker, applied between batches.
     fault_mailboxes: Vec<Mutex<Vec<(usize, u64)>>>,
@@ -171,9 +154,6 @@ struct Shared {
     /// only once `Arc::strong_count == 1` (see [`Shared::release_slot`]),
     /// so at steady state `submit` stops minting slot allocations.
     slot_pool: ArrayQueue<Arc<Slot<Completion>>>,
-    /// Drained batch `Vec`s with their capacity intact, recycled between
-    /// the batcher and the workers so sealing a batch stops allocating.
-    shell_pool: ArrayQueue<Vec<Request>>,
 }
 
 impl Shared {
@@ -213,21 +193,38 @@ impl Shared {
         }
     }
 
-    /// Complete every request in `batch` with `err` (counted as failed),
-    /// draining the shell in place so the caller can recycle it. `ring` is
-    /// the calling thread's trace ring.
-    fn fail_batch(&self, batch: &mut Vec<Request>, err: ServeError, ring: usize) {
-        for mut req in batch.drain(..) {
-            self.finish_trace(&mut req.trace, TraceOutcome::Failed, ring);
-            if req.slot.complete(Err(err)) {
-                if let Some(m) = self.m() {
-                    m.failed.inc();
-                }
-            } else if let Some(m) = self.m() {
-                m.abandoned.inc();
+    /// Complete `req` with `err` (counted as failed). `ring` is the
+    /// calling thread's trace ring.
+    fn fail(&self, mut req: Request, err: ServeError, ring: usize) {
+        self.finish_trace(&mut req.trace, TraceOutcome::Failed, ring);
+        if req.slot.complete(Err(err)) {
+            if let Some(m) = self.m() {
+                m.failed.inc();
             }
-            self.release_slot(req.slot);
+        } else if let Some(m) = self.m() {
+            m.abandoned.inc();
         }
+        self.release_slot(req.slot);
+    }
+
+    /// The rule of the module docs: while no worker is healthy, answer
+    /// what is queued with `NoHealthyWorkers`. Called by a worker that has
+    /// just left rotation and by every submitter after its enqueue; the
+    /// states are re-read per request so a worker rejoining mid-drain gets
+    /// the rest.
+    fn fail_unserved(&self, ring: usize) {
+        while WorkerStateCell::none_healthy(&self.states) {
+            let Ok(req) = self.queue.try_recv() else {
+                break;
+            };
+            self.fail(req, ServeError::NoHealthyWorkers, ring);
+        }
+    }
+
+    /// Whether admission has been closed (a drain or shutdown has begun).
+    fn is_draining(&self) -> bool {
+        // audit: allow(block): shutdown-gate RwLock; read-acquired off the serving path, contended only at teardown
+        self.submit_tx.read().is_none()
     }
 
     /// Drop requests whose deadline already passed, completing each with
@@ -249,11 +246,6 @@ impl Shared {
                 true
             }
         });
-    }
-
-    /// The batcher thread's trace ring (0 when tracing is off).
-    fn batcher_ring(&self) -> usize {
-        self.tracer.as_ref().map_or(0, |t| t.batcher_ring())
     }
 
     /// Worker thread `w`'s trace ring (0 when tracing is off).
@@ -287,23 +279,6 @@ impl Shared {
             // audit: allow(alloc): lock-free store into the preallocated pool ring — no heap traffic
             let _ = self.slot_pool.push(slot);
         }
-    }
-
-    /// Pop a recycled batch shell (empty, capacity retained), or mint one
-    /// sized for a full batch on a pool miss.
-    fn acquire_shell(&self) -> Vec<Request> {
-        self.shell_pool.pop().unwrap_or_else(|| {
-            // audit: allow(alloc): pool miss — shells are minted once per unit of pipeline depth, then recycled forever
-            Vec::with_capacity(self.cfg.max_batch)
-        })
-    }
-
-    /// Return a drained batch shell to the pool, keeping its capacity for
-    /// the next batch. A full pool lets the shell drop instead.
-    fn release_shell(&self, mut shell: Vec<Request>) {
-        shell.clear();
-        // audit: allow(alloc): lock-free store into the preallocated pool ring — no heap traffic
-        let _ = self.shell_pool.push(shell);
     }
 }
 
@@ -355,7 +330,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawn the batcher and one worker thread per replica. All replicas
+    /// Spawn one worker thread per replica. All replicas
     /// must be functionally identical copies of the same model; when a
     /// canary is configured this is verified up front against replica 0's
     /// golden output.
@@ -381,60 +356,41 @@ impl Engine {
             (frame, expected)
         });
 
-        let (submit_tx, request_rx) = bounded::<Request>(cfg.queue_cap);
-        let shed_rx = request_rx.clone();
+        let (submit_tx, queue) = bounded::<Request>(cfg.queue_cap);
         let metrics = registry.as_ref().map(|r| Metrics::new(r, workers));
         let tracer = cfg
             .trace
             .clone()
             .map(|tc| Tracer::new(tc, workers, registry.as_ref()));
-        // Pool capacities cover the worst-case number of live objects:
-        // queued + in-flight + just-resolved slots stay under 2×queue_cap,
-        // and shells under one forming + two queued per worker.
+        // Pool capacity covers the worst-case number of live slots:
+        // queued + in-flight + just-resolved stay under 2×queue_cap.
         let slot_pool = ArrayQueue::new(cfg.queue_cap.saturating_mul(2).max(1));
-        let shell_pool = ArrayQueue::new(workers.saturating_mul(2).saturating_add(1));
         let shared = Arc::new(Shared {
             cfg,
             registry,
             metrics,
             submit_tx: RwLock::new(Some(submit_tx)),
-            shed_rx,
+            queue,
             states: (0..workers)
                 .map(|_| WorkerStateCell::new(WorkerState::Healthy))
                 .collect(),
             fault_mailboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             tracer,
             slot_pool,
-            shell_pool,
         });
 
-        let mut handles = Vec::with_capacity(workers.saturating_add(1));
-        let mut ports = Vec::with_capacity(workers);
-        for (w, replica) in replicas.into_iter().enumerate() {
-            // Two batches of headroom per worker: one in flight, one ready.
-            let (tx, brx) = bounded::<Batch>(2);
-            ports.push(WorkerPort {
-                tx,
-                in_flight: Arc::new(InFlightCell::new()),
-            });
-            let shared = shared.clone();
-            let canary = canary.clone();
-            handles.push(
+        let handles = replicas
+            .into_iter()
+            .enumerate()
+            .map(|(w, replica)| {
+                let shared = shared.clone();
+                let canary = canary.clone();
                 std::thread::Builder::new()
                     .name(format!("bcp-serve-worker-{w}"))
-                    .spawn(move || worker_loop(w, replica, brx, canary, shared))
-                    .expect("spawn worker thread"),
-            );
-        }
-        {
-            let shared = shared.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("bcp-serve-batcher".into())
-                    .spawn(move || batcher_loop(request_rx, ports, shared))
-                    .expect("spawn batcher thread"),
-            );
-        }
+                    .spawn(move || worker_loop(w, replica, canary, shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
         Engine {
             shared,
             handles: Mutex::new(handles),
@@ -524,9 +480,9 @@ impl Engine {
                     Err(TrySendError::Full(r)) => {
                         req = r;
                         // Evict the head of the queue — the stalest
-                        // request — and keep trying. If the batcher beat
-                        // us to it, the queue has room now anyway.
-                        if let Ok(mut victim) = self.shared.shed_rx.try_recv() {
+                        // request — and keep trying. If a worker beat us
+                        // to it, the queue has room now anyway.
+                        if let Ok(mut victim) = self.shared.queue.try_recv() {
                             self.shared.finish_trace(
                                 &mut victim.trace,
                                 TraceOutcome::Shed,
@@ -546,8 +502,10 @@ impl Engine {
                 }
             },
         }
+        // Enqueue first, look second: see `WorkerStateCell`.
+        self.shared.fail_unserved(self.shared.client_ring());
         if let Some(m) = self.shared.m() {
-            m.queue_depth.set(self.shared.shed_rx.len() as f64);
+            m.queue_depth.set(self.shared.queue.len() as f64);
         }
         Ok(Ticket {
             slot,
@@ -574,7 +532,7 @@ impl Engine {
         self.shared.states.len()
     }
 
-    /// Workers still in dispatch rotation.
+    /// Workers in rotation, i.e. pulling from the admission queue.
     pub fn healthy_workers(&self) -> usize {
         self.worker_states()
             .into_iter()
@@ -596,7 +554,7 @@ impl Engine {
 
     /// Requests currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
-        self.shared.shed_rx.len()
+        self.shared.queue.len()
     }
 
     /// The registry handed to [`Engine::start`], if any.
@@ -626,15 +584,15 @@ impl Engine {
     /// Whether the engine has stopped accepting new requests (a drain or
     /// shutdown has begun).
     pub fn is_draining(&self) -> bool {
-        self.shared.submit_tx.read().is_none()
+        self.shared.is_draining()
     }
 
     /// Graceful shutdown: stop accepting, drain every queued request
     /// through the pipeline, join all threads. Idempotent.
     pub fn shutdown(&self) {
-        // Dropping the only Sender closes the admission queue; the batcher
-        // drains it, then closes the worker queues, and the workers drain
-        // those. Nothing in flight is lost.
+        // Dropping the only Sender closes the admission queue; the healthy
+        // workers pull it empty and then leave, an off-rotation worker
+        // leaves at its next wake-up. Nothing in flight is lost.
         drop(self.shared.submit_tx.write().take());
         let handles = std::mem::take(&mut *self.handles.lock());
         for h in handles {
@@ -649,247 +607,123 @@ impl Drop for Engine {
     }
 }
 
-/// Coalesce queued requests into micro-batches, seal each on the first of
-/// full · idle · age (module docs), and hand it to an idle healthy worker
-/// if there is one, else to the next healthy one in rotation. Batches are
-/// built inside recycled shells from the [`Shared::shell_pool`], so
-/// steady-state sealing does not allocate.
-// bcp:hot-path — batch formation and dispatch
-fn batcher_loop(rx: Receiver<Request>, ports: Vec<WorkerPort>, shared: Arc<Shared>) {
-    let mut next = 0usize;
-    let mut closed = false;
-    let ring = shared.batcher_ring();
-    while !closed {
-        // A batch opens when its first request arrives…
-        // audit: allow(block): idle park awaiting the first request of a batch — the batcher's contract
-        let mut first = match rx.recv() {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        stamp(
-            &mut first.trace,
-            &shared.tracer,
-            TraceEvent::AdmissionDequeue,
-        );
-        let mut batch = shared.acquire_shell();
-        // audit: allow(alloc): append into a recycled shell whose capacity is retained across batches
-        batch.push(first);
-        // …and seals on the first of full, idle or age.
-        let opened = Instant::now();
-        let seal = loop {
-            if batch.len() >= shared.cfg.max_batch {
-                break Seal::Full;
-            }
-            // With a worker free only what is already queued may join;
-            // with all of them busy, waiting for company costs nothing.
-            let idle = pick_worker(&shared.states, &ports, next).is_some_and(|(.., idle)| idle);
-            let arrival = if idle {
-                let got = rx.try_recv();
-                got.map_err(|e| (Seal::Idle, e == TryRecvError::Disconnected))
-            } else {
-                // What is left of `max_wait`; one too long for the clock
-                // to add (`Duration::MAX`) is no age limit, not a zero one.
-                let left = shared.cfg.max_wait.saturating_sub(opened.elapsed());
-                // audit: allow(block): age-bounded coalescing wait implementing cfg.max_wait
-                let got = rx.recv_timeout(left);
-                got.map_err(|e| (Seal::Age, e == RecvTimeoutError::Disconnected))
-            };
-            match arrival {
-                Ok(mut r) => {
-                    stamp(&mut r.trace, &shared.tracer, TraceEvent::AdmissionDequeue);
-                    // audit: allow(alloc): append into a recycled shell whose capacity is retained across batches
-                    batch.push(r);
-                }
-                Err((seal, disconnected)) => {
-                    closed = disconnected;
-                    break seal;
-                }
-            }
-        };
-        if shared.tracer.is_some() {
-            for r in &mut batch {
-                stamp(&mut r.trace, &shared.tracer, TraceEvent::BatchSeal);
-            }
-        }
-        shared.expire(&mut batch, ring);
-        if batch.is_empty() {
-            shared.release_shell(batch);
-            continue;
-        }
-        if let Some(m) = shared.m() {
-            m.batch_size.record(batch.len() as u64);
-            m.batches.inc();
-            match seal {
-                Seal::Full => m.seal_full.inc(),
-                Seal::Idle => m.seal_idle.inc(),
-                Seal::Age => m.seal_age.inc(),
-            }
-        }
-        match pick_worker(&shared.states, &ports, next) {
-            Some((w, port, _)) => {
-                next = w.wrapping_add(1);
-                let sealed = Batch {
-                    requests: batch,
-                    in_flight: port.in_flight.begin(),
-                };
-                // audit: allow(block): bounded worker hand-off — two batches of headroom is the designed backpressure
-                if let Err(e) = port.tx.send(sealed) {
-                    // Worker thread gone (can only happen on teardown);
-                    // the returned batch drops its in-flight count here.
-                    let mut failed = e.0.requests;
-                    shared.fail_batch(&mut failed, ServeError::WorkerFault { worker: w }, ring);
-                    shared.release_shell(failed);
-                }
-            }
-            None => {
-                shared.fail_batch(&mut batch, ServeError::NoHealthyWorkers, ring);
-                shared.release_shell(batch);
-            }
-        }
-    }
-}
-
-/// The worker the next batch goes to and whether it is idle: scanning in
-/// rotation from `next`, the first healthy worker with nothing in flight,
-/// else the first healthy one (plain round-robin).
-fn pick_worker<'a>(
-    states: &[WorkerStateCell],
-    ports: &'a [WorkerPort],
-    next: usize,
-) -> Option<(usize, &'a WorkerPort, bool)> {
-    let n = ports.len();
-    let mut busy = None;
-    for i in 0..n {
-        // `n > 0` whenever the loop body runs, so the rem cannot fail.
-        let w = next.wrapping_add(i).checked_rem(n)?;
-        let (state, port) = (states.get(w)?, ports.get(w)?);
-        // Count before state: the count's Acquire load is what makes the
-        // state byte of a worker seen idle current.
-        let idle = port.in_flight.count() == 0;
-        if state.load() == WorkerState::Healthy {
-            if idle {
-                return Some((w, port, true));
-            }
-            if busy.is_none() {
-                busy = Some((w, port, false));
-            }
-        }
-    }
-    busy
-}
-
-/// One worker: owns a replica, pulls batches, gates each on the integrity
-/// canary, infers, completes slots. A batch stops counting as in flight
-/// once its results exist and before the first is delivered, so a client
-/// that resubmits the moment it is answered finds this worker idle. Never
-/// exits before its queue closes — an unhealthy worker degrades to failing
-/// its traffic so the batcher can never block forever behind it. With a
-/// recovery policy configured, an off-rotation worker additionally runs
-/// repair attempts and probation canaries between (timed) queue polls,
-/// entirely off the serving path.
-// bcp:hot-path — batch execution and completion
+/// One worker: owns a replica and, while it reads itself `Healthy`, pulls
+/// its own batches off the admission queue (module docs), gates each on
+/// the integrity canary, infers, completes slots. Off rotation it pulls
+/// nothing: with a recovery policy it runs repair attempts and probation
+/// canaries on the `retry_interval` timer until it is reinstated, retired
+/// or the engine drains; with no way back it ends its thread.
+// bcp:hot-path — batch formation, execution and completion
 fn worker_loop<R: Replica>(
     w: usize,
     mut replica: R,
-    rx: Receiver<Batch>,
     canary: Option<(Tensor, Vec<i64>)>,
     shared: Arc<Shared>,
 ) {
     let mut strikes = 0u32;
     let mut probation_passes = 0u32;
-    // Per-worker scratch the inference frames are moved into, reused
-    // across every batch this worker ever serves.
+    let ring = shared.worker_ring(w);
+    // The batch under construction and the scratch its frames are moved
+    // into, both reused across every batch this worker ever serves.
+    // audit: allow(alloc): one-time per-worker batch buffer; its capacity is retained for the thread's lifetime
+    let mut batch: Vec<Request> = Vec::with_capacity(shared.cfg.max_batch);
     // audit: allow(alloc): one-time per-worker scratch; its capacity is retained for the thread's lifetime
     let mut frames: Vec<Tensor> = Vec::new();
     loop {
-        // An off-rotation worker wakes on a timer so repair and probation
-        // work proceeds even with no traffic racing in; a healthy worker
-        // blocks on its queue as before.
-        let recovery_wait = match shared.cfg.recovery {
-            Some(policy)
-                if matches!(
-                    shared.state(w),
-                    WorkerState::Quarantined | WorkerState::Probation
-                ) =>
+        match (shared.state(w), shared.cfg.recovery) {
+            (WorkerState::Healthy, _) => {}
+            (WorkerState::Quarantined | WorkerState::Probation, Some(policy))
+                if !shared.is_draining() =>
             {
-                Some(policy.retry_interval)
+                // audit: allow(block): timed off-rotation wait — the heartbeat of repair and probation work
+                std::thread::sleep(policy.retry_interval);
+                recovery_step(
+                    w,
+                    &mut replica,
+                    &canary,
+                    &shared,
+                    policy,
+                    &mut strikes,
+                    &mut probation_passes,
+                );
+                continue;
             }
-            _ => None,
-        };
-        let received = match recovery_wait {
-            // audit: allow(block): timed queue poll so off-rotation recovery work keeps a heartbeat
-            Some(interval) => match rx.recv_timeout(interval) {
-                Ok(b) => Some(b),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-            // audit: allow(block): idle park on the worker's batch queue — the worker's contract
-            None => match rx.recv() {
-                Ok(b) => Some(b),
-                Err(_) => break,
-            },
-        };
+            // No way back: retired, no recovery policy, or nothing left
+            // to come back for.
+            _ => break,
+        }
 
-        if let Some(Batch {
-            requests: mut batch,
-            in_flight,
-        }) = received
-        {
-            if shared.tracer.is_some() {
-                for r in &mut batch {
-                    stamp(&mut r.trace, &shared.tracer, TraceEvent::WorkerDispatch);
-                    if let Some(t) = r.trace.as_mut() {
-                        t.set_worker(w);
-                    }
+        // A batch opens with the first request to arrive and takes what
+        // else is already queued; it never waits for more.
+        // audit: allow(block): idle park on the admission queue — a free worker waits here and nowhere else
+        let Ok(mut req) = shared.queue.recv() else {
+            break;
+        };
+        let full = loop {
+            stamp(&mut req.trace, &shared.tracer, TraceEvent::AdmissionDequeue);
+            // audit: allow(alloc): append into the worker's batch buffer, whose capacity is retained across batches
+            batch.push(req);
+            if batch.len() >= shared.cfg.max_batch {
+                break true;
+            }
+            match shared.queue.try_recv() {
+                Ok(r) => req = r,
+                Err(_) => break false,
+            }
+        };
+        if let Some(m) = shared.m() {
+            m.queue_depth.set(shared.queue.len() as f64);
+        }
+        if shared.tracer.is_some() {
+            for r in &mut batch {
+                stamp(&mut r.trace, &shared.tracer, TraceEvent::BatchSeal);
+                stamp(&mut r.trace, &shared.tracer, TraceEvent::WorkerDispatch);
+                if let Some(t) = r.trace.as_mut() {
+                    t.set_worker(w);
                 }
             }
-            // Apply chaos faults queued for this worker (simulated SEUs
-            // land between batches, like real upsets land between frames).
-            if let Some(mailbox) = shared.fault_mailboxes.get(w) {
-                // audit: allow(block): chaos-fault mailbox — empty and uncontended outside fault-injection tests
-                let plans: Vec<(usize, u64)> = std::mem::take(&mut *mailbox.lock());
-                for (n, seed) in plans {
-                    // audit: external — chaos fault injection is test plumbing, not serving work
-                    replica.inject_faults(n, seed);
-                }
+        }
+        // Apply chaos faults queued for this worker (simulated SEUs land
+        // between batches, like real upsets land between frames).
+        if let Some(mailbox) = shared.fault_mailboxes.get(w) {
+            // audit: allow(block): chaos-fault mailbox — empty and uncontended outside fault-injection tests
+            let plans: Vec<(usize, u64)> = std::mem::take(&mut *mailbox.lock());
+            for (n, seed) in plans {
+                // audit: external — chaos fault injection is test plumbing, not serving work
+                replica.inject_faults(n, seed);
             }
-
-            // A batch that expired whole in the hand-off queue costs no
-            // inference, not even the canary's.
-            let ring = shared.worker_ring(w);
-            shared.expire(&mut batch, ring);
-            // `None` fails what is left in the batch: nothing when it all
-            // expired, else a worker fault — just now, or earlier with
-            // this batch racing in after the worker left rotation.
-            let classes = if !batch.is_empty() && shared.state(w) == WorkerState::Healthy {
-                run_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared)
+        }
+        // A batch that expired whole in the queue costs no inference, not
+        // even the canary's, and is not a batch.
+        shared.expire(&mut batch, ring);
+        if batch.is_empty() {
+            continue;
+        }
+        if let Some(m) = shared.m() {
+            m.batch_size.record(batch.len() as u64);
+            m.batches.inc();
+            if full {
+                m.seal_full.inc();
             } else {
-                None
-            };
-            drop(in_flight);
-            match classes {
-                Some(classes) => deliver(w, &mut batch, classes, &shared),
-                None => shared.fail_batch(&mut batch, ServeError::WorkerFault { worker: w }, ring),
+                m.seal_idle.inc();
             }
-            if shared.state(w) == WorkerState::Healthy {
+        }
+        match run_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared) {
+            Some(classes) => {
+                deliver(w, &mut batch, classes, &shared);
                 if let Some(units) = shared.cfg.background_scrub {
                     // audit: external — background scrubbing belongs to the guard layer and is audited there
                     replica.scrub_tick(units);
                 }
             }
-            shared.release_shell(batch);
-        }
-
-        if let Some(policy) = shared.cfg.recovery {
-            recovery_step(
-                w,
-                &mut replica,
-                &canary,
-                &shared,
-                policy,
-                &mut strikes,
-                &mut probation_passes,
-            );
+            None => {
+                for req in batch.drain(..) {
+                    shared.fail(req, ServeError::WorkerFault { worker: w }, ring);
+                }
+                // Out of rotation now; if that left nobody pulling, what
+                // is queued will wait for no one.
+                shared.fail_unserved(ring);
+            }
         }
     }
 }
@@ -904,7 +738,7 @@ fn recovery_step<R: Replica>(
     replica: &mut R,
     canary: &Option<(Tensor, Vec<i64>)>,
     shared: &Shared,
-    policy: crate::recovery::RecoveryPolicy,
+    policy: RecoveryPolicy,
     strikes: &mut u32,
     probation_passes: &mut u32,
 ) {
@@ -962,10 +796,10 @@ fn recovery_step<R: Replica>(
     }
 }
 
-/// Canary-gate and run one non-empty batch on a healthy worker: one class
-/// per request. `None` is a worker fault — a canary mismatch, a panic, or
-/// a broken length contract — on which the worker leaves rotation
-/// (`Quarantined`) and the caller fails the batch with `WorkerFault`.
+/// Canary-gate and run one non-empty batch: one class per request. `None`
+/// is a worker fault — a canary mismatch, a panic, or a broken length
+/// contract — on which the worker leaves rotation (`Quarantined`) and the
+/// caller fails the batch with `WorkerFault`.
 ///
 /// `frames` is the worker's long-lived scratch that each request's tensor
 /// is *moved* into (no per-batch copies).
@@ -1026,7 +860,7 @@ fn run_batch<R: Replica>(
 }
 
 /// Complete every slot of a served batch with its class, draining `batch`
-/// so the caller can recycle the shell.
+/// for the next pull.
 fn deliver(w: usize, batch: &mut Vec<Request>, classes: Vec<MaskClass>, shared: &Shared) {
     let ring = shared.worker_ring(w);
     let now = Instant::now();
@@ -1240,13 +1074,17 @@ mod tests {
             max_batch: 1,
             ..ServeConfig::default()
         };
-        let e = engine(2, cfg);
+        let (e, g1, parked) = engine_with_worker_1_held(cfg, SyntheticReplica::new);
         e.inject_faults(0, 1, 42);
         let f = frames(1).remove(0);
-        // Round-robin sends the first batch to worker 0, which detects the
-        // fault at its canary gate and fails only that batch.
+        // Worker 0 detects the fault at its canary gate and fails only
+        // that batch.
         assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
         assert_eq!(e.healthy_workers(), 1);
+        g1.open();
+        for t in parked {
+            assert!(t.wait().is_ok());
+        }
         // Everything afterwards lands on the healthy worker.
         for f in frames(6) {
             assert!(e.classify(&f).is_ok());
@@ -1254,21 +1092,35 @@ mod tests {
         e.shutdown();
         let snap = e.registry().unwrap().snapshot();
         assert_eq!(snap.counters["serve.worker_fault"], 1);
+        assert_eq!(snap.counters["serve.worker.0.batches"], 1);
     }
 
     #[test]
     fn all_workers_faulted_yields_no_healthy_workers() {
-        let cfg = ServeConfig {
-            canary: Some(canary_frame(3, 8, 8)),
-            max_batch: 1,
-            ..ServeConfig::default()
+        // Off rotation two ways: a worker whose thread has ended because
+        // it has no way back, and one that sits in quarantine for good
+        // (its replica cannot repair and the strikes never run out).
+        // Either way requests still resolve, and `shutdown` still joins.
+        let stuck = RecoveryPolicy {
+            max_strikes: u32::MAX,
+            ..RecoveryPolicy::default()
         };
-        let e = engine(1, cfg);
-        e.inject_faults(0, 1, 7);
-        let f = frames(1).remove(0);
-        assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
-        assert_eq!(e.healthy_workers(), 0);
-        assert_eq!(e.classify(&f), Err(ServeError::NoHealthyWorkers));
+        for recovery in [None, Some(stuck)] {
+            let cfg = ServeConfig {
+                canary: Some(canary_frame(3, 8, 8)),
+                max_batch: 1,
+                recovery,
+                ..ServeConfig::default()
+            };
+            let e = engine(1, cfg);
+            e.inject_faults(0, 1, 7);
+            let f = frames(1).remove(0);
+            assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
+            assert_eq!(e.healthy_workers(), 0);
+            assert_eq!(e.classify(&f), Err(ServeError::NoHealthyWorkers));
+            e.shutdown();
+            assert_eq!(e.worker_state(0), WorkerState::Quarantined);
+        }
     }
 
     /// Poll `cond` for up to two seconds — recovery runs on worker
@@ -1288,7 +1140,7 @@ mod tests {
         ServeConfig {
             canary: Some(canary_frame(3, 8, 8)),
             max_batch: 1,
-            recovery: Some(crate::recovery::RecoveryPolicy {
+            recovery: Some(RecoveryPolicy {
                 probation_passes: 2,
                 max_strikes: 3,
                 retry_interval: Duration::from_millis(1),
@@ -1329,11 +1181,7 @@ mod tests {
     fn unrepairable_worker_retires_after_strikes() {
         // Default SyntheticReplica cannot repair: quarantine must escalate
         // to retirement after max_strikes failed attempts, not spin.
-        let e = Engine::start(
-            vec![SyntheticReplica::new(), SyntheticReplica::new()],
-            recovery_cfg(),
-            Some(Registry::new()),
-        );
+        let (e, g1, parked) = engine_with_worker_1_held(recovery_cfg(), SyntheticReplica::new);
         e.inject_faults(0, 1, 7);
         let f = frames(1).remove(0);
         assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
@@ -1343,6 +1191,10 @@ mod tests {
             e.worker_state(0)
         );
         assert_eq!(e.healthy_workers(), 1);
+        g1.open();
+        for t in parked {
+            assert!(t.wait().is_ok());
+        }
         // The survivor keeps serving.
         for f in frames(4) {
             assert!(e.classify(&f).is_ok());
@@ -1439,9 +1291,10 @@ mod tests {
         }
     }
 
-    /// A latch inside `infer_batch`: while closed, a worker that enters
-    /// announces itself and parks, so a test decides what "busy" means
-    /// instead of a clock.
+    /// A latch inside `infer_batch`: a batch that enters announces itself
+    /// and, if it is one of the first `hold` to do so, parks until it is
+    /// released — so a test decides what "busy" means instead of a clock.
+    /// The default gate holds nobody.
     #[derive(Default)]
     struct Gate {
         state: std::sync::Mutex<GateState>,
@@ -1450,31 +1303,43 @@ mod tests {
 
     #[derive(Default)]
     struct GateState {
-        closed: bool,
+        hold: usize,
+        released: usize,
         entered: usize,
     }
 
     impl Gate {
-        fn closed() -> Arc<Gate> {
+        /// Holds the first `n` batches to enter; later ones pass through.
+        fn holding(n: usize) -> Arc<Gate> {
             let g = Gate::default();
-            g.state.lock().unwrap().closed = true;
+            g.state.lock().unwrap().hold = n;
             Arc::new(g)
         }
 
-        fn open(&self) {
-            self.state.lock().unwrap().closed = false;
+        fn closed() -> Arc<Gate> {
+            Gate::holding(usize::MAX)
+        }
+
+        /// Let the first `n` entrants go (the rest of the held stay).
+        fn release(&self, n: usize) {
+            self.state.lock().unwrap().released = n;
             self.cv.notify_all();
         }
 
-        /// Worker side: count the entry, then park while closed — or for
+        fn open(&self) {
+            self.release(usize::MAX);
+        }
+
+        /// Worker side: count the entry, then park while held — or for
         /// ten seconds, so that a test whose assertion fails before it
         /// opens the gate fails instead of hanging in the engine's drop.
         fn pass(&self) {
             let mut st = self.state.lock().unwrap();
             st.entered += 1;
+            let me = st.entered;
             self.cv.notify_all();
             let give_up = Instant::now() + Duration::from_secs(10);
-            while st.closed && Instant::now() < give_up {
+            while me <= st.hold && me > st.released && Instant::now() < give_up {
                 st = self.cv.wait_timeout(st, Duration::from_secs(1)).unwrap().0;
             }
         }
@@ -1537,89 +1402,96 @@ mod tests {
         }
     }
 
-    /// Long enough that a request left to the age rule visibly hangs the
-    /// test; nothing below may depend on it running out.
-    const NEVER: Duration = Duration::from_secs(30);
-
-    /// `(full, idle, age)` seal counts, after a shutdown has quiesced them.
-    fn seals(e: &Engine) -> (u64, u64, u64) {
-        let snap = e.registry().unwrap().snapshot();
-        let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        (
-            c("serve.seal.full"),
-            c("serve.seal.idle"),
-            c("serve.seal.age"),
-        )
+    /// Two probes over `inner()` on `cfg` (single-request batches), both
+    /// parked on a request each, then worker 0 let go: it alone is free to
+    /// pull what comes next. Worker 1 stays parked until the returned gate
+    /// opens; the two tickets resolve `Ok` after that.
+    fn engine_with_worker_1_held(
+        cfg: ServeConfig,
+        inner: fn() -> SyntheticReplica,
+    ) -> (Engine, Arc<Gate>, Vec<Ticket>) {
+        assert_eq!(cfg.max_batch, 1, "one request must park one worker");
+        let (g0, g1) = (Gate::closed(), Gate::closed());
+        let probes = [&g0, &g1].map(|g| Probe {
+            inner: inner(),
+            ..Probe::new(g)
+        });
+        let e = Engine::start(probes.into(), cfg, Some(Registry::new()));
+        let parked = frames(2).iter().map(|f| e.submit(f).unwrap()).collect();
+        g0.await_entered(1);
+        g1.await_entered(1);
+        g0.open();
+        (e, g1, parked)
     }
 
-    fn batches(e: &Engine) -> u64 {
+    /// `(full, idle)` seal counts, after a shutdown has quiesced them.
+    fn seals(e: &Engine) -> (u64, u64) {
         let snap = e.registry().unwrap().snapshot();
-        snap.counters.get("serve.batches").copied().unwrap_or(0)
+        let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (c("serve.seal.full"), c("serve.seal.idle"))
+    }
+
+    /// Batches served by each of two workers, fewest first.
+    fn batches_per_worker(e: &Engine) -> [u64; 2] {
+        let snap = e.registry().unwrap().snapshot();
+        let mut n = [0, 1].map(|w| snap.counters[&format!("serve.worker.{w}.batches")]);
+        n.sort_unstable();
+        n
+    }
+
+    fn depth_gauge(e: &Engine) -> f64 {
+        e.registry().unwrap().snapshot().gauges["serve.queue_depth"]
     }
 
     #[test]
     fn lone_request_on_an_idle_engine_seals_at_once() {
         for workers in [1, 2] {
-            let e = engine(
-                workers,
-                ServeConfig {
-                    max_wait: NEVER,
-                    ..ServeConfig::default()
-                },
-            );
+            let e = engine(workers, ServeConfig::default());
             assert!(e.classify(&frames(1)[0]).is_ok());
             e.shutdown();
-            assert_eq!(seals(&e), (0, 1, 0), "{workers} workers");
+            assert_eq!(seals(&e), (0, 1), "{workers} workers");
         }
     }
 
     #[test]
     fn zero_delay_batching_coalesces_under_pressure() {
-        // With the only worker held busy, exactly `max_batch` queued
-        // requests make one full batch however long `max_wait` is —
-        // `Duration::MAX`, which no clock can add, included.
-        for max_wait in [NEVER, Duration::MAX] {
+        // With the only worker held busy, requests wait in the admission
+        // queue and leave in `max_batch` pulls when it frees up: four as
+        // one full batch, five as a full one and the rest.
+        for queued in [4, 5] {
             let gate = Gate::closed();
             let e = Engine::start(
                 vec![Probe::new(&gate)],
                 ServeConfig {
                     max_batch: 4,
-                    max_wait,
                     ..ServeConfig::default()
                 },
                 Some(Registry::new()),
             );
-            let fs = frames(5);
+            let fs = frames(1 + queued);
             let head = e.submit(&fs[0]).unwrap();
             gate.await_entered(1);
-            // One at a time, each taken into the forming batch before the
-            // next is sent, so the batch has to *wait* between them.
-            let tickets: Vec<Ticket> = fs[1..]
-                .iter()
-                .map(|f| {
-                    let t = e.submit(f).unwrap();
-                    assert!(eventually(|| e.queue_depth() == 0));
-                    t
-                })
-                .collect();
-            assert!(
-                eventually(|| batches(&e) == 2),
-                "the four must seal while the worker is still held"
-            );
+            let tickets: Vec<Ticket> = fs[1..].iter().map(|f| e.submit(f).unwrap()).collect();
+            assert_eq!(e.queue_depth(), queued);
+            assert_eq!(depth_gauge(&e), queued as f64);
             gate.open();
             assert!(head.wait().is_ok());
             for t in tickets {
                 assert!(t.wait().is_ok());
             }
+            // The gauge is set on the pull side too, so it does not keep
+            // the depth the last submit saw.
+            assert_eq!(depth_gauge(&e), 0.0);
             e.shutdown();
-            assert_eq!(seals(&e), (1, 1, 0), "max_wait {max_wait:?}");
+            // The head alone, one full batch, and what was left over.
+            assert_eq!(seals(&e), (1, queued as u64 - 3), "{queued} queued");
             let snap = e.registry().unwrap().snapshot();
             assert_eq!(snap.histograms["serve.batch_size"].max, 4);
         }
 
         // Free-running: 32 requests in at most-4 batches are at least 8
-        // batches, the batcher never exceeds the configured cap, and every
-        // batch has exactly one seal reason.
+        // batches, no pull exceeds the configured cap, and every batch
+        // closed one of the two ways.
         let e = engine(
             1,
             ServeConfig {
@@ -1636,102 +1508,159 @@ mod tests {
         let snap = e.registry().unwrap().snapshot();
         assert!(snap.counters["serve.batches"] >= 8);
         assert!(snap.histograms["serve.batch_size"].max <= 4);
-        let (full, idle, age) = seals(&e);
-        assert_eq!(full + idle + age, snap.counters["serve.batches"]);
+        let (full, idle) = seals(&e);
+        assert_eq!(full + idle, snap.counters["serve.batches"]);
     }
 
     #[test]
-    fn lone_requests_go_to_the_idle_worker_not_the_next_in_rotation() {
-        let held = Gate::closed();
+    fn queued_requests_leave_as_full_batches_while_another_worker_is_held() {
+        // Both workers park on their first batch; twelve requests queue up
+        // behind them; one worker is let go and must take them as three
+        // pulls of four, not as twelve of one.
+        let gate = Gate::holding(2);
         let e = Engine::start(
-            vec![Probe::new(&held), Probe::new(&Arc::default())],
+            vec![Probe::new(&gate), Probe::new(&gate)],
             ServeConfig {
-                max_wait: NEVER,
+                max_batch: 4,
                 ..ServeConfig::default()
             },
             Some(Registry::new()),
         );
+        let fs = frames(14);
+        let mut tickets = Vec::new();
+        for (i, f) in fs[..2].iter().enumerate() {
+            tickets.push(e.submit(f).unwrap());
+            gate.await_entered(i + 1);
+        }
+        tickets.extend(fs[2..].iter().map(|f| e.submit(f).unwrap()));
+        assert_eq!(e.queue_depth(), 12);
+        gate.release(1);
+        let held = tickets.remove(1);
+        for t in tickets {
+            assert!(t.wait().is_ok());
+        }
+        gate.open();
+        assert!(held.wait().is_ok());
+        e.shutdown();
+        assert_eq!(seals(&e), (3, 2));
+        assert_eq!(batches_per_worker(&e), [1, 4]);
+    }
+
+    #[test]
+    fn lone_requests_go_to_the_idle_worker_not_the_next_in_rotation() {
+        // Whichever worker pulls the first request parks on the gate…
+        let gate = Gate::holding(1);
+        let e = Engine::start(
+            vec![Probe::new(&gate), Probe::new(&gate)],
+            ServeConfig::default(),
+            Some(Registry::new()),
+        );
         let fs = frames(6);
-        // Rotation starts at worker 0, which parks on its gate…
         let stuck = e.submit(&fs[0]).unwrap();
-        held.await_entered(1);
-        // …so every later lone request must find worker 1, each time.
+        gate.await_entered(1);
+        // …so every later lone request is the other one's, each time.
         for f in &fs[1..] {
             assert!(e.classify(f).is_ok());
         }
-        held.open();
+        gate.open();
         assert!(stuck.wait().is_ok());
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
-        assert_eq!(snap.counters["serve.worker.0.batches"], 1);
-        assert_eq!(snap.counters["serve.worker.1.batches"], 5);
-        assert_eq!(seals(&e), (0, 6, 0));
+        assert_eq!(batches_per_worker(&e), [1, 5]);
+        assert_eq!(seals(&e), (0, 6));
     }
 
-    /// The in-flight count must come back to zero on every way a batch can
-    /// end, or the worker reads busy forever and lone requests silently
-    /// fall back to `max_wait` (here: hang).
-    fn accounting_cfg() -> ServeConfig {
+    fn lifecycle_cfg() -> ServeConfig {
         ServeConfig {
             max_batch: 2,
-            max_wait: NEVER,
             ..recovery_cfg()
         }
     }
 
-    #[test]
-    fn in_flight_count_balances_after_canary_fault_and_reinstatement() {
-        let e = Engine::start(
-            vec![SyntheticReplica::repairable()],
-            accounting_cfg(),
-            Some(Registry::new()),
-        );
+    /// A worker that left rotation and came back must pull again exactly
+    /// as before; a worker that forgot how hangs its test on `classify`.
+    fn assert_faults_once_then_pulls_again(e: Engine) {
         let f = frames(1).remove(0);
-        e.inject_faults(0, 1, 42);
         assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
         assert!(eventually(|| e.worker_state(0) == WorkerState::Healthy));
         assert!(e.classify(&f).is_ok());
         e.shutdown();
-        assert_eq!(seals(&e), (0, 2, 0));
+        assert_eq!(seals(&e), (0, 2));
     }
 
     #[test]
-    fn in_flight_count_balances_after_a_panicking_replica() {
+    fn worker_pulls_again_after_canary_fault_and_reinstatement() {
+        let replicas = vec![SyntheticReplica::repairable()];
+        let e = Engine::start(replicas, lifecycle_cfg(), Some(Registry::new()));
+        e.inject_faults(0, 1, 42);
+        assert_faults_once_then_pulls_again(e);
+    }
+
+    #[test]
+    fn worker_pulls_again_after_a_panicking_replica() {
         let probe = Probe::new(&Arc::default());
         probe.panic_once.store(true, Ordering::Relaxed);
-        let e = Engine::start(vec![probe], accounting_cfg(), Some(Registry::new()));
-        let f = frames(1).remove(0);
-        assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
-        assert!(eventually(|| e.worker_state(0) == WorkerState::Healthy));
-        assert!(e.classify(&f).is_ok());
-        e.shutdown();
-        assert_eq!(seals(&e), (0, 2, 0));
+        let e = Engine::start(vec![probe], lifecycle_cfg(), Some(Registry::new()));
+        assert_faults_once_then_pulls_again(e);
     }
 
     #[test]
-    fn in_flight_count_balances_after_an_off_rotation_drain() {
+    fn requests_queued_behind_a_faulting_last_worker_read_no_healthy_workers() {
         let gate = Gate::closed();
         let probe = Probe::new(&gate);
         probe.panic_once.store(true, Ordering::Relaxed);
-        let e = Engine::start(vec![probe], accounting_cfg(), Some(Registry::new()));
+        let e = Engine::start(vec![probe], lifecycle_cfg(), Some(Registry::new()));
         let fs = frames(3);
         // The first batch parks in the replica and will fault on release;
-        // a full second batch queues behind it on the same worker…
+        // two more requests wait in the admission queue behind it…
         let first = e.submit(&fs[0]).unwrap();
         gate.await_entered(1);
-        let raced: Vec<Ticket> = fs[1..].iter().map(|f| e.submit(f).unwrap()).collect();
-        assert!(eventually(|| batches(&e) == 2));
+        let queued: Vec<Ticket> = fs[1..].iter().map(|f| e.submit(f).unwrap()).collect();
         gate.open();
-        // …and is drained by the worker once it is out of rotation.
-        let fault = Err(ServeError::WorkerFault { worker: 0 });
-        assert_eq!(first.wait(), fault);
-        for t in raced {
-            assert_eq!(t.wait(), fault);
+        // …and are answered by the worker on its way out of rotation, not
+        // left for a reinstatement that may never come.
+        assert_eq!(first.wait(), Err(ServeError::WorkerFault { worker: 0 }));
+        for t in queued {
+            assert_eq!(t.wait(), Err(ServeError::NoHealthyWorkers));
         }
         assert!(eventually(|| e.worker_state(0) == WorkerState::Healthy));
         assert!(e.classify(&fs[0]).is_ok());
         e.shutdown();
-        assert_eq!(seals(&e), (1, 2, 0));
+        assert_eq!(seals(&e), (0, 2));
+    }
+
+    #[test]
+    fn blocked_submitter_is_released_when_the_last_worker_faults() {
+        let gate = Gate::closed();
+        let probe = Probe::new(&gate);
+        probe.panic_once.store(true, Ordering::Relaxed);
+        let e = Engine::start(
+            vec![probe],
+            ServeConfig {
+                queue_cap: 1,
+                max_batch: 1,
+                ..ServeConfig::default()
+            },
+            Some(Registry::new()),
+        );
+        let fs = frames(3);
+        let first = e.submit(&fs[0]).unwrap();
+        gate.await_entered(1);
+        let queued = e.submit(&fs[1]).unwrap();
+        let (about_to_submit, go) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            // The queue is full and the only worker is held: this submit
+            // parks (`Block`) with nobody left to make room but the rule.
+            let blocked = s.spawn(|| {
+                about_to_submit.send(()).unwrap();
+                e.submit(&fs[2]).unwrap().wait()
+            });
+            go.recv().unwrap();
+            gate.open();
+            assert_eq!(first.wait(), Err(ServeError::WorkerFault { worker: 0 }));
+            assert_eq!(queued.wait(), Err(ServeError::NoHealthyWorkers));
+            assert_eq!(blocked.join().unwrap(), Err(ServeError::NoHealthyWorkers));
+        });
+        assert_eq!(e.queue_depth(), 0);
     }
 
     #[test]
@@ -1751,14 +1680,11 @@ mod tests {
         let fs = frames(3);
         let head = e.submit(&fs[0]).unwrap();
         gate.await_entered(1);
-        // Sealed and handed off in time, then left to expire in the
-        // worker's queue behind the held batch.
-        let deadline = Instant::now() + Duration::from_millis(100);
-        let late = e.submit_with_deadline(&fs[1], Some(deadline)).unwrap();
-        assert!(eventually(|| batches(&e) == 2));
-        while Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // Admitted, then out of time while it waits in the admission
+        // queue behind the held batch.
+        let late = e
+            .submit_with_deadline(&fs[1], Some(Instant::now()))
+            .unwrap();
         gate.open();
         assert!(head.wait().is_ok());
         assert_eq!(late.wait(), Err(ServeError::DeadlineExpired));
@@ -1771,5 +1697,6 @@ mod tests {
             "engine start, head, live — not late"
         );
         assert_eq!(infers.load(Ordering::Relaxed), 2);
+        assert_eq!(seals(&e), (2, 0), "an expired pull is not a batch");
     }
 }

@@ -11,16 +11,15 @@
 //!   [`BackpressurePolicy`]: block (lossless), reject at the door, or shed
 //!   the oldest queued frame. Memory and queueing delay stay bounded by
 //!   construction.
-//! * **Micro-batching** — a batcher thread coalesces queued requests and
-//!   seals a batch on the first of *full* (`max_batch` requests), *idle*
-//!   (the queue is drained and a healthy worker has nothing in flight, so
-//!   waiting could only add latency) or *age* (`max_wait`, with every
-//!   worker busy): batching is paid for only with time a busy worker
-//!   would have cost anyway, and a lone request goes straight through.
-//! * **Worker pool** — one thread per model [`Replica`]; a batch goes to
-//!   an idle healthy worker if there is one, else round-robin. Each
-//!   worker owns its replica mutably, so replica state cannot be
-//!   shared-corrupted across workers.
+//! * **Micro-batching** — each healthy worker pulls its own batch off the
+//!   admission queue: the first request to arrive plus whatever else is
+//!   already queued, up to `max_batch`, never waiting for more. A free
+//!   worker starts a lone request at once; while every worker is busy,
+//!   requests coalesce in the queue by themselves, so batching is paid
+//!   for only with time a busy worker would have cost anyway.
+//! * **Worker pool** — one thread per model [`Replica`], and no other
+//!   thread: there is nothing to dispatch. Each worker owns its replica
+//!   mutably, so replica state cannot be shared-corrupted across workers.
 //! * **Exactly-one-response** — every submitted request resolves to one
 //!   `Ok(MaskClass)` or one [`ServeError`] via a single-use oneshot
 //!   [`Slot`](oneshot::Slot), including under deadline expiry, overload,
@@ -30,7 +29,7 @@
 //!   `bcp_finn::fault`) into a detected [`ServeError::WorkerFault`] that
 //!   takes only that worker out of rotation.
 //! * **Observability** — queue depth, batch-size and latency histograms,
-//!   outcome counters and the seal reasons (`serve.seal.{full,idle,age}`)
+//!   outcome counters and how batches closed (`serve.seal.{full,idle}`)
 //!   under the `serve.*` namespace of a `bcp_telemetry::Registry`.
 //!
 //! The model is abstracted behind [`Replica`]; `binarycop::serve` plugs
@@ -42,8 +41,8 @@
 #![warn(clippy::arithmetic_side_effects)]
 
 // Under `--cfg bcp_model` only the model-checked structures are
-// compiled — the oneshot `Slot`, the `WorkerState` machinery and the
-// in-flight count beside it — since the full engine pulls in channels,
+// compiled — the oneshot `Slot` and the `WorkerState` machinery — since
+// the full engine pulls in channels,
 // wall-clock time and model crates the model runtime does not provide.
 // See DESIGN.md §"Concurrency invariants".
 #[cfg(not(bcp_model))]
@@ -63,6 +62,6 @@ pub use config::{BackpressurePolicy, ServeConfig, ServeError};
 pub use engine::{Completion, Engine, Ticket};
 #[cfg(not(bcp_model))]
 pub use loadgen::{run_closed_loop, LoadReport};
-pub use recovery::{InFlight, InFlightCell, RecoveryPolicy, WorkerState, WorkerStateCell};
+pub use recovery::{RecoveryPolicy, WorkerState, WorkerStateCell};
 #[cfg(not(bcp_model))]
 pub use replica::{canary_frame, Replica, SyntheticReplica};

@@ -16,16 +16,17 @@
 //! ```
 //!
 //! All recovery work — repair attempts and probation canaries — runs on
-//! the worker's own thread *off the hot path*: the batcher only ever
-//! dispatches to `Healthy` workers, and a quarantined worker keeps
-//! draining raced-in batches (failing them) so the pipeline can never
-//! wedge behind it. A replica that cannot repair itself (the default
-//! [`Replica::repair`](crate::Replica::repair) returns `false`)
-//! accumulates strikes and is retired — the old permanent-removal
-//! behavior, reached deliberately instead of by omission.
+//! the worker's own thread *off the hot path*: a worker pulls from the
+//! admission queue only while it reads itself `Healthy`, so an
+//! off-rotation worker holds no requests and nothing can wedge behind it;
+//! it wakes on its `retry_interval` timer instead. A replica that cannot
+//! repair itself (the default [`Replica::repair`](crate::Replica::repair)
+//! returns `false`) accumulates strikes and is retired — the old
+//! permanent-removal behavior, reached deliberately instead of by
+//! omission. When the last `Healthy` worker leaves, nobody pulls any more:
+//! [`WorkerStateCell::none_healthy`] is how that is noticed.
 
-use bcp_sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use bcp_sync::Arc;
+use bcp_sync::atomic::{AtomicU8, Ordering};
 use std::time::Duration;
 
 /// Where a worker sits in the health lifecycle. Stored as one atomic byte
@@ -71,12 +72,25 @@ impl std::fmt::Display for WorkerState {
 
 /// One worker's lifecycle state as a single atomic byte.
 ///
-/// **Single-writer**: only the owning worker thread transitions the
-/// cell; the batcher (`pick_worker`) and the public API merely observe
-/// it. The cell is built on [`bcp_sync`] atomics, so the model suite in
-/// `tests/model.rs` checks the dispatch invariant — no request is ever
-/// handed to a worker after it was observed `Quarantined`/`Retired` —
-/// under every interleaving of transitions and dispatch decisions.
+/// **Single-writer**: only the owning worker thread transitions the cell,
+/// and it is also the only reader that decides to *pull* on it — a worker
+/// pulls only while it reads itself `Healthy`, which a single writer reads
+/// trivially current.
+///
+/// Everyone else reads the cells for one decision, the engine's rule for
+/// requests nobody will pull: *whoever observes zero healthy workers
+/// ([`none_healthy`]) drains the admission queue with `NoHealthyWorkers`*
+/// — a worker right after it stored its way out of rotation, a submitter
+/// right after its enqueue. Both accesses are `SeqCst` for that rule: of
+/// two workers leaving at once, each stores its own byte and then reads
+/// the other's, and in one total order at least one of them sees both
+/// out; a leaver writes its byte and then reads the queue while a
+/// submitter writes the queue and then reads the bytes, and at least one
+/// of those sees the other's write. The model suite in `tests/model.rs`
+/// checks that under every interleaving a request is pulled by a worker
+/// that was healthy when it pulled or failed exactly once, never stranded.
+///
+/// [`none_healthy`]: WorkerStateCell::none_healthy
 pub struct WorkerStateCell(AtomicU8);
 
 impl WorkerStateCell {
@@ -87,80 +101,22 @@ impl WorkerStateCell {
 
     /// Current state.
     pub fn load(&self) -> WorkerState {
-        // ordering: Relaxed — the byte carries no payload to acquire;
-        // dispatch correctness needs only *some* recent value, and every
-        // dispatch already synchronizes through the batch channel.
-        WorkerState::from_u8(self.0.load(Ordering::Relaxed))
+        // ordering: SeqCst — the read half of the no-healthy-workers
+        // handshake (type docs); the byte itself carries no payload.
+        WorkerState::from_u8(self.0.load(Ordering::SeqCst))
     }
 
     /// Transition to `state` (owning worker thread only).
     pub fn store(&self, state: WorkerState) {
-        // ordering: Relaxed — single-writer transition publishing no
-        // associated data; readers tolerate bounded staleness (a worker
-        // leaving rotation is observed on the next dispatch decision).
-        self.0.store(state as u8, Ordering::Relaxed);
-    }
-}
-
-/// Batches handed to one worker whose results do not exist yet: queued in
-/// its hand-off channel or being computed. Zero means the worker has
-/// nothing left to compute, which is what lets the batcher seal a partial
-/// batch at once instead of waiting out `max_wait` for company.
-///
-/// The batcher is the only incrementer ([`begin`](InFlightCell::begin),
-/// before the hand-off) and the only reader that acts on the value; the
-/// count comes back down when the [`InFlight`] guard riding with the batch
-/// drops, wherever that happens — computed (the worker lets it go before
-/// it delivers the results), failed at the canary gate, panicked, drained
-/// off-rotation, or left in a queue at teardown. The model suite in
-/// `tests/model.rs` checks that under every interleaving the count is
-/// never observed above the batches handed off (so never wrapped) and
-/// returns to zero.
-pub struct InFlightCell(AtomicUsize);
-
-impl InFlightCell {
-    /// Cell of an idle worker.
-    pub fn new() -> InFlightCell {
-        InFlightCell(AtomicUsize::new(0))
+        // ordering: SeqCst — the write half of the same handshake: a
+        // leaver's store must be ordered before its own look at the
+        // other cells and at the queue.
+        self.0.store(state as u8, Ordering::SeqCst);
     }
 
-    /// Count one batch about to be handed to this worker; it stays
-    /// counted until the returned guard drops.
-    pub fn begin(self: &Arc<Self>) -> InFlight {
-        // ordering: Relaxed — the batcher thread is the only incrementer
-        // and the only reader; the batch itself is published by the
-        // hand-off channel, not by this count.
-        self.0.fetch_add(1, Ordering::Relaxed);
-        InFlight(Arc::clone(self))
-    }
-
-    /// Batches currently counted against this worker.
-    pub fn count(&self) -> usize {
-        // ordering: Acquire — pairs with the Release decrement in
-        // `InFlight::drop`: a batcher that sees the worker idle also sees
-        // the state byte the worker left its last batch with, so a lone
-        // request is never sealed for a worker that has just quarantined
-        // itself.
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-impl Default for InFlightCell {
-    fn default() -> Self {
-        InFlightCell::new()
-    }
-}
-
-/// One counted batch (see [`InFlightCell::begin`]); dropping it is the
-/// only way the count comes back down.
-pub struct InFlight(Arc<InFlightCell>);
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        // ordering: Release — publishes everything the worker did while
-        // it held the batch (above all a `Quarantined` store) to the
-        // batcher's Acquire load in `InFlightCell::count`.
-        self.0 .0.fetch_sub(1, Ordering::Release);
+    /// Whether no worker of `cells` is in rotation.
+    pub fn none_healthy(cells: &[WorkerStateCell]) -> bool {
+        cells.iter().all(|c| c.load() != WorkerState::Healthy)
     }
 }
 
@@ -205,17 +161,6 @@ mod tests {
         ] {
             assert_eq!(WorkerState::from_u8(s as u8), s);
         }
-    }
-
-    #[test]
-    fn in_flight_guards_balance_the_count() {
-        let cell = Arc::new(InFlightCell::new());
-        let (a, b) = (cell.begin(), cell.begin());
-        assert_eq!(cell.count(), 2);
-        drop(a);
-        assert_eq!(cell.count(), 1);
-        drop(b);
-        assert_eq!(cell.count(), 0);
     }
 
     #[test]

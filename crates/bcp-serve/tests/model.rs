@@ -1,5 +1,5 @@
 //! Model-checked interleaving suites for the oneshot `Slot`, the
-//! `WorkerState` dispatch invariant and the per-worker in-flight count.
+//! `WorkerState` lifecycle byte and the engine's `NoHealthyWorkers` rule.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg bcp_model"`; under a normal
 //! `cargo test` this file is empty. Run with:
@@ -10,11 +10,11 @@
 #![cfg(bcp_model)]
 
 use bcp_serve::oneshot::{Expired, Slot};
-use bcp_serve::{InFlight, InFlightCell, WorkerState, WorkerStateCell};
-use bcp_sync::cell::UnsafeCell;
+use bcp_serve::{WorkerState, WorkerStateCell};
 use bcp_sync::model::Builder;
 use bcp_sync::time::{Duration, Instant};
-use bcp_sync::{thread, Arc, Condvar, Mutex};
+use bcp_sync::{thread, Arc, Mutex};
+use std::collections::VecDeque;
 
 fn builder(name: &str) -> Builder {
     Builder {
@@ -122,10 +122,13 @@ fn slot_client_drop_before_delivery_keeps_single_winner() {
     );
 }
 
-/// Dispatch invariant: the batcher never hands a request to a worker it
-/// observed as `Quarantined`/`Retired`. The worker thread drives its
-/// lifecycle (Healthy → Quarantined → Retired) while the batcher makes
-/// dispatch decisions from the cell, mirroring `next_healthy`.
+/// Pull invariant: a worker pulls only while it reads itself `Healthy`.
+/// In the engine the reader that acts on the byte is its single writer,
+/// which makes the read trivially current; what is left to check is the
+/// view of everyone else. The worker thread drives its lifecycle (Healthy
+/// → Quarantined → Retired) while an observer takes three looks at the
+/// cell and must never count the worker in rotation after having seen it
+/// out.
 #[test]
 fn no_dispatch_to_worker_observed_quarantined_or_retired() {
     let stats = builder("worker-state-dispatch").check(|| {
@@ -138,8 +141,8 @@ fn no_dispatch_to_worker_observed_quarantined_or_retired() {
                 c.store(WorkerState::Retired);
             })
         };
-        // Batcher: three dispatch decisions racing the transitions.
-        let batcher = {
+        // Observer: three looks racing the transitions.
+        let observer = {
             let c = Arc::clone(&cell);
             thread::spawn(move || {
                 let mut dispatched = 0u32;
@@ -147,7 +150,7 @@ fn no_dispatch_to_worker_observed_quarantined_or_retired() {
                 for _ in 0..3 {
                     let observed = c.load();
                     if observed == WorkerState::Healthy {
-                        // Dispatch happens strictly after the observation;
+                        // Acting happens strictly after the observation;
                         // the invariant is about what was *observed*.
                         dispatched += 1;
                     } else {
@@ -162,13 +165,9 @@ fn no_dispatch_to_worker_observed_quarantined_or_retired() {
             })
         };
         worker.join().unwrap();
-        let (dispatched, rejected) = batcher.join().unwrap();
-        assert_eq!(
-            dispatched + rejected,
-            3,
-            "every batch decision must be accounted for"
-        );
-        // Once the batcher has seen a non-Healthy state, the worker can
+        let (dispatched, rejected) = observer.join().unwrap();
+        assert_eq!(dispatched + rejected, 3, "every look must be accounted for");
+        // Once the observer has seen a non-Healthy state, the worker can
         // never be Healthy again in this lifecycle — verify the terminal
         // observation agrees.
         assert_eq!(cell.load(), WorkerState::Retired);
@@ -181,9 +180,10 @@ fn no_dispatch_to_worker_observed_quarantined_or_retired() {
     );
 }
 
-/// Probation reinstatement racing dispatch: a worker cycling
-/// Quarantined → Probation → Healthy is only ever dispatched to in the
-/// states where dispatch is legal (Healthy), never mid-recovery.
+/// Probation reinstatement racing observation: a worker cycling
+/// Quarantined → Probation → Healthy is only ever seen in rotation at
+/// full `Healthy`, never mid-recovery (again trivially so for the worker
+/// itself, the byte's single writer; this is the outside view).
 #[test]
 fn probation_cycle_never_dispatches_mid_recovery() {
     let stats = builder("worker-state-probation").check(|| {
@@ -206,7 +206,7 @@ fn probation_cycle_never_dispatches_mid_recovery() {
                 WorkerState::Retired => u8::MAX,
             }
         }
-        let batcher = {
+        let observer = {
             let c = Arc::clone(&cell);
             thread::spawn(move || {
                 let first = c.load();
@@ -221,7 +221,7 @@ fn probation_cycle_never_dispatches_mid_recovery() {
             })
         };
         worker.join().unwrap();
-        let (d1, d2) = batcher.join().unwrap();
+        let (d1, d2) = observer.join().unwrap();
         // Dispatching then observing mid-recovery would mean Healthy was
         // observed before a *later* Quarantined/Probation — impossible
         // in this forward-only lifecycle.
@@ -236,58 +236,77 @@ fn probation_cycle_never_dispatches_mid_recovery() {
     );
 }
 
-/// The in-flight count the work-conserving seal rule reads: the batcher
-/// counts a batch *before* handing it off, the worker's guard un-counts it
-/// on drop, and the two race freely. Under every schedule the batcher
-/// never observes more batches than it has handed off (a decrement
-/// overtaking its increment would read as a wrapped, enormous count and
-/// pin the worker busy forever) and the count is back at zero once the
-/// guard is gone. A worker seen idle again is also seen with everything it
-/// did while busy — modelled by a plain cell next to the `Quarantined`
-/// store, so that weakening the Release/Acquire pair is a reported race.
+/// The engine's one rule for requests nobody will pull — *whoever observes
+/// zero healthy workers drains the admission queue with
+/// `NoHealthyWorkers`* — on the primitives the engine builds it from: the
+/// per-worker state bytes and a lock-protected queue like the vendored
+/// channel's. Two workers each pull once if they read themselves `Healthy`
+/// and the request is there, then fault and leave rotation concurrently
+/// (state store, then drain while `none_healthy`); a submitter enqueues
+/// one request and then looks (`none_healthy` → drain). Under every
+/// schedule the request is pulled by a worker that was healthy when it
+/// pulled, or failed exactly once — never both, never twice, never left in
+/// the queue with nobody to answer it.
+///
+/// The order of the two steps on each side is what the rule relies on.
+/// Edits tried, each a reported failure (request stranded): a worker
+/// looking at the cells and the queue *before* its own store; the
+/// submitter looking *before* it enqueues. The `SeqCst` on the bytes is
+/// what carries that program order to the other threads on real hardware;
+/// this checker gives every atomic sequentially consistent *values*
+/// whatever its ordering argument, so relaxing the bytes is not something
+/// it can report — the argument for it is in `WorkerStateCell`'s docs.
 #[test]
-fn in_flight_count_never_wraps_and_returns_to_zero() {
-    let stats = builder("in-flight-count").check(|| {
-        let cell = Arc::new(InFlightCell::new());
-        let state = Arc::new(WorkerStateCell::new(WorkerState::Healthy));
-        let left_behind = Arc::new(UnsafeCell::new(0u32));
-        let queue = Arc::new((Mutex::new(None::<InFlight>), Condvar::new()));
-        // Worker: takes the batch, faults on it, lets it go.
-        let worker = {
-            let (q, st, lb) = (
-                Arc::clone(&queue),
-                Arc::clone(&state),
-                Arc::clone(&left_behind),
-            );
-            thread::spawn(move || {
-                let mut slot = q.0.lock();
-                while slot.is_none() {
-                    slot = q.1.wait(slot);
+fn request_is_pulled_while_healthy_or_failed_once_never_stranded() {
+    // Three threads of five to seven schedule points each do not exhaust
+    // in the default 30 s; with at most four preemptions the tree does,
+    // and each edit above is found with fewer.
+    let bounded = Builder {
+        preemption_bound: Some(4),
+        ..builder("no-healthy-workers-rule")
+    };
+    let stats = bounded.check(|| {
+        let queue = Arc::new(Mutex::new(VecDeque::new()));
+        let states: Arc<[WorkerStateCell; 2]> =
+            Arc::new([0, 1].map(|_| WorkerStateCell::new(WorkerState::Healthy)));
+        // What `Shared::fail_unserved` does; returns how many it failed.
+        fn fail_unserved(states: &[WorkerStateCell], queue: &Mutex<VecDeque<u32>>) -> u32 {
+            let mut failed = 0;
+            while WorkerStateCell::none_healthy(states) {
+                if queue.lock().pop_front().is_none() {
+                    break;
                 }
-                let in_flight = slot.take();
-                drop(slot);
-                st.store(WorkerState::Quarantined);
-                lb.with_mut(|p| unsafe { *p = 1 });
-                drop(in_flight);
-            })
-        };
-        // Batcher: one hand-off, then two looks at the count the way
-        // `pick_worker` takes them for the batches that follow.
-        assert_eq!(cell.count(), 0);
-        let in_flight = cell.begin();
-        *queue.0.lock() = Some(in_flight);
-        queue.1.notify_one();
-        for _ in 0..2 {
-            let seen = cell.count();
-            assert!(seen <= 1, "{seen} in flight of 1 handed off");
-            if seen == 0 {
-                // Idle again: what the worker did with the batch is visible.
-                assert_eq!(state.load(), WorkerState::Quarantined);
-                left_behind.with(|p| assert_eq!(unsafe { *p }, 1));
+                failed += 1;
             }
+            failed
         }
-        worker.join().unwrap();
-        assert_eq!(cell.count(), 0, "guard dropped, nothing in flight");
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let (q, st) = (Arc::clone(&queue), Arc::clone(&states));
+                thread::spawn(move || {
+                    let mut pulled = 0u32;
+                    if st[w].load() == WorkerState::Healthy && q.lock().pop_front().is_some() {
+                        pulled += 1;
+                    }
+                    st[w].store(WorkerState::Quarantined);
+                    (pulled, fail_unserved(&st[..], &q))
+                })
+            })
+            .collect();
+        queue.lock().push_back(7u32);
+        let mut failed = fail_unserved(&states[..], &queue);
+        let mut pulled = 0;
+        for w in workers {
+            let (p, f) = w.join().unwrap();
+            pulled += p;
+            failed += f;
+        }
+        assert_eq!(
+            pulled + failed,
+            1,
+            "pulled {pulled} times, failed {failed} times"
+        );
+        assert!(queue.lock().is_empty(), "request stranded in the queue");
     });
     assert!(
         stats.complete || stats.schedules >= 10_000,

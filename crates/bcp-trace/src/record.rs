@@ -2,10 +2,10 @@
 //! every hand-off, plus the request's final outcome.
 //!
 //! A record travels *with* its request through the engine (inside the
-//! `Request` struct, across the admission and worker channels), so every
-//! stamp is written by the thread that currently owns the request — no
-//! sharing, no locks, no atomics on the hot path. Only the finished record
-//! crosses threads, through a [`Ring`](crate::Ring).
+//! `Request` struct, across the admission queue), so every stamp is
+//! written by the thread that currently owns the request — no sharing, no
+//! locks, no atomics on the hot path. Only the finished record crosses
+//! threads, through a [`Ring`](crate::Ring).
 
 use serde::Serialize;
 
@@ -20,11 +20,12 @@ pub type TraceId = u64;
 pub enum TraceEvent {
     /// `submit()` accepted the request into the admission queue.
     Enqueue = 0,
-    /// The batcher dequeued it from the admission queue.
+    /// A worker pulled it off the admission queue into its batch.
     AdmissionDequeue = 1,
-    /// The batcher sealed the micro-batch containing it (size/age flush).
+    /// That worker closed the batch: full, or nothing else was queued.
     BatchSeal = 2,
-    /// The owning worker received the batch from its queue.
+    /// The worker turned to the sealed batch — stamped back to back with
+    /// `BatchSeal`, there being no hand-off between the two.
     WorkerDispatch = 3,
     /// Inference over the batch began.
     ComputeStart = 4,
@@ -71,10 +72,11 @@ impl TraceEvent {
 pub enum Segment {
     /// `enqueue → admission_dequeue`: waiting in the admission queue.
     QueueWait = 0,
-    /// `admission_dequeue → batch_seal`: waiting for the batch to fill.
+    /// `admission_dequeue → batch_seal`: the rest of the pull. A batch
+    /// never waits to fill, so this is what taking the others cost.
     BatchWait = 1,
-    /// `batch_seal → compute_start`: worker-queue hand-off plus the
-    /// pre-inference work (canary gate, expiry sweep).
+    /// `batch_seal → compute_start`: the pre-inference work (expiry
+    /// sweep, canary gate).
     Dispatch = 2,
     /// `compute_start → compute_end`: inference proper.
     Compute = 3,

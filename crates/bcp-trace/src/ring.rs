@@ -1,7 +1,7 @@
 //! Lock-free bounded ring buffer for finished trace records.
 //!
-//! One ring per engine thread (workers, batcher, client-side submitters
-//! share one more), so producers almost never contend; the implementation
+//! One ring per worker thread and one more shared by the client-side
+//! submitters, so producers almost never contend; the implementation
 //! is nevertheless a full Vyukov-style bounded MPMC queue, safe for any
 //! number of producers against the single draining collector. Pushes
 //! never block and never allocate: when the ring is full the record is

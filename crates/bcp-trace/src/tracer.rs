@@ -57,8 +57,8 @@ pub struct Tracer {
     admissions: AtomicU64,
     /// Next [`TraceId`](crate::TraceId).
     next_id: AtomicU64,
-    /// Rings `0..workers` belong to the worker threads; ring `workers` to
-    /// the batcher; the last ring to client/submitter threads.
+    /// Rings `0..workers` belong to the worker threads; the last ring to
+    /// client/submitter threads.
     rings: Vec<Ring<TraceRecord>>,
     metrics: Option<TraceMetrics>,
 }
@@ -69,7 +69,7 @@ impl Tracer {
     /// counters are exported.
     pub fn new(cfg: TraceConfig, workers: usize, registry: Option<&Registry>) -> Arc<Tracer> {
         let cap = cfg.ring_capacity;
-        let rings = (0..workers.saturating_add(2))
+        let rings = (0..workers.saturating_add(1))
             .map(|_| Ring::with_capacity(cap))
             .collect();
         Arc::new(Tracer {
@@ -125,12 +125,7 @@ impl Tracer {
 
     /// Ring index for worker thread `w`.
     pub fn worker_ring(&self, w: usize) -> usize {
-        w.min(self.rings.len().saturating_sub(3))
-    }
-
-    /// Ring index for the batcher thread.
-    pub fn batcher_ring(&self) -> usize {
-        self.rings.len().saturating_sub(2)
+        w.min(self.rings.len().saturating_sub(2))
     }
 
     /// Ring index for client/submitter threads.
@@ -141,7 +136,6 @@ impl Tracer {
     /// Finish a live trace: stamp [`TraceEvent::Deliver`] if the caller
     /// has not, set the outcome, and push the record onto `ring`
     /// (an index from [`worker_ring`](Tracer::worker_ring) /
-    /// [`batcher_ring`](Tracer::batcher_ring) /
     /// [`client_ring`](Tracer::client_ring)).
     // Takes the Box callers already hold (`Option<Box<ActiveTrace>>` in
     // each Request) so finishing moves a pointer, not the record.
@@ -296,7 +290,7 @@ mod tests {
         let a = t.sample().unwrap();
         let b = t.sample().unwrap();
         t.finish(a, TraceOutcome::Ok, t.worker_ring(0));
-        t.finish(b, TraceOutcome::Failed, t.batcher_ring());
+        t.finish(b, TraceOutcome::Failed, t.client_ring());
         let records = t.drain();
         assert_eq!(records.len(), 2);
         assert!(records

@@ -416,8 +416,6 @@ fn cmd_serve_bench(args: &Args) {
     let mut cfg = ServeConfig::default();
     cfg.queue_cap = get("queue-cap", cfg.queue_cap).max(1);
     cfg.max_batch = get("max-batch", cfg.max_batch).max(1);
-    cfg.max_wait =
-        Duration::from_micros(get("max-wait-us", cfg.max_wait.as_micros() as usize) as u64);
     if let Some(p) = args.flags.get("policy") {
         cfg.policy = match p.to_ascii_lowercase().as_str() {
             "block" => BackpressurePolicy::Block,
@@ -523,8 +521,6 @@ fn cmd_profile(args: &Args) {
 
     let mut cfg = ServeConfig::default();
     cfg.max_batch = get("max-batch", cfg.max_batch).max(1);
-    cfg.max_wait =
-        Duration::from_micros(get("max-wait-us", cfg.max_wait.as_micros() as usize) as u64);
     cfg.trace = Some(TraceConfig {
         sample_rate,
         ..TraceConfig::default()
@@ -636,7 +632,6 @@ fn gateway_setup(
     let mut cfg = ServeConfig::default();
     cfg.queue_cap = get("queue-cap", cfg.queue_cap).max(1);
     cfg.max_batch = get("max-batch", cfg.max_batch).max(1);
-    cfg.max_wait = Duration::from_micros(get("max-wait-us", 200) as u64);
     if let Some(p) = args.flags.get("policy") {
         cfg.policy = match p.to_ascii_lowercase().as_str() {
             "block" => BackpressurePolicy::Block,
@@ -1376,13 +1371,12 @@ fn main() {
             eprintln!(
                 "  bcp serve-bench [--arch tiny|cnv|ncnv|ucnv | --arch <a> --accel accel.json] \
                  [--workers 2] [--clients 8] [--requests 50] [--frames 32] [--max-batch 8] \
-                 [--max-wait-us 500] [--queue-cap 64] [--policy block|reject|shed] \
-                 [--deadline-ms N] [--dump-metrics]"
+                 [--queue-cap 64] [--policy block|reject|shed] [--deadline-ms N] \
+                 [--dump-metrics]"
             );
             eprintln!(
-                "      --max-wait-us: how long a partial batch may wait for company while every \
-                 worker is busy; a batch seals at once when full (--max-batch), or when the queue \
-                 is drained and a worker is idle"
+                "      --max-batch: the most requests a worker pulls off the queue for one batch; \
+                 it takes what is queued and never waits for more"
             );
             eprintln!(
                 "  bcp gateway  [--arch tiny|…] [--shards 3] [--workers 1] [--addr 127.0.0.1:0] \
@@ -1397,10 +1391,7 @@ fn main() {
             eprintln!(
                 "  bcp profile  [--arch tiny|cnv|ncnv|ucnv] [--workers 2] [--clients 8] \
                  [--requests 40] [--frames 32] [--sample-rate 1] [--max-batch 8] \
-                 [--max-wait-us 500] [--out profile-out]"
-            );
-            eprintln!(
-                "      --max-wait-us: as for serve-bench (the bound under load, not a fixed wait)"
+                 [--out profile-out]"
             );
             eprintln!(
                 "  bcp scrub-bench [--arch tiny|cnv|ncnv|ucnv] [--faults 64] [--seed 7] \

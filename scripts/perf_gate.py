@@ -15,8 +15,10 @@ first two are timed in alternating slices of one run, so host drift cancels:
    taken at sample_rate 1, 64x the production rate, so it bounds the
    production cost from above.
 3. `serve.batch_wait_ms_p50` on `gateway_tiny` <= 0.1 ms: its requests are
-   lone, so with a worker idle the batcher seals them at once (microseconds).
-   A return of the idle wait reads as `max_wait`, 0.5 ms and more.
+   lone, and a worker that pulls one takes what else is queued (nothing) and
+   runs it (microseconds). Nothing in the engine waits for company, so this
+   guards against such a wait being re-introduced; the timer it replaced read
+   0.5 ms and more here.
 
 Prints the verdicts; exits non-zero when any bound is exceeded.
 """
@@ -44,7 +46,7 @@ def main():
     lone = values(traced["gateway_tiny"], "serve.batch_wait_ms_p50")
     checks = [("engine over direct classify_block, engine_tiny", engine, ENGINE_BOUND_PCT, "%"),
               ("tracing at sample_rate 1, all workloads", trace, TRACE_BOUND_PCT, "%"),
-              ("batcher wait of a lone request, gateway_tiny", lone, LONE_WAIT_BOUND_MS, "ms")]
+              ("batch wait of a lone request, gateway_tiny", lone, LONE_WAIT_BOUND_MS, "ms")]
     verdicts = [(name, statistics.median(got), len(got), bound, unit)
                 for name, got, bound, unit in checks]
     for name, med, n, bound, unit in verdicts:

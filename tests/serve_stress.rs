@@ -77,7 +77,7 @@ fn engine_is_deterministic_across_worker_counts() {
 fn batched_kernel_engine_is_byte_identical_to_classify_block() {
     // Same shape as the determinism test above, but tuned so worker
     // dispatch actually forms large micro-batches: max_batch 16 spans four
-    // register blocks of the blocked GEMM, and a non-zero max_wait lets the
+    // register blocks of the blocked GEMM, and 96 pipelined submits let the
     // queue coalesce. However the engine cuts the 96 frames into sealed
     // batches, the register-blocked kernel inside `infer_batch` must be
     // byte-identical to one `classify_block` over all of them — and to
@@ -99,7 +99,6 @@ fn batched_kernel_engine_is_byte_identical_to_classify_block() {
             workers,
             ServeConfig {
                 max_batch: 16,
-                max_wait: Duration::from_micros(500),
                 ..ServeConfig::default()
             },
         );

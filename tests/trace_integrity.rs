@@ -28,7 +28,6 @@ use binarycop::BinaryCoP;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// One trained tiny predictor shared by every case — building it is far
 /// more expensive than serving a handful of frames through it.
@@ -65,7 +64,6 @@ proptest! {
     ) {
         let cfg = ServeConfig {
             max_batch,
-            max_wait: Duration::from_micros(200),
             trace: Some(TraceConfig::sample_all()),
             ..ServeConfig::default()
         };
@@ -126,7 +124,6 @@ proptest! {
 fn compute_attribution_telescopes_through_the_batched_paths() {
     let cfg = ServeConfig {
         max_batch: 16,
-        max_wait: Duration::from_micros(500),
         trace: Some(TraceConfig::sample_all()),
         ..ServeConfig::default()
     };
@@ -172,7 +169,6 @@ fn compute_attribution_telescopes_through_the_batched_paths() {
 fn ring_saturation_drops_are_counted_never_silent() {
     let cfg = ServeConfig {
         max_batch: 4,
-        max_wait: Duration::from_micros(100),
         trace: Some(TraceConfig {
             sample_rate: 1,
             ring_capacity: 2, // deliberately starved
