@@ -69,3 +69,31 @@ fn workspace_has_a_substantial_root_set() {
         "expected at least 10 `// bcp:hot-path` roots across the workspace, found {count}"
     );
 }
+
+#[test]
+fn admission_queue_park_is_seen_once_its_directive_is_gone() {
+    // The engine's queue must stay in front of the audit, lock and parks
+    // included: the file is clean on its own, and without the directive on
+    // `pull`'s park that park is a finding, at its line, from its root.
+    let rel = "crates/bcp-serve/src/queue.rs";
+    let src = std::fs::read_to_string(workspace_root().join(rel)).expect("queue.rs is readable");
+    let report = bcp_check::audit::audit_sources(&[(rel, &src)]);
+    assert!(report.is_clean(), "{}", report.render_text());
+
+    let mut lines: Vec<&str> = src.lines().collect();
+    let is_park = |l: &&str| l.contains("not_empty.wait(");
+    let park = lines.iter().position(is_park).expect("pull parks");
+    let directive = lines.remove(park - 1);
+    assert!(directive.contains("audit: allow(block)"), "{directive}");
+    let report = bcp_check::audit::audit_sources(&[(rel, &lines.join("\n"))]);
+    let [d] = &report.diagnostics[..] else {
+        panic!("one finding expected:\n{}", report.render_text());
+    };
+    // The park moved up one line: 0-based `park` is now its 1-based number.
+    assert_eq!(
+        (d.code, &d.location),
+        (Code::HotPathBlocking, &format!("{rel}:{park}"))
+    );
+    let witness = d.help.as_deref().unwrap_or("");
+    assert!(witness.contains("root `Admission::pull`"), "{witness}");
+}

@@ -28,8 +28,8 @@ use crate::shard::{Router, ShardSpec};
 use crate::tenant::{Admission, TenantPolicy, TenantTable};
 use bcp_serve::canary_frame;
 use bcp_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use bcp_sync::Mutex;
 use bcp_telemetry::{Counter, Histogram, Registry};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;

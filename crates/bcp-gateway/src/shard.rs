@@ -8,6 +8,10 @@
 //! affinity shard (warm batches) but every tenant also has a total
 //! preference order over all shards for failover.
 //!
+//! A shard keeps its engine as a `bcp-sync` `Mutex<Option<Arc<Engine>>>`:
+//! a request clones the `Arc` out and submits with no lock held, kill takes
+//! the `Option` and shuts the engine down unlocked, revive puts one in.
+//!
 //! Failure handling is layered:
 //! * each shard publishes an Up/Suspect/Down byte ([`ShardStateCell`],
 //!   same single-writer-ish relaxed-atomic pattern as the engine's
@@ -25,9 +29,9 @@ use crate::protocol::Status;
 use bcp_dataset::MaskClass;
 use bcp_serve::{Engine, Replica, ServeConfig, ServeError};
 use bcp_sync::atomic::{AtomicU8, Ordering};
+use bcp_sync::Mutex;
 use bcp_telemetry::{Counter, Gauge, Registry};
 use bcp_tensor::Tensor;
-use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,7 +105,7 @@ impl ShardStateCell {
     pub fn store(&self, state: ShardState) {
         // ordering: Relaxed — state transitions publish no associated
         // data; the engine swap they describe is separately synchronized
-        // through the shard's RwLock.
+        // through the shard's engine mutex.
         self.0.store(state as u8, Ordering::Relaxed);
     }
 }
@@ -110,7 +114,9 @@ impl ShardStateCell {
 pub struct Shard {
     id: usize,
     spec: ShardSpec,
-    engine: RwLock<Option<Engine>>,
+    /// `None` while killed. Held only to clone the `Arc` out or to swap
+    /// the engine, never across a `submit` (which may park under `Block`).
+    engine: Mutex<Option<Arc<Engine>>>,
     state: ShardStateCell,
     registry: Option<Registry>,
     state_gauge: Option<Gauge>,
@@ -136,7 +142,7 @@ impl Shard {
         let shard = Shard {
             id,
             spec,
-            engine: RwLock::new(Some(engine)),
+            engine: Mutex::new(Some(Arc::new(engine))),
             state: ShardStateCell::new(ShardState::Up),
             state_gauge: registry
                 .as_ref()
@@ -174,9 +180,9 @@ impl Shard {
     }
 
     /// Submit one frame and wait for its completion, all bounded by
-    /// `deadline`. The engine read-guard is dropped before blocking on
-    /// the ticket so [`kill`](Shard::kill) can take the write lock while
-    /// requests are in flight.
+    /// `deadline`. The engine is cloned out of its mutex first, so no lock
+    /// is held while the submit parks on a full queue or the ticket waits,
+    /// and [`kill`](Shard::kill) never queues behind a request in flight.
     // bcp:hot-path — per-request shard submission on the dispatch path
     pub fn classify_with_deadline(
         &self,
@@ -186,24 +192,19 @@ impl Shard {
         if let Some(c) = &self.dispatched {
             c.inc();
         }
-        let ticket = {
-            // audit: allow(block): shard-lifecycle RwLock; read-acquired
-            // per request, write-contended only during kill/revive.
-            let guard = self.engine.read();
-            let Some(engine) = guard.as_ref() else {
+        // audit: allow(block): shard-lifecycle mutex; held for one `Arc`
+        // clone per request, contended only by kill/revive.
+        let engine = self.engine.lock().as_ref().map(Arc::clone);
+        let submitted = engine
+            .ok_or(ServeError::ShuttingDown)
+            .and_then(|e| e.submit_with_deadline(frame, deadline));
+        let ticket = match submitted {
+            Ok(t) => t,
+            Err(e) => {
                 if let Some(c) = &self.failed {
                     c.inc();
                 }
-                return Err(ServeError::ShuttingDown);
-            };
-            match engine.submit_with_deadline(frame, deadline) {
-                Ok(t) => t,
-                Err(e) => {
-                    if let Some(c) = &self.failed {
-                        c.inc();
-                    }
-                    return Err(e);
-                }
+                return Err(e);
             }
         };
         // audit: allow(block): the whole point — park this connection's
@@ -244,13 +245,9 @@ impl Shard {
     /// audit: cold — lifecycle operation, never on the request path.
     pub fn stop(&self) {
         self.publish_state(ShardState::Down);
-        let engine = {
-            let mut guard = self.engine.write();
-            if let Some(e) = guard.as_ref() {
-                e.begin_drain();
-            }
-            guard.take()
-        };
+        // Out of the mutex first: from here new requests see no engine and
+        // fail over, and `shutdown` (close, drain, join) runs unlocked.
+        let engine = self.engine.lock().take();
         if let Some(e) = engine {
             e.shutdown();
         }
@@ -265,7 +262,7 @@ impl Shard {
             self.spec.cfg.clone(),
             self.registry.clone(),
         );
-        *self.engine.write() = Some(engine);
+        *self.engine.lock() = Some(Arc::new(engine));
         self.publish_state(ShardState::Suspect);
         if let Some(c) = &self.revived {
             c.inc();

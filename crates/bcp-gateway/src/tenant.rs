@@ -18,8 +18,8 @@
 //! others of admission capacity (shard capacity is protected separately
 //! by the engine's own backpressure).
 
+use bcp_sync::Mutex;
 use bcp_telemetry::{Counter, Registry};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Micro-tokens per token.

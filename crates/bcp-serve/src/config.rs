@@ -1,25 +1,10 @@
 //! Engine configuration and the per-request error taxonomy.
 
+// Lives with the queue that enforces it, which the model build compiles.
+pub use crate::queue::BackpressurePolicy;
 use crate::recovery::RecoveryPolicy;
 use bcp_tensor::Tensor;
 use std::time::Duration;
-
-/// What `submit` does when the admission queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the caller until a slot frees up (lossless; tail latency grows
-    /// with load — the right default for batch jobs and benchmarks).
-    Block,
-    /// Fail the new request immediately with [`ServeError::Rejected`]
-    /// (bounds both queueing delay and client wait; load-shedding at the
-    /// door, like a 503).
-    Reject,
-    /// Evict the *oldest* queued request — it has burned the most of its
-    /// deadline already and is the likeliest to miss it anyway — completing
-    /// it with [`ServeError::Shed`], then admit the new one. Keeps the
-    /// queue fresh under sustained overload.
-    ShedOldest,
-}
 
 /// Tuning knobs for [`Engine`](crate::Engine). Worker count is implied by
 /// the number of replicas handed to `Engine::start`.

@@ -1,14 +1,18 @@
 //! The concurrent micro-batching inference engine.
 //!
 //! ```text
-//!            submit()                 each healthy worker pulls its own batch
-//!  clients ──────────► bounded MPMC ──┬─► worker 0 ── replica 0
-//!            policy:    admission     ├─► worker 1 ── replica 1
-//!            Block /    queue         └─► worker N ── replica N
-//!            Reject /   (queue_cap)         │
-//!            ShedOldest                     ▼
+//!            push(policy)             pull(max_batch): one batch, one lock
+//!  clients ──────────► Admission ─────┬─► worker 0 ── replica 0
+//!            Block /   (queue_cap,    ├─► worker 1 ── replica 1
+//!            Reject /   close flag)   └─► worker N ── replica N
+//!            ShedOldest                     │
+//!                                           ▼
 //!                                    per-request oneshot slots
 //! ```
+//!
+//! The queue is [`Admission`] ([`crate::queue`]): a `VecDeque` under one
+//! `bcp_sync` mutex, held directly by `Shared`, with its own close flag —
+//! a drain or shutdown *is* [`Admission::close`].
 //!
 //! **The pull.** There is one queue and one thread role. A healthy worker
 //! blocks on the admission queue, takes the first request, takes what else
@@ -35,7 +39,8 @@
 //!   reference for any worker count (replicas are bit-identical copies and
 //!   requests are matched by ticket, not by arrival order).
 //! * **Bounded overload**: the admission queue never exceeds `queue_cap`;
-//!   beyond it the configured [`BackpressurePolicy`] decides, and no
+//!   beyond it the configured
+//!   [`BackpressurePolicy`](crate::BackpressurePolicy) decides, and no
 //!   policy can deadlock the engine.
 //! * **Fault isolation**: a replica that fails its integrity canary (or
 //!   panics) fails only its current batch and stops pulling, so it holds
@@ -45,17 +50,16 @@
 //!   repair → `Probation` → K consecutive canary passes → `Healthy` —
 //!   instead of ending its thread (see [`crate::recovery`]).
 
-use crate::config::{BackpressurePolicy, ServeConfig, ServeError};
+use crate::config::{ServeConfig, ServeError};
 use crate::oneshot::{Expired, Slot};
+use crate::queue::{Admission, Push};
 use crate::recovery::{RecoveryPolicy, WorkerState, WorkerStateCell};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
+use bcp_sync::Mutex;
 use bcp_telemetry::{Counter, Gauge, Histogram, Registry};
 use bcp_tensor::Tensor;
 use bcp_trace::{stamp, ActiveTrace, TraceEvent, TraceOutcome, Tracer};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use crossbeam::queue::ArrayQueue;
-use parking_lot::{Mutex, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -136,12 +140,10 @@ struct Shared {
     cfg: ServeConfig,
     registry: Option<Registry>,
     metrics: Option<Metrics>,
-    /// `None` once shutdown began; closing it is what drains the engine.
-    submit_tx: RwLock<Option<Sender<Request>>>,
-    /// The admission queue's receiving end: healthy workers pull their
-    /// batches from it, `ShedOldest` evicts its head, and whoever finds no
-    /// healthy worker drains it.
-    queue: Receiver<Request>,
+    /// The admission queue: submitters push under `cfg.policy`, healthy
+    /// workers pull their batches, whoever finds no healthy worker drains
+    /// it, and closing it is what begins a drain or shutdown.
+    queue: Admission<Request>,
     /// Per-worker [`WorkerState`] bytes, each written only by its worker
     /// thread — the one reader that pulls on it. Everyone else reads them
     /// to find out whether anybody pulls at all.
@@ -150,10 +152,11 @@ struct Shared {
     fault_mailboxes: Vec<Mutex<Vec<(usize, u64)>>>,
     /// Request-lifecycle tracer (None = tracing disabled).
     tracer: Option<Arc<Tracer>>,
-    /// Retired response slots awaiting reuse. A slot re-enters the pool
-    /// only once `Arc::strong_count == 1` (see [`Shared::release_slot`]),
-    /// so at steady state `submit` stops minting slot allocations.
-    slot_pool: ArrayQueue<Arc<Slot<Completion>>>,
+    /// Retired response slots awaiting reuse, at most `2 × queue_cap`. A
+    /// slot re-enters the pool only once `Arc::strong_count == 1` (see
+    /// [`Shared::release_slot`]), and every way a request can end releases
+    /// it — so at steady state, overloaded or not, `submit` mints none.
+    slot_pool: Mutex<Vec<Arc<Slot<Completion>>>>,
 }
 
 impl Shared {
@@ -193,17 +196,37 @@ impl Shared {
         }
     }
 
-    /// Complete `req` with `err` (counted as failed). `ring` is the
-    /// calling thread's trace ring.
-    fn fail(&self, mut req: Request, err: ServeError, ring: usize) {
-        self.finish_trace(&mut req.trace, TraceOutcome::Failed, ring);
-        if req.slot.complete(Err(err)) {
-            if let Some(m) = self.m() {
-                m.failed.inc();
+    /// The one way a request ends: complete its slot with `outcome`, finish
+    /// its trace (so `Deliver` is stamped once the client can see the
+    /// answer), count the outcome — or `serve.abandoned` when the client had
+    /// already given up — and recycle the slot. Returns whether the outcome
+    /// was delivered. `ring` is the calling thread's trace ring.
+    fn resolve(
+        &self,
+        mut req: Request,
+        outcome: Completion,
+        trace_outcome: TraceOutcome,
+        ring: usize,
+    ) -> bool {
+        let delivered = req.slot.complete(outcome);
+        self.finish_trace(&mut req.trace, trace_outcome, ring);
+        if let Some(m) = self.m() {
+            match outcome {
+                _ if !delivered => m.abandoned.inc(),
+                Ok(_) => m.ok.inc(),
+                Err(ServeError::DeadlineExpired) => m.expired.inc(),
+                Err(ServeError::Shed) => m.shed.inc(),
+                Err(_) => m.failed.inc(),
             }
-        } else if let Some(m) = self.m() {
-            m.abandoned.inc();
         }
+        self.release_slot(req.slot);
+        delivered
+    }
+
+    /// A request the queue handed back: the caller gets the error, not a
+    /// ticket, so the trace is finished and the slot goes straight back.
+    fn turn_away(&self, mut req: Request, trace_outcome: TraceOutcome, ring: usize) {
+        self.finish_trace(&mut req.trace, trace_outcome, ring);
         self.release_slot(req.slot);
     }
 
@@ -214,38 +237,26 @@ impl Shared {
     /// the rest.
     fn fail_unserved(&self, ring: usize) {
         while WorkerStateCell::none_healthy(&self.states) {
-            let Ok(req) = self.queue.try_recv() else {
+            let Some(req) = self.queue.try_pop() else {
                 break;
             };
-            self.fail(req, ServeError::NoHealthyWorkers, ring);
+            let nobody = Err(ServeError::NoHealthyWorkers);
+            self.resolve(req, nobody, TraceOutcome::Failed, ring);
+            if let Some(m) = self.m() {
+                m.queue_depth.set(self.queue.len() as f64);
+            }
         }
-    }
-
-    /// Whether admission has been closed (a drain or shutdown has begun).
-    fn is_draining(&self) -> bool {
-        // audit: allow(block): shutdown-gate RwLock; read-acquired off the serving path, contended only at teardown
-        self.submit_tx.read().is_none()
     }
 
     /// Drop requests whose deadline already passed, completing each with
     /// `DeadlineExpired`. `ring` is the calling thread's trace ring.
     fn expire(&self, batch: &mut Vec<Request>, ring: usize) {
         let now = Instant::now();
-        batch.retain_mut(|req| {
-            if req.deadline.is_some_and(|d| now >= d) {
-                self.finish_trace(&mut req.trace, TraceOutcome::Expired, ring);
-                if req.slot.complete(Err(ServeError::DeadlineExpired)) {
-                    if let Some(m) = self.m() {
-                        m.expired.inc();
-                    }
-                } else if let Some(m) = self.m() {
-                    m.abandoned.inc();
-                }
-                false
-            } else {
-                true
-            }
-        });
+        let late = |req: &mut Request| req.deadline.is_some_and(|d| now >= d);
+        for req in batch.extract_if(.., late) {
+            let expired = Err(ServeError::DeadlineExpired);
+            self.resolve(req, expired, TraceOutcome::Expired, ring);
+        }
     }
 
     /// Worker thread `w`'s trace ring (0 when tracing is off).
@@ -261,7 +272,9 @@ impl Shared {
     /// Pop a recycled response slot, or mint one on a pool miss. After the
     /// warm-up window every request is served from the pool.
     fn acquire_slot(&self) -> Arc<Slot<Completion>> {
-        self.slot_pool.pop().unwrap_or_else(|| {
+        // audit: allow(block): slot-pool mutex — held for one Vec pop, never across anything else
+        let recycled = self.slot_pool.lock().pop();
+        recycled.unwrap_or_else(|| {
             // audit: allow(alloc): pool miss — at most ~2×queue_cap slots are ever minted before steady-state reuse takes over
             Arc::new(Slot::new())
         })
@@ -276,8 +289,12 @@ impl Shared {
     fn release_slot(&self, slot: Arc<Slot<Completion>>) {
         if Arc::strong_count(&slot) == 1 {
             slot.reset();
-            // audit: allow(alloc): lock-free store into the preallocated pool ring — no heap traffic
-            let _ = self.slot_pool.push(slot);
+            // audit: allow(block): slot-pool mutex — held for one Vec push, never across anything else
+            let mut pool = self.slot_pool.lock();
+            if pool.len() < pool.capacity() {
+                // audit: allow(alloc): bounded by the capacity reserved at start, so the push never grows the Vec
+                pool.push(slot);
+            }
         }
     }
 }
@@ -356,7 +373,6 @@ impl Engine {
             (frame, expected)
         });
 
-        let (submit_tx, queue) = bounded::<Request>(cfg.queue_cap);
         let metrics = registry.as_ref().map(|r| Metrics::new(r, workers));
         let tracer = cfg
             .trace
@@ -364,13 +380,12 @@ impl Engine {
             .map(|tc| Tracer::new(tc, workers, registry.as_ref()));
         // Pool capacity covers the worst-case number of live slots:
         // queued + in-flight + just-resolved stay under 2×queue_cap.
-        let slot_pool = ArrayQueue::new(cfg.queue_cap.saturating_mul(2).max(1));
+        let slot_pool = Mutex::new(Vec::with_capacity(cfg.queue_cap.saturating_mul(2)));
         let shared = Arc::new(Shared {
+            queue: Admission::new(cfg.queue_cap),
             cfg,
             registry,
             metrics,
-            submit_tx: RwLock::new(Some(submit_tx)),
-            queue,
             states: (0..workers)
                 .map(|_| WorkerStateCell::new(WorkerState::Healthy))
                 .collect(),
@@ -423,11 +438,6 @@ impl Engine {
         frame: &Tensor,
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
-        // audit: allow(block): shutdown-gate RwLock; read-acquired, contended only at teardown
-        let guard = self.shared.submit_tx.read();
-        let Some(tx) = guard.as_ref() else {
-            return Err(ServeError::ShuttingDown);
-        };
         if let Some(m) = self.shared.m() {
             m.requests.inc();
         }
@@ -437,7 +447,7 @@ impl Engine {
         // `Enqueue` and rides inside the request from here on.
         // audit: external — `sample` also names Tensor::sample; the tracer's sampler is audited at its own root
         let trace = self.shared.tracer.as_ref().and_then(|t| t.sample());
-        let mut req = Request {
+        let req = Request {
             // audit: allow(alloc): the single ingestion copy that decouples the caller's buffer from the pipeline (ROADMAP item 3 tracks batch-level reuse downstream of this point)
             frame: frame.clone(),
             slot: Arc::clone(&slot),
@@ -445,68 +455,34 @@ impl Engine {
             deadline,
             trace,
         };
-        match self.shared.cfg.policy {
-            BackpressurePolicy::Block => {
-                // audit: allow(block): Block policy — the caller opted into parking on a full queue
-                if let Err(e) = tx.send(req) {
-                    let mut req = e.0;
-                    self.shared.finish_trace(
-                        &mut req.trace,
-                        TraceOutcome::Failed,
-                        self.shared.client_ring(),
-                    );
-                    return Err(ServeError::ShuttingDown);
+        let (ring, q) = (self.shared.client_ring(), &self.shared.queue);
+        // Path form, like `Arc::clone`: the call graph resolves it to the
+        // queue's own audited root, where a bare `.push(` reads as `Vec`'s.
+        let (depth, victim) = match Admission::push(q, req, self.shared.cfg.policy) {
+            Push::Admitted { depth, victim } => (depth, victim),
+            Push::Full(req) => {
+                if let Some(m) = self.shared.m() {
+                    m.rejected.inc();
                 }
+                drop(slot);
+                self.shared.turn_away(req, TraceOutcome::Rejected, ring);
+                return Err(ServeError::Rejected);
             }
-            BackpressurePolicy::Reject => match tx.try_send(req) {
-                Ok(()) => {}
-                Err(TrySendError::Full(mut r)) => {
-                    self.shared.finish_trace(
-                        &mut r.trace,
-                        TraceOutcome::Rejected,
-                        self.shared.client_ring(),
-                    );
-                    if let Some(m) = self.shared.m() {
-                        m.rejected.inc();
-                    }
-                    return Err(ServeError::Rejected);
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
-            },
-            BackpressurePolicy::ShedOldest => loop {
-                match tx.try_send(req) {
-                    Ok(()) => break,
-                    Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
-                    Err(TrySendError::Full(r)) => {
-                        req = r;
-                        // Evict the head of the queue — the stalest
-                        // request — and keep trying. If a worker beat us
-                        // to it, the queue has room now anyway.
-                        if let Ok(mut victim) = self.shared.queue.try_recv() {
-                            self.shared.finish_trace(
-                                &mut victim.trace,
-                                TraceOutcome::Shed,
-                                self.shared.client_ring(),
-                            );
-                            if victim.slot.complete(Err(ServeError::Shed)) {
-                                if let Some(m) = self.shared.m() {
-                                    m.shed.inc();
-                                }
-                            } else if let Some(m) = self.shared.m() {
-                                m.abandoned.inc();
-                            }
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            },
+            Push::Closed(req) => {
+                drop(slot);
+                self.shared.turn_away(req, TraceOutcome::Failed, ring);
+                return Err(ServeError::ShuttingDown);
+            }
+        };
+        if let Some(m) = self.shared.m() {
+            m.queue_depth.set(depth as f64);
+        }
+        if let Some(victim) = victim {
+            self.shared
+                .resolve(victim, Err(ServeError::Shed), TraceOutcome::Shed, ring);
         }
         // Enqueue first, look second: see `WorkerStateCell`.
-        self.shared.fail_unserved(self.shared.client_ring());
-        if let Some(m) = self.shared.m() {
-            m.queue_depth.set(self.shared.queue.len() as f64);
-        }
+        self.shared.fail_unserved(ring);
         Ok(Ticket {
             slot,
             deadline,
@@ -578,22 +554,22 @@ impl Engine {
     /// in-flight work. Idempotent; [`shutdown`](Engine::shutdown) later
     /// completes the join.
     pub fn begin_drain(&self) {
-        drop(self.shared.submit_tx.write().take());
+        self.shared.queue.close();
     }
 
     /// Whether the engine has stopped accepting new requests (a drain or
     /// shutdown has begun).
     pub fn is_draining(&self) -> bool {
-        self.shared.is_draining()
+        self.shared.queue.is_closed()
     }
 
     /// Graceful shutdown: stop accepting, drain every queued request
     /// through the pipeline, join all threads. Idempotent.
     pub fn shutdown(&self) {
-        // Dropping the only Sender closes the admission queue; the healthy
+        // Closing the admission queue refuses new pushes; the healthy
         // workers pull it empty and then leave, an off-rotation worker
         // leaves at its next wake-up. Nothing in flight is lost.
-        drop(self.shared.submit_tx.write().take());
+        self.shared.queue.close();
         let handles = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
@@ -633,7 +609,7 @@ fn worker_loop<R: Replica>(
         match (shared.state(w), shared.cfg.recovery) {
             (WorkerState::Healthy, _) => {}
             (WorkerState::Quarantined | WorkerState::Probation, Some(policy))
-                if !shared.is_draining() =>
+                if !shared.queue.is_closed() =>
             {
                 // audit: allow(block): timed off-rotation wait — the heartbeat of repair and probation work
                 std::thread::sleep(policy.retry_interval);
@@ -653,29 +629,18 @@ fn worker_loop<R: Replica>(
             _ => break,
         }
 
-        // A batch opens with the first request to arrive and takes what
-        // else is already queued; it never waits for more.
-        // audit: allow(block): idle park on the admission queue — a free worker waits here and nowhere else
-        let Ok(mut req) = shared.queue.recv() else {
+        // A batch opens with the first request to arrive and takes what else
+        // is queued in the same critical section. `None`: closed and empty.
+        let Some(depth) = shared.queue.pull(shared.cfg.max_batch, &mut batch) else {
             break;
         };
-        let full = loop {
-            stamp(&mut req.trace, &shared.tracer, TraceEvent::AdmissionDequeue);
-            // audit: allow(alloc): append into the worker's batch buffer, whose capacity is retained across batches
-            batch.push(req);
-            if batch.len() >= shared.cfg.max_batch {
-                break true;
-            }
-            match shared.queue.try_recv() {
-                Ok(r) => req = r,
-                Err(_) => break false,
-            }
-        };
+        let full = batch.len() >= shared.cfg.max_batch;
         if let Some(m) = shared.m() {
-            m.queue_depth.set(shared.queue.len() as f64);
+            m.queue_depth.set(depth as f64);
         }
         if shared.tracer.is_some() {
             for r in &mut batch {
+                stamp(&mut r.trace, &shared.tracer, TraceEvent::AdmissionDequeue);
                 stamp(&mut r.trace, &shared.tracer, TraceEvent::BatchSeal);
                 stamp(&mut r.trace, &shared.tracer, TraceEvent::WorkerDispatch);
                 if let Some(t) = r.trace.as_mut() {
@@ -718,7 +683,8 @@ fn worker_loop<R: Replica>(
             }
             None => {
                 for req in batch.drain(..) {
-                    shared.fail(req, ServeError::WorkerFault { worker: w }, ring);
+                    let fault = Err(ServeError::WorkerFault { worker: w });
+                    shared.resolve(req, fault, TraceOutcome::Failed, ring);
                 }
                 // Out of rotation now; if that left nobody pulling, what
                 // is queued will wait for no one.
@@ -864,33 +830,20 @@ fn run_batch<R: Replica>(
 fn deliver(w: usize, batch: &mut Vec<Request>, classes: Vec<MaskClass>, shared: &Shared) {
     let ring = shared.worker_ring(w);
     let now = Instant::now();
-    for (mut req, class) in batch.drain(..).zip(classes) {
+    for (req, class) in batch.drain(..).zip(classes) {
         if req.deadline.is_some_and(|d| now >= d) {
             // Result exists but arrived too late to honor the deadline
             // contract: a success is only delivered inside its deadline.
-            shared.finish_trace(&mut req.trace, TraceOutcome::Expired, ring);
-            if req.slot.complete(Err(ServeError::DeadlineExpired)) {
-                if let Some(m) = shared.m() {
-                    m.expired.inc();
-                }
-            } else if let Some(m) = shared.m() {
-                m.abandoned.inc();
-            }
-            shared.release_slot(req.slot);
+            let expired = Err(ServeError::DeadlineExpired);
+            shared.resolve(req, expired, TraceOutcome::Expired, ring);
             continue;
         }
         let latency = now.duration_since(req.enqueued);
-        let delivered = req.slot.complete(Ok(class));
-        shared.finish_trace(&mut req.trace, TraceOutcome::Ok, ring);
-        if delivered {
+        if shared.resolve(req, Ok(class), TraceOutcome::Ok, ring) {
             if let Some(m) = shared.m() {
-                m.ok.inc();
                 m.latency.record_duration(latency);
             }
-        } else if let Some(m) = shared.m() {
-            m.abandoned.inc();
         }
-        shared.release_slot(req.slot);
     }
     if let Some(c) = shared.m().and_then(|m| m.worker_batches.get(w)) {
         c.inc();
@@ -902,6 +855,7 @@ mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
     use crate::replica::{canary_frame, SyntheticReplica};
+    use crate::BackpressurePolicy;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -1698,5 +1652,49 @@ mod tests {
         );
         assert_eq!(infers.load(Ordering::Relaxed), 2);
         assert_eq!(seals(&e), (2, 0), "an expired pull is not a batch");
+    }
+
+    #[test]
+    fn every_way_a_request_ends_recycles_its_slot() {
+        const N: usize = 5;
+        // One worker held on a head request, room for N behind it. Then:
+        // `abandoned` — N clients give up at their deadline while the worker
+        // is held, so the engine is the last holder of their slots when it
+        // expires or sheds them; `live` requests that get served; `refused`
+        // ones turned away. Returns the pool's length once all is resolved.
+        let run = |policy, abandoned: bool, live: usize, refused: usize| {
+            let gate = Gate::closed();
+            let cfg = ServeConfig {
+                queue_cap: N,
+                max_batch: 1,
+                policy,
+                ..ServeConfig::default()
+            };
+            let e = Engine::start(vec![Probe::new(&gate)], cfg, None);
+            let mut tickets = vec![e.submit(&frames(1)[0]).unwrap()];
+            gate.await_entered(1);
+            for f in frames(if abandoned { N } else { 0 }) {
+                let t = e.submit_with_deadline(&f, Some(Instant::now())).unwrap();
+                assert_eq!(t.wait(), Err(ServeError::DeadlineExpired));
+            }
+            tickets.extend(frames(live).iter().map(|f| e.submit(f).unwrap()));
+            for f in frames(refused) {
+                assert!(matches!(e.submit(&f), Err(ServeError::Rejected)));
+            }
+            // The engine lets go first (`shutdown` joins the worker), then
+            // the clients wait: who holds a slot last is never a race.
+            gate.open();
+            e.shutdown();
+            assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
+            let pool = e.shared.slot_pool.lock();
+            pool.len()
+        };
+        use BackpressurePolicy::{Block, Reject, ShedOldest};
+        assert_eq!(run(Block, false, N, 0), N + 1, "served: the head and N");
+        assert_eq!(run(Block, true, 0, 0), N + 1, "expired in the queue");
+        // A newcomer takes its slot before its victim's — or, turned away,
+        // its own — comes back: one slot more than that was ever minted.
+        assert_eq!(run(ShedOldest, true, N, 0), N + 2, "shed by N newcomers");
+        assert_eq!(run(Reject, false, N, N), N + 2, "turned away");
     }
 }

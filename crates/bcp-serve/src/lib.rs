@@ -7,10 +7,10 @@
 //! multiple cameras, or a flipped bit in weight SRAM. This crate adds the
 //! serving layer between those cameras and the model:
 //!
-//! * **Admission** — a bounded MPMC queue with an explicit
-//!   [`BackpressurePolicy`]: block (lossless), reject at the door, or shed
-//!   the oldest queued frame. Memory and queueing delay stay bounded by
-//!   construction.
+//! * **Admission** — one bounded FIFO ([`queue::Admission`], a `VecDeque`
+//!   under a `bcp-sync` mutex) with an explicit [`BackpressurePolicy`]:
+//!   block (lossless), reject at the door, or shed the oldest queued frame.
+//!   Memory and queueing delay stay bounded by construction.
 //! * **Micro-batching** — each healthy worker pulls its own batch off the
 //!   admission queue: the first request to arrive plus whatever else is
 //!   already queued, up to `max_batch`, never waiting for more. A free
@@ -41,9 +41,9 @@
 #![warn(clippy::arithmetic_side_effects)]
 
 // Under `--cfg bcp_model` only the model-checked structures are
-// compiled — the oneshot `Slot` and the `WorkerState` machinery — since
-// the full engine pulls in channels,
-// wall-clock time and model crates the model runtime does not provide.
+// compiled — the admission queue, the oneshot `Slot` and the `WorkerState`
+// machinery — since the full engine pulls in OS threads, wall-clock time
+// and model crates the model runtime does not provide.
 // See DESIGN.md §"Concurrency invariants".
 #[cfg(not(bcp_model))]
 pub mod config;
@@ -52,6 +52,7 @@ pub mod engine;
 #[cfg(not(bcp_model))]
 pub mod loadgen;
 pub mod oneshot;
+pub mod queue;
 pub mod recovery;
 #[cfg(not(bcp_model))]
 pub mod replica;

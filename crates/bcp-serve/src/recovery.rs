@@ -87,8 +87,9 @@ impl std::fmt::Display for WorkerState {
 /// out; a leaver writes its byte and then reads the queue while a
 /// submitter writes the queue and then reads the bytes, and at least one
 /// of those sees the other's write. The model suite in `tests/model.rs`
-/// checks that under every interleaving a request is pulled by a worker
-/// that was healthy when it pulled or failed exactly once, never stranded.
+/// checks that on these cells and the queue that serves
+/// ([`Admission`](crate::queue::Admission)): under every interleaving a
+/// request is pulled while its worker is healthy or failed once, never stranded.
 ///
 /// [`none_healthy`]: WorkerStateCell::none_healthy
 pub struct WorkerStateCell(AtomicU8);

@@ -1,12 +1,13 @@
 //! # bcp-sync — one sync vocabulary, two backends
 //!
 //! The serving stack's concurrency-bearing structures (the Vyukov trace
-//! [`Ring`](../bcp_trace/ring/index.html), the oneshot `Slot`, the
-//! `WorkerState` byte) import their primitives from this crate instead
-//! of `std`:
+//! [`Ring`](../bcp_trace/ring/index.html), the engine's `Admission`
+//! queue, the oneshot `Slot`, the `WorkerState` byte) — and every other
+//! lock in bcp-serve, bcp-gateway and bcp-telemetry — import their
+//! primitives from this crate instead of `std`:
 //!
-//! * **Normal builds** re-export `std` (with parking_lot-style
-//!   panic-free lock APIs) at zero cost — `cell::UnsafeCell` is a
+//! * **Normal builds** re-export `std` (behind panic-free lock APIs:
+//!   poisoning is swallowed) at zero cost — `cell::UnsafeCell` is a
 //!   `#[repr(transparent)]` newtype, atomics are the `std` types
 //!   themselves.
 //! * **`--cfg bcp_model` builds** (`RUSTFLAGS="--cfg bcp_model"`)
@@ -24,7 +25,9 @@
 //! Lock API convention (both backends): `Mutex::lock` returns the guard
 //! directly (no poison `Result` — a panicked holder in this workspace
 //! is either already fatal or, in the model, aborts the execution), and
-//! `Condvar::wait_timeout` returns `(guard, timed_out)`.
+//! `Condvar::wait_timeout` returns `(guard, timed_out)`. The vocabulary
+//! is what *both* backends have and nothing else: no reader-writer lock,
+//! because a primitive the model lacks is code the checker cannot see.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,15 +92,6 @@ pub mod thread {
     pub use loom::thread::{spawn, yield_now, JoinHandle};
 }
 
-/// Spin-loop hints (a schedule point under the model).
-pub mod hint {
-    #[cfg(not(bcp_model))]
-    pub use std::hint::spin_loop;
-
-    #[cfg(bcp_model)]
-    pub use loom::hint::spin_loop;
-}
-
 /// Monotonic time: `std::time::Instant` normally, the execution's
 /// logical clock under the model (deadlines become schedulable).
 pub mod time {
@@ -121,11 +115,9 @@ mod std_locks {
     use std::ops::{Deref, DerefMut};
     use std::time::Duration;
 
-    /// `std::sync::Mutex` behind the parking_lot-style panic-free API
-    /// (the vendored parking_lot has no `Condvar`, and the oneshot
-    /// `Slot` needs a paired one — so the pairing lives here, over
-    /// `std`, with poisoning swallowed the way the workspace already
-    /// does by convention).
+    /// `std::sync::Mutex` behind a panic-free API: `lock` hands out the
+    /// guard whether or not an earlier holder panicked (the model
+    /// backend's signature, and the workspace's convention).
     pub struct Mutex<T>(std::sync::Mutex<T>);
 
     impl<T> Mutex<T> {
@@ -138,16 +130,6 @@ mod std_locks {
         /// cascade: the data is returned regardless.
         pub fn lock(&self) -> MutexGuard<'_, T> {
             MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
-        }
-
-        /// Consume the mutex, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-        }
-
-        /// Mutable access without locking (requires `&mut self`).
-        pub fn get_mut(&mut self) -> &mut T {
-            self.0.get_mut().unwrap_or_else(|e| e.into_inner())
         }
     }
 

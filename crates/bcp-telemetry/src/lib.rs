@@ -3,7 +3,7 @@
 //! A deliberately small observability layer — counters, gauges,
 //! log-bucketed histograms, a JSONL event stream and an
 //! end-of-run summary report — built only on std plus the workspace's
-//! existing `parking_lot`/`serde`/`serde_json`. No external telemetry
+//! own `bcp-sync` locks and `serde`/`serde_json`. No external telemetry
 //! dependency: the edge-deployment story of the paper (a Zynq SoC with no
 //! network guarantees) wants metrics that can be dumped to a file and
 //! scraped later, not a live exporter.

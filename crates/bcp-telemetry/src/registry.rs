@@ -3,7 +3,7 @@
 use crate::histogram::LogHistogram;
 use crate::report::Snapshot;
 use crate::sink::{Event, Sink};
-use parking_lot::{Mutex, RwLock};
+use bcp_sync::Mutex;
 use serde::Map;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -13,9 +13,10 @@ use std::time::{Duration, Instant};
 
 struct Inner {
     start: Instant,
-    counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Mutex<f64>>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Mutex<LogHistogram>>>>,
+    // Name maps are cold: the hot path holds pre-resolved `Arc` handles.
+    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Mutex<LogHistogram>>>>,
     sink: Mutex<Sink>,
 }
 
@@ -40,9 +41,9 @@ impl Registry {
         Registry {
             inner: Arc::new(Inner {
                 start: Instant::now(),
-                counters: RwLock::new(BTreeMap::new()),
-                gauges: RwLock::new(BTreeMap::new()),
-                histograms: RwLock::new(BTreeMap::new()),
+                counters: Mutex::new(BTreeMap::new()),
+                gauges: Mutex::new(BTreeMap::new()),
+                histograms: Mutex::new(BTreeMap::new()),
                 sink: Mutex::new(Sink::Null),
             }),
         }
@@ -65,41 +66,24 @@ impl Registry {
 
     /// Monotonic counter handle, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.counters.read().get(name) {
-            return Counter(c.clone());
-        }
-        let mut map = self.inner.counters.write();
-        Counter(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .clone(),
-        )
+        let mut map = self.inner.counters.lock();
+        Counter(Arc::clone(map.entry(name.to_string()).or_default()))
     }
 
     /// Last-write-wins gauge handle, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.inner.gauges.read().get(name) {
-            return Gauge(g.clone());
-        }
-        let mut map = self.inner.gauges.write();
-        Gauge(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(0.0)))
-                .clone(),
-        )
+        // All-zero bits are `0.0_f64`, so a fresh gauge reads zero.
+        let mut map = self.inner.gauges.lock();
+        Gauge(Arc::clone(map.entry(name.to_string()).or_default()))
     }
 
     /// Log-bucketed histogram handle, created on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.inner.histograms.read().get(name) {
-            return Histogram(h.clone());
-        }
-        let mut map = self.inner.histograms.write();
-        Histogram(
+        let mut map = self.inner.histograms.lock();
+        Histogram(Arc::clone(
             map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(LogHistogram::new())))
-                .clone(),
-        )
+                .or_insert_with(|| Arc::new(Mutex::new(LogHistogram::new()))),
+        ))
     }
 
     /// Emit a free-form `mark` event carrying `fields`. No-op without a
@@ -136,7 +120,7 @@ impl Registry {
         let counters = self
             .inner
             .counters
-            .read()
+            .lock()
             .iter()
             // ordering: Relaxed — snapshot reads tolerate torn-across-
             // counters staleness; each counter alone is atomic.
@@ -145,14 +129,14 @@ impl Registry {
         let gauges = self
             .inner
             .gauges
-            .read()
+            .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), *v.lock()))
+            .map(|(k, v)| (k.clone(), Gauge::read(v)))
             .collect();
         let histograms = self
             .inner
             .histograms
-            .read()
+            .lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.lock().summarize()))
             .collect();
@@ -172,15 +156,15 @@ impl Registry {
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut lines: Vec<String> = Vec::new();
-        for (name, v) in self.inner.counters.read().iter() {
+        for (name, v) in self.inner.counters.lock().iter() {
             // ordering: Relaxed — same as `snapshot`: a metrics dump
             // needs per-counter atomicity, not cross-counter ordering.
             lines.push(format!("{name} {}", v.load(Ordering::Relaxed)));
         }
-        for (name, v) in self.inner.gauges.read().iter() {
-            lines.push(format!("{name} {}", *v.lock()));
+        for (name, v) in self.inner.gauges.lock().iter() {
+            lines.push(format!("{name} {}", Gauge::read(v)));
         }
-        for (name, h) in self.inner.histograms.read().iter() {
+        for (name, h) in self.inner.histograms.lock().iter() {
             let s = h.lock().summarize();
             lines.push(format!("{name}.count {}", s.count));
             lines.push(format!("{name}.mean {:.1}", s.mean));
@@ -243,21 +227,27 @@ impl Counter {
     }
 }
 
-/// Last-write-wins gauge.
+/// Last-write-wins gauge: an `f64`'s bits in one atomic word, never torn.
 #[derive(Clone)]
-pub struct Gauge(Arc<Mutex<f64>>);
+pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// Overwrite the value.
-    // bcp:hot-path — the queue-depth gauge is written on every submit
+    // bcp:hot-path — the queue-depth gauge is written on every submit and every pull
     pub fn set(&self, v: f64) {
-        // audit: allow(block): parking_lot mutex around a single f64 store — a few instructions, uncontended by design
-        *self.0.lock() = v;
+        // ordering: Relaxed — last-write-wins statistic; the word is the
+        // whole value and publishes no other data.
+        self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        *self.0.lock()
+        Gauge::read(&self.0)
+    }
+
+    fn read(bits: &AtomicU64) -> f64 {
+        // ordering: Relaxed — statistic read, staleness is acceptable.
+        f64::from_bits(bits.load(Ordering::Relaxed))
     }
 }
 
@@ -269,7 +259,7 @@ impl Histogram {
     /// Record one sample.
     // bcp:hot-path — latency/batch-size samples land here once per request/batch
     pub fn record(&self, v: u64) {
-        // audit: allow(block): parking_lot mutex around a fixed-size bucket bump — a few instructions, never held across compute
+        // audit: allow(block): per-histogram mutex around a fixed-size bucket bump — a few instructions, never held across compute
         self.0.lock().record(v);
     }
 
@@ -301,6 +291,17 @@ mod tests {
         assert_eq!(s.counters["frames"], 4);
         assert_eq!(s.gauges["lr"], 0.02);
         assert_eq!(s.histograms["lat"].count, 2);
+
+        // Two writers, one word: a reader only ever sees a value one of
+        // them stored (or the 0.02 from above), never a mix of the two.
+        let (g, vals) = (r.gauge("lr"), [0.02, -1.5e300, 2.5e-300]);
+        std::thread::scope(|s| {
+            for v in &vals[1..] {
+                s.spawn(|| (0..10_000).for_each(|_| g.set(*v)));
+            }
+            (0..10_000).for_each(|_| assert!(vals.contains(&g.get()), "read {:e}", g.get()));
+        });
+        assert!(vals[1..].contains(&r.snapshot().gauges["lr"]));
     }
 
     #[test]

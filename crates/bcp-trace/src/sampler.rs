@@ -6,8 +6,9 @@
 //! the row vector is fine — the probe itself must stay cheap because it
 //! runs on the sampler thread, not the engine's.
 
+use bcp_sync::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -97,11 +98,7 @@ impl TimeSeriesSampler {
                     let mut values = probe();
                     values.resize(shared.series.len(), 0);
                     let t_ns = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    shared
-                        .rows
-                        .lock()
-                        .expect("sampler rows lock")
-                        .push(SampleRow { t_ns, values });
+                    shared.rows.lock().push(SampleRow { t_ns, values });
                     // ordering: Relaxed — a plain shutdown flag; the
                     // join in `stop`/`drop` is the synchronization edge.
                     if stop.load(Ordering::Relaxed) {
@@ -128,7 +125,7 @@ impl TimeSeriesSampler {
         }
         TimeSeries {
             series: self.shared.series.clone(),
-            rows: self.shared.rows.lock().expect("sampler rows lock").clone(),
+            rows: self.shared.rows.lock().clone(),
         }
     }
 }

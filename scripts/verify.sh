@@ -18,6 +18,7 @@ cargo test -q --offline
 # CI's lint job: formatting and both clippy invocations (the second is the
 # strict-arithmetic crate list of ci.yml, verbatim).
 cargo fmt --check
+! grep -rqE 'parking_lot|crossbeam' Cargo.lock Cargo.toml crates/*/Cargo.toml
 cargo clippy --offline --all-targets -- -D warnings
 cargo clippy --offline -p bcp-check -p bcp-guard -p bcp-trace -p bcp-serve -p bcp-gateway \
     -p bcp-telemetry -p bcp-sync -p bcp-bitpack -p bcp-finn --all-targets -- -D warnings
