@@ -25,6 +25,12 @@ use std::collections::HashMap;
 /// Micro-tokens per token.
 const MICRO: u64 = 1_000_000;
 
+/// How many tenant ids, in order of first sight, get counters of their own
+/// (`gateway.tenant.<id>.*`). Every later id counts under
+/// `gateway.tenant.other.*`: the id is a `u32` read off the wire, and a
+/// client cycling through ids must not grow the registry without bound.
+const OWN_SERIES_TENANTS: usize = 64;
+
 /// Admission limits for one tenant (or the table-wide default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantPolicy {
@@ -150,12 +156,17 @@ impl TenantTable {
     // audit: cold — per-tenant state is created once per tenant lifetime,
     // not per request; the steady-state admit path only touches an
     // existing entry.
-    fn make_entry(&self, tenant: u32) -> TenantEntry {
+    fn make_entry(&self, tenant: u32, own_series: bool) -> TenantEntry {
         let policy = self.policy_of(tenant);
+        let series = if own_series {
+            tenant.to_string()
+        } else {
+            "other".to_owned()
+        };
         let c = |suffix: &str| {
             self.registry
                 .as_ref()
-                .map(|r| r.counter(&format!("gateway.tenant.{tenant}.{suffix}")))
+                .map(|r| r.counter(&format!("gateway.tenant.{series}.{suffix}")))
         };
         TenantEntry {
             bucket: TokenBucket::new(policy.rate_per_s, policy.burst),
@@ -177,12 +188,13 @@ impl TenantTable {
         // audit: allow(block): per-table mutex; held for O(1) bucket math,
         // no I/O or allocation in the steady state.
         let mut entries = self.entries.lock();
+        let own_series = entries.len() < OWN_SERIES_TENANTS;
         // audit: allow(alloc): first-sight tenant registration only; the
         // entry (and its interned counter names) live for the table's
         // lifetime.
         let entry = entries
             .entry(tenant)
-            .or_insert_with(|| self.make_entry(tenant));
+            .or_insert_with(|| self.make_entry(tenant, own_series));
         let elapsed = now_ns.saturating_sub(entry.last_ns);
         entry.last_ns = now_ns;
         entry.bucket.refill(elapsed);
@@ -329,5 +341,31 @@ mod tests {
             tally[2]
         );
         assert_eq!(tally[0], 3);
+    }
+
+    #[test]
+    fn tenant_series_are_capped_and_admission_is_not() {
+        let policy = TenantPolicy {
+            rate_per_s: 1000,
+            burst: 2,
+            quota: None,
+        };
+        let r = Registry::new();
+        let counted = TenantTable::new(policy, Some(r.clone()));
+        let uncounted = TenantTable::new(policy, None);
+        for id in 0..10_000u32 {
+            // Three requests against a burst of two: every id, counted
+            // under its own name or under `other`, is decided alike.
+            let verdicts = [0; 3].map(|now| counted.admit(id, now));
+            assert_eq!(verdicts, [0; 3].map(|now| uncounted.admit(id, now)));
+            assert_eq!(verdicts[1..], [Admission::Admitted, Admission::Throttled]);
+        }
+        let counters = r.snapshot().counters;
+        let series = counters.keys().filter(|k| k.starts_with("gateway.tenant."));
+        assert_eq!(series.count(), 3 * (OWN_SERIES_TENANTS + 1));
+        let others = 10_000 - OWN_SERIES_TENANTS as u64;
+        assert_eq!(counters["gateway.tenant.63.admitted"], 2);
+        assert_eq!(counters["gateway.tenant.other.admitted"], 2 * others);
+        assert_eq!(counters["gateway.tenant.other.throttled"], others);
     }
 }

@@ -1,34 +1,43 @@
-//! Experiment runner: regenerate every table and figure of the paper.
+//! Experiment runner: regenerate every table and figure of the paper, and
+//! write the numbers down.
 //!
 //! ```text
 //! experiments table1                  # Table I
-//! experiments table2 [--quick|--full] # Table II (trains the 3 BNNs)
+//! experiments table2 [--quick|--full] [--json FILE]   # Table II (trains the 3 BNNs)
 //! experiments fig1                    # pipeline schematic (Fig. 1)
-//! experiments fig2 [--quick|--full]   # confusion matrix (Fig. 2)
+//! experiments fig2 [--quick|--full] [--json FILE]     # confusion matrix (Fig. 2)
 //! experiments gradcam [3..9|all] [--ppm DIR]   # Figs. 3–9
 //! experiments perf                    # throughput/power claims
 //! experiments dataset                 # Sec. IV-A dataset pipeline
-//! experiments all [--quick]           # everything at quick scale
+//! experiments ablations               # DESIGN.md §9 design choices, paired loops
+//! experiments all [--quick] [--json FILE]      # everything, each model trained once
 //! ```
 //!
-//! `--quick` (default) trains small synthetic sets for seconds-scale runs;
-//! `--full` approaches the paper's scale and can take hours.
+//! `--quick` (default) trains small synthetic sets for minutes-scale runs;
+//! `--full` approaches the paper's scale and can take hours. `--json`
+//! writes the paper-side ledger (committed as `PAPER_<pr>.json`).
 
 use bcp_nn::Sequential;
 use binarycop::arch::ArchKind;
-use binarycop::eval::render_fig2;
+use binarycop::eval::{deployed_confusion_matrix, render_fig2, DeployedEval};
 use binarycop::experiments::{
-    dataset_report, fig1_report, gradcam_figure_ppms, gradcam_figure_report, perf_power_report,
-    robustness_report, robustness_sweep, table1_report, table2_report, table2_rows,
-    variant_ablation,
+    ablations_report, arch_ledger, data_pipeline_ablation, dataset_report, design_ablations,
+    fig1_report, gradcam_figure_ppms, gradcam_figure_report, perf_power_report, robustness_report,
+    robustness_sweep, table1_report, table2_report, table2_rows, variant_ablation, AblationRow,
+    ArchLedger, Ledger,
 };
 use binarycop::recipe::{run, Recipe, TrainedModel};
 use std::path::PathBuf;
+use std::time::Instant;
+
+/// Rounds per paired loop of `experiments ablations`.
+const ABLATION_ROUNDS: usize = 15;
 
 struct Options {
     quick: bool,
     resources_only: bool,
     ppm_dir: Option<PathBuf>,
+    json: Option<PathBuf>,
     figures: Vec<u8>,
 }
 
@@ -38,6 +47,7 @@ fn parse(args: &[String]) -> (String, Options) {
         quick: true,
         resources_only: false,
         ppm_dir: None,
+        json: None,
         figures: (3..=9).collect(),
     };
     let mut i = 1;
@@ -49,6 +59,10 @@ fn parse(args: &[String]) -> (String, Options) {
             "--ppm" => {
                 i += 1;
                 opts.ppm_dir = Some(PathBuf::from(args.get(i).expect("--ppm needs a directory")));
+            }
+            "--json" => {
+                i += 1;
+                opts.json = Some(PathBuf::from(args.get(i).expect("--json needs a file")));
             }
             "all" => opts.figures = (3..=9).collect(),
             f if f.parse::<u8>().is_ok() => {
@@ -91,44 +105,70 @@ fn train_logged(recipe: &Recipe, label: &str) -> TrainedModel {
     model
 }
 
-fn cmd_table2(quick: bool, resources_only: bool) {
-    if resources_only {
-        println!("{}", table2_report(&table2_rows(&[None, None, None])));
-        return;
+/// One prototype trained once: the float model, what the deployed integer
+/// pipeline answers on the same test set, and the ledger entry of both.
+struct Trained {
+    model: TrainedModel,
+    deployed: DeployedEval,
+    ledger: ArchLedger,
+}
+
+fn train_bnn(kind: ArchKind, quick: bool) -> Trained {
+    let recipe = recipe_for(kind, quick);
+    let mut model = train_logged(&recipe, &recipe.arch.name);
+    let t0 = Instant::now();
+    let deployed = deployed_confusion_matrix(
+        &mut model.net,
+        &model.arch,
+        &model.test_set,
+        recipe.batch_size,
+    );
+    let ledger = arch_ledger(&recipe, &model, &deployed, t0.elapsed().as_secs_f64());
+    Trained {
+        model,
+        deployed,
+        ledger,
     }
-    let mut accs = [None, None, None];
-    let mut trained: Vec<TrainedModel> = Vec::new();
-    for (i, kind) in ArchKind::ALL.iter().enumerate() {
-        let model = train_logged(&recipe_for(*kind, quick), &kind.arch().name);
-        accs[i] = Some(model.test_accuracy);
-        trained.push(model);
-    }
+}
+
+/// `float 85.00 %, deployed 85.00 %, same class on 200 of 200 test frames`.
+fn accuracy_line(l: &ArchLedger) -> String {
+    format!(
+        "float {:.2} %, deployed {:.2} %, same class on {} of {} test frames",
+        l.float_accuracy * 100.0,
+        l.deployed_accuracy * 100.0,
+        l.agree_frames,
+        l.test_frames
+    )
+}
+
+/// Table II with the accelerator's (deployed) accuracies, as the paper's are.
+fn print_table2(trained: &[Trained; 3]) {
+    let accs = trained
+        .each_ref()
+        .map(|t| Some(t.ledger.deployed_accuracy as f32));
     println!("{}", table2_report(&table2_rows(&accs)));
+    for t in trained {
+        println!("{:<10} {}", t.ledger.name, accuracy_line(&t.ledger));
+    }
+    println!();
 }
 
-fn cmd_fig2(quick: bool) {
-    let model = train_logged(&recipe_for(ArchKind::Cnv, quick), "CNV");
-    println!("Fig. 2: confusion matrix of Binary-CoP-CNV on the test set");
-    println!("overall accuracy: {:.2}%\n", model.test_accuracy * 100.0);
-    println!("{}", render_fig2(&model.confusion));
+fn print_fig2(cnv: &Trained) {
+    println!("Fig. 2: confusion matrix of Binary-CoP-CNV (deployed pipeline) on the test set");
+    println!("overall accuracy: {}\n", accuracy_line(&cnv.ledger));
+    println!("{}", render_fig2(&cnv.deployed.confusion));
 }
 
-fn cmd_gradcam(opts: &Options) {
-    // Train the three Grad-CAM columns: CNV, n-CNV, FP32-CNV.
-    let cnv = train_logged(&recipe_for(ArchKind::Cnv, opts.quick), "CNV");
-    let ncnv = train_logged(&recipe_for(ArchKind::NCnv, opts.quick), "n-CNV");
-    let fp32 = train_logged(&recipe_for(ArchKind::Cnv, opts.quick).as_fp32(), "FP32");
-    let mut nets: Vec<(String, Sequential)> = vec![
-        ("BCoP-CNV".into(), cnv.net),
-        ("BCoP-n-CNV".into(), ncnv.net),
-        ("FP32".into(), fp32.net),
-    ];
+/// Figs. 3–9 over the three Grad-CAM columns: CNV, n-CNV, FP32-CNV.
+fn print_gradcam(opts: &Options, nets: [&mut Sequential; 3]) {
+    // conv4 is conv2_2 in the paper's naming (the Grad-CAM target).
+    let mut models: Vec<(&str, &mut Sequential, &str)> = ["BCoP-CNV", "BCoP-n-CNV", "FP32"]
+        .into_iter()
+        .zip(nets)
+        .map(|(name, net)| (name, net, "conv4"))
+        .collect();
     for &fig in &opts.figures {
-        // conv4 is conv2_2 in the paper's naming (the Grad-CAM target).
-        let mut models: Vec<(&str, &mut Sequential, &str)> = nets
-            .iter_mut()
-            .map(|(n, net)| (n.as_str(), net, "conv4"))
-            .collect();
         println!(
             "{}",
             gradcam_figure_report(fig, 32, 1000 + fig as u64, &mut models)
@@ -145,19 +185,56 @@ fn cmd_gradcam(opts: &Options) {
     }
 }
 
+fn write_ledger(opts: &Options, trained: Vec<Trained>, ablations: Vec<AblationRow>, t0: Instant) {
+    let Some(path) = &opts.json else { return };
+    let ledger = Ledger {
+        scale: if opts.quick { "quick" } else { "full" }.into(),
+        architectures: trained.into_iter().map(|t| t.ledger).collect(),
+        ablations,
+        wall_seconds: t0.elapsed().as_secs_f64(),
+    };
+    let json = serde_json::to_string_pretty(&ledger).expect("the ledger serializes");
+    std::fs::write(path, json + "\n").expect("writing the ledger");
+    eprintln!("[ledger] wrote {}", path.display());
+}
+
 fn main() {
+    let t0 = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (command, opts) = parse(&args);
     match command.as_str() {
         "table1" => println!("{}", table1_report()),
-        "table2" => cmd_table2(opts.quick, opts.resources_only),
+        "table2" if opts.resources_only => {
+            println!("{}", table2_report(&table2_rows(&[None, None, None])))
+        }
+        "table2" => {
+            let trained = ArchKind::ALL.map(|kind| train_bnn(kind, opts.quick));
+            print_table2(&trained);
+            write_ledger(&opts, trained.into(), Vec::new(), t0);
+        }
         "fig1" => {
             for kind in ArchKind::ALL {
                 println!("{}", fig1_report(kind));
             }
         }
-        "fig2" => cmd_fig2(opts.quick),
-        "gradcam" => cmd_gradcam(&opts),
+        "fig2" => {
+            let cnv = train_bnn(ArchKind::Cnv, opts.quick);
+            print_fig2(&cnv);
+            write_ledger(&opts, vec![cnv], Vec::new(), t0);
+        }
+        "gradcam" => {
+            let mut columns = [
+                ("CNV", recipe_for(ArchKind::Cnv, opts.quick)),
+                ("n-CNV", recipe_for(ArchKind::NCnv, opts.quick)),
+                ("FP32", recipe_for(ArchKind::Cnv, opts.quick).as_fp32()),
+            ]
+            .map(|(label, recipe)| train_logged(&recipe, label).net);
+            print_gradcam(&opts, columns.each_mut());
+        }
+        "ablations" => {
+            println!("{}", ablations_report(&design_ablations(ABLATION_ROUNDS)));
+            println!("{}", data_pipeline_ablation());
+        }
         "perf" | "power" => println!("{}", perf_power_report()),
         "robustness" => {
             // Train n-CNV at a modest scale, then sweep weight-bit faults.
@@ -203,13 +280,25 @@ fn main() {
             println!("{}", fig1_report(ArchKind::NCnv));
             println!("{}", perf_power_report());
             println!("{}", dataset_report(2_000, 7));
-            cmd_fig2(opts.quick);
-            cmd_table2(opts.quick, opts.resources_only);
-            cmd_gradcam(&opts);
+            // Each model is trained once and shared by Fig. 2, Table II
+            // and the Grad-CAM figures.
+            let mut trained = ArchKind::ALL.map(|kind| train_bnn(kind, opts.quick));
+            print_fig2(&trained[0]);
+            print_table2(&trained);
+            let mut fp32 = train_logged(&recipe_for(ArchKind::Cnv, opts.quick).as_fp32(), "FP32");
+            let [cnv, ncnv, _] = &mut trained;
+            print_gradcam(
+                &opts,
+                [&mut cnv.model.net, &mut ncnv.model.net, &mut fp32.net],
+            );
+            let ablations = design_ablations(ABLATION_ROUNDS);
+            println!("{}", ablations_report(&ablations));
+            println!("{}", data_pipeline_ablation());
+            write_ledger(&opts, trained.into(), ablations, t0);
         }
         other => {
             eprintln!(
-                "unknown command '{other}'. Commands: table1 table2 fig1 fig2 gradcam perf robustness variants dataset all"
+                "unknown command '{other}'. Commands: table1 table2 fig1 fig2 gradcam perf robustness focus variants dataset ablations all"
             );
             std::process::exit(2);
         }

@@ -1,9 +1,12 @@
-//! Evaluation helpers: accuracy and the Fig. 2 confusion matrix.
+//! Evaluation helpers: accuracy and the Fig. 2 confusion matrix, of the
+//! float training graph and of the deployed integer pipeline.
 
+use crate::arch::Arch;
+use crate::predictor::BinaryCoP;
 use bcp_dataset::{Dataset, MaskClass};
-use bcp_nn::metrics::ConfusionMatrix;
-use bcp_nn::train::evaluate;
-use bcp_nn::Sequential;
+use bcp_nn::metrics::{predictions, ConfusionMatrix};
+use bcp_nn::train::{evaluate, gather_batch};
+use bcp_nn::{Mode, Sequential};
 
 /// Evaluate a network on a dataset (eval mode, batched); returns accuracy
 /// and the 4-class confusion matrix.
@@ -16,6 +19,43 @@ pub fn confusion_matrix(
     let images = ds.normalized_images();
     let acc = evaluate(net, &images, &ds.labels, batch_size, Some(&mut cm));
     (acc, cm)
+}
+
+/// What the accelerator answers on a test set, beside what the training
+/// graph answers on the same frames.
+pub struct DeployedEval {
+    /// Confusion matrix of the integer pipeline (the accuracy the paper
+    /// reports is this one's).
+    pub confusion: ConfusionMatrix,
+    /// Test frames on which the float network and the pipeline predict the
+    /// same class.
+    pub agree: usize,
+}
+
+/// Deploy a trained BNN and evaluate the *integer pipeline* on `ds`
+/// ([`BinaryCoP::classify_block`] in blocks of `block` frames), counting
+/// the frames on which it agrees with the float network in eval mode.
+pub fn deployed_confusion_matrix(
+    net: &mut Sequential,
+    arch: &Arch,
+    ds: &Dataset,
+    block: usize,
+) -> DeployedEval {
+    let predictor = BinaryCoP::from_trained(net, arch);
+    let images = ds.normalized_images();
+    let indices: Vec<usize> = (0..ds.len()).collect();
+    let mut confusion = ConfusionMatrix::new(4);
+    let mut agree = 0;
+    for chunk in indices.chunks(block.max(1)) {
+        let frames: Vec<_> = chunk.iter().map(|&i| ds.image(i)).collect();
+        let deployed = predictor.classify_block(&frames);
+        let float = predictions(&net.forward(&gather_batch(&images, chunk), Mode::Eval));
+        for ((&i, class), float_label) in chunk.iter().zip(deployed).zip(float) {
+            confusion.record(ds.labels[i], class.label());
+            agree += usize::from(class.label() == float_label);
+        }
+    }
+    DeployedEval { confusion, agree }
 }
 
 /// Render a confusion matrix in the paper's Fig. 2 layout, with the mask
@@ -45,6 +85,19 @@ mod tests {
         assert_eq!(cm.total(), 64);
         assert!((cm.accuracy() as f32 - acc).abs() < 1e-5);
         assert!(acc < 0.7, "untrained accuracy {acc} suspiciously high");
+    }
+
+    #[test]
+    fn deployed_pipeline_answers_as_the_trained_network_does() {
+        let mut model = crate::recipe::run(&crate::recipe::Recipe::test_scale(), |_| {});
+        let frames = model.test_set.len();
+        let deployed = deployed_confusion_matrix(&mut model.net, &model.arch, &model.test_set, 8);
+        assert_eq!(deployed.confusion.total(), frames as u64);
+        assert!(
+            deployed.agree + 1 >= frames,
+            "float and integer pipeline agree on {} of {frames} frames",
+            deployed.agree
+        );
     }
 
     #[test]

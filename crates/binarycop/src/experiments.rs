@@ -1,13 +1,15 @@
 //! Regeneration entry points for every table and figure in the paper.
 //!
 //! Each function returns a report string (and, where useful, structured
-//! rows) so the `experiments` binary, the examples and the criterion
-//! benches all share one implementation. EXPERIMENTS.md records the
-//! paper-vs-measured comparison produced by these.
+//! rows) so the `experiments` binary, the examples and the tests share one
+//! implementation. The binary's `--json` writes the rows down as the
+//! paper-side ledger (`PAPER_<pr>.json`), which EXPERIMENTS.md quotes.
 
 use crate::arch::{Arch, ArchKind};
 use crate::deploy::deploy;
+use crate::eval::{confusion_matrix, DeployedEval};
 use crate::model::build_bnn;
+use crate::recipe::{run, Recipe, TrainedModel};
 use bcp_dataset::canvas::Rgb;
 use bcp_dataset::face::{AgeGroup, FaceParams, Headgear, MASK_BLUE};
 use bcp_dataset::generator::{render_sample, GeneratorConfig, SampleSpec};
@@ -18,11 +20,13 @@ use bcp_finn::perf::CLOCK_100MHZ;
 use bcp_finn::power::{PowerModel, DEFAULT_POWER};
 use bcp_finn::resource::estimate_plan;
 use bcp_gradcam::{gradcam, heat_centroid};
-use bcp_nn::{Mode, Sequential};
+use bcp_nn::Sequential;
 use bcp_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Table I
@@ -712,6 +716,412 @@ pub fn variant_ablation(
 }
 
 // ---------------------------------------------------------------------------
+// Design-choice ablations (DESIGN.md §9): paired loops
+// ---------------------------------------------------------------------------
+
+/// A paired timing comparison: a pure function of the per-round durations.
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub struct PairedStat {
+    /// Median ns per call of the base side (the paper's choice).
+    pub base_ns: f64,
+    /// Median ns per call of the side it replaces.
+    pub other_ns: f64,
+    /// First quartile of the per-round ratio `other / base`.
+    pub ratio_q1: f64,
+    /// Median of the per-round ratio `other / base`.
+    pub ratio_median: f64,
+    /// Third quartile of the per-round ratio `other / base`.
+    pub ratio_q3: f64,
+    /// Rounds measured.
+    pub rounds: usize,
+}
+
+/// Summarise per-round ns-per-call of two sides measured in the same
+/// rounds: each side's median, and the quartiles of the per-round ratio
+/// `other / base` (linear interpolation between order statistics).
+pub fn paired_stat(base_ns: &[f64], other_ns: &[f64]) -> PairedStat {
+    assert!(!base_ns.is_empty() && base_ns.len() == other_ns.len());
+    let sorted = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v
+    };
+    let at = |v: &[f64], p: f64| {
+        let x = p * (v.len() - 1) as f64;
+        let lo = x.floor() as usize;
+        v[lo] + (v[x.ceil() as usize] - v[lo]) * (x - lo as f64)
+    };
+    let ratio = sorted(base_ns.iter().zip(other_ns).map(|(b, o)| o / b).collect());
+    PairedStat {
+        base_ns: at(&sorted(base_ns.to_vec()), 0.5),
+        other_ns: at(&sorted(other_ns.to_vec()), 0.5),
+        ratio_q1: at(&ratio, 0.25),
+        ratio_median: at(&ratio, 0.5),
+        ratio_q3: at(&ratio, 0.75),
+        rounds: base_ns.len(),
+    }
+}
+
+/// Time two closures as a paired `Instant` loop: every round times both
+/// sides back to back, whichever went second going first in the next
+/// round, so host drift cancels in the per-round ratio. Each side's calls
+/// per round are sized once (after one warm-up call) to about 2 ms, and
+/// what they return goes through `black_box`.
+pub fn paired_loop<A, B>(
+    rounds: usize,
+    mut base: impl FnMut() -> A,
+    mut other: impl FnMut() -> B,
+) -> PairedStat {
+    fn time<R>(f: &mut impl FnMut() -> R, iters: u32) -> f64 {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        t0.elapsed().as_nanos() as f64 / f64::from(iters)
+    }
+    fn size<R>(f: &mut impl FnMut() -> R) -> u32 {
+        time(f, 1);
+        ((2e6 / time(f, 1).max(1.0)) as u32).clamp(1, 100_000)
+    }
+    let (base_iters, other_iters) = (size(&mut base), size(&mut other));
+    let (mut base_ns, mut other_ns) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            base_ns.push(time(&mut base, base_iters));
+        }
+        other_ns.push(time(&mut other, other_iters));
+        if round % 2 == 1 {
+            base_ns.push(time(&mut base, base_iters));
+        }
+    }
+    paired_stat(&base_ns, &other_ns)
+}
+
+/// One design-choice comparison.
+#[derive(Clone, Debug, Serialize)]
+pub struct AblationRow {
+    /// What is compared, with its shape.
+    pub name: String,
+    /// The paper's choice: the base of the ratio.
+    pub base: &'static str,
+    /// What it replaces.
+    pub other: &'static str,
+    /// The measurement.
+    pub stat: PairedStat,
+}
+
+/// CNV-layer-shaped GEMMs (rows = C_out, cols = C_in·9, windows): the
+/// conv1_2, conv2_2 and conv3_2 shapes.
+const GEMM_SHAPES: [(usize, usize, usize); 3] = [(64, 576, 128), (128, 1152, 100), (256, 2304, 16)];
+
+/// Run the design-choice comparisons of DESIGN.md §9 that the frame-path
+/// benchmark never runs, each as a [`paired_loop`] of `rounds` rounds: the
+/// XNOR-popcount kernel against the float GEMM it replaces (the paper's
+/// core efficiency claim, Sec. II-B/III-A) on three CNV shapes, OR-pool
+/// against float max-pool, im2col-GEMM against direct convolution in the
+/// training path, and the integer threshold against float batch-norm +
+/// sign (Sec. III-A).
+pub fn design_ablations(rounds: usize) -> Vec<AblationRow> {
+    use bcp_bitpack::{pack::pack_matrix, xnor_gemm_block, BitPlaneBlock, ThresholdUnit};
+    use bcp_finn::pool::or_pool;
+    use bcp_tensor::conv::{conv2d_direct, conv2d_forward, Conv2dSpec};
+    use bcp_tensor::init::uniform;
+    use bcp_tensor::{matmul::matmul_tb, maxpool2d_forward, MaxPoolSpec};
+
+    let signs = |shape, seed| uniform(shape, -1.0, 1.0, seed).map(|v| v.signum());
+    let mut rows = Vec::new();
+    let mut row = |name: String, (base, other), stat| {
+        rows.push(AblationRow {
+            name,
+            base,
+            other,
+            stat,
+        })
+    };
+
+    for (r, c, windows) in GEMM_SHAPES {
+        let (wf, af) = (signs(Shape::d2(r, c), 1), signs(Shape::d2(windows, c), 2));
+        let wbits = pack_matrix(r, c, wf.as_slice());
+        // The SWU's window vectors are the blocked kernel's frames.
+        let abits = pack_matrix(windows, c, af.as_slice());
+        let ablock = BitPlaneBlock::pack(&(0..windows).map(|i| abits.row(i)).collect::<Vec<_>>());
+        let stat = paired_loop(
+            rounds,
+            || xnor_gemm_block(&wbits, &ablock),
+            || matmul_tb(&af, &wf),
+        );
+        row(
+            format!("gemm {r}x{c}x{windows}"),
+            ("xnor_gemm_block", "matmul_tb"),
+            stat,
+        );
+    }
+
+    let dense = signs(Shape::nchw(1, 64, 28, 28), 4);
+    let map = bcp_finn::data::BinMap::from_signs(64, 28, 28, dense.as_slice());
+    let pool = MaxPoolSpec::two_by_two();
+    let stat = paired_loop(
+        rounds,
+        || or_pool(&map, 2),
+        || maxpool2d_forward(&dense, pool),
+    );
+    row(
+        "pool 64x28x28".into(),
+        ("or_pool", "maxpool2d_forward"),
+        stat,
+    );
+
+    let spec = Conv2dSpec::new(32, 32, 3, 0);
+    let x = uniform(Shape::nchw(4, 32, 12, 12), -1.0, 1.0, 1);
+    let w = uniform(spec.weight_shape(), -0.5, 0.5, 2);
+    let stat = paired_loop(
+        rounds,
+        || conv2d_forward(&x, &w, spec),
+        || conv2d_direct(&x, &w, spec),
+    );
+    let sides = ("conv2d_forward (im2col + GEMM)", "conv2d_direct");
+    row("conv lowering 4x32x12x12".into(), sides, stat);
+
+    // A conv layer's worth of accumulators: 256 channels × 100 pixels.
+    let (channels, pixels) = (256usize, 100usize);
+    let per_channel = |f: fn(usize) -> f32| (0..channels).map(f).collect::<Vec<f32>>();
+    let gamma = per_channel(|i| 0.5 + (i % 7) as f32 * 0.1);
+    let beta = per_channel(|i| -0.3 + (i % 5) as f32 * 0.2);
+    let mean = per_channel(|i| (i % 11) as f32 - 5.0);
+    let var = per_channel(|i| 1.0 + (i % 3) as f32);
+    let unit = ThresholdUnit::from_batchnorm(&gamma, &beta, &mean, &var, 1e-5);
+    let accs: Vec<i64> = (0..(channels * pixels) as i64)
+        .map(|i| i % 201 - 100)
+        .collect();
+    // Generic, so each side's predicate inlines into its own loop.
+    fn count(accs: &[i64], pixels: usize, fires: impl Fn(usize, i64) -> bool) -> usize {
+        let rows = accs.chunks_exact(pixels).enumerate();
+        rows.map(|(ch, row)| row.iter().filter(|&&acc| fires(ch, acc)).count())
+            .sum()
+    }
+    let float_bn = |ch: usize, acc: i64| {
+        gamma[ch] * (acc as f32 - mean[ch]) / (var[ch] + 1e-5).sqrt() + beta[ch] >= 0.0
+    };
+    let stat = paired_loop(
+        rounds,
+        || count(&accs, pixels, |ch, acc| unit.apply(ch, acc)),
+        || count(&accs, pixels, float_bn),
+    );
+    let sides = ("ThresholdUnit::apply", "float batch-norm + sign");
+    row("threshold 256x100".into(), sides, stat);
+    rows
+}
+
+/// Render [`design_ablations`] rows: each side's median, the median
+/// per-round ratio with its base, and the ratio's quartiles.
+pub fn ablations_report(rows: &[AblationRow]) -> String {
+    let mut s = format!(
+        "Design-choice ablations (DESIGN.md §9): paired loops, {} rounds, sides alternating\n\
+         {:<26}{:<32}{:>10}  {:<24}{:>10}  other/base, median [q1 .. q3] per round\n",
+        rows.first().map_or(0, |r| r.stat.rounds),
+        "comparison",
+        "base (the paper's choice)",
+        "ns/call",
+        "other",
+        "ns/call",
+    );
+    for r in rows {
+        s.push_str(&format!(
+            "{:<26}{:<32}{:>10.0}  {:<24}{:>10.0}  {:.2}x [{:.2} .. {:.2}]\n",
+            r.name,
+            r.base,
+            r.stat.base_ns,
+            r.other,
+            r.stat.other_ns,
+            r.stat.ratio_median,
+            r.stat.ratio_q1,
+            r.stat.ratio_q3
+        ));
+    }
+    s
+}
+
+/// The Sec. IV-A data-pipeline choices at miniature scale: balanced
+/// training (the paper's choice), the raw 51/39/5/5 distribution with the
+/// same sample count, and balanced + augmentation, all evaluated on the
+/// same balanced test set.
+pub fn data_pipeline_ablation() -> String {
+    use bcp_nn::optim::Adam;
+    use bcp_nn::train::{train_epoch, LossKind};
+
+    let base = Recipe {
+        train_per_class: 40,
+        augment_copies: 0,
+        test_per_class: 15,
+        epochs: 6,
+        ..Recipe::test_scale()
+    };
+    let balanced = run(&base, |_| {});
+    let augmented = run(
+        &Recipe {
+            augment_copies: 1,
+            ..base.clone()
+        },
+        |_| {},
+    );
+
+    let gen = base.generator();
+    let raw = Dataset::generate_raw(&gen, base.train_per_class * 4, base.seed);
+    let mut net = build_bnn(&base.arch, base.seed);
+    let mut opt = Adam::new(base.lr);
+    let images = raw.normalized_images();
+    for e in 0..base.epochs {
+        train_epoch(
+            &mut net,
+            &mut opt,
+            &images,
+            &raw.labels,
+            base.batch_size,
+            LossKind::CrossEntropy,
+            e as u64,
+        );
+    }
+    let (raw_acc, cm) = confusion_matrix(&mut net, &balanced.test_set, base.batch_size);
+    // The failure the paper's balancing step prevents: the two 5 % classes.
+    let minority_recall = (cm.get(2, 2) + cm.get(3, 3)) as f64 / (2 * base.test_per_class) as f64;
+
+    format!(
+        "Ablation: Sec. IV-A data-pipeline choices ({}, {} test frames)\n\
+         {:<34}{:>10}\n\
+         {:<34}{:>9.1}%\n\
+         {:<34}{:>9.1}%  (minority-class recall {:.1}%)\n\
+         {:<34}{:>9.1}%\n",
+        base.arch.name,
+        balanced.test_set.len(),
+        "variant",
+        "test acc",
+        "balanced (paper choice)",
+        balanced.test_accuracy * 100.0,
+        "raw 51/39/5/5 imbalance",
+        raw_acc * 100.0,
+        minority_recall * 100.0,
+        "balanced + augmentation",
+        augmented.test_accuracy * 100.0,
+    )
+}
+
+// ---------------------------------------------------------------------------
+// The paper-side ledger (`PAPER_<pr>.json`)
+// ---------------------------------------------------------------------------
+
+/// Table II's model columns for one configuration against the paper's.
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub struct Table2Delta {
+    /// Estimated resources.
+    pub usage: ResourceUsage,
+    /// LUT estimate over the paper's count, percent.
+    pub luts_vs_paper_pct: f64,
+    /// BRAM18 estimate over the paper's count, percent.
+    pub bram18_vs_paper_pct: f64,
+    /// DSP estimate minus the paper's count.
+    pub dsps_vs_paper: i64,
+    /// Deployed accuracy minus the paper's, percentage points.
+    pub accuracy_vs_paper_pts: f64,
+}
+
+/// Host times of one architecture's run: the only ledger fields that are
+/// not a function of the recipe.
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+pub struct Timings {
+    /// Mean wall-clock seconds per training epoch.
+    pub mean_epoch_seconds: f64,
+    /// Seconds to evaluate the float network on the test set.
+    pub eval_seconds_float: f64,
+    /// Seconds to deploy and evaluate the integer pipeline (which also
+    /// re-runs the float network to count agreement).
+    pub eval_seconds_deployed: f64,
+}
+
+/// One architecture's entry in the ledger.
+#[derive(Clone, Debug, Serialize)]
+pub struct ArchLedger {
+    /// Configuration name (Table II's).
+    pub name: String,
+    /// Architecture, scale and seed it was trained with.
+    pub recipe: Recipe,
+    /// Test frames evaluated.
+    pub test_frames: usize,
+    /// Accuracy of the float training graph.
+    pub float_accuracy: f64,
+    /// Accuracy of the deployed integer pipeline.
+    pub deployed_accuracy: f64,
+    /// Test frames on which the two predict the same class.
+    pub agree_frames: usize,
+    /// Diagonal of the float confusion matrix (correct frames per class).
+    pub float_diagonal: Vec<u64>,
+    /// Diagonal of the deployed confusion matrix.
+    pub deployed_diagonal: Vec<u64>,
+    /// Table II, model vs paper (`null` for an architecture the table has
+    /// no row for).
+    pub table2: Option<Table2Delta>,
+    /// Cycle-model throughput at 100 MHz, frames/s.
+    pub model_fps: f64,
+    /// Cycle-model initiation interval, cycles.
+    pub ii_cycles: u64,
+    /// Host times.
+    pub timings: Timings,
+}
+
+/// Everything one `experiments … --json` run writes down.
+#[derive(Clone, Debug, Serialize)]
+pub struct Ledger {
+    /// `quick` or `full`.
+    pub scale: String,
+    /// One entry per trained architecture, in Table II order.
+    pub architectures: Vec<ArchLedger>,
+    /// Design-choice ablations (under `all`; empty otherwise).
+    pub ablations: Vec<AblationRow>,
+    /// Wall-clock seconds of the whole command.
+    pub wall_seconds: f64,
+}
+
+/// Build the ledger entry of a trained BNN and its deployed evaluation.
+pub fn arch_ledger(
+    recipe: &Recipe,
+    model: &TrainedModel,
+    deployed: &DeployedEval,
+    eval_seconds_deployed: f64,
+) -> ArchLedger {
+    let plan = model.arch.plan();
+    let usage = estimate_plan(&plan, model.arch.dsp_offload);
+    let perf = CLOCK_100MHZ.analyze(&plan);
+    let pct = |ours: u64, paper: f64| (ours as f64 / paper - 1.0) * 100.0;
+    let diagonal = |cm: &bcp_nn::metrics::ConfusionMatrix| (0..4).map(|c| cm.get(c, c)).collect();
+    let epochs = model.history.len().max(1) as f64;
+    ArchLedger {
+        name: model.arch.name.clone(),
+        recipe: recipe.clone(),
+        test_frames: model.test_set.len(),
+        float_accuracy: model.confusion.accuracy(),
+        deployed_accuracy: deployed.confusion.accuracy(),
+        agree_frames: deployed.agree,
+        float_diagonal: diagonal(&model.confusion),
+        deployed_diagonal: diagonal(&deployed.confusion),
+        table2: PAPER_TABLE2
+            .iter()
+            .find(|paper| paper.0 == model.arch.name)
+            .map(|paper| Table2Delta {
+                usage,
+                luts_vs_paper_pct: pct(usage.luts, paper.1 as f64),
+                bram18_vs_paper_pct: pct(usage.bram18, paper.2),
+                dsps_vs_paper: usage.dsps as i64 - paper.3 as i64,
+                accuracy_vs_paper_pts: deployed.confusion.accuracy() * 100.0 - paper.4,
+            }),
+        model_fps: perf.throughput_fps,
+        ii_cycles: perf.initiation_interval,
+        timings: Timings {
+            mean_epoch_seconds: model.history.iter().map(|e| e.epoch_seconds).sum::<f64>() / epochs,
+            eval_seconds_float: model.eval_seconds,
+            eval_seconds_deployed,
+        },
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fig. 1 (structural)
 // ---------------------------------------------------------------------------
 
@@ -722,24 +1132,21 @@ pub fn fig1_report(kind: ArchKind) -> String {
     deploy(&net, &arch).describe()
 }
 
-/// Helper shared by binaries/benches: a network with populated batch-norm
-/// statistics (an untrained-but-deployable model).
-pub fn untrained_with_stats(kind: ArchKind, seed: u64) -> (Sequential, Arch) {
-    let arch = kind.arch();
-    let mut net = build_bnn(&arch, seed);
-    let x = bcp_tensor::init::uniform(
-        Shape::nchw(2, 3, arch.input_size, arch.input_size),
-        -1.0,
-        1.0,
-        seed + 1,
-    );
-    let _ = net.forward(&x, Mode::Train);
-    (net, arch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recipe::tiny_arch;
+    use bcp_nn::Mode;
+
+    /// A network with populated batch-norm statistics: untrained but
+    /// deployable.
+    fn untrained_with_stats(arch: &Arch, seed: u64) -> Sequential {
+        let mut net = build_bnn(arch, seed);
+        let size = arch.input_size;
+        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, size, size), -1.0, 1.0, seed + 1);
+        let _ = net.forward(&x, Mode::Train);
+        net
+    }
 
     #[test]
     fn table1_column_renders() {
@@ -782,7 +1189,8 @@ mod tests {
         assert!(s.contains("n-CNV"));
         // The n-CNV full-pipeline throughput claim: ~6400 fps. Check the
         // actual computed value through the pipeline itself.
-        let (net, arch) = untrained_with_stats(ArchKind::NCnv, 0);
+        let arch = ArchKind::NCnv.arch();
+        let net = untrained_with_stats(&arch, 0);
         let perf = CLOCK_100MHZ.analyze(&deploy(&net, &arch).plan());
         assert!(
             (4000.0..16000.0).contains(&perf.throughput_fps),
@@ -819,10 +1227,8 @@ mod tests {
 
     #[test]
     fn gradcam_report_renders_for_tiny_model() {
-        let arch = crate::recipe::tiny_arch();
-        let mut net = crate::model::build_bnn(&arch, 3);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 4);
-        let _ = net.forward(&x, Mode::Train);
+        let arch = tiny_arch();
+        let mut net = untrained_with_stats(&arch, 3);
         let mut models: Vec<(&str, &mut Sequential, &str)> = vec![("tiny", &mut net, "conv3")];
         let s = gradcam_figure_report(4, 16, 5, &mut models);
         assert!(s.contains("Fig. 4"));
@@ -832,10 +1238,8 @@ mod tests {
 
     #[test]
     fn robustness_sweep_is_monotone_ish_and_bounded() {
-        let arch = crate::recipe::tiny_arch();
-        let mut net = crate::model::build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
+        let arch = tiny_arch();
+        let net = untrained_with_stats(&arch, 5);
         let points = robustness_sweep(&net, &arch, &[0, 8, 256], 12, 3);
         assert_eq!(points.len(), 3);
         assert_eq!(
@@ -852,10 +1256,8 @@ mod tests {
 
     #[test]
     fn attention_focus_report_renders() {
-        let arch = crate::recipe::tiny_arch();
-        let mut net = crate::model::build_bnn(&arch, 3);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 4);
-        let _ = net.forward(&x, Mode::Train);
+        let arch = tiny_arch();
+        let mut net = untrained_with_stats(&arch, 3);
         let gen = bcp_dataset::GeneratorConfig {
             img_size: 16,
             supersample: 2,
@@ -870,11 +1272,93 @@ mod tests {
 
     #[test]
     fn variant_ablation_reports_all_three() {
-        let s = variant_ablation(&crate::recipe::tiny_arch(), 10, 6, 2, 4);
+        let s = variant_ablation(&tiny_arch(), 10, 6, 2, 4);
         assert!(s.contains("plain BNN"));
         assert!(s.contains("XNOR-Net"));
         assert!(s.contains("binary input"));
         assert!(s.contains("XNOR pipeline"));
+    }
+
+    #[test]
+    fn gradcam_figure_6_renders_on_ncnv_at_conv4() {
+        // What `experiments gradcam` runs per figure: a real prototype at
+        // 32×32, Grad-CAM at conv2_2 (our conv4).
+        let mut net = untrained_with_stats(&ArchKind::NCnv.arch(), 1);
+        let mut models: Vec<(&str, &mut Sequential, &str)> =
+            vec![("BCoP-n-CNV", &mut net, "conv4")];
+        let s = gradcam_figure_report(6, 32, 1006, &mut models);
+        assert!(s.contains("Fig. 6"));
+        assert!(s.contains("true class: Chin Exposed"));
+    }
+
+    #[test]
+    fn paired_stat_is_a_pure_function_of_the_round_durations() {
+        // Five rounds, per-round ratios 2, 4, 3, 5, 6 in measurement order.
+        let base = [10.0, 30.0, 20.0, 40.0, 50.0];
+        let other = [20.0, 120.0, 60.0, 200.0, 300.0];
+        let stat = paired_stat(&base, &other);
+        assert_eq!(
+            stat,
+            PairedStat {
+                base_ns: 30.0,
+                other_ns: 120.0,
+                ratio_q1: 3.0,
+                ratio_median: 4.0,
+                ratio_q3: 5.0,
+                rounds: 5,
+            }
+        );
+        // The ratio is per round, not a ratio of medians, and quartiles
+        // interpolate between order statistics.
+        let stat = paired_stat(&[10.0, 20.0], &[10.0, 60.0]);
+        assert_eq!(
+            (stat.ratio_q1, stat.ratio_median, stat.ratio_q3),
+            (1.5, 2.0, 2.5)
+        );
+        assert_eq!((stat.base_ns, stat.other_ns), (15.0, 35.0));
+    }
+
+    #[test]
+    fn design_ablations_cover_every_comparison() {
+        let rows = design_ablations(2);
+        let report = ablations_report(&rows);
+        for (row, what) in rows
+            .iter()
+            .zip(["gemm", "gemm", "gemm", "pool", "conv", "threshold"])
+        {
+            assert!(
+                row.name.starts_with(what),
+                "{} is not the {what} row",
+                row.name
+            );
+            assert_eq!(row.stat.rounds, 2);
+            assert!(report.contains(row.base) && report.contains(row.other));
+        }
+        assert_eq!(rows.len(), 6);
+    }
+
+    #[test]
+    fn ledger_fields_repeat_between_runs() {
+        let entry = || {
+            let recipe = Recipe::test_scale();
+            let mut model = run(&recipe, |_| {});
+            let (net, arch, test) = (&mut model.net, &model.arch, &model.test_set);
+            let deployed = crate::eval::deployed_confusion_matrix(net, arch, test, 8);
+            let mut entry = arch_ledger(&recipe, &model, &deployed, 0.0);
+            entry.timings = Timings::default();
+            entry
+        };
+        let (a, b) = (entry(), entry());
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
+        assert_eq!((a.test_frames, a.table2), (48, None));
+        assert!(a.agree_frames >= 47);
+        assert_eq!(
+            a.float_diagonal.iter().sum::<u64>() as f64,
+            (a.float_accuracy * 48.0).round()
+        );
     }
 
     #[test]

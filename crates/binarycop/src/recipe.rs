@@ -10,7 +10,7 @@ use bcp_nn::train::{fit_instrumented, EpochStats, LossKind, TrainConfig};
 use bcp_nn::Sequential;
 
 /// A complete training configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct Recipe {
     /// Architecture to train.
     pub arch: Arch,
@@ -53,7 +53,7 @@ impl Recipe {
         }
     }
 
-    /// Seconds-to-minutes recipe for examples and benches: the real
+    /// Seconds-to-minutes recipe for examples and `experiments`: the real
     /// architectures on modest synthetic sets.
     pub fn quick(kind: ArchKind) -> Recipe {
         Recipe {
@@ -148,6 +148,8 @@ pub struct TrainedModel {
     pub test_accuracy: f32,
     /// Fig. 2-style confusion matrix on the test set.
     pub confusion: ConfusionMatrix,
+    /// Wall-clock seconds the test-set evaluation took.
+    pub eval_seconds: f64,
     /// The test set itself (examples reuse it for Grad-CAM input picking).
     pub test_set: Dataset,
 }
@@ -204,13 +206,16 @@ pub fn run_instrumented(
         },
     );
 
+    let t0 = std::time::Instant::now();
     let (test_accuracy, confusion) = confusion_matrix(&mut net, &test, recipe.batch_size);
+    let eval_seconds = t0.elapsed().as_secs_f64();
     TrainedModel {
         net,
         arch: recipe.arch.clone(),
         history,
         test_accuracy,
         confusion,
+        eval_seconds,
         test_set: test,
     }
 }

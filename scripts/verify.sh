@@ -18,7 +18,12 @@ cargo test -q --offline
 # CI's lint job: formatting and both clippy invocations (the second is the
 # strict-arithmetic crate list of ci.yml, verbatim).
 cargo fmt --check
-! grep -rqE 'parking_lot|crossbeam' Cargo.lock Cargo.toml crates/*/Cargo.toml
+# Deleted stand-ins and the bench crate stay deleted (`set -e` does not see
+# a `!`-negated status, hence the `if`).
+if grep -rnE 'parking_lot|crossbeam|criterion|bcp-bench' Cargo.lock Cargo.toml crates/*/Cargo.toml; then
+    echo "verify: a deleted stand-in or bcp-bench is named in a manifest again" >&2
+    exit 1
+fi
 cargo clippy --offline --all-targets -- -D warnings
 cargo clippy --offline -p bcp-check -p bcp-guard -p bcp-trace -p bcp-serve -p bcp-gateway \
     -p bcp-telemetry -p bcp-sync -p bcp-bitpack -p bcp-finn --all-targets -- -D warnings
@@ -37,6 +42,10 @@ bcp audit --root . --json
 # traced run of each workload (4 x 20 s), then the three bounds.
 python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
 python3 scripts/perf_gate.py benchmark/out/gate.json
+
+# The paper-side ledger: the committed `experiments … --json` file must
+# keep Table II's ordering and float/deployed agreement (no training here).
+python3 scripts/paper_gate.py "$(ls PAPER_*.json | sort -V | tail -1)"
 
 # The exception budget, so a PR can state before/after: hot-path roots and
 # `audit: allow(<kind>)` directives outside crates/bcp-check (whose sources
