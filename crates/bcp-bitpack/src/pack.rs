@@ -12,7 +12,7 @@
 //! words — the software analogue of FINN's SIMD×PE weight reuse.
 
 use crate::bitmatrix::BitMatrix;
-use crate::bitvec64::{words_for, BitVec64};
+use crate::bitvec64::{words_for, BitVec64, WORD_BITS};
 
 /// The paper's sign convention as a bit: `x ≥ 0 → true (+1)`.
 #[inline]
@@ -30,36 +30,34 @@ pub fn sign_f32(x: f32) -> f32 {
     }
 }
 
-/// Pack a float slice into a bit vector via [`sign_bit`].
+/// Pack a float slice into a bit vector via [`sign_bit`], one word of 64
+/// tests at a time. Deploy-time and ablation-time only: no frame reaches it.
 pub fn pack_signs(xs: &[f32]) -> BitVec64 {
-    let mut v = BitVec64::zeros(xs.len());
-    for (i, &x) in xs.iter().enumerate() {
-        if sign_bit(x) {
-            v.set(i, true);
-        }
-    }
-    v
+    let words = xs
+        .chunks(WORD_BITS)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &x)| w | u64::from(sign_bit(x)) << i)
+        })
+        .collect();
+    BitVec64::from_words(xs.len(), words)
 }
 
-/// Pack a row-major `rows × cols` float buffer into a [`BitMatrix`].
+/// Pack a row-major `rows × cols` float buffer into a [`BitMatrix`], each
+/// row through [`pack_signs`].
 pub fn pack_matrix(rows: usize, cols: usize, xs: &[f32]) -> BitMatrix {
     assert_eq!(
         xs.len(),
         rows.saturating_mul(cols),
         "buffer does not match {rows}×{cols}"
     );
-    let mut m = BitMatrix::zeros(rows, cols);
-    if cols == 0 {
-        return m;
+    if rows == 0 || cols == 0 {
+        return BitMatrix::zeros(rows, cols);
     }
-    for (r, row) in xs.chunks_exact(cols).enumerate() {
-        for (c, &x) in row.iter().enumerate() {
-            if sign_bit(x) {
-                m.set(r, c, true);
-            }
-        }
-    }
-    m
+    let packed: Vec<BitVec64> = xs.chunks_exact(cols).map(pack_signs).collect();
+    BitMatrix::from_rows(&packed)
 }
 
 /// Unpack a bit vector back to ±1 floats (inverse of [`pack_signs`] up to
@@ -218,6 +216,64 @@ mod tests {
     fn pack_known() {
         let v = pack_signs(&[1.5, -0.2, 0.0, -7.0]);
         assert_eq!(v.to_signs(), vec![1.0, -1.0, 1.0, -1.0]);
+    }
+
+    /// The word-level packers against a per-bit reference: `BitMatrix::set`
+    /// on every element whose `sign_bit` holds, every other bit — padding
+    /// included — left zero.
+    #[test]
+    fn word_packers_match_per_bit_reference() {
+        let tiny = f32::from_bits(1); // the smallest subnormal
+        let values = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            tiny,
+            -tiny,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            1.5,
+            -2.5,
+        ];
+        let rows = 3;
+        for cols in [1, 63, 64, 65, 130] {
+            let xs: Vec<f32> = (0..rows * cols)
+                .map(|i| values[(i * 7 + i / 5) % values.len()])
+                .collect();
+            let mut want = BitMatrix::zeros(rows, cols);
+            for (i, &x) in xs.iter().enumerate() {
+                if sign_bit(x) {
+                    want.set(i / cols, i % cols, true);
+                }
+            }
+            let got = pack_matrix(rows, cols, &xs);
+            assert_eq!(got, want, "pack_matrix, {cols} columns");
+            for (r, row) in xs.chunks_exact(cols).enumerate() {
+                assert_eq!(
+                    pack_signs(row).words(),
+                    want.row_words(r),
+                    "pack_signs, {cols}"
+                );
+                let last = got.row_words(r).last().copied().unwrap_or(0);
+                let tail = cols % 64;
+                assert!(tail == 0 || last >> tail == 0, "padding, {cols} columns");
+            }
+        }
+        // ±0 → +1, NaN → −1 (`x >= 0.0` is false), ±inf and subnormals by sign.
+        let v = pack_signs(&[
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            -f32::INFINITY,
+            tiny,
+            -tiny,
+        ]);
+        assert_eq!(v.words(), &[0b010_1011]);
+        assert_eq!(pack_matrix(0, 5, &[]), BitMatrix::zeros(0, 5));
     }
 
     #[test]

@@ -158,26 +158,19 @@ pub fn conv2d_direct(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
 mod tests {
     use super::*;
     use crate::init::uniform;
+    use crate::matmul::tests::same_bits;
     use proptest::prelude::*;
 
-    fn close(a: &Tensor, b: &Tensor, tol: f32) -> bool {
-        a.shape() == b.shape()
-            && a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())))
-    }
-
+    /// Bit equality holds: im2col's rows run (ci, ky, kx) like the direct
+    /// loop's taps, the GEMM sums in that order from +0.0, and a padded tap
+    /// is a `0.0` column entry whose ±0 product leaves the sum unchanged (it
+    /// never holds −0.0) where the direct loop skips it.
     #[test]
     fn im2col_forward_matches_direct() {
         let spec = Conv2dSpec::new(3, 5, 3, 1);
         let x = uniform(Shape::nchw(2, 3, 8, 8), -1.0, 1.0, 1);
         let w = uniform(spec.weight_shape(), -1.0, 1.0, 2);
-        assert!(close(
-            &conv2d_forward(&x, &w, spec),
-            &conv2d_direct(&x, &w, spec),
-            1e-4
-        ));
+        same_bits(&conv2d_forward(&x, &w, spec), &conv2d_direct(&x, &w, spec)).unwrap();
     }
 
     #[test]
@@ -254,7 +247,7 @@ mod tests {
             prop_assume!(h + 2 * pad >= 3 && w + 2 * pad >= 3);
             let x = uniform(Shape::nchw(1, ci, h, w), -1.0, 1.0, seed);
             let wt = uniform(spec.weight_shape(), -1.0, 1.0, seed + 1);
-            prop_assert!(close(&conv2d_forward(&x, &wt, spec), &conv2d_direct(&x, &wt, spec), 1e-4));
+            prop_assert_eq!(same_bits(&conv2d_forward(&x, &wt, spec), &conv2d_direct(&x, &wt, spec)), Ok(()));
         }
     }
 }

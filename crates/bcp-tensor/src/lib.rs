@@ -8,8 +8,11 @@
 //!
 //! - [`Tensor`]: contiguous row-major N-d array of `f32` (rank ≤ 4,
 //!   NCHW convention for rank-4).
-//! - [`matmul`]: cache-blocked GEMM kernels (plain,
-//!   transposed-A, transposed-B) — the workhorse behind im2col convolution.
+//! - [`matmul`]: one register-tiled GEMM kernel behind the three products
+//!   (plain, transposed-A, transposed-B) — the workhorse behind im2col
+//!   convolution. It is order-preserving: every output is the k-ascending
+//!   sum from `+0.0` that the naive triple loop computes, which is why
+//!   training reproduces bit for bit across kernel changes.
 //! - [`im2col`]: lowering of convolutions to GEMM and its transpose
 //!   (`col2im`) for the backward pass.
 //! - [`conv`]: conv2d forward/backward (weights, inputs) built on the above.

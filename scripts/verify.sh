@@ -43,9 +43,11 @@ bcp audit --root . --json
 python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
 python3 scripts/perf_gate.py benchmark/out/gate.json
 
-# The paper-side ledger: the committed `experiments … --json` file must
-# keep Table II's ordering and float/deployed agreement (no training here).
-python3 scripts/paper_gate.py "$(ls PAPER_*.json | sort -V | tail -1)"
+# The paper-side ledger: the newest committed `experiments … --json` file
+# must keep Table II's ordering and float/deployed agreement, and equal the
+# one before it outside `timings` wherever the recipe is unchanged (no
+# training here).
+python3 scripts/paper_gate.py $(ls PAPER_*.json | sort -Vr | head -2)
 
 # The exception budget, so a PR can state before/after: hot-path roots and
 # `audit: allow(<kind>)` directives outside crates/bcp-check (whose sources
