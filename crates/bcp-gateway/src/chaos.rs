@@ -24,6 +24,8 @@ use crate::client::{GatewayClient, Tally};
 use crate::protocol::{encode_request, RequestFrame, Status};
 use crate::server::Gateway;
 use bcp_serve::canary_frame;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// One timed injection.
@@ -165,7 +167,8 @@ pub struct ChaosReport {
     pub garbage_rejected: u64,
     /// Garbage connections mishandled (wrong status, or no answer).
     pub garbage_mishandled: u64,
-    /// Mid-frame disconnects injected.
+    /// Mid-frame disconnects injected, each seen through to the server's
+    /// close.
     pub disconnects: u64,
     /// Outcomes of flood requests (exactly one response per request).
     pub flood: Tally,
@@ -292,13 +295,28 @@ fn inject_garbage(addr: std::net::SocketAddr) -> bool {
     }
 }
 
-/// Hang up mid-frame; nothing to observe client-side.
+/// Hang up mid-frame: send part of a frame, close the sending half, and
+/// wait for the server to hang up in turn. The server counts
+/// `gateway.disconnects` before it closes, so once this returns the count
+/// is already there — dropping the socket and leaving at once would let
+/// the plan (and a test reading the counter) finish first.
 fn inject_disconnect(addr: std::net::SocketAddr) {
-    if let Ok(mut client) = GatewayClient::connect(addr) {
-        let full = encode_request(&RequestFrame::from_tensor(0, 0, 0, &canary_frame(3, 8, 8)));
-        let _ = client.send_raw(&full[..20.min(full.len())]);
+    let Ok(mut stream) = TcpStream::connect(addr) else {
+        return;
+    };
+    let full = encode_request(&RequestFrame::from_tensor(0, 0, 0, &canary_frame(3, 8, 8)));
+    if stream.write_all(&full[..20.min(full.len())]).is_ok()
+        && stream.shutdown(Shutdown::Write).is_ok()
+        && stream.set_read_timeout(Some(HANG_UP_WAIT)).is_ok()
+    {
+        // No response is owed: the read ends at the server's close.
+        let _ = stream.read(&mut [0u8; 1]);
     }
 }
+
+/// How long [`inject_disconnect`] waits for the server's close (a bound,
+/// not a timing: the wait ends as soon as the server hangs up).
+const HANG_UP_WAIT: Duration = Duration::from_secs(30);
 
 /// Fire `requests` back-to-back frames as `tenant`, recording one tally
 /// entry per request — the exactly-one-response check rides on this.

@@ -1,6 +1,6 @@
 //! Activation layers: the binarizing [`SignSte`] plus float baselines.
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use bcp_tensor::Tensor;
 
 /// Binarizing activation: forward is Eq. 1's `sign()` (ties at 0 → +1);
@@ -33,6 +33,10 @@ impl Layer for SignSte {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Activation
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
@@ -76,6 +80,10 @@ impl Layer for Relu {
         &self.name
     }
 
+    fn kind(&self) -> LayerKind {
+        LayerKind::Activation
+    }
+
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
         let y = x.map(|v| v.max(0.0));
         self.cache_x = Some(x.clone());
@@ -116,6 +124,10 @@ impl Layer for HardTanh {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Activation
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {

@@ -6,9 +6,15 @@
 //! batch statistics and maintains exponential running statistics; eval mode
 //! normalizes with the running statistics — exactly the statistics
 //! `bcp_bitpack::threshold` consumes when deriving integer thresholds.
+//!
+//! Large activations use every core under the thread rule of
+//! [`bcp_tensor::par`]: the batch statistics and the γ/β gradients are
+//! split across channels, each channel summing its samples in order on one
+//! thread, and the element-wise passes are split across samples.
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use crate::param::Param;
+use bcp_tensor::par::{self, ELEMENT_WORK};
 use bcp_tensor::{Shape, Tensor};
 
 /// Numerical-stability constant shared with the threshold derivation.
@@ -105,7 +111,6 @@ impl BatchNorm {
         self.running_var = var;
     }
 
-    #[allow(clippy::needless_range_loop)] // symmetric per-channel loops read clearer
     fn batch_stats(&self, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
         let (n, c, l) = decompose(x.shape());
         assert_eq!(
@@ -117,64 +122,83 @@ impl BatchNorm {
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
         let src = x.as_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * l;
-                mean[ci] += src[base..base + l].iter().sum::<f32>();
+        let work = 2 * x.numel() * ELEMENT_WORK;
+        for_each_channel(&mut mean, &mut var, work, |ci, mean, var| {
+            let rows = || (0..n).map(|ni| &src[(ni * c + ci) * l..][..l]);
+            for row in rows() {
+                *mean += row.iter().sum::<f32>();
             }
-        }
-        for m in &mut mean {
-            *m /= count;
-        }
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * l;
-                let m = mean[ci];
-                var[ci] += src[base..base + l]
-                    .iter()
-                    .map(|&v| (v - m) * (v - m))
-                    .sum::<f32>();
+            *mean /= count;
+            let m = *mean;
+            for row in rows() {
+                *var += row.iter().map(|&v| (v - m) * (v - m)).sum::<f32>();
             }
-        }
-        for v in &mut var {
-            *v /= count;
-        }
+            *var /= count;
+        });
         (mean, var)
     }
 
     fn normalize(&self, x: &Tensor, mean: &[f32], var: &[f32]) -> (Tensor, Vec<f32>) {
-        let (n, c, l) = decompose(x.shape());
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
         let mut xhat = vec![0.0f32; x.numel()];
         let src = x.as_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * l;
-                let (m, s) = (mean[ci], inv_std[ci]);
-                for i in base..base + l {
-                    xhat[i] = (src[i] - m) * s;
-                }
+        for_each_row(&mut xhat, decompose(x.shape()), |ci, at, row| {
+            let (m, s) = (mean[ci], inv_std[ci]);
+            for (o, &v) in row.iter_mut().zip(&src[at..]) {
+                *o = (v - m) * s;
             }
-        }
+        });
         (Tensor::from_vec(x.shape().clone(), xhat), inv_std)
     }
 
     fn affine(&self, xhat: &Tensor) -> Tensor {
-        let (n, c, l) = decompose(xhat.shape());
         let g = self.gamma.value.as_slice();
         let b = self.beta.value.as_slice();
         let src = xhat.as_slice();
         let mut out = vec![0.0f32; xhat.numel()];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * l;
-                for i in base..base + l {
-                    out[i] = g[ci] * src[i] + b[ci];
-                }
+        for_each_row(&mut out, decompose(xhat.shape()), |ci, at, row| {
+            for (o, &v) in row.iter_mut().zip(&src[at..]) {
+                *o = g[ci] * v + b[ci];
             }
-        }
+        });
         Tensor::from_vec(xhat.shape().clone(), out)
     }
+}
+
+/// `f(channel, a, b)` on every channel, the channels split across threads
+/// (the thread rule of [`bcp_tensor::par`]): each channel's reductions run
+/// on one thread, over the samples in order, as the one-thread loop did.
+fn for_each_channel(
+    a: &mut [f32],
+    b: &mut [f32],
+    work: usize,
+    f: impl Fn(usize, &mut f32, &mut f32) + Sync,
+) {
+    let per = a.len().div_ceil(par::parts(a.len(), work)).max(1);
+    par::join(
+        a.chunks_mut(per).zip(b.chunks_mut(per)).enumerate(),
+        |(t, (a, b))| {
+            for (i, (a, b)) in a.iter_mut().zip(b).enumerate() {
+                f(t * per + i, a, b);
+            }
+        },
+    );
+}
+
+/// `f(channel, at, row)` on every `l`-element (sample, channel) row of the
+/// `n × c × l` output `out`, `at` being the row's offset in it; the samples
+/// are split across threads.
+fn for_each_row(
+    out: &mut [f32],
+    (_, c, l): (usize, usize, usize),
+    f: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let work = out.len() * ELEMENT_WORK;
+    par::for_each_run(out, c * l, work, |first, run| {
+        for (r, row) in run.chunks_mut(l).enumerate() {
+            f(r % c, first * c * l + r * l, row);
+        }
+    });
 }
 
 impl Layer for BatchNorm {
@@ -188,6 +212,10 @@ impl Layer for BatchNorm {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::BatchNorm
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
@@ -229,30 +257,28 @@ impl Layer for BatchNorm {
         // Per-channel reductions.
         let mut dbeta = vec![0.0f32; c];
         let mut dgamma = vec![0.0f32; c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * l;
-                for i in base..base + l {
-                    dbeta[ci] += dys[i];
-                    dgamma[ci] += dys[i] * xh[i];
+        let work = dy.numel() * ELEMENT_WORK;
+        for_each_channel(&mut dbeta, &mut dgamma, work, |ci, db, dg| {
+            for ni in 0..n {
+                let at = (ni * c + ci) * l;
+                for (&d, &x) in dys[at..at + l].iter().zip(&xh[at..at + l]) {
+                    *db += d;
+                    *dg += d * x;
                 }
             }
-        }
+        });
 
         // dx = γ·inv_std · (dy − dβ/m − x̂·dγ/m)   (batch-stats gradient).
         let g = self.gamma.value.as_slice();
         let mut dx = vec![0.0f32; dy.numel()];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * l;
-                let k = g[ci] * inv_std[ci];
-                let mb = dbeta[ci] / count;
-                let mg = dgamma[ci] / count;
-                for i in base..base + l {
-                    dx[i] = k * (dys[i] - mb - xh[i] * mg);
-                }
+        for_each_row(&mut dx, (n, c, l), |ci, at, row| {
+            let k = g[ci] * inv_std[ci];
+            let mb = dbeta[ci] / count;
+            let mg = dgamma[ci] / count;
+            for ((o, &d), &x) in row.iter_mut().zip(&dys[at..]).zip(&xh[at..]) {
+                *o = k * (d - mb - x * mg);
             }
-        }
+        });
         self.gamma
             .accumulate_grad(&Tensor::from_vec(Shape::d1(c), dgamma));
         self.beta
@@ -271,6 +297,108 @@ mod tests {
     use super::*;
     use bcp_tensor::init::uniform;
     use bcp_tensor::ops;
+
+    /// Training-mode forward and backward as single sample-major loops on
+    /// one thread: `[y, dx, dγ, dβ]` and the batch mean and variance.
+    fn sequential_pass(
+        x: &Tensor,
+        dy: &Tensor,
+        g: &[f32],
+        b: &[f32],
+    ) -> ([Vec<f32>; 4], Vec<f32>, Vec<f32>) {
+        let (n, c, l) = decompose(x.shape());
+        let (src, dys, count) = (x.as_slice(), dy.as_slice(), (n * l) as f32);
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for ni in 0..n {
+            for ci in 0..c {
+                mean[ci] += src[(ni * c + ci) * l..][..l].iter().sum::<f32>();
+            }
+        }
+        mean.iter_mut().for_each(|m| *m /= count);
+        for ni in 0..n {
+            for ci in 0..c {
+                let m = mean[ci];
+                let row = &src[(ni * c + ci) * l..][..l];
+                var[ci] += row.iter().map(|&v| (v - m) * (v - m)).sum::<f32>();
+            }
+        }
+        var.iter_mut().for_each(|v| *v /= count);
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
+        let (mut xh, mut y, mut dx) = (
+            vec![0.0; x.numel()],
+            vec![0.0; x.numel()],
+            vec![0.0; x.numel()],
+        );
+        let (mut dg, mut db) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for i in 0..x.numel() {
+            let ci = i / l % c;
+            xh[i] = (src[i] - mean[ci]) * inv_std[ci];
+            y[i] = g[ci] * xh[i] + b[ci];
+            db[ci] += dys[i];
+            dg[ci] += dys[i] * xh[i];
+        }
+        for i in 0..x.numel() {
+            let ci = i / l % c;
+            let (mb, mg) = (db[ci] / count, dg[ci] / count);
+            dx[i] = g[ci] * inv_std[ci] * (dys[i] - mb - xh[i] * mg);
+        }
+        ([y, dx, dg, db], mean, var)
+    }
+
+    /// Bit for bit at batch 3, on shapes below the split threshold, with
+    /// only the statistics split (`3 × 64 × 40 × 40`), with every pass split
+    /// (`3 × 128 × 40 × 40`), and on a dense `N × F` activation.
+    #[test]
+    fn split_passes_match_the_sequential_loops() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for shape in [
+            Shape::nchw(3, 8, 6, 6),
+            Shape::nchw(3, 64, 40, 40),
+            Shape::nchw(3, 128, 40, 40),
+            Shape::d2(3, 512),
+        ] {
+            let c = shape.dim(1);
+            let x = uniform(shape.clone(), -3.0, 5.0, c as u64);
+            let dy = uniform(shape.clone(), -1.0, 1.0, 1 + c as u64);
+            let g: Vec<f32> = (0..c).map(|i| 0.5 + i as f32 / c as f32).collect();
+            let b: Vec<f32> = (0..c).map(|i| i as f32 / c as f32 - 0.25).collect();
+            let mut bn = BatchNorm::new("bn", c);
+            bn.set_state(g.clone(), b.clone(), vec![0.0; c], vec![1.0; c]);
+            let y = bn.forward(&x, Mode::Train);
+            let dx = bn.backward(&dy);
+            let ([want_y, want_dx, want_dg, want_db], mean, var) = sequential_pass(&x, &dy, &g, &b);
+            assert_eq!(bits(y.as_slice()), bits(&want_y), "y at {shape}");
+            assert_eq!(bits(dx.as_slice()), bits(&want_dx), "dx at {shape}");
+            bn.visit_params(&mut |p| {
+                let want = if p.name == "gamma" {
+                    &want_dg
+                } else {
+                    &want_db
+                };
+                assert_eq!(bits(p.grad.as_slice()), bits(want), "{} at {shape}", p.name);
+            });
+            let running = |s: &[f32], init: f32| {
+                s.iter()
+                    .map(|&v| 0.9 * init + 0.1 * v)
+                    .collect::<Vec<f32>>()
+            };
+            assert_eq!(
+                bits(bn.running_mean()),
+                bits(&running(&mean, 0.0)),
+                "mean at {shape}"
+            );
+            assert_eq!(
+                bits(bn.running_var()),
+                bits(&running(&var, 1.0)),
+                "var at {shape}"
+            );
+        }
+        let work = |numel: usize| numel * ELEMENT_WORK;
+        assert!(2 * work(3 * 8 * 36) < par::INLINE_BELOW);
+        assert!(work(3 * 64 * 1600) < par::INLINE_BELOW);
+        assert!(2 * work(3 * 64 * 1600) >= par::INLINE_BELOW);
+        assert!(work(3 * 128 * 1600) >= par::INLINE_BELOW);
+    }
 
     #[test]
     fn train_forward_normalizes_to_zero_mean_unit_var() {

@@ -1,7 +1,7 @@
 //! Convolution layers: float [`Conv2d`] and [`BinaryConv2d`] with latent
 //! weights + STE.
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use crate::param::Param;
 use bcp_tensor::init::kaiming;
 use bcp_tensor::{
@@ -52,6 +52,10 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Conv
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
@@ -126,6 +130,10 @@ impl Layer for BinaryConv2d {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Conv
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {

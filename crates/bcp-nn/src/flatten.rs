@@ -1,6 +1,6 @@
 //! Flattening between the convolutional trunk and the dense head.
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use bcp_tensor::{Shape, Tensor};
 
 /// Reshape `N×C×H×W` → `N×(C·H·W)` (and route gradients back).
@@ -30,6 +30,10 @@ impl Layer for Flatten {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Activation
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {

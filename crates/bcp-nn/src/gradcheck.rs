@@ -186,6 +186,7 @@ mod tests {
     use crate::batchnorm::BatchNorm;
     use crate::conv::Conv2d;
     use crate::flatten::Flatten;
+    use crate::layer::LayerKind;
     use crate::linear::Linear;
     use crate::pool::MaxPool2d;
     use bcp_tensor::init::uniform;
@@ -247,6 +248,9 @@ mod tests {
             }
             fn name(&self) -> &str {
                 "broken"
+            }
+            fn kind(&self) -> LayerKind {
+                LayerKind::Activation
             }
             fn forward(&mut self, x: &Tensor, _m: Mode) -> Tensor {
                 x.map(|v| 2.0 * v)

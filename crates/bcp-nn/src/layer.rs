@@ -13,6 +13,22 @@ pub enum Mode {
     Eval,
 }
 
+/// What a layer computes: the buckets of the training-time profile
+/// ([`crate::sequential::Profile`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayerKind {
+    /// Convolutions, float or binary.
+    Conv,
+    /// Batch normalization.
+    BatchNorm,
+    /// Element-wise activations and the flatten reshape.
+    Activation,
+    /// Pooling.
+    Pool,
+    /// Fully-connected layers, float or binary.
+    Dense,
+}
+
 /// A differentiable network layer.
 ///
 /// Layers are stateful: `forward` caches whatever `backward` needs, and
@@ -29,6 +45,9 @@ pub trait Layer: Send + std::any::Any {
     /// A short human-readable layer name (used in state dicts and the
     /// pipeline descriptions, so it must be unique within a network).
     fn name(&self) -> &str;
+
+    /// The profile bucket this layer's time is counted in.
+    fn kind(&self) -> LayerKind;
 
     /// Compute the layer output, caching for a subsequent backward pass.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;

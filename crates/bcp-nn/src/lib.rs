@@ -42,6 +42,6 @@ pub mod sequential;
 pub mod serialize;
 pub mod train;
 
-pub use layer::{Layer, Mode};
+pub use layer::{Layer, LayerKind, Mode};
 pub use param::Param;
 pub use sequential::Sequential;

@@ -1,7 +1,7 @@
 //! Fully-connected layers: float [`Linear`] and [`BinaryLinear`] with latent
 //! weights.
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use crate::param::Param;
 use bcp_tensor::init::kaiming;
 use bcp_tensor::matmul::{matmul, matmul_ta, matmul_tb};
@@ -103,6 +103,10 @@ impl Layer for Linear {
         &self.name
     }
 
+    fn kind(&self) -> LayerKind {
+        LayerKind::Dense
+    }
+
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
         let y = dense_forward(x, &self.weight.value, self.bias.as_ref());
         self.cache_x = Some(x.clone());
@@ -180,6 +184,10 @@ impl Layer for BinaryLinear {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Dense
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {

@@ -1,6 +1,6 @@
 //! Max-pooling layer (routes gradients through argmax bookkeeping).
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use bcp_tensor::{maxpool2d_backward, maxpool2d_forward, MaxPoolSpec, Shape, Tensor};
 
 /// 2-D max-pooling. BinaryCoP applies it after the sign activation, so the
@@ -44,6 +44,10 @@ impl Layer for MaxPool2d {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Pool
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
@@ -91,6 +95,10 @@ impl Layer for GlobalAvgPool {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Pool
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {

@@ -13,7 +13,7 @@
 //! treating α as a function of `W` only through its mean — in practice the
 //! dominant `α·dY` term, which is what we implement.
 
-use crate::layer::{take_cache, Layer, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use crate::param::Param;
 use bcp_tensor::init::kaiming;
 use bcp_tensor::matmul::{matmul, matmul_ta, matmul_tb};
@@ -91,6 +91,10 @@ impl Layer for ScaledBinaryConv2d {
         &self.name
     }
 
+    fn kind(&self) -> LayerKind {
+        LayerKind::Conv
+    }
+
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
         let wb = self.effective_weight();
         let y = conv2d_forward(x, &wb, self.spec);
@@ -152,6 +156,10 @@ impl Layer for ScaledBinaryLinear {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn kind(&self) -> LayerKind {
+        LayerKind::Dense
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {

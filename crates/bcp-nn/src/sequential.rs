@@ -1,8 +1,71 @@
 //! Sequential network container.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, LayerKind, Mode};
+use crate::optim::Optimizer;
 use crate::param::Param;
 use bcp_tensor::Tensor;
+use std::time::Instant;
+
+/// Wall-clock seconds a network spent, by layer kind, since the last
+/// [`Sequential::take_profile`]. Only convolutions are split into their
+/// forward and backward passes; every other kind sums both.
+#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize)]
+pub struct Profile {
+    /// Convolution forward passes.
+    pub conv_forward: f64,
+    /// Convolution backward passes (weight and input gradients).
+    pub conv_backward: f64,
+    /// Batch normalization.
+    pub batchnorm: f64,
+    /// Activations and the flatten reshape.
+    pub activation: f64,
+    /// Pooling.
+    pub pool: f64,
+    /// Fully-connected layers.
+    pub dense: f64,
+    /// Optimizer steps ([`Sequential::step`]).
+    pub optimizer: f64,
+}
+
+impl Profile {
+    fn add(&mut self, kind: LayerKind, backward: bool, since: Instant) {
+        let bucket = match (kind, backward) {
+            (LayerKind::Conv, false) => &mut self.conv_forward,
+            (LayerKind::Conv, true) => &mut self.conv_backward,
+            (LayerKind::BatchNorm, _) => &mut self.batchnorm,
+            (LayerKind::Activation, _) => &mut self.activation,
+            (LayerKind::Pool, _) => &mut self.pool,
+            (LayerKind::Dense, _) => &mut self.dense,
+        };
+        *bucket += since.elapsed().as_secs_f64();
+    }
+
+    /// Every bucket scaled by `factor` (seconds → ms per image, say).
+    pub fn scaled(self, factor: f64) -> Profile {
+        Profile {
+            conv_forward: self.conv_forward * factor,
+            conv_backward: self.conv_backward * factor,
+            batchnorm: self.batchnorm * factor,
+            activation: self.activation * factor,
+            pool: self.pool * factor,
+            dense: self.dense * factor,
+            optimizer: self.optimizer * factor,
+        }
+    }
+
+    /// Bucket-wise sum.
+    pub fn plus(self, o: Profile) -> Profile {
+        Profile {
+            conv_forward: self.conv_forward + o.conv_forward,
+            conv_backward: self.conv_backward + o.conv_backward,
+            batchnorm: self.batchnorm + o.batchnorm,
+            activation: self.activation + o.activation,
+            pool: self.pool + o.pool,
+            dense: self.dense + o.dense,
+            optimizer: self.optimizer + o.optimizer,
+        }
+    }
+}
 
 /// A feed-forward stack of layers.
 ///
@@ -14,9 +77,13 @@ use bcp_tensor::Tensor;
 /// - `backward_to` stops the backward sweep early and returns the gradient
 ///   with respect to a chosen layer's *output* (Grad-CAM reads the gradient
 ///   at the same point).
+///
+/// Every pass is timed per layer into a [`Profile`] (two `Instant` reads a
+/// layer call, against milliseconds of work).
 pub struct Sequential {
     name: String,
     layers: Vec<Box<dyn Layer>>,
+    profile: Profile,
 }
 
 impl Sequential {
@@ -25,6 +92,7 @@ impl Sequential {
         Sequential {
             name: name.into(),
             layers: Vec::new(),
+            profile: Profile::default(),
         }
     }
 
@@ -79,7 +147,9 @@ impl Sequential {
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let mut cur = x.clone();
         for layer in &mut self.layers {
+            let t0 = Instant::now();
             cur = layer.forward(&cur, mode);
+            self.profile.add(layer.kind(), false, t0);
         }
         cur
     }
@@ -90,7 +160,9 @@ impl Sequential {
         let mut outs = Vec::with_capacity(self.layers.len());
         let mut cur = x.clone();
         for layer in &mut self.layers {
+            let t0 = Instant::now();
             cur = layer.forward(&cur, mode);
+            self.profile.add(layer.kind(), false, t0);
             outs.push(cur.clone());
         }
         outs
@@ -98,11 +170,7 @@ impl Sequential {
 
     /// Full backward sweep; returns the gradient w.r.t. the network input.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut cur = dy.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        cur
+        self.backward_to_input(dy, 0)
     }
 
     /// Backward sweep from the top down to (but not through) layer
@@ -114,11 +182,34 @@ impl Sequential {
             down_to < self.layers.len(),
             "layer index {down_to} out of range"
         );
+        self.backward_to_input(dy, down_to + 1)
+    }
+
+    /// Backward through layers `from..`, top down: the gradient w.r.t.
+    /// layer `from`'s input.
+    fn backward_to_input(&mut self, dy: &Tensor, from: usize) -> Tensor {
         let mut cur = dy.clone();
-        for layer in self.layers[down_to + 1..].iter_mut().rev() {
+        for layer in self.layers[from..].iter_mut().rev() {
+            let t0 = Instant::now();
             cur = layer.backward(&cur);
+            self.profile.add(layer.kind(), true, t0);
         }
         cur
+    }
+
+    /// One optimizer step: update every parameter, then advance the
+    /// optimizer's step counter.
+    pub fn step(&mut self, opt: &mut dyn Optimizer) {
+        let t0 = Instant::now();
+        self.visit_params(&mut |p| opt.update(p));
+        opt.advance();
+        self.profile.optimizer += t0.elapsed().as_secs_f64();
+    }
+
+    /// The time spent since the last call (or since construction), and
+    /// a fresh start.
+    pub fn take_profile(&mut self) -> Profile {
+        std::mem::take(&mut self.profile)
     }
 
     /// Visit every parameter of every layer.

@@ -3,7 +3,7 @@
 use crate::loss::{cross_entropy, squared_hinge, LossOutput};
 use crate::metrics::{predictions, ConfusionMatrix};
 use crate::optim::{Optimizer, StepDecay};
-use crate::sequential::Sequential;
+use crate::sequential::{Profile, Sequential};
 use crate::Mode;
 use bcp_tensor::{Shape, Tensor};
 
@@ -74,6 +74,8 @@ pub struct EpochStats {
     pub sign_flip_rate: f32,
     /// Wall-clock duration of the epoch (training + validation).
     pub epoch_seconds: f64,
+    /// Where the epoch's time went, by layer kind (training + validation).
+    pub profile: Profile,
 }
 
 /// Deterministic Fisher–Yates shuffle driven by a split-mix PRNG — cheap,
@@ -165,8 +167,7 @@ pub fn train_epoch_detailed(
                 .sum::<f64>();
         });
         total_grad_norm += sq_sum.sqrt();
-        net.visit_params(&mut |p| opt.update(p));
-        opt.advance();
+        net.step(opt);
         total_loss += out.loss as f64;
         batches += 1;
     }
@@ -290,6 +291,7 @@ pub fn fit_instrumented(
             opt.set_lr(s.lr_at(epoch));
         }
         let t0 = std::time::Instant::now();
+        net.take_profile();
         let signs_before = latent_signs(net);
         let detail = train_epoch_detailed(
             net,
@@ -303,6 +305,7 @@ pub fn fit_instrumented(
         let val_accuracy = val.map(|(vi, vl)| evaluate(net, vi, vl, cfg.batch_size, None));
         let sign_flip_rate = flip_rate(&signs_before, &latent_signs(net));
         let epoch_seconds = t0.elapsed().as_secs_f64();
+        let profile = net.take_profile();
         let stats = EpochStats {
             epoch,
             loss: detail.loss,
@@ -311,6 +314,7 @@ pub fn fit_instrumented(
             grad_norm: detail.grad_norm,
             sign_flip_rate,
             epoch_seconds,
+            profile,
         };
         if let Some(registry) = telemetry {
             record_epoch(registry, &stats, opt.lr(), train_labels.len());
@@ -507,6 +511,10 @@ mod tests {
             assert!(s.grad_norm > 0.0, "epoch {} grad norm", s.epoch);
             assert!((0.0..=1.0).contains(&s.sign_flip_rate), "epoch {}", s.epoch);
             assert!(s.epoch_seconds > 0.0);
+            // Every layer kind of the net, and the optimizer, was timed.
+            let p = s.profile;
+            assert!(p.dense > 0.0 && p.batchnorm > 0.0 && p.activation > 0.0 && p.optimizer > 0.0);
+            assert_eq!((p.conv_forward, p.conv_backward, p.pool), (0.0, 0.0, 0.0));
         }
         // Latent weights must actually move early in training.
         assert!(

@@ -38,33 +38,45 @@ pub fn im2col(x: &Tensor, spec: WindowSpec) -> Tensor {
     assert_eq!(x.shape().rank(), 3, "im2col expects a CHW sample");
     let (c, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
     let (oh, ow) = spec.out_hw(h, w);
-    let cols = oh * ow;
-    let rows = c * spec.k * spec.k;
-    let src = x.as_slice();
+    let (rows, cols) = (c * spec.k * spec.k, oh * ow);
     let mut out = vec![0.0f32; rows * cols];
-    for ci in 0..c {
-        for ky in 0..spec.k {
-            for kx in 0..spec.k {
-                let row = (ci * spec.k + ky) * spec.k + kx;
-                let dst = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // whole output row reads padding for this tap
-                    }
-                    let src_row = &src[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        dst[oy * ow + ox] = src_row[ix as usize];
-                    }
+    im2col_rows(x.as_slice(), (c, h, w), spec, 0..rows, &mut out, cols);
+    Tensor::from_vec(Shape::d2(rows, cols), out)
+}
+
+/// Rows `rows` of the column matrix of the CHW sample `src` (`chw` its
+/// extent), written `stride` apart into `dst`: each row's `OH·OW` values,
+/// padding taps included as zeros, overwrite whatever `dst` held there.
+pub(crate) fn im2col_rows(
+    src: &[f32],
+    (c, h, w): (usize, usize, usize),
+    spec: WindowSpec,
+    rows: std::ops::Range<usize>,
+    dst: &mut [f32],
+    stride: usize,
+) {
+    let (oh, ow) = spec.out_hw(h, w);
+    let kk = spec.k * spec.k;
+    debug_assert!(rows.end <= c * kk);
+    for (i, row) in rows.enumerate() {
+        let (ci, ky, kx) = (row / kk, row % kk / spec.k, row % spec.k);
+        let dst = &mut dst[i * stride..i * stride + oh * ow];
+        dst.fill(0.0);
+        for oy in 0..oh {
+            let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+            if iy < 0 || iy >= h as isize {
+                continue; // whole output row reads padding for this tap
+            }
+            let src_row = &src[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
+            for ox in 0..ow {
+                let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                if ix < 0 || ix >= w as isize {
+                    continue;
                 }
+                dst[oy * ow + ox] = src_row[ix as usize];
             }
         }
     }
-    Tensor::from_vec(Shape::d2(rows, cols), out)
 }
 
 /// Adjoint of [`im2col`]: scatter-add a `(C·K·K) × (OH·OW)` column-gradient
@@ -82,13 +94,27 @@ pub fn col2im(dcol: &Tensor, c: usize, h: usize, w: usize, spec: WindowSpec) -> 
         &[c * spec.k * spec.k, cols],
         "col2im shape mismatch for c={c}, h={h}, w={w}, spec={spec:?}"
     );
-    let src = dcol.as_slice();
     let mut out = vec![0.0f32; c * h * w];
+    col2im_add(dcol.as_slice(), cols, (c, h, w), spec, &mut out);
+    Tensor::from_vec(Shape::d3(c, h, w), out)
+}
+
+/// [`col2im`] of the column matrix whose rows start `stride` apart in
+/// `src`, added into the CHW gradient `dst` (`chw` its extent), row by row
+/// in the same order.
+pub(crate) fn col2im_add(
+    src: &[f32],
+    stride: usize,
+    (c, h, w): (usize, usize, usize),
+    spec: WindowSpec,
+    dst: &mut [f32],
+) {
+    let (oh, ow) = spec.out_hw(h, w);
     for ci in 0..c {
         for ky in 0..spec.k {
             for kx in 0..spec.k {
                 let row = (ci * spec.k + ky) * spec.k + kx;
-                let grad = &src[row * cols..(row + 1) * cols];
+                let grad = &src[row * stride..row * stride + oh * ow];
                 for oy in 0..oh {
                     let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
                     if iy < 0 || iy >= h as isize {
@@ -100,13 +126,12 @@ pub fn col2im(dcol: &Tensor, c: usize, h: usize, w: usize, spec: WindowSpec) -> 
                         if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        out[base + ix as usize] += grad[oy * ow + ox];
+                        dst[base + ix as usize] += grad[oy * ow + ox];
                     }
                 }
             }
         }
     }
-    Tensor::from_vec(Shape::d3(c, h, w), out)
 }
 
 #[cfg(test)]

@@ -2,12 +2,22 @@
 //!
 //! Every initializer takes an explicit seed so training runs — and therefore
 //! every experiment table in EXPERIMENTS.md — are reproducible bit-for-bit.
+//!
+//! [`normal`] follows the thread rule of [`crate::par`]: the uniforms are
+//! drawn in stream order on one thread, and only the Box–Muller transform,
+//! whose every pair is an output of its own, is split across threads.
 
+use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One Box–Muller pair (`ln`, `sqrt`, `cos`, `sin`) costs ≈ 20 ns, about
+/// as much as 512 multiply-adds of the GEMM tile: its weight in the
+/// [`par::INLINE_BELOW`] budget.
+const PAIR_WORK: usize = 512;
 
 /// Uniform samples in `[lo, hi)`.
 pub fn uniform(shape: Shape, lo: f32, hi: f32, seed: u64) -> Tensor {
@@ -20,21 +30,42 @@ pub fn uniform(shape: Shape, lo: f32, hi: f32, seed: u64) -> Tensor {
 }
 
 /// Standard-normal samples scaled by `std` (Box–Muller, deterministic).
+///
+/// Uniforms `2i` and `2i + 1` of the stream become elements `2i` (the `cos`
+/// term) and `2i + 1` (the `sin` term); an odd count draws one more uniform
+/// and keeps only the last pair's `cos` term.
 pub fn normal(shape: Shape, std: f32, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = Uniform::new(f32::EPSILON, 1.0f32);
     let n = shape.numel();
-    let mut data = Vec::with_capacity(n);
-    while data.len() < n {
-        let u1: f32 = dist.sample(&mut rng);
-        let u2: f32 = dist.sample(&mut rng);
+    // The stream straight into the output, u₁ u₂ u₁ u₂ …, transformed in
+    // place below.
+    let mut data: Vec<f32> = (0..n).map(|_| dist.sample(&mut rng)).collect();
+    let lone_u2: f32 = if n % 2 == 1 {
+        dist.sample(&mut rng)
+    } else {
+        0.0
+    };
+    let polar = |u1: f32, u2: f32| {
         let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        data.push(r * theta.cos() * std);
-        if data.len() < n {
-            data.push(r * theta.sin() * std);
+        (r, 2.0 * std::f32::consts::PI * u2)
+    };
+    par::for_each_run(&mut data, 2, n / 2 * PAIR_WORK, |_, run| {
+        for pair in run.chunks_mut(2) {
+            match pair {
+                [c, s] => {
+                    let (r, theta) = polar(*c, *s);
+                    *c = r * theta.cos() * std;
+                    *s = r * theta.sin() * std;
+                }
+                [c] => {
+                    let (r, theta) = polar(*c, lone_u2);
+                    *c = r * theta.cos() * std;
+                }
+                _ => unreachable!("chunks of two"),
+            }
         }
-    }
+    });
     Tensor::from_vec(shape, data)
 }
 
@@ -72,6 +103,41 @@ mod tests {
         for &v in t.as_slice() {
             assert!((-0.5..0.25).contains(&v));
         }
+    }
+
+    /// Box–Muller on one thread: draw a pair, push its `cos` term, push its
+    /// `sin` term while there is room.
+    fn sequential_normal(n: usize, std: f32, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dist = Uniform::new(f32::EPSILON, 1.0f32);
+        let mut data = Vec::with_capacity(n);
+        while data.len() < n {
+            let u1: f32 = dist.sample(&mut rng);
+            let u2: f32 = dist.sample(&mut rng);
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f32::consts::PI * u2;
+            data.push(r * theta.cos() * std);
+            if data.len() < n {
+                data.push(r * theta.sin() * std);
+            }
+        }
+        data
+    }
+
+    /// Bit for bit, one pair under the split threshold (inline), at it and
+    /// one over (split), each with an even and an odd element count.
+    #[test]
+    fn normal_is_the_sequential_transform_on_both_sides_of_the_split() {
+        let at = par::INLINE_BELOW / PAIR_WORK;
+        for pairs in [1, at - 1, at, at + 1] {
+            for n in [2 * pairs, 2 * pairs + 1] {
+                let got = normal(Shape::d1(n), 0.7, n as u64);
+                let want = sequential_normal(n, 0.7, n as u64);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.as_slice()), bits(&want), "n = {n}");
+            }
+        }
+        assert_eq!(normal(Shape::d1(0), 1.0, 3).numel(), 0);
     }
 
     #[test]

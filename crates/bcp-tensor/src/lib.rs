@@ -28,6 +28,7 @@ pub mod im2col;
 pub mod init;
 pub mod matmul;
 pub mod ops;
+pub mod par;
 pub mod pool;
 pub mod shape;
 pub mod tensor;

@@ -18,15 +18,25 @@
 //! across kernel changes: a faster kernel is admissible only if it keeps
 //! the invariant — splitting `k` across lanes or threads reassociates the
 //! sum and moves every trained weight.
+//!
+//! **Thread rule** (the same invariant one level up, see [`crate::par`]):
+//! a large product is split across threads by *panels of outputs*, never by
+//! `k`. Each part owns a contiguous run of `out`'s rows — A panels when the
+//! product is computed as it stands, B panels when it is computed
+//! transposed — packs only its own panels into its share of one
+//! caller-owned buffer, and reads the other operand's panels, packed once
+//! before the split (a large pack is itself split by panels: each panel is
+//! an output of the pack).
 
+use crate::par;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Output rows per tile: one broadcast `A` value per row and `k` step.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Output columns per tile: two 8-lane vectors of `B` per row and `k` step,
 /// so a tile is eight vector accumulators.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// `C = A · B` with `A: m×k`, `B: k×n` (both row-major rank-2 tensors).
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -86,55 +96,198 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(Shape::d2(m, n), out)
 }
 
-/// A matrix read through strides: element `(r, c)` is `data[r·rs + c·cs]`.
-type Strided<'a> = (&'a [f32], usize, usize);
+/// Threads a product of an `m×k` and a `k×n` matrix is split across.
+pub fn gemm_threads(m: usize, k: usize, n: usize) -> usize {
+    par::workers(gemm_parts(m, k, n))
+}
 
-/// `C = A · B` for a logical `m×k` `A` and `k×n` `B`, each [`Strided`].
-///
+/// Parts the rows of an `m×k` by `k×n` product are cut into: runs of whole
+/// panels of `out`'s rows.
+fn gemm_parts(m: usize, k: usize, n: usize) -> usize {
+    let width = if transposed(m, n) { NR } else { MR };
+    par::parts(m.div_ceil(width), m * k * n)
+}
+
+/// A matrix read through strides: element `(r, c)` is `data[r·rs + c·cs]`.
+pub(crate) type Strided<'a> = (&'a [f32], usize, usize);
+
 /// A narrow `C` (a conv layer with one or nine output pixels) would leave
 /// most of a tile's `NR` lanes padding, so the kernel computes `Cᵀ = Bᵀ·Aᵀ`
 /// instead whenever that takes fewer tiles: transposing a strided operand
 /// is swapping its strides, and every output is the same k-ascending sum
 /// either way.
-fn gemm(m: usize, k: usize, n: usize, a: Strided, b: Strided) -> Tensor {
-    let mut out = vec![0.0f32; m * n];
+fn transposed(m: usize, n: usize) -> bool {
     let tiles = |rows: usize, cols: usize| rows.div_ceil(MR) * cols.div_ceil(NR);
-    // The product the tiles compute, and the strides its (i, j) has in `out`.
-    let (rows, cols, a, b, (ors, ocs)) = if tiles(m, n) <= tiles(n, m) {
-        (m, n, a, b, (n, 1))
-    } else {
-        (n, m, (b.0, b.2, b.1), (a.0, a.2, a.1), (1, n))
-    };
-    if k > 0 {
-        let ap = pack::<MR>(a.0, rows, k, (a.1, a.2));
-        // B's columns are the panel rows, its rows the depth.
-        let bp = pack::<NR>(b.0, cols, k, (b.2, b.1));
-        // Every A panel passes one B panel before the next B panel is read.
-        for (j0, bpanel) in (0..cols).step_by(NR).zip(bp.chunks_exact(k * NR)) {
-            for (i0, apanel) in (0..rows).step_by(MR).zip(ap.chunks_exact(k * MR)) {
-                for (i, acc) in (i0..rows).zip(tile(apanel, bpanel)) {
-                    for (j, v) in (j0..cols).zip(acc) {
-                        out[i * ors + j * ocs] = v;
-                    }
-                }
-            }
+    tiles(n, m) < tiles(m, n)
+}
+
+/// `C = A · B` for a logical `m×k` `A` and `k×n` `B`, each [`Strided`].
+pub(crate) fn gemm(m: usize, k: usize, n: usize, a: Strided, b: Strided) -> Tensor {
+    let mut out = vec![0.0f32; m * n];
+    if k > 0 && !out.is_empty() {
+        // `out`'s row i is A's row i; its column j is B's column j, which
+        // `pack` reads as a row through B's swapped strides.
+        let cols = (b.0, b.2, b.1);
+        let parts = gemm_parts(m, k, n);
+        if transposed(m, n) {
+            // A's rows are the tiles' columns: split B panels.
+            let shared = pack::<MR>(cols, n, k);
+            split_rows::<NR>(&mut out, n, k, a, parts, |out, own, rows| {
+                product(&shared, own, k, n, rows, |i, j, v| out[j * n + i] = v)
+            });
+        } else {
+            let shared = pack::<NR>(cols, n, k);
+            split_rows::<MR>(&mut out, n, k, a, parts, |out, own, rows| {
+                product(own, &shared, k, rows, n, |i, j, v| out[i * n + j] = v)
+            });
         }
     }
     Tensor::from_vec(Shape::d2(m, n), out)
 }
 
-/// Copy the logical `rows × depth` matrix `data[r·rs + d·ds]` into panels of
-/// `W` rows, depth-major inside a panel (`W` values per depth step, the
-/// order [`tile`] reads them). The last panel is zero-padded; its padded
-/// outputs are computed and dropped.
-fn pack<const W: usize>(
-    data: &[f32],
+/// Split `out`'s rows (`n` wide) into `parts` runs of whole panels of `W`
+/// rows. Each part packs its own rows of `rows` (a `depth k` operand read
+/// through its strides) into its share of one buffer, then `f` gets the
+/// part's rows of `out`, its panels and its row count.
+fn split_rows<const W: usize>(
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    rows: Strided,
+    parts: usize,
+    f: impl Fn(&mut [f32], &[f32], usize) + Sync,
+) {
+    let panels = (out.len() / n).div_ceil(W);
+    let per = panels.div_ceil(parts);
+    let mut packed = vec![0.0f32; panels * k * W];
+    let runs = out
+        .chunks_mut(per * W * n)
+        .zip(packed.chunks_mut(per * k * W));
+    par::join(runs.enumerate(), |(p, (out, own))| {
+        let (r0, m) = (p * per * W, out.len() / n);
+        pack_into::<W>(own, (&rows.0[r0 * rows.1..], rows.1, rows.2), m, k);
+        f(out, own, m);
+    });
+}
+
+/// Every output of the `m × n` product of `m` rows packed in A panels
+/// (`ap`) and `n` columns packed in B panels (`bp`), depth `k`, handed to
+/// `put(i, j, v)` as its finished k-ascending sum.
+#[inline(always)]
+pub(crate) fn product(
+    ap: &[f32],
+    bp: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    mut put: impl FnMut(usize, usize, f32),
+) {
+    // Every A panel passes one B panel before the next B panel is read.
+    for (j0, bpanel) in (0..n).step_by(NR).zip(bp.chunks_exact(k * NR)) {
+        for (i0, apanel) in (0..m).step_by(MR).zip(ap.chunks_exact(k * MR)) {
+            for (i, acc) in (i0..m).zip(tile(apanel, bpanel)) {
+                for (j, v) in (j0..n).zip(acc) {
+                    put(i, j, v);
+                }
+            }
+        }
+    }
+}
+
+/// A left operand packed once and multiplied by many right operands (a
+/// conv layer's weights by every group of samples), in whichever
+/// orientation takes fewer tiles for products `cols` wide.
+pub(crate) struct Shared {
+    panels: Vec<f32>,
     rows: usize,
     depth: usize,
-    (rs, ds): (usize, usize),
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.div_ceil(W) * depth * W];
-    for (r0, panel) in (0..rows).step_by(W).zip(out.chunks_exact_mut(depth * W)) {
+    transposed: bool,
+}
+
+impl Shared {
+    /// Pack the `rows × depth` matrix `src` for products about `cols` wide.
+    pub(crate) fn new(src: Strided, rows: usize, depth: usize, cols: usize) -> Shared {
+        let transposed = transposed(rows, cols);
+        let panels = if transposed {
+            pack::<NR>(src, rows, depth)
+        } else {
+            pack::<MR>(src, rows, depth)
+        };
+        Shared {
+            panels,
+            rows,
+            depth,
+            transposed,
+        }
+    }
+
+    /// Scratch a right operand `cols` wide packs into.
+    pub(crate) fn scratch_len(&self, cols: usize) -> usize {
+        if self.transposed {
+            packed_len::<MR>(cols, self.depth)
+        } else {
+            packed_len::<NR>(cols, self.depth)
+        }
+    }
+
+    /// Every output `(i, j)` of this matrix times the `depth × cols` matrix
+    /// whose column `j` is row `j` of `b` (read through its strides), handed
+    /// to `put(i, j, v)` as its finished k-ascending sum; `b` is packed into
+    /// `scratch`.
+    #[inline(always)]
+    pub(crate) fn times(
+        &self,
+        b: Strided,
+        cols: usize,
+        scratch: &mut [f32],
+        mut put: impl FnMut(usize, usize, f32),
+    ) {
+        let (rows, depth) = (self.rows, self.depth);
+        if self.transposed {
+            pack_into::<MR>(scratch, b, cols, depth);
+            product(scratch, &self.panels, depth, cols, rows, |j, i, v| {
+                put(i, j, v)
+            });
+        } else {
+            pack_into::<NR>(scratch, b, cols, depth);
+            product(&self.panels, scratch, depth, rows, cols, put);
+        }
+    }
+}
+
+/// [`pack_into`] a fresh buffer, for an operand every part reads. Its
+/// panels are outputs of their own, so a large pack is split across
+/// threads by panels.
+pub(crate) fn pack<const W: usize>(src: Strided, rows: usize, depth: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; packed_len::<W>(rows, depth)];
+    let panel = depth * W;
+    let work = rows * depth * par::ELEMENT_WORK;
+    par::for_each_run(&mut out, panel, work, |first, run| {
+        let r0 = first * W;
+        let rows = (run.len() / panel * W).min(rows - r0);
+        pack_into::<W>(run, (&src.0[r0 * src.1..], src.1, src.2), rows, depth);
+    });
+    out
+}
+
+/// Length of `rows × depth` packed in panels of `W` rows.
+pub(crate) const fn packed_len<const W: usize>(rows: usize, depth: usize) -> usize {
+    rows.div_ceil(W) * depth * W
+}
+
+/// Copy the logical `rows × depth` matrix `data[r·rs + d·ds]` into panels
+/// of `W` rows, depth-major inside a panel (`W` values per depth step, the
+/// order [`tile`] reads them): `MR` for A panels, `NR` for B panels. The last
+/// panel's padding rows are left as they are: each output lane reads one A
+/// row and one B column, so a padded lane's value is computed and dropped
+/// and reaches no kept output.
+pub(crate) fn pack_into<const W: usize>(
+    dst: &mut [f32],
+    (data, rs, ds): Strided,
+    rows: usize,
+    depth: usize,
+) {
+    for (r0, panel) in (0..rows).step_by(W).zip(dst.chunks_exact_mut(depth * W)) {
         let live = W.min(rows - r0);
         for (d, slot) in panel.chunks_exact_mut(W).enumerate() {
             let at = r0 * rs + d * ds;
@@ -147,7 +300,6 @@ fn pack<const W: usize>(
             }
         }
     }
-    out
 }
 
 /// One `MR × NR` block of outputs over the whole depth: `a` is an A panel
@@ -265,6 +417,36 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// The thread split, bit for bit in all three products, one step under
+    /// the inline threshold and one over it: as it stands (`27 × 160`: seven
+    /// A panels, the last ragged) and transposed (`300 × 7`: nineteen B
+    /// panels, cut into parts of three). With `n = 1` or `m = 1` an operand
+    /// over the threshold holds 16 M elements, so those two check `matmul`
+    /// alone, over it only: `n = 1` splits like `300 × 7`, and `m = 1` is
+    /// one panel, which cannot split.
+    #[test]
+    fn split_products_are_bit_identical_to_naive() {
+        let over = |m: usize, n: usize| par::INLINE_BELOW.div_ceil(m * n);
+        for (m, n) in [(27, 160), (300, 7), (1_000, 1), (1, 600)] {
+            let thin = m == 1 || n == 1;
+            let depths = if thin { 1..2 } else { 0..2 };
+            for k in depths.map(|step| over(m, n) - 1 + step) {
+                let split = m * k * n >= par::INLINE_BELOW && (m > MR || transposed(m, n));
+                let want = if split { par::threads() } else { 1 };
+                assert_eq!(gemm_threads(m, k, n), want, "{m}×{k}×{n}");
+                let a = uniform(Shape::d2(m, k), -2.0, 2.0, (m + k) as u64);
+                let b = uniform(Shape::d2(k, n), -2.0, 2.0, (k + n) as u64);
+                let checked = if thin {
+                    same_bits(&matmul(&a, &b), &matmul_naive(&a, &b))
+                } else {
+                    check_all(&a, &b)
+                };
+                checked.unwrap_or_else(|e| panic!("{m}×{k}×{n}: {e}"));
+            }
+        }
+        assert!(transposed(300, 7) && !transposed(27, 160));
     }
 
     #[test]

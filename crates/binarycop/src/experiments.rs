@@ -20,6 +20,7 @@ use bcp_finn::perf::CLOCK_100MHZ;
 use bcp_finn::power::{PowerModel, DEFAULT_POWER};
 use bcp_finn::resource::estimate_plan;
 use bcp_gradcam::{gradcam, heat_centroid};
+use bcp_nn::sequential::Profile;
 use bcp_nn::Sequential;
 use bcp_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
@@ -807,6 +808,16 @@ pub struct AblationRow {
     pub other: &'static str,
     /// The measurement.
     pub stat: PairedStat,
+    /// Threads the base side runs on.
+    pub base_threads: usize,
+    /// Threads the other side runs on: the float GEMM under training splits
+    /// its outputs across every core once its work reaches
+    /// `bcp_tensor::par::INLINE_BELOW`, the kernels it is compared with
+    /// run on one.
+    pub other_threads: usize,
+    /// `stat.ratio_median` per core: the other side's core-time over the
+    /// base side's.
+    pub ratio_per_core: f64,
 }
 
 /// CNV-layer-shaped GEMMs (rows = C_out, cols = C_in·9, windows): the
@@ -825,16 +836,20 @@ pub fn design_ablations(rounds: usize) -> Vec<AblationRow> {
     use bcp_finn::pool::or_pool;
     use bcp_tensor::conv::{conv2d_direct, conv2d_forward, Conv2dSpec};
     use bcp_tensor::init::uniform;
-    use bcp_tensor::{matmul::matmul_tb, maxpool2d_forward, MaxPoolSpec};
+    use bcp_tensor::matmul::{gemm_threads, matmul_tb};
+    use bcp_tensor::{maxpool2d_forward, par, MaxPoolSpec};
 
     let signs = |shape, seed| uniform(shape, -1.0, 1.0, seed).map(|v| v.signum());
     let mut rows = Vec::new();
-    let mut row = |name: String, (base, other), stat| {
+    let mut row = |name: String, (base, other), (base_threads, other_threads), stat: PairedStat| {
         rows.push(AblationRow {
             name,
             base,
             other,
+            ratio_per_core: stat.ratio_median * other_threads as f64 / base_threads as f64,
             stat,
+            base_threads,
+            other_threads,
         })
     };
 
@@ -852,6 +867,7 @@ pub fn design_ablations(rounds: usize) -> Vec<AblationRow> {
         row(
             format!("gemm {r}x{c}x{windows}"),
             ("xnor_gemm_block", "matmul_tb"),
+            (1, gemm_threads(windows, c, r)),
             stat,
         );
     }
@@ -867,6 +883,7 @@ pub fn design_ablations(rounds: usize) -> Vec<AblationRow> {
     row(
         "pool 64x28x28".into(),
         ("or_pool", "maxpool2d_forward"),
+        (1, 1),
         stat,
     );
 
@@ -879,7 +896,10 @@ pub fn design_ablations(rounds: usize) -> Vec<AblationRow> {
         || conv2d_direct(&x, &w, spec),
     );
     let sides = ("conv2d_forward (im2col + GEMM)", "conv2d_direct");
-    row("conv lowering 4x32x12x12".into(), sides, stat);
+    // conv2d_forward splits its samples once the multiply-adds reach the
+    // threshold; this shape (4 · 32 · 288 · 100) stays below it.
+    let threads = (par::workers(par::parts(4, 4 * 32 * 288 * 100)), 1);
+    row("conv lowering 4x32x12x12".into(), sides, threads, stat);
 
     // A conv layer's worth of accumulators: 256 channels × 100 pixels.
     let (channels, pixels) = (256usize, 100usize);
@@ -907,16 +927,16 @@ pub fn design_ablations(rounds: usize) -> Vec<AblationRow> {
         || count(&accs, pixels, float_bn),
     );
     let sides = ("ThresholdUnit::apply", "float batch-norm + sign");
-    row("threshold 256x100".into(), sides, stat);
+    row("threshold 256x100".into(), sides, (1, 1), stat);
     rows
 }
 
-/// Render [`design_ablations`] rows: each side's median, the median
-/// per-round ratio with its base, and the ratio's quartiles.
+/// Render [`design_ablations`] rows: each side's median and thread count,
+/// the median per-round ratio with its quartiles, and that ratio per core.
 pub fn ablations_report(rows: &[AblationRow]) -> String {
     let mut s = format!(
         "Design-choice ablations (DESIGN.md §9): paired loops, {} rounds, sides alternating\n\
-         {:<26}{:<32}{:>10}  {:<24}{:>10}  other/base, median [q1 .. q3] per round\n",
+         {:<26}{:<32}{:>10}  {:<24}{:>10}  other/base, median [q1 .. q3] per round; per core\n",
         rows.first().map_or(0, |r| r.stat.rounds),
         "comparison",
         "base (the paper's choice)",
@@ -925,16 +945,21 @@ pub fn ablations_report(rows: &[AblationRow]) -> String {
         "ns/call",
     );
     for r in rows {
+        let side = |name: &str, threads: usize| match threads {
+            1 => name.to_string(),
+            t => format!("{name} ({t} thr)"),
+        };
         s.push_str(&format!(
-            "{:<26}{:<32}{:>10.0}  {:<24}{:>10.0}  {:.2}x [{:.2} .. {:.2}]\n",
+            "{:<26}{:<32}{:>10.0}  {:<24}{:>10.0}  {:.2}x [{:.2} .. {:.2}]; {:.2}x\n",
             r.name,
-            r.base,
+            side(r.base, r.base_threads),
             r.stat.base_ns,
-            r.other,
+            side(r.other, r.other_threads),
             r.stat.other_ns,
             r.stat.ratio_median,
             r.stat.ratio_q1,
-            r.stat.ratio_q3
+            r.stat.ratio_q3,
+            r.ratio_per_core,
         ));
     }
     s
@@ -1034,6 +1059,8 @@ pub struct Timings {
     /// Seconds to deploy and evaluate the integer pipeline (which also
     /// re-runs the float network to count agreement).
     pub eval_seconds_deployed: f64,
+    /// Training milliseconds per image, by layer kind, over every epoch.
+    pub ms_per_image: Profile,
 }
 
 /// One architecture's entry in the ledger.
@@ -1092,6 +1119,11 @@ pub fn arch_ledger(
     let pct = |ours: u64, paper: f64| (ours as f64 / paper - 1.0) * 100.0;
     let diagonal = |cm: &bcp_nn::metrics::ConfusionMatrix| (0..4).map(|c| cm.get(c, c)).collect();
     let epochs = model.history.len().max(1) as f64;
+    let images = (model.train_images.max(1) as f64) * epochs;
+    let profile = model
+        .history
+        .iter()
+        .fold(Profile::default(), |acc, e| acc.plus(e.profile));
     ArchLedger {
         name: model.arch.name.clone(),
         recipe: recipe.clone(),
@@ -1117,6 +1149,7 @@ pub fn arch_ledger(
             mean_epoch_seconds: model.history.iter().map(|e| e.epoch_seconds).sum::<f64>() / epochs,
             eval_seconds_float: model.eval_seconds,
             eval_seconds_deployed,
+            ms_per_image: profile.scaled(1e3 / images),
         },
     }
 }
@@ -1333,6 +1366,8 @@ mod tests {
             );
             assert_eq!(row.stat.rounds, 2);
             assert!(report.contains(row.base) && report.contains(row.other));
+            let per_core = row.other_threads as f64 / row.base_threads as f64;
+            assert_eq!(row.ratio_per_core, row.stat.ratio_median * per_core);
         }
         assert_eq!(rows.len(), 6);
     }

@@ -144,6 +144,8 @@ pub struct TrainedModel {
     pub arch: Arch,
     /// Per-epoch statistics.
     pub history: Vec<EpochStats>,
+    /// Training images per epoch (after augmentation).
+    pub train_images: usize,
     /// Accuracy on the held-out balanced test set.
     pub test_accuracy: f32,
     /// Fig. 2-style confusion matrix on the test set.
@@ -213,6 +215,7 @@ pub fn run_instrumented(
         net,
         arch: recipe.arch.clone(),
         history,
+        train_images: train.len(),
         test_accuracy,
         confusion,
         eval_seconds,

@@ -49,11 +49,6 @@ python3 scripts/perf_gate.py benchmark/out/gate.json
 # training here).
 python3 scripts/paper_gate.py $(ls PAPER_*.json | sort -Vr | head -2)
 
-# The exception budget, so a PR can state before/after: hot-path roots and
-# `audit: allow(<kind>)` directives outside crates/bcp-check (whose sources
-# hold the analyzer's own fixtures).
-echo "bcp:hot-path roots: $(grep -rh --include='*.rs' 'bcp:hot-path' crates src \
-    --exclude-dir=bcp-check | wc -l)"
-echo "audit: allow directives by kind:"
-grep -rhoE --include='*.rs' --exclude-dir=bcp-check 'audit: allow\([a-z]+\)' crates src \
-    | sort | uniq -c
+# The exception budget: hot-path roots and `audit: allow(<kind>)`
+# directives by kind, against the committed counts; fails if any grew.
+python3 scripts/exception_budget.py
