@@ -29,7 +29,7 @@ use crate::tenant::{Admission, TenantPolicy, TenantTable};
 use bcp_serve::canary_frame;
 use bcp_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use bcp_sync::Mutex;
-use bcp_telemetry::{Counter, Histogram, Registry};
+use bcp_trace::{Counter, Histogram, Registry};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;

@@ -30,8 +30,8 @@ use bcp_dataset::MaskClass;
 use bcp_serve::{Engine, Replica, ServeConfig, ServeError};
 use bcp_sync::atomic::{AtomicU8, Ordering};
 use bcp_sync::Mutex;
-use bcp_telemetry::{Counter, Gauge, Registry};
 use bcp_tensor::Tensor;
+use bcp_trace::{Counter, Gauge, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

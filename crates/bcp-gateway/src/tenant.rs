@@ -19,7 +19,7 @@
 //! by the engine's own backpressure).
 
 use bcp_sync::Mutex;
-use bcp_telemetry::{Counter, Registry};
+use bcp_trace::{Counter, Registry};
 use std::collections::HashMap;
 
 /// Micro-tokens per token.

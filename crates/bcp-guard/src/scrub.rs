@@ -13,7 +13,7 @@
 
 use crate::golden::GoldenStore;
 use bcp_finn::{GoldenDigest, IntegrityFault, Pipeline};
-use bcp_telemetry::{Counter, Histogram, Registry};
+use bcp_trace::{Counter, Histogram, Registry};
 use std::time::Instant;
 
 /// One unit of scrub work: small enough to verify between two inference

@@ -282,7 +282,7 @@ pub fn fit_instrumented(
     train_labels: &[usize],
     val: Option<(&Tensor, &[usize])>,
     cfg: &TrainConfig,
-    telemetry: Option<&bcp_telemetry::Registry>,
+    telemetry: Option<&bcp_trace::Registry>,
     mut on_epoch: impl FnMut(&EpochStats) -> bool,
 ) -> Vec<EpochStats> {
     let mut history = Vec::with_capacity(cfg.epochs);
@@ -328,7 +328,7 @@ pub fn fit_instrumented(
     history
 }
 
-fn record_epoch(registry: &bcp_telemetry::Registry, s: &EpochStats, lr: f32, samples: usize) {
+fn record_epoch(registry: &bcp_trace::Registry, s: &EpochStats, lr: f32, samples: usize) {
     use serde::{Map, Value};
     registry.counter("train.epochs").inc();
     registry.counter("train.samples").add(samples as u64);
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn instrumented_fit_exports_metrics_and_events() {
-        let registry = bcp_telemetry::Registry::with_event_buffer();
+        let registry = bcp_trace::Registry::with_event_buffer();
         let (images, labels) = blob_data(64, 9);
         let (val_images, val_labels) = blob_data(32, 10);
         let mut net = blob_net(70);

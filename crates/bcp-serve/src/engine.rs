@@ -57,9 +57,10 @@ use crate::recovery::{RecoveryPolicy, WorkerState, WorkerStateCell};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
 use bcp_sync::Mutex;
-use bcp_telemetry::{Counter, Gauge, Histogram, Registry};
 use bcp_tensor::Tensor;
-use bcp_trace::{stamp, ActiveTrace, TraceEvent, TraceOutcome, Tracer};
+use bcp_trace::{
+    stamp, ActiveTrace, Counter, Gauge, Histogram, Registry, TraceEvent, TraceOutcome, Tracer,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;

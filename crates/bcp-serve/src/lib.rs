@@ -30,7 +30,7 @@
 //!   takes only that worker out of rotation.
 //! * **Observability** — queue depth, batch-size and latency histograms,
 //!   outcome counters and how batches closed (`serve.seal.{full,idle}`)
-//!   under the `serve.*` namespace of a `bcp_telemetry::Registry`.
+//!   under the `serve.*` namespace of a `bcp_trace::Registry`.
 //!
 //! The model is abstracted behind [`Replica`]; `binarycop::serve` plugs
 //! the real predictor in, and [`SyntheticReplica`] keeps this crate's own

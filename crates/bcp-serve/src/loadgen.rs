@@ -165,15 +165,7 @@ fn assemble_report(
         }
     }
     latencies.sort_unstable();
-    let pct = |q: f64| -> Duration {
-        if latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = ((latencies.len() as f64 * q).ceil() as usize)
-            .clamp(1, latencies.len())
-            .saturating_sub(1);
-        Duration::from_nanos(latencies[idx])
-    };
+    let pct = |q: f64| Duration::from_nanos(bcp_trace::percentile(&latencies, q));
     LoadReport {
         clients,
         total: clients.saturating_mul(requests_per_client),
@@ -199,7 +191,7 @@ mod tests {
     use super::*;
     use crate::config::{BackpressurePolicy, ServeConfig};
     use crate::replica::{canary_frame, SyntheticReplica};
-    use bcp_telemetry::Registry;
+    use bcp_trace::Registry;
 
     #[test]
     fn closed_loop_accounts_for_every_request() {

@@ -3,7 +3,7 @@
 //! The serving stack's concurrency-bearing structures (the Vyukov trace
 //! [`Ring`](../bcp_trace/ring/index.html), the engine's `Admission`
 //! queue, the oneshot `Slot`, the `WorkerState` byte) — and every other
-//! lock in bcp-serve, bcp-gateway and bcp-telemetry — import their
+//! lock in bcp-serve, bcp-gateway and bcp-trace — import their
 //! primitives from this crate instead of `std`:
 //!
 //! * **Normal builds** re-export `std` (behind panic-free lock APIs:

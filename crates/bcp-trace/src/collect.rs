@@ -1,7 +1,7 @@
 //! The collector: turns drained [`TraceRecord`]s into span trees and the
-//! waterfall/flamegraph artifacts.
+//! waterfall/flamegraph/time-series artifacts.
 //!
-//! Two export formats:
+//! Three export formats:
 //!
 //! * **Collapsed-stack text** ([`TraceSet::to_folded`]) — the
 //!   `stack;frames count` format consumed by `inferno`, `flamegraph.pl`
@@ -10,8 +10,12 @@
 //! * **Self-contained JSONL** ([`TraceSet::to_jsonl`]) — one record per
 //!   line with absolute stamps and per-segment durations; enough to
 //!   rebuild any waterfall offline.
+//! * **Time-series JSONL** ([`TimeSeries::to_jsonl`]) — queue depth and
+//!   busy workers at every change, derived from the same stamps
+//!   ([`TraceSet::time_series`]), so no thread polls the engine for it.
 
-use crate::record::{TraceOutcome, TraceRecord, EVENTS, SEGMENTS};
+use crate::record::{TraceEvent, TraceOutcome, TraceRecord, EVENTS, SEGMENTS};
+use serde::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -39,7 +43,7 @@ impl SpanNode {
 /// Build the span tree of one record: a `request` root with one child per
 /// reached segment.
 pub fn span_tree(record: &TraceRecord) -> Option<SpanNode> {
-    let start = record.stamp(crate::TraceEvent::Enqueue)?;
+    let start = record.stamp(TraceEvent::Enqueue)?;
     let mut children = Vec::new();
     for seg in SEGMENTS {
         let (from, to) = seg.bounds();
@@ -163,6 +167,118 @@ impl TraceSet {
         }
         out
     }
+
+    /// Queue depth and worker occupancy over time, a pure function of the
+    /// records. A request is queued from `Enqueue` until
+    /// `AdmissionDequeue`, or until its terminal stamp when it left the
+    /// queue shed, expired or failed; a `Rejected` request never entered.
+    /// A worker is busy while any of its records is inside
+    /// `[ComputeStart, ComputeEnd)`. Exact when every request is sampled
+    /// (`bcp profile`'s default); at a lower rate it counts sampled
+    /// requests only.
+    pub fn time_series(&self) -> TimeSeries {
+        // (t, arrives, worker); `None` is the admission queue. Leaving
+        // sorts before arriving at equal `t`, so intervals are half-open.
+        let mut changes: Vec<(u64, bool, Option<usize>)> = Vec::new();
+        let mut span = |from: u64, to: u64, who: Option<usize>| {
+            if from < to {
+                changes.push((from, true, who));
+                changes.push((to, false, who));
+            }
+        };
+        for r in self
+            .records
+            .iter()
+            .filter(|r| r.outcome != TraceOutcome::Rejected)
+        {
+            let Some(enqueue) = r.stamp(TraceEvent::Enqueue) else {
+                continue;
+            };
+            let end = r.stamp(r.last_event()).unwrap_or(enqueue);
+            let dequeue = r.stamp(TraceEvent::AdmissionDequeue).unwrap_or(end);
+            span(enqueue, dequeue, None);
+            if let Some(start) = r.stamp(TraceEvent::ComputeStart) {
+                let stop = r.stamp(TraceEvent::ComputeEnd).unwrap_or(end);
+                span(start, stop, Some(r.worker));
+            }
+        }
+        changes.sort_unstable();
+        let (mut depth, mut inside) = (0u64, BTreeMap::<usize, u64>::new());
+        let mut rows: Vec<SeriesRow> = Vec::new();
+        let step = |n: u64, arrives: bool| {
+            if arrives {
+                n.saturating_add(1)
+            } else {
+                n.saturating_sub(1)
+            }
+        };
+        for (t_ns, arrives, who) in changes {
+            match who {
+                None => depth = step(depth, arrives),
+                Some(w) => {
+                    let n = inside.entry(w).or_insert(0);
+                    *n = step(*n, arrives);
+                }
+            }
+            let busy = inside.values().filter(|&&n| n > 0).count() as u64;
+            // One row per change time, and only when the state changed.
+            if rows.last().is_some_and(|last| last.t_ns == t_ns) {
+                rows.pop();
+            }
+            if rows.last().map(|l| (l.queue_depth, l.busy_workers)) != Some((depth, busy)) {
+                rows.push(SeriesRow {
+                    t_ns,
+                    queue_depth: depth,
+                    busy_workers: busy,
+                });
+            }
+        }
+        TimeSeries { rows }
+    }
+}
+
+/// The state of the engine right after every change at `t_ns`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeriesRow {
+    /// Nanoseconds since the tracer's epoch.
+    pub t_ns: u64,
+    /// Requests waiting in the admission queue.
+    pub queue_depth: u64,
+    /// Workers inside the compute segment of some request.
+    pub busy_workers: u64,
+}
+
+/// Queue depth and worker occupancy over time
+/// ([`TraceSet::time_series`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TimeSeries {
+    /// One row per change, in time order.
+    pub rows: Vec<SeriesRow>,
+}
+
+impl TimeSeries {
+    /// JSONL export (`timeseries.jsonl`): one
+    /// `{"t_ns":…,"queue_depth":…,"busy_workers":…}` object per row.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for row in &self.rows {
+            let mut m = Map::new();
+            m.insert("t_ns".into(), Value::UInt(row.t_ns));
+            m.insert("queue_depth".into(), Value::UInt(row.queue_depth));
+            m.insert("busy_workers".into(), Value::UInt(row.busy_workers));
+            out.push_str(&serde_json::to_string(&Value::Object(m)).expect("series row json"));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Column-wise peaks `(queue_depth, busy_workers)`, `(0, 0)` when
+    /// empty.
+    pub fn peak(&self) -> (u64, u64) {
+        self.rows.iter().fold((0, 0), |(q, b), r| {
+            (q.max(r.queue_depth), b.max(r.busy_workers))
+        })
+    }
 }
 
 /// Sanity-check a record set the way the integrity tests do: stamps
@@ -216,7 +332,7 @@ pub fn audit(records: &[TraceRecord]) -> Result<(), String> {
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
-    use crate::record::{TraceEvent, N_EVENTS};
+    use crate::record::N_EVENTS;
 
     fn record(id: u64, base: u64) -> TraceRecord {
         let mut r = TraceRecord::new(id);
@@ -288,5 +404,124 @@ mod tests {
     fn jsonl_has_one_line_per_record() {
         let set = TraceSet::new(vec![record(0, 0), record(1, 0)], 0);
         assert_eq!(set.to_jsonl().lines().count(), 2);
+    }
+
+    /// A record with only the given stamps.
+    fn stamped(
+        id: u64,
+        outcome: TraceOutcome,
+        worker: usize,
+        at: &[(TraceEvent, u64)],
+    ) -> TraceRecord {
+        let mut r = TraceRecord::new(id);
+        for &(e, t) in at {
+            r.stamps[e as usize] = t;
+        }
+        r.outcome = outcome;
+        r.worker = worker;
+        r
+    }
+
+    #[test]
+    fn time_series_follows_queue_and_compute_intervals() {
+        use TraceEvent::*;
+        let served = |id, worker, enq, deq, start, end| {
+            let at = [
+                (Enqueue, enq),
+                (AdmissionDequeue, deq),
+                (BatchSeal, deq),
+                (WorkerDispatch, deq),
+                (ComputeStart, start),
+                (ComputeEnd, end),
+                (Deliver, end + 10),
+            ];
+            stamped(id, TraceOutcome::Ok, worker, &at)
+        };
+        let set = TraceSet::new(
+            vec![
+                // One batch of two on worker 0, leaving the queue together.
+                served(0, 0, 10, 20, 30, 60),
+                served(1, 0, 15, 20, 31, 61),
+                // Evicted from the queue at 40: leaves it at its terminal stamp.
+                stamped(
+                    2,
+                    TraceOutcome::Shed,
+                    usize::MAX,
+                    &[(Enqueue, 25), (Deliver, 40)],
+                ),
+                // Turned away at the door: never in the queue.
+                stamped(
+                    3,
+                    TraceOutcome::Rejected,
+                    usize::MAX,
+                    &[(Enqueue, 35), (Deliver, 35)],
+                ),
+                // Pulled at 80 with its deadline gone: never computed.
+                stamped(
+                    4,
+                    TraceOutcome::Expired,
+                    1,
+                    &[
+                        (Enqueue, 45),
+                        (AdmissionDequeue, 80),
+                        (BatchSeal, 80),
+                        (Deliver, 80),
+                    ],
+                ),
+                served(5, 1, 50, 55, 56, 66),
+            ],
+            0,
+        );
+        let rows: Vec<(u64, u64, u64)> = set
+            .time_series()
+            .rows
+            .iter()
+            .map(|r| (r.t_ns, r.queue_depth, r.busy_workers))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (10, 1, 0),
+                (15, 2, 0),
+                (20, 0, 0),
+                (25, 1, 0),
+                (30, 1, 1),
+                (40, 0, 1),
+                (45, 1, 1),
+                (50, 2, 1),
+                (55, 1, 1),
+                (56, 1, 2),
+                (61, 1, 1),
+                (66, 1, 0),
+                (80, 0, 0),
+            ]
+        );
+        assert_eq!(TraceSet::default().time_series(), TimeSeries::default());
+    }
+
+    #[test]
+    fn jsonl_and_peak() {
+        let ts = TimeSeries {
+            rows: vec![
+                SeriesRow {
+                    t_ns: 5,
+                    queue_depth: 3,
+                    busy_workers: 2,
+                },
+                SeriesRow {
+                    t_ns: 10,
+                    queue_depth: 7,
+                    busy_workers: 1,
+                },
+            ],
+        };
+        let jsonl = ts.to_jsonl();
+        assert_eq!(jsonl.lines().count(), 2);
+        let v: serde::Value = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
+        assert_eq!(v["t_ns"].as_u64(), Some(5));
+        assert_eq!(v["queue_depth"].as_u64(), Some(3));
+        assert_eq!(v["busy_workers"].as_u64(), Some(2));
+        assert_eq!(ts.peak(), (7, 2));
+        assert_eq!(TimeSeries::default().peak(), (0, 0));
     }
 }

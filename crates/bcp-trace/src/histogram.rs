@@ -144,18 +144,6 @@ impl LogHistogram {
             overflow: self.overflow,
         }
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.overflow = self.overflow.saturating_add(other.overflow);
-    }
 }
 
 /// Point-in-time summary of a [`LogHistogram`], as exported in
@@ -263,18 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_counts() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(5);
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let s = a.summarize();
-        assert_eq!((s.min, s.max), (5, 500));
-    }
-
-    #[test]
     fn bucket_layout_is_consistent() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
@@ -287,17 +263,5 @@ mod tests {
             assert!(lo < hi, "bucket {i}");
             assert_eq!(bucket_of(lo), i);
         }
-    }
-
-    #[test]
-    fn merge_carries_overflow() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(u64::MAX);
-        b.record(u64::MAX);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.overflow(), 2);
-        assert_eq!(a.count(), 3);
     }
 }

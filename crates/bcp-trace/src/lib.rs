@@ -1,8 +1,28 @@
-//! # bcp-trace — request-lifecycle tracing for the serving engine
+//! # bcp-trace — the workspace's one observability crate
 //!
-//! Low-overhead tracing layered on `bcp-telemetry`. Every admitted
-//! request can carry a [`TraceRecord`]: a fixed-size vector of
-//! nanosecond timestamps stamped at each hand-off of its lifecycle —
+//! Two views of a run, built only on std plus the workspace's own
+//! `bcp-sync` locks and `serde`/`serde_json`. No external telemetry
+//! dependency: the edge-deployment story of the paper (a Zynq SoC with no
+//! network guarantees) wants observability that is dumped to a file and
+//! scraped later, not a live exporter.
+//!
+//! ## Metrics
+//!
+//! A [`Registry`] is a cheaply-cloneable handle to a shared store of
+//! counters (monotonic `u64`), gauges (last-write-wins `f64`) and
+//! log₂-bucketed histograms with `p50/p95/p99` summaries.
+//! [`Registry::snapshot`] freezes it into a serializable [`Snapshot`],
+//! [`Registry::write_artifacts`] writes `events.jsonl` and `summary.json`,
+//! and [`Registry::render_text`] is the sorted `name value` text dump.
+//! Names are dotted lowercase paths, unit suffix last
+//! (`predict.latency_ns`, `train.epoch.loss`); keep cardinality bounded —
+//! names are map keys, not label sets.
+//!
+//! ## Request traces
+//!
+//! Every admitted request can carry a [`TraceRecord`]: a fixed-size
+//! vector of nanosecond timestamps stamped at each hand-off of its
+//! lifecycle —
 //!
 //! ```text
 //! enqueue → admission_dequeue → batch_seal → worker_dispatch
@@ -26,9 +46,10 @@
 //!
 //! The collector side ([`TraceSet`]) turns drained records into span
 //! trees, collapsed-stack flamegraph text, JSONL, an ASCII waterfall,
-//! and the [`AttributionReport`] that decomposes latency into
-//! queue-wait / batch-wait / dispatch / compute / delivery and prices
-//! the engine against raw `classify_block`.
+//! the queue-depth / worker-occupancy [`TimeSeries`], and the
+//! [`AttributionReport`] that decomposes latency into queue-wait /
+//! batch-wait / dispatch / compute / delivery and prices the engine
+//! against raw `classify_block`.
 
 #![deny(unsafe_code)]
 #![warn(clippy::arithmetic_side_effects)]
@@ -41,7 +62,11 @@
 #[cfg(not(bcp_model))]
 pub mod collect;
 #[cfg(not(bcp_model))]
+mod histogram;
+#[cfg(not(bcp_model))]
 pub mod record;
+#[cfg(not(bcp_model))]
+mod registry;
 #[cfg(not(bcp_model))]
 pub mod report;
 // The lock-free ring is the audited `unsafe` allowlist exception
@@ -49,20 +74,28 @@ pub mod report;
 #[allow(unsafe_code)]
 pub mod ring;
 #[cfg(not(bcp_model))]
-pub mod sampler;
+mod sink;
+#[cfg(not(bcp_model))]
+mod snapshot;
 #[cfg(not(bcp_model))]
 pub mod tracer;
 
 #[cfg(not(bcp_model))]
-pub use collect::{audit, span_tree, SpanNode, TraceSet};
+pub use collect::{audit, span_tree, SeriesRow, SpanNode, TimeSeries, TraceSet};
+#[cfg(not(bcp_model))]
+pub use histogram::{HistogramSummary, LogHistogram};
 #[cfg(not(bcp_model))]
 pub use record::{
     Segment, TraceEvent, TraceId, TraceOutcome, TraceRecord, EVENTS, N_EVENTS, N_SEGMENTS, SEGMENTS,
 };
 #[cfg(not(bcp_model))]
-pub use report::{AttributionReport, SegmentStats};
+pub use registry::{Counter, Gauge, Histogram, Registry};
+#[cfg(not(bcp_model))]
+pub use report::{percentile, AttributionReport, SegmentStats};
 pub use ring::Ring;
 #[cfg(not(bcp_model))]
-pub use sampler::{SampleRow, TimeSeries, TimeSeriesSampler};
+pub use sink::Event;
+#[cfg(not(bcp_model))]
+pub use snapshot::Snapshot;
 #[cfg(not(bcp_model))]
 pub use tracer::{stamp, ActiveTrace, TraceConfig, Tracer};

@@ -1,10 +1,10 @@
 //! The shared metric store and its handle types.
 
 use crate::histogram::LogHistogram;
-use crate::report::Snapshot;
-use crate::sink::{Event, Sink};
+use crate::sink::Event;
+use crate::snapshot::Snapshot;
 use bcp_sync::Mutex;
-use serde::Map;
+use serde::{Map, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +17,8 @@ struct Inner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<Mutex<LogHistogram>>>>,
-    sink: Mutex<Sink>,
+    /// Serialized `events.jsonl` lines; `None` drops events.
+    events: Mutex<Option<Vec<String>>>,
 }
 
 /// Cheaply-cloneable handle to a shared metric store. All methods are
@@ -44,7 +45,7 @@ impl Registry {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
-                sink: Mutex::new(Sink::Null),
+                events: Mutex::new(None),
             }),
         }
     }
@@ -54,7 +55,7 @@ impl Registry {
     /// [`write_artifacts`](Registry::write_artifacts)).
     pub fn with_event_buffer() -> Registry {
         let r = Registry::new();
-        *r.inner.sink.lock() = Sink::Memory(Vec::new());
+        *r.inner.events.lock() = Some(Vec::new());
         r
     }
 
@@ -86,33 +87,28 @@ impl Registry {
         ))
     }
 
-    /// Emit a free-form `mark` event carrying `fields`. No-op without a
-    /// sink, so it is safe to call from hot-ish paths.
+    /// Emit a free-form `mark` event carrying `fields`. No-op without an
+    /// event buffer, so it is safe to call from hot-ish paths.
     pub fn mark(&self, name: &str, fields: Map) {
-        self.emit("mark", name, fields);
-    }
-
-    pub(crate) fn emit(&self, kind: &'static str, name: &str, fields: Map) {
-        let mut sink = self.inner.sink.lock();
-        if sink.is_null() {
-            return;
+        if let Some(lines) = self.inner.events.lock().as_mut() {
+            let event = Event {
+                ts_us: self.elapsed_us(),
+                name: name.to_string(),
+                fields,
+            };
+            lines.push(serde_json::to_string(&event.to_value()).expect("event json"));
         }
-        let event = Event {
-            ts_us: self.elapsed_us(),
-            kind,
-            name: name.to_string(),
-            fields,
-        };
-        sink.emit(&event);
     }
 
-    /// Drain buffered events (memory sink only; empty otherwise). Each
+    /// Drain buffered events (empty without an event buffer). Each
     /// string is one JSON object line.
     pub fn take_events(&self) -> Vec<String> {
-        match &mut *self.inner.sink.lock() {
-            Sink::Memory(lines) => std::mem::take(lines),
-            _ => Vec::new(),
-        }
+        self.inner
+            .events
+            .lock()
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Freeze all metrics into a serializable [`Snapshot`].
@@ -154,18 +150,15 @@ impl Registry {
     /// dump for scraping or eyeballing. Lines are sorted by name, so the
     /// output is stable across runs and diffs cleanly.
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
+        let snap = self.snapshot();
         let mut lines: Vec<String> = Vec::new();
-        for (name, v) in self.inner.counters.lock().iter() {
-            // ordering: Relaxed — same as `snapshot`: a metrics dump
-            // needs per-counter atomicity, not cross-counter ordering.
-            lines.push(format!("{name} {}", v.load(Ordering::Relaxed)));
+        for (name, v) in &snap.counters {
+            lines.push(format!("{name} {v}"));
         }
-        for (name, v) in self.inner.gauges.lock().iter() {
-            lines.push(format!("{name} {}", Gauge::read(v)));
+        for (name, v) in &snap.gauges {
+            lines.push(format!("{name} {v}"));
         }
-        for (name, h) in self.inner.histograms.lock().iter() {
-            let s = h.lock().summarize();
+        for (name, s) in &snap.histograms {
             lines.push(format!("{name}.count {}", s.count));
             lines.push(format!("{name}.mean {:.1}", s.mean));
             lines.push(format!("{name}.p50 {}", s.p50));
@@ -176,11 +169,7 @@ impl Registry {
             }
         }
         lines.sort();
-        let mut out = String::new();
-        for l in lines {
-            let _ = writeln!(out, "{l}");
-        }
-        out
+        lines.iter().map(|l| format!("{l}\n")).collect()
     }
 
     /// Write run artifacts into `dir` (created if missing):
@@ -189,11 +178,8 @@ impl Registry {
     pub fn write_artifacts(&self, dir: impl AsRef<Path>) -> std::io::Result<std::path::PathBuf> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        if let Sink::Memory(lines) = &*self.inner.sink.lock() {
-            let mut body = lines.join("\n");
-            if !body.is_empty() {
-                body.push('\n');
-            }
+        if let Some(lines) = &*self.inner.events.lock() {
+            let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
             std::fs::write(dir.join("events.jsonl"), body)?;
         }
         let summary = dir.join("summary.json");
@@ -347,6 +333,13 @@ mod tests {
         assert!(lines.contains(&"serve.queue_depth 2"));
         assert!(lines.contains(&"serve.latency_ns.count 1"));
         assert!(text.contains("serve.latency_ns.p99 1000"));
+        // Every metric shows: one line per counter and gauge, five per
+        // histogram.
+        for stat in ["count", "mean", "p50", "p95", "p99"] {
+            let prefix = format!("serve.latency_ns.{stat} ");
+            assert!(lines.iter().any(|l| l.starts_with(&prefix)), "{stat}");
+        }
+        assert_eq!(lines.len(), 3 + 5);
         assert!(
             !text.contains(".overflow"),
             "overflow line only when nonzero"

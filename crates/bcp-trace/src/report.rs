@@ -207,8 +207,9 @@ fn mean(sorted: &[u64]) -> u64 {
     u64::try_from(sum.checked_div(sorted.len() as u128).unwrap_or(0)).unwrap_or(u64::MAX)
 }
 
-/// Exact percentile over a sorted slice (nearest-rank), 0 when empty.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// Exact percentile over a sorted slice (nearest-rank), 0 when empty —
+/// the workspace's one percentile rule over raw samples.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

@@ -3,7 +3,6 @@
 use crate::histogram::HistogramSummary;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Point-in-time copy of every metric in a registry. This is the schema
 /// of `summary.json`: `{"elapsed_us":…,"counters":{…},"gauges":{…},
@@ -24,40 +23,6 @@ impl Snapshot {
     /// Pretty-printed JSON (the on-disk `summary.json` form).
     pub fn to_pretty_json(&self) -> String {
         serde_json::to_string_pretty(&self.to_value()).expect("snapshot json")
-    }
-
-    /// Compact human-readable rendering for terminal output — histograms
-    /// as `count/mean/p50/p95/p99`, everything sorted by name.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "telemetry summary ({} ms elapsed)",
-            self.elapsed_us / 1000
-        );
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "  counters:");
-            for (k, v) in &self.counters {
-                let _ = writeln!(out, "    {k} = {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "  gauges:");
-            for (k, v) in &self.gauges {
-                let _ = writeln!(out, "    {k} = {v:.6}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(out, "  histograms (n | mean | p50 | p95 | p99):");
-            for (k, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "    {k}: {} | {:.0} | {} | {} | {}",
-                    h.count, h.mean, h.p50, h.p95, h.p99
-                );
-            }
-        }
-        out
     }
 }
 
@@ -89,7 +54,8 @@ mod tests {
 
     #[test]
     fn artifacts_land_in_directory() {
-        let dir = std::env::temp_dir().join(format!("bcp-telemetry-test-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("bcp-trace-snapshot-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let r = Registry::with_event_buffer();
         r.counter("n").inc();
@@ -105,15 +71,5 @@ mod tests {
         }
         assert_eq!(events.lines().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn text_rendering_mentions_every_metric() {
-        let r = Registry::new();
-        r.counter("frames").add(2);
-        r.histogram("lat").record(5);
-        let text = r.snapshot().render_text();
-        assert!(text.contains("frames = 2"));
-        assert!(text.contains("lat:"));
     }
 }

@@ -2,8 +2,8 @@
 //! of rings that finished records land in.
 
 use crate::record::{TraceEvent, TraceOutcome, TraceRecord};
+use crate::registry::{Counter, Registry};
 use crate::ring::Ring;
-use bcp_telemetry::{Counter, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

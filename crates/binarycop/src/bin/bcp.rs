@@ -26,8 +26,8 @@
 //!
 //! `train`, `classify` and `demo` additionally accept `--telemetry <dir>`:
 //! metrics and JSONL events are collected during the run and written to
-//! `<dir>/events.jsonl` + `<dir>/summary.json` (see the bcp-telemetry
-//! crate for the schema), with a human summary printed to stderr.
+//! `<dir>/events.jsonl` + `<dir>/summary.json` (see `bcp_trace::Snapshot`
+//! for the schema), with the registry's text dump printed to stderr.
 
 #![forbid(unsafe_code)]
 
@@ -97,22 +97,22 @@ fn arch_of(args: &Args) -> Arch {
 
 /// `--telemetry <dir>` → an event-buffering registry plus the artifact
 /// directory it should be flushed to at the end of the command.
-fn telemetry_of(args: &Args) -> Option<(bcp_telemetry::Registry, std::path::PathBuf)> {
+fn telemetry_of(args: &Args) -> Option<(bcp_trace::Registry, std::path::PathBuf)> {
     args.flags.get("telemetry").map(|dir| {
         (
-            bcp_telemetry::Registry::with_event_buffer(),
+            bcp_trace::Registry::with_event_buffer(),
             std::path::PathBuf::from(dir),
         )
     })
 }
 
-fn finish_telemetry(telemetry: Option<(bcp_telemetry::Registry, std::path::PathBuf)>) {
+fn finish_telemetry(telemetry: Option<(bcp_trace::Registry, std::path::PathBuf)>) {
     if let Some((registry, dir)) = telemetry {
         let summary = registry.write_artifacts(&dir).unwrap_or_else(|e| {
             eprintln!("cannot write telemetry artifacts to {}: {e}", dir.display());
             exit(1);
         });
-        eprint!("{}", registry.snapshot().render_text());
+        eprint!("{}", registry.render_text());
         eprintln!(
             "telemetry artifacts: {} and {}",
             summary.display(),
@@ -372,8 +372,8 @@ fn bench_frames(predictor: &BinaryCoP, n_frames: usize, seed: u64) -> Vec<bcp_te
 }
 
 /// Drain an engine's tracer into trace artifacts under `dir`
-/// (`trace.folded`, `trace.jsonl`, `report.txt`) and return the trace set
-/// plus the rendered attribution report.
+/// (`trace.folded`, `trace.jsonl`, `report.txt`, `timeseries.jsonl`) and
+/// return the trace set plus the rendered attribution report.
 fn write_trace_artifacts(
     tracer: &bcp_trace::Tracer,
     dir: &std::path::Path,
@@ -398,6 +398,8 @@ fn write_trace_artifacts(
     write("trace.folded", set.to_folded());
     write("trace.jsonl", set.to_jsonl());
     write("report.txt", report.render_text());
+    // Queue depth and busy workers, derived from the same stamps.
+    write("timeseries.jsonl", set.time_series().to_jsonl());
     (set, report)
 }
 
@@ -442,7 +444,7 @@ fn cmd_serve_bench(args: &Args) {
     } else if dump_metrics {
         // The metrics dump needs a registry even when no --telemetry
         // artifacts were requested.
-        predictor = predictor.with_telemetry(bcp_telemetry::Registry::new());
+        predictor = predictor.with_telemetry(bcp_trace::Registry::new());
     }
 
     let frames = bench_frames(&predictor, n_frames, 0x5EEE);
@@ -499,8 +501,8 @@ fn cmd_serve_bench(args: &Args) {
 /// a raw `classify_block` baseline measured in the same process.
 fn cmd_profile(args: &Args) {
     use bcp_serve::ServeConfig;
-    use bcp_trace::{TimeSeriesSampler, TraceConfig};
-    use std::time::{Duration, Instant};
+    use bcp_trace::TraceConfig;
+    use std::time::Instant;
 
     let get = |flag: &str, default: usize| -> usize { int_flag(args, flag, default) };
     let workers = get("workers", 2).max(1);
@@ -515,7 +517,7 @@ fn cmd_profile(args: &Args) {
             .unwrap_or("profile-out"),
     );
 
-    let registry = bcp_telemetry::Registry::new();
+    let registry = bcp_trace::Registry::new();
     let predictor = bench_predictor(args).with_telemetry(registry.clone());
     let frames = bench_frames(&predictor, n_frames, 0x920F);
 
@@ -547,27 +549,9 @@ fn cmd_profile(args: &Args) {
     );
 
     let engine = binarycop::serve::engine(&predictor, workers, cfg);
-    // Queue-depth / worker-occupancy time series, probed off the hot path
-    // through the registry's gauges.
-    let depth = registry.gauge("serve.queue_depth");
-    let states: Vec<bcp_telemetry::Gauge> = (0..workers)
-        .map(|w| registry.gauge(&format!("serve.worker.{w}.state")))
-        .collect();
-    let sampler = TimeSeriesSampler::start(
-        vec!["queue_depth".into(), "healthy_workers".into()],
-        Duration::from_millis(2),
-        move || {
-            vec![
-                depth.get().max(0.0) as u64,
-                states.iter().filter(|s| s.get() == 0.0).count() as u64,
-            ]
-        },
-    );
-
     let load = bcp_serve::run_closed_loop(&engine, &frames, clients, requests);
     let tracer = engine.tracer().expect("profile engine always traces");
     engine.shutdown();
-    let series = sampler.stop();
 
     println!("engine ({workers} workers, {clients} clients):");
     println!("{}", load.render_text());
@@ -577,26 +561,13 @@ fn cmd_profile(args: &Args) {
     }
 
     let (set, report) = write_trace_artifacts(&tracer, &out_dir, raw_ns);
-    std::fs::write(out_dir.join("timeseries.jsonl"), series.to_jsonl()).unwrap_or_else(|e| {
-        eprintln!("cannot write timeseries.jsonl: {e}");
-        exit(1);
-    });
     println!(
         "trace: {} records sampled at 1/{sample_rate} ({} dropped), audit ok",
         set.records.len(),
         set.dropped
     );
-    println!(
-        "queue depth peak {} / workers healthy min {} over {} samples",
-        series.peak("queue_depth"),
-        series
-            .rows
-            .iter()
-            .filter_map(|r| r.values.get(1).copied())
-            .min()
-            .unwrap_or(0),
-        series.rows.len()
-    );
+    let (depth_peak, busy_peak) = set.time_series().peak();
+    println!("queue depth peak {depth_peak} / busy workers peak {busy_peak}");
     print!("{}", report.render_text());
     print!("{}", set.render_waterfall(8));
     println!(
@@ -674,7 +645,7 @@ fn gateway_setup(
 fn cmd_gateway(args: &Args) {
     let (predictor, specs, gw_cfg) = gateway_setup(args);
     let shards = specs.len();
-    let registry = bcp_telemetry::Registry::new();
+    let registry = bcp_trace::Registry::new();
     let gateway = bcp_gateway::Gateway::start(specs, gw_cfg, Some(registry)).unwrap_or_else(|e| {
         eprintln!("cannot bind gateway: {e}");
         exit(1);
@@ -1001,7 +972,7 @@ fn cmd_gateway_bench(args: &Args) {
     let (predictor, specs, gw_cfg) = gateway_setup(args);
     let shards = specs.len();
     let img_size = predictor.arch().input_size;
-    let registry = bcp_telemetry::Registry::new();
+    let registry = bcp_trace::Registry::new();
     let gateway = bcp_gateway::Gateway::start(specs, gw_cfg.clone(), Some(registry.clone()))
         .unwrap_or_else(|e| {
             eprintln!("cannot bind gateway: {e}");

@@ -17,8 +17,8 @@ use bcp_finn::pipeline::{argmax, Pipeline};
 use bcp_finn::power::{PowerModel, DEFAULT_POWER};
 use bcp_finn::resource::estimate;
 use bcp_nn::Sequential;
-use bcp_telemetry::Registry;
 use bcp_tensor::Tensor;
+use bcp_trace::Registry;
 use std::time::Instant;
 
 /// Deployment operating mode.

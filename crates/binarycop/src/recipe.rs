@@ -168,7 +168,7 @@ pub fn run(recipe: &Recipe, log: impl FnMut(&EpochStats)) -> TrainedModel {
 /// (with an event sink) one `train.epoch` mark event per epoch.
 pub fn run_instrumented(
     recipe: &Recipe,
-    telemetry: Option<&bcp_telemetry::Registry>,
+    telemetry: Option<&bcp_trace::Registry>,
     mut log: impl FnMut(&EpochStats),
 ) -> TrainedModel {
     let gen = recipe.generator();

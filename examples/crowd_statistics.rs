@@ -14,7 +14,7 @@
 
 use bcp_dataset::scene::generate_crowd_scene;
 use bcp_dataset::{GeneratorConfig, MaskClass};
-use bcp_telemetry::Registry;
+use bcp_trace::Registry;
 use binarycop::arch::ArchKind;
 use binarycop::predictor::BinaryCoP;
 use binarycop::recipe::{run_instrumented, Recipe};
@@ -91,5 +91,5 @@ fn main() {
 
     // Full meter dump: training dynamics and the per-tile prediction
     // counters, all from one registry.
-    println!("{}", telemetry.snapshot().render_text());
+    println!("{}", telemetry.render_text());
 }

@@ -16,7 +16,7 @@
 //! ```
 
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
-use bcp_telemetry::Registry;
+use bcp_trace::Registry;
 use binarycop::arch::ArchKind;
 use binarycop::predictor::{BinaryCoP, OperatingMode};
 use binarycop::recipe::{run_instrumented, Recipe};
@@ -225,5 +225,5 @@ fn main() {
     // per-subject classification latency histogram, the serving engine's
     // queue/batch/latency metrics (serve.*), the recovery lifecycle
     // counters (serve.worker.*) and the scrubber's guard.scrub.* series.
-    println!("\n{}", telemetry.snapshot().render_text());
+    println!("\n{}", telemetry.render_text());
 }

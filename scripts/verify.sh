@@ -18,15 +18,15 @@ cargo test -q --offline
 # CI's lint job: formatting and both clippy invocations (the second is the
 # strict-arithmetic crate list of ci.yml, verbatim).
 cargo fmt --check
-# Deleted stand-ins and the bench crate stay deleted (`set -e` does not see
-# a `!`-negated status, hence the `if`).
-if grep -rnE 'parking_lot|crossbeam|criterion|bcp-bench' Cargo.lock Cargo.toml crates/*/Cargo.toml; then
-    echo "verify: a deleted stand-in or bcp-bench is named in a manifest again" >&2
+# Deleted stand-ins and crates stay deleted (`set -e` does not see a
+# `!`-negated status, hence the `if`).
+if grep -rnE 'parking_lot|crossbeam|criterion|bcp-bench|bcp-telemetry' Cargo.lock Cargo.toml crates/*/Cargo.toml; then
+    echo "verify: a deleted stand-in or crate is named in a manifest again" >&2
     exit 1
 fi
 cargo clippy --offline --all-targets -- -D warnings
 cargo clippy --offline -p bcp-check -p bcp-guard -p bcp-trace -p bcp-serve -p bcp-gateway \
-    -p bcp-telemetry -p bcp-sync -p bcp-bitpack -p bcp-finn --all-targets -- -D warnings
+    -p bcp-sync -p bcp-bitpack -p bcp-finn --all-targets -- -D warnings
 
 # benchmark/ is a workspace of its own: this is the step that fails when a
 # name the frozen benchmark calls is renamed. Cargo may re-resolve its lock

@@ -10,8 +10,8 @@
 
 use bcp_gateway::{Gateway, GatewayClient, GatewayConfig, ShardSpec, ShardState, Status, Tally};
 use bcp_serve::{canary_frame, Replica, ServeConfig, SyntheticReplica};
-use bcp_telemetry::Registry;
 use bcp_tensor::Tensor;
+use bcp_trace::Registry;
 use std::time::Duration;
 
 const SHARDS: usize = 3;

@@ -179,7 +179,7 @@ fn serve_pool_heals_under_fire_and_never_lies() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
-    let registry = bcp_telemetry::Registry::new();
+    let registry = bcp_trace::Registry::new();
     let p = predictor().clone().with_telemetry(registry.clone());
     let cfg = ServeConfig {
         max_batch: 1,
@@ -247,7 +247,7 @@ fn serve_pool_heals_under_fire_and_never_lies() {
 
         // Chaos: repeated fault storms on worker 0, each waiting for the
         // full quarantine → repair → probation → healthy round trip.
-        let scrub_repaired = |registry: &bcp_telemetry::Registry| {
+        let scrub_repaired = |registry: &bcp_trace::Registry| {
             registry
                 .snapshot()
                 .counters

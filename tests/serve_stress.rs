@@ -15,8 +15,8 @@
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_nn::Mode;
 use bcp_serve::{BackpressurePolicy, ServeConfig};
-use bcp_telemetry::Registry;
 use bcp_tensor::{Shape, Tensor};
+use bcp_trace::Registry;
 use binarycop::model::build_bnn;
 use binarycop::recipe::tiny_arch;
 use binarycop::reference::IntegerReference;

@@ -3,7 +3,7 @@
 //! artifact contract (`events.jsonl` + `summary.json`).
 
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
-use bcp_telemetry::Registry;
+use bcp_trace::Registry;
 use binarycop::predictor::BinaryCoP;
 use binarycop::recipe::{run_instrumented, Recipe};
 use serde::Value;

@@ -11,23 +11,26 @@
 //!   segments share boundary stamps, so there is no rounding slack).
 //! * **Drops are counted, never silent** — with a deliberately tiny ring
 //!   under concurrent load, `drained + dropped == sampled` holds exactly.
+//! * **The time series is the records'** — queue depth and busy workers
+//!   derived from the stamps match a queue staged behind a held worker.
 //!
 //! Case counts honor `PROPTEST_CASES` (CI sets a small value); each case
 //! spins a real engine over the tiny-CNV predictor, so the per-case load
 //! is kept deliberately light.
 
-use bcp_dataset::{Dataset, GeneratorConfig};
+use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_nn::Mode;
-use bcp_serve::ServeConfig;
+use bcp_serve::{canary_frame, BackpressurePolicy, Engine, Replica, ServeConfig, SyntheticReplica};
 use bcp_tensor::{Shape, Tensor};
-use bcp_trace::{audit, TraceConfig, TraceOutcome, EVENTS, SEGMENTS};
+use bcp_trace::{audit, TraceConfig, TraceOutcome, TraceSet, EVENTS, SEGMENTS};
 use binarycop::model::build_bnn;
 use binarycop::recipe::tiny_arch;
 use binarycop::serve::engine;
 use binarycop::BinaryCoP;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 /// One trained tiny predictor shared by every case — building it is far
 /// more expensive than serving a handful of frames through it.
@@ -209,4 +212,95 @@ fn ring_saturation_drops_are_counted_never_silent() {
     );
     // Whatever survived the ring is still individually sound.
     audit(&records).expect("surviving records audit clean");
+}
+
+/// `(batches entered, open)` behind a condvar: a latch inside compute.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<(usize, bool)>,
+    cv: Condvar,
+}
+
+/// A synthetic replica that parks every batch inside `infer_batch` until
+/// the gate opens, so "busy" is decided by the test, not by a clock. It
+/// gives up after ten seconds so a failing test fails instead of hanging.
+struct Held {
+    inner: SyntheticReplica,
+    gate: Arc<Gate>,
+}
+
+impl Replica for Held {
+    fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
+        let mut st = self.gate.state.lock().unwrap();
+        st.0 += 1;
+        self.gate.cv.notify_all();
+        let ten_s = Duration::from_secs(10);
+        drop(
+            self.gate
+                .cv
+                .wait_timeout_while(st, ten_s, |s| !s.1)
+                .unwrap(),
+        );
+        self.inner.infer_batch(frames)
+    }
+
+    fn canary(&self, frame: &Tensor) -> Vec<i64> {
+        self.inner.canary(frame)
+    }
+
+    fn inject_faults(&mut self, n: usize, seed: u64) {
+        self.inner.inject_faults(n, seed)
+    }
+}
+
+/// With the only worker held inside compute, `k` submitted frames wait in
+/// the admission queue: the series derived from the records peaks at
+/// exactly `k` queued with one worker busy, and ends empty and idle.
+#[test]
+fn time_series_sees_the_queue_behind_a_held_worker() {
+    const K: usize = 12;
+    let gate = Arc::new(Gate::default());
+    let held = Held {
+        inner: SyntheticReplica::new(),
+        gate: Arc::clone(&gate),
+    };
+    let cfg = ServeConfig {
+        policy: BackpressurePolicy::Block,
+        trace: Some(TraceConfig::sample_all()),
+        ..ServeConfig::default()
+    };
+    let e = Engine::start(vec![held], cfg, None);
+    let frames: Vec<Tensor> = (0..=K).map(|i| canary_frame(3, 8, 8 + i)).collect();
+    let head = e.submit(&frames[0]).expect("Block policy never refuses");
+    drop(
+        gate.cv
+            .wait_while(gate.state.lock().unwrap(), |s| s.0 == 0)
+            .unwrap(),
+    );
+    let queued: Vec<_> = frames[1..]
+        .iter()
+        .map(|f| e.submit(f).expect("Block policy never refuses"))
+        .collect();
+    gate.state.lock().unwrap().1 = true;
+    gate.cv.notify_all();
+    for t in std::iter::once(head).chain(queued) {
+        t.wait().expect("lossless config");
+    }
+    let tracer = e.tracer().expect("tracing enabled");
+    e.shutdown();
+    let set = TraceSet::new(tracer.drain(), tracer.dropped());
+    assert_eq!(set.records.len(), K + 1);
+    audit(&set.records).expect("records audit clean");
+
+    let series = set.time_series();
+    assert_eq!(series.peak(), (K as u64, 1));
+    assert!(
+        series
+            .rows
+            .iter()
+            .any(|r| (r.queue_depth, r.busy_workers) == (K as u64, 1)),
+        "all {K} queued while the worker computes: {series:?}"
+    );
+    let last = series.rows.last().expect("a non-empty series");
+    assert_eq!((last.queue_depth, last.busy_workers), (0, 0));
 }
