@@ -130,24 +130,6 @@ impl BitVec64 {
         }
     }
 
-    /// OR `value` into bit `i` without a branch — a zero-initialized vector
-    /// plus `or_bit` is the branch-free way to materialize predicate bits,
-    /// which keeps the fused-threshold GEMM loop free of data-dependent
-    /// branches (random sign data would mispredict a `set` roughly half the
-    /// time).
-    #[inline]
-    // bcp:hot-path — branchless per-neuron write of the fused threshold kernel
-    pub fn or_bit(&mut self, i: usize, value: bool) {
-        // audit: allow(panic): the bit bound is the accessor's contract — one compare guarding the store below
-        assert!(
-            i < self.len,
-            "bit index {i} out of range (len {})",
-            self.len
-        );
-        // audit: allow(index): i < len was just asserted, so i/64 is within the word buffer
-        self.words[i / WORD_BITS] |= u64::from(value) << (i % WORD_BITS);
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
@@ -221,26 +203,6 @@ mod tests {
         v.set(64, false);
         assert!(!v.get(64));
         assert_eq!(v.count_ones(), 3);
-    }
-
-    #[test]
-    fn or_bit_matches_set_on_zeroed_vectors() {
-        let mut a = BitVec64::zeros(130);
-        let mut b = BitVec64::zeros(130);
-        for (i, fire) in [(0, true), (63, false), (64, true), (129, true)] {
-            a.set(i, fire);
-            b.or_bit(i, fire);
-        }
-        assert_eq!(a, b);
-        // or_bit(_, false) never clears an already-set bit.
-        b.or_bit(64, false);
-        assert!(b.get(64));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn or_bit_checks_bounds() {
-        BitVec64::zeros(10).or_bit(10, true);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! batch sizes, and the full accumulator range.
 
 use crate::bitmatrix::BitMatrix;
-use crate::bitvec64::{low_mask, BitVec64, WORD_BITS};
+use crate::bitvec64::{low_mask, words_for, BitVec64, WORD_BITS};
 use crate::pack::{BitPlaneBlock, BLOCK_LANES};
-use crate::threshold::ThresholdUnit;
+use crate::threshold::{ThresholdUnit, ThresholdWindows};
 
 /// XNOR agreement counts of one weight row against the [`BLOCK_LANES`]
 /// lanes of one register block. `quads` is the block's interleaved storage
@@ -118,17 +118,23 @@ pub fn xnor_gemm_block(weights: &BitMatrix, block: &BitPlaneBlock) -> Vec<i32> {
 /// Register-blocked GEMM with the folded-threshold compare fused into the
 /// accumulator loop: each completed accumulator is compared against its
 /// channel's τ immediately and only the packed output bit is stored.
-/// Returns one `rows`-bit vector per frame, bit-exact against
-/// [`xnor_gemm_block`] followed by [`ThresholdUnit::apply`].
+/// Writes `words_for(rows)` words per frame into `out`, frame after frame,
+/// bit-exact against [`xnor_gemm_block`] followed by
+/// [`ThresholdUnit::apply`]. `windows` is the bank lowered once per layer
+/// pass ([`ThresholdUnit::windows`]): the hot loop runs two branch-free
+/// integer compares per neuron instead of an enum dispatch that
+/// mispredicts on random sign data. Allocates nothing, so a split's
+/// helpers can run it on their own band of windows.
 // The signed accumulator 2·agree − bits fits i64 trivially; index products
 // are bounded by rows·frames as in the unfused kernel.
 #[allow(clippy::arithmetic_side_effects)]
 // bcp:hot-path — fused threshold compare inside the blocked accumulator loop
-pub fn xnor_gemm_block_thresholded(
+pub fn xnor_gemm_block_thresholded_into(
     weights: &BitMatrix,
     block: &BitPlaneBlock,
-    thresholds: &ThresholdUnit,
-) -> Vec<BitVec64> {
+    windows: &ThresholdWindows,
+    out: &mut [u64],
+) {
     // audit: allow(panic): fan-in mismatch is a programming error, checked once per call — never per element
     assert_eq!(
         weights.cols(),
@@ -137,23 +143,19 @@ pub fn xnor_gemm_block_thresholded(
         weights.cols(),
         block.bits()
     );
-    // audit: allow(panic): bank-size mismatch is a wiring error, checked once per call
-    assert_eq!(
-        thresholds.len(),
-        weights.rows(),
-        "threshold bank ({}) must match neuron count ({})",
-        thresholds.len(),
-        weights.rows()
-    );
     let (rows, frames, bits) = (weights.rows(), block.frames(), block.bits());
-    // Lower the bank to compare windows once per layer pass: the hot loop
-    // below then runs two branch-free integer compares per neuron instead
-    // of an enum dispatch that mispredicts on random sign data.
-    let windows = thresholds.windows();
-    // audit: allow(alloc): one packed output vector per frame per layer pass — layer-level buffer reuse is ROADMAP item 3
-    let mut outs: Vec<BitVec64> = (0..frames).map(|_| BitVec64::zeros(rows)).collect();
+    let per = words_for(rows);
+    // audit: allow(panic): a bank or output buffer sized for another layer is a wiring error, checked once per call
+    assert!(
+        windows.len() == rows && out.len() == frames * per,
+        "threshold bank ({}) must match neuron count ({rows}), output {} words vs {frames} frames of {per}",
+        windows.len(),
+        out.len()
+    );
+    out.fill(0);
     for r in 0..rows {
         let wrow = weights.row_words(r);
+        let (word, bit) = (r / WORD_BITS, r % WORD_BITS);
         for g in 0..block.blocks() {
             let agree = lane_agreements(wrow, block.block_words(g), bits);
             let base = g * BLOCK_LANES;
@@ -162,13 +164,31 @@ pub fn xnor_gemm_block_thresholded(
                 if f < frames {
                     // audit: allow(cast): popcount ≤ bits and layer widths are far below 2^63, so both casts are value-preserving
                     let acc = 2 * a as i64 - bits as i64;
-                    // audit: allow(index): f < frames = outs.len() by the guard above
-                    outs[f].or_bit(r, windows.fires(r, acc));
+                    if let Some(w) = out.get_mut(f * per + word) {
+                        *w |= u64::from(windows.fires(r, acc)) << bit;
+                    }
                 }
             }
         }
     }
-    outs
+}
+
+/// [`xnor_gemm_block_thresholded_into`] returning one `rows`-bit vector
+/// per frame: lowers the bank and allocates the output (callers outside
+/// the frame path).
+pub fn xnor_gemm_block_thresholded(
+    weights: &BitMatrix,
+    block: &BitPlaneBlock,
+    thresholds: &ThresholdUnit,
+) -> Vec<BitVec64> {
+    let (rows, frames) = (weights.rows(), block.frames());
+    let per = words_for(rows);
+    let mut out = vec![0; frames.saturating_mul(per)];
+    xnor_gemm_block_thresholded_into(weights, block, &thresholds.windows(), &mut out);
+    let mut words = out.into_iter();
+    (0..frames)
+        .map(|_| BitVec64::from_words(rows, words.by_ref().take(per).collect()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,6 +34,6 @@ pub mod xnor;
 
 pub use bitmatrix::BitMatrix;
 pub use bitvec64::BitVec64;
-pub use gemm::{xnor_gemm_block, xnor_gemm_block_thresholded};
+pub use gemm::{xnor_gemm_block, xnor_gemm_block_thresholded, xnor_gemm_block_thresholded_into};
 pub use pack::{BitPlaneBlock, BLOCK_LANES};
 pub use threshold::{ThresholdChannel, ThresholdUnit, ThresholdWindows};

@@ -104,11 +104,7 @@ impl BitPlaneBlock {
     }
 
     /// Pack borrowed frames; all must share one bit length.
-    // Block/lane products are bounded by frames·words_per_frame, both far
-    // below overflow for any representable batch; plain ops keep the
-    // interleaving loop tight.
-    #[allow(clippy::arithmetic_side_effects)]
-    // bcp:hot-path — bit-plane interleave feeding every blocked MVTU pass
+    // bcp:hot-path — bit-plane interleave feeding every blocked dense MVTU pass
     pub fn pack_refs(frames: &[&BitVec64]) -> Self {
         let bits = frames.first().map_or(0, |f| f.len());
         for f in frames {
@@ -119,29 +115,58 @@ impl BitPlaneBlock {
                 "all frames in a block must share a bit length"
             );
         }
-        let words_per_frame = words_for(bits);
-        let blocks = frames.len().div_ceil(BLOCK_LANES);
-        // audit: allow(alloc): one interleaved buffer per block pack — layer-level buffer reuse is ROADMAP item 3
-        let mut words = Vec::with_capacity(blocks * words_per_frame * BLOCK_LANES);
-        for g in 0..blocks {
-            for i in 0..words_per_frame {
-                for lane in 0..BLOCK_LANES {
-                    let w = frames
-                        .get(g * BLOCK_LANES + lane)
-                        .and_then(|f| f.words().get(i))
-                        .copied()
-                        .unwrap_or(0);
-                    // audit: allow(alloc): push into the capacity reserved above — never reallocates
-                    words.push(w);
-                }
+        let mut block = Self::zeros(frames.len(), bits);
+        for (f, frame) in frames.iter().enumerate() {
+            for (dst, &w) in block.frame_words_mut(f).zip(frame.words()) {
+                *dst = w;
             }
         }
+        block
+    }
+
+    /// An all-zero block of `frames` frames of `bits` bits: also the
+    /// caller-owned buffer that [`BitPlaneBlock::clear_to`] refills for
+    /// another band of windows without allocating.
+    // The buffer size is frames·words_per_frame rounded up to whole blocks,
+    // far below overflow for any representable batch.
+    #[allow(clippy::arithmetic_side_effects)]
+    pub fn zeros(frames: usize, bits: usize) -> Self {
+        let words_per_frame = words_for(bits);
+        let len = frames.div_ceil(BLOCK_LANES) * words_per_frame * BLOCK_LANES;
         BitPlaneBlock {
-            frames: frames.len(),
+            frames,
             bits,
             words_per_frame,
-            words,
+            // audit: allow(alloc): one interleaved buffer per dense pack, or per worker of a conv stage call
+            words: vec![0; len],
         }
+    }
+
+    /// Zero every word and hold `frames` frames from now on — at most as
+    /// many as the block was made with, so its buffer never grows.
+    // Same bounded buffer-size product as `zeros`.
+    #[allow(clippy::arithmetic_side_effects)]
+    pub fn clear_to(&mut self, frames: usize) {
+        assert!(
+            frames.div_ceil(BLOCK_LANES) * self.words_per_frame * BLOCK_LANES <= self.words.len(),
+            "a block made for fewer frames cannot hold {frames}"
+        );
+        self.frames = frames;
+        self.words.fill(0);
+    }
+
+    /// Frame `f`'s words, in order, inside its lane of the interleaved
+    /// buffer: the one place a frame is written.
+    // Lane arithmetic divides by the BLOCK_LANES constant; the span is
+    // bounded by the buffer length.
+    #[allow(clippy::arithmetic_side_effects)]
+    pub fn frame_words_mut(&mut self, f: usize) -> impl Iterator<Item = &mut u64> {
+        let span = (self.words_per_frame * BLOCK_LANES).max(1);
+        self.words
+            .chunks_exact_mut(span)
+            .nth(f / BLOCK_LANES)
+            .into_iter()
+            .flat_map(move |block| block.iter_mut().skip(f % BLOCK_LANES).step_by(BLOCK_LANES))
     }
 
     /// Number of frames packed (may be 0).

@@ -9,8 +9,10 @@
 //! against binary weights — ±add instead of XNOR — as FINN's first layer
 //! does.
 
+use bcp_bitpack::bitvec64::{words_for, WORD_BITS};
 use bcp_bitpack::{
-    xnor_gemm_block, xnor_gemm_block_thresholded, BitMatrix, BitPlaneBlock, BitVec64, ThresholdUnit,
+    xnor_gemm_block, xnor_gemm_block_thresholded_into, BitMatrix, BitPlaneBlock, ThresholdUnit,
+    ThresholdWindows,
 };
 
 use crate::folding::Folding;
@@ -117,22 +119,32 @@ impl BinaryMvtu {
             .collect()
     }
 
-    /// Thresholded output bits for a pre-packed block of input vectors,
-    /// one packed vector per frame. The folded-threshold compare is fused
-    /// into the blocked accumulator loop. Panics when built without
-    /// thresholds.
-    // bcp:hot-path — blocked threshold stage, once per layer per micro-batch
-    pub fn threshold_bits_block(&self, block: &BitPlaneBlock) -> Vec<BitVec64> {
-        let t = self
-            .thresholds
+    /// The threshold bank lowered to compare windows, made once per stage
+    /// call on the caller's thread for [`BinaryMvtu::threshold_bits_block_into`].
+    /// Panics when built without thresholds.
+    pub fn threshold_windows(&self) -> ThresholdWindows {
+        self.thresholds
             .as_ref()
-            // audit: allow(panic): calling the threshold stage on a logits-mode unit is a wiring error caught at the first frame
-            .expect("threshold_bits_block() on a logits-mode MVTU");
-        if block.frames() == 0 {
-            // audit: allow(alloc): Vec::new is capacity-0 (no heap) — the empty-batch early return
-            return Vec::new();
+            .expect("threshold_windows() on a logits-mode MVTU")
+            .windows()
+    }
+
+    /// Thresholded output bits for a pre-packed block of input vectors,
+    /// `words_for(rows)` words per frame written into `out`. The
+    /// folded-threshold compare is fused into the blocked accumulator
+    /// loop; `windows` is [`BinaryMvtu::threshold_windows`]. Allocates
+    /// nothing.
+    // bcp:hot-path — blocked threshold stage, once per band of a conv stage or per dense micro-batch
+    pub fn threshold_bits_block_into(
+        &self,
+        windows: &ThresholdWindows,
+        block: &BitPlaneBlock,
+        out: &mut [u64],
+    ) {
+        // An empty batch packs to a 0-bit block: nothing to write.
+        if block.frames() > 0 {
+            xnor_gemm_block_thresholded_into(&self.weights, block, windows, out);
         }
-        xnor_gemm_block_thresholded(&self.weights, block, t)
     }
 }
 
@@ -199,48 +211,41 @@ impl FixedInputMvtu {
         self.thresholds = thresholds;
     }
 
-    /// Signed accumulators: `Σ (w ? +x : −x)`.
+    /// Thresholded output bits of every window in `inputs` (`cols` values
+    /// each, back to back) into `out`, `words_for(rows)` words per window.
+    /// Each accumulator is the exact integer `Σ (w ? +x : −x)`. Allocates
+    /// nothing, so a split's helpers can run it on their own band.
     // The accumulator is bounded by 255·fan-in ≪ i64::MAX; plain adds keep
     // the per-pixel loop tight.
     #[allow(clippy::arithmetic_side_effects)]
-    // bcp:hot-path — first-layer fixed-point accumulation, once per frame
-    pub fn accumulate(&self, input: &[i32]) -> Vec<i64> {
-        // audit: allow(panic): fan-in mismatch is a programming error, checked once per layer pass
-        assert_eq!(
-            input.len(),
-            self.weights.cols(),
-            "input length {} vs fan-in {}",
-            input.len(),
-            self.weights.cols()
+    // bcp:hot-path — first-layer fixed-point accumulate + threshold, once per band of windows
+    pub fn threshold_bits_into(&self, inputs: &[i32], out: &mut [u64]) {
+        let (rows, cols) = (self.weights.rows(), self.weights.cols());
+        let per = words_for(rows).max(1);
+        let windows = inputs.chunks_exact(cols.max(1));
+        // audit: allow(panic): buffers sized for another layer are a wiring error, checked once per call
+        assert!(
+            windows.remainder().is_empty() && out.len() == windows.len() * words_for(rows),
+            "{} inputs, {} output words vs fan-in {cols} and {rows} neurons",
+            inputs.len(),
+            out.len()
         );
-        (0..self.weights.rows())
-            .map(|r| {
+        for (window, px) in windows.zip(out.chunks_exact_mut(per)) {
+            px.fill(0);
+            for r in 0..rows {
                 let mut acc = 0i64;
-                for (c, &x) in input.iter().enumerate() {
+                for (c, &x) in window.iter().enumerate() {
                     if self.weights.get(r, c) {
                         acc += x as i64;
                     } else {
                         acc -= x as i64;
                     }
                 }
-                acc
-            })
-            // audit: allow(alloc): one accumulator vector per layer pass — layer-level buffer reuse is ROADMAP item 3
-            .collect()
-    }
-
-    /// Thresholded output bits.
-    // bcp:hot-path — first-layer threshold stage, once per frame
-    pub fn threshold_bits(&self, input: &[i32]) -> BitVec64 {
-        let accs = self.accumulate(input);
-        // audit: allow(alloc): one packed output vector per layer pass — layer-level buffer reuse is ROADMAP item 3
-        let mut out = BitVec64::zeros(accs.len());
-        for (i, &a) in accs.iter().enumerate() {
-            if self.thresholds.apply(i, a) {
-                out.set(i, true);
+                if let Some(w) = px.get_mut(r / WORD_BITS) {
+                    *w |= u64::from(self.thresholds.apply(r, acc)) << (r % WORD_BITS);
+                }
             }
         }
-        out
     }
 }
 
@@ -250,7 +255,7 @@ mod tests {
     use super::*;
     use bcp_bitpack::pack::pack_matrix;
     use bcp_bitpack::xnor::gemm_naive_signs;
-    use bcp_bitpack::ThresholdChannel;
+    use bcp_bitpack::{BitVec64, ThresholdChannel};
 
     fn weights_2x4() -> BitMatrix {
         // Row 0: ++−−, Row 1: +−+−.
@@ -272,25 +277,35 @@ mod tests {
         assert_eq!(m.accumulate_block(&x), vec![vec![4, 0]]);
     }
 
+    /// One frame's thresholded bits through the `_into` entry.
+    fn threshold_one(m: &BinaryMvtu, bools: &[bool]) -> BitVec64 {
+        let mut out = vec![0; words_for(m.rows())];
+        m.threshold_bits_block_into(&m.threshold_windows(), &block_of_one(bools), &mut out);
+        BitVec64::from_words(m.rows(), out)
+    }
+
     #[test]
     fn threshold_bits_apply_bank() {
         let t = ThresholdUnit::new(vec![ThresholdChannel::Ge(4), ThresholdChannel::Ge(-1)]);
         let m = BinaryMvtu::new(weights_2x4(), Some(t), Folding::sequential());
-        let x = block_of_one(&[true, true, false, false]);
-        let bits = &m.threshold_bits_block(&x)[0]; // accs [4, 0]
+        let bits = threshold_one(&m, &[true, true, false, false]); // accs [4, 0]
         assert!(bits.get(0)); // 4 ≥ 4
         assert!(bits.get(1)); // 0 ≥ −1
     }
 
     #[test]
     fn fixed_input_accumulate_known() {
-        let t = ThresholdUnit::new(vec![ThresholdChannel::Ge(0), ThresholdChannel::Ge(0)]);
-        let m = FixedInputMvtu::new(weights_2x4(), t, Folding::sequential());
-        let x = vec![255, -255, 1, -1];
         // Row 0 (++−−): 255 − 255 − 1 + 1 = 0; Row 1 (+−+−): 255+255+1+1=512.
-        assert_eq!(m.accumulate(&x), vec![0, 512]);
-        let bits = m.threshold_bits(&x);
-        assert!(bits.get(0) && bits.get(1));
+        // Each bank fires a row exactly when its accumulator reaches τ.
+        let x = [255, -255, 1, -1];
+        for (taus, want) in [([0, 512], [true, true]), ([1, 513], [false, false])] {
+            let t = ThresholdUnit::new(taus.iter().map(|&t| ThresholdChannel::Ge(t)).collect());
+            let m = FixedInputMvtu::new(weights_2x4(), t, Folding::sequential());
+            let mut out = [0u64];
+            m.threshold_bits_into(&x, &mut out);
+            let bits = BitVec64::from_words(2, out.to_vec());
+            assert_eq!([bits.get(0), bits.get(1)], want, "τ {taus:?}");
+        }
     }
 
     #[test]
@@ -313,7 +328,7 @@ mod tests {
     #[should_panic(expected = "logits-mode")]
     fn logits_mode_has_no_threshold_bits() {
         let m = BinaryMvtu::new(weights_2x4(), None, Folding::sequential());
-        m.threshold_bits_block(&block_of_one(&[false; 4]));
+        m.threshold_windows();
     }
 
     fn lcg_frames(n: usize, bits: usize, seed: u64) -> Vec<BitVec64> {
@@ -362,7 +377,12 @@ mod tests {
         let m = BinaryMvtu::new(weights_2x4(), Some(t.clone()), Folding::sequential());
         for b in [0usize, 1, 2, 6, 7] {
             let frames = lcg_frames(b, 4, 123);
-            let blocked = m.threshold_bits_block(&BitPlaneBlock::pack(&frames));
+            let mut out = vec![0; b];
+            m.threshold_bits_block_into(&t.windows(), &BitPlaneBlock::pack(&frames), &mut out);
+            let blocked: Vec<BitVec64> = out
+                .iter()
+                .map(|&w| BitVec64::from_words(2, vec![w]))
+                .collect();
             let want: Vec<BitVec64> = naive_accs(m.weights(), &frames)
                 .iter()
                 .map(|accs| BitVec64::from_bools(&t.apply_all(accs)))

@@ -5,9 +5,12 @@ use crate::folding::Folding;
 use crate::mvtu::{BinaryMvtu, FixedInputMvtu};
 use crate::plan::{StageKind, StagePlan};
 use crate::pool::or_pool;
-use crate::swu::{out_dim, windows_binary, windows_quant};
+use crate::swu::{out_dim, windows_binary_into, windows_quant_into};
+use bcp_bitpack::bitvec64::{words_for, WORD_BITS};
 use bcp_bitpack::{BitPlaneBlock, BitVec64};
+use bcp_tensor::par;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One hardware stage of the accelerator.
 #[derive(Clone, Serialize, Deserialize)]
@@ -186,54 +189,103 @@ impl Stage {
     /// all arithmetic is integer-exact. Dense stages pack the group into
     /// one [`BitPlaneBlock`] so each weight row is streamed once for all of
     /// it; conv stages block over each token's SWU windows (every weight
-    /// row is streamed once per output map instead of once per pixel); pool
-    /// stages carry no weights and run per token.
+    /// row is streamed once per band of output rows instead of once per
+    /// pixel); pool stages carry no weights and run per token. A conv
+    /// stage whose call reaches [`SPLIT_WORK`] runs its bands on idle
+    /// cores ([`Stage::process_bands`]).
     pub fn process_batch(&self, inputs: Vec<StageData>) -> Vec<StageData> {
+        let plan = self.plan();
+        let (frames, (_, oh, _)) = (inputs.len().max(1), plan.out_dims());
+        let rows = if splits(&plan, frames) {
+            oh.div_ceil(par::cut(frames.saturating_mul(oh)).div_ceil(frames))
+        } else {
+            oh
+        };
+        self.process_bands(inputs, rows)
+    }
+
+    /// [`Stage::process_batch`] with each conv token cut into bands of
+    /// `rows` output rows (the last band may be shorter). A part is one
+    /// `(token, band)`: its SWU gather and MVTU pass write only that band's
+    /// pixels, so how the bands are cut and which thread runs a part change
+    /// no bit. Pool and dense stages ignore `rows`.
+    // Buffer sizes are products of the stage's own dims and the batch
+    // size, far below overflow for any network that fits in memory.
+    #[allow(clippy::arithmetic_side_effects)]
+    pub fn process_bands(&self, inputs: Vec<StageData>, rows: usize) -> Vec<StageData> {
         if inputs.is_empty() {
             return Vec::new();
         }
+        let plan = self.plan();
+        let split = splits(&plan, inputs.len());
         match self {
             Stage::ConvFixed {
                 name,
                 mvtu,
                 k,
                 in_dims,
-            } => inputs
-                .into_iter()
-                .map(|t| {
-                    let q = t.expect_quant(name);
-                    assert_eq!(
-                        (q.c, q.h, q.w),
-                        *in_dims,
-                        "stage '{name}' input dims mismatch"
-                    );
-                    let windows = windows_quant(&q, *k);
-                    let pixels = windows.iter().map(|window| mvtu.threshold_bits(window));
-                    let (oh, ow) = (out_dim(q.h, *k), out_dim(q.w, *k));
-                    StageData::Bits(map_from_pixels(mvtu.rows(), oh, ow, pixels))
-                })
-                .collect(),
+            } => {
+                let maps: Vec<QuantMap> = inputs
+                    .into_iter()
+                    .map(|t| {
+                        let q = t.expect_quant(name);
+                        assert_eq!(
+                            (q.c, q.h, q.w),
+                            *in_dims,
+                            "stage '{name}' input dims mismatch"
+                        );
+                        q
+                    })
+                    .collect();
+                let row_values = out_dim(in_dims.2, *k) * mvtu.cols();
+                let scratch = |band: Range<usize>| vec![0; band.len() * row_values];
+                conv_bands(
+                    &plan,
+                    maps.len(),
+                    rows,
+                    split,
+                    scratch,
+                    |windows, f, band, out| {
+                        let windows = &mut windows[..band.len() * row_values];
+                        windows_quant_into(&maps[f], *k, band, windows);
+                        mvtu.threshold_bits_into(windows, out);
+                    },
+                )
+            }
             Stage::ConvBinary {
                 name,
                 mvtu,
                 k,
                 in_dims,
-            } => inputs
-                .into_iter()
-                .map(|t| {
-                    let b = t.expect_bits(name);
-                    assert_eq!(
-                        (b.c, b.h, b.w),
-                        *in_dims,
-                        "stage '{name}' input dims mismatch"
-                    );
-                    let windows = windows_binary(&b, *k);
-                    let block = pack_for(name, mvtu, &windows.iter().collect::<Vec<_>>());
-                    let pixels = mvtu.threshold_bits_block(&block);
-                    let (oh, ow) = (out_dim(b.h, *k), out_dim(b.w, *k));
-                    StageData::Bits(map_from_pixels(mvtu.rows(), oh, ow, pixels))
-                })
-                .collect(),
+            } => {
+                let maps: Vec<BinMap> = inputs
+                    .into_iter()
+                    .map(|t| {
+                        let b = t.expect_bits(name);
+                        assert_eq!(
+                            (b.c, b.h, b.w),
+                            *in_dims,
+                            "stage '{name}' input dims mismatch"
+                        );
+                        b
+                    })
+                    .collect();
+                let windows = mvtu.threshold_windows();
+                let ow = out_dim(in_dims.2, *k);
+                let scratch =
+                    |band: Range<usize>| BitPlaneBlock::zeros(band.len() * ow, mvtu.cols());
+                conv_bands(
+                    &plan,
+                    maps.len(),
+                    rows,
+                    split,
+                    scratch,
+                    |block, f, band, out| {
+                        windows_binary_into(&maps[f], *k, band, block);
+                        mvtu.threshold_bits_block_into(&windows, block, out);
+                    },
+                )
+            }
             Stage::PoolOr { name, k, in_dims } => inputs
                 .into_iter()
                 .map(|t| {
@@ -249,9 +301,19 @@ impl Stage {
             Stage::DenseBinary { name, mvtu } => {
                 let maps: Vec<BinMap> = inputs.into_iter().map(|t| t.expect_bits(name)).collect();
                 let flats: Vec<&BitVec64> = maps.iter().map(BinMap::as_bits).collect();
-                mvtu.threshold_bits_block(&pack_for(name, mvtu, &flats))
-                    .into_iter()
-                    .map(|bits| StageData::Bits(BinMap::from_bits(mvtu.rows(), 1, 1, bits)))
+                let per = words_for(mvtu.rows());
+                let mut out = vec![0; maps.len() * per];
+                mvtu.threshold_bits_block_into(
+                    &mvtu.threshold_windows(),
+                    &pack_for(name, mvtu, &flats),
+                    &mut out,
+                );
+                (0..maps.len())
+                    .map(|f| {
+                        let bits =
+                            BitVec64::from_words(mvtu.rows(), out[f * per..][..per].to_vec());
+                        StageData::Bits(BinMap::from_bits(mvtu.rows(), 1, 1, bits))
+                    })
                     .collect()
             }
             Stage::DenseLogits { name, mvtu } => {
@@ -264,6 +326,88 @@ impl Stage {
             }
         }
     }
+}
+
+/// Work of one frame through a stage, in element operations: for every
+/// window, a binary conv stage's SWU gathers fan-in bits and its XNOR pass
+/// reads `rows × ⌈fan-in/64⌉` words; the fixed-point first layer
+/// multiply-adds `rows × fan-in` values. Pool and dense stages never
+/// split: 0.
+pub fn frame_work(plan: &StagePlan) -> usize {
+    let per_window = match plan.kind {
+        StageKind::ConvFixed => plan.rows.saturating_mul(plan.cols),
+        StageKind::ConvBinary => plan
+            .rows
+            .saturating_mul(words_for(plan.cols))
+            .saturating_add(plan.cols),
+        StageKind::Pool | StageKind::DenseBinary | StageKind::DenseLogits => 0,
+    };
+    plan.vectors.saturating_mul(per_window)
+}
+
+/// Whether a call on `frames` tokens reaches [`SPLIT_WORK`].
+fn splits(plan: &StagePlan, frames: usize) -> bool {
+    frame_work(plan).saturating_mul(frames) >= SPLIT_WORK
+}
+
+/// [`frame_work`] × frames at and above which a conv stage call runs its
+/// bands on idle cores; below it the call runs inline and starts no
+/// thread.
+///
+/// Measured on the 2-vCPU Xeon this was sized on: a gathered bit, an XNOR
+/// word and a first-layer multiply-add each cost 0.54–0.62 ns, so a call of
+/// `SPLIT_WORK` takes ≈ 315 µs on one core. Split, it saves ≈ 160 µs: more
+/// than the ≈ 50 µs a back-to-back split costs (fork, join and the serial
+/// scatter), and more than waking an idle vCPU (≈ 100–170 µs,
+/// `bcp_tensor::par::INLINE_BELOW`). The 16×16 serving net stays under it
+/// at the engine's largest batch of 8 (conv1: 339 k), so its engine and
+/// gateway never fork; CNV's conv1 (1.56 M) and conv2 (903 k) are over it
+/// at one frame.
+pub const SPLIT_WORK: usize = 1 << 19;
+
+/// Run a conv stage's parts — one `(frame, band of output rows)` each —
+/// and scatter the per-pixel bits into one output map per frame. Each
+/// worker has its own scratch, made by `scratch(0..rows)` (room for a full
+/// band) on this thread before any fork; `body(scratch, frame, rows, out)` writes the
+/// band's pixels, `words_for(channels)` words each, into `out`, its own
+/// slice of a buffer allocated here. With `split`, the parts run on idle
+/// cores through `bcp_tensor::par`; otherwise inline.
+// Offsets and sizes are products of the stage's dims and the batch size,
+// as in `process_bands`.
+#[allow(clippy::arithmetic_side_effects)]
+fn conv_bands<S: Send>(
+    plan: &StagePlan,
+    frames: usize,
+    rows: usize,
+    split: bool,
+    scratch: impl Fn(Range<usize>) -> S,
+    body: impl Fn(&mut S, usize, Range<usize>, &mut [u64]) + Sync,
+) -> Vec<StageData> {
+    let (channels, oh, ow) = plan.out_dims();
+    let per = words_for(channels);
+    let rows = rows.clamp(1, oh.max(1));
+    let frame_words = oh * ow * per;
+    let mut out = vec![0u64; frames * frame_words];
+    let parts: Vec<(usize, Range<usize>, &mut [u64])> = out
+        .chunks_mut(frame_words.max(1))
+        .enumerate()
+        .flat_map(|(f, frame)| {
+            frame
+                .chunks_mut((rows * ow * per).max(1))
+                .enumerate()
+                .map(move |(b, px)| (f, b * rows..(b * rows + rows).min(oh), px))
+        })
+        .collect();
+    let workers = if split { par::workers(parts.len()) } else { 1 };
+    par::join_with(
+        parts.into_iter(),
+        std::iter::repeat_with(|| scratch(0..rows)).take(workers),
+        |s, (f, band, px)| body(s, f, band, px),
+    );
+    out.chunks(frame_words.max(1))
+        .take(frames)
+        .map(|px| StageData::Bits(map_from_pixels(channels, oh, ow, px)))
+        .collect()
 }
 
 /// Pack a stage's input vectors into one block, checking the fan-in.
@@ -280,22 +424,19 @@ fn pack_for(name: &str, mvtu: &BinaryMvtu, vectors: &[&BitVec64]) -> BitPlaneBlo
 }
 
 /// Assemble a conv stage's `oh × ow` output map from its per-pixel channel
-/// vectors, output pixels row-major.
-fn map_from_pixels(
-    channels: usize,
-    oh: usize,
-    ow: usize,
-    pixels: impl IntoIterator<Item = BitVec64>,
-) -> BinMap {
+/// words, `words_for(channels)` a pixel, output pixels row-major.
+fn map_from_pixels(channels: usize, oh: usize, ow: usize, pixels: &[u64]) -> BinMap {
     let mut out = BinMap::zeros(channels, oh, ow);
-    for (p, bits) in pixels.into_iter().enumerate() {
-        // ow ≥ 1 whenever a window exists, so the divisor is never zero.
-        let (oy, ox) = (
-            p.checked_div(ow).unwrap_or(0),
-            p.checked_rem(ow).unwrap_or(0),
-        );
-        for ch in 0..channels {
-            if bits.get(ch) {
+    let rows = pixels.chunks_exact(words_for(channels).max(1));
+    for ((oy, ox), px) in (0..oh)
+        .flat_map(|oy| (0..ow).map(move |ox| (oy, ox)))
+        .zip(rows)
+    {
+        let bits = px
+            .iter()
+            .flat_map(|&w| (0..WORD_BITS).map(move |i| w >> i & 1 == 1));
+        for (ch, bit) in bits.take(channels).enumerate() {
+            if bit {
                 out.set(ch, oy, ox, true);
             }
         }
@@ -394,6 +535,8 @@ impl Pipeline {
     /// [`Stage::process_batch`]: dense stages stream each weight row once
     /// for the whole group. Returns per-frame logits in input order.
     pub fn forward_batch(&self, inputs: &[QuantMap]) -> Vec<Vec<i64>> {
+        // The frame holds this core; a split elsewhere leaves it alone.
+        let _frame = par::occupy();
         let mut tokens: Vec<StageData> =
             inputs.iter().map(|q| StageData::Quant(q.clone())).collect();
         for stage in &self.stages {

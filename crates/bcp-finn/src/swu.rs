@@ -8,7 +8,9 @@
 //! the exact order the weight matrix rows use.
 
 use crate::data::{BinMap, QuantMap};
-use bcp_bitpack::BitVec64;
+use bcp_bitpack::bitvec64::WORD_BITS;
+use bcp_bitpack::{BitPlaneBlock, BitVec64};
+use std::ops::Range;
 
 /// Output spatial extent for a K×K window, stride 1, no padding (all
 /// BinaryCoP convolutions; padding/stride generality lives in the training
@@ -19,58 +21,109 @@ pub fn out_dim(extent: usize, k: usize) -> usize {
 }
 
 /// Gather the binary window vectors for a K×K convolution: one
-/// `C·K·K`-bit vector per output pixel, output pixels row-major.
-// Window offsets oy+ky and ox+kx stay within the map by out_dim's contract;
-// plain ops keep the per-pixel gather tight.
-#[allow(clippy::arithmetic_side_effects)]
+/// `C·K·K`-bit vector per output pixel, output pixels row-major
+/// ([`windows_binary_into`] over every row, for callers outside the frame
+/// path).
 pub fn windows_binary(map: &BinMap, k: usize) -> Vec<BitVec64> {
     let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
-    let mut out = Vec::with_capacity(oh * ow);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let mut v = BitVec64::zeros(map.c * k * k);
-            let mut idx = 0usize;
-            for ch in 0..map.c {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        if map.get(ch, oy + ky, ox + kx) {
-                            v.set(idx, true);
+    let mut block = BitPlaneBlock::zeros(oh.saturating_mul(ow), window_len(map.c, k));
+    windows_binary_into(map, k, 0..oh, &mut block);
+    block.unpack()
+}
+
+/// Gather the windows of output rows `rows` into `block`, one frame per
+/// output pixel, row-major — the SWU for one band of a conv stage, into a
+/// caller-owned block made for at least that many windows (so it never
+/// allocates). Each window is read one map bit at a time, in (channel, ky,
+/// kx) order, and written to the block a word at a time.
+// Window offsets stay within the map by out_dim's contract and `fill`
+// stays below 64; plain ops keep the per-bit gather tight.
+#[allow(clippy::arithmetic_side_effects)]
+pub fn windows_binary_into(map: &BinMap, k: usize, rows: Range<usize>, block: &mut BitPlaneBlock) {
+    let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
+    assert!(
+        rows.end <= oh && block.bits() == window_len(map.c, k),
+        "rows {rows:?} of {oh}, k={k}: block of {}-bit frames",
+        block.bits()
+    );
+    block.clear_to(rows.len() * ow);
+    let pixels = rows.flat_map(|oy| (0..ow).map(move |ox| (oy, ox)));
+    for (q, (oy, ox)) in pixels.enumerate() {
+        let mut dst = block.frame_words_mut(q);
+        // The window as a bit stream: `acc` holds its `fill` newest bits.
+        let (mut acc, mut fill) = (0u64, 0usize);
+        for ch in 0..map.c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    if map.get(ch, oy + ky, ox + kx) {
+                        acc |= 1 << fill;
+                    }
+                    fill += 1;
+                    if fill == WORD_BITS {
+                        if let Some(w) = dst.next() {
+                            *w = acc;
                         }
-                        idx += 1;
+                        (acc, fill) = (0, 0);
                     }
                 }
             }
-            out.push(v);
+        }
+        if fill > 0 {
+            if let Some(w) = dst.next() {
+                *w = acc;
+            }
         }
     }
-    out
+}
+
+/// Bits per window: `C·K·K`.
+fn window_len(c: usize, k: usize) -> usize {
+    c.saturating_mul(k).saturating_mul(k)
 }
 
 /// Gather integer window vectors for the first (fixed-point-input) layer,
-/// same ordering as [`windows_binary`].
-// Same in-range window offsets as [`windows_binary`].
-#[allow(clippy::arithmetic_side_effects)]
+/// same ordering as [`windows_binary`] ([`windows_quant_into`] over every
+/// row, for callers outside the frame path).
 pub fn windows_quant(map: &QuantMap, k: usize) -> Vec<Vec<i32>> {
     let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
-    let mut out = Vec::with_capacity(oh * ow);
-    for oy in 0..oh {
+    let n = window_len(map.c, k);
+    let mut flat = vec![0; oh.saturating_mul(ow).saturating_mul(n)];
+    windows_quant_into(map, k, 0..oh, &mut flat);
+    flat.chunks(n.max(1)).map(<[i32]>::to_vec).collect()
+}
+
+/// Gather the integer windows of output rows `rows` into `out`, `C·K·K`
+/// values a window, windows back to back — [`windows_quant`]'s layout for
+/// one band, into a caller-owned buffer.
+// Same in-range window offsets as [`windows_binary_into`].
+#[allow(clippy::arithmetic_side_effects)]
+pub fn windows_quant_into(map: &QuantMap, k: usize, rows: Range<usize>, out: &mut [i32]) {
+    let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
+    assert!(
+        rows.end <= oh && out.len() == rows.len() * ow * window_len(map.c, k),
+        "rows {rows:?} of {oh}: {} values for {}-value windows",
+        out.len(),
+        window_len(map.c, k)
+    );
+    let mut dst = out.iter_mut();
+    for oy in rows {
         for ox in 0..ow {
-            let mut v = Vec::with_capacity(map.c * k * k);
             for ch in 0..map.c {
                 for ky in 0..k {
                     for kx in 0..k {
-                        v.push(map.get(ch, oy + ky, ox + kx));
+                        if let Some(v) = dst.next() {
+                            *v = map.get(ch, oy + ky, ox + kx);
+                        }
                     }
                 }
             }
-            out.push(v);
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::arithmetic_side_effects)]
     use super::*;
 
     #[test]
@@ -125,6 +178,71 @@ mod tests {
         let idx = 3 * 3 + 2;
         assert_eq!(ws[0][idx], 77);
         assert_eq!(ws[0].iter().filter(|&&v| v != 0).count(), 1);
+    }
+
+    /// The gather as a dense loop: `map.get` for every window bit, in
+    /// (channel, ky, kx) order, one `BitVec64` a window.
+    fn per_bit_windows(map: &BinMap, k: usize) -> Vec<BitVec64> {
+        let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
+        (0..oh * ow)
+            .map(|p| {
+                let (oy, ox) = (p / ow, p % ow);
+                let bools: Vec<bool> = (0..map.c * k * k)
+                    .map(|i| map.get(i / (k * k), oy + i / k % k, ox + i % k))
+                    .collect();
+                BitVec64::from_bools(&bools)
+            })
+            .collect()
+    }
+
+    /// Windows straddling block words, every band of rows, against the
+    /// dense loop.
+    #[test]
+    fn band_gather_matches_dense_loop() {
+        for (c, h, w, k) in [
+            (1, 3, 3, 3),
+            (3, 9, 11, 3),
+            (8, 10, 10, 3),
+            (5, 13, 17, 5),
+            (2, 66, 67, 2),
+        ] {
+            let signs: Vec<f32> = (0..c * h * w)
+                .map(|i| if (i * 7 + i / 5) % 3 == 0 { 1.0 } else { -1.0 })
+                .collect();
+            let map = BinMap::from_signs(c, h, w, &signs);
+            let want = per_bit_windows(&map, k);
+            assert_eq!(windows_binary(&map, k), want, "{c}x{h}x{w} k={k}");
+            let (oh, ow) = (out_dim(h, k), out_dim(w, k));
+            let mut block = BitPlaneBlock::zeros(oh * ow, c * k * k);
+            for band in 1..=oh {
+                for y0 in (0..oh).step_by(band) {
+                    let rows = y0..(y0 + band).min(oh);
+                    windows_binary_into(&map, k, rows.clone(), &mut block);
+                    assert_eq!(
+                        block.unpack(),
+                        want[rows.start * ow..rows.end * ow],
+                        "band {rows:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quant_bands_match_whole_map() {
+        let q = QuantMap {
+            c: 3,
+            h: 7,
+            w: 6,
+            values: (0..3 * 7 * 6).map(|i| i * 5 - 100).collect(),
+        };
+        let whole: Vec<i32> = windows_quant(&q, 3).concat();
+        let n = 3 * 9 * 4;
+        for y0 in 0..5 {
+            let mut band = vec![0; 2.min(5 - y0) * n];
+            windows_quant_into(&q, 3, y0..(y0 + 2).min(5), &mut band);
+            assert_eq!(band, whole[y0 * n..y0 * n + band.len()], "band from {y0}");
+        }
     }
 
     #[test]

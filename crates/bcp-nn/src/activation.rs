@@ -46,8 +46,9 @@ impl Layer for SignSte {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = take_cache(&mut self.cache_x, &self.name);
-        dy.zip(&x, |g, v| if v.abs() <= 1.0 { g } else { 0.0 })
+        let mut x = take_cache(&mut self.cache_x, &self.name);
+        x.zip_inplace(dy, |v, g| if v.abs() <= 1.0 { g } else { 0.0 });
+        x
     }
 }
 
@@ -91,8 +92,9 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = take_cache(&mut self.cache_x, &self.name);
-        dy.zip(&x, |g, v| if v > 0.0 { g } else { 0.0 })
+        let mut x = take_cache(&mut self.cache_x, &self.name);
+        x.zip_inplace(dy, |v, g| if v > 0.0 { g } else { 0.0 });
+        x
     }
 }
 
@@ -137,8 +139,9 @@ impl Layer for HardTanh {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = take_cache(&mut self.cache_x, &self.name);
-        dy.zip(&x, |g, v| if (-1.0..=1.0).contains(&v) { g } else { 0.0 })
+        let mut x = take_cache(&mut self.cache_x, &self.name);
+        x.zip_inplace(dy, |v, g| if (-1.0..=1.0).contains(&v) { g } else { 0.0 });
+        x
     }
 }
 

@@ -5,17 +5,24 @@ use crate::tensor::Tensor;
 
 /// `a + b`, elementwise.
 pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    a.zip(b, |x, y| x + y)
+    zip(a, b, |x, y| x + y)
 }
 
 /// `a - b`, elementwise.
 pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
-    a.zip(b, |x, y| x - y)
+    zip(a, b, |x, y| x - y)
 }
 
 /// `a * b`, elementwise (Hadamard).
 pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
-    a.zip(b, |x, y| x * y)
+    zip(a, b, |x, y| x * y)
+}
+
+/// `f(a[i], b[i])` for every element, into a copy of `a`.
+fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    let mut out = a.clone();
+    out.zip_inplace(b, f);
+    out
 }
 
 /// `a * s`, scalar scale.

@@ -1,5 +1,6 @@
 //! Contiguous row-major `f32` tensor.
 
+use crate::par::{self, ELEMENT_WORK};
 use crate::shape::Shape;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -126,11 +127,20 @@ impl Tensor {
         self.clone().reshape(shape)
     }
 
-    /// Apply `f` elementwise, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
+    /// Apply `f` elementwise, producing a new tensor. Large tensors are
+    /// split across outputs ([`par`]): every element is computed whole by
+    /// one thread, so the split changes no bit.
+    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
+        let n = self.data.len();
+        let mut data = vec![0.0; n];
+        par::for_each_run(&mut data, 1, n * ELEMENT_WORK, |first, run| {
+            for (y, &x) in run.iter_mut().zip(&self.data[first..]) {
+                *y = f(x);
+            }
+        });
         Tensor {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data,
         }
     }
 
@@ -141,22 +151,21 @@ impl Tensor {
         }
     }
 
-    /// Combine with `other` elementwise.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
+    /// Combine with `other` elementwise in place, `self[i] = f(self[i],
+    /// other[i])`, split across outputs like [`Tensor::map`]: the result
+    /// reuses this buffer, so no pass allocates or zeroes one.
+    pub fn zip_inplace(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) {
         assert_eq!(
             self.shape, other.shape,
             "zip shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        let n = self.data.len();
+        par::for_each_run(&mut self.data, 1, n * ELEMENT_WORK, |first, run| {
+            for (a, &b) in run.iter_mut().zip(&other.data[first..]) {
+                *a = f(*a, b);
+            }
+        });
     }
 
     /// Extract sample `n` of a rank-4 (NCHW) tensor as a rank-3 (CHW) tensor.
@@ -215,6 +224,29 @@ impl fmt::Debug for Tensor {
 mod tests {
     use super::*;
 
+    /// Over the split threshold, with a ragged last run, every element is
+    /// still `f` of its own inputs, bit for bit.
+    #[test]
+    fn split_map_and_zip_match_the_element_loop() {
+        let n = par::INLINE_BELOW / ELEMENT_WORK + 3;
+        let x = Tensor::from_vec(
+            Shape::d1(n),
+            (0..n).map(|i| i as f32 * 0.37 - 9.0).collect(),
+        );
+        let y = x.map(|v| v * v - 1.5);
+        let mut z = x.clone();
+        z.zip_inplace(&y, |a, b| a.max(b) / 3.0);
+        for (i, &v) in x.as_slice().iter().enumerate() {
+            assert_eq!(
+                y.as_slice()[i].to_bits(),
+                (v * v - 1.5).to_bits(),
+                "map {i}"
+            );
+            let want = v.max(v * v - 1.5) / 3.0;
+            assert_eq!(z.as_slice()[i].to_bits(), want.to_bits(), "zip {i}");
+        }
+    }
+
     #[test]
     fn construction_and_access() {
         let mut t = Tensor::zeros(Shape::d2(2, 3));
@@ -235,7 +267,8 @@ mod tests {
         let a = Tensor::from_vec(Shape::d1(3), vec![1.0, -2.0, 3.0]);
         let b = a.map(|x| x * 2.0);
         assert_eq!(b.as_slice(), &[2.0, -4.0, 6.0]);
-        let c = a.zip(&b, |x, y| x + y);
+        let mut c = a.clone();
+        c.zip_inplace(&b, |x, y| x + y);
         assert_eq!(c.as_slice(), &[3.0, -6.0, 9.0]);
     }
 

@@ -223,6 +223,7 @@ mod tests {
     use crate::BinaryCoP;
     use bcp_dataset::MaskClass;
     use bcp_finn::data::StageData;
+    use bcp_finn::pipeline::{frame_work, SPLIT_WORK};
     use bcp_nn::Mode;
     use bcp_tensor::{Shape, Tensor};
 
@@ -310,6 +311,68 @@ mod tests {
                     "{kind:?} batch of {n}: logits diverge"
                 );
             }
+        }
+    }
+
+    /// The band split changes no bit: for CNV and n-CNV geometry, at batch
+    /// sizes on and off the register-block grid, cutting every conv stage
+    /// into bands of every height gives its unsplit output, and the chain
+    /// of split stages gives the oracle's logits.
+    #[test]
+    fn band_split_is_bit_exact_against_reference() {
+        for kind in [ArchKind::Cnv, ArchKind::NCnv] {
+            let arch = kind.arch();
+            let mut net = build_bnn(&arch, 17);
+            let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 18);
+            let _ = net.forward(&x, Mode::Train);
+            let pipeline = deploy(&net, &arch);
+            let reference = IntegerReference::from_network(&net, &arch);
+            let frames: Vec<QuantMap> = (0..9).map(|s| quant_image(s + 40)).collect();
+            let expected: Vec<Vec<i64>> = frames.iter().map(|f| reference.forward(f)).collect();
+            for n in [1usize, 3, 4, 5, 9] {
+                let mut tokens: Vec<StageData> =
+                    frames[..n].iter().cloned().map(StageData::Quant).collect();
+                for stage in pipeline.stages() {
+                    let (_, oh, _) = stage.plan().out_dims();
+                    let whole = stage.process_bands(tokens.clone(), oh);
+                    for rows in 1..oh {
+                        assert_eq!(
+                            stage.process_bands(tokens.clone(), rows),
+                            whole,
+                            "{kind:?} B={n} {}: bands of {rows} rows",
+                            stage.name()
+                        );
+                    }
+                    tokens = stage.process_batch(tokens);
+                    assert_eq!(tokens, whole, "{kind:?} B={n} {}", stage.name());
+                }
+                let logits: Vec<Vec<i64>> = tokens
+                    .into_iter()
+                    .map(|t| t.expect_logits("split chain"))
+                    .collect();
+                assert_eq!(logits, expected[..n], "{kind:?} B={n}: logits diverge");
+            }
+        }
+    }
+
+    /// Where the split threshold sits: every stage of the 16×16 serving
+    /// net stays inline at the engine's largest batch, so `engine_tiny` and
+    /// `gateway_tiny` never fork; CNV's conv1 and conv2 split at one frame.
+    #[test]
+    fn split_threshold_keeps_the_serving_net_inline() {
+        let max_batch = bcp_serve::ServeConfig::default().max_batch;
+        for plan in crate::recipe::tiny_arch().plan() {
+            assert!(
+                frame_work(&plan) * max_batch < SPLIT_WORK,
+                "tiny {} at B={max_batch}: {} ≥ {SPLIT_WORK}",
+                plan.name,
+                frame_work(&plan) * max_batch
+            );
+        }
+        let cnv = ArchKind::Cnv.arch().plan();
+        for name in ["conv1", "conv2"] {
+            let plan = cnv.iter().find(|p| p.name == name).expect("CNV stage");
+            assert!(frame_work(plan) >= SPLIT_WORK, "CNV {name} at B=1");
         }
     }
 

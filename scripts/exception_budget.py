@@ -15,12 +15,12 @@ import re
 import sys
 
 BUDGET = {
-    "hot-path roots": 42,
-    "alloc": 32,
+    "hot-path roots": 40,
+    "alloc": 27,
     "block": 18,
     "cast": 6,
-    "index": 54,
-    "panic": 12,
+    "index": 52,
+    "panic": 10,
 }
 
 DIRECTIVE = re.compile(r"audit: allow\(([^)]*)\)")
