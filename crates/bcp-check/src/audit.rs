@@ -4,7 +4,7 @@
 //!
 //! Functions annotated `// bcp:hot-path` are reachability roots — the
 //! engine's dispatch and submit paths, the worker compute loop, oneshot
-//! slot delivery, the XNOR-popcount kernels, and the trace-ring push.
+//! slot delivery, the XNOR-popcount kernels, and trace completion.
 //! Every function reachable from a root through the
 //! [`callgraph`](crate::callgraph) over-approximation is scanned for:
 //!

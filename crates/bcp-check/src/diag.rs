@@ -80,8 +80,8 @@ pub enum Code {
     /// `BCP100` — an atomic `Ordering::*` use without a `// ordering:`
     /// justification comment.
     UnjustifiedOrdering,
-    /// `BCP101` — `unsafe` outside the audited allowlist.
-    UnsafeOutsideAllowlist,
+    /// `BCP101` — `unsafe` in workspace source.
+    UnsafeCode,
     /// `BCP102` — `unwrap()` on a channel send/recv in a serving hot path.
     HotPathChannelUnwrap,
     /// `BCP103` — telemetry metric emitted in code but absent from the
@@ -140,7 +140,7 @@ impl Code {
         Code::NearBudget,
         Code::InvalidConfig,
         Code::UnjustifiedOrdering,
-        Code::UnsafeOutsideAllowlist,
+        Code::UnsafeCode,
         Code::HotPathChannelUnwrap,
         Code::UndocumentedMetric,
         Code::LintConfigError,
@@ -183,7 +183,7 @@ impl Code {
             Code::NearBudget => "BCP053",
             Code::InvalidConfig => "BCP060",
             Code::UnjustifiedOrdering => "BCP100",
-            Code::UnsafeOutsideAllowlist => "BCP101",
+            Code::UnsafeCode => "BCP101",
             Code::HotPathChannelUnwrap => "BCP102",
             Code::UndocumentedMetric => "BCP103",
             Code::LintConfigError => "BCP110",
@@ -232,7 +232,7 @@ impl Code {
             Code::NearBudget => "resource above 90 % of device budget",
             Code::InvalidConfig => "checker configuration invalid",
             Code::UnjustifiedOrdering => "atomic Ordering without a `// ordering:` justification",
-            Code::UnsafeOutsideAllowlist => "unsafe code outside the audited allowlist",
+            Code::UnsafeCode => "unsafe code in workspace source",
             Code::HotPathChannelUnwrap => "unwrap() on channel send/recv in a serving hot path",
             Code::UndocumentedMetric => "metric emitted in code but missing from README tables",
             Code::LintConfigError => "lint pass could not run as configured",

@@ -9,7 +9,7 @@
 //! | code     | invariant                                                     |
 //! |----------|---------------------------------------------------------------|
 //! | `BCP100` | every atomic `Ordering::*` carries a `// ordering:` comment   |
-//! | `BCP101` | no `unsafe` outside the audited allowlist                     |
+//! | `BCP101` | no `unsafe` anywhere in workspace source                      |
 //! | `BCP102` | no `unwrap()` on channel send/recv in serving hot paths       |
 //! | `BCP103` | every metric name emitted in code appears in README tables    |
 //! | `BCP110` | the lint pass itself failed to run as configured              |
@@ -17,19 +17,13 @@
 //! Scope: non-test code under each crate's `src/` (and the root crate's
 //! `src/`). Test modules — everything at and below the first
 //! `#[cfg(test)]`/`#[cfg(all(test, …))]` line — are skipped: tests may
-//! deliberately violate invariants (the model suite's seeded-bug ring
-//! being the canonical example). `vendor/` is excluded: vendored code is
+//! deliberately violate invariants (a test's `unwrap()` on a channel
+//! being the usual example). `vendor/` is excluded: vendored code is
 //! audited at import time, not continuously.
 
 use crate::diag::{Code, Diagnostic, Report};
 use crate::srcmodel::{code_lines, first_test_line, SrcLine};
 use std::path::{Path, PathBuf};
-
-/// Files allowed to contain `unsafe` (`BCP101`). Every entry is a
-/// repo-relative path whose unsafe blocks have been audited and carry
-/// `SAFETY:` comments; the lock-free ring is model-checked and
-/// Miri-checked on top.
-const UNSAFE_ALLOWLIST: &[&str] = &["crates/bcp-trace/src/ring.rs"];
 
 /// Crates whose `src/` is a serving hot path for the purposes of
 /// `BCP102`: a panicking channel endpoint there can take down a worker,
@@ -133,17 +127,14 @@ fn lint_file(
                 .with_help("document WHY this ordering is sufficient, not what it does"),
             );
         }
-        if has_unsafe_token(&line.code) && !UNSAFE_ALLOWLIST.contains(&rel) {
+        if has_unsafe_token(&line.code) {
             report.push(
                 Diagnostic::error(
-                    Code::UnsafeOutsideAllowlist,
+                    Code::UnsafeCode,
                     format!("{rel}:{lineno}"),
-                    "unsafe outside the audited allowlist",
+                    "unsafe in workspace source",
                 )
-                .with_help(
-                    "move the unsafety behind an allowlisted module, or extend \
-                     UNSAFE_ALLOWLIST after an audit",
-                ),
+                .with_help("use a safe std or workspace API; no file is exempt"),
             );
         }
         if HOT_PATH_CRATES.iter().any(|p| rel.starts_with(p)) && is_channel_unwrap(&line.code) {
@@ -417,15 +408,16 @@ mod tests {
 
     #[test]
     fn unsafe_respects_the_allowlist() {
+        // The allowlist is empty: no path is exempt, the file that once
+        // held the trace ring included.
         let src = "unsafe { core::hint::unreachable_unchecked() }\n";
-        let r = lint_src("crates/x/src/lib.rs", src);
-        assert!(r.has_code(Code::UnsafeOutsideAllowlist));
-        let r = lint_src("crates/bcp-trace/src/ring.rs", src);
-        assert!(
-            !r.has_code(Code::UnsafeOutsideAllowlist),
-            "{}",
-            r.render_text()
-        );
+        for path in [
+            "crates/x/src/lib.rs",
+            "crates/bcp-trace/src/ring.rs",
+            "src/lib.rs",
+        ] {
+            assert!(lint_src(path, src).has_code(Code::UnsafeCode), "{path}");
+        }
         // `unsafe` inside a string or an identifier is not the keyword.
         let r = lint_src("crates/x/src/lib.rs", "let not_unsafe = \"unsafe\";\n");
         assert!(r.is_clean(), "{}", r.render_text());

@@ -184,16 +184,10 @@ impl Shared {
         }
     }
 
-    /// Finish a request's live trace (if it carries one), pushing the
-    /// record onto `ring`.
-    fn finish_trace(
-        &self,
-        trace: &mut Option<Box<ActiveTrace>>,
-        outcome: TraceOutcome,
-        ring: usize,
-    ) {
+    /// Finish a request's live trace, if it carries one.
+    fn finish_trace(&self, trace: &mut Option<Box<ActiveTrace>>, outcome: TraceOutcome) {
         if let (Some(t), Some(tracer)) = (trace.take(), self.tracer.as_ref()) {
-            tracer.finish(t, outcome, ring);
+            tracer.finish(t, outcome);
         }
     }
 
@@ -201,16 +195,10 @@ impl Shared {
     /// its trace (so `Deliver` is stamped once the client can see the
     /// answer), count the outcome — or `serve.abandoned` when the client had
     /// already given up — and recycle the slot. Returns whether the outcome
-    /// was delivered. `ring` is the calling thread's trace ring.
-    fn resolve(
-        &self,
-        mut req: Request,
-        outcome: Completion,
-        trace_outcome: TraceOutcome,
-        ring: usize,
-    ) -> bool {
+    /// was delivered.
+    fn resolve(&self, mut req: Request, outcome: Completion, trace_outcome: TraceOutcome) -> bool {
         let delivered = req.slot.complete(outcome);
-        self.finish_trace(&mut req.trace, trace_outcome, ring);
+        self.finish_trace(&mut req.trace, trace_outcome);
         if let Some(m) = self.m() {
             match outcome {
                 _ if !delivered => m.abandoned.inc(),
@@ -226,8 +214,8 @@ impl Shared {
 
     /// A request the queue handed back: the caller gets the error, not a
     /// ticket, so the trace is finished and the slot goes straight back.
-    fn turn_away(&self, mut req: Request, trace_outcome: TraceOutcome, ring: usize) {
-        self.finish_trace(&mut req.trace, trace_outcome, ring);
+    fn turn_away(&self, mut req: Request, trace_outcome: TraceOutcome) {
+        self.finish_trace(&mut req.trace, trace_outcome);
         self.release_slot(req.slot);
     }
 
@@ -236,13 +224,13 @@ impl Shared {
     /// just left rotation and by every submitter after its enqueue; the
     /// states are re-read per request so a worker rejoining mid-drain gets
     /// the rest.
-    fn fail_unserved(&self, ring: usize) {
+    fn fail_unserved(&self) {
         while WorkerStateCell::none_healthy(&self.states) {
             let Some(req) = self.queue.try_pop() else {
                 break;
             };
             let nobody = Err(ServeError::NoHealthyWorkers);
-            self.resolve(req, nobody, TraceOutcome::Failed, ring);
+            self.resolve(req, nobody, TraceOutcome::Failed);
             if let Some(m) = self.m() {
                 m.queue_depth.set(self.queue.len() as f64);
             }
@@ -250,24 +238,14 @@ impl Shared {
     }
 
     /// Drop requests whose deadline already passed, completing each with
-    /// `DeadlineExpired`. `ring` is the calling thread's trace ring.
-    fn expire(&self, batch: &mut Vec<Request>, ring: usize) {
+    /// `DeadlineExpired`.
+    fn expire(&self, batch: &mut Vec<Request>) {
         let now = Instant::now();
         let late = |req: &mut Request| req.deadline.is_some_and(|d| now >= d);
         for req in batch.extract_if(.., late) {
             let expired = Err(ServeError::DeadlineExpired);
-            self.resolve(req, expired, TraceOutcome::Expired, ring);
+            self.resolve(req, expired, TraceOutcome::Expired);
         }
-    }
-
-    /// Worker thread `w`'s trace ring (0 when tracing is off).
-    fn worker_ring(&self, w: usize) -> usize {
-        self.tracer.as_ref().map_or(0, |t| t.worker_ring(w))
-    }
-
-    /// The client/submitter trace ring (0 when tracing is off).
-    fn client_ring(&self) -> usize {
-        self.tracer.as_ref().map_or(0, |t| t.client_ring())
     }
 
     /// Pop a recycled response slot, or mint one on a pool miss. After the
@@ -456,7 +434,7 @@ impl Engine {
             deadline,
             trace,
         };
-        let (ring, q) = (self.shared.client_ring(), &self.shared.queue);
+        let q = &self.shared.queue;
         // Path form, like `Arc::clone`: the call graph resolves it to the
         // queue's own audited root, where a bare `.push(` reads as `Vec`'s.
         let (depth, victim) = match Admission::push(q, req, self.shared.cfg.policy) {
@@ -466,12 +444,12 @@ impl Engine {
                     m.rejected.inc();
                 }
                 drop(slot);
-                self.shared.turn_away(req, TraceOutcome::Rejected, ring);
+                self.shared.turn_away(req, TraceOutcome::Rejected);
                 return Err(ServeError::Rejected);
             }
             Push::Closed(req) => {
                 drop(slot);
-                self.shared.turn_away(req, TraceOutcome::Failed, ring);
+                self.shared.turn_away(req, TraceOutcome::Failed);
                 return Err(ServeError::ShuttingDown);
             }
         };
@@ -480,10 +458,10 @@ impl Engine {
         }
         if let Some(victim) = victim {
             self.shared
-                .resolve(victim, Err(ServeError::Shed), TraceOutcome::Shed, ring);
+                .resolve(victim, Err(ServeError::Shed), TraceOutcome::Shed);
         }
         // Enqueue first, look second: see `WorkerStateCell`.
-        self.shared.fail_unserved(ring);
+        self.shared.fail_unserved();
         Ok(Ticket {
             slot,
             deadline,
@@ -599,7 +577,6 @@ fn worker_loop<R: Replica>(
 ) {
     let mut strikes = 0u32;
     let mut probation_passes = 0u32;
-    let ring = shared.worker_ring(w);
     // The batch under construction and the scratch its frames are moved
     // into, both reused across every batch this worker ever serves.
     // audit: allow(alloc): one-time per-worker batch buffer; its capacity is retained for the thread's lifetime
@@ -661,7 +638,7 @@ fn worker_loop<R: Replica>(
         }
         // A batch that expired whole in the queue costs no inference, not
         // even the canary's, and is not a batch.
-        shared.expire(&mut batch, ring);
+        shared.expire(&mut batch);
         if batch.is_empty() {
             continue;
         }
@@ -685,11 +662,11 @@ fn worker_loop<R: Replica>(
             None => {
                 for req in batch.drain(..) {
                     let fault = Err(ServeError::WorkerFault { worker: w });
-                    shared.resolve(req, fault, TraceOutcome::Failed, ring);
+                    shared.resolve(req, fault, TraceOutcome::Failed);
                 }
                 // Out of rotation now; if that left nobody pulling, what
                 // is queued will wait for no one.
-                shared.fail_unserved(ring);
+                shared.fail_unserved();
             }
         }
     }
@@ -829,18 +806,17 @@ fn run_batch<R: Replica>(
 /// Complete every slot of a served batch with its class, draining `batch`
 /// for the next pull.
 fn deliver(w: usize, batch: &mut Vec<Request>, classes: Vec<MaskClass>, shared: &Shared) {
-    let ring = shared.worker_ring(w);
     let now = Instant::now();
     for (req, class) in batch.drain(..).zip(classes) {
         if req.deadline.is_some_and(|d| now >= d) {
             // Result exists but arrived too late to honor the deadline
             // contract: a success is only delivered inside its deadline.
             let expired = Err(ServeError::DeadlineExpired);
-            shared.resolve(req, expired, TraceOutcome::Expired, ring);
+            shared.resolve(req, expired, TraceOutcome::Expired);
             continue;
         }
         let latency = now.duration_since(req.enqueued);
-        if shared.resolve(req, Ok(class), TraceOutcome::Ok, ring) {
+        if shared.resolve(req, Ok(class), TraceOutcome::Ok) {
             if let Some(m) = shared.m() {
                 m.latency.record_duration(latency);
             }

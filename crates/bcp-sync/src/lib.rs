@@ -1,26 +1,23 @@
 //! # bcp-sync — one sync vocabulary, two backends
 //!
-//! The serving stack's concurrency-bearing structures (the Vyukov trace
-//! [`Ring`](../bcp_trace/ring/index.html), the engine's `Admission`
-//! queue, the oneshot `Slot`, the `WorkerState` byte) — and every other
-//! lock in bcp-serve, bcp-gateway and bcp-trace — import their
-//! primitives from this crate instead of `std`:
+//! The serving stack's concurrency-bearing structures (the engine's
+//! `Admission` queue, the oneshot `Slot`, the `WorkerState` byte) — and
+//! every other lock in bcp-serve, bcp-gateway and bcp-trace — import
+//! their primitives from this crate instead of `std`:
 //!
 //! * **Normal builds** re-export `std` (behind panic-free lock APIs:
-//!   poisoning is swallowed) at zero cost — `cell::UnsafeCell` is a
-//!   `#[repr(transparent)]` newtype, atomics are the `std` types
+//!   poisoning is swallowed) at zero cost — atomics are the `std` types
 //!   themselves.
 //! * **`--cfg bcp_model` builds** (`RUSTFLAGS="--cfg bcp_model"`)
 //!   switch every primitive to the vendored [`loom`] model checker:
-//!   schedule-exhaustive atomics with release/acquire happens-before
-//!   tracking, race-detected `UnsafeCell`, modeled `Mutex`/`Condvar`
-//!   with nondeterministic timeouts, and logical time.
+//!   schedule-exhaustive atomics, modeled `Mutex`/`Condvar` with
+//!   nondeterministic timeouts, and logical time.
 //!
 //! The point: the *same source* that serves requests in production is
 //! the source the model checker explores — there is no hand-translated
 //! model to drift out of sync. See DESIGN.md §"Concurrency invariants"
 //! for the per-structure memory-ordering rules and how to run the model
-//! suites, Miri, and TSan locally.
+//! suites and TSan locally.
 //!
 //! Lock API convention (both backends): `Mutex::lock` returns the guard
 //! directly (no poison `Result` — a panicked holder in this workspace
@@ -29,7 +26,7 @@
 //! is what *both* backends have and nothing else: no reader-writer lock,
 //! because a primitive the model lacks is code the checker cannot see.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::arithmetic_side_effects)]
 
@@ -42,45 +39,6 @@ pub mod atomic {
 
     #[cfg(bcp_model)]
     pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-}
-
-/// Interior mutability with loom's closure-based access API.
-pub mod cell {
-    #[cfg(bcp_model)]
-    pub use loom::cell::UnsafeCell;
-
-    /// Zero-cost `std` wrapper matching loom's `UnsafeCell` API, so
-    /// code written against `with`/`with_mut` compiles identically
-    /// under both backends.
-    #[cfg(not(bcp_model))]
-    #[derive(Debug, Default)]
-    #[repr(transparent)]
-    pub struct UnsafeCell<T>(std::cell::UnsafeCell<T>);
-
-    #[cfg(not(bcp_model))]
-    impl<T> UnsafeCell<T> {
-        /// New cell holding `value`.
-        pub const fn new(value: T) -> UnsafeCell<T> {
-            UnsafeCell(std::cell::UnsafeCell::new(value))
-        }
-
-        /// Immutable access to the cell's contents.
-        ///
-        /// The pointer is only valid for the closure's duration; the
-        /// *caller* is responsible for synchronization, exactly as with
-        /// a raw `std::cell::UnsafeCell`.
-        #[inline(always)]
-        pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-            f(self.0.get())
-        }
-
-        /// Mutable access to the cell's contents; see
-        /// [`with`](UnsafeCell::with).
-        #[inline(always)]
-        pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-            f(self.0.get())
-        }
-    }
 }
 
 /// Thread spawning and yielding.
@@ -195,13 +153,9 @@ mod std_locks {
 #[cfg(not(bcp_model))]
 pub use std_locks::{Condvar, Mutex, MutexGuard};
 
-#[cfg(test)]
+#[cfg(all(test, not(bcp_model)))]
 mod tests {
-    // The shim tests exercise `with`/`with_mut` the way loom-ported code
-    // does, which requires dereferencing the raw pointers they hand out.
-    #![allow(unsafe_code)]
     use super::atomic::{AtomicUsize, Ordering};
-    use super::cell::UnsafeCell;
     use super::{Arc, Condvar, Mutex};
     use std::time::Duration;
 
@@ -211,13 +165,6 @@ mod tests {
         let a = AtomicUsize::new(1);
         assert_eq!(a.fetch_add(1, Ordering::Relaxed), 1);
         assert_eq!(a.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn cell_with_and_with_mut_round_trip() {
-        let c = UnsafeCell::new(7u32);
-        c.with_mut(|p| unsafe { *p = 9 });
-        assert_eq!(c.with(|p| unsafe { *p }), 9);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub fn span_tree(record: &TraceRecord) -> Option<SpanNode> {
 pub struct TraceSet {
     /// Every drained record, in drain order.
     pub records: Vec<TraceRecord>,
-    /// Records lost to full rings (from the tracer's drop counters).
+    /// Records lost to a full queue (from the tracer's drop counter).
     pub dropped: u64,
 }
 

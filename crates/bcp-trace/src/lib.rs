@@ -37,11 +37,12 @@
 //! 2. **No shared mutation on the hot path.** The record travels *with*
 //!    the request (inside the engine's channels); stamps are plain
 //!    stores by the owning thread. Only finished records cross threads,
-//!    through lock-free [`Ring`]s — and a full ring drops-and-counts,
-//!    never blocks.
+//!    through one bounded `std::sync::mpsc::sync_channel` per
+//!    [`Tracer`] — a full queue drops-and-counts (`try_send`), never
+//!    blocks.
 //! 3. **Everything audits.** Stamps are monotone (the collector's
 //!    [`audit`] checks), the five [`Segment`]s telescope exactly to the
-//!    end-to-end latency, and ring saturation is visible as
+//!    end-to-end latency, and queue saturation is visible as
 //!    `trace.dropped`.
 //!
 //! The collector side ([`TraceSet`]) turns drained records into span
@@ -51,51 +52,26 @@
 //! batch-wait / dispatch / compute / delivery and prices the engine
 //! against raw `classify_block`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(clippy::arithmetic_side_effects)]
 #![warn(missing_docs)]
 
-// Under `--cfg bcp_model` only the lock-free ring is compiled: it is
-// the crate's model-checked structure, and the other modules pull in
-// wall-clock time and channel machinery the model runtime does not
-// provide. See DESIGN.md §"Concurrency invariants".
-#[cfg(not(bcp_model))]
 pub mod collect;
-#[cfg(not(bcp_model))]
 mod histogram;
-#[cfg(not(bcp_model))]
 pub mod record;
-#[cfg(not(bcp_model))]
 mod registry;
-#[cfg(not(bcp_model))]
 pub mod report;
-// The lock-free ring is the audited `unsafe` allowlist exception
-// (BCP101): SAFETY-commented, model-checked and Miri-checked.
-#[allow(unsafe_code)]
-pub mod ring;
-#[cfg(not(bcp_model))]
 mod sink;
-#[cfg(not(bcp_model))]
 mod snapshot;
-#[cfg(not(bcp_model))]
 pub mod tracer;
 
-#[cfg(not(bcp_model))]
 pub use collect::{audit, span_tree, SeriesRow, SpanNode, TimeSeries, TraceSet};
-#[cfg(not(bcp_model))]
 pub use histogram::{HistogramSummary, LogHistogram};
-#[cfg(not(bcp_model))]
 pub use record::{
     Segment, TraceEvent, TraceId, TraceOutcome, TraceRecord, EVENTS, N_EVENTS, N_SEGMENTS, SEGMENTS,
 };
-#[cfg(not(bcp_model))]
 pub use registry::{Counter, Gauge, Histogram, Registry};
-#[cfg(not(bcp_model))]
 pub use report::{percentile, AttributionReport, SegmentStats};
-pub use ring::Ring;
-#[cfg(not(bcp_model))]
 pub use sink::Event;
-#[cfg(not(bcp_model))]
 pub use snapshot::Snapshot;
-#[cfg(not(bcp_model))]
 pub use tracer::{stamp, ActiveTrace, TraceConfig, Tracer};

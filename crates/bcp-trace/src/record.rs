@@ -5,7 +5,7 @@
 //! `Request` struct, across the admission queue), so every stamp is
 //! written by the thread that currently owns the request — no sharing, no
 //! locks, no atomics on the hot path. Only the finished record crosses
-//! threads, through a [`Ring`](crate::Ring).
+//! threads, through the [`Tracer`](crate::Tracer)'s bounded queue.
 
 use serde::Serialize;
 

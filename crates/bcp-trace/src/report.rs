@@ -33,7 +33,7 @@ pub struct SegmentStats {
 pub struct AttributionReport {
     /// Completed requests the report is computed over.
     pub requests: usize,
-    /// Records dropped on full rings (the report is blind to these).
+    /// Records dropped on a full queue (the report is blind to these).
     pub dropped: u64,
     /// Per-segment stats, in lifecycle order.
     pub segments: Vec<SegmentStats>,
@@ -147,7 +147,7 @@ impl AttributionReport {
             "latency attribution over {} completed traced requests{}",
             self.requests,
             if self.dropped > 0 {
-                format!(" ({} records dropped on full rings)", self.dropped)
+                format!(" ({} records dropped on a full queue)", self.dropped)
             } else {
                 String::new()
             }

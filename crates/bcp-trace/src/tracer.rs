@@ -1,10 +1,11 @@
-//! The tracer: head sampling, the nanosecond epoch clock, and the shard
-//! of rings that finished records land in.
+//! The tracer: head sampling, the nanosecond epoch clock, and the one
+//! bounded queue that finished records land in.
 
 use crate::record::{TraceEvent, TraceOutcome, TraceRecord};
 use crate::registry::{Counter, Registry};
-use crate::ring::Ring;
+use bcp_sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -16,8 +17,10 @@ pub struct TraceConfig {
     /// the production default of 64 keeps the overhead within the bench
     /// gate's 3%).
     pub sample_rate: u64,
-    /// Capacity of each per-thread ring. Overflow drops records and
-    /// counts them (`trace.dropped`), it never blocks the hot path.
+    /// Each engine thread's share of the finished-record queue: the
+    /// tracer holds `ring_capacity × (workers + 1)` records between
+    /// drains. Overflow drops records and counts them (`trace.dropped`),
+    /// it never blocks the hot path.
     pub ring_capacity: usize,
 }
 
@@ -49,7 +52,7 @@ struct TraceMetrics {
 }
 
 /// Shared tracing state for one engine: the epoch clock, the sampling
-/// counter, and one finished-record ring per engine thread.
+/// counter, and the finished-record queue.
 pub struct Tracer {
     epoch: Instant,
     cfg: TraceConfig,
@@ -57,27 +60,32 @@ pub struct Tracer {
     admissions: AtomicU64,
     /// Next [`TraceId`](crate::TraceId).
     next_id: AtomicU64,
-    /// Rings `0..workers` belong to the worker threads; the last ring to
-    /// client/submitter threads.
-    rings: Vec<Ring<TraceRecord>>,
+    /// Producer end of the finished-record queue; any thread finishing a
+    /// trace sends on it.
+    done: SyncSender<TraceRecord>,
+    /// Collector end, locked only by [`drain`](Tracer::drain).
+    collected: Mutex<Receiver<TraceRecord>>,
+    /// Records turned away by a full queue.
+    dropped: AtomicU64,
     metrics: Option<TraceMetrics>,
 }
 
 impl Tracer {
-    /// Tracer for an engine with `workers` worker threads. When a registry
-    /// is given, `trace.sampled` / `trace.completed` / `trace.dropped`
-    /// counters are exported.
+    /// Tracer for an engine with `workers` worker threads; its queue holds
+    /// `cfg.ring_capacity × (workers + 1)` finished records. When a
+    /// registry is given, `trace.sampled` / `trace.completed` /
+    /// `trace.dropped` counters are exported.
     pub fn new(cfg: TraceConfig, workers: usize, registry: Option<&Registry>) -> Arc<Tracer> {
-        let cap = cfg.ring_capacity;
-        let rings = (0..workers.saturating_add(1))
-            .map(|_| Ring::with_capacity(cap))
-            .collect();
+        let cap = cfg.ring_capacity.saturating_mul(workers.saturating_add(1));
+        let (done, collected) = sync_channel(cap);
         Arc::new(Tracer {
             epoch: Instant::now(),
             cfg,
             admissions: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            rings,
+            done,
+            collected: Mutex::new(collected),
+            dropped: AtomicU64::new(0),
             metrics: registry.map(|r| TraceMetrics {
                 sampled: r.counter("trace.sampled"),
                 completed: r.counter("trace.completed"),
@@ -123,35 +131,25 @@ impl Tracer {
         Some(Box::new(ActiveTrace { record }))
     }
 
-    /// Ring index for worker thread `w`.
-    pub fn worker_ring(&self, w: usize) -> usize {
-        w.min(self.rings.len().saturating_sub(2))
-    }
-
-    /// Ring index for client/submitter threads.
-    pub fn client_ring(&self) -> usize {
-        self.rings.len().saturating_sub(1)
-    }
-
     /// Finish a live trace: stamp [`TraceEvent::Deliver`] if the caller
-    /// has not, set the outcome, and push the record onto `ring`
-    /// (an index from [`worker_ring`](Tracer::worker_ring) /
-    /// [`client_ring`](Tracer::client_ring)).
+    /// has not, set the outcome, and queue the record for the collector.
+    /// A full queue drops the record and counts it; it never blocks.
     // Takes the Box callers already hold (`Option<Box<ActiveTrace>>` in
     // each Request) so finishing moves a pointer, not the record.
     #[allow(clippy::boxed_local)]
     // bcp:hot-path — trace completion runs once per sampled request
-    pub fn finish(&self, mut trace: Box<ActiveTrace>, outcome: TraceOutcome, ring: usize) {
+    pub fn finish(&self, mut trace: Box<ActiveTrace>, outcome: TraceOutcome) {
         trace.record.outcome = outcome;
         // audit: allow(index): stamps is an EVENTS-sized array indexed by enum discriminant — in bounds by construction
         if trace.record.stamps[TraceEvent::Deliver as usize] == 0 {
             // audit: allow(index): same EVENTS-sized array, same in-bounds discriminant
             trace.record.stamps[TraceEvent::Deliver as usize] = self.now_ns();
         }
-        let idx = ring.min(self.rings.len().saturating_sub(1));
-        // audit: allow(index): idx is clamped to rings.len()-1 on the previous line
-        // audit: allow(alloc): Ring::push stores into preallocated cells — no heap traffic
-        let stored = self.rings[idx].push(trace.record);
+        let stored = self.done.try_send(trace.record).is_ok();
+        if !stored {
+            // ordering: Relaxed — statistic counter, never a publish.
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(m) = &self.metrics {
             if stored {
                 m.completed.inc();
@@ -161,18 +159,16 @@ impl Tracer {
         }
     }
 
-    /// Drain every ring into one batch of finished records.
+    /// Take every finished record queued so far.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        for ring in &self.rings {
-            out.extend(ring.drain());
-        }
-        out
+        self.collected.lock().try_iter().collect()
     }
 
-    /// Total records dropped on full rings so far.
+    /// Total records dropped on a full queue so far.
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(Ring::dropped).sum()
+        // ordering: Relaxed — monotonic statistic; no data is published
+        // through this counter.
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Requests sampled so far.
@@ -240,7 +236,7 @@ pub fn stamp(
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
-    use crate::record::EVENTS;
+    use crate::record::{TraceId, EVENTS};
 
     #[test]
     fn sampling_one_in_n_is_exact() {
@@ -289,8 +285,8 @@ mod tests {
         let t = Tracer::new(TraceConfig::sample_all(), 2, Some(&r));
         let a = t.sample().unwrap();
         let b = t.sample().unwrap();
-        t.finish(a, TraceOutcome::Ok, t.worker_ring(0));
-        t.finish(b, TraceOutcome::Failed, t.client_ring());
+        t.finish(a, TraceOutcome::Ok);
+        t.finish(b, TraceOutcome::Failed);
         let records = t.drain();
         assert_eq!(records.len(), 2);
         assert!(records
@@ -313,12 +309,66 @@ mod tests {
             1,
             Some(&r),
         );
+        // One worker plus the submitters: 2 × 2 = 4 records fit.
         for _ in 0..8 {
             let tr = t.sample().unwrap();
-            t.finish(tr, TraceOutcome::Ok, t.client_ring());
+            t.finish(tr, TraceOutcome::Ok);
         }
-        assert_eq!(t.dropped(), 6);
-        assert_eq!(r.snapshot().counters["trace.dropped"], 6);
-        assert_eq!(t.drain().len(), 2);
+        assert_eq!(t.dropped(), 4);
+        assert_eq!(r.snapshot().counters["trace.dropped"], 4);
+        assert_eq!(t.drain().len(), 4);
+    }
+
+    /// Two producers finish records while a third thread drains every
+    /// couple of milliseconds, as the benchmark's traced run does: every
+    /// sampled record is drained exactly once or counted as dropped, and
+    /// a queue with room for the whole run drops nothing.
+    #[test]
+    fn concurrent_producers_and_a_draining_collector_account_for_every_record() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        const PER_PRODUCER: usize = 2_000;
+        for ring_capacity in [2, PER_PRODUCER] {
+            let t = Tracer::new(
+                TraceConfig {
+                    sample_rate: 1,
+                    ring_capacity,
+                },
+                1,
+                None,
+            );
+            let finished = AtomicUsize::new(0);
+            let mut drained = Vec::new();
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        for _ in 0..PER_PRODUCER {
+                            t.finish(t.sample().unwrap(), TraceOutcome::Ok);
+                        }
+                        // ordering: Release — pairs with the collector's
+                        // Acquire load below.
+                        finished.fetch_add(1, Ordering::Release);
+                    });
+                }
+                // ordering: Acquire — pairs with the producers' Release.
+                while finished.load(Ordering::Acquire) < 2 {
+                    drained.extend(t.drain());
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            });
+            drained.extend(t.drain());
+            assert_eq!(t.sampled(), 2 * PER_PRODUCER as u64);
+            assert_eq!(
+                drained.len() as u64 + t.dropped(),
+                t.sampled(),
+                "every sampled record is drained or counted as dropped"
+            );
+            let ids: HashSet<TraceId> = drained.iter().map(|r| r.id).collect();
+            assert_eq!(ids.len(), drained.len(), "no record is drained twice");
+            if ring_capacity == PER_PRODUCER {
+                assert_eq!(t.dropped(), 0, "2 × {ring_capacity} slots hold the run");
+            }
+        }
     }
 }

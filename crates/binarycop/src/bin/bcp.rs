@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 use bcp_dataset::ppm::{decode_ppm, resize_to};
+use bcp_serve::BackpressurePolicy;
 use binarycop::arch::{Arch, ArchKind};
 use binarycop::model::build_bnn;
 use binarycop::predictor::{BinaryCoP, OperatingMode};
@@ -343,6 +344,22 @@ fn int_flag(args: &Args, flag: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// `--policy block|reject|shed`, or `default` when the flag is absent.
+fn policy_flag(args: &Args, default: BackpressurePolicy) -> BackpressurePolicy {
+    let Some(p) = args.flags.get("policy") else {
+        return default;
+    };
+    match p.to_ascii_lowercase().as_str() {
+        "block" => BackpressurePolicy::Block,
+        "reject" => BackpressurePolicy::Reject,
+        "shed" => BackpressurePolicy::ShedOldest,
+        other => {
+            eprintln!("unknown policy '{other}' (use block | reject | shed)");
+            exit(2);
+        }
+    }
+}
+
 /// Benchmark predictor: a trained accelerator image when `--accel` is
 /// given, else an untrained (but deployable) network at `--arch` (default
 /// tiny) — throughput does not depend on the weights.
@@ -406,7 +423,7 @@ fn write_trace_artifacts(
 /// `bcp serve-bench`: closed-loop load against the micro-batching engine,
 /// with a sequential single-caller baseline for comparison.
 fn cmd_serve_bench(args: &Args) {
-    use bcp_serve::{BackpressurePolicy, ServeConfig};
+    use bcp_serve::ServeConfig;
     use std::time::{Duration, Instant};
 
     let get = |flag: &str, default: usize| -> usize { int_flag(args, flag, default) };
@@ -418,17 +435,7 @@ fn cmd_serve_bench(args: &Args) {
     let mut cfg = ServeConfig::default();
     cfg.queue_cap = get("queue-cap", cfg.queue_cap).max(1);
     cfg.max_batch = get("max-batch", cfg.max_batch).max(1);
-    if let Some(p) = args.flags.get("policy") {
-        cfg.policy = match p.to_ascii_lowercase().as_str() {
-            "block" => BackpressurePolicy::Block,
-            "reject" => BackpressurePolicy::Reject,
-            "shed" => BackpressurePolicy::ShedOldest,
-            other => {
-                eprintln!("unknown policy '{other}' (use block | reject | shed)");
-                exit(2);
-            }
-        };
-    }
+    cfg.policy = policy_flag(args, cfg.policy);
     if let Some(ms) = args.flags.get("deadline-ms") {
         cfg.deadline = Some(Duration::from_millis(ms.parse().unwrap_or_else(|_| {
             eprintln!("--deadline-ms needs an integer, got '{ms}'");
@@ -593,7 +600,7 @@ fn gateway_setup(
     Vec<bcp_gateway::ShardSpec>,
     bcp_gateway::GatewayConfig,
 ) {
-    use bcp_serve::{BackpressurePolicy, ServeConfig};
+    use bcp_serve::ServeConfig;
     use std::time::Duration;
 
     let get = |flag: &str, default: usize| -> usize { int_flag(args, flag, default) };
@@ -603,17 +610,7 @@ fn gateway_setup(
     let mut cfg = ServeConfig::default();
     cfg.queue_cap = get("queue-cap", cfg.queue_cap).max(1);
     cfg.max_batch = get("max-batch", cfg.max_batch).max(1);
-    if let Some(p) = args.flags.get("policy") {
-        cfg.policy = match p.to_ascii_lowercase().as_str() {
-            "block" => BackpressurePolicy::Block,
-            "reject" => BackpressurePolicy::Reject,
-            "shed" => BackpressurePolicy::ShedOldest,
-            other => {
-                eprintln!("unknown policy '{other}' (use block | reject | shed)");
-                exit(2);
-            }
-        };
-    }
+    cfg.policy = policy_flag(args, cfg.policy);
 
     let predictor = bench_predictor(args);
     let specs = binarycop::gateway::shard_specs(&predictor, shards, workers, cfg);
@@ -679,17 +676,7 @@ fn cmd_scrub_bench(args: &Args) {
     use std::collections::HashSet;
     use std::time::Instant;
 
-    let get = |flag: &str, default: usize| -> usize {
-        args.flags
-            .get(flag)
-            .map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--{flag} needs an integer, got '{v}'");
-                    exit(2);
-                })
-            })
-            .unwrap_or(default)
-    };
+    let get = |flag: &str, default: usize| -> usize { int_flag(args, flag, default) };
     let faults = get("faults", 64).max(1);
     let seed = get("seed", 7) as u64;
     let n_frames = get("frames", 32).max(1);

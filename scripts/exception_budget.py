@@ -15,11 +15,11 @@ import re
 import sys
 
 BUDGET = {
-    "hot-path roots": 40,
-    "alloc": 27,
+    "hot-path roots": 39,
+    "alloc": 26,
     "block": 18,
     "cast": 6,
-    "index": 52,
+    "index": 50,
     "panic": 10,
 }
 

@@ -13,6 +13,8 @@
 //! - [`binarycop`] — the end-to-end BinaryCoP system (architectures,
 //!   training recipes, deployment, experiments)
 
+#![forbid(unsafe_code)]
+
 pub use bcp_bitpack;
 pub use bcp_dataset;
 pub use bcp_finn;
