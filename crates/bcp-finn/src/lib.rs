@@ -28,7 +28,6 @@
 pub mod cyclesim;
 pub mod data;
 pub mod device;
-pub mod digest;
 pub mod dse;
 pub mod fault;
 pub mod folding;
@@ -45,7 +44,6 @@ pub mod threshold;
 
 pub use data::{BinMap, QuantMap, StageData};
 pub use device::Device;
-pub use digest::{GoldenDigest, IntegrityFault, StageDigest};
 pub use fault::{FaultError, FaultRecord};
 pub use folding::{Folding, FoldingError};
 pub use pipeline::{Pipeline, Stage};

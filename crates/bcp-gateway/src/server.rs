@@ -35,6 +35,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Deadline budget of one health probe.
+const PROBE_BUDGET: Duration = Duration::from_millis(500);
+
 /// Everything tunable about the front door.
 #[derive(Clone)]
 pub struct GatewayConfig {
@@ -50,19 +53,13 @@ pub struct GatewayConfig {
     pub tenant_policy: TenantPolicy,
     /// Per-tenant admission overrides.
     pub tenant_overrides: Vec<(u32, TenantPolicy)>,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
     /// Health-probe cadence; bounds the rebalance window after a shard
     /// kill or revive.
     pub probe_interval: Duration,
-    /// Deadline budget of one health probe.
-    pub probe_budget: Duration,
     /// Frame the health prober classifies; must match the replicas'
     /// expected input shape. `None` falls back to a 3×8×8 gradient frame,
     /// which suits shape-agnostic replicas (e.g. the synthetic one).
     pub probe_frame: Option<bcp_tensor::Tensor>,
-    /// First backoff step of the failover retry loop.
-    pub backoff_base: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -73,11 +70,8 @@ impl Default for GatewayConfig {
             read_timeout: Duration::from_millis(100),
             tenant_policy: TenantPolicy::default(),
             tenant_overrides: Vec::new(),
-            vnodes: 16,
             probe_interval: Duration::from_millis(50),
-            probe_budget: Duration::from_millis(500),
             probe_frame: None,
-            backoff_base: Duration::from_micros(200),
         }
     }
 }
@@ -149,7 +143,7 @@ impl Gateway {
         let registry = registry.unwrap_or_default();
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let router = Router::new(specs, cfg.vnodes, cfg.backoff_base, Some(registry.clone()));
+        let router = Router::new(specs, registry.clone());
         let mut tenants = TenantTable::new(cfg.tenant_policy, Some(registry.clone()));
         for (t, p) in &cfg.tenant_overrides {
             tenants = tenants.with_override(*t, *p);
@@ -272,7 +266,7 @@ fn prober_loop(ctx: &Arc<Ctx>) {
     while !ctx.shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(ctx.cfg.probe_interval);
         for shard in ctx.router.shards() {
-            shard.probe(&probe, ctx.cfg.probe_budget);
+            shard.probe(&probe, PROBE_BUDGET);
         }
     }
 }

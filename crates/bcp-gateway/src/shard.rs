@@ -35,6 +35,12 @@ use bcp_trace::{Counter, Gauge, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Virtual nodes per shard on the consistent-hash ring.
+const VNODES: usize = 16;
+
+/// First backoff step of the failover retry loop, in ns (200 µs).
+const BACKOFF_BASE_NS: u64 = 200_000;
+
 /// How a shard builds (and rebuilds) its replica pool. The factory is the
 /// revive path: after a kill, calling it again stands up a fresh pool.
 #[derive(Clone)]
@@ -118,35 +124,29 @@ pub struct Shard {
     /// the engine, never across a `submit` (which may park under `Block`).
     engine: Mutex<Option<Arc<Engine>>>,
     state: ShardStateCell,
-    registry: Option<Registry>,
-    state_gauge: Option<Gauge>,
-    dispatched: Option<Counter>,
-    ok: Option<Counter>,
-    failed: Option<Counter>,
-    probes: Option<Counter>,
-    probe_failures: Option<Counter>,
-    killed: Option<Counter>,
-    revived: Option<Counter>,
+    registry: Registry,
+    state_gauge: Gauge,
+    dispatched: Counter,
+    ok: Counter,
+    failed: Counter,
+    probes: Counter,
+    probe_failures: Counter,
+    killed: Counter,
+    revived: Counter,
 }
 
 impl Shard {
     // audit: cold — shard construction happens once at gateway start (and
     // on revive), never per request.
-    fn start(id: usize, spec: ShardSpec, registry: Option<Registry>) -> Shard {
-        let engine = Engine::start((spec.make)(), spec.cfg.clone(), registry.clone());
-        let c = |suffix: &str| {
-            registry
-                .as_ref()
-                .map(|r| r.counter(&format!("gateway.shard.{id}.{suffix}")))
-        };
+    fn start(id: usize, spec: ShardSpec, registry: Registry) -> Shard {
+        let engine = Engine::start((spec.make)(), spec.cfg.clone(), Some(registry.clone()));
+        let c = |suffix: &str| registry.counter(&format!("gateway.shard.{id}.{suffix}"));
         let shard = Shard {
             id,
             spec,
             engine: Mutex::new(Some(Arc::new(engine))),
             state: ShardStateCell::new(ShardState::Up),
-            state_gauge: registry
-                .as_ref()
-                .map(|r| r.gauge(&format!("gateway.shard.{id}.state"))),
+            state_gauge: registry.gauge(&format!("gateway.shard.{id}.state")),
             dispatched: c("dispatched"),
             ok: c("ok"),
             failed: c("failed"),
@@ -172,11 +172,9 @@ impl Shard {
 
     fn publish_state(&self, state: ShardState) {
         self.state.store(state);
-        if let Some(g) = &self.state_gauge {
-            // audit: allow(cast): unit-only enum, discriminants 0..=2;
-            // both casts are lossless.
-            g.set(state as u8 as f64);
-        }
+        // audit: allow(cast): unit-only enum, discriminants 0..=2; both
+        // casts are lossless.
+        self.state_gauge.set(state as u8 as f64);
     }
 
     /// Submit one frame and wait for its completion, all bounded by
@@ -189,9 +187,7 @@ impl Shard {
         frame: &Tensor,
         deadline: Option<Instant>,
     ) -> Result<MaskClass, ServeError> {
-        if let Some(c) = &self.dispatched {
-            c.inc();
-        }
+        self.dispatched.inc();
         // audit: allow(block): shard-lifecycle mutex; held for one `Arc`
         // clone per request, contended only by kill/revive.
         let engine = self.engine.lock().as_ref().map(Arc::clone);
@@ -201,9 +197,7 @@ impl Shard {
         let ticket = match submitted {
             Ok(t) => t,
             Err(e) => {
-                if let Some(c) = &self.failed {
-                    c.inc();
-                }
+                self.failed.inc();
                 return Err(e);
             }
         };
@@ -212,15 +206,11 @@ impl Shard {
         // the engine enforces; other connections have their own threads.
         match ticket.wait() {
             Ok(class) => {
-                if let Some(c) = &self.ok {
-                    c.inc();
-                }
+                self.ok.inc();
                 Ok(class)
             }
             Err(e) => {
-                if let Some(c) = &self.failed {
-                    c.inc();
-                }
+                self.failed.inc();
                 Err(e)
             }
         }
@@ -233,9 +223,7 @@ impl Shard {
     // audit: cold — chaos/lifecycle operation, never on the request path.
     pub fn kill(&self) {
         self.stop();
-        if let Some(c) = &self.killed {
-            c.inc();
-        }
+        self.killed.inc();
     }
 
     /// Orderly removal from service (gateway shutdown): identical drain
@@ -260,13 +248,11 @@ impl Shard {
         let engine = Engine::start(
             (self.spec.make)(),
             self.spec.cfg.clone(),
-            self.registry.clone(),
+            Some(self.registry.clone()),
         );
         *self.engine.lock() = Some(Arc::new(engine));
         self.publish_state(ShardState::Suspect);
-        if let Some(c) = &self.revived {
-            c.inc();
-        }
+        self.revived.inc();
     }
 
     /// One health probe: classify `frame` within `budget`. Success
@@ -274,18 +260,14 @@ impl Shard {
     // audit: cold — runs on the prober thread at probe_interval, not per
     // request.
     pub fn probe(&self, frame: &Tensor, budget: Duration) -> bool {
-        if let Some(c) = &self.probes {
-            c.inc();
-        }
+        self.probes.inc();
         let deadline = Instant::now().checked_add(budget);
         let healthy = self.classify_with_deadline(frame, deadline).is_ok();
         match (healthy, self.state.load()) {
             (true, ShardState::Up) => {}
             (true, _) => self.publish_state(ShardState::Up),
             (false, _) => {
-                if let Some(c) = &self.probe_failures {
-                    c.inc();
-                }
+                self.probe_failures.inc();
                 self.publish_state(ShardState::Down);
             }
         }
@@ -337,29 +319,23 @@ pub struct Router {
     shards: Vec<Arc<Shard>>,
     /// Sorted hash ring of (point, shard index).
     ring: Vec<(u64, usize)>,
-    backoff_base: Duration,
-    failovers: Option<Counter>,
-    retries: Option<Counter>,
+    failovers: Counter,
+    retries: Counter,
 }
 
 impl Router {
     /// Stand up one shard per spec and hash them onto a ring with
-    /// `vnodes` virtual nodes each.
+    /// `VNODES` virtual nodes each.
     // audit: cold — router construction happens once at gateway start.
-    pub fn new(
-        specs: Vec<ShardSpec>,
-        vnodes: usize,
-        backoff_base: Duration,
-        registry: Option<Registry>,
-    ) -> Router {
+    pub fn new(specs: Vec<ShardSpec>, registry: Registry) -> Router {
         let shards: Vec<Arc<Shard>> = specs
             .into_iter()
             .enumerate()
             .map(|(i, spec)| Arc::new(Shard::start(i, spec, registry.clone())))
             .collect();
-        let mut ring = Vec::with_capacity(shards.len().saturating_mul(vnodes.max(1)));
+        let mut ring = Vec::with_capacity(shards.len().saturating_mul(VNODES));
         for i in 0..shards.len() {
-            for v in 0..vnodes.max(1) {
+            for v in 0..VNODES {
                 let point = splitmix64(((i as u64) << 32) | v as u64);
                 ring.push((point, i));
             }
@@ -368,9 +344,8 @@ impl Router {
         Router {
             shards,
             ring,
-            backoff_base,
-            failovers: registry.as_ref().map(|r| r.counter("gateway.failovers")),
-            retries: registry.as_ref().map(|r| r.counter("gateway.retries")),
+            failovers: registry.counter("gateway.failovers"),
+            retries: registry.counter("gateway.retries"),
         }
     }
 
@@ -449,9 +424,7 @@ impl Router {
                 }
             }
             if attempts > 0 {
-                if let Some(c) = &self.retries {
-                    c.inc();
-                }
+                self.retries.inc();
                 self.backoff(attempts, request_id, deadline);
             }
             attempts = attempts.saturating_add(1);
@@ -459,9 +432,7 @@ impl Router {
             match self.shards[s].classify_with_deadline(frame, deadline) {
                 Ok(class) => {
                     if i > 0 {
-                        if let Some(c) = &self.failovers {
-                            c.inc();
-                        }
+                        self.failovers.inc();
                     }
                     return DispatchOutcome {
                         result: Ok(class),
@@ -512,12 +483,11 @@ impl Router {
         }
     }
 
-    /// Sleep `base × 2^(attempt-1)` plus up to 50% deterministic jitter,
+    /// Sleep `BACKOFF_BASE_NS × 2^(attempt-1)` plus up to 50% deterministic jitter,
     /// clamped so the nap never outlives the remaining deadline.
     fn backoff(&self, attempt: u32, request_id: u64, deadline: Option<Instant>) {
         let exp = attempt.saturating_sub(1).min(6);
-        let base_ns = self.backoff_base.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let nap_ns = base_ns.saturating_mul(1u64 << exp);
+        let nap_ns = BACKOFF_BASE_NS.saturating_mul(1u64 << exp);
         let j = jitter(request_id ^ u64::from(attempt));
         let jitter_ns = nap_ns / 2;
         let jitter_ns = if jitter_ns == 0 {
@@ -548,7 +518,7 @@ mod tests {
         let specs = (0..n)
             .map(|_| ShardSpec::synthetic(1, ServeConfig::default()))
             .collect();
-        Router::new(specs, 16, Duration::from_micros(100), None)
+        Router::new(specs, Registry::new())
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! The paper's robustness story (Sec. IV) is statistical: a BNN tolerates
 //! scattered bit flips because binarization leaves individual weights
 //! non-critical. This crate adds the complementary *engineering* story —
-//! detect and undo the flips before they accumulate:
+//! detect and undo the flips before they accumulate. One [`Scrubber`]
+//! per pipeline holds one golden table, captured at deploy time:
 //!
-//! - [`bcp_finn::GoldenDigest`] (captured at deploy time) holds a CRC-32
-//!   per packed weight row and per folded threshold table. CRC-32's
-//!   minimum distance is ≥ 4 below 91 607 bits, so every ≤3-bit upset
-//!   inside a row is detected with certainty.
-//! - [`GoldenStore`] keeps a compressed golden copy of the same memories
-//!   (run-length when smaller, raw otherwise) and repairs a dirty row by
-//!   flipping exactly the differing bits back — bit-exact, involutive.
-//! - [`Scrubber`] walks the memories incrementally, a few rows per
+//! - per packed weight row, a CRC-32 and the row's golden words (a clone
+//!   of the stage's weight matrix); per folded threshold table, its CRC-32
+//!   and a clone. CRC-32's minimum distance is ≥ 4 below 91 607 bits, so
+//!   every ≤3-bit upset inside a row is detected with certainty.
+//! - A dirty row is repaired by flipping exactly the differing bits back —
+//!   bit-exact, involutive.
+//! - The scrubber walks the table incrementally, a few units per
 //!   [`Scrubber::tick`], so a serving worker can interleave scrubbing with
 //!   inference; it emits `guard.scrub.*` telemetry (rows scanned, faults
 //!   detected/repaired, sweep-latency histogram).
@@ -23,8 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::arithmetic_side_effects)]
 
-pub mod golden;
 pub mod scrub;
 
-pub use golden::{Blob, GoldenStore};
-pub use scrub::{ScrubReport, Scrubber};
+pub use scrub::{threshold_bytes, IntegrityFault, ScrubReport, Scrubber};

@@ -78,7 +78,7 @@ pub struct SyntheticReplica {
     pub delay: std::time::Duration,
     weight: i64,
     /// Whether `repair()` can restore the golden weight (models a replica
-    /// backed by a `bcp-guard` golden store).
+    /// backed by a `bcp-guard` golden table).
     repairable: bool,
 }
 

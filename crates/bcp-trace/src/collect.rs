@@ -1,4 +1,4 @@
-//! The collector: turns drained [`TraceRecord`]s into span trees and the
+//! The collector: turns drained [`TraceRecord`]s into the
 //! waterfall/flamegraph/time-series artifacts.
 //!
 //! Three export formats:
@@ -18,53 +18,6 @@ use crate::record::{TraceEvent, TraceOutcome, TraceRecord, EVENTS, SEGMENTS};
 use serde::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// One node of a request's span tree: a named interval with children
-/// that tile (a subset of) it.
-#[derive(Clone, Debug)]
-pub struct SpanNode {
-    /// Span name (`request` or a segment name).
-    pub name: String,
-    /// Start, nanoseconds since tracer epoch.
-    pub start_ns: u64,
-    /// End, nanoseconds since tracer epoch.
-    pub end_ns: u64,
-    /// Child spans, in time order, each inside `[start_ns, end_ns]`.
-    pub children: Vec<SpanNode>,
-}
-
-impl SpanNode {
-    /// Span duration.
-    pub fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-/// Build the span tree of one record: a `request` root with one child per
-/// reached segment.
-pub fn span_tree(record: &TraceRecord) -> Option<SpanNode> {
-    let start = record.stamp(TraceEvent::Enqueue)?;
-    let mut children = Vec::new();
-    for seg in SEGMENTS {
-        let (from, to) = seg.bounds();
-        let (Some(s), Some(e)) = (record.stamp(from), record.stamp(to)) else {
-            continue;
-        };
-        children.push(SpanNode {
-            name: seg.name().to_string(),
-            start_ns: s,
-            end_ns: e,
-            children: Vec::new(),
-        });
-    }
-    let end = children.last().map_or(start, |c| c.end_ns);
-    Some(SpanNode {
-        name: "request".to_string(),
-        start_ns: start,
-        end_ns: end.max(start),
-        children,
-    })
-}
 
 /// A drained batch of trace records plus the collector's accounting.
 #[derive(Clone, Debug, Default)]
@@ -93,19 +46,18 @@ impl TraceSet {
     /// determinism. Feed to `inferno-flamegraph` or paste into
     /// speedscope.
     pub fn to_folded(&self) -> String {
-        let mut stacks: BTreeMap<String, u128> = BTreeMap::new();
+        let mut stacks: BTreeMap<&str, u128> = BTreeMap::new();
         for record in self.completed() {
-            let Some(tree) = span_tree(record) else {
-                continue;
-            };
-            for seg in &tree.children {
-                let slot = stacks.entry(format!("request;{}", seg.name)).or_insert(0);
-                *slot = slot.saturating_add(u128::from(seg.dur_ns()));
+            for seg in SEGMENTS {
+                if let Some(ns) = record.segment_ns(seg) {
+                    let slot = stacks.entry(seg.name()).or_insert(0);
+                    *slot = slot.saturating_add(u128::from(ns));
+                }
             }
         }
         let mut out = String::new();
-        for (stack, ns) in stacks {
-            let _ = writeln!(out, "{stack} {ns}");
+        for (segment, ns) in stacks {
+            let _ = writeln!(out, "request;{segment} {ns}");
         }
         out
     }
@@ -348,13 +300,21 @@ mod tests {
     #[test]
     fn span_tree_tiles_the_request() {
         let r = record(0, 0);
-        let tree = span_tree(&r).unwrap();
-        assert_eq!(tree.name, "request");
-        assert_eq!(tree.children.len(), 5);
-        let child_sum: u64 = tree.children.iter().map(SpanNode::dur_ns).sum();
-        assert_eq!(child_sum, tree.dur_ns());
-        for w in tree.children.windows(2) {
-            assert_eq!(w[0].end_ns, w[1].start_ns, "segments must chain");
+        let folded = TraceSet::new(vec![r.clone()], 0).to_folded();
+        let spans: Vec<(&str, u64)> = folded
+            .lines()
+            .map(|line| {
+                let (stack, ns) = line.rsplit_once(' ').unwrap();
+                (stack.strip_prefix("request;").unwrap(), ns.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(spans.len(), 5);
+        let child_sum: u64 = spans.iter().map(|&(_, ns)| ns).sum();
+        assert_eq!(Some(child_sum), r.end_to_end_ns());
+        for w in SEGMENTS.windows(2) {
+            let (_, end) = w[0].bounds();
+            let (start, _) = w[1].bounds();
+            assert_eq!(r.stamp(end), r.stamp(start), "segments must chain");
         }
     }
 

@@ -45,8 +45,8 @@
 //!    end-to-end latency, and queue saturation is visible as
 //!    `trace.dropped`.
 //!
-//! The collector side ([`TraceSet`]) turns drained records into span
-//! trees, collapsed-stack flamegraph text, JSONL, an ASCII waterfall,
+//! The collector side ([`TraceSet`]) turns drained records into
+//! collapsed-stack flamegraph text, JSONL, an ASCII waterfall,
 //! the queue-depth / worker-occupancy [`TimeSeries`], and the
 //! [`AttributionReport`] that decomposes latency into queue-wait /
 //! batch-wait / dispatch / compute / delivery and prices the engine
@@ -65,7 +65,7 @@ mod sink;
 mod snapshot;
 pub mod tracer;
 
-pub use collect::{audit, span_tree, SeriesRow, SpanNode, TimeSeries, TraceSet};
+pub use collect::{audit, SeriesRow, TimeSeries, TraceSet};
 pub use histogram::{HistogramSummary, LogHistogram};
 pub use record::{
     Segment, TraceEvent, TraceId, TraceOutcome, TraceRecord, EVENTS, N_EVENTS, N_SEGMENTS, SEGMENTS,

@@ -672,7 +672,7 @@ fn cmd_gateway(args: &Args) {
 /// realistic SEU rate produces).
 fn cmd_scrub_bench(args: &Args) {
     use bcp_finn::fault::inject_random_faults;
-    use bcp_finn::IntegrityFault;
+    use bcp_guard::IntegrityFault;
     use std::collections::HashSet;
     use std::time::Instant;
 
@@ -683,30 +683,17 @@ fn cmd_scrub_bench(args: &Args) {
     let units_per_frame = get("units", 8).max(1);
 
     let telemetry = telemetry_of(args);
-    let arch = match args.flags.get("arch").map(String::as_str) {
-        None | Some("tiny") => binarycop::recipe::tiny_arch(),
-        Some(name) => parse_arch(name).arch(),
-    };
-    let mut net = build_bnn(&arch, 0);
-    let x = bcp_tensor::init::uniform(
-        bcp_tensor::Shape::nchw(2, 3, arch.input_size, arch.input_size),
-        -1.0,
-        1.0,
-        1,
-    );
-    let _ = net.forward(&x, bcp_nn::Mode::Train);
-    let mut predictor = BinaryCoP::from_trained(&net, &arch);
+    let mut predictor = bench_predictor(args);
     if let Some((registry, _)) = &telemetry {
         predictor = predictor.with_telemetry(registry.clone());
     }
     let clean = predictor.clone();
     let mut scrubber = predictor.scrubber();
     println!(
-        "guard state: {} scrub units over '{}', golden copy {} B ({} B raw)",
+        "guard state: {} scrub units over '{}', golden copy {} B",
         scrubber.unit_count(),
         predictor.pipeline().name(),
-        scrubber.store().stored_bytes(),
-        scrubber.store().raw_bytes(),
+        scrubber.golden_bytes(),
     );
 
     // Inject a known fault population and audit against it.

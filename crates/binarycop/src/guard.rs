@@ -12,29 +12,15 @@
 
 use crate::predictor::BinaryCoP;
 use bcp_dataset::MaskClass;
-use bcp_finn::{GoldenDigest, IntegrityFault};
 use bcp_guard::Scrubber;
 use bcp_serve::{canary_frame, Engine, RecoveryPolicy, Replica, ServeConfig};
 use bcp_tensor::Tensor;
 
 impl BinaryCoP {
-    /// Capture the sealed integrity digest of the deployed pipeline: one
-    /// CRC-32 per packed weight row and per threshold table. Do this at
-    /// deploy time, while the pipeline is trusted.
-    pub fn golden_digest(&self) -> GoldenDigest {
-        GoldenDigest::capture(self.pipeline())
-    }
-
-    /// Check the live pipeline against a digest captured earlier,
-    /// returning every localized corruption.
-    pub fn verify_integrity(&self, digest: &GoldenDigest) -> Vec<IntegrityFault> {
-        digest.verify(self.pipeline())
-    }
-
-    /// Build a [`Scrubber`] over this predictor's pipeline (golden
-    /// digest and compressed golden copy captured now). Inherits the
-    /// predictor's telemetry registry for `guard.scrub.*` metrics, when
-    /// attached.
+    /// Build a [`Scrubber`] over this predictor's pipeline (its golden
+    /// table of row CRCs and golden copies is captured now, so do this
+    /// while the pipeline is trusted). Inherits the predictor's telemetry
+    /// registry for `guard.scrub.*` metrics, when attached.
     pub fn scrubber(&self) -> Scrubber {
         let s = Scrubber::new(self.pipeline());
         match self.telemetry() {
@@ -147,17 +133,17 @@ mod tests {
     fn digest_detects_and_scrubber_undoes_faults() {
         let mut p = predictor();
         let clean = p.clone();
-        let digest = p.golden_digest();
+        let golden = p.scrubber();
         let mut scrubber = p.scrubber();
-        assert!(p.verify_integrity(&digest).is_empty());
+        assert!(golden.audit(p.pipeline()).is_empty());
 
         inject_random_faults(p.pipeline_mut(), 16, 0xBAD);
-        assert!(!p.verify_integrity(&digest).is_empty());
+        assert!(!golden.audit(p.pipeline()).is_empty());
 
         let report = scrubber.full_sweep(p.pipeline_mut());
         assert_eq!(report.faults_repaired, report.faults_detected);
         assert_eq!(report.bits_flipped, 16);
-        assert!(p.verify_integrity(&digest).is_empty());
+        assert!(golden.audit(p.pipeline()).is_empty());
 
         let frame = canary_frame(3, 16, 16);
         assert_eq!(Replica::canary(&p, &frame), Replica::canary(&clean, &frame));

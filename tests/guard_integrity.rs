@@ -18,8 +18,8 @@
 //! test name, so failures replay deterministically.
 
 use bcp_finn::fault::{apply_burst, try_apply_fault, FaultRecord};
-use bcp_finn::{GoldenDigest, IntegrityFault, Pipeline};
-use bcp_guard::Scrubber;
+use bcp_finn::Pipeline;
+use bcp_guard::{IntegrityFault, Scrubber};
 use bcp_nn::Mode;
 use bcp_serve::{RecoveryPolicy, ServeConfig, ServeError, WorkerState};
 use bcp_tensor::Shape;
@@ -62,14 +62,14 @@ proptest! {
         ci in any::<usize>(),
     ) {
         let mut p = predictor().pipeline().clone();
-        let digest = GoldenDigest::capture(&p);
+        let golden = Scrubber::new(&p);
         let mut scrubber = Scrubber::new(&p);
         let stages = weight_stages(&p);
         let (stage, rows, cols) = stages[si % stages.len()];
         let fault = FaultRecord { stage, row: ri % rows, col: ci % cols };
         try_apply_fault(&mut p, fault).unwrap();
 
-        let found = digest.verify(&p);
+        let found = golden.audit(&p);
         prop_assert_eq!(
             found,
             vec![IntegrityFault::WeightRow { stage, row: fault.row }],
@@ -79,7 +79,7 @@ proptest! {
         prop_assert_eq!(report.faults_detected, 1);
         prop_assert_eq!(report.faults_repaired, 1);
         prop_assert_eq!(report.bits_flipped, 1);
-        prop_assert!(digest.verify(&p).is_empty(), "repair must be bit-exact");
+        prop_assert!(golden.audit(&p).is_empty(), "repair must be bit-exact");
     }
 
     /// Any 2-bit corruption within one row is detected (random sample;
@@ -92,7 +92,7 @@ proptest! {
         c2 in any::<usize>(),
     ) {
         let mut p = predictor().pipeline().clone();
-        let digest = GoldenDigest::capture(&p);
+        let golden = Scrubber::new(&p);
         let stages = weight_stages(&p);
         let (stage, rows, cols) = stages[si % stages.len()];
         let row = ri % rows;
@@ -101,7 +101,7 @@ proptest! {
         try_apply_fault(&mut p, FaultRecord { stage, row, col: a }).unwrap();
         try_apply_fault(&mut p, FaultRecord { stage, row, col: b }).unwrap();
         prop_assert!(
-            !digest.verify_row(&p, stage, row),
+            !golden.verify_row(&p, stage, row),
             "2-bit flip in row went undetected"
         );
     }
@@ -117,14 +117,14 @@ proptest! {
         k in 1usize..17,
     ) {
         let mut p = predictor().pipeline().clone();
-        let digest = GoldenDigest::capture(&p);
+        let golden = Scrubber::new(&p);
         let stages = weight_stages(&p);
         let (stage, rows, cols) = stages[si % stages.len()];
         let row = ri % rows;
         let records = apply_burst(&mut p, stage, row, ci % cols, k).unwrap();
         prop_assert!(!records.is_empty());
         prop_assert!(
-            !digest.verify_row(&p, stage, row),
+            !golden.verify_row(&p, stage, row),
             "{}-bit burst went undetected",
             records.len()
         );
@@ -138,7 +138,7 @@ proptest! {
 #[test]
 fn all_two_bit_flips_within_a_row_are_detected_exhaustively() {
     let mut p = predictor().pipeline().clone();
-    let digest = GoldenDigest::capture(&p);
+    let golden = Scrubber::new(&p);
     let mut pairs = 0usize;
     for (stage, rows, cols) in weight_stages(&p) {
         let row = rows / 2;
@@ -147,7 +147,7 @@ fn all_two_bit_flips_within_a_row_are_detected_exhaustively() {
                 try_apply_fault(&mut p, FaultRecord { stage, row, col: a }).unwrap();
                 try_apply_fault(&mut p, FaultRecord { stage, row, col: b }).unwrap();
                 assert!(
-                    !digest.verify_row(&p, stage, row),
+                    !golden.verify_row(&p, stage, row),
                     "undetected 2-bit flip at stage {stage} row {row} cols ({a},{b})"
                 );
                 // Flips are involutive: undo to keep the next pair clean.
@@ -157,10 +157,7 @@ fn all_two_bit_flips_within_a_row_are_detected_exhaustively() {
             }
         }
     }
-    assert!(
-        digest.verify(&p).is_empty(),
-        "sweep must leave memory clean"
-    );
+    assert!(golden.audit(&p).is_empty(), "sweep must leave memory clean");
     assert!(pairs > 0);
     println!("verified {pairs} two-bit corruption patterns");
 }
