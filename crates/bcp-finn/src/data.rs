@@ -1,10 +1,18 @@
 //! On-wire data formats between pipeline stages.
 
+use bcp_bitpack::bitvec64::{low_mask, WORD_BITS};
 use bcp_bitpack::BitVec64;
 
-/// A binary (±1) feature map: `c` channels of `h×w` bits, bit index
-/// `(ch·h + y)·w + x` — the same CHW order `bcp-nn`'s `Flatten` uses, so the
-/// dense stages consume conv outputs without reshuffling.
+/// A binary (±1) feature map stored channel-last: `h×w` pixels of `c`
+/// bits, bit index `(y·w + x)·c + ch`, pixels back to back with no padding
+/// between them. That is the order FINN streams a map in: a pixel's
+/// channels are one contiguous run, so the SWU copies a window as `k` runs
+/// of `k·c` bits, a conv stage's per-pixel output words are already the
+/// map, and OR-pool ORs whole pixel runs. [`BinMap::get`], [`BinMap::set`],
+/// [`BinMap::from_signs`] and [`BinMap::to_signs`] keep the CHW meaning
+/// `bcp-nn` uses; [`BinMap::from_bits`] and [`BinMap::as_bits`] hold the
+/// channel-last flat vector, which is what a dense stage consumes (deploy
+/// orders the first dense stage's weight columns to match).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BinMap {
     /// Channels.
@@ -27,7 +35,7 @@ impl BinMap {
         }
     }
 
-    /// Wrap an existing bit vector (length must be `c·h·w`).
+    /// Wrap an existing channel-last bit vector (length must be `c·h·w`).
     pub fn from_bits(c: usize, h: usize, w: usize, bits: BitVec64) -> Self {
         assert_eq!(
             bits.len(),
@@ -44,12 +52,11 @@ impl BinMap {
             c.saturating_mul(h).saturating_mul(w),
             "sign count does not match {c}×{h}×{w}"
         );
-        BinMap {
-            c,
-            h,
-            w,
-            bits: bcp_bitpack::pack::pack_signs(signs),
+        let mut map = BinMap::zeros(c, h, w);
+        for ((ch, y, x), &s) in chw(c, h, w).zip(signs) {
+            map.set(ch, y, x, bcp_bitpack::pack::sign_bit(s));
         }
+        map
     }
 
     /// Total bit count.
@@ -64,29 +71,107 @@ impl BinMap {
 
     /// Bit at (channel, y, x): `true` = +1.
     #[inline]
-    // The CHW offset is in range (debug-asserted) and the backing accessor
-    // bounds-checks; plain ops keep the per-pixel address math tight.
+    // The channel-last offset is in range (debug-asserted) and the backing
+    // accessor bounds-checks; plain ops keep the per-pixel address math tight.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn get(&self, ch: usize, y: usize, x: usize) -> bool {
         debug_assert!(ch < self.c && y < self.h && x < self.w);
-        self.bits.get((ch * self.h + y) * self.w + x)
+        self.bits.get((y * self.w + x) * self.c + ch)
     }
 
     /// Set bit at (channel, y, x).
-    // Same in-range CHW offset as `get`; the backing accessor bounds-checks.
+    // Same in-range offset as `get`; the backing accessor bounds-checks.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn set(&mut self, ch: usize, y: usize, x: usize, v: bool) {
-        self.bits.set((ch * self.h + y) * self.w + x, v);
+        debug_assert!(ch < self.c && y < self.h && x < self.w);
+        self.bits.set((y * self.w + x) * self.c + ch, v);
     }
 
-    /// The flat bit vector (CHW order), e.g. as dense-stage input.
+    /// The flat bit vector, channel-last (`(y·w + x)·c + ch`), e.g. as
+    /// dense-stage input.
     pub fn as_bits(&self) -> &BitVec64 {
         &self.bits
     }
 
     /// Decode to ±1 floats in CHW order.
     pub fn to_signs(&self) -> Vec<f32> {
-        self.bits.to_signs()
+        chw(self.c, self.h, self.w)
+            .map(|(ch, y, x)| if self.get(ch, y, x) { 1.0 } else { -1.0 })
+            .collect()
+    }
+}
+
+/// Every `(channel, y, x)` of a `c×h×w` map, in CHW order.
+fn chw(c: usize, h: usize, w: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..c).flat_map(move |ch| (0..h).flat_map(move |y| (0..w).map(move |x| (ch, y, x))))
+}
+
+/// `n ≤ 64` bits of `words` from bit `off` on, in the low bits of the
+/// result: one shift, plus a second word when the run straddles a word
+/// boundary. `n > 0` and `off + n` within the words.
+#[inline]
+// off/64 and off/64 + 1 are within `words` by the caller's contract (the
+// second read happens only when the run reaches into that word); the shift
+// amounts stay in 1..64.
+#[allow(clippy::arithmetic_side_effects)]
+pub(crate) fn read_bits(words: &[u64], off: usize, n: usize) -> u64 {
+    let (i, s) = (off / WORD_BITS, off % WORD_BITS);
+    let lo = words[i] >> s;
+    let hi = if s + n > WORD_BITS {
+        words[i + 1] << (WORD_BITS - s)
+    } else {
+        0
+    };
+    (lo | hi) & low_mask(n)
+}
+
+/// Appends bit runs to a word stream, LSB-first: the one shift-merge the
+/// SWU, OR-pool and conv-output packing share. `acc` holds the `fill`
+/// newest bits not yet written; a full word goes to the next `dst` slot.
+pub(crate) struct BitWriter<'a, I: Iterator<Item = &'a mut u64>> {
+    dst: I,
+    acc: u64,
+    fill: usize,
+}
+
+impl<'a, I: Iterator<Item = &'a mut u64>> BitWriter<'a, I> {
+    /// A writer at bit 0 of `dst`.
+    pub(crate) fn new(dst: I) -> Self {
+        BitWriter {
+            dst,
+            acc: 0,
+            fill: 0,
+        }
+    }
+
+    /// Append the low `n ≤ 64` bits of `v` (bits above `n` must be zero).
+    #[inline]
+    // fill < 64 between calls, so fill + n ≤ 127 and every shift amount
+    // is below 64.
+    #[allow(clippy::arithmetic_side_effects)]
+    pub(crate) fn push(&mut self, v: u64, n: usize) {
+        self.acc |= v << self.fill;
+        self.fill += n;
+        if self.fill >= WORD_BITS {
+            if let Some(w) = self.dst.next() {
+                *w = self.acc;
+            }
+            self.fill -= WORD_BITS;
+            self.acc = if self.fill == 0 {
+                0
+            } else {
+                v >> (n - self.fill)
+            };
+        }
+    }
+
+    /// Write the last partial word, if any.
+    pub(crate) fn finish(mut self) {
+        if self.fill > 0 {
+            if let Some(w) = self.dst.next() {
+                *w = self.acc;
+            }
+        }
     }
 }
 
@@ -178,6 +263,7 @@ impl StageData {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::arithmetic_side_effects)]
     use super::*;
 
     #[test]
@@ -187,8 +273,65 @@ mod tests {
         assert!(m.get(1, 2, 3));
         assert!(!m.get(0, 2, 3));
         assert_eq!(m.as_bits().count_ones(), 1);
-        // Flat position matches CHW arithmetic.
-        assert!(m.as_bits().get((3 + 2) * 4 + 3));
+        // Flat position is channel-last: (y·w + x)·c + ch.
+        m.set(0, 1, 2, true);
+        assert!(m.as_bits().get((4 + 2) * 2));
+        assert_eq!(m.as_bits().count_ones(), 2);
+    }
+
+    /// `from_signs`, `to_signs` and `get` keep CHW meaning whatever the
+    /// channel count does to the word boundaries of the channel-last bits.
+    #[test]
+    fn signs_keep_chw_meaning_across_word_boundaries() {
+        for c in [1, 3, 63, 64, 65, 130] {
+            let (h, w) = (3, 5);
+            let signs: Vec<f32> = (0..c * h * w)
+                .map(|i| if (i * 11 + i / 3) % 7 < 3 { 1.0 } else { -1.0 })
+                .collect();
+            let m = BinMap::from_signs(c, h, w, &signs);
+            assert_eq!(m.to_signs(), signs, "c={c}");
+            for ch in 0..c {
+                for y in 0..h {
+                    for x in 0..w {
+                        let want = signs[(ch * h + y) * w + x] > 0.0;
+                        assert_eq!(m.get(ch, y, x), want, "c={c} ({ch},{y},{x})");
+                        assert_eq!(m.as_bits().get((y * w + x) * c + ch), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs of every length read back from every offset, and written back
+    /// to back, reproduce the bit stream.
+    #[test]
+    fn bit_runs_roundtrip_at_every_offset() {
+        let src: Vec<u64> = (0..4u64)
+            .map(|i| 0x9E37_79B9_7F4A_7C15u64.rotate_left(i as u32 * 13) ^ i)
+            .collect();
+        let bit = |i: usize| src[i / 64] >> (i % 64) & 1 == 1;
+        for n in 1..=64 {
+            for off in 0..=256 - n {
+                let got = read_bits(&src, off, n);
+                let want = (0..n).fold(0u64, |v, j| v | u64::from(bit(off + j)) << j);
+                assert_eq!(got, want, "{n} bits from {off}");
+            }
+            // Runs of n bits from offset 3 on, appended back to back.
+            let runs = (256 - 3) / n;
+            let mut out = vec![0u64; (runs * n).div_ceil(64)];
+            let mut dst = BitWriter::new(out.iter_mut());
+            for r in 0..runs {
+                dst.push(read_bits(&src, 3 + r * n, n), n);
+            }
+            dst.finish();
+            for j in 0..runs * n {
+                assert_eq!(
+                    out[j / 64] >> (j % 64) & 1 == 1,
+                    bit(3 + j),
+                    "n={n} bit {j}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,11 @@ pub struct PipelineImage {
     pub stages: Vec<Stage>,
 }
 
-/// Current image-format version.
-pub const IMAGE_VERSION: u32 = 1;
+/// Current image-format version. Version 2: binary maps are channel-last,
+/// so every binary conv stage's weight columns and the first dense stage's
+/// (when it reads a map wider than one pixel) run (position, channel); a
+/// version-1 image's columns run (channel, position) and would misclassify.
+pub const IMAGE_VERSION: u32 = 2;
 
 impl PipelineImage {
     /// Snapshot a pipeline.
@@ -129,6 +132,18 @@ mod tests {
         let mut img = PipelineImage::capture(&pipeline());
         img.version = 999;
         assert!(img.restore().is_err());
+    }
+
+    #[test]
+    fn version_one_images_are_refused() {
+        // Version-1 weight columns are in the old CHW window order.
+        let mut img = PipelineImage::capture(&pipeline());
+        img.version = 1;
+        let err = img
+            .restore()
+            .err()
+            .expect("a version-1 image must be refused");
+        assert_eq!(err, "pipeline image version 1 unsupported (expected 2)");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The streaming stage pipeline (Fig. 1).
 
-use crate::data::{BinMap, QuantMap, StageData};
+use crate::data::{BinMap, BitWriter, QuantMap, StageData};
 use crate::folding::Folding;
 use crate::mvtu::{BinaryMvtu, FixedInputMvtu};
 use crate::plan::{StageKind, StagePlan};
@@ -329,10 +329,10 @@ impl Stage {
 }
 
 /// Work of one frame through a stage, in element operations: for every
-/// window, a binary conv stage's SWU gathers fan-in bits and its XNOR pass
-/// reads `rows × ⌈fan-in/64⌉` words; the fixed-point first layer
-/// multiply-adds `rows × fan-in` values. Pool and dense stages never
-/// split: 0.
+/// window, a binary conv stage's SWU copies fan-in bits (in word runs)
+/// and its XNOR pass reads `rows × ⌈fan-in/64⌉` words; the fixed-point
+/// first layer multiply-adds `rows × fan-in` values. Pool and dense stages
+/// never split: 0.
 pub fn frame_work(plan: &StagePlan) -> usize {
     let per_window = match plan.kind {
         StageKind::ConvFixed => plan.rows.saturating_mul(plan.cols),
@@ -354,23 +354,33 @@ fn splits(plan: &StagePlan, frames: usize) -> bool {
 /// bands on idle cores; below it the call runs inline and starts no
 /// thread.
 ///
-/// Measured on the 2-vCPU Xeon this was sized on: a gathered bit, an XNOR
-/// word and a first-layer multiply-add each cost 0.54–0.62 ns, so a call of
-/// `SPLIT_WORK` takes ≈ 315 µs on one core. Split, it saves ≈ 160 µs: more
-/// than the ≈ 50 µs a back-to-back split costs (fork, join and the serial
-/// scatter), and more than waking an idle vCPU (≈ 100–170 µs,
-/// `bcp_tensor::par::INLINE_BELOW`). The 16×16 serving net stays under it
-/// at the engine's largest batch of 8 (conv1: 339 k), so its engine and
-/// gateway never fork; CNV's conv1 (1.56 M) and conv2 (903 k) are over it
-/// at one frame.
+/// Priced on one core of a 2-vCPU Xeon (`taskset -c 0`, traced `gate_cnv`
+/// replay), the bit-by-bit SWU and the word-run SWU measured side by side:
+/// a first-layer multiply-add costs 2.2–2.4 ns; a binary conv unit (a
+/// window bit or an XNOR word) cost 3.4 ns while the SWU gathered bit by
+/// bit and costs 0.59 ns with word runs (CNV conv2: 903 k units in
+/// 0.53 ms; conv3–conv6: 658 k in 0.39 ms). The model prices a unit like
+/// a multiply-add, about 4× what it costs, which only errs towards
+/// splitting binary conv stages; pricing it twice that again (conv4 then
+/// splits at one frame too) read 2 wins in 6 paired `gate_cnv` runs,
+/// medians 461 against 460 frames/s, so the price and the threshold stay.
+/// A back-to-back split costs ≈ 50 µs (fork and join), waking an idle
+/// vCPU ≈ 100–170 µs (`bcp_tensor::par::INLINE_BELOW`).
+///
+/// Which conv stages split: CNV conv1 (1.56 M) and conv2 (903 k) at one
+/// frame; at B = 8 also conv3 (249 k a frame) and conv4 (346 k), not conv5
+/// (52 k) or conv6. n-CNV: none at one frame (conv1, 389 k, is its
+/// largest); at B = 8 conv1 and conv2 (151 k a frame). The 16×16 serving
+/// net stays under it at the engine's largest batch of 8 (conv1: 339 k),
+/// so its engine and gateway never fork.
 pub const SPLIT_WORK: usize = 1 << 19;
 
 /// Run a conv stage's parts — one `(frame, band of output rows)` each —
-/// and scatter the per-pixel bits into one output map per frame. Each
-/// worker has its own scratch, made by `scratch(0..rows)` (room for a full
-/// band) on this thread before any fork; `body(scratch, frame, rows, out)` writes the
-/// band's pixels, `words_for(channels)` words each, into `out`, its own
-/// slice of a buffer allocated here. With `split`, the parts run on idle
+/// into one output map per frame. Each worker has its own scratch, made by
+/// `scratch(0..rows)` (room for a full band) on this thread before any
+/// fork; `body(scratch, frame, rows, out)` writes the band's pixels,
+/// `words_for(channels)` words each, into `out`, its own slice of its
+/// frame's buffer, allocated here. With `split`, the parts run on idle
 /// cores through `bcp_tensor::par`; otherwise inline.
 // Offsets and sizes are products of the stage's dims and the batch size,
 // as in `process_bands`.
@@ -386,10 +396,9 @@ fn conv_bands<S: Send>(
     let (channels, oh, ow) = plan.out_dims();
     let per = words_for(channels);
     let rows = rows.clamp(1, oh.max(1));
-    let frame_words = oh * ow * per;
-    let mut out = vec![0u64; frames * frame_words];
+    let mut out: Vec<Vec<u64>> = (0..frames).map(|_| vec![0u64; oh * ow * per]).collect();
     let parts: Vec<(usize, Range<usize>, &mut [u64])> = out
-        .chunks_mut(frame_words.max(1))
+        .iter_mut()
         .enumerate()
         .flat_map(|(f, frame)| {
             frame
@@ -404,8 +413,7 @@ fn conv_bands<S: Send>(
         std::iter::repeat_with(|| scratch(0..rows)).take(workers),
         |s, (f, band, px)| body(s, f, band, px),
     );
-    out.chunks(frame_words.max(1))
-        .take(frames)
+    out.into_iter()
         .map(|px| StageData::Bits(map_from_pixels(channels, oh, ow, px)))
         .collect()
 }
@@ -423,25 +431,27 @@ fn pack_for(name: &str, mvtu: &BinaryMvtu, vectors: &[&BitVec64]) -> BitPlaneBlo
     block
 }
 
-/// Assemble a conv stage's `oh × ow` output map from its per-pixel channel
-/// words, `words_for(channels)` a pixel, output pixels row-major.
-fn map_from_pixels(channels: usize, oh: usize, ow: usize, pixels: &[u64]) -> BinMap {
-    let mut out = BinMap::zeros(channels, oh, ow);
-    let rows = pixels.chunks_exact(words_for(channels).max(1));
-    for ((oy, ox), px) in (0..oh)
-        .flat_map(|oy| (0..ow).map(move |ox| (oy, ox)))
-        .zip(rows)
-    {
-        let bits = px
-            .iter()
-            .flat_map(|&w| (0..WORD_BITS).map(move |i| w >> i & 1 == 1));
-        for (ch, bit) in bits.take(channels).enumerate() {
-            if bit {
-                out.set(ch, oy, ox, true);
-            }
+/// A conv stage's `oh × ow` output map from its per-pixel channel words,
+/// `words_for(channels)` a pixel, output pixels row-major. With whole
+/// words of channels that buffer already is the channel-last map and is
+/// moved in; otherwise each pixel's `channels` bits are shift-merged onto
+/// the previous pixel's.
+// Sizes are the stage's own dims, as in `process_bands`.
+#[allow(clippy::arithmetic_side_effects)]
+fn map_from_pixels(channels: usize, oh: usize, ow: usize, pixels: Vec<u64>) -> BinMap {
+    let len = channels * oh * ow;
+    if channels.is_multiple_of(WORD_BITS) {
+        return BinMap::from_bits(channels, oh, ow, BitVec64::from_words(len, pixels));
+    }
+    let mut words = vec![0u64; words_for(len)];
+    let mut dst = BitWriter::new(words.iter_mut());
+    for px in pixels.chunks_exact(words_for(channels).max(1)) {
+        for (off, &w) in (0..channels).step_by(WORD_BITS).zip(px) {
+            dst.push(w, (channels - off).min(WORD_BITS));
         }
     }
-    out
+    dst.finish();
+    BinMap::from_bits(channels, oh, ow, BitVec64::from_words(len, words))
 }
 
 /// Argmax over a logits vector, first index on ties — the one decision
@@ -656,6 +666,64 @@ mod tests {
         )
     }
 
+    /// A binary conv stage between conv1 and the pool: conv1 (3→2 channels,
+    /// 8×8 → 6×6), conv2 (2→3 channels, 6×6 → 4×4, windows of 18 bits
+    /// over pixel runs of 2 bits), pool to 3×2×2, fc1 over that map (a
+    /// 12-bit channel-last input), fc2. Sign-varied weights, mixed bank.
+    fn conv_pipeline() -> Pipeline {
+        let weights = |rows: usize, cols: usize| {
+            let signs: Vec<f32> = (0..rows * cols)
+                .map(|i| {
+                    if (i * 5 + i / 7 + rows).is_multiple_of(3) {
+                        -1.0
+                    } else {
+                        1.0
+                    }
+                })
+                .collect();
+            pack_matrix(rows, cols, &signs)
+        };
+        let bank = |rows: usize| {
+            ThresholdUnit::new(
+                (0..rows)
+                    .map(|r| match r % 3 {
+                        0 => ThresholdChannel::Ge(r as i64 - 2),
+                        1 => ThresholdChannel::Le(-1),
+                        _ => ThresholdChannel::Ge(3),
+                    })
+                    .collect(),
+            )
+        };
+        let stages = vec![
+            Stage::ConvFixed {
+                name: "conv1".into(),
+                mvtu: FixedInputMvtu::new(weights(2, 27), bank(2), Folding::new(2, 9)),
+                k: 3,
+                in_dims: (3, 8, 8),
+            },
+            Stage::ConvBinary {
+                name: "conv2".into(),
+                mvtu: BinaryMvtu::new(weights(3, 18), Some(bank(3)), Folding::new(3, 6)),
+                k: 3,
+                in_dims: (2, 6, 6),
+            },
+            Stage::PoolOr {
+                name: "pool1".into(),
+                k: 2,
+                in_dims: (3, 4, 4),
+            },
+            Stage::DenseBinary {
+                name: "fc1".into(),
+                mvtu: BinaryMvtu::new(weights(5, 12), Some(bank(5)), Folding::new(1, 4)),
+            },
+            Stage::DenseLogits {
+                name: "fc2".into(),
+                mvtu: BinaryMvtu::new(weights(4, 5), None, Folding::sequential()),
+            },
+        ];
+        Pipeline::new("conv", stages)
+    }
+
     /// Dense-loop oracle for one tiny-pipeline stage on one token: per-bit
     /// `get`s and `ThresholdUnit::apply` — no packing, no SWU, no blocked
     /// kernel.
@@ -692,6 +760,29 @@ mod tests {
                 }
                 StageData::Bits(out)
             }
+            // Binary conv weight columns run (ky, kx, channel).
+            (Stage::ConvBinary { mvtu, k, .. }, StageData::Bits(b)) => {
+                let (oh, ow) = (b.h - k + 1, b.w - k + 1);
+                let t = mvtu.thresholds().expect("hidden conv stage thresholds");
+                let mut out = BinMap::zeros(mvtu.rows(), oh, ow);
+                for co in 0..mvtu.rows() {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let mut acc = 0i64;
+                            for ky in 0..*k {
+                                for kx in 0..*k {
+                                    for ci in 0..b.c {
+                                        let w = mvtu.weights().get(co, (ky * k + kx) * b.c + ci);
+                                        acc += sign(w) * sign(b.get(ci, oy + ky, ox + kx));
+                                    }
+                                }
+                            }
+                            out.set(co, oy, ox, t.apply(co, acc));
+                        }
+                    }
+                }
+                StageData::Bits(out)
+            }
             (Stage::PoolOr { k, .. }, StageData::Bits(b)) => {
                 let mut out = BinMap::zeros(b.c, b.h / k, b.w / k);
                 for ch in 0..b.c {
@@ -716,13 +807,15 @@ mod tests {
         }
     }
 
-    fn varied_frames(n: usize, stride: usize) -> Vec<QuantMap> {
+    /// `n` frames of the pipeline's input geometry.
+    fn varied_frames(p: &Pipeline, n: usize, stride: usize) -> Vec<QuantMap> {
+        let (c, h, w) = p.plan()[0].in_dims;
         (0..n)
             .map(|i| {
-                let px: Vec<f32> = (0..3 * 36)
+                let px: Vec<f32> = (0..c * h * w)
                     .map(|j| (((i * stride + j * 17) % 256) as f32) / 255.0)
                     .collect();
-                QuantMap::from_unit_floats(3, 6, 6, &px)
+                QuantMap::from_unit_floats(c, h, w, &px)
             })
             .collect()
     }
@@ -746,9 +839,9 @@ mod tests {
     fn forward_batch_matches_dense_oracle() {
         // Frames with varied content, counts spanning empty, single, a full
         // register block, and ragged tails.
-        for p in [tiny_pipeline(), varied_pipeline()] {
+        for p in [tiny_pipeline(), varied_pipeline(), conv_pipeline()] {
             for n in [0usize, 1, 3, 4, 5, 9] {
-                let frames = varied_frames(n, 53);
+                let frames = varied_frames(&p, n, 53);
                 let want: Vec<Vec<i64>> = frames
                     .iter()
                     .map(|f| {
@@ -767,8 +860,8 @@ mod tests {
     fn process_batch_matches_dense_oracle_per_stage() {
         // Drive every stage of the chain with its own batched tokens and
         // pin each intermediate to the oracle's.
-        for p in [tiny_pipeline(), varied_pipeline()] {
-            let mut batched: Vec<StageData> = varied_frames(6, 29)
+        for p in [tiny_pipeline(), varied_pipeline(), conv_pipeline()] {
+            let mut batched: Vec<StageData> = varied_frames(&p, 6, 29)
                 .into_iter()
                 .map(StageData::Quant)
                 .collect();

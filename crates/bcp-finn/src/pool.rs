@@ -5,11 +5,15 @@
 //! output equal to 1." This unit pools binary maps with non-overlapping
 //! 2×2 windows (all BinaryCoP pools).
 
-use crate::data::BinMap;
+use crate::data::{read_bits, BinMap, BitWriter};
+use bcp_bitpack::bitvec64::{words_for, WORD_BITS};
+use bcp_bitpack::BitVec64;
 
-/// OR-pool a binary map with a `k×k` window and stride `k`.
-// Window offsets oy·k+ky < h and ox·k+kx < w by the tiling assert; plain
-// ops keep the window walk tight.
+/// OR-pool a binary map with a `k×k` window and stride `k`. On the
+/// channel-last map an output pixel is the OR of its `k²` input pixel
+/// runs, taken up to 64 channels at a time.
+// Pixel offsets (oy·k+ky)·w + ox·k+kx stay below h·w by the tiling
+// assert; plain ops keep the window walk tight.
 #[allow(clippy::arithmetic_side_effects)]
 pub fn or_pool(map: &BinMap, k: usize) -> BinMap {
     assert!(
@@ -18,27 +22,27 @@ pub fn or_pool(map: &BinMap, k: usize) -> BinMap {
         map.h,
         map.w
     );
-    let (oh, ow) = (map.h / k, map.w / k);
-    let mut out = BinMap::zeros(map.c, oh, ow);
-    for ch in 0..map.c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut any = false;
-                'window: for ky in 0..k {
+    let (c, oh, ow) = (map.c, map.h / k, map.w / k);
+    let src = map.as_bits().words();
+    let mut words = vec![0u64; words_for(c * oh * ow)];
+    let mut dst = BitWriter::new(words.iter_mut());
+    for oy in 0..oh {
+        for ox in 0..ow {
+            for off in (0..c).step_by(WORD_BITS) {
+                let n = (c - off).min(WORD_BITS);
+                let mut any = 0;
+                for ky in 0..k {
                     for kx in 0..k {
-                        if map.get(ch, oy * k + ky, ox * k + kx) {
-                            any = true;
-                            break 'window;
-                        }
+                        let px = (oy * k + ky) * map.w + ox * k + kx;
+                        any |= read_bits(src, px * c + off, n);
                     }
                 }
-                if any {
-                    out.set(ch, oy, ox, true);
-                }
+                dst.push(any, n);
             }
         }
     }
-    out
+    dst.finish();
+    BinMap::from_bits(c, oh, ow, BitVec64::from_words(c * oh * ow, words))
 }
 
 #[cfg(test)]
@@ -107,6 +111,31 @@ mod tests {
                 }
             }
             out
+        }
+    }
+
+    /// Channel runs that straddle words (c = 65) and span two whole words
+    /// (c = 128) pool like the per-bit definition.
+    #[test]
+    fn word_runs_pool_like_per_bit_or() {
+        for (c, h, w) in [(65, 4, 6), (128, 6, 4)] {
+            let signs: Vec<f32> = (0..c * h * w)
+                .map(|i| if (i * 13 + i / 7) % 5 == 0 { 1.0 } else { -1.0 })
+                .collect();
+            let m = BinMap::from_signs(c, h, w, &signs);
+            let p = or_pool(&m, 2);
+            for ch in 0..c {
+                for oy in 0..h / 2 {
+                    for ox in 0..w / 2 {
+                        let any = (0..4).any(|i| m.get(ch, oy * 2 + i / 2, ox * 2 + i % 2));
+                        assert_eq!(p.get(ch, oy, ox), any, "c={c} ({ch},{oy},{ox})");
+                    }
+                }
+            }
+            assert_eq!(
+                p.to_signs(),
+                bcp_tensor_testutil::maxpool_signs(&signs, c, h, w)
+            );
         }
     }
 

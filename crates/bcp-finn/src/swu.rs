@@ -4,10 +4,13 @@
 //! reshapes the binarized activation maps to create a single, wide input
 //! feature map memory, which can efficiently be accessed by the
 //! corresponding MVTU." Functionally this is im2col over bits: for every
-//! output pixel, gather the `C·K·K` window bits in (channel, ky, kx) order —
-//! the exact order the weight matrix rows use.
+//! output pixel, gather the `C·K·K` window bits in (ky, kx, channel) order
+//! — the order deploy gives the binary conv weight columns. On the
+//! channel-last [`BinMap`] each window row is one contiguous run of `K·C`
+//! map bits, so a window is `K` run copies. The fixed-point first layer
+//! reads a CHW [`QuantMap`] and keeps (channel, ky, kx) order.
 
-use crate::data::{BinMap, QuantMap};
+use crate::data::{read_bits, BinMap, BitWriter, QuantMap};
 use bcp_bitpack::bitvec64::WORD_BITS;
 use bcp_bitpack::{BitPlaneBlock, BitVec64};
 use std::ops::Range;
@@ -34,10 +37,12 @@ pub fn windows_binary(map: &BinMap, k: usize) -> Vec<BitVec64> {
 /// Gather the windows of output rows `rows` into `block`, one frame per
 /// output pixel, row-major — the SWU for one band of a conv stage, into a
 /// caller-owned block made for at least that many windows (so it never
-/// allocates). Each window is read one map bit at a time, in (channel, ky,
-/// kx) order, and written to the block a word at a time.
-// Window offsets stay within the map by out_dim's contract and `fill`
-// stays below 64; plain ops keep the per-bit gather tight.
+/// allocates). Window `(oy, ox)` is `K` runs of `K·C` bits in (ky, kx,
+/// channel) order, run `ky` starting at map bit `((oy+ky)·w + ox)·C`; each
+/// run is copied up to 64 bits at a time and shift-merged into the block's
+/// words when `K·C` is not a multiple of 64.
+// Run offsets stay within the map by out_dim's contract; plain ops keep the
+// copy loop tight.
 #[allow(clippy::arithmetic_side_effects)]
 pub fn windows_binary_into(map: &BinMap, k: usize, rows: Range<usize>, block: &mut BitPlaneBlock) {
     let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
@@ -47,32 +52,18 @@ pub fn windows_binary_into(map: &BinMap, k: usize, rows: Range<usize>, block: &m
         block.bits()
     );
     block.clear_to(rows.len() * ow);
+    let (src, run) = (map.as_bits().words(), k * map.c);
     let pixels = rows.flat_map(|oy| (0..ow).map(move |ox| (oy, ox)));
     for (q, (oy, ox)) in pixels.enumerate() {
-        let mut dst = block.frame_words_mut(q);
-        // The window as a bit stream: `acc` holds its `fill` newest bits.
-        let (mut acc, mut fill) = (0u64, 0usize);
-        for ch in 0..map.c {
-            for ky in 0..k {
-                for kx in 0..k {
-                    if map.get(ch, oy + ky, ox + kx) {
-                        acc |= 1 << fill;
-                    }
-                    fill += 1;
-                    if fill == WORD_BITS {
-                        if let Some(w) = dst.next() {
-                            *w = acc;
-                        }
-                        (acc, fill) = (0, 0);
-                    }
-                }
+        let mut dst = BitWriter::new(block.frame_words_mut(q));
+        for ky in 0..k {
+            let start = ((oy + ky) * map.w + ox) * map.c;
+            for off in (start..start + run).step_by(WORD_BITS) {
+                let n = (start + run - off).min(WORD_BITS);
+                dst.push(read_bits(src, off, n), n);
             }
         }
-        if fill > 0 {
-            if let Some(w) = dst.next() {
-                *w = acc;
-            }
-        }
+        dst.finish();
     }
 }
 
@@ -82,8 +73,9 @@ fn window_len(c: usize, k: usize) -> usize {
 }
 
 /// Gather integer window vectors for the first (fixed-point-input) layer,
-/// same ordering as [`windows_binary`] ([`windows_quant_into`] over every
-/// row, for callers outside the frame path).
+/// `C·K·K` values in (channel, ky, kx) order — the CHW input's own order,
+/// which the first layer's weight columns keep ([`windows_quant_into`] over
+/// every row, for callers outside the frame path).
 pub fn windows_quant(map: &QuantMap, k: usize) -> Vec<Vec<i32>> {
     let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
     let n = window_len(map.c, k);
@@ -95,7 +87,7 @@ pub fn windows_quant(map: &QuantMap, k: usize) -> Vec<Vec<i32>> {
 /// Gather the integer windows of output rows `rows` into `out`, `C·K·K`
 /// values a window, windows back to back — [`windows_quant`]'s layout for
 /// one band, into a caller-owned buffer.
-// Same in-range window offsets as [`windows_binary_into`].
+// Window offsets stay within the map by out_dim's contract.
 #[allow(clippy::arithmetic_side_effects)]
 pub fn windows_quant_into(map: &QuantMap, k: usize, rows: Range<usize>, out: &mut [i32]) {
     let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
@@ -142,13 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn window_ordering_is_channel_major() {
+    fn window_ordering_is_channel_last() {
         // Set one bit per position and check where it lands in the window.
         let mut map = BinMap::zeros(2, 3, 3);
         map.set(1, 2, 0, true); // channel 1, ky=2, kx=0 of the only window
         let ws = windows_binary(&map, 3);
         assert_eq!(ws.len(), 1);
-        let idx = (3 + 2) * 3; // (ch·K + ky)·K + kx
+        let idx = (2 * 3) * 2 + 1; // (ky·K + kx)·C + ch
         assert!(ws[0].get(idx));
         assert_eq!(ws[0].count_ones(), 1);
     }
@@ -181,14 +173,14 @@ mod tests {
     }
 
     /// The gather as a dense loop: `map.get` for every window bit, in
-    /// (channel, ky, kx) order, one `BitVec64` a window.
+    /// (ky, kx, channel) order, one `BitVec64` a window.
     fn per_bit_windows(map: &BinMap, k: usize) -> Vec<BitVec64> {
         let (oh, ow) = (out_dim(map.h, k), out_dim(map.w, k));
         (0..oh * ow)
             .map(|p| {
                 let (oy, ox) = (p / ow, p % ow);
-                let bools: Vec<bool> = (0..map.c * k * k)
-                    .map(|i| map.get(i / (k * k), oy + i / k % k, ox + i % k))
+                let bools: Vec<bool> = (0..k * k * map.c)
+                    .map(|i| map.get(i % map.c, oy + i / map.c / k, ox + i / map.c % k))
                     .collect();
                 BitVec64::from_bools(&bools)
             })
@@ -205,6 +197,9 @@ mod tests {
             (8, 10, 10, 3),
             (5, 13, 17, 5),
             (2, 66, 67, 2),
+            (64, 5, 6, 3),
+            (65, 5, 4, 3),
+            (130, 4, 5, 2),
         ] {
             let signs: Vec<f32> = (0..c * h * w)
                 .map(|i| if (i * 7 + i / 5) % 3 == 0 { 1.0 } else { -1.0 })

@@ -5,10 +5,13 @@
 //! batch-norm folds into an integer threshold bank (Sec. III-A), max-pools
 //! become OR-pool stages, and every MVTU receives its Table I PE/SIMD
 //! folding. The first conv stage consumes 8-bit camera pixels, so its
-//! thresholds absorb the ×255 input scale.
+//! thresholds absorb the ×255 input scale. Binary maps travel channel-last
+//! (`bcp_finn::BinMap`), so the weight columns of every stage that reads
+//! one are reordered to match once, here.
 
 use crate::arch::Arch;
-use bcp_bitpack::pack::pack_matrix;
+use bcp_bitpack::bitvec64::{words_for, WORD_BITS};
+use bcp_bitpack::pack::{pack_matrix, sign_bit};
 use bcp_bitpack::{BitMatrix, ThresholdUnit};
 use bcp_finn::mvtu::{BinaryMvtu, FixedInputMvtu};
 use bcp_finn::threshold::scaled_threshold_unit;
@@ -24,12 +27,16 @@ use bcp_tensor::Tensor;
 pub const FIRST_LAYER_SCALE: f64 = 255.0;
 
 /// Packed binary weight matrix of an MVTU stage, read from the network
-/// layer of type `L` that carries the stage's name. Conv weights flatten to
-/// C_in·K·K columns in (channel, ky, kx) order — the SWU window order.
+/// layer of type `L` that carries the stage's name. The float weights'
+/// columns run (channel, position) — (channel, ky, kx) for a conv,
+/// (channel, y, x) for a dense layer over a flattened map — and the stage
+/// reads its input channel-last, so they are packed (position, channel)
+/// over `positions` positions ([`pack_channel_last`]).
 fn weight_matrix<L: 'static>(
     net: &Sequential,
     stage: &StagePlan,
     binary_weight: fn(&L) -> Tensor,
+    positions: usize,
 ) -> BitMatrix {
     let name = &stage.name;
     let idx = net
@@ -38,7 +45,61 @@ fn weight_matrix<L: 'static>(
     let layer = net
         .layer_as::<L>(idx)
         .unwrap_or_else(|| panic!("layer '{name}' is not a {}", std::any::type_name::<L>()));
-    pack_matrix(stage.rows, stage.cols, binary_weight(layer).as_slice())
+    pack_channel_last(
+        stage.rows,
+        stage.cols,
+        positions,
+        binary_weight(layer).as_slice(),
+    )
+}
+
+/// Pack a row-major `rows × cols` float buffer whose columns run
+/// (channel, position) into a [`BitMatrix`] whose columns run (position,
+/// channel): float column `ch·positions + a` becomes bit `a·C + ch`, with
+/// `C = cols / positions`. One sequential pass over each row: the signs of
+/// 64 channels collect in one word per position (no branch per weight),
+/// and each word is then shift-merged in at bit `a·C + ch₀`. With one
+/// position or one channel the order is unchanged and [`pack_matrix`]
+/// packs it.
+fn pack_channel_last(rows: usize, cols: usize, positions: usize, xs: &[f32]) -> BitMatrix {
+    if positions <= 1 || positions >= cols || rows == 0 {
+        return pack_matrix(rows, cols, xs);
+    }
+    assert!(
+        cols.is_multiple_of(positions) && xs.len() == rows * cols,
+        "{} weights are not {rows} rows of {cols} columns over {positions} positions",
+        xs.len()
+    );
+    let channels = cols / positions;
+    let per = words_for(cols);
+    let mut words = vec![0u64; rows * per];
+    let mut acc = vec![0u64; positions];
+    for (row, dst) in xs.chunks_exact(cols).zip(words.chunks_exact_mut(per)) {
+        // 64 channels at a time: `block` is their `positions`-float runs.
+        for (ch0, block) in (0..)
+            .step_by(WORD_BITS)
+            .zip(row.chunks(WORD_BITS * positions))
+        {
+            acc.fill(0);
+            for (j, run) in block.chunks_exact(positions).enumerate() {
+                for (v, &x) in acc.iter_mut().zip(run) {
+                    *v |= u64::from(sign_bit(x)) << j;
+                }
+            }
+            let n = (channels - ch0).min(WORD_BITS);
+            for (a, &v) in acc.iter().enumerate() {
+                let (i, s) = (
+                    (a * channels + ch0) / WORD_BITS,
+                    (a * channels + ch0) % WORD_BITS,
+                );
+                dst[i] |= v << s;
+                if s + n > WORD_BITS {
+                    dst[i + 1] |= v >> (WORD_BITS - s);
+                }
+            }
+        }
+    }
+    BitMatrix::from_words(rows, cols, words)
 }
 
 /// Threshold bank folded from the batch-norm that follows layer
@@ -96,17 +157,29 @@ pub fn deploy(net: &Sequential, arch: &Arch) -> Pipeline {
 fn build_pipeline(net: &Sequential, name: &str, plan: &[StagePlan]) -> Pipeline {
     let stages = plan
         .iter()
-        .map(|p| {
+        .enumerate()
+        .map(|(i, p)| {
             let name = p.name.clone();
             let folding = Folding::new(p.pe, p.simd);
             let thresholds = |scale| thresholds_from_bn(net, &format!("bn_{}", p.name), scale);
-            let conv_weights = || weight_matrix(net, p, BinaryConv2d::binary_weight);
-            let fc_weights = || weight_matrix(net, p, BinaryLinear::binary_weight);
+            let conv_weights =
+                |positions| weight_matrix(net, p, BinaryConv2d::binary_weight, positions);
+            // A dense stage reads its predecessor's map: `h·w` positions
+            // (one behind another dense stage).
+            let fc_positions = i
+                .checked_sub(1)
+                .and_then(|j| plan.get(j))
+                .map_or(1, |prev| {
+                    let (_, h, w) = prev.out_dims();
+                    h * w
+                });
+            let fc_weights = || weight_matrix(net, p, BinaryLinear::binary_weight, fc_positions);
             match p.kind {
+                // The camera input stays CHW: conv1 keeps its columns.
                 StageKind::ConvFixed => Stage::ConvFixed {
                     name,
                     mvtu: FixedInputMvtu::new(
-                        conv_weights(),
+                        conv_weights(1),
                         thresholds(FIRST_LAYER_SCALE),
                         folding,
                     ),
@@ -115,7 +188,7 @@ fn build_pipeline(net: &Sequential, name: &str, plan: &[StagePlan]) -> Pipeline 
                 },
                 StageKind::ConvBinary => Stage::ConvBinary {
                     name,
-                    mvtu: BinaryMvtu::new(conv_weights(), Some(thresholds(1.0)), folding),
+                    mvtu: BinaryMvtu::new(conv_weights(p.k * p.k), Some(thresholds(1.0)), folding),
                     k: p.k,
                     in_dims: p.in_dims,
                 },
@@ -172,6 +245,40 @@ mod tests {
         let qm = QuantMap::from_unit_floats(3, 32, 32, &px);
         let norm: Vec<f32> = px.iter().map(|v| 2.0 * v - 1.0).collect();
         (qm, Tensor::from_vec(Shape::nchw(1, 3, 32, 32), norm))
+    }
+
+    /// Float column `ch·P + a` lands on bit `a·C + ch`, for channel counts
+    /// on, off and across word boundaries; one position or one channel
+    /// keeps the order.
+    #[test]
+    fn channel_last_packing_moves_every_column() {
+        for (rows, channels, positions) in [
+            (3, 64, 9),
+            (2, 65, 9),
+            (4, 130, 4),
+            (5, 3, 16),
+            (1, 40, 25),
+            (2, 7, 1),
+            (2, 1, 7),
+        ] {
+            let cols = channels * positions;
+            let xs: Vec<f32> = (0..rows * cols)
+                .map(|i| if (i * 7 + i / 3) % 5 < 2 { 0.5 } else { -0.5 })
+                .collect();
+            let m = pack_channel_last(rows, cols, positions, &xs);
+            for r in 0..rows {
+                for ch in 0..channels {
+                    for a in 0..positions {
+                        let want = xs[r * cols + ch * positions + a] >= 0.0;
+                        assert_eq!(
+                            m.get(r, a * channels + ch),
+                            want,
+                            "{channels}×{positions}: row {r} ch {ch} a {a}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,20 @@ impl Rng {
     }
 }
 
+/// Conv widths of the main sweep: every channel run sits inside one word.
+const NARROW: &[usize] = &[4, 6, 8, 12];
+
+/// Conv widths whose channel-last pixel runs fill, straddle or span
+/// words: windows and pooled pixels are copied across word boundaries.
+const WIDE: &[usize] = &[40, 64, 65, 96];
+
 /// Construct a random but structurally valid architecture.
 fn random_arch(seed: u64) -> Arch {
+    random_arch_with(seed, NARROW)
+}
+
+/// [`random_arch`] drawing conv widths from `widths`.
+fn random_arch_with(seed: u64, widths: &[usize]) -> Arch {
     let mut rng = Rng(seed);
     let input_size = rng.pick(&[10usize, 12, 14, 16]);
     let n_convs = rng.pick(&[1usize, 2, 3]);
@@ -45,7 +57,7 @@ fn random_arch(seed: u64) -> Arch {
     let mut hw = input_size;
     let mut c_in = 3usize;
     for i in 0..n_convs {
-        let c_out = rng.pick(&[4usize, 6, 8, 12]);
+        let c_out = rng.pick(widths);
         // A pool is only legal when the post-conv extent is even and the
         // remaining layers still fit.
         let post = hw - 2;
@@ -104,34 +116,49 @@ fn random_frame(size: usize, seed: u64) -> QuantMap {
     QuantMap::from_unit_floats(3, size, size, &px)
 }
 
+/// Train `arch` briefly, deploy it and check every logit of three random
+/// frames against the dense integer reference.
+fn assert_deploys_bit_exactly(arch: &Arch, seed: u64) {
+    arch.validate();
+    let mut net = build_bnn(arch, seed + 1000);
+    // Two train passes give non-trivial, distinct batch-norm stats.
+    for pass in 0..2 {
+        let x = bcp_tensor::init::uniform(
+            Shape::nchw(3, 3, arch.input_size, arch.input_size),
+            -1.0,
+            1.0,
+            seed * 7 + pass,
+        );
+        let _ = net.forward(&x, Mode::Train);
+    }
+    let pipeline = deploy(&net, arch);
+    let reference = IntegerReference::from_network(&net, arch);
+    for f in 0..3u64 {
+        let frame = random_frame(arch.input_size, seed * 131 + f);
+        assert_eq!(
+            pipeline.forward(&frame),
+            reference.forward(&frame),
+            "arch {} diverged on frame {f}: {:?}",
+            arch.name,
+            arch
+        );
+    }
+}
+
 #[test]
 fn random_architectures_deploy_bit_exactly() {
     for seed in 0..40u64 {
-        let arch = random_arch(seed);
-        arch.validate();
-        let mut net = build_bnn(&arch, seed + 1000);
-        // Two train passes give non-trivial, distinct batch-norm stats.
-        for pass in 0..2 {
-            let x = bcp_tensor::init::uniform(
-                Shape::nchw(3, 3, arch.input_size, arch.input_size),
-                -1.0,
-                1.0,
-                seed * 7 + pass,
-            );
-            let _ = net.forward(&x, Mode::Train);
-        }
-        let pipeline = deploy(&net, &arch);
-        let reference = IntegerReference::from_network(&net, &arch);
-        for f in 0..3u64 {
-            let frame = random_frame(arch.input_size, seed * 131 + f);
-            assert_eq!(
-                pipeline.forward(&frame),
-                reference.forward(&frame),
-                "arch {} diverged on frame {f}: {:?}",
-                arch.name,
-                arch
-            );
-        }
+        assert_deploys_bit_exactly(&random_arch(seed), seed);
+    }
+}
+
+#[test]
+fn wide_random_architectures_deploy_bit_exactly() {
+    // Widths of 40, 64, 65 and 96 channels: the SWU's runs, OR-pool's
+    // pixel runs, conv outputs and the first dense stage's channel-last
+    // columns all cross word boundaries.
+    for seed in 0..12u64 {
+        assert_deploys_bit_exactly(&random_arch_with(seed + 4000, WIDE), seed + 4000);
     }
 }
 
