@@ -42,8 +42,9 @@
 
 use crate::callgraph::{self, Graph, ParsedFile};
 use crate::diag::{Code, Diagnostic, Report};
-use crate::lint::collect_rs_files;
-use std::collections::{HashMap, HashSet};
+use crate::srcmodel::workspace_sources;
+use serde::Serialize;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 
 /// Panic-site patterns (BCP200). Ident-boundary matched, so
@@ -120,49 +121,27 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 /// Finding kinds, as spelled inside `// audit: allow(…)`.
 const KINDS: &[&str] = &["panic", "index", "div", "alloc", "block", "cast"];
 
+/// What the audit is told to trust: its `// bcp:hot-path` roots and its
+/// well-formed `// audit: allow(…)` directives by kind, a directive naming
+/// several kinds counting once per kind. `bcp audit --json` reports it as
+/// `exceptions`, and `scripts/exception_budget.py` holds it to a budget.
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+pub struct Exceptions {
+    /// Functions annotated `// bcp:hot-path`.
+    pub hot_path_roots: usize,
+    /// `audit: allow` directives per kind; every kind is listed.
+    pub allow: BTreeMap<String, usize>,
+}
+
 /// Audit the workspace rooted at `root` (the directory containing the
-/// top-level `Cargo.toml`). Never panics: I/O problems become `BCP240`
+/// top-level `Cargo.toml`), returning the findings and the exceptions
+/// they were judged under. Never panics: I/O problems become `BCP240`
 /// diagnostics.
-pub fn audit_workspace(root: &Path) -> Report {
+pub fn audit_workspace(root: &Path) -> (Report, Exceptions) {
     let mut report = Report::new("hot-path audit", "-", "-");
-    let mut paths = Vec::new();
-    let mut dirs = vec![root.join("src")];
-    match std::fs::read_dir(root.join("crates")) {
-        Ok(entries) => {
-            for e in entries.flatten() {
-                dirs.push(e.path().join("src"));
-            }
-        }
-        Err(e) => {
-            report.push(Diagnostic::error(
-                Code::AuditConfigError,
-                root.join("crates").display().to_string(),
-                format!("cannot enumerate workspace crates: {e}"),
-            ));
-        }
-    }
-    for dir in dirs {
-        collect_rs_files(&dir, &mut paths);
-    }
-    paths.sort();
-    let mut sources = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        match std::fs::read_to_string(path) {
-            Ok(src) => sources.push((rel, src)),
-            Err(e) => report.push(Diagnostic::error(
-                Code::AuditConfigError,
-                rel,
-                format!("cannot read source file: {e}"),
-            )),
-        }
-    }
-    audit_into(sources, &mut report);
-    report
+    let sources = workspace_sources(root, Code::AuditConfigError, &mut report);
+    let exceptions = audit_into(sources, &mut report);
+    (report, exceptions)
 }
 
 /// Audit an in-memory set of `(relative_path, source)` files — the
@@ -182,12 +161,16 @@ pub fn audit_sources(files: &[(&str, &str)]) -> Report {
 /// Per-file allow-list: line index → kinds suppressed on that line.
 type Allows = HashMap<usize, HashSet<String>>;
 
-fn audit_into(sources: Vec<(String, String)>, report: &mut Report) {
+fn audit_into(sources: Vec<(String, String)>, report: &mut Report) -> Exceptions {
     let graph = callgraph::build(sources);
+    let mut exceptions = Exceptions {
+        hot_path_roots: graph.fns.iter().filter(|d| d.is_root).count(),
+        allow: KINDS.iter().map(|k| (k.to_string(), 0)).collect(),
+    };
     let allows: Vec<Allows> = graph
         .files
         .iter()
-        .map(|f| validate_directives(f, report))
+        .map(|f| validate_directives(f, report, &mut exceptions.allow))
         .collect();
 
     if !graph.fns.iter().any(|d| d.is_root) {
@@ -202,7 +185,7 @@ fn audit_into(sources: Vec<(String, String)>, report: &mut Report) {
                  with `// bcp:hot-path`",
             ),
         );
-        return;
+        return exceptions;
     }
 
     let chains = callgraph::reachable(&graph);
@@ -220,11 +203,17 @@ fn audit_into(sources: Vec<(String, String)>, report: &mut Report) {
         };
         audit_fn(&graph, i, chain, &allows, &mut emitted, report);
     }
+    exceptions
 }
 
 /// Validate every `audit:` directive in one file, building its
-/// allow-list. Malformed directives become `BCP240`.
-fn validate_directives(f: &ParsedFile, report: &mut Report) -> Allows {
+/// allow-list and counting valid directives into `counts` by kind.
+/// Malformed directives become `BCP240`.
+fn validate_directives(
+    f: &ParsedFile,
+    report: &mut Report,
+    counts: &mut BTreeMap<String, usize>,
+) -> Allows {
     let mut allows: Allows = HashMap::new();
     for (li, line) in f.lines.iter().enumerate() {
         let c = line.comment.trim_start();
@@ -280,6 +269,13 @@ fn validate_directives(f: &ParsedFile, report: &mut Report) -> Allows {
                 let entry = allows.entry(target).or_default();
                 for k in &kinds {
                     entry.insert((*k).to_string());
+                }
+            }
+            // Test modules are not audited, so what they allow is not counted.
+            if li < f.test_start {
+                for k in &kinds {
+                    let n = counts.entry((*k).to_string()).or_default();
+                    *n = n.saturating_add(1);
                 }
             }
         } else if let Some(after) = rest.strip_prefix("external") {
@@ -645,6 +641,37 @@ mod tests {
 
     fn audit_one(src: &str) -> Report {
         audit_sources(&[("crates/x/src/lib.rs", src)])
+    }
+
+    #[test]
+    fn exceptions_count_roots_and_valid_directives_by_kind() {
+        let mut report = Report::new("hot-path audit", "-", "-");
+        let src = "// bcp:hot-path\nfn a(xs: &[u64], i: usize) -> u64 {\n\
+                   // audit: allow(index, panic): i is masked above\n    xs[i]\n}\n\
+                   // bcp:hot-path\nfn b() {\n    // audit: allow(index)\n    let _ = 1;\n}\n";
+        let exceptions = audit_into(
+            vec![("crates/x/src/lib.rs".into(), src.into())],
+            &mut report,
+        );
+        assert_eq!(exceptions.hot_path_roots, 2);
+        // The bare `allow(index)` has no reason: a BCP240, not an exception.
+        assert!(report.has_code(Code::AuditConfigError));
+        let counted: Vec<(&str, usize)> = exceptions
+            .allow
+            .iter()
+            .map(|(k, n)| (k.as_str(), *n))
+            .collect();
+        assert_eq!(
+            counted,
+            [
+                ("alloc", 0),
+                ("block", 0),
+                ("cast", 0),
+                ("div", 0),
+                ("index", 1),
+                ("panic", 1)
+            ]
+        );
     }
 
     #[test]

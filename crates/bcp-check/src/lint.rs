@@ -22,8 +22,8 @@
 //! audited at import time, not continuously.
 
 use crate::diag::{Code, Diagnostic, Report};
-use crate::srcmodel::{code_lines, first_test_line, SrcLine};
-use std::path::{Path, PathBuf};
+use crate::srcmodel::{code_lines, first_test_line, workspace_sources, SrcLine};
+use std::path::Path;
 
 /// Crates whose `src/` is a serving hot path for the purposes of
 /// `BCP102`: a panicking channel endpoint there can take down a worker,
@@ -40,26 +40,7 @@ const ORDERING_LOOKBACK: usize = 5;
 /// become `BCP110` diagnostics.
 pub fn lint_workspace(root: &Path) -> Report {
     let mut report = Report::new("workspace", "-", "-");
-    let mut files = Vec::new();
-    let mut roots = vec![root.join("src")];
-    match std::fs::read_dir(root.join("crates")) {
-        Ok(entries) => {
-            for e in entries.flatten() {
-                roots.push(e.path().join("src"));
-            }
-        }
-        Err(e) => {
-            report.push(Diagnostic::error(
-                Code::LintConfigError,
-                root.join("crates").display().to_string(),
-                format!("cannot enumerate workspace crates: {e}"),
-            ));
-        }
-    }
-    for dir in roots {
-        collect_rs_files(&dir, &mut files);
-    }
-    files.sort();
+    let sources = workspace_sources(root, Code::LintConfigError, &mut report);
 
     let readme_patterns = match std::fs::read_to_string(root.join("README.md")) {
         Ok(readme) => readme_metric_patterns(&readme),
@@ -74,26 +55,10 @@ pub fn lint_workspace(root: &Path) -> Report {
     };
     let have_readme = !readme_patterns.is_empty();
 
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    Code::LintConfigError,
-                    rel,
-                    format!("cannot read source file: {e}"),
-                ));
-                continue;
-            }
-        };
+    for (rel, src) in &sources {
         lint_file(
-            &rel,
-            &src,
+            rel,
+            src,
             have_readme.then_some(&readme_patterns),
             &mut report,
         );
@@ -333,30 +298,6 @@ fn metric_matches(code: &[CodeSeg], doc: &[DocSeg]) -> bool {
             (1..=doc.len()).any(|k| metric_matches(&code[1..], &doc[k..]))
         }
         _ => false,
-    }
-}
-
-// -------------------------------------------------------- file walking --
-
-/// Recursively collect `.rs` files under `dir`, skipping `tests/`,
-/// `benches/` and `examples/` subtrees (integration tests may violate
-/// invariants on purpose). A missing `dir` is fine — not every crate
-/// has the standard layout.
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for e in entries.flatten() {
-        let path = e.path();
-        let name = e.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if !matches!(name.as_ref(), "tests" | "benches" | "examples" | "target") {
-                collect_rs_files(&path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
     }
 }
 

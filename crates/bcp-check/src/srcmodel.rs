@@ -5,8 +5,72 @@
 //! than through a full parser: the invariants they check are lexical
 //! (tokens, comments, annotations), and a line model that strips
 //! comments and blanks string contents is enough to make the matching
-//! sound. This module owns that model so the two passes agree on what
-//! counts as code.
+//! sound. This module owns that model and the walk over the workspace's
+//! sources, so the two passes agree on which files exist and what counts
+//! as code.
+
+use crate::diag::{Code, Diagnostic, Report};
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under the workspace's `src/` and `crates/*/src/`, as
+/// `(path relative to root, source)` sorted by path. A directory or file
+/// that cannot be read becomes a `code` error in `report`.
+pub(crate) fn workspace_sources(
+    root: &Path,
+    code: Code,
+    report: &mut Report,
+) -> Vec<(String, String)> {
+    let mut dirs = vec![root.join("src")];
+    match std::fs::read_dir(root.join("crates")) {
+        Ok(entries) => dirs.extend(entries.flatten().map(|e| e.path().join("src"))),
+        Err(e) => report.push(Diagnostic::error(
+            code,
+            root.join("crates").display().to_string(),
+            format!("cannot enumerate workspace crates: {e}"),
+        )),
+    }
+    let mut paths = Vec::new();
+    for dir in dirs {
+        collect_rs_files(&dir, &mut paths);
+    }
+    paths.sort();
+    let mut sources = Vec::with_capacity(paths.len());
+    for path in &paths {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        match std::fs::read_to_string(path) {
+            Ok(src) => sources.push((rel, src)),
+            Err(e) => report.push(Diagnostic::error(
+                code,
+                rel,
+                format!("cannot read source file: {e}"),
+            )),
+        }
+    }
+    sources
+}
+
+/// Recursively collect `.rs` files under `dir`, skipping `tests/`,
+/// `benches/` and `examples/` subtrees (integration tests may violate
+/// invariants on purpose). A missing `dir` is fine — not every crate
+/// has the standard layout.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for e in entries.flatten() {
+        let path = e.path();
+        let name = e.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if !matches!(name.as_ref(), "tests" | "benches" | "examples" | "target") {
+                collect_rs_files(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+}
 
 /// One source line split into executable code and its trailing comment,
 /// with string-literal *contents* blanked in `code` (so `"unsafe"` in a

@@ -16,7 +16,7 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn workspace_hot_paths_are_clean() {
-    let report = audit_workspace(workspace_root());
+    let (report, _) = audit_workspace(workspace_root());
     assert!(
         report.is_clean(),
         "the workspace hot-path audit must pass:\n{}",
@@ -26,7 +26,7 @@ fn workspace_hot_paths_are_clean() {
 
 #[test]
 fn workspace_audit_directives_are_well_formed() {
-    let report = audit_workspace(workspace_root());
+    let (report, _) = audit_workspace(workspace_root());
     assert!(
         !report.has_code(Code::AuditConfigError),
         "malformed audit directive (or no roots) in the workspace:\n{}",
@@ -40,30 +40,8 @@ fn workspace_has_a_substantial_root_set() {
     // worker loop, oneshot delivery, kernels and trace push are all
     // annotated; if a refactor silently drops most of the annotations,
     // the reachability proof quietly shrinks — fail loudly instead.
-    let mut count = 0usize;
-    let mut stack = vec![workspace_root().join("crates")];
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                if p.file_name()
-                    .is_some_and(|n| n == "target" || n == "vendor")
-                {
-                    continue;
-                }
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                let src = std::fs::read_to_string(&p).unwrap_or_default();
-                count += src
-                    .lines()
-                    .filter(|l| l.trim_start().starts_with("// bcp:hot-path"))
-                    .count();
-            }
-        }
-    }
+    let (_, exceptions) = audit_workspace(workspace_root());
+    let count = exceptions.hot_path_roots;
     assert!(
         count >= 10,
         "expected at least 10 `// bcp:hot-path` roots across the workspace, found {count}"

@@ -215,17 +215,15 @@ fn build_pipeline(net: &Sequential, name: &str, plan: &[StagePlan]) -> Pipeline 
 mod tests {
     use super::*;
     use crate::arch::ArchKind;
-    use crate::model::build_bnn;
+    use crate::model::{build_bnn, untrained_bnn};
     use bcp_finn::data::QuantMap;
     use bcp_nn::Mode;
     use bcp_tensor::{Shape, Tensor};
 
-    /// Run one train step so batch-norm stats are non-trivial, then export.
+    /// An untrained network with non-trivial batch-norm stats, exported.
     fn trained_net_and_pipeline(kind: ArchKind, seed: u64) -> (Sequential, Pipeline) {
         let arch = kind.arch();
-        let mut net = build_bnn(&arch, seed);
-        let x = bcp_tensor::init::uniform(Shape::nchw(4, 3, 32, 32), -1.0, 1.0, seed + 9);
-        let _ = net.forward(&x, Mode::Train); // populate running stats
+        let net = untrained_bnn(&arch, seed, seed + 9);
         let p = deploy(&net, &arch);
         (net, p)
     }
@@ -343,9 +341,7 @@ mod tests {
         let mut arch_b = arch_a.clone();
         arch_b.pe = vec![1; arch_b.pe.len()];
         arch_b.simd = vec![1; arch_b.simd.len()];
-        let mut net = build_bnn(&arch_a, 13);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 14);
-        let _ = net.forward(&x, Mode::Train);
+        let net = untrained_bnn(&arch_a, 13, 14);
         let pa = deploy(&net, &arch_a);
         let pb = deploy(&net, &arch_b);
         for s in 0..4 {

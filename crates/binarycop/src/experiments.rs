@@ -1168,18 +1168,8 @@ pub fn fig1_report(kind: ArchKind) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::untrained_bnn;
     use crate::recipe::tiny_arch;
-    use bcp_nn::Mode;
-
-    /// A network with populated batch-norm statistics: untrained but
-    /// deployable.
-    fn untrained_with_stats(arch: &Arch, seed: u64) -> Sequential {
-        let mut net = build_bnn(arch, seed);
-        let size = arch.input_size;
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, size, size), -1.0, 1.0, seed + 1);
-        let _ = net.forward(&x, Mode::Train);
-        net
-    }
 
     #[test]
     fn table1_column_renders() {
@@ -1223,7 +1213,7 @@ mod tests {
         // The n-CNV full-pipeline throughput claim: ~6400 fps. Check the
         // actual computed value through the pipeline itself.
         let arch = ArchKind::NCnv.arch();
-        let net = untrained_with_stats(&arch, 0);
+        let net = untrained_bnn(&arch, 0, 1);
         let perf = CLOCK_100MHZ.analyze(&deploy(&net, &arch).plan());
         assert!(
             (4000.0..16000.0).contains(&perf.throughput_fps),
@@ -1261,7 +1251,7 @@ mod tests {
     #[test]
     fn gradcam_report_renders_for_tiny_model() {
         let arch = tiny_arch();
-        let mut net = untrained_with_stats(&arch, 3);
+        let mut net = untrained_bnn(&arch, 3, 4);
         let mut models: Vec<(&str, &mut Sequential, &str)> = vec![("tiny", &mut net, "conv3")];
         let s = gradcam_figure_report(4, 16, 5, &mut models);
         assert!(s.contains("Fig. 4"));
@@ -1272,7 +1262,7 @@ mod tests {
     #[test]
     fn robustness_sweep_is_monotone_ish_and_bounded() {
         let arch = tiny_arch();
-        let net = untrained_with_stats(&arch, 5);
+        let net = untrained_bnn(&arch, 5, 6);
         let points = robustness_sweep(&net, &arch, &[0, 8, 256], 12, 3);
         assert_eq!(points.len(), 3);
         assert_eq!(
@@ -1290,7 +1280,7 @@ mod tests {
     #[test]
     fn attention_focus_report_renders() {
         let arch = tiny_arch();
-        let mut net = untrained_with_stats(&arch, 3);
+        let mut net = untrained_bnn(&arch, 3, 4);
         let gen = bcp_dataset::GeneratorConfig {
             img_size: 16,
             supersample: 2,
@@ -1316,7 +1306,7 @@ mod tests {
     fn gradcam_figure_6_renders_on_ncnv_at_conv4() {
         // What `experiments gradcam` runs per figure: a real prototype at
         // 32×32, Grad-CAM at conv2_2 (our conv4).
-        let mut net = untrained_with_stats(&ArchKind::NCnv.arch(), 1);
+        let mut net = untrained_bnn(&ArchKind::NCnv.arch(), 1, 2);
         let mut models: Vec<(&str, &mut Sequential, &str)> =
             vec![("BCoP-n-CNV", &mut net, "conv4")];
         let s = gradcam_figure_report(6, 32, 1006, &mut models);

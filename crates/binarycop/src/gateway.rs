@@ -26,13 +26,9 @@ pub fn shard_specs(
     workers: usize,
     mut cfg: ServeConfig,
 ) -> Vec<ShardSpec> {
-    if cfg.canary.is_none() {
-        let s = predictor.arch().input_size;
-        cfg.canary = Some(canary_frame(3, s, s));
-    }
-    if cfg.recovery.is_none() {
-        cfg.recovery = Some(RecoveryPolicy::default());
-    }
+    let s = predictor.arch().input_size;
+    cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
+    cfg.recovery.get_or_insert_with(RecoveryPolicy::default);
     let template = Arc::new(predictor.clone());
     (0..shards.max(1))
         .map(|_| {
@@ -54,18 +50,12 @@ pub fn shard_specs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::build_bnn;
+    use crate::model::untrained_predictor;
     use crate::recipe::tiny_arch;
     use bcp_gateway::{Gateway, GatewayClient, GatewayConfig, Status};
-    use bcp_nn::Mode;
-    use bcp_tensor::Shape;
 
     fn predictor() -> BinaryCoP {
-        let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
-        BinaryCoP::from_trained(&net, &arch)
+        untrained_predictor(&tiny_arch(), 5, 6)
     }
 
     #[test]

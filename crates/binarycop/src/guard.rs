@@ -94,13 +94,9 @@ impl Replica for GuardedReplica {
 /// telemetry registry, if attached, receives both the engine's `serve.*`
 /// metrics and every replica's `guard.scrub.*` metrics.
 pub fn guarded_engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> Engine {
-    if cfg.canary.is_none() {
-        let s = predictor.arch().input_size;
-        cfg.canary = Some(canary_frame(3, s, s));
-    }
-    if cfg.recovery.is_none() {
-        cfg.recovery = Some(RecoveryPolicy::default());
-    }
+    let s = predictor.arch().input_size;
+    cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
+    cfg.recovery.get_or_insert_with(RecoveryPolicy::default);
     let registry = predictor.telemetry().cloned();
     let replicas: Vec<GuardedReplica> = predictor
         .replicate(workers)
@@ -113,20 +109,14 @@ pub fn guarded_engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::build_bnn;
+    use crate::model::untrained_predictor;
     use crate::recipe::tiny_arch;
     use bcp_finn::fault::inject_random_faults;
-    use bcp_nn::Mode;
     use bcp_serve::WorkerState;
-    use bcp_tensor::Shape;
     use std::time::{Duration, Instant};
 
     fn predictor() -> BinaryCoP {
-        let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
-        BinaryCoP::from_trained(&net, &arch)
+        untrained_predictor(&tiny_arch(), 5, 6)
     }
 
     #[test]

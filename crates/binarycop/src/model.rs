@@ -6,7 +6,8 @@
 //! names `conv{i}` / `fc{i}`, `bn_conv{i}` / `bn_fc{i}`, `sign_conv{i}` /
 //! `sign_fc{i}`, `pool{p}` — the deployment exporter walks these by name.
 
-use crate::arch::{Arch, ArchKind, K};
+use crate::arch::{Arch, K};
+use crate::predictor::BinaryCoP;
 use bcp_nn::activation::{Relu, SignSte};
 use bcp_nn::batchnorm::BatchNorm;
 use bcp_nn::conv::{BinaryConv2d, Conv2d};
@@ -148,21 +149,34 @@ pub fn build_fp32(arch: &Arch, seed: u64) -> Sequential {
     net
 }
 
-/// Convenience: build the BNN for a prototype kind.
-pub fn build_kind(kind: ArchKind, seed: u64) -> Sequential {
-    build_bnn(&kind.arch(), seed)
+/// An untrained but deployable network: `build_bnn(arch, seed)` with its
+/// batch-norm running statistics filled by one `Mode::Train` forward over
+/// two uniform frames in [-1, 1) drawn from `input_seed`. Benches, `bcp
+/// info` and tests deploy it wherever the weights do not matter.
+pub fn untrained_bnn(arch: &Arch, seed: u64, input_seed: u64) -> Sequential {
+    let mut net = build_bnn(arch, seed);
+    let s = arch.input_size;
+    let x = bcp_tensor::init::uniform(bcp_tensor::Shape::nchw(2, 3, s, s), -1.0, 1.0, input_seed);
+    let _ = net.forward(&x, bcp_nn::Mode::Train);
+    net
+}
+
+/// [`untrained_bnn`], deployed.
+pub fn untrained_predictor(arch: &Arch, seed: u64, input_seed: u64) -> BinaryCoP {
+    BinaryCoP::from_trained(&untrained_bnn(arch, seed, input_seed), arch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::ArchKind;
     use bcp_nn::Mode;
     use bcp_tensor::init::uniform;
     use bcp_tensor::Shape;
 
     #[test]
     fn cnv_forward_shape() {
-        let mut net = build_kind(ArchKind::Cnv, 0);
+        let mut net = build_bnn(&ArchKind::Cnv.arch(), 0);
         let x = uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 1);
         let y = net.forward(&x, Mode::Eval);
         assert_eq!(y.shape().dims(), &[2, 4]);
@@ -171,7 +185,7 @@ mod tests {
     #[test]
     fn ncnv_and_micro_forward_shape() {
         for kind in [ArchKind::NCnv, ArchKind::MicroCnv] {
-            let mut net = build_kind(kind, 0);
+            let mut net = build_bnn(&kind.arch(), 0);
             let x = uniform(Shape::nchw(1, 3, 32, 32), -1.0, 1.0, 2);
             let y = net.forward(&x, Mode::Eval);
             assert_eq!(y.shape().dims(), &[1, 4], "{kind:?}");
@@ -204,7 +218,7 @@ mod tests {
 
     #[test]
     fn networks_are_trainable_backward_runs() {
-        let mut net = build_kind(ArchKind::MicroCnv, 1);
+        let mut net = build_bnn(&ArchKind::MicroCnv.arch(), 1);
         let x = uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 5);
         let y = net.forward(&x, Mode::Train);
         let dy = bcp_tensor::Tensor::ones(y.shape().clone());
@@ -223,7 +237,7 @@ mod tests {
         // output has 5×5 spatial extent after its pool... conv4 output is
         // 10×10 pre-pool; the 5×5 map the paper cites is post-pool. Both
         // are reachable by name.
-        let mut net = build_kind(ArchKind::Cnv, 0);
+        let mut net = build_bnn(&ArchKind::Cnv.arch(), 0);
         assert!(net.index_of("conv4").is_some());
         assert!(net.index_of("pool2").is_some());
         let x = uniform(Shape::nchw(1, 3, 32, 32), -1.0, 1.0, 6);
@@ -283,7 +297,7 @@ mod tests {
 
     #[test]
     fn sign_layers_emit_binary_maps() {
-        let mut net = build_kind(ArchKind::NCnv, 2);
+        let mut net = build_bnn(&ArchKind::NCnv.arch(), 2);
         let x = uniform(Shape::nchw(1, 3, 32, 32), 0.0, 1.0, 7);
         let outs = net.forward_collect(&x, Mode::Eval);
         let idx = net.index_of("sign_conv3").unwrap();

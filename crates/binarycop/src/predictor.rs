@@ -291,11 +291,10 @@ impl BinaryCoP {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::build_bnn;
+    use crate::model::untrained_bnn;
     use crate::recipe::tiny_arch;
     use crate::reference::IntegerReference;
     use bcp_dataset::{Dataset, GeneratorConfig};
-    use bcp_nn::Mode;
     use bcp_tensor::Shape;
 
     fn predictor() -> BinaryCoP {
@@ -304,9 +303,7 @@ mod tests {
 
     fn predictor_and_reference() -> (BinaryCoP, IntegerReference) {
         let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
+        let net = untrained_bnn(&arch, 5, 6);
         (
             BinaryCoP::from_trained(&net, &arch),
             IntegerReference::from_network(&net, &arch),
@@ -325,9 +322,7 @@ mod tests {
     #[test]
     fn checked_constructor_gates_on_the_static_verifier() {
         let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
+        let net = untrained_bnn(&arch, 5, 6);
         let cfg = bcp_check::CheckConfig::default();
         // The consistent tiny arch deploys...
         let p = BinaryCoP::from_trained_checked(&net, &arch, &cfg).unwrap();

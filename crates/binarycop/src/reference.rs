@@ -219,12 +219,11 @@ mod tests {
     use super::*;
     use crate::arch::ArchKind;
     use crate::deploy::deploy;
-    use crate::model::build_bnn;
+    use crate::model::untrained_bnn;
     use crate::BinaryCoP;
     use bcp_dataset::MaskClass;
     use bcp_finn::data::StageData;
     use bcp_finn::pipeline::{frame_work, SPLIT_WORK};
-    use bcp_nn::Mode;
     use bcp_tensor::{Shape, Tensor};
 
     /// A 3×32×32 image on the 8-bit grid `[0, 1]`, CHW order.
@@ -255,10 +254,7 @@ mod tests {
         for kind in ArchKind::ALL {
             let arch = kind.arch();
             for seed in [1u64, 42] {
-                let mut net = build_bnn(&arch, seed);
-                // Populate batch-norm running stats with a train pass.
-                let x = bcp_tensor::init::uniform(Shape::nchw(4, 3, 32, 32), -1.0, 1.0, seed + 100);
-                let _ = net.forward(&x, Mode::Train);
+                let net = untrained_bnn(&arch, seed, seed + 100);
                 let predictor = BinaryCoP::from_trained(&net, &arch);
                 let pipeline = predictor.pipeline();
                 let reference = IntegerReference::from_network(&net, &arch);
@@ -297,9 +293,7 @@ mod tests {
     fn batched_executor_is_bit_exact_against_reference() {
         for kind in ArchKind::ALL {
             let arch = kind.arch();
-            let mut net = build_bnn(&arch, 9);
-            let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 10);
-            let _ = net.forward(&x, Mode::Train);
+            let net = untrained_bnn(&arch, 9, 10);
             let pipeline = deploy(&net, &arch);
             let reference = IntegerReference::from_network(&net, &arch);
             let frames: Vec<QuantMap> = (0..9).map(|s| quant_image(s + 1)).collect();
@@ -322,9 +316,7 @@ mod tests {
     fn band_split_is_bit_exact_against_reference() {
         for kind in [ArchKind::Cnv, ArchKind::NCnv] {
             let arch = kind.arch();
-            let mut net = build_bnn(&arch, 17);
-            let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 18);
-            let _ = net.forward(&x, Mode::Train);
+            let net = untrained_bnn(&arch, 17, 18);
             let pipeline = deploy(&net, &arch);
             let reference = IntegerReference::from_network(&net, &arch);
             let frames: Vec<QuantMap> = (0..9).map(|s| quant_image(s + 40)).collect();
@@ -379,9 +371,7 @@ mod tests {
     #[test]
     fn classify_is_argmax_first_on_ties() {
         let arch = ArchKind::MicroCnv.arch();
-        let mut net = build_bnn(&arch, 3);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 4);
-        let _ = net.forward(&x, Mode::Train);
+        let net = untrained_bnn(&arch, 3, 4);
         let reference = IntegerReference::from_network(&net, &arch);
         let q = quant_image(5);
         let logits = reference.forward(&q);

@@ -40,10 +40,8 @@ impl Replica for BinaryCoP {
 /// input size; the predictor's telemetry registry (if attached) receives
 /// the engine's `serve.*` metrics.
 pub fn engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> Engine {
-    if cfg.canary.is_none() {
-        let s = predictor.arch().input_size;
-        cfg.canary = Some(canary_frame(3, s, s));
-    }
+    let s = predictor.arch().input_size;
+    cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
     let registry = predictor.telemetry().cloned();
     Engine::start(predictor.replicate(workers), cfg, registry)
 }
@@ -51,18 +49,12 @@ pub fn engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> En
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::build_bnn;
+    use crate::model::untrained_predictor;
     use crate::recipe::tiny_arch;
     use bcp_dataset::{Dataset, GeneratorConfig};
-    use bcp_nn::Mode;
-    use bcp_tensor::Shape;
 
     fn predictor() -> BinaryCoP {
-        let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
-        BinaryCoP::from_trained(&net, &arch)
+        untrained_predictor(&tiny_arch(), 5, 6)
     }
 
     fn images(n: usize) -> Vec<Tensor> {

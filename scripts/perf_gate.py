@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Perf gate over a result file written by benchmark/suite.py.
 
-    python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
+    python3 benchmark/suite.py --runs 0 --traced 3 --out benchmark/out/gate.json
     python3 scripts/perf_gate.py benchmark/out/gate.json
 
-Three bounds on per-layer metrics of the file's traced runs; both sides of the
-first two are timed in alternating slices of one run, so host drift cancels:
+Three bounds, each on the median of a per-layer metric over the file's traced
+runs. CI takes three runs of each workload, because single `engine_tiny` runs
+of the first row have read +17.0, +16.6 and +49.2 % for one build on one host.
+Both sides of the first two are timed in alternating slices of one run, so
+host drift cancels:
 
 1. `serve.overhead_over_direct_pct` on `engine_tiny` (1-worker engine against
    `classify_block` on the same blocks) <= the canary's 1/max_batch, one extra
@@ -39,7 +42,7 @@ def main():
     traced = {name: w["traced"] for name, w in workloads.items()}
     for name in ("engine_tiny", "gateway_tiny"):
         if not traced.get(name):
-            sys.exit(f"perf gate: no traced {name} run in the file (suite.py --traced 1)")
+            sys.exit(f"perf gate: no traced {name} run in the file (suite.py --traced 3)")
     values = lambda runs, metric: [r["metrics"][metric]["value"] for r in runs]
     engine = values(traced["engine_tiny"], "serve.overhead_over_direct_pct")
     trace = [v for runs in traced.values() for v in values(runs, "serve.trace_overhead_pct")]

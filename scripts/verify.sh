@@ -4,8 +4,8 @@
 # workspace), `cargo fmt --check` and both clippy invocations of ci.yml,
 # the frozen benchmark's smoke, the source analyzers and the perf gate, so
 # local green means CI green. Run from anywhere inside the repository;
-# takes ~4.5 min on two cores from a clean checkout (the two clippy passes
-# are ~30 s of that) and 2 min 7 s with a warm target directory.
+# takes ~7 min on two cores from a clean checkout (the two clippy passes
+# are ~30 s of that, the three traced benchmark runs ~4 min).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,11 +36,15 @@ bash benchmark/check.sh
 
 bcp check --all-arches --json >/dev/null
 bcp lint --root . --json
-bcp audit --root . --json
+# The exception budget reads the audit's own counts: hot-path roots and
+# `audit: allow(<kind>)` directives by kind; fails if any grew.
+bcp audit --root . --json > target/audit-report.json
+python3 scripts/exception_budget.py target/audit-report.json
 
-# The perf gate reads the benchmark's own paired per-layer metrics: one
-# traced run of each workload (4 x 20 s), then the three bounds.
-python3 benchmark/suite.py --runs 0 --traced 1 --out benchmark/out/gate.json
+# The perf gate reads the benchmark's own paired per-layer metrics, each
+# bound judged on the median of three traced runs of every workload
+# (12 x 20 s).
+python3 benchmark/suite.py --runs 0 --traced 3 --out benchmark/out/gate.json
 python3 scripts/perf_gate.py benchmark/out/gate.json
 
 # The paper-side ledger: the newest committed `experiments … --json` file
@@ -48,7 +52,3 @@ python3 scripts/perf_gate.py benchmark/out/gate.json
 # one before it outside `timings` wherever the recipe is unchanged (no
 # training here).
 python3 scripts/paper_gate.py $(ls PAPER_*.json | sort -Vr | head -2)
-
-# The exception budget: hot-path roots and `audit: allow(<kind>)`
-# directives by kind, against the committed counts; fails if any grew.
-python3 scripts/exception_budget.py

@@ -12,7 +12,7 @@ use bcp_nn::Mode;
 use bcp_tensor::Shape;
 use binarycop::arch::{Arch, ConvLayer, FcLayer};
 use binarycop::deploy::{deploy, try_deploy};
-use binarycop::model::build_bnn;
+use binarycop::model::{build_bnn, untrained_bnn};
 use binarycop::reference::IntegerReference;
 
 /// Split-mix PRNG (no rand dependency needed here).
@@ -169,14 +169,7 @@ fn random_architectures_have_consistent_timing_model() {
     use bcp_finn::perf::CLOCK_100MHZ;
     for seed in 0..20u64 {
         let arch = random_arch(seed + 500);
-        let mut net = build_bnn(&arch, seed);
-        let x = bcp_tensor::init::uniform(
-            Shape::nchw(2, 3, arch.input_size, arch.input_size),
-            -1.0,
-            1.0,
-            seed,
-        );
-        let _ = net.forward(&x, Mode::Train);
+        let net = untrained_bnn(&arch, seed, seed);
         let pipeline = deploy(&net, &arch);
         assert_eq!(pipeline.plan(), arch.plan(), "{}", arch.name);
         let perf = CLOCK_100MHZ.analyze(&pipeline.plan());

@@ -20,11 +20,9 @@
 use bcp_finn::fault::{apply_burst, try_apply_fault, FaultRecord};
 use bcp_finn::Pipeline;
 use bcp_guard::{IntegrityFault, Scrubber};
-use bcp_nn::Mode;
 use bcp_serve::{RecoveryPolicy, ServeConfig, ServeError, WorkerState};
-use bcp_tensor::Shape;
 use binarycop::guard::guarded_engine;
-use binarycop::model::build_bnn;
+use binarycop::model::untrained_predictor;
 use binarycop::recipe::tiny_arch;
 use binarycop::BinaryCoP;
 use proptest::prelude::*;
@@ -32,13 +30,7 @@ use std::sync::OnceLock;
 
 fn predictor() -> &'static BinaryCoP {
     static P: OnceLock<BinaryCoP> = OnceLock::new();
-    P.get_or_init(|| {
-        let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
-        BinaryCoP::from_trained(&net, &arch)
-    })
+    P.get_or_init(|| untrained_predictor(&tiny_arch(), 5, 6))
 }
 
 /// (stage index, rows, cols) for every stage that owns a weight memory.

@@ -12,12 +12,10 @@
 //! for one a full queue drops. Each test holds one lock for its whole run,
 //! so no other test's thread allocates while a count is armed.
 
-use bcp_nn::Mode;
 use bcp_tensor::{par, Shape, Tensor};
 use bcp_trace::{Registry, TraceConfig, TraceOutcome, Tracer};
 use binarycop::arch::ArchKind;
-use binarycop::model::build_bnn;
-use binarycop::BinaryCoP;
+use binarycop::model::untrained_predictor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -93,10 +91,7 @@ static ALLOCATOR: Counting = Counting;
 fn split_helpers_allocate_nothing() {
     let _serial = serial();
     let arch = ArchKind::Cnv.arch();
-    let mut net = build_bnn(&arch, 5);
-    let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 6);
-    let _ = net.forward(&x, Mode::Train);
-    let predictor = BinaryCoP::from_trained(&net, &arch);
+    let predictor = untrained_predictor(&arch, 5, 6);
     let frames: Vec<Tensor> = (0..8u64)
         .map(|s| {
             let px = (0..3 * 32 * 32u64)

@@ -6,7 +6,7 @@ use bcp_dataset::generator::{generate_sample, GeneratorConfig};
 use bcp_dataset::ppm::{decode_ppm, resize_to};
 use bcp_dataset::MaskClass;
 use bcp_gradcam::render::image_ppm;
-use bcp_nn::{Mode, Sequential};
+use bcp_nn::Sequential;
 use binarycop::experiments::{figure_rows, gradcam_figure_ppms};
 
 #[test]
@@ -35,10 +35,7 @@ fn resized_camera_frame_feeds_the_predictor() {
     assert_eq!(sized.shape().dims(), &[3, 32, 32]);
 
     let arch = binarycop::arch::ArchKind::MicroCnv.arch();
-    let mut net = binarycop::model::build_bnn(&arch, 1);
-    let x = bcp_tensor::init::uniform(bcp_tensor::Shape::nchw(2, 3, 32, 32), -1.0, 1.0, 2);
-    let _ = net.forward(&x, Mode::Train);
-    let predictor = binarycop::BinaryCoP::from_trained(&net, &arch);
+    let predictor = binarycop::model::untrained_predictor(&arch, 1, 2);
     let a = predictor.classify(&sized);
     let b = predictor.classify(&sized);
     assert_eq!(a, b);
@@ -47,9 +44,7 @@ fn resized_camera_frame_feeds_the_predictor() {
 #[test]
 fn figure_ppm_artifacts_are_valid_ppm_files() {
     let arch = binarycop::recipe::tiny_arch();
-    let mut net = binarycop::model::build_bnn(&arch, 3);
-    let x = bcp_tensor::init::uniform(bcp_tensor::Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 4);
-    let _ = net.forward(&x, Mode::Train);
+    let mut net = binarycop::model::untrained_bnn(&arch, 3, 4);
     let dir = std::env::temp_dir().join("bcp_io_roundtrip_figs");
     let mut models: Vec<(&str, &mut Sequential, &str)> = vec![("tiny", &mut net, "conv3")];
     let files = gradcam_figure_ppms(5, 16, 9, &mut models, &dir).expect("artifact writing");

@@ -11,10 +11,9 @@
 //! below feeds requests until worker 0 has pulled one.
 
 use bcp_dataset::{Dataset, GeneratorConfig};
-use bcp_nn::Mode;
 use bcp_serve::{Replica, ServeConfig, ServeError};
-use bcp_tensor::{Shape, Tensor};
-use binarycop::model::build_bnn;
+use bcp_tensor::Tensor;
+use binarycop::model::untrained_predictor;
 use binarycop::recipe::tiny_arch;
 use binarycop::serve::engine;
 use binarycop::BinaryCoP;
@@ -23,11 +22,7 @@ const FAULTS: usize = 8;
 const SEED: u64 = 123;
 
 fn predictor() -> BinaryCoP {
-    let arch = tiny_arch();
-    let mut net = build_bnn(&arch, 5);
-    let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-    let _ = net.forward(&x, Mode::Train);
-    BinaryCoP::from_trained(&net, &arch)
+    untrained_predictor(&tiny_arch(), 5, 6)
 }
 
 fn images(n: usize) -> Vec<Tensor> {

@@ -13,11 +13,10 @@
 //!   configured deadline.
 
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
-use bcp_nn::Mode;
 use bcp_serve::{BackpressurePolicy, ServeConfig};
-use bcp_tensor::{Shape, Tensor};
+use bcp_tensor::Tensor;
 use bcp_trace::Registry;
-use binarycop::model::build_bnn;
+use binarycop::model::untrained_bnn;
 use binarycop::recipe::tiny_arch;
 use binarycop::reference::IntegerReference;
 use binarycop::serve::engine;
@@ -30,9 +29,7 @@ fn predictor() -> BinaryCoP {
 
 fn predictor_and_reference() -> (BinaryCoP, IntegerReference) {
     let arch = tiny_arch();
-    let mut net = build_bnn(&arch, 5);
-    let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-    let _ = net.forward(&x, Mode::Train);
+    let net = untrained_bnn(&arch, 5, 6);
     (
         BinaryCoP::from_trained(&net, &arch),
         IntegerReference::from_network(&net, &arch),

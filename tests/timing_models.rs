@@ -4,22 +4,13 @@
 
 use bcp_finn::cyclesim::simulate;
 use bcp_finn::perf::CLOCK_100MHZ;
-use bcp_nn::Mode;
-use bcp_tensor::Shape;
 use binarycop::arch::ArchKind;
 use binarycop::deploy::deploy;
-use binarycop::model::build_bnn;
+use binarycop::model::untrained_bnn;
 
 fn deployed_plan(kind: ArchKind) -> Vec<bcp_finn::StagePlan> {
     let arch = kind.arch();
-    let mut net = build_bnn(&arch, 3);
-    let x = bcp_tensor::init::uniform(
-        Shape::nchw(2, 3, arch.input_size, arch.input_size),
-        -1.0,
-        1.0,
-        4,
-    );
-    let _ = net.forward(&x, Mode::Train);
+    let net = untrained_bnn(&arch, 3, 4);
     deploy(&net, &arch).plan()
 }
 

@@ -19,11 +19,10 @@
 //! is kept deliberately light.
 
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
-use bcp_nn::Mode;
 use bcp_serve::{canary_frame, BackpressurePolicy, Engine, Replica, ServeConfig, SyntheticReplica};
-use bcp_tensor::{Shape, Tensor};
+use bcp_tensor::Tensor;
 use bcp_trace::{audit, TraceConfig, TraceOutcome, TraceSet, EVENTS, SEGMENTS};
-use binarycop::model::build_bnn;
+use binarycop::model::untrained_predictor;
 use binarycop::recipe::tiny_arch;
 use binarycop::serve::engine;
 use binarycop::BinaryCoP;
@@ -36,13 +35,7 @@ use std::time::Duration;
 /// more expensive than serving a handful of frames through it.
 fn predictor() -> &'static BinaryCoP {
     static P: OnceLock<BinaryCoP> = OnceLock::new();
-    P.get_or_init(|| {
-        let arch = tiny_arch();
-        let mut net = build_bnn(&arch, 5);
-        let x = bcp_tensor::init::uniform(Shape::nchw(2, 3, 16, 16), -1.0, 1.0, 6);
-        let _ = net.forward(&x, Mode::Train);
-        BinaryCoP::from_trained(&net, &arch)
-    })
+    P.get_or_init(|| untrained_predictor(&tiny_arch(), 5, 6))
 }
 
 fn images(n: usize) -> Vec<Tensor> {
