@@ -675,6 +675,19 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_line_string_yields_no_directive_and_no_finding() {
+        let mut report = Report::new("hot-path audit", "-", "-");
+        let src = "// bcp:hot-path\nfn root() -> &'static str {\n    \"first line\n\
+                   // audit: allow(alloc): inside the string\n    x.unwrap() \"\n}\n";
+        let exceptions = audit_into(
+            vec![("crates/x/src/lib.rs".into(), src.into())],
+            &mut report,
+        );
+        assert!(report.is_clean(), "{}", report.render_text());
+        assert!(exceptions.allow.values().all(|&n| n == 0), "{exceptions:?}");
+    }
+
+    #[test]
     fn clean_hot_path_passes() {
         let r = audit_one(
             "// bcp:hot-path\n\

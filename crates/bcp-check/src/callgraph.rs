@@ -564,6 +564,11 @@ fn build_edges(files: &[ParsedFile], fns: &[FnDef]) -> Vec<Vec<usize>> {
         }
     }
 
+    let in_bin = |d: &FnDef| {
+        files
+            .get(d.file)
+            .is_some_and(|f| f.rel.contains("/src/bin/"))
+    };
     let externals: Vec<HashSet<usize>> = files.iter().map(external_lines).collect();
     let mut edges = vec![Vec::new(); fns.len()];
     for (i, d) in fns.iter().enumerate() {
@@ -588,6 +593,11 @@ fn build_edges(files: &[ParsedFile], fns: &[FnDef]) -> Vec<Vec<usize>> {
             }
         }
         callees.remove(&i);
+        // A library cannot call into a binary, so a name match from
+        // library code into `src/bin/` is never an edge.
+        if !in_bin(d) {
+            callees.retain(|&j| fns.get(j).is_none_or(|c| !in_bin(c)));
+        }
         let mut v: Vec<usize> = callees.into_iter().collect();
         v.sort_unstable();
         if let Some(slot) = edges.get_mut(i) {
@@ -709,6 +719,32 @@ mod tests {
             .iter()
             .find(|d| d.qual() == qual)
             .unwrap_or_else(|| panic!("no fn {qual}"))
+    }
+
+    #[test]
+    fn library_calls_do_not_resolve_into_binaries() {
+        // A library hot root calls `x.finish()`; only a bin defines a
+        // `finish`, and it allocates.
+        let sources = [
+            (
+                "crates/x/src/lib.rs",
+                "// bcp:hot-path\nfn root(x: &X) {\n    x.finish();\n}\n",
+            ),
+            (
+                "crates/x/src/bin/tool/cli.rs",
+                "struct T;\nimpl T {\n    fn finish(&self) {\n        \
+                 let _v: Vec<u8> = Vec::new();\n    }\n}\nfn main() {\n    T.finish();\n}\n",
+            ),
+        ];
+        let r = crate::audit::audit_sources(&sources);
+        assert!(r.is_clean(), "{}", r.render_text());
+        let g = build(sources.map(|(rel, src)| (rel.into(), src.into())).into());
+        let finish = g.fns.iter().position(|d| d.name == "finish").unwrap();
+        let main = g.fns.iter().position(|d| d.name == "main").unwrap();
+        assert!(
+            g.edges[main].contains(&finish),
+            "a bin still calls its own methods"
+        );
     }
 
     #[test]

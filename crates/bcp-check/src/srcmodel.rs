@@ -90,12 +90,13 @@ pub(crate) struct SrcLine {
 pub(crate) fn code_lines(src: &str) -> Vec<SrcLine> {
     let mut out = Vec::new();
     let mut in_block_comment = false;
+    // A string literal may run over several lines; a char literal may not.
+    let mut in_string = false;
     for raw in src.lines() {
         let mut code = String::with_capacity(raw.len());
         let mut with_strings = String::with_capacity(raw.len());
         let mut comment = String::new();
         let mut chars = raw.chars().peekable();
-        let mut in_string = false;
         let mut in_char = false;
         while let Some(c) = chars.next() {
             if in_block_comment {

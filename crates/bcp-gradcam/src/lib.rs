@@ -149,7 +149,7 @@ pub fn cam(
     let fc = net
         .layer_as::<Linear>(fc_idx)
         .unwrap_or_else(|| panic!("layer '{fc_layer}' is not a Linear"));
-    let weights = fc.weight(); // classes × C
+    let weights = fc.effective_weight(); // classes × C
     let (c, h, w) = (
         activations.shape().dim(1),
         activations.shape().dim(2),
@@ -250,22 +250,33 @@ mod tests {
     use super::*;
     use bcp_nn::activation::{Relu, SignSte};
     use bcp_nn::batchnorm::BatchNorm;
-    use bcp_nn::conv::{BinaryConv2d, Conv2d};
+    use bcp_nn::conv::Conv2d;
     use bcp_nn::flatten::Flatten;
     use bcp_nn::linear::Linear;
+    use bcp_nn::WeightForm;
     use bcp_tensor::init::uniform;
     use bcp_tensor::Conv2dSpec;
 
     fn tiny_bnn() -> Sequential {
         Sequential::new("tiny-bnn")
-            .push(BinaryConv2d::new("conv1", Conv2dSpec::new(3, 4, 3, 0), 1))
+            .push(Conv2d::new(
+                "conv1",
+                Conv2dSpec::new(3, 4, 3, 0),
+                WeightForm::Sign,
+                1,
+            ))
             .push(BatchNorm::new("bn1", 4))
             .push(SignSte::new("sign1"))
-            .push(BinaryConv2d::new("conv2", Conv2dSpec::new(4, 8, 3, 0), 2))
+            .push(Conv2d::new(
+                "conv2",
+                Conv2dSpec::new(4, 8, 3, 0),
+                WeightForm::Sign,
+                2,
+            ))
             .push(BatchNorm::new("bn2", 8))
             .push(SignSte::new("sign2"))
             .push(Flatten::new("flat"))
-            .push(Linear::new("fc", 8 * 4 * 4, 4, true, 3))
+            .push(Linear::new("fc", 8 * 4 * 4, 4, WeightForm::Float, true, 3))
     }
 
     #[test]
@@ -286,11 +297,16 @@ mod tests {
     #[test]
     fn works_on_fp32_networks_too() {
         let mut net = Sequential::new("fp32")
-            .push(Conv2d::new("conv1", Conv2dSpec::new(3, 4, 3, 0), 1))
+            .push(Conv2d::new(
+                "conv1",
+                Conv2dSpec::new(3, 4, 3, 0),
+                WeightForm::Float,
+                1,
+            ))
             .push(BatchNorm::new("bn1", 4))
             .push(Relu::new("relu1"))
             .push(Flatten::new("flat"))
-            .push(Linear::new("fc", 4 * 6 * 6, 2, true, 2));
+            .push(Linear::new("fc", 4 * 6 * 6, 2, WeightForm::Float, true, 2));
         let x = uniform(Shape::nchw(1, 3, 8, 8), -1.0, 1.0, 9);
         let maps = gradcam(&mut net, &x, &[1], "conv1", 8);
         assert_eq!(maps[0].heat.shape().dims(), &[8, 8]);
@@ -328,11 +344,16 @@ mod tests {
         use bcp_nn::pool::GlobalAvgPool;
         let make = || {
             Sequential::new("gap-head")
-                .push(Conv2d::new("conv1", Conv2dSpec::new(3, 6, 3, 0), 1))
+                .push(Conv2d::new(
+                    "conv1",
+                    Conv2dSpec::new(3, 6, 3, 0),
+                    WeightForm::Float,
+                    1,
+                ))
                 .push(BatchNorm::new("bn1", 6))
                 .push(Relu::new("relu1"))
                 .push(GlobalAvgPool::new("gap"))
-                .push(Linear::new("fc", 6, 4, false, 2))
+                .push(Linear::new("fc", 6, 4, WeightForm::Float, false, 2))
         };
         let x = uniform(Shape::nchw(2, 3, 10, 10), -1.0, 1.0, 3);
         for cls in 0..4 {

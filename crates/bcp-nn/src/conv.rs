@@ -1,43 +1,47 @@
-//! Convolution layers: float [`Conv2d`] and [`BinaryConv2d`] with latent
-//! weights + STE.
+//! The 2-D convolution layer, in any [`WeightForm`].
 
 use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use crate::param::Param;
+use crate::weight::{owned, Weight, WeightForm};
 use bcp_tensor::init::kaiming;
 use bcp_tensor::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, Conv2dSpec, Tensor,
 };
+use std::borrow::Cow;
 
-/// Full-precision 2-D convolution (the FP32-CNV baseline of the Grad-CAM
-/// comparison). Bias-free: every conv is followed by batch-norm.
+/// 2-D convolution of whatever activations the previous layer produced —
+/// raw pixels for Conv1.1, ±1 maps after a sign activation — with the
+/// weight of its [`WeightForm`]. Bias-free: every conv is followed by
+/// batch-norm.
 pub struct Conv2d {
     name: String,
     spec: Conv2dSpec,
-    weight: Param,
-    cache: Option<(Tensor, (usize, usize))>, // (x, input h/w)
+    weight: Weight,
+    // (x, the multiplied weight unless it is W itself, input h/w)
+    cache: Option<(Tensor, Option<Tensor>, (usize, usize))>,
 }
 
 impl Conv2d {
     /// Kaiming-initialised convolution.
-    pub fn new(name: impl Into<String>, spec: Conv2dSpec, seed: u64) -> Self {
+    pub fn new(name: impl Into<String>, spec: Conv2dSpec, form: WeightForm, seed: u64) -> Self {
         let fan_in = spec.c_in * spec.window.k * spec.window.k;
-        let w = kaiming(spec.weight_shape(), fan_in, seed);
         Conv2d {
             name: name.into(),
             spec,
-            weight: Param::new("weight", w),
+            weight: Weight::new(form, kaiming(spec.weight_shape(), fan_in, seed)),
             cache: None,
         }
     }
 
-    /// Layer geometry.
-    pub fn spec(&self) -> Conv2dSpec {
-        self.spec
+    /// How the stored weight is multiplied.
+    pub fn form(&self) -> WeightForm {
+        self.weight.form
     }
 
-    /// Read-only weight access.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
+    /// The weight the forward pass multiplies: `W`, `sign(W)` or
+    /// `α·sign(W)`.
+    pub fn effective_weight(&self) -> Cow<'_, Tensor> {
+        self.weight.effective()
     }
 }
 
@@ -59,99 +63,22 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = conv2d_forward(x, &self.weight.value, self.spec);
-        self.cache = Some((x.clone(), (x.shape().dim(2), x.shape().dim(3))));
+        let w = self.weight.effective();
+        let y = conv2d_forward(x, &w, self.spec);
+        self.cache = Some((x.clone(), owned(w), (x.shape().dim(2), x.shape().dim(3))));
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, in_hw) = take_cache(&mut self.cache, &self.name);
+        let (x, w, in_hw) = take_cache(&mut self.cache, &self.name);
         let dw = conv2d_backward_weight(&x, dy, self.spec);
-        self.weight.accumulate_grad(&dw);
-        conv2d_backward_input(&self.weight.value, dy, self.spec, in_hw)
+        self.weight.param.accumulate_grad(&dw);
+        let w = w.as_ref().unwrap_or(&self.weight.param.value);
+        conv2d_backward_input(w, dy, self.spec, in_hw)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-    }
-}
-
-/// Convolution with binarized weights (Eq. 2: `B = sign(W)`), computed over
-/// whatever activations the previous layer produced — binary ±1 maps for all
-/// layers after the first sign activation, raw pixels for Conv1.1.
-///
-/// Backward: the STE treats `d sign(W)/dW` as identity, so the latent weight
-/// receives exactly the binary-weight gradient; the optimizer's unit clip
-/// keeps latents in [−1, 1].
-pub struct BinaryConv2d {
-    name: String,
-    spec: Conv2dSpec,
-    weight: Param,
-    cache: Option<(Tensor, Tensor, (usize, usize))>, // (x, sign(W), input h/w)
-}
-
-impl BinaryConv2d {
-    /// Kaiming-initialised latent weights.
-    pub fn new(name: impl Into<String>, spec: Conv2dSpec, seed: u64) -> Self {
-        let fan_in = spec.c_in * spec.window.k * spec.window.k;
-        let w = kaiming(spec.weight_shape(), fan_in, seed);
-        BinaryConv2d {
-            name: name.into(),
-            spec,
-            weight: Param::latent("weight", w),
-            cache: None,
-        }
-    }
-
-    /// Layer geometry.
-    pub fn spec(&self) -> Conv2dSpec {
-        self.spec
-    }
-
-    /// Latent weights (export/tests).
-    pub fn latent_weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    /// Binarized weights by the Eq. 1 convention (ties at 0 → +1).
-    pub fn binary_weight(&self) -> Tensor {
-        self.weight.value.map(|w| if w >= 0.0 { 1.0 } else { -1.0 })
-    }
-}
-
-impl Layer for BinaryConv2d {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Conv
-    }
-
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let wb = self.binary_weight();
-        let y = conv2d_forward(x, &wb, self.spec);
-        self.cache = Some((x.clone(), wb, (x.shape().dim(2), x.shape().dim(3))));
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, wb, in_hw) = take_cache(&mut self.cache, &self.name);
-        let dw = conv2d_backward_weight(&x, dy, self.spec);
-        self.weight.accumulate_grad(&dw);
-        conv2d_backward_input(&wb, dy, self.spec, in_hw)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
+        f(&mut self.weight.param);
     }
 }
 
@@ -164,7 +91,7 @@ mod tests {
     #[test]
     fn conv_shapes_and_param_count() {
         let spec = Conv2dSpec::new(3, 16, 3, 0);
-        let mut l = Conv2d::new("conv1_1", spec, 0);
+        let mut l = Conv2d::new("conv1_1", spec, WeightForm::Float, 0);
         assert_eq!(l.param_count(), 3 * 16 * 9);
         let x = uniform(Shape::nchw(2, 3, 8, 8), -1.0, 1.0, 1);
         let y = l.forward(&x, Mode::Train);
@@ -176,7 +103,7 @@ mod tests {
     #[test]
     fn binary_conv_uses_sign_weights() {
         let spec = Conv2dSpec::new(1, 1, 1, 0);
-        let mut l = BinaryConv2d::new("bconv", spec, 0);
+        let mut l = Conv2d::new("bconv", spec, WeightForm::Sign, 0);
         l.visit_params(&mut |p| {
             p.value = Tensor::from_vec(Shape(vec![1, 1, 1, 1]), vec![-0.3]);
         });
@@ -189,7 +116,7 @@ mod tests {
     #[test]
     fn binary_conv_ste_latent_gradient() {
         let spec = Conv2dSpec::new(1, 1, 1, 0);
-        let mut l = BinaryConv2d::new("bconv", spec, 0);
+        let mut l = Conv2d::new("bconv", spec, WeightForm::Sign, 0);
         l.visit_params(&mut |p| {
             p.value = Tensor::from_vec(Shape(vec![1, 1, 1, 1]), vec![-0.3]);
         });
@@ -206,7 +133,7 @@ mod tests {
         // ±1 inputs ⊙ ±1 weights summed over fan-in → integer accumulators
         // with fan-in parity: the arithmetic the XNOR datapath reproduces.
         let spec = Conv2dSpec::new(2, 4, 3, 0);
-        let mut l = BinaryConv2d::new("bconv", spec, 3);
+        let mut l = Conv2d::new("bconv", spec, WeightForm::Sign, 3);
         let x =
             uniform(Shape::nchw(1, 2, 5, 5), -1.0, 1.0, 4)
                 .map(|v| if v >= 0.0 { 1.0 } else { -1.0 });
@@ -217,6 +144,24 @@ mod tests {
             assert_eq!(i as f32, v, "accumulator must be an integer, got {v}");
             assert!(i.abs() <= fan_in);
             assert_eq!((i - fan_in).rem_euclid(2), 0, "parity must match fan-in");
+        }
+    }
+
+    #[test]
+    fn scaled_conv_output_is_alpha_times_plain_binary() {
+        let spec = Conv2dSpec::new(1, 1, 1, 0);
+        let layer = |form| {
+            let mut l = Conv2d::new("c", spec, form, 0);
+            l.visit_params(&mut |p| {
+                p.value = Tensor::from_vec(Shape(vec![1, 1, 1, 1]), vec![-0.6]);
+            });
+            l
+        };
+        let x = Tensor::from_vec(Shape::nchw(1, 1, 1, 3), vec![1.0, 2.0, 3.0]);
+        let ys = layer(WeightForm::ScaledSign).forward(&x, Mode::Train);
+        let yp = layer(WeightForm::Sign).forward(&x, Mode::Train);
+        for (s, p) in ys.as_slice().iter().zip(yp.as_slice()) {
+            assert!((s - 0.6 * p).abs() < 1e-6, "{s} vs α·{p}");
         }
     }
 }

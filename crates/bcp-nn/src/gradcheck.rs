@@ -189,13 +189,19 @@ mod tests {
     use crate::layer::LayerKind;
     use crate::linear::Linear;
     use crate::pool::MaxPool2d;
+    use crate::weight::WeightForm;
     use bcp_tensor::init::uniform;
     use bcp_tensor::{Conv2dSpec, Shape};
 
     #[test]
     fn single_float_layer_passes() {
         let x = uniform(Shape::d2(3, 5), -1.0, 1.0, 1);
-        let report = check_input_gradient(|| Linear::new("fc", 5, 4, true, 2), &x, 1e-2, 6);
+        let report = check_input_gradient(
+            || Linear::new("fc", 5, 4, WeightForm::Float, true, 2),
+            &x,
+            1e-2,
+            6,
+        );
         assert!(report.passes(2e-2), "{report:?}");
         assert!(report.probes >= 3);
     }
@@ -205,12 +211,17 @@ mod tests {
         // conv → bn → relu → pool → flatten → fc: the complete smooth path.
         let make = || {
             Sequential::new("gc")
-                .push(Conv2d::new("conv", Conv2dSpec::new(2, 4, 3, 1), 3))
+                .push(Conv2d::new(
+                    "conv",
+                    Conv2dSpec::new(2, 4, 3, 1),
+                    WeightForm::Float,
+                    3,
+                ))
                 .push(BatchNorm::new("bn", 4))
                 .push(Relu::new("relu"))
                 .push(MaxPool2d::two_by_two("pool"))
                 .push(Flatten::new("flat"))
-                .push(Linear::new("fc", 4 * 3 * 3, 3, true, 4))
+                .push(Linear::new("fc", 4 * 3 * 3, 3, WeightForm::Float, true, 4))
         };
         // Seed picked so no probe straddles a ReLU/max-pool kink (where
         // central differences and the one-sided analytic gradient rightly
@@ -225,9 +236,9 @@ mod tests {
         let make = || {
             Sequential::new("gc2")
                 .push(Flatten::new("flat"))
-                .push(Linear::new("fc1", 8, 6, true, 7))
+                .push(Linear::new("fc1", 8, 6, WeightForm::Float, true, 7))
                 .push(Relu::new("relu"))
-                .push(Linear::new("fc2", 6, 2, true, 8))
+                .push(Linear::new("fc2", 6, 2, WeightForm::Float, true, 8))
         };
         let x = uniform(Shape::nchw(3, 2, 2, 2), -1.0, 1.0, 9);
         let report = check_parameter_gradients(make, &x, 1e-2, 4);

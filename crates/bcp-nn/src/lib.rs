@@ -11,8 +11,8 @@
 //! - [`param::Param`]: a trainable tensor + its gradient + optimizer slots.
 //! - [`layer::Layer`]: forward/backward/visit-params object interface; the
 //!   network is a [`sequential::Sequential`] of boxed layers.
-//! - Layers: [`conv::Conv2d`] / [`conv::BinaryConv2d`],
-//!   [`linear::Linear`] / [`linear::BinaryLinear`],
+//! - Layers: [`conv::Conv2d`] and [`linear::Linear`], each multiplying its
+//!   weight in one [`weight::WeightForm`] (`W`, `sign(W)` or `α·sign(W)`),
 //!   [`batchnorm::BatchNorm`], [`activation::SignSte`] /
 //!   [`activation::Relu`] / [`activation::HardTanh`],
 //!   [`pool::MaxPool2d`], [`flatten::Flatten`].
@@ -37,11 +37,12 @@ pub mod metrics;
 pub mod optim;
 pub mod param;
 pub mod pool;
-pub mod scaled;
 pub mod sequential;
 pub mod serialize;
 pub mod train;
+pub mod weight;
 
 pub use layer::{Layer, LayerKind, Mode};
 pub use param::Param;
 pub use sequential::Sequential;
+pub use weight::WeightForm;

@@ -1,93 +1,60 @@
-//! Fully-connected layers: float [`Linear`] and [`BinaryLinear`] with latent
-//! weights.
+//! The fully-connected layer, in any [`WeightForm`].
 
 use crate::layer::{take_cache, Layer, LayerKind, Mode};
 use crate::param::Param;
+use crate::weight::{owned, Weight, WeightForm};
 use bcp_tensor::init::kaiming;
 use bcp_tensor::matmul::{matmul, matmul_ta, matmul_tb};
 use bcp_tensor::{Shape, Tensor};
+use std::borrow::Cow;
 
-/// `y = x·Wᵀ (+ b)` with `x: N×F_in`, `W: F_out×F_in`.
+/// `y = x·Wₑᵀ (+ b)` with `x: N×F_in`, `W: F_out×F_in` and `Wₑ` the weight
+/// of its [`WeightForm`].
+///
+/// The BNN's dense layers are bias-free: each is followed by batch-norm
+/// (whose β subsumes a bias) except the final logits layer, which FINN also
+/// implements bias-free.
 pub struct Linear {
     name: String,
-    weight: Param,
+    weight: Weight,
     bias: Option<Param>,
-    cache_x: Option<Tensor>,
+    cache: Option<(Tensor, Option<Tensor>)>, // (x, Wₑ unless it is W itself)
 }
 
 impl Linear {
     /// Kaiming-initialised dense layer.
-    pub fn new(name: impl Into<String>, f_in: usize, f_out: usize, bias: bool, seed: u64) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        f_in: usize,
+        f_out: usize,
+        form: WeightForm,
+        bias: bool,
+        seed: u64,
+    ) -> Self {
         let w = kaiming(Shape::d2(f_out, f_in), f_in, seed);
         Linear {
             name: name.into(),
-            weight: Param::new("weight", w),
+            weight: Weight::new(form, w),
             bias: bias.then(|| Param::new("bias", Tensor::zeros(Shape::d1(f_out)))),
-            cache_x: None,
+            cache: None,
         }
     }
 
-    /// Output feature count.
-    pub fn f_out(&self) -> usize {
-        self.weight.shape().dim(0)
+    /// How the stored weight is multiplied.
+    pub fn form(&self) -> WeightForm {
+        self.weight.form
     }
 
-    /// Input feature count.
-    pub fn f_in(&self) -> usize {
-        self.weight.shape().dim(1)
+    /// Whether the layer adds a bias.
+    pub fn has_bias(&self) -> bool {
+        self.bias.is_some()
     }
 
-    /// Read-only weight access (deployment export).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
+    /// The weight the forward pass multiplies: `W`, `sign(W)` or
+    /// `α·sign(W)`.
+    pub fn effective_weight(&self) -> Cow<'_, Tensor> {
+        self.weight.effective()
     }
-}
-
-/// Shared forward/backward math for both dense layers. `w_eff` is the weight
-/// actually multiplied (latent for [`Linear`], binarized for
-/// [`BinaryLinear`]).
-fn dense_forward(x: &Tensor, w_eff: &Tensor, bias: Option<&Param>) -> Tensor {
-    assert_eq!(
-        x.shape().rank(),
-        2,
-        "dense input must be N×F, got {}",
-        x.shape()
-    );
-    let mut y = matmul_tb(x, w_eff); // (N×Fi)·(Fo×Fi)ᵀ = N×Fo
-    if let Some(b) = bias {
-        let f_out = b.value.numel();
-        let n = y.shape().dim(0);
-        let ys = y.as_mut_slice();
-        for r in 0..n {
-            for (c, &bv) in b.value.as_slice().iter().enumerate() {
-                ys[r * f_out + c] += bv;
-            }
-        }
-    }
-    y
-}
-
-/// Returns (dW, dx) and accumulates db into `bias` when present.
-fn dense_backward(
-    x: &Tensor,
-    w_eff: &Tensor,
-    dy: &Tensor,
-    bias: Option<&mut Param>,
-) -> (Tensor, Tensor) {
-    let dw = matmul_ta(dy, x); // (N×Fo)ᵀ·(N×Fi) = Fo×Fi
-    let dx = matmul(dy, w_eff); // (N×Fo)·(Fo×Fi) = N×Fi
-    if let Some(b) = bias {
-        let f_out = b.value.numel();
-        let n = dy.shape().dim(0);
-        let mut db = Tensor::zeros(Shape::d1(f_out));
-        for r in 0..n {
-            for c in 0..f_out {
-                db.as_mut_slice()[c] += dy.as_slice()[r * f_out + c];
-            }
-        }
-        b.accumulate_grad(&db);
-    }
-    (dw, dx)
 }
 
 impl Layer for Linear {
@@ -108,105 +75,47 @@ impl Layer for Linear {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = dense_forward(x, &self.weight.value, self.bias.as_ref());
-        self.cache_x = Some(x.clone());
+        assert_eq!(
+            x.shape().rank(),
+            2,
+            "dense input must be N×F, got {}",
+            x.shape()
+        );
+        let w = self.weight.effective();
+        let mut y = matmul_tb(x, &w); // (N×Fi)·(Fo×Fi)ᵀ = N×Fo
+        if let Some(b) = &self.bias {
+            for row in y.as_mut_slice().chunks_exact_mut(b.value.numel()) {
+                for (v, &bv) in row.iter_mut().zip(b.value.as_slice()) {
+                    *v += bv;
+                }
+            }
+        }
+        self.cache = Some((x.clone(), owned(w)));
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = take_cache(&mut self.cache_x, &self.name);
-        let (dw, dx) = dense_backward(&x, &self.weight.value, dy, self.bias.as_mut());
-        self.weight.accumulate_grad(&dw);
-        dx
+        let (x, w) = take_cache(&mut self.cache, &self.name);
+        let dw = matmul_ta(dy, &x); // (N×Fo)ᵀ·(N×Fi) = Fo×Fi
+        self.weight.param.accumulate_grad(&dw);
+        if let Some(b) = &mut self.bias {
+            let mut db = Tensor::zeros(Shape::d1(b.value.numel()));
+            for row in dy.as_slice().chunks_exact(db.numel()) {
+                for (g, &d) in db.as_mut_slice().iter_mut().zip(row) {
+                    *g += d;
+                }
+            }
+            b.accumulate_grad(&db);
+        }
+        let w = w.as_ref().unwrap_or(&self.weight.param.value);
+        matmul(dy, w) // (N×Fo)·(Fo×Fi) = N×Fi
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
+        f(&mut self.weight.param);
         if let Some(b) = &mut self.bias {
             f(b);
         }
-    }
-}
-
-/// Dense layer with binarized weights: forward multiplies `sign(W)`, the
-/// backward pass applies the straight-through estimator so the latent `W`
-/// receives the binary weight's gradient unchanged (paper Sec. III-A).
-///
-/// No bias — in the BinaryCoP stack every dense layer is followed by
-/// batch-norm (whose β subsumes a bias) except the final logits layer, which
-/// FINN also implements bias-free.
-pub struct BinaryLinear {
-    name: String,
-    weight: Param,
-    cache: Option<(Tensor, Tensor)>, // (x, sign(W))
-}
-
-impl BinaryLinear {
-    /// Kaiming-initialised latent weights, unit-clipped by the optimizer.
-    pub fn new(name: impl Into<String>, f_in: usize, f_out: usize, seed: u64) -> Self {
-        let w = kaiming(Shape::d2(f_out, f_in), f_in, seed);
-        BinaryLinear {
-            name: name.into(),
-            weight: Param::latent("weight", w),
-            cache: None,
-        }
-    }
-
-    /// Latent weights (export/tests).
-    pub fn latent_weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    /// Binarized weights by the Eq. 1 sign convention.
-    pub fn binary_weight(&self) -> Tensor {
-        self.weight.value.map(|w| if w >= 0.0 { 1.0 } else { -1.0 })
-    }
-
-    /// Output feature count.
-    pub fn f_out(&self) -> usize {
-        self.weight.shape().dim(0)
-    }
-
-    /// Input feature count.
-    pub fn f_in(&self) -> usize {
-        self.weight.shape().dim(1)
-    }
-}
-
-impl Layer for BinaryLinear {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Dense
-    }
-
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let wb = self.binary_weight();
-        let y = dense_forward(x, &wb, None);
-        self.cache = Some((x.clone(), wb));
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, wb) = take_cache(&mut self.cache, &self.name);
-        // STE: d(sign(W))/dW ≈ 1, so the latent gradient is the binary one.
-        let (dw, dx) = dense_backward(&x, &wb, dy, None);
-        self.weight.accumulate_grad(&dw);
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
     }
 }
 
@@ -217,8 +126,8 @@ mod tests {
 
     #[test]
     fn linear_forward_known() {
-        let mut l = Linear::new("fc", 2, 2, true, 0);
-        l.weight.value = Tensor::from_vec(Shape::d2(2, 2), vec![1.0, 2.0, 3.0, 4.0]);
+        let mut l = Linear::new("fc", 2, 2, WeightForm::Float, true, 0);
+        l.weight.param.value = Tensor::from_vec(Shape::d2(2, 2), vec![1.0, 2.0, 3.0, 4.0]);
         if let Some(b) = &mut l.bias {
             b.value = Tensor::from_vec(Shape::d1(2), vec![10.0, 20.0]);
         }
@@ -229,7 +138,7 @@ mod tests {
 
     #[test]
     fn linear_gradients_match_finite_difference() {
-        let mut l = Linear::new("fc", 3, 2, true, 1);
+        let mut l = Linear::new("fc", 3, 2, WeightForm::Float, true, 1);
         let x = uniform(Shape::d2(4, 3), -1.0, 1.0, 2);
         let y = l.forward(&x, Mode::Train);
         let dy = Tensor::ones(y.shape().clone());
@@ -238,12 +147,12 @@ mod tests {
 
         // Weight grad check at a probe index.
         let probe = 4usize;
-        let analytic = l.weight.grad.as_slice()[probe];
-        let mut lp = Linear::new("fc", 3, 2, true, 1);
-        lp.weight.value.as_mut_slice()[probe] += eps;
+        let analytic = l.weight.param.grad.as_slice()[probe];
+        let mut lp = Linear::new("fc", 3, 2, WeightForm::Float, true, 1);
+        lp.weight.param.value.as_mut_slice()[probe] += eps;
         let fp: f32 = lp.forward(&x, Mode::Train).as_slice().iter().sum();
-        let mut lm = Linear::new("fc", 3, 2, true, 1);
-        lm.weight.value.as_mut_slice()[probe] -= eps;
+        let mut lm = Linear::new("fc", 3, 2, WeightForm::Float, true, 1);
+        lm.weight.param.value.as_mut_slice()[probe] -= eps;
         let fm: f32 = lm.forward(&x, Mode::Train).as_slice().iter().sum();
         let numeric = (fp - fm) / (2.0 * eps);
         assert!(
@@ -255,11 +164,11 @@ mod tests {
         let probe = 7usize;
         let mut xp = x.clone();
         xp.as_mut_slice()[probe] += eps;
-        let mut l2 = Linear::new("fc", 3, 2, true, 1);
+        let mut l2 = Linear::new("fc", 3, 2, WeightForm::Float, true, 1);
         let fp: f32 = l2.forward(&xp, Mode::Train).as_slice().iter().sum();
         let mut xm = x.clone();
         xm.as_mut_slice()[probe] -= eps;
-        let mut l3 = Linear::new("fc", 3, 2, true, 1);
+        let mut l3 = Linear::new("fc", 3, 2, WeightForm::Float, true, 1);
         let fm: f32 = l3.forward(&xm, Mode::Train).as_slice().iter().sum();
         let numeric = (fp - fm) / (2.0 * eps);
         assert!((numeric - dx.as_slice()[probe]).abs() < 1e-2);
@@ -274,8 +183,8 @@ mod tests {
 
     #[test]
     fn binary_linear_multiplies_signs_only() {
-        let mut l = BinaryLinear::new("bfc", 2, 1, 0);
-        l.weight.value = Tensor::from_vec(Shape::d2(1, 2), vec![0.3, -0.7]);
+        let mut l = Linear::new("bfc", 2, 1, WeightForm::Sign, false, 0);
+        l.weight.param.value = Tensor::from_vec(Shape::d2(1, 2), vec![0.3, -0.7]);
         let x = Tensor::from_vec(Shape::d2(1, 2), vec![2.0, 5.0]);
         let y = l.forward(&x, Mode::Train);
         // sign weights = [+1, −1] → y = 2 − 5.
@@ -284,21 +193,21 @@ mod tests {
 
     #[test]
     fn binary_linear_ste_passes_gradient_to_latent() {
-        let mut l = BinaryLinear::new("bfc", 2, 1, 0);
-        l.weight.value = Tensor::from_vec(Shape::d2(1, 2), vec![0.3, -0.7]);
+        let mut l = Linear::new("bfc", 2, 1, WeightForm::Sign, false, 0);
+        l.weight.param.value = Tensor::from_vec(Shape::d2(1, 2), vec![0.3, -0.7]);
         let x = Tensor::from_vec(Shape::d2(1, 2), vec![2.0, 5.0]);
         let _ = l.forward(&x, Mode::Train);
         let dy = Tensor::from_vec(Shape::d2(1, 1), vec![1.0]);
         let dx = l.backward(&dy);
         // dW = dy·x (as if weights were the binary ones) → latent grads.
-        assert_eq!(l.weight.grad.as_slice(), &[2.0, 5.0]);
+        assert_eq!(l.weight.param.grad.as_slice(), &[2.0, 5.0]);
         // dx = dy·W_b = [+1, −1].
         assert_eq!(dx.as_slice(), &[1.0, -1.0]);
     }
 
     #[test]
     fn binary_linear_is_latent_clipped_param() {
-        let mut l = BinaryLinear::new("bfc", 4, 4, 0);
+        let mut l = Linear::new("bfc", 4, 4, WeightForm::Sign, false, 0);
         let mut saw = 0;
         l.visit_params(&mut |p| {
             assert!(p.clip_unit);
@@ -311,7 +220,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "without a cached forward")]
     fn backward_without_forward_panics() {
-        let mut l = Linear::new("fc", 2, 2, false, 0);
+        let mut l = Linear::new("fc", 2, 2, WeightForm::Float, false, 0);
         l.backward(&Tensor::zeros(Shape::d2(1, 2)));
+    }
+
+    #[test]
+    fn scaled_linear_forward_backward_shapes() {
+        let mut l = Linear::new("sl", 4, 3, WeightForm::ScaledSign, false, 1);
+        let x = uniform(Shape::d2(2, 4), -1.0, 1.0, 2);
+        let y = l.forward(&x, Mode::Train);
+        assert_eq!(y.shape().dims(), &[2, 3]);
+        let dx = l.backward(&Tensor::ones(y.shape().clone()));
+        assert_eq!(dx.shape(), x.shape());
+        let mut grads = 0;
+        l.visit_params(&mut |p| grads += p.grad.as_slice().iter().filter(|v| **v != 0.0).count());
+        assert!(grads > 0);
     }
 }

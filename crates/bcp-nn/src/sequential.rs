@@ -258,13 +258,14 @@ mod tests {
     use super::*;
     use crate::activation::SignSte;
     use crate::linear::Linear;
+    use crate::weight::WeightForm;
     use bcp_tensor::Shape;
 
     fn tiny_net() -> Sequential {
         Sequential::new("tiny")
-            .push(Linear::new("fc1", 2, 3, true, 1))
+            .push(Linear::new("fc1", 2, 3, WeightForm::Float, true, 1))
             .push(SignSte::new("sign1"))
-            .push(Linear::new("fc2", 3, 2, true, 2))
+            .push(Linear::new("fc2", 3, 2, WeightForm::Float, true, 2))
     }
 
     #[test]

@@ -261,16 +261,17 @@ pub fn load_json(net: &mut Sequential, path: impl AsRef<Path>) -> Result<(), Che
 mod tests {
     use super::*;
     use crate::activation::SignSte;
-    use crate::linear::{BinaryLinear, Linear};
+    use crate::linear::Linear;
+    use crate::weight::WeightForm;
     use crate::Mode;
     use bcp_tensor::init::uniform;
 
     fn net(seed: u64) -> Sequential {
         Sequential::new("ckpt")
-            .push(Linear::new("fc1", 4, 8, true, seed))
+            .push(Linear::new("fc1", 4, 8, WeightForm::Float, true, seed))
             .push(BatchNorm::new("bn1", 8))
             .push(SignSte::new("sign1"))
-            .push(BinaryLinear::new("bfc2", 8, 3, seed + 1))
+            .push(Linear::new("bfc2", 8, 3, WeightForm::Sign, false, seed + 1))
     }
 
     #[test]
@@ -323,7 +324,8 @@ mod tests {
     fn load_rejects_structural_mismatch() {
         let mut a = net(1);
         let sd = state_dict(&mut a);
-        let mut other = Sequential::new("other").push(Linear::new("zzz", 4, 4, false, 0));
+        let mut other =
+            Sequential::new("other").push(Linear::new("zzz", 4, 4, WeightForm::Float, false, 0));
         load_state_dict(&mut other, &sd);
     }
 
@@ -333,7 +335,8 @@ mod tests {
         let mut sd = state_dict(&mut a);
 
         // Missing key.
-        let mut other = Sequential::new("other").push(Linear::new("zzz", 4, 4, false, 0));
+        let mut other =
+            Sequential::new("other").push(Linear::new("zzz", 4, 4, WeightForm::Float, false, 0));
         match try_load_state_dict(&mut other, &sd) {
             Err(CheckpointError::MissingParameter { key }) => assert_eq!(key, "zzz.weight"),
             other => panic!("expected MissingParameter, got {other:?}"),

@@ -373,9 +373,10 @@ mod tests {
     use super::*;
     use crate::activation::SignSte;
     use crate::batchnorm::BatchNorm;
-    use crate::linear::{BinaryLinear, Linear};
+    use crate::linear::Linear;
     use crate::metrics::accuracy;
     use crate::optim::Adam;
+    use crate::weight::WeightForm;
     use bcp_tensor::init::uniform;
 
     /// A linearly-separable 2-class blob problem: class = sign of x₀.
@@ -390,10 +391,10 @@ mod tests {
     fn blob_net(seed: u64) -> Sequential {
         Sequential::new("blob")
             .push(crate::flatten::Flatten::new("flat"))
-            .push(Linear::new("fc1", 2, 8, true, seed))
+            .push(Linear::new("fc1", 2, 8, WeightForm::Float, true, seed))
             .push(BatchNorm::new("bn1", 8))
             .push(SignSte::new("sign1"))
-            .push(Linear::new("fc2", 8, 2, true, seed + 1))
+            .push(Linear::new("fc2", 8, 2, WeightForm::Float, true, seed + 1))
     }
 
     #[test]
@@ -444,13 +445,13 @@ mod tests {
         let (images, labels) = blob_data(256, 4);
         let mut net = Sequential::new("binary-blob")
             .push(crate::flatten::Flatten::new("flat"))
-            .push(Linear::new("fc1", 2, 16, true, 20))
+            .push(Linear::new("fc1", 2, 16, WeightForm::Float, true, 20))
             .push(BatchNorm::new("bn1", 16))
             .push(SignSte::new("sign1"))
-            .push(BinaryLinear::new("bfc2", 16, 16, 21))
+            .push(Linear::new("bfc2", 16, 16, WeightForm::Sign, false, 21))
             .push(BatchNorm::new("bn2", 16))
             .push(SignSte::new("sign2"))
-            .push(Linear::new("fc3", 16, 2, true, 22));
+            .push(Linear::new("fc3", 16, 2, WeightForm::Float, true, 22));
         let mut opt = Adam::new(0.01);
         let cfg = TrainConfig {
             epochs: 40,
@@ -493,13 +494,13 @@ mod tests {
         let (images, labels) = blob_data(128, 3);
         let mut net = Sequential::new("dyn")
             .push(crate::flatten::Flatten::new("flat"))
-            .push(Linear::new("fc1", 2, 8, true, 60))
+            .push(Linear::new("fc1", 2, 8, WeightForm::Float, true, 60))
             .push(BatchNorm::new("bn1", 8))
             .push(SignSte::new("sign1"))
-            .push(BinaryLinear::new("bfc", 8, 8, 61))
+            .push(Linear::new("bfc", 8, 8, WeightForm::Sign, false, 61))
             .push(BatchNorm::new("bn2", 8))
             .push(SignSte::new("sign2"))
-            .push(Linear::new("fc2", 8, 2, true, 62));
+            .push(Linear::new("fc2", 8, 2, WeightForm::Float, true, 62));
         let mut opt = Adam::new(0.02);
         let cfg = TrainConfig {
             epochs: 4,

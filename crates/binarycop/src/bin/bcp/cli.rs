@@ -19,6 +19,15 @@ pub fn usage_error(msg: impl std::fmt::Display) -> ! {
     exit(2);
 }
 
+/// `result` of reading or writing `path`; an error prints `path: error`
+/// and exits 1, as an unreadable input file does.
+pub fn or_exit<T>(path: &str, result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        exit(1);
+    })
+}
+
 /// One subcommand's command line: `--flag value` pairs, bare boolean
 /// flags, and positional arguments.
 pub struct Args {
@@ -103,7 +112,7 @@ impl Args {
     pub fn load_predictor(&self) -> BinaryCoP {
         let arch = self.arch_kind().arch();
         let accel = self.required("accel");
-        BinaryCoP::load_image(accel, &arch).expect("reading accelerator image")
+        or_exit(accel, BinaryCoP::load_image(accel, &arch))
     }
 
     /// Benchmark predictor: a trained accelerator image when `--accel` is

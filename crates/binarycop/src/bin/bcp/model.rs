@@ -1,7 +1,7 @@
 //! The model family: verify (`check`), train, fold and deploy, classify,
 //! and report (`info`, `demo`).
 
-use crate::cli::{usage_error, Args};
+use crate::cli::{or_exit, usage_error, Args};
 use bcp_dataset::ppm::{decode_ppm, resize_to};
 use binarycop::arch::ArchKind;
 use binarycop::model::{build_bnn, untrained_predictor};
@@ -80,7 +80,7 @@ pub fn train(args: &Args) {
         );
     });
     eprintln!("test accuracy: {:.2}%", model.test_accuracy * 100.0);
-    bcp_nn::serialize::save_json(&mut model.net, out).expect("writing checkpoint");
+    or_exit(out, bcp_nn::serialize::save_json(&mut model.net, out));
     eprintln!("checkpoint written to {out}");
     telemetry.save();
 }
@@ -97,11 +97,12 @@ pub fn deploy(args: &Args) {
     let model_path = args.required("model");
     let out = args.required("out");
     let mut net = build_bnn(&arch, 0);
-    bcp_nn::serialize::load_json(&mut net, model_path).expect("reading checkpoint");
+    or_exit(
+        model_path,
+        bcp_nn::serialize::load_json(&mut net, model_path),
+    );
     let predictor = BinaryCoP::from_trained(&net, &arch);
-    predictor
-        .save_image(out)
-        .expect("writing accelerator image");
+    or_exit(out, predictor.save_image(out));
     eprintln!("{}", predictor.pipeline().describe());
     eprintln!("accelerator image written to {out}");
 }
@@ -115,14 +116,7 @@ pub fn classify(args: &Args) {
         usage_error("no input images (pass one or more .ppm files)");
     }
     for path in &args.positional {
-        let bytes = std::fs::read(path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            exit(1);
-        });
-        let img = decode_ppm(&bytes).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            exit(1);
-        });
+        let img = or_exit(path, decode_ppm(&or_exit(path, std::fs::read(path))));
         let sized = resize_to(&img, predictor.arch().input_size);
         let class = predictor.classify(&sized);
         println!("{path}: {}", class.full_name());

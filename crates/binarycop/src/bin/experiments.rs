@@ -41,6 +41,12 @@ struct Options {
     figures: Vec<u8>,
 }
 
+/// Print `msg` and exit 2, the exit code of every bad command line.
+fn usage_error(msg: String) -> ! {
+    eprintln!("experiments: {msg}");
+    std::process::exit(2);
+}
+
 fn parse(args: &[String]) -> (String, Options) {
     let command = args.first().cloned().unwrap_or_else(|| "all".into());
     let mut opts = Options {
@@ -56,21 +62,22 @@ fn parse(args: &[String]) -> (String, Options) {
             "--quick" => opts.quick = true,
             "--full" => opts.quick = false,
             "--resources-only" => opts.resources_only = true,
-            "--ppm" => {
+            flag @ ("--ppm" | "--json") => {
                 i += 1;
-                opts.ppm_dir = Some(PathBuf::from(args.get(i).expect("--ppm needs a directory")));
-            }
-            "--json" => {
-                i += 1;
-                opts.json = Some(PathBuf::from(args.get(i).expect("--json needs a file")));
+                let Some(value) = args.get(i).map(PathBuf::from) else {
+                    usage_error(format!("{flag} needs a value"))
+                };
+                match flag {
+                    "--ppm" => opts.ppm_dir = Some(value),
+                    _ => opts.json = Some(value),
+                }
             }
             "all" => opts.figures = (3..=9).collect(),
-            f if f.parse::<u8>().is_ok() => {
-                let n = f.parse::<u8>().unwrap();
-                assert!((3..=9).contains(&n), "figures are numbered 3–9");
-                opts.figures = vec![n];
-            }
-            other => panic!("unknown option '{other}'"),
+            f if f.bytes().all(|b| b.is_ascii_digit()) => match f.parse() {
+                Ok(n @ 3..=9) => opts.figures = vec![n],
+                _ => usage_error(format!("figures are numbered 3–9, got {f}")),
+            },
+            other => usage_error(format!("unknown option '{other}'")),
         }
         i += 1;
     }

@@ -17,40 +17,48 @@ use bcp_finn::mvtu::{BinaryMvtu, FixedInputMvtu};
 use bcp_finn::threshold::scaled_threshold_unit;
 use bcp_finn::{Folding, Pipeline, Stage, StageKind, StagePlan};
 use bcp_nn::batchnorm::{BatchNorm, BN_EPS};
-use bcp_nn::conv::BinaryConv2d;
-use bcp_nn::linear::BinaryLinear;
-use bcp_nn::Sequential;
+use bcp_nn::conv::Conv2d;
+use bcp_nn::linear::Linear;
+use bcp_nn::{Sequential, WeightForm};
 use bcp_tensor::Tensor;
 
 /// The integer scale of the first stage's accumulators relative to the
 /// float network (see `bcp_finn::data::INPUT_SCALE`).
 pub const FIRST_LAYER_SCALE: f64 = 255.0;
 
-/// Packed binary weight matrix of an MVTU stage, read from the network
-/// layer of type `L` that carries the stage's name. The float weights'
-/// columns run (channel, position) — (channel, ky, kx) for a conv,
-/// (channel, y, x) for a dense layer over a flattened map — and the stage
-/// reads its input channel-last, so they are packed (position, channel)
-/// over `positions` positions ([`pack_channel_last`]).
-fn weight_matrix<L: 'static>(
-    net: &Sequential,
-    stage: &StagePlan,
-    binary_weight: fn(&L) -> Tensor,
-    positions: usize,
-) -> BitMatrix {
-    let name = &stage.name;
+/// `sign(W)` of the conv or dense layer named `name`, in the layer's own
+/// row-major order. FINN maps only bias-free [`WeightForm::Sign`] weights
+/// onto XNOR-popcount, so any other form, or a bias, is refused by a panic
+/// that names the layer and its form.
+pub(crate) fn sign_weight(net: &Sequential, name: &str) -> Tensor {
     let idx = net
         .index_of(name)
         .unwrap_or_else(|| panic!("network has no layer '{name}'"));
-    let layer = net
-        .layer_as::<L>(idx)
-        .unwrap_or_else(|| panic!("layer '{name}' is not a {}", std::any::type_name::<L>()));
-    pack_channel_last(
-        stage.rows,
-        stage.cols,
-        positions,
-        binary_weight(layer).as_slice(),
-    )
+    let (form, biased, w) = if let Some(c) = net.layer_as::<Conv2d>(idx) {
+        (c.form(), false, c.effective_weight())
+    } else if let Some(l) = net.layer_as::<Linear>(idx) {
+        (l.form(), l.has_bias(), l.effective_weight())
+    } else {
+        panic!("layer '{name}' is neither a Conv2d nor a Linear")
+    };
+    assert!(
+        form == WeightForm::Sign && !biased,
+        "cannot deploy layer '{name}': its weights are {form:?}{}, and only bias-free Sign \
+         weights map onto XNOR-popcount",
+        if biased { " with a bias" } else { "" }
+    );
+    w.into_owned()
+}
+
+/// Packed binary weight matrix of an MVTU stage, read from the network
+/// layer that carries the stage's name. The float weights' columns run
+/// (channel, position) — (channel, ky, kx) for a conv, (channel, y, x) for
+/// a dense layer over a flattened map — and the stage reads its input
+/// channel-last, so they are packed (position, channel) over `positions`
+/// positions ([`pack_channel_last`]).
+fn weight_matrix(net: &Sequential, stage: &StagePlan, positions: usize) -> BitMatrix {
+    let w = sign_weight(net, &stage.name);
+    pack_channel_last(stage.rows, stage.cols, positions, w.as_slice())
 }
 
 /// Pack a row-major `rows × cols` float buffer whose columns run
@@ -162,8 +170,7 @@ fn build_pipeline(net: &Sequential, name: &str, plan: &[StagePlan]) -> Pipeline 
             let name = p.name.clone();
             let folding = Folding::new(p.pe, p.simd);
             let thresholds = |scale| thresholds_from_bn(net, &format!("bn_{}", p.name), scale);
-            let conv_weights =
-                |positions| weight_matrix(net, p, BinaryConv2d::binary_weight, positions);
+            let conv_weights = |positions| weight_matrix(net, p, positions);
             // A dense stage reads its predecessor's map: `h·w` positions
             // (one behind another dense stage).
             let fc_positions = i
@@ -173,7 +180,7 @@ fn build_pipeline(net: &Sequential, name: &str, plan: &[StagePlan]) -> Pipeline 
                     let (_, h, w) = prev.out_dims();
                     h * w
                 });
-            let fc_weights = || weight_matrix(net, p, BinaryLinear::binary_weight, fc_positions);
+            let fc_weights = || weight_matrix(net, p, fc_positions);
             match p.kind {
                 // The camera input stays CHW: conv1 keeps its columns.
                 StageKind::ConvFixed => Stage::ConvFixed {
@@ -362,6 +369,44 @@ mod tests {
         let arch = ArchKind::NCnv.arch();
         let net = Sequential::new("empty");
         deploy(&net, &arch);
+    }
+
+    /// FINN has no datapath for float or α-scaled weights: deploy, the
+    /// predictor and the integer reference all refuse them at the first
+    /// weight layer, naming it and its form.
+    #[test]
+    fn non_sign_weights_are_refused_naming_the_layer() {
+        use crate::model::{build_bnn_with, build_fp32, ModelOptions};
+        use crate::predictor::BinaryCoP;
+        use crate::reference::IntegerReference;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let arch = crate::recipe::tiny_arch();
+        let scaled = ModelOptions {
+            weights: WeightForm::ScaledSign,
+            ..ModelOptions::default()
+        };
+        for (net, form) in [
+            (build_bnn_with(&arch, 1, scaled), "ScaledSign"),
+            (build_fp32(&arch, 1), "Float"),
+        ] {
+            let attempts: [(&str, &dyn Fn()); 3] = [
+                ("try_deploy", &|| drop(try_deploy(&net, &arch))),
+                ("from_trained", &|| {
+                    drop(BinaryCoP::from_trained(&net, &arch))
+                }),
+                ("from_network", &|| {
+                    drop(IntegerReference::from_network(&net, &arch))
+                }),
+            ];
+            for (path, attempt) in attempts {
+                let err = catch_unwind(AssertUnwindSafe(attempt)).expect_err(path);
+                let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    msg.contains("layer 'conv1'") && msg.contains(form),
+                    "{path} on {form}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -636,7 +636,7 @@ pub fn variant_ablation(
     epochs: usize,
     seed: u64,
 ) -> String {
-    use crate::model::{build_bnn_with, InputMode, ModelOptions, WeightMode};
+    use crate::model::{build_bnn_with, InputMode, ModelOptions, WeightForm};
     use bcp_nn::optim::Adam;
     use bcp_nn::train::{evaluate, fit, LossKind, TrainConfig};
 
@@ -653,21 +653,21 @@ pub fn variant_ablation(
         (
             "plain BNN (paper)",
             ModelOptions {
-                weights: WeightMode::Plain,
+                weights: WeightForm::Sign,
                 input: InputMode::FixedPoint8,
             },
         ),
         (
             "XNOR-Net scaled α·sign(W)",
             ModelOptions {
-                weights: WeightMode::Scaled,
+                weights: WeightForm::ScaledSign,
                 input: InputMode::FixedPoint8,
             },
         ),
         (
             "binary input sign(2x−1)",
             ModelOptions {
-                weights: WeightMode::Plain,
+                weights: WeightForm::Sign,
                 input: InputMode::Binary,
             },
         ),
@@ -697,7 +697,7 @@ pub fn variant_ablation(
             |_| true,
         );
         let acc = evaluate(&mut net, &test_images, &test.labels, 32, None);
-        let deployable = opts.weights == WeightMode::Plain && opts.input == InputMode::FixedPoint8;
+        let deployable = opts.weights == WeightForm::Sign && opts.input == InputMode::FixedPoint8;
         s.push_str(&format!(
             "{:<28}{:>9.1}%  {:>20}\n",
             label,

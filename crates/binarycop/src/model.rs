@@ -10,24 +10,13 @@ use crate::arch::{Arch, K};
 use crate::predictor::BinaryCoP;
 use bcp_nn::activation::{Relu, SignSte};
 use bcp_nn::batchnorm::BatchNorm;
-use bcp_nn::conv::{BinaryConv2d, Conv2d};
+use bcp_nn::conv::Conv2d;
 use bcp_nn::flatten::Flatten;
-use bcp_nn::linear::{BinaryLinear, Linear};
+use bcp_nn::linear::Linear;
 use bcp_nn::pool::MaxPool2d;
 use bcp_nn::Sequential;
+pub use bcp_nn::WeightForm;
 use bcp_tensor::Conv2dSpec;
-
-/// Binary-weight flavour (Sec. II-B design choice).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WeightMode {
-    /// Plain BNN weights, `sign(W)` — the paper's choice, deployable as
-    /// pure XNOR hardware.
-    #[default]
-    Plain,
-    /// XNOR-Net weights, `α·sign(W)` — the rejected alternative; training
-    /// ablation only (the FINN exporter refuses it).
-    Scaled,
-}
 
 /// First-layer input precision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -44,8 +33,10 @@ pub enum InputMode {
 /// Model-construction options for the ablation studies.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ModelOptions {
-    /// Weight flavour.
-    pub weights: WeightMode,
+    /// Weight form (Sec. II-B design choice): `Sign`, the paper's and the
+    /// default, or `ScaledSign`, the XNOR-Net ablation. The float network
+    /// is [`build_fp32`].
+    pub weights: WeightForm,
     /// Input precision.
     pub input: InputMode,
 }
@@ -58,7 +49,6 @@ pub fn build_bnn(arch: &Arch, seed: u64) -> Sequential {
 
 /// Build a BNN with explicit weight/input modes (ablations).
 pub fn build_bnn_with(arch: &Arch, seed: u64, opts: ModelOptions) -> Sequential {
-    use bcp_nn::scaled::{ScaledBinaryConv2d, ScaledBinaryLinear};
     arch.validate();
     let mut net = Sequential::new(arch.name.clone());
     if opts.input == InputMode::Binary {
@@ -67,19 +57,13 @@ pub fn build_bnn_with(arch: &Arch, seed: u64, opts: ModelOptions) -> Sequential 
     let mut pool_idx = 0usize;
     for (i, conv) in arch.convs.iter().enumerate() {
         let spec = Conv2dSpec::new(conv.c_in, conv.c_out, K, 0);
-        net = match opts.weights {
-            WeightMode::Plain => net.push(BinaryConv2d::new(
-                format!("conv{}", i + 1),
-                spec,
-                seed + i as u64,
-            )),
-            WeightMode::Scaled => net.push(ScaledBinaryConv2d::new(
-                format!("conv{}", i + 1),
-                spec,
-                seed + i as u64,
-            )),
-        };
         net = net
+            .push(Conv2d::new(
+                format!("conv{}", i + 1),
+                spec,
+                opts.weights,
+                seed + i as u64,
+            ))
             .push(BatchNorm::new(format!("bn_conv{}", i + 1), conv.c_out))
             .push(SignSte::new(format!("sign_conv{}", i + 1)));
         if conv.pool_after {
@@ -90,20 +74,14 @@ pub fn build_bnn_with(arch: &Arch, seed: u64, opts: ModelOptions) -> Sequential 
     net = net.push(Flatten::new("flatten"));
     let n_fc = arch.fcs.len();
     for (i, fc) in arch.fcs.iter().enumerate() {
-        net = match opts.weights {
-            WeightMode::Plain => net.push(BinaryLinear::new(
-                format!("fc{}", i + 1),
-                fc.f_in,
-                fc.f_out,
-                seed + 100 + i as u64,
-            )),
-            WeightMode::Scaled => net.push(ScaledBinaryLinear::new(
-                format!("fc{}", i + 1),
-                fc.f_in,
-                fc.f_out,
-                seed + 100 + i as u64,
-            )),
-        };
+        net = net.push(Linear::new(
+            format!("fc{}", i + 1),
+            fc.f_in,
+            fc.f_out,
+            opts.weights,
+            false,
+            seed + 100 + i as u64,
+        ));
         if i + 1 < n_fc {
             net = net
                 .push(BatchNorm::new(format!("bn_fc{}", i + 1), fc.f_out))
@@ -122,7 +100,12 @@ pub fn build_fp32(arch: &Arch, seed: u64) -> Sequential {
     for (i, conv) in arch.convs.iter().enumerate() {
         let spec = Conv2dSpec::new(conv.c_in, conv.c_out, K, 0);
         net = net
-            .push(Conv2d::new(format!("conv{}", i + 1), spec, seed + i as u64))
+            .push(Conv2d::new(
+                format!("conv{}", i + 1),
+                spec,
+                WeightForm::Float,
+                seed + i as u64,
+            ))
             .push(BatchNorm::new(format!("bn_conv{}", i + 1), conv.c_out))
             .push(Relu::new(format!("relu_conv{}", i + 1)));
         if conv.pool_after {
@@ -137,6 +120,7 @@ pub fn build_fp32(arch: &Arch, seed: u64) -> Sequential {
             format!("fc{}", i + 1),
             fc.f_in,
             fc.f_out,
+            WeightForm::Float,
             i + 1 == n_fc, // bias only on the logits layer
             seed + 100 + i as u64,
         ));
@@ -253,7 +237,7 @@ mod tests {
             &arch,
             1,
             ModelOptions {
-                weights: WeightMode::Scaled,
+                weights: WeightForm::ScaledSign,
                 input: InputMode::FixedPoint8,
             },
         );
@@ -277,7 +261,7 @@ mod tests {
             &arch,
             1,
             ModelOptions {
-                weights: WeightMode::Plain,
+                weights: WeightForm::Sign,
                 input: InputMode::Binary,
             },
         );

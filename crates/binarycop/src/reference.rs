@@ -2,18 +2,16 @@
 //!
 //! A second, structurally independent implementation of the deployed
 //! network: dense `i8` weights, plain nested loops, no bit packing, no SWU,
-//! no folding. Its only shared code with the pipeline is the threshold
-//! derivation (itself property-tested against the f64 batch-norm + sign
-//! semantics). Exact agreement between this evaluator and
+//! no folding. Its only shared code with the pipeline is the read of each
+//! layer's `sign(W)` and the threshold derivation (itself property-tested
+//! against the f64 batch-norm + sign semantics). Exact agreement between this evaluator and
 //! [`crate::deploy::deploy`]'s pipeline therefore validates the packing,
 //! window gathering, OR-pooling and stage plumbing bit for bit.
 
 use crate::arch::{Arch, K};
-use crate::deploy::{thresholds_from_bn, FIRST_LAYER_SCALE};
+use crate::deploy::{sign_weight, thresholds_from_bn, FIRST_LAYER_SCALE};
 use bcp_bitpack::ThresholdUnit;
 use bcp_finn::data::QuantMap;
-use bcp_nn::conv::BinaryConv2d;
-use bcp_nn::linear::BinaryLinear;
 use bcp_nn::Sequential;
 
 struct ConvRef {
@@ -57,15 +55,12 @@ impl IntegerReference {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let name = format!("conv{}", i + 1);
-                let idx = net.index_of(&name).expect("conv layer present");
-                let layer = net.layer_as::<BinaryConv2d>(idx).expect("BinaryConv2d");
                 let scale = if i == 0 { FIRST_LAYER_SCALE } else { 1.0 };
                 ConvRef {
                     c_in: c.c_in,
                     c_out: c.c_out,
                     pool_after: c.pool_after,
-                    weights: signs_to_i8(layer.binary_weight().as_slice()),
+                    weights: signs_to_i8(sign_weight(net, &format!("conv{}", i + 1)).as_slice()),
                     thresholds: thresholds_from_bn(net, &format!("bn_conv{}", i + 1), scale),
                 }
             })
@@ -75,17 +70,12 @@ impl IntegerReference {
             .fcs
             .iter()
             .enumerate()
-            .map(|(i, f)| {
-                let name = format!("fc{}", i + 1);
-                let idx = net.index_of(&name).expect("fc layer present");
-                let layer = net.layer_as::<BinaryLinear>(idx).expect("BinaryLinear");
-                FcRef {
-                    f_in: f.f_in,
-                    f_out: f.f_out,
-                    weights: signs_to_i8(layer.binary_weight().as_slice()),
-                    thresholds: (i + 1 < n_fc)
-                        .then(|| thresholds_from_bn(net, &format!("bn_fc{}", i + 1), 1.0)),
-                }
+            .map(|(i, f)| FcRef {
+                f_in: f.f_in,
+                f_out: f.f_out,
+                weights: signs_to_i8(sign_weight(net, &format!("fc{}", i + 1)).as_slice()),
+                thresholds: (i + 1 < n_fc)
+                    .then(|| thresholds_from_bn(net, &format!("bn_fc{}", i + 1), 1.0)),
             })
             .collect();
         IntegerReference {

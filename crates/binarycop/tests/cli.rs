@@ -136,3 +136,80 @@ fn the_readme_shows_the_usage_text() {
         "README's `bcp` usage block differs from:\n{usage}"
     );
 }
+
+/// A missing input file and an unwritable output path each exit 1 with a
+/// message that names the file, like an unreadable `.ppm`.
+#[test]
+fn unreadable_inputs_and_unwritable_outputs_exit_1_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("bcp-cli-files-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (model, missing) = (path("m.json"), path("missing.json"));
+    let unwritable = path("no-such-dir/out.json");
+    let train = |out: &str| {
+        let flags = ["--arch", "ucnv", "--per-class", "1", "--epochs", "1"];
+        bcp(&[&["train", "--out", out][..], &flags].concat())
+    };
+    assert_eq!(train(&model).status.code(), Some(0));
+    for (args, file) in [
+        (
+            vec!["info", "--arch", "ucnv", "--accel", &missing],
+            &missing,
+        ),
+        (
+            vec!["classify", "--arch", "ucnv", "--accel", &missing, "x.ppm"],
+            &missing,
+        ),
+        (
+            vec![
+                "deploy", "--arch", "ucnv", "--model", &missing, "--out", &model,
+            ],
+            &missing,
+        ),
+        (
+            vec![
+                "deploy",
+                "--arch",
+                "ucnv",
+                "--model",
+                &model,
+                "--out",
+                &unwritable,
+            ],
+            &unwritable,
+        ),
+    ] {
+        let out = bcp(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(file.as_str()),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    let out = train(&unwritable);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains(&unwritable), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `experiments` refuses a bad command line with a message and exit 2.
+#[test]
+fn experiments_refuses_bad_command_lines_with_exit_2() {
+    for (args, message) in [
+        (
+            &["table1", "--frobnicate"][..],
+            "unknown option '--frobnicate'",
+        ),
+        (&["fig2", "--json"], "--json needs a value"),
+        (&["gradcam", "--ppm"], "--ppm needs a value"),
+        (&["gradcam", "12"], "figures are numbered 3–9, got 12"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("experiments runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
+    }
+}
