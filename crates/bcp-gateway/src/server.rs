@@ -134,7 +134,9 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Bind, stand up one shard per spec, and start serving.
+    /// Bind, stand up one shard per spec, and start serving. Every
+    /// `gateway.*` and shard `serve.*` metric goes to `registry`, or to a
+    /// registry of the gateway's own when `None`.
     pub fn start(
         specs: Vec<ShardSpec>,
         cfg: GatewayConfig,

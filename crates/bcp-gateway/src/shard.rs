@@ -139,7 +139,7 @@ impl Shard {
     // audit: cold — shard construction happens once at gateway start (and
     // on revive), never per request.
     fn start(id: usize, spec: ShardSpec, registry: Registry) -> Shard {
-        let engine = Engine::start((spec.make)(), spec.cfg.clone(), Some(registry.clone()));
+        let engine = Engine::start((spec.make)(), spec.cfg.clone(), registry.clone());
         let c = |suffix: &str| registry.counter(&format!("gateway.shard.{id}.{suffix}"));
         let shard = Shard {
             id,
@@ -248,7 +248,7 @@ impl Shard {
         let engine = Engine::start(
             (self.spec.make)(),
             self.spec.cfg.clone(),
-            Some(self.registry.clone()),
+            self.registry.clone(),
         );
         *self.engine.lock() = Some(Arc::new(engine));
         self.publish_state(ShardState::Suspect);

@@ -115,9 +115,9 @@ struct TenantEntry {
     last_ns: u64,
     used: u64,
     quota: Option<u64>,
-    admitted: Option<Counter>,
-    throttled: Option<Counter>,
-    quota_exhausted: Option<Counter>,
+    admitted: Counter,
+    throttled: Counter,
+    quota_exhausted: Counter,
 }
 
 /// Shared admission state for all tenants.
@@ -125,17 +125,19 @@ pub struct TenantTable {
     default_policy: TenantPolicy,
     overrides: HashMap<u32, TenantPolicy>,
     entries: Mutex<HashMap<u32, TenantEntry>>,
-    registry: Option<Registry>,
+    registry: Registry,
 }
 
 impl TenantTable {
     /// Table where every tenant gets `default_policy` until overridden.
+    /// Its `gateway.tenant.*` counters go to `registry`, or to a registry
+    /// of its own when `None`.
     pub fn new(default_policy: TenantPolicy, registry: Option<Registry>) -> TenantTable {
         TenantTable {
             default_policy,
             overrides: HashMap::new(),
             entries: Mutex::new(HashMap::new()),
-            registry,
+            registry: registry.unwrap_or_default(),
         }
     }
 
@@ -165,8 +167,7 @@ impl TenantTable {
         };
         let c = |suffix: &str| {
             self.registry
-                .as_ref()
-                .map(|r| r.counter(&format!("gateway.tenant.{series}.{suffix}")))
+                .counter(&format!("gateway.tenant.{series}.{suffix}"))
         };
         TenantEntry {
             bucket: TokenBucket::new(policy.rate_per_s, policy.burst),
@@ -200,22 +201,16 @@ impl TenantTable {
         entry.bucket.refill(elapsed);
         if let Some(q) = entry.quota {
             if entry.used >= q {
-                if let Some(c) = &entry.quota_exhausted {
-                    c.inc();
-                }
+                entry.quota_exhausted.inc();
                 return Admission::QuotaExhausted;
             }
         }
         if entry.bucket.try_take() {
             entry.used = entry.used.saturating_add(1);
-            if let Some(c) = &entry.admitted {
-                c.inc();
-            }
+            entry.admitted.inc();
             Admission::Admitted
         } else {
-            if let Some(c) = &entry.throttled {
-                c.inc();
-            }
+            entry.throttled.inc();
             Admission::Throttled
         }
     }

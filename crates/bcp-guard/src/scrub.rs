@@ -160,13 +160,14 @@ pub struct Scrubber {
     /// or its threshold table once `k` is past the rows.
     cursor: (usize, usize),
     sweep_start: Option<Instant>,
-    metrics: Option<Metrics>,
+    metrics: Metrics,
 }
 
 impl Scrubber {
     /// Capture the golden table from a trusted (freshly deployed)
-    /// pipeline, in one walk over its stages.
-    pub fn new(pipeline: &Pipeline) -> Scrubber {
+    /// pipeline, in one walk over its stages, and resolve the
+    /// `guard.scrub.*` metrics in `registry`.
+    pub fn new(pipeline: &Pipeline, registry: &Registry) -> Scrubber {
         let golden: Vec<Golden> = pipeline
             .stages()
             .iter()
@@ -182,14 +183,8 @@ impl Scrubber {
             golden,
             cursor: (first, 0),
             sweep_start: None,
-            metrics: None,
+            metrics: Metrics::new(registry),
         }
-    }
-
-    /// Emit `guard.scrub.*` metrics into `registry`.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Scrubber {
-        self.metrics = Some(Metrics::new(registry));
-        self
     }
 
     /// Scrub units per full sweep.
@@ -248,10 +243,8 @@ impl Scrubber {
             if self.step_cursor() {
                 self.sweep_start = None;
                 report.sweeps_completed = report.sweeps_completed.saturating_add(1);
-                if let Some(m) = &self.metrics {
-                    m.sweeps.inc();
-                    m.sweep_ns.record_duration(started.elapsed());
-                }
+                self.metrics.sweeps.inc();
+                self.metrics.sweep_ns.record_duration(started.elapsed());
             }
         }
         report
@@ -375,8 +368,8 @@ impl Scrubber {
             units_scanned: 1,
             ..ScrubReport::default()
         };
-        if let (Some(m), IntegrityFault::WeightRow { .. }) = (&self.metrics, unit) {
-            m.rows_scanned.inc();
+        if let IntegrityFault::WeightRow { .. } = unit {
+            self.metrics.rows_scanned.inc();
         }
         if self.unit_is_clean(pipeline, unit) {
             return report;
@@ -386,11 +379,10 @@ impl Scrubber {
         report.faults_detected = 1;
         report.faults_repaired = 1;
         report.bits_flipped = bits;
-        if let Some(m) = &self.metrics {
-            m.faults_detected.inc();
-            m.faults_repaired.inc();
-            m.bits_flipped.add(bits);
-        }
+        let m = &self.metrics;
+        m.faults_detected.inc();
+        m.faults_repaired.inc();
+        m.bits_flipped.add(bits);
         report
     }
 }
@@ -445,7 +437,7 @@ mod tests {
     #[test]
     fn unit_count_covers_rows_and_threshold_tables() {
         let p = pipeline();
-        let s = Scrubber::new(&p);
+        let s = Scrubber::new(&p, &Registry::new());
         // 4 + 4 weight rows, one thresholded stage.
         assert_eq!(s.unit_count(), 9);
         // 8 rows of 27 or 36 columns, one 8-byte word each.
@@ -455,14 +447,14 @@ mod tests {
     #[test]
     fn clean_pipeline_verifies_clean() {
         let p = pipeline();
-        let s = Scrubber::new(&p);
+        let s = Scrubber::new(&p, &Registry::new());
         assert!(s.audit(&p).is_empty());
     }
 
     #[test]
     fn single_flip_is_localized_exactly() {
         let mut p = pipeline();
-        let s = Scrubber::new(&p);
+        let s = Scrubber::new(&p, &Registry::new());
         apply_fault(
             &mut p,
             FaultRecord {
@@ -480,7 +472,7 @@ mod tests {
     #[test]
     fn threshold_corruption_is_detected() {
         let mut p = pipeline();
-        let s = Scrubber::new(&p);
+        let s = Scrubber::new(&p, &Registry::new());
         p.stage_mut(0).restore_thresholds(ThresholdUnit::new(vec![
             ThresholdChannel::Ge(1),
             ThresholdChannel::Ge(0),
@@ -509,7 +501,7 @@ mod tests {
     #[test]
     fn clean_sweep_finds_nothing() {
         let mut p = pipeline();
-        let mut s = Scrubber::new(&p);
+        let mut s = Scrubber::new(&p, &Registry::new());
         let r = s.full_sweep(&mut p);
         assert_eq!(r.units_scanned, 9);
         assert_eq!(r.faults_detected, 0);
@@ -520,7 +512,7 @@ mod tests {
     fn one_sweep_repairs_every_injected_fault() {
         let mut p = pipeline();
         let clean = pipeline();
-        let mut s = Scrubber::new(&p);
+        let mut s = Scrubber::new(&p, &Registry::new());
         let records = inject_random_faults(&mut p, 24, 99);
         assert!(!s.audit(&p).is_empty());
         let r = s.full_sweep(&mut p);
@@ -543,7 +535,7 @@ mod tests {
     #[test]
     fn incremental_ticks_cover_the_memory_and_wrap() {
         let mut p = pipeline();
-        let mut s = Scrubber::new(&p);
+        let mut s = Scrubber::new(&p, &Registry::new());
         apply_burst(&mut p, 2, 1, 30, 3).unwrap();
         // 3 units per tick: fault in stage 2 row 1 (unit index 6) is found
         // on the third tick.
@@ -560,7 +552,7 @@ mod tests {
     #[test]
     fn threshold_corruption_is_scrubbed_back() {
         let mut p = pipeline();
-        let mut s = Scrubber::new(&p);
+        let mut s = Scrubber::new(&p, &Registry::new());
         p.stage_mut(0).restore_thresholds(ThresholdUnit::new(vec![
             ThresholdChannel::Ge(7),
             ThresholdChannel::Ge(0),
@@ -578,7 +570,7 @@ mod tests {
     fn telemetry_counters_track_the_report() {
         let registry = Registry::new();
         let mut p = pipeline();
-        let mut s = Scrubber::new(&p).with_telemetry(&registry);
+        let mut s = Scrubber::new(&p, &registry);
         inject_random_faults(&mut p, 8, 5);
         let r = s.full_sweep(&mut p);
         assert_eq!(

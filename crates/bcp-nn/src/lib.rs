@@ -17,8 +17,8 @@
 //!   [`activation::Relu`] / [`activation::HardTanh`],
 //!   [`pool::MaxPool2d`], [`flatten::Flatten`].
 //! - [`loss`]: softmax cross-entropy and squared hinge.
-//! - [`optim`]: SGD with momentum and Adam, both with optional latent-weight
-//!   clipping to [−1, 1] (BinaryConnect practice).
+//! - [`optim`]: Adam, with latent-weight clipping to [−1, 1]
+//!   (BinaryConnect practice), and a step-decay LR schedule.
 //! - [`train`]: minibatch loop with seeded shuffling and epoch metrics.
 //! - [`metrics`]: accuracy and the confusion matrix of Fig. 2.
 //! - [`serialize`]: JSON state-dict save/load.

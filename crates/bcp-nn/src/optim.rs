@@ -1,5 +1,6 @@
-//! Optimizers: SGD with momentum and Adam, with BinaryConnect latent-weight
-//! clipping.
+//! The optimizer: Adam, with BinaryConnect latent-weight clipping, and a
+//! step-decay learning-rate schedule.
+//! [`Sequential::step`](crate::sequential::Sequential::step) applies it.
 //!
 //! Parameters flagged `clip_unit` (the latent weights of binary layers) are
 //! clamped to [−1, 1] after each update; a latent weight that drifts outside
@@ -7,109 +8,6 @@
 //! so clipping keeps every weight responsive to future gradients.
 
 use crate::param::Param;
-use crate::sequential::Sequential;
-
-/// A parameter-update rule.
-pub trait Optimizer {
-    /// Apply one update step to a single parameter.
-    fn update(&mut self, p: &mut Param);
-
-    /// Apply one update step to every parameter of a network, then advance
-    /// internal schedules.
-    fn step(&mut self, net: &mut Sequential)
-    where
-        Self: Sized,
-    {
-        net.visit_params(&mut |p| self.update(p));
-        self.advance();
-    }
-
-    /// Advance step counters / schedules after a whole-network step.
-    fn advance(&mut self) {}
-
-    /// Current learning rate (for logging).
-    fn lr(&self) -> f32;
-
-    /// Override the learning rate (schedules).
-    fn set_lr(&mut self, lr: f32);
-}
-
-fn clip_if_latent(p: &mut Param) {
-    if p.clip_unit {
-        p.value.map_inplace(|v| v.clamp(-1.0, 1.0));
-    }
-}
-
-/// Stochastic gradient descent with classical momentum and optional L2
-/// weight decay.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// Add L2 weight decay.
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, p: &mut Param) {
-        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
-        if mu == 0.0 {
-            let wdk = wd;
-            let grads: Vec<f32> = p.grad.as_slice().to_vec();
-            for (v, g) in p.value.as_mut_slice().iter_mut().zip(grads) {
-                *v -= lr * (g + wdk * *v);
-            }
-        } else {
-            let (vel, value, grad) = p.slot_value_grad(0);
-            let vs = value.as_slice();
-            let gs = grad.as_slice();
-            let new_vel: Vec<f32> = vel
-                .as_slice()
-                .iter()
-                .zip(gs.iter().zip(vs))
-                .map(|(&m, (&g, &v))| mu * m + g + wd * v)
-                .collect();
-            vel.as_mut_slice().copy_from_slice(&new_vel);
-            let step: Vec<f32> = new_vel.iter().map(|&m| lr * m).collect();
-            for (v, s) in p.value.as_mut_slice().iter_mut().zip(step) {
-                *v -= s;
-            }
-        }
-        clip_if_latent(p);
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
 
 /// Adam [Kingma & Ba 2015] — the optimizer Courbariaux/Hubara used for
 /// BinaryNet-style training; bias-corrected first/second moments.
@@ -133,10 +31,9 @@ impl Adam {
             t: 0,
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn update(&mut self, p: &mut Param) {
+    /// Apply one update step to a single parameter.
+    pub(crate) fn update(&mut self, p: &mut Param) {
         // `update` may be called directly (per-param); treat each call as
         // belonging to step t+1 until `advance` confirms it.
         let t = (self.t + 1) as f32;
@@ -164,18 +61,23 @@ impl Optimizer for Adam {
             let vhat = vi / bias2;
             *w -= lr * mhat / (vhat.sqrt() + eps);
         }
-        clip_if_latent(p);
+        if p.clip_unit {
+            p.value.map_inplace(|v| v.clamp(-1.0, 1.0));
+        }
     }
 
-    fn advance(&mut self) {
+    /// Advance the step counter after a whole-network step.
+    pub(crate) fn advance(&mut self) {
         self.t += 1;
     }
 
-    fn lr(&self) -> f32 {
+    /// Current learning rate (for logging).
+    pub fn lr(&self) -> f32 {
         self.lr
     }
 
-    fn set_lr(&mut self, lr: f32) {
+    /// Override the learning rate (schedules).
+    pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -211,35 +113,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_plain_step() {
-        let mut opt = Sgd::new(0.1);
-        let mut p = param_with_grad(1.0, 2.0);
-        opt.update(&mut p);
-        assert!((p.value.as_slice()[0] - 0.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_accumulates() {
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        let mut p = param_with_grad(0.0, 1.0);
-        opt.update(&mut p); // vel = 1 → w = −0.1
-        p.grad = Tensor::from_vec(Shape::d1(1), vec![1.0]);
-        opt.update(&mut p); // vel = 1.9 → w = −0.29
-        assert!((p.value.as_slice()[0] + 0.29).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut opt = Sgd::new(0.1).weight_decay(1.0);
-        let mut p = param_with_grad(1.0, 0.0);
-        opt.update(&mut p);
-        assert!((p.value.as_slice()[0] - 0.9).abs() < 1e-6);
-    }
-
-    #[test]
     fn latent_params_are_clipped() {
-        let mut opt = Sgd::new(10.0);
-        let mut p = param_with_grad(0.5, -1.0); // step pushes to 10.5
+        // Adam's first step is ≈ lr·sign(−g): it pushes 0.5 to about 10.5.
+        let mut opt = Adam::new(10.0);
+        let mut p = param_with_grad(0.5, -1.0);
         p.clip_unit = true;
         opt.update(&mut p);
         assert_eq!(p.value.as_slice()[0], 1.0);
@@ -247,7 +124,7 @@ mod tests {
 
     #[test]
     fn non_latent_params_not_clipped() {
-        let mut opt = Sgd::new(10.0);
+        let mut opt = Adam::new(10.0);
         let mut p = param_with_grad(0.5, -1.0);
         opt.update(&mut p);
         assert!((p.value.as_slice()[0] - 10.5).abs() < 1e-5);

@@ -1,7 +1,7 @@
 //! Sequential network container.
 
 use crate::layer::{Layer, LayerKind, Mode};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::param::Param;
 use bcp_tensor::Tensor;
 use std::time::Instant;
@@ -199,7 +199,7 @@ impl Sequential {
 
     /// One optimizer step: update every parameter, then advance the
     /// optimizer's step counter.
-    pub fn step(&mut self, opt: &mut dyn Optimizer) {
+    pub fn step(&mut self, opt: &mut Adam) {
         let t0 = Instant::now();
         self.visit_params(&mut |p| opt.update(p));
         opt.advance();

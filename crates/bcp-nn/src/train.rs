@@ -2,7 +2,7 @@
 
 use crate::loss::{cross_entropy, squared_hinge, LossOutput};
 use crate::metrics::{predictions, ConfusionMatrix};
-use crate::optim::{Optimizer, StepDecay};
+use crate::optim::{Adam, StepDecay};
 use crate::sequential::{Profile, Sequential};
 use crate::Mode;
 use bcp_tensor::{Shape, Tensor};
@@ -127,10 +127,10 @@ pub struct EpochDetail {
     pub grad_norm: f32,
 }
 
-/// One epoch of minibatch SGD with gradient-norm tracking.
+/// One epoch of minibatch training with gradient-norm tracking.
 pub fn train_epoch_detailed(
     net: &mut Sequential,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     images: &Tensor,
     labels: &[usize],
     batch_size: usize,
@@ -179,10 +179,10 @@ pub fn train_epoch_detailed(
     }
 }
 
-/// One epoch of minibatch SGD. Returns (mean loss, training accuracy).
+/// One epoch of minibatch training. Returns (mean loss, training accuracy).
 pub fn train_epoch(
     net: &mut Sequential,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     images: &Tensor,
     labels: &[usize],
     batch_size: usize,
@@ -250,7 +250,7 @@ pub fn evaluate(
 #[allow(clippy::too_many_arguments)]
 pub fn fit(
     net: &mut Sequential,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     train_images: &Tensor,
     train_labels: &[usize],
     val: Option<(&Tensor, &[usize])>,
@@ -277,7 +277,7 @@ pub fn fit(
 #[allow(clippy::too_many_arguments)]
 pub fn fit_instrumented(
     net: &mut Sequential,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     train_images: &Tensor,
     train_labels: &[usize],
     val: Option<(&Tensor, &[usize])>,

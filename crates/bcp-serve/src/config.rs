@@ -7,7 +7,8 @@ use bcp_tensor::Tensor;
 use std::time::Duration;
 
 /// Tuning knobs for [`Engine`](crate::Engine). Worker count is implied by
-/// the number of replicas handed to `Engine::start`.
+/// the number of replicas handed to `Engine::start`, and the metrics go to
+/// the registry handed to it: there is no switch for them.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Admission (request) queue capacity. Bounds memory and queueing
@@ -26,7 +27,8 @@ pub struct ServeConfig {
     /// delivered inside the deadline.
     pub deadline: Option<Duration>,
     /// Integrity canary: a frame whose golden output is captured from the
-    /// replicas at startup. Workers re-run it before every batch; a
+    /// replicas at startup. Workers re-run it before every batch (each
+    /// pass timed into the `serve.canary_ns` histogram); a
     /// mismatch (e.g. an SEU-style stuck-at fault in that worker's weight
     /// memory) marks the worker unhealthy, fails only its current batch,
     /// and takes it out of rotation — healthy workers keep serving.

@@ -53,7 +53,7 @@
 use crate::config::{ServeConfig, ServeError};
 use crate::oneshot::{Expired, Slot};
 use crate::queue::{Admission, Push};
-use crate::recovery::{RecoveryPolicy, WorkerState, WorkerStateCell};
+use crate::recovery::{RecoveryPolicy, WorkerState, WorkerStateCell, RETRY_INTERVAL};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
 use bcp_sync::Mutex;
@@ -98,6 +98,8 @@ struct Metrics {
     queue_depth: Gauge,
     batch_size: Histogram,
     latency: Histogram,
+    /// Wall time of each canary-gate pass, one sample per gated batch.
+    canary_ns: Histogram,
     worker_batches: Vec<Counter>,
     /// Lifecycle gauges: the numeric [`WorkerState`] of each worker.
     worker_state: Vec<Gauge>,
@@ -124,6 +126,7 @@ impl Metrics {
             queue_depth: r.gauge("serve.queue_depth"),
             batch_size: r.histogram("serve.batch_size"),
             latency: r.histogram("serve.latency_ns"),
+            canary_ns: r.histogram("serve.canary_ns"),
             worker_batches: (0..workers)
                 .map(|w| r.counter(&format!("serve.worker.{w}.batches")))
                 .collect(),
@@ -139,8 +142,8 @@ impl Metrics {
 
 struct Shared {
     cfg: ServeConfig,
-    registry: Option<Registry>,
-    metrics: Option<Metrics>,
+    registry: Registry,
+    metrics: Metrics,
     /// The admission queue: submitters push under `cfg.policy`, healthy
     /// workers pull their batches, whoever finds no healthy worker drains
     /// it, and closing it is what begins a drain or shutdown.
@@ -161,10 +164,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn m(&self) -> Option<&Metrics> {
-        self.metrics.as_ref()
-    }
-
     /// Worker `w`'s lifecycle state. An out-of-range index (impossible by
     /// construction) reads as `Retired`, i.e. permanently out of rotation.
     fn state(&self, w: usize) -> WorkerState {
@@ -178,7 +177,7 @@ impl Shared {
         if let Some(cell) = self.states.get(w) {
             cell.store(s);
         }
-        if let Some(g) = self.m().and_then(|m| m.worker_state.get(w)) {
+        if let Some(g) = self.metrics.worker_state.get(w) {
             // audit: allow(cast): WorkerState is a #[repr(u8)] enum of four variants — the cast is total
             g.set(s as u8 as f64);
         }
@@ -199,14 +198,13 @@ impl Shared {
     fn resolve(&self, mut req: Request, outcome: Completion, trace_outcome: TraceOutcome) -> bool {
         let delivered = req.slot.complete(outcome);
         self.finish_trace(&mut req.trace, trace_outcome);
-        if let Some(m) = self.m() {
-            match outcome {
-                _ if !delivered => m.abandoned.inc(),
-                Ok(_) => m.ok.inc(),
-                Err(ServeError::DeadlineExpired) => m.expired.inc(),
-                Err(ServeError::Shed) => m.shed.inc(),
-                Err(_) => m.failed.inc(),
-            }
+        let m = &self.metrics;
+        match outcome {
+            _ if !delivered => m.abandoned.inc(),
+            Ok(_) => m.ok.inc(),
+            Err(ServeError::DeadlineExpired) => m.expired.inc(),
+            Err(ServeError::Shed) => m.shed.inc(),
+            Err(_) => m.failed.inc(),
         }
         self.release_slot(req.slot);
         delivered
@@ -231,9 +229,7 @@ impl Shared {
             };
             let nobody = Err(ServeError::NoHealthyWorkers);
             self.resolve(req, nobody, TraceOutcome::Failed);
-            if let Some(m) = self.m() {
-                m.queue_depth.set(self.queue.len() as f64);
-            }
+            self.metrics.queue_depth.set(self.queue.len() as f64);
         }
     }
 
@@ -308,9 +304,7 @@ impl Ticket {
                 // The slot is now Abandoned and the engine still holds a
                 // handle; the engine-side release recycles it after the
                 // late completion is dropped.
-                if let Some(m) = self.shared.m() {
-                    m.timeout.inc();
-                }
+                self.shared.metrics.timeout.inc();
                 Err(ServeError::DeadlineExpired)
             }
         }
@@ -329,12 +323,10 @@ impl Engine {
     /// Spawn one worker thread per replica. All replicas
     /// must be functionally identical copies of the same model; when a
     /// canary is configured this is verified up front against replica 0's
-    /// golden output.
-    pub fn start<R: Replica>(
-        replicas: Vec<R>,
-        cfg: ServeConfig,
-        registry: Option<Registry>,
-    ) -> Engine {
+    /// golden output. The engine's `serve.*` metrics (and the tracer's
+    /// `trace.*`) are resolved in `registry` here, once; the hot path
+    /// only bumps the handles.
+    pub fn start<R: Replica>(replicas: Vec<R>, cfg: ServeConfig, registry: Registry) -> Engine {
         assert!(!replicas.is_empty(), "engine needs at least one replica");
         assert!(cfg.queue_cap > 0, "queue capacity must be positive");
         assert!(cfg.max_batch > 0, "max_batch must be positive");
@@ -352,11 +344,11 @@ impl Engine {
             (frame, expected)
         });
 
-        let metrics = registry.as_ref().map(|r| Metrics::new(r, workers));
+        let metrics = Metrics::new(&registry, workers);
         let tracer = cfg
             .trace
             .clone()
-            .map(|tc| Tracer::new(tc, workers, registry.as_ref()));
+            .map(|tc| Tracer::new(tc, workers, &registry));
         // Pool capacity covers the worst-case number of live slots:
         // queued + in-flight + just-resolved stay under 2×queue_cap.
         let slot_pool = Mutex::new(Vec::with_capacity(cfg.queue_cap.saturating_mul(2)));
@@ -417,9 +409,7 @@ impl Engine {
         frame: &Tensor,
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
-        if let Some(m) = self.shared.m() {
-            m.requests.inc();
-        }
+        self.shared.metrics.requests.inc();
         let now = Instant::now();
         let slot = self.shared.acquire_slot();
         // Head-sampling decision; a sampled trace is already stamped with
@@ -440,9 +430,7 @@ impl Engine {
         let (depth, victim) = match Admission::push(q, req, self.shared.cfg.policy) {
             Push::Admitted { depth, victim } => (depth, victim),
             Push::Full(req) => {
-                if let Some(m) = self.shared.m() {
-                    m.rejected.inc();
-                }
+                self.shared.metrics.rejected.inc();
                 drop(slot);
                 self.shared.turn_away(req, TraceOutcome::Rejected);
                 return Err(ServeError::Rejected);
@@ -453,9 +441,7 @@ impl Engine {
                 return Err(ServeError::ShuttingDown);
             }
         };
-        if let Some(m) = self.shared.m() {
-            m.queue_depth.set(depth as f64);
-        }
+        self.shared.metrics.queue_depth.set(depth as f64);
         if let Some(victim) = victim {
             self.shared
                 .resolve(victim, Err(ServeError::Shed), TraceOutcome::Shed);
@@ -480,11 +466,6 @@ impl Engine {
     /// accelerator's weight SRAM while it serves).
     pub fn inject_faults(&self, worker: usize, n: usize, seed: u64) {
         self.shared.fault_mailboxes[worker].lock().push((n, seed));
-    }
-
-    /// Total workers (healthy or not).
-    pub fn workers(&self) -> usize {
-        self.shared.states.len()
     }
 
     /// Workers in rotation, i.e. pulling from the admission queue.
@@ -512,9 +493,10 @@ impl Engine {
         self.shared.queue.len()
     }
 
-    /// The registry handed to [`Engine::start`], if any.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.shared.registry.as_ref()
+    /// The registry handed to [`Engine::start`]: every `serve.*` (and,
+    /// when tracing, `trace.*`) metric of this engine lives there.
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// The request-lifecycle tracer, when `cfg.trace` was set. Drain it
@@ -522,24 +504,6 @@ impl Engine {
     /// a [`bcp_trace::TraceSet`] for flamegraphs and attribution reports.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.shared.tracer.clone()
-    }
-
-    /// Drain hook for shard orchestration: stop accepting new requests
-    /// *without* joining the pipeline threads. Everything already admitted
-    /// still flows through the workers and resolves normally; subsequent
-    /// [`submit`](Engine::submit) calls fail fast with
-    /// [`ServeError::ShuttingDown`], which is what lets a gateway fail
-    /// over new traffic to another shard while this one finishes its
-    /// in-flight work. Idempotent; [`shutdown`](Engine::shutdown) later
-    /// completes the join.
-    pub fn begin_drain(&self) {
-        self.shared.queue.close();
-    }
-
-    /// Whether the engine has stopped accepting new requests (a drain or
-    /// shutdown has begun).
-    pub fn is_draining(&self) -> bool {
-        self.shared.queue.is_closed()
     }
 
     /// Graceful shutdown: stop accepting, drain every queued request
@@ -566,7 +530,7 @@ impl Drop for Engine {
 /// its own batches off the admission queue (module docs), gates each on
 /// the integrity canary, infers, completes slots. Off rotation it pulls
 /// nothing: with a recovery policy it runs repair attempts and probation
-/// canaries on the `retry_interval` timer until it is reinstated, retired
+/// canaries every [`RETRY_INTERVAL`] until it is reinstated, retired
 /// or the engine drains; with no way back it ends its thread.
 // bcp:hot-path — batch formation, execution and completion
 fn worker_loop<R: Replica>(
@@ -590,7 +554,7 @@ fn worker_loop<R: Replica>(
                 if !shared.queue.is_closed() =>
             {
                 // audit: allow(block): timed off-rotation wait — the heartbeat of repair and probation work
-                std::thread::sleep(policy.retry_interval);
+                std::thread::sleep(RETRY_INTERVAL);
                 recovery_step(
                     w,
                     &mut replica,
@@ -613,9 +577,8 @@ fn worker_loop<R: Replica>(
             break;
         };
         let full = batch.len() >= shared.cfg.max_batch;
-        if let Some(m) = shared.m() {
-            m.queue_depth.set(depth as f64);
-        }
+        let m = &shared.metrics;
+        m.queue_depth.set(depth as f64);
         if shared.tracer.is_some() {
             for r in &mut batch {
                 stamp(&mut r.trace, &shared.tracer, TraceEvent::AdmissionDequeue);
@@ -642,14 +605,12 @@ fn worker_loop<R: Replica>(
         if batch.is_empty() {
             continue;
         }
-        if let Some(m) = shared.m() {
-            m.batch_size.record(batch.len() as u64);
-            m.batches.inc();
-            if full {
-                m.seal_full.inc();
-            } else {
-                m.seal_idle.inc();
-            }
+        m.batch_size.record(batch.len() as u64);
+        m.batches.inc();
+        if full {
+            m.seal_full.inc();
+        } else {
+            m.seal_idle.inc();
         }
         match run_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared) {
             Some(classes) => {
@@ -690,9 +651,7 @@ fn recovery_step<R: Replica>(
         *strikes = strikes.saturating_add(1);
         if *strikes >= policy.max_strikes {
             shared.set_state(w, WorkerState::Retired);
-            if let Some(m) = shared.m() {
-                m.retired.inc();
-            }
+            shared.metrics.retired.inc();
         } else {
             shared.set_state(w, fallback);
         }
@@ -703,9 +662,7 @@ fn recovery_step<R: Replica>(
             if repaired {
                 *probation_passes = 0;
                 shared.set_state(w, WorkerState::Probation);
-                if let Some(m) = shared.m() {
-                    m.repaired.inc();
-                }
+                shared.metrics.repaired.inc();
             } else {
                 strike_out(strikes, WorkerState::Quarantined);
             }
@@ -726,9 +683,7 @@ fn recovery_step<R: Replica>(
                 if *probation_passes >= policy.probation_passes {
                     *strikes = 0;
                     shared.set_state(w, WorkerState::Healthy);
-                    if let Some(m) = shared.m() {
-                        m.reinstated.inc();
-                    }
+                    shared.metrics.reinstated.inc();
                 }
             } else {
                 // The repair did not take: back to quarantine (or out).
@@ -757,17 +712,17 @@ fn run_batch<R: Replica>(
 ) -> Option<Vec<MaskClass>> {
     let fault = || {
         shared.set_state(w, WorkerState::Quarantined);
-        if let Some(m) = shared.m() {
-            m.worker_fault.inc();
-        }
+        shared.metrics.worker_fault.inc();
         None
     };
     // Integrity gate: a corrupted replica can never emit a wrong
     // classification, because every batch is preceded by a golden-output
-    // check.
+    // check, timed into `serve.canary_ns`.
     if let Some((frame, expected)) = canary {
+        let t0 = Instant::now();
         // audit: external — the canary runs the replica's own inference, audited at the kernel roots
         let got = catch_unwind(AssertUnwindSafe(|| replica.canary(frame))).ok();
+        shared.metrics.canary_ns.record_duration(t0.elapsed());
         if got.as_deref() != Some(expected.as_slice()) {
             return fault();
         }
@@ -817,12 +772,10 @@ fn deliver(w: usize, batch: &mut Vec<Request>, classes: Vec<MaskClass>, shared: 
         }
         let latency = now.duration_since(req.enqueued);
         if shared.resolve(req, Ok(class), TraceOutcome::Ok) {
-            if let Some(m) = shared.m() {
-                m.latency.record_duration(latency);
-            }
+            shared.metrics.latency.record_duration(latency);
         }
     }
-    if let Some(c) = shared.m().and_then(|m| m.worker_batches.get(w)) {
+    if let Some(c) = shared.metrics.worker_batches.get(w) {
         c.inc();
     }
 }
@@ -843,7 +796,7 @@ mod tests {
     fn engine(workers: usize, cfg: ServeConfig) -> Engine {
         let replicas: Vec<SyntheticReplica> =
             (0..workers).map(|_| SyntheticReplica::new()).collect();
-        Engine::start(replicas, cfg, Some(Registry::new()))
+        Engine::start(replicas, cfg, Registry::new())
     }
 
     #[test]
@@ -871,7 +824,7 @@ mod tests {
         // Quiesce before auditing the books: workers bump counters *after*
         // completing the slot, so a snapshot racing the last wakeup can lag.
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.ok"], 40);
         assert_eq!(snap.counters["serve.requests"], 40);
         assert!(snap.histograms["serve.batch_size"].max <= 8);
@@ -889,7 +842,7 @@ mod tests {
                 policy: BackpressurePolicy::Reject,
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(30);
         let mut tickets = Vec::new();
@@ -917,7 +870,7 @@ mod tests {
             "queue of 2 with 5ms service must reject some of 30 fast submits"
         );
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.ok"], ok as u64);
         assert_eq!(snap.counters["serve.rejected"], rejected as u64);
     }
@@ -933,7 +886,7 @@ mod tests {
                 policy: BackpressurePolicy::ShedOldest,
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(30);
         let tickets: Vec<Ticket> = fs
@@ -951,7 +904,7 @@ mod tests {
         assert_eq!(ok + shed, fs.len());
         assert!(shed > 0, "sustained overload must shed");
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.shed"], shed as u64);
     }
 
@@ -965,7 +918,7 @@ mod tests {
                 deadline: Some(Duration::from_millis(30)),
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(6);
         let tickets: Vec<Ticket> = fs.iter().map(|f| e.submit(f).unwrap()).collect();
@@ -1021,7 +974,7 @@ mod tests {
             assert!(e.classify(&f).is_ok());
         }
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.worker_fault"], 1);
         assert_eq!(snap.counters["serve.worker.0.batches"], 1);
     }
@@ -1055,7 +1008,7 @@ mod tests {
     }
 
     /// Poll `cond` for up to two seconds — recovery runs on worker
-    /// threads at `retry_interval` pace, so tests wait rather than race.
+    /// threads at `RETRY_INTERVAL` pace, so tests wait rather than race.
     fn eventually(mut cond: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(2);
         while Instant::now() < deadline {
@@ -1074,7 +1027,6 @@ mod tests {
             recovery: Some(RecoveryPolicy {
                 probation_passes: 2,
                 max_strikes: 3,
-                retry_interval: Duration::from_millis(1),
             }),
             ..ServeConfig::default()
         }
@@ -1085,7 +1037,7 @@ mod tests {
         let e = Engine::start(
             vec![SyntheticReplica::repairable()],
             recovery_cfg(),
-            Some(Registry::new()),
+            Registry::new(),
         );
         e.inject_faults(0, 1, 42);
         let f = frames(1).remove(0);
@@ -1102,7 +1054,7 @@ mod tests {
             assert!(e.classify(&f).is_ok());
         }
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.worker.repaired"], 1);
         assert_eq!(snap.counters["serve.worker.reinstated"], 1);
         assert_eq!(snap.gauges["serve.worker.0.state"], 0.0);
@@ -1131,7 +1083,7 @@ mod tests {
             assert!(e.classify(&f).is_ok());
         }
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.worker.retired"], 1);
         assert_eq!(snap.gauges["serve.worker.0.state"], 3.0);
     }
@@ -1141,7 +1093,7 @@ mod tests {
         let e = Engine::start(
             vec![SyntheticReplica::repairable()],
             recovery_cfg(),
-            Some(Registry::new()),
+            Registry::new(),
         );
         let f = frames(1).remove(0);
         for round in 0..3 {
@@ -1155,26 +1107,10 @@ mod tests {
             assert!(e.classify(&f).is_ok());
         }
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert_eq!(snap.counters["serve.worker.repaired"], 3);
         assert_eq!(snap.counters["serve.worker.reinstated"], 3);
         assert_eq!(snap.counters["serve.worker_fault"], 3);
-    }
-
-    #[test]
-    fn begin_drain_refuses_new_work_but_resolves_in_flight() {
-        let e = engine(2, ServeConfig::default());
-        let fs = frames(12);
-        let tickets: Vec<Ticket> = fs.iter().map(|f| e.submit(f).unwrap()).collect();
-        e.begin_drain();
-        assert!(e.is_draining());
-        assert!(matches!(e.submit(&fs[0]), Err(ServeError::ShuttingDown)));
-        for t in tickets {
-            assert!(t.wait().is_ok(), "drained request must still resolve");
-        }
-        // Idempotent, and shutdown still joins cleanly afterwards.
-        e.begin_drain();
-        e.shutdown();
     }
 
     #[test]
@@ -1188,7 +1124,7 @@ mod tests {
                 max_batch: 1,
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(5);
         let deadline = Instant::now() + Duration::from_millis(25);
@@ -1212,7 +1148,7 @@ mod tests {
             Box::new(SyntheticReplica::new()),
             Box::new(SyntheticReplica::new()),
         ];
-        let e = Engine::start(replicas, ServeConfig::default(), None);
+        let e = Engine::start(replicas, ServeConfig::default(), Registry::new());
         let mut reference = SyntheticReplica::new();
         for f in frames(8) {
             assert_eq!(
@@ -1347,7 +1283,7 @@ mod tests {
             inner: inner(),
             ..Probe::new(g)
         });
-        let e = Engine::start(probes.into(), cfg, Some(Registry::new()));
+        let e = Engine::start(probes.into(), cfg, Registry::new());
         let parked = frames(2).iter().map(|f| e.submit(f).unwrap()).collect();
         g0.await_entered(1);
         g1.await_entered(1);
@@ -1357,21 +1293,21 @@ mod tests {
 
     /// `(full, idle)` seal counts, after a shutdown has quiesced them.
     fn seals(e: &Engine) -> (u64, u64) {
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         (c("serve.seal.full"), c("serve.seal.idle"))
     }
 
     /// Batches served by each of two workers, fewest first.
     fn batches_per_worker(e: &Engine) -> [u64; 2] {
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         let mut n = [0, 1].map(|w| snap.counters[&format!("serve.worker.{w}.batches")]);
         n.sort_unstable();
         n
     }
 
     fn depth_gauge(e: &Engine) -> f64 {
-        e.registry().unwrap().snapshot().gauges["serve.queue_depth"]
+        e.registry().snapshot().gauges["serve.queue_depth"]
     }
 
     #[test]
@@ -1397,7 +1333,7 @@ mod tests {
                     max_batch: 4,
                     ..ServeConfig::default()
                 },
-                Some(Registry::new()),
+                Registry::new(),
             );
             let fs = frames(1 + queued);
             let head = e.submit(&fs[0]).unwrap();
@@ -1416,7 +1352,7 @@ mod tests {
             e.shutdown();
             // The head alone, one full batch, and what was left over.
             assert_eq!(seals(&e), (1, queued as u64 - 3), "{queued} queued");
-            let snap = e.registry().unwrap().snapshot();
+            let snap = e.registry().snapshot();
             assert_eq!(snap.histograms["serve.batch_size"].max, 4);
         }
 
@@ -1436,7 +1372,7 @@ mod tests {
             assert!(t.wait().is_ok());
         }
         e.shutdown();
-        let snap = e.registry().unwrap().snapshot();
+        let snap = e.registry().snapshot();
         assert!(snap.counters["serve.batches"] >= 8);
         assert!(snap.histograms["serve.batch_size"].max <= 4);
         let (full, idle) = seals(&e);
@@ -1455,7 +1391,7 @@ mod tests {
                 max_batch: 4,
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(14);
         let mut tickets = Vec::new();
@@ -1484,7 +1420,7 @@ mod tests {
         let e = Engine::start(
             vec![Probe::new(&gate), Probe::new(&gate)],
             ServeConfig::default(),
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(6);
         let stuck = e.submit(&fs[0]).unwrap();
@@ -1521,7 +1457,7 @@ mod tests {
     #[test]
     fn worker_pulls_again_after_canary_fault_and_reinstatement() {
         let replicas = vec![SyntheticReplica::repairable()];
-        let e = Engine::start(replicas, lifecycle_cfg(), Some(Registry::new()));
+        let e = Engine::start(replicas, lifecycle_cfg(), Registry::new());
         e.inject_faults(0, 1, 42);
         assert_faults_once_then_pulls_again(e);
     }
@@ -1530,7 +1466,7 @@ mod tests {
     fn worker_pulls_again_after_a_panicking_replica() {
         let probe = Probe::new(&Arc::default());
         probe.panic_once.store(true, Ordering::Relaxed);
-        let e = Engine::start(vec![probe], lifecycle_cfg(), Some(Registry::new()));
+        let e = Engine::start(vec![probe], lifecycle_cfg(), Registry::new());
         assert_faults_once_then_pulls_again(e);
     }
 
@@ -1539,7 +1475,7 @@ mod tests {
         let gate = Gate::closed();
         let probe = Probe::new(&gate);
         probe.panic_once.store(true, Ordering::Relaxed);
-        let e = Engine::start(vec![probe], lifecycle_cfg(), Some(Registry::new()));
+        let e = Engine::start(vec![probe], lifecycle_cfg(), Registry::new());
         let fs = frames(3);
         // The first batch parks in the replica and will fault on release;
         // two more requests wait in the admission queue behind it…
@@ -1571,7 +1507,7 @@ mod tests {
                 max_batch: 1,
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(3);
         let first = e.submit(&fs[0]).unwrap();
@@ -1606,7 +1542,7 @@ mod tests {
                 max_batch: 1,
                 ..ServeConfig::default()
             },
-            Some(Registry::new()),
+            Registry::new(),
         );
         let fs = frames(3);
         let head = e.submit(&fs[0]).unwrap();
@@ -1647,7 +1583,7 @@ mod tests {
                 policy,
                 ..ServeConfig::default()
             };
-            let e = Engine::start(vec![Probe::new(&gate)], cfg, None);
+            let e = Engine::start(vec![Probe::new(&gate)], cfg, Registry::new());
             let mut tickets = vec![e.submit(&frames(1)[0]).unwrap()];
             gate.await_entered(1);
             for f in frames(if abandoned { N } else { 0 }) {

@@ -28,9 +28,10 @@
 //!   batches turns silent weight-memory corruption (the SEU model of
 //!   `bcp_finn::fault`) into a detected [`ServeError::WorkerFault`] that
 //!   takes only that worker out of rotation.
-//! * **Observability** — queue depth, batch-size and latency histograms,
-//!   outcome counters and how batches closed (`serve.seal.{full,idle}`)
-//!   under the `serve.*` namespace of a `bcp_trace::Registry`.
+//! * **Observability** — queue depth, batch-size, latency and canary-gate
+//!   histograms, outcome counters and how batches closed
+//!   (`serve.seal.{full,idle}`) under the `serve.*` namespace of the
+//!   `bcp_trace::Registry` every engine is started with.
 //!
 //! The model is abstracted behind [`Replica`]; `binarycop::serve` plugs
 //! the real predictor in, and [`SyntheticReplica`] keeps this crate's own

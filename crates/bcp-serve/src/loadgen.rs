@@ -198,7 +198,7 @@ mod tests {
         let e = Engine::start(
             vec![SyntheticReplica::new(), SyntheticReplica::new()],
             ServeConfig::default(),
-            Some(Registry::new()),
+            Registry::new(),
         );
         let frames: Vec<Tensor> = (0..8).map(|i| canary_frame(3, 8, 8 + i)).collect();
         let report = run_closed_loop(&e, &frames, 4, 25);
@@ -220,7 +220,7 @@ mod tests {
                 policy: BackpressurePolicy::Reject,
                 ..ServeConfig::default()
             },
-            None,
+            Registry::new(),
         );
         let frames = vec![canary_frame(3, 8, 8)];
         let report = run_closed_loop(&e, &frames, 6, 10);

@@ -19,7 +19,7 @@
 //! the worker's own thread *off the hot path*: a worker pulls from the
 //! admission queue only while it reads itself `Healthy`, so an
 //! off-rotation worker holds no requests and nothing can wedge behind it;
-//! it wakes on its `retry_interval` timer instead. A replica that cannot
+//! it wakes every [`RETRY_INTERVAL`] instead. A replica that cannot
 //! repair itself (the default [`Replica::repair`](crate::Replica::repair)
 //! returns `false`) accumulates strikes and is retired — the old
 //! permanent-removal behavior, reached deliberately instead of by
@@ -121,6 +121,10 @@ impl WorkerStateCell {
     }
 }
 
+/// Pace of off-rotation recovery work: a quarantined or probation worker
+/// wakes this often to attempt its next repair or canary.
+pub const RETRY_INTERVAL: Duration = Duration::from_millis(1);
+
 /// How a quarantined worker earns its way back into rotation.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
@@ -133,9 +137,6 @@ pub struct RecoveryPolicy {
     /// good (`M`). The backstop against a replica that keeps "repairing"
     /// without getting better.
     pub max_strikes: u32,
-    /// Pace of off-rotation recovery work: a quarantined or probation
-    /// worker wakes this often to attempt its next repair or canary.
-    pub retry_interval: Duration,
 }
 
 impl Default for RecoveryPolicy {
@@ -143,7 +144,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             probation_passes: 3,
             max_strikes: 3,
-            retry_interval: Duration::from_millis(1),
         }
     }
 }
@@ -169,6 +169,6 @@ mod tests {
         let p = RecoveryPolicy::default();
         assert!(p.probation_passes >= 1);
         assert!(p.max_strikes >= 1);
-        assert!(p.retry_interval > Duration::ZERO);
+        assert!(RETRY_INTERVAL > Duration::ZERO);
     }
 }

@@ -65,17 +65,18 @@ pub struct Tracer {
     done: SyncSender<TraceRecord>,
     /// Collector end, locked only by [`drain`](Tracer::drain).
     collected: Mutex<Receiver<TraceRecord>>,
-    /// Records turned away by a full queue.
+    /// Records turned away by a full queue, by this tracer alone (the
+    /// `trace.dropped` counter sums every tracer of its registry).
     dropped: AtomicU64,
-    metrics: Option<TraceMetrics>,
+    metrics: TraceMetrics,
 }
 
 impl Tracer {
     /// Tracer for an engine with `workers` worker threads; its queue holds
-    /// `cfg.ring_capacity × (workers + 1)` finished records. When a
-    /// registry is given, `trace.sampled` / `trace.completed` /
-    /// `trace.dropped` counters are exported.
-    pub fn new(cfg: TraceConfig, workers: usize, registry: Option<&Registry>) -> Arc<Tracer> {
+    /// `cfg.ring_capacity × (workers + 1)` finished records. Its
+    /// `trace.sampled` / `trace.completed` / `trace.dropped` counters are
+    /// resolved in `registry` here, once.
+    pub fn new(cfg: TraceConfig, workers: usize, registry: &Registry) -> Arc<Tracer> {
         let cap = cfg.ring_capacity.saturating_mul(workers.saturating_add(1));
         let (done, collected) = sync_channel(cap);
         Arc::new(Tracer {
@@ -86,11 +87,11 @@ impl Tracer {
             done,
             collected: Mutex::new(collected),
             dropped: AtomicU64::new(0),
-            metrics: registry.map(|r| TraceMetrics {
-                sampled: r.counter("trace.sampled"),
-                completed: r.counter("trace.completed"),
-                dropped: r.counter("trace.dropped"),
-            }),
+            metrics: TraceMetrics {
+                sampled: registry.counter("trace.sampled"),
+                completed: registry.counter("trace.completed"),
+                dropped: registry.counter("trace.dropped"),
+            },
         })
     }
 
@@ -118,9 +119,7 @@ impl Tracer {
         if !n.is_multiple_of(self.cfg.sample_rate.max(1)) {
             return None;
         }
-        if let Some(m) = &self.metrics {
-            m.sampled.inc();
-        }
+        self.metrics.sampled.inc();
         // ordering: Relaxed — id allocation needs uniqueness (RMW
         // atomicity), not ordering.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -145,17 +144,12 @@ impl Tracer {
             // audit: allow(index): same EVENTS-sized array, same in-bounds discriminant
             trace.record.stamps[TraceEvent::Deliver as usize] = self.now_ns();
         }
-        let stored = self.done.try_send(trace.record).is_ok();
-        if !stored {
+        if self.done.try_send(trace.record).is_ok() {
+            self.metrics.completed.inc();
+        } else {
             // ordering: Relaxed — statistic counter, never a publish.
             self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(m) = &self.metrics {
-            if stored {
-                m.completed.inc();
-            } else {
-                m.dropped.inc();
-            }
+            self.metrics.dropped.inc();
         }
     }
 
@@ -246,7 +240,7 @@ mod tests {
                 ring_capacity: 64,
             },
             1,
-            None,
+            &Registry::new(),
         );
         let sampled = (0..16).filter_map(|_| t.sample()).count();
         assert_eq!(sampled, 4, "exactly every 4th admission is sampled");
@@ -255,13 +249,13 @@ mod tests {
 
     #[test]
     fn sample_all_traces_everything() {
-        let t = Tracer::new(TraceConfig::sample_all(), 1, None);
+        let t = Tracer::new(TraceConfig::sample_all(), 1, &Registry::new());
         assert_eq!((0..10).filter_map(|_| t.sample()).count(), 10);
     }
 
     #[test]
     fn stamps_are_monotone_and_first_stamp_wins() {
-        let t = Tracer::new(TraceConfig::sample_all(), 1, None);
+        let t = Tracer::new(TraceConfig::sample_all(), 1, &Registry::new());
         let mut tr = t.sample().unwrap();
         for e in EVENTS {
             tr.stamp(&t, e);
@@ -282,7 +276,7 @@ mod tests {
     #[test]
     fn finish_routes_to_rings_and_counts() {
         let r = Registry::new();
-        let t = Tracer::new(TraceConfig::sample_all(), 2, Some(&r));
+        let t = Tracer::new(TraceConfig::sample_all(), 2, &r);
         let a = t.sample().unwrap();
         let b = t.sample().unwrap();
         t.finish(a, TraceOutcome::Ok);
@@ -307,7 +301,7 @@ mod tests {
                 ring_capacity: 2,
             },
             1,
-            Some(&r),
+            &r,
         );
         // One worker plus the submitters: 2 × 2 = 4 records fit.
         for _ in 0..8 {
@@ -336,7 +330,7 @@ mod tests {
                     ring_capacity,
                 },
                 1,
-                None,
+                &Registry::new(),
             );
             let finished = AtomicUsize::new(0);
             let mut drained = Vec::new();

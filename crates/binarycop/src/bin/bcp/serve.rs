@@ -26,12 +26,7 @@ pub fn serve_bench(args: &Args) {
     let dump_metrics = args.has("dump-metrics");
 
     let telemetry = args.telemetry();
-    let mut predictor = telemetry.attach(args.bench_predictor());
-    if dump_metrics && telemetry.registry().is_none() {
-        // The metrics dump needs a registry even when no --telemetry
-        // artifacts were requested.
-        predictor = predictor.with_telemetry(bcp_trace::Registry::new());
-    }
+    let predictor = telemetry.attach(args.bench_predictor());
 
     let frames = bench_frames(predictor.arch().input_size, n_frames, 0x5EEE);
 
@@ -68,9 +63,7 @@ pub fn serve_bench(args: &Args) {
         report.total, report.total
     );
     if dump_metrics {
-        if let Some(registry) = engine.registry() {
-            print!("{}", registry.render_text());
-        }
+        print!("{}", engine.registry().render_text());
     }
     telemetry.save();
 }

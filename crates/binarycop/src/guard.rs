@@ -19,14 +19,10 @@ use bcp_tensor::Tensor;
 impl BinaryCoP {
     /// Build a [`Scrubber`] over this predictor's pipeline (its golden
     /// table of row CRCs and golden copies is captured now, so do this
-    /// while the pipeline is trusted). Inherits the predictor's telemetry
-    /// registry for `guard.scrub.*` metrics, when attached.
+    /// while the pipeline is trusted). It counts its `guard.scrub.*`
+    /// metrics into the predictor's telemetry registry.
     pub fn scrubber(&self) -> Scrubber {
-        let s = Scrubber::new(self.pipeline());
-        match self.telemetry() {
-            Some(r) => s.with_telemetry(r),
-            None => s,
-        }
+        Scrubber::new(self.pipeline(), self.telemetry())
     }
 }
 
@@ -91,13 +87,13 @@ impl Replica for GuardedReplica {
 /// Stand up a self-healing serving engine: `workers` guarded replicas,
 /// a default canary at the architecture's input size, and (unless the
 /// config overrides it) the default [`RecoveryPolicy`]. The predictor's
-/// telemetry registry, if attached, receives both the engine's `serve.*`
-/// metrics and every replica's `guard.scrub.*` metrics.
+/// telemetry registry receives the engine's `serve.*` metrics and every
+/// replica's `predict.*` and `guard.scrub.*` metrics.
 pub fn guarded_engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> Engine {
     let s = predictor.arch().input_size;
     cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
     cfg.recovery.get_or_insert_with(RecoveryPolicy::default);
-    let registry = predictor.telemetry().cloned();
+    let registry = predictor.telemetry().clone();
     let replicas: Vec<GuardedReplica> = predictor
         .replicate(workers)
         .into_iter()
@@ -158,7 +154,6 @@ mod tests {
             recovery: Some(RecoveryPolicy {
                 probation_passes: 2,
                 max_strikes: 3,
-                retry_interval: Duration::from_millis(1),
             }),
             ..ServeConfig::default()
         };

@@ -18,7 +18,7 @@ use bcp_finn::power::{PowerModel, DEFAULT_POWER};
 use bcp_finn::resource::estimate;
 use bcp_nn::Sequential;
 use bcp_tensor::Tensor;
-use bcp_trace::Registry;
+use bcp_trace::{Counter, Histogram, Registry};
 use std::time::Instant;
 
 /// Deployment operating mode.
@@ -36,9 +36,11 @@ pub enum OperatingMode {
 
 /// A deployed BinaryCoP classifier.
 ///
+/// Every predictor counts into a telemetry registry: its own from
+/// construction, or a shared one from [`BinaryCoP::with_telemetry`].
 /// Cloning deep-copies the pipeline (each clone owns independent weight
-/// and threshold memory) but *shares* the telemetry registry, so replicas
-/// serving concurrently aggregate into one set of metrics.
+/// and threshold memory) but *shares* the registry, so replicas serving
+/// concurrently aggregate into one set of metrics.
 #[derive(Clone)]
 pub struct BinaryCoP {
     arch: Arch,
@@ -46,7 +48,27 @@ pub struct BinaryCoP {
     clock: ClockModel,
     power: PowerModel,
     usage: ResourceUsage,
-    telemetry: Option<Registry>,
+    telemetry: Registry,
+    metrics: PredictMetrics,
+}
+
+/// Pre-resolved `predict.*` handles, so classifying looks up no name.
+#[derive(Clone)]
+struct PredictMetrics {
+    frames: Counter,
+    latency: Histogram,
+    /// `predict.class.<slug>`, indexed by class label.
+    classes: [Counter; 4],
+}
+
+impl PredictMetrics {
+    fn new(r: &Registry) -> PredictMetrics {
+        PredictMetrics {
+            frames: r.counter("predict.frames"),
+            latency: r.histogram("predict.latency_ns"),
+            classes: MaskClass::ALL.map(|c| r.counter(&format!("predict.class.{}", class_slug(c)))),
+        }
+    }
 }
 
 /// Counter-name suffix for a predicted class (`predict.class.<slug>`).
@@ -64,15 +86,21 @@ impl BinaryCoP {
     /// [`deploy`]; use [`BinaryCoP::from_trained_checked`] to also gate on
     /// the full static analysis (folding, cycle budget, device fit).
     pub fn from_trained(net: &Sequential, arch: &Arch) -> Self {
-        let pipeline = deploy(net, arch);
+        Self::from_pipeline(deploy(net, arch), arch)
+    }
+
+    /// A predictor over `pipeline`, counting into a registry of its own.
+    fn from_pipeline(pipeline: Pipeline, arch: &Arch) -> Self {
         let usage = estimate(&pipeline, arch.dsp_offload);
+        let telemetry = Registry::new();
         BinaryCoP {
             arch: arch.clone(),
             pipeline,
             clock: CLOCK_100MHZ,
             power: DEFAULT_POWER,
             usage,
-            telemetry: None,
+            metrics: PredictMetrics::new(&telemetry),
+            telemetry,
         }
     }
 
@@ -98,19 +126,22 @@ impl BinaryCoP {
         bcp_check::check_pipeline(&self.pipeline, self.arch.dsp_offload, cfg)
     }
 
-    /// Attach a telemetry registry. Afterwards every [`classify_block`]
-    /// (BinaryCoP::classify_block) records, per frame, the batch's wall
-    /// time amortized over its frames into the `predict.latency_ns`
-    /// histogram and bumps `predict.frames` plus a `predict.class.<slug>`
-    /// counter; [`classify`](BinaryCoP::classify) is a block of one.
+    /// Count into `registry` instead of the predictor's own. Every
+    /// [`classify_block`](BinaryCoP::classify_block) records, per frame,
+    /// the batch's wall time amortized over its frames into the
+    /// `predict.latency_ns` histogram and bumps `predict.frames` plus a
+    /// `predict.class.<slug>` counter; [`classify`](BinaryCoP::classify)
+    /// is a block of one. The handles are resolved here, once.
     pub fn with_telemetry(mut self, registry: Registry) -> Self {
-        self.telemetry = Some(registry);
+        self.metrics = PredictMetrics::new(&registry);
+        self.telemetry = registry;
         self
     }
 
-    /// The attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&Registry> {
-        self.telemetry.as_ref()
+    /// The registry this predictor counts into; engines and scrubbers
+    /// built from it count there too.
+    pub fn telemetry(&self) -> &Registry {
+        &self.telemetry
     }
 
     /// The underlying pipeline.
@@ -128,7 +159,7 @@ impl BinaryCoP {
     /// `n` independent replicas of this predictor, one per serving worker.
     /// Each replica owns its weight/threshold memory (a fault injected
     /// into one cannot corrupt another); all share this predictor's
-    /// telemetry registry, if any.
+    /// telemetry registry.
     pub fn replicate(&self, n: usize) -> Vec<BinaryCoP> {
         (0..n).map(|_| self.clone()).collect()
     }
@@ -177,19 +208,19 @@ impl BinaryCoP {
             .iter()
             .map(|l| MaskClass::from_label(argmax(l)))
             .collect();
-        if let Some(t) = &self.telemetry {
-            // Amortized per-frame latency: the frames share one pass over
-            // the weight memory.
-            let per_frame = t0
-                .elapsed()
-                .checked_div(classes.len().max(1) as u32)
-                .unwrap_or_default();
-            for &class in &classes {
-                t.counter("predict.frames").inc();
-                t.counter(&format!("predict.class.{}", class_slug(class)))
-                    .inc();
-                t.histogram("predict.latency_ns").record_duration(per_frame);
+        // Amortized per-frame latency: the frames share one pass over the
+        // weight memory.
+        let per_frame = t0
+            .elapsed()
+            .checked_div(classes.len().max(1) as u32)
+            .unwrap_or_default();
+        let m = &self.metrics;
+        for &class in &classes {
+            m.frames.inc();
+            if let Some(c) = m.classes.get(class.label()) {
+                c.inc();
             }
+            m.latency.record_duration(per_frame);
         }
         classes
     }
@@ -256,15 +287,7 @@ impl BinaryCoP {
         let pipeline = img
             .restore()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        let usage = estimate(&pipeline, arch.dsp_offload);
-        Ok(BinaryCoP {
-            arch: arch.clone(),
-            pipeline,
-            clock: CLOCK_100MHZ,
-            power: DEFAULT_POWER,
-            usage,
-            telemetry: None,
-        })
+        Ok(Self::from_pipeline(pipeline, arch))
     }
 
     /// One-paragraph deployment summary.

@@ -37,12 +37,12 @@ impl Replica for BinaryCoP {
 /// Stand up a serving engine over `workers` independent replicas of
 /// `predictor`. Unless the config already carries one, the integrity
 /// canary defaults to a deterministic gradient frame at the architecture's
-/// input size; the predictor's telemetry registry (if attached) receives
-/// the engine's `serve.*` metrics.
+/// input size. The predictor's telemetry registry receives the engine's
+/// `serve.*` metrics next to the replicas' `predict.*` ones.
 pub fn engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> Engine {
     let s = predictor.arch().input_size;
     cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
-    let registry = predictor.telemetry().cloned();
+    let registry = predictor.telemetry().clone();
     Engine::start(predictor.replicate(workers), cfg, registry)
 }
 
@@ -73,6 +73,24 @@ mod tests {
         for img in images(8) {
             assert_eq!(e.classify(&img), Ok(p.classify(&img)));
         }
+    }
+
+    #[test]
+    fn an_engine_counts_without_any_telemetry_attached() {
+        const N: u64 = 12;
+        let e = engine(&predictor(), 1, ServeConfig::default());
+        for img in images(N as usize) {
+            assert!(e.classify(&img).is_ok());
+        }
+        e.shutdown();
+        let snap = e.registry().snapshot();
+        assert_eq!(snap.counters["serve.requests"], N);
+        assert_eq!(snap.counters["serve.ok"], N);
+        assert_eq!(snap.counters["predict.frames"], N);
+        assert_eq!(
+            snap.histograms["serve.canary_ns"].count, snap.counters["serve.batches"],
+            "one timed canary-gate pass per batch"
+        );
     }
 
     #[test]

@@ -21,6 +21,7 @@ use bcp_finn::fault::{apply_burst, try_apply_fault, FaultRecord};
 use bcp_finn::Pipeline;
 use bcp_guard::{IntegrityFault, Scrubber};
 use bcp_serve::{RecoveryPolicy, ServeConfig, ServeError, WorkerState};
+use bcp_trace::Registry;
 use binarycop::guard::guarded_engine;
 use binarycop::model::untrained_predictor;
 use binarycop::recipe::tiny_arch;
@@ -54,8 +55,8 @@ proptest! {
         ci in any::<usize>(),
     ) {
         let mut p = predictor().pipeline().clone();
-        let golden = Scrubber::new(&p);
-        let mut scrubber = Scrubber::new(&p);
+        let golden = Scrubber::new(&p, &Registry::new());
+        let mut scrubber = Scrubber::new(&p, &Registry::new());
         let stages = weight_stages(&p);
         let (stage, rows, cols) = stages[si % stages.len()];
         let fault = FaultRecord { stage, row: ri % rows, col: ci % cols };
@@ -84,7 +85,7 @@ proptest! {
         c2 in any::<usize>(),
     ) {
         let mut p = predictor().pipeline().clone();
-        let golden = Scrubber::new(&p);
+        let golden = Scrubber::new(&p, &Registry::new());
         let stages = weight_stages(&p);
         let (stage, rows, cols) = stages[si % stages.len()];
         let row = ri % rows;
@@ -109,7 +110,7 @@ proptest! {
         k in 1usize..17,
     ) {
         let mut p = predictor().pipeline().clone();
-        let golden = Scrubber::new(&p);
+        let golden = Scrubber::new(&p, &Registry::new());
         let stages = weight_stages(&p);
         let (stage, rows, cols) = stages[si % stages.len()];
         let row = ri % rows;
@@ -130,7 +131,7 @@ proptest! {
 #[test]
 fn all_two_bit_flips_within_a_row_are_detected_exhaustively() {
     let mut p = predictor().pipeline().clone();
-    let golden = Scrubber::new(&p);
+    let golden = Scrubber::new(&p, &Registry::new());
     let mut pairs = 0usize;
     for (stage, rows, cols) in weight_stages(&p) {
         let row = rows / 2;
@@ -175,7 +176,6 @@ fn serve_pool_heals_under_fire_and_never_lies() {
         recovery: Some(RecoveryPolicy {
             probation_passes: 2,
             max_strikes: 100, // storms below must never exhaust the strike budget
-            retry_interval: Duration::from_millis(1),
         }),
         background_scrub: Some(4),
         ..ServeConfig::default()

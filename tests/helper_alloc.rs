@@ -131,7 +131,7 @@ fn trace_finish_allocates_nothing() {
         ring_capacity: 1,
     };
     // No workers: the queue holds ring_capacity × 1 = one record.
-    let tracer = Tracer::new(cfg, 0, Some(&registry));
+    let tracer = Tracer::new(cfg, 0, &registry);
     let (a, b, c) = (tracer.sample(), tracer.sample(), tracer.sample());
     let (a, b, c) = (a.unwrap(), b.unwrap(), c.unwrap());
 

@@ -15,7 +15,6 @@
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_serve::{BackpressurePolicy, ServeConfig};
 use bcp_tensor::Tensor;
-use bcp_trace::Registry;
 use binarycop::model::untrained_bnn;
 use binarycop::recipe::tiny_arch;
 use binarycop::reference::IntegerReference;
@@ -117,7 +116,7 @@ fn batched_kernel_engine_is_byte_identical_to_classify_block() {
 
 #[test]
 fn reject_saturation_never_deadlocks_or_loses_responses() {
-    let p = predictor().with_telemetry(Registry::new());
+    let p = predictor();
     let e = engine(
         &p,
         1,
@@ -138,7 +137,7 @@ fn reject_saturation_never_deadlocks_or_loses_responses() {
     assert!(report.ok > 0, "some traffic must get through");
     assert_eq!(report.shed + report.expired + report.faulted, 0);
     // The engine's own books must agree with the client-side tally.
-    let snap = p.telemetry().unwrap().snapshot();
+    let snap = p.telemetry().snapshot();
     assert_eq!(snap.counters["serve.ok"], report.ok as u64);
     assert_eq!(
         snap.counters.get("serve.rejected").copied().unwrap_or(0),
@@ -148,7 +147,7 @@ fn reject_saturation_never_deadlocks_or_loses_responses() {
 
 #[test]
 fn shed_oldest_saturation_never_deadlocks_or_loses_responses() {
-    let p = predictor().with_telemetry(Registry::new());
+    let p = predictor();
     let e = engine(
         &p,
         1,
@@ -168,7 +167,7 @@ fn shed_oldest_saturation_never_deadlocks_or_loses_responses() {
     );
     assert!(report.ok > 0);
     assert_eq!(report.rejected + report.expired + report.faulted, 0);
-    let snap = p.telemetry().unwrap().snapshot();
+    let snap = p.telemetry().snapshot();
     assert_eq!(snap.counters["serve.ok"], report.ok as u64);
     assert_eq!(
         snap.counters.get("serve.shed").copied().unwrap_or(0),

@@ -21,7 +21,7 @@
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_serve::{canary_frame, BackpressurePolicy, Engine, Replica, ServeConfig, SyntheticReplica};
 use bcp_tensor::Tensor;
-use bcp_trace::{audit, TraceConfig, TraceOutcome, TraceSet, EVENTS, SEGMENTS};
+use bcp_trace::{audit, Registry, TraceConfig, TraceOutcome, TraceSet, EVENTS, SEGMENTS};
 use binarycop::model::untrained_predictor;
 use binarycop::recipe::tiny_arch;
 use binarycop::serve::engine;
@@ -262,7 +262,7 @@ fn time_series_sees_the_queue_behind_a_held_worker() {
         trace: Some(TraceConfig::sample_all()),
         ..ServeConfig::default()
     };
-    let e = Engine::start(vec![held], cfg, None);
+    let e = Engine::start(vec![held], cfg, Registry::new());
     let frames: Vec<Tensor> = (0..=K).map(|i| canary_frame(3, 8, 8 + i)).collect();
     let head = e.submit(&frames[0]).expect("Block policy never refuses");
     drop(
