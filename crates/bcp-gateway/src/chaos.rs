@@ -23,7 +23,6 @@
 use crate::client::{GatewayClient, Tally};
 use crate::protocol::{encode_request, RequestFrame, Status};
 use crate::server::Gateway;
-use bcp_serve::canary_frame;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
@@ -214,7 +213,6 @@ impl ChaosReport {
 /// has fired and been observed.
 pub fn run(plan: &ChaosPlan, gateway: &Gateway) -> ChaosReport {
     let t0 = Instant::now();
-    let addr = gateway.local_addr();
     let mut report = ChaosReport::default();
     for event in &plan.events {
         let at = Duration::from_millis(event.at_ms());
@@ -236,7 +234,7 @@ pub fn run(plan: &ChaosPlan, gateway: &Gateway) -> ChaosReport {
                 }
             }
             ChaosEvent::Slowloris { hold_ms, .. } => {
-                let cut = inject_slowloris(addr, Duration::from_millis(hold_ms));
+                let cut = inject_slowloris(gateway, Duration::from_millis(hold_ms));
                 if cut {
                     report.slowloris_cut = report.slowloris_cut.saturating_add(1);
                 } else {
@@ -244,20 +242,20 @@ pub fn run(plan: &ChaosPlan, gateway: &Gateway) -> ChaosReport {
                 }
             }
             ChaosEvent::Garbage { .. } => {
-                if inject_garbage(addr) {
+                if inject_garbage(gateway.local_addr()) {
                     report.garbage_rejected = report.garbage_rejected.saturating_add(1);
                 } else {
                     report.garbage_mishandled = report.garbage_mishandled.saturating_add(1);
                 }
             }
             ChaosEvent::Disconnect { .. } => {
-                inject_disconnect(addr);
+                inject_disconnect(gateway);
                 report.disconnects = report.disconnects.saturating_add(1);
             }
             ChaosEvent::Flood {
                 tenant, requests, ..
             } => {
-                inject_flood(addr, tenant, requests, &mut report);
+                inject_flood(gateway, tenant, requests, &mut report);
             }
         }
     }
@@ -266,11 +264,11 @@ pub fn run(plan: &ChaosPlan, gateway: &Gateway) -> ChaosReport {
 
 /// Trickle a partial frame, hold, then see whether the server (rightly)
 /// cut us. Returns true when cut.
-fn inject_slowloris(addr: std::net::SocketAddr, hold: Duration) -> bool {
-    let Ok(mut client) = GatewayClient::connect(addr) else {
+fn inject_slowloris(gateway: &Gateway, hold: Duration) -> bool {
+    let Ok(mut client) = GatewayClient::connect(gateway.local_addr()) else {
         return false;
     };
-    let full = encode_request(&RequestFrame::from_tensor(0, 0, 0, &canary_frame(3, 8, 8)));
+    let full = encode_request(&probe_request(gateway));
     if client.send_raw(&full[..10]).is_err() {
         return true;
     }
@@ -300,11 +298,11 @@ fn inject_garbage(addr: std::net::SocketAddr) -> bool {
 /// `gateway.disconnects` before it closes, so once this returns the count
 /// is already there — dropping the socket and leaving at once would let
 /// the plan (and a test reading the counter) finish first.
-fn inject_disconnect(addr: std::net::SocketAddr) {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
+fn inject_disconnect(gateway: &Gateway) {
+    let Ok(mut stream) = TcpStream::connect(gateway.local_addr()) else {
         return;
     };
-    let full = encode_request(&RequestFrame::from_tensor(0, 0, 0, &canary_frame(3, 8, 8)));
+    let full = encode_request(&probe_request(gateway));
     if stream.write_all(&full[..20.min(full.len())]).is_ok()
         && stream.shutdown(Shutdown::Write).is_ok()
         && stream.set_read_timeout(Some(HANG_UP_WAIT)).is_ok()
@@ -318,11 +316,17 @@ fn inject_disconnect(addr: std::net::SocketAddr) {
 /// not a timing: the wait ends as soon as the server hangs up).
 const HANG_UP_WAIT: Duration = Duration::from_secs(30);
 
+/// Every injected request carries the gateway's own probe frame, so what
+/// it tests is the injection, not the frame's shape.
+fn probe_request(gateway: &Gateway) -> RequestFrame {
+    RequestFrame::from_tensor(0, 0, 0, gateway.probe_frame())
+}
+
 /// Fire `requests` back-to-back frames as `tenant`, recording one tally
 /// entry per request — the exactly-one-response check rides on this.
-fn inject_flood(addr: std::net::SocketAddr, tenant: u32, requests: u32, report: &mut ChaosReport) {
-    let frame = canary_frame(3, 8, 8);
-    let Ok(mut client) = GatewayClient::connect(addr) else {
+fn inject_flood(gateway: &Gateway, tenant: u32, requests: u32, report: &mut ChaosReport) {
+    let frame = gateway.probe_frame();
+    let Ok(mut client) = GatewayClient::connect(gateway.local_addr()) else {
         report.flood_sent = report.flood_sent.saturating_add(u64::from(requests));
         report.flood.wire_errors = report.flood.wire_errors.saturating_add(u64::from(requests));
         return;
@@ -330,7 +334,7 @@ fn inject_flood(addr: std::net::SocketAddr, tenant: u32, requests: u32, report: 
     for i in 0..requests {
         report.flood_sent = report.flood_sent.saturating_add(1);
         let id = 0x000F_100D_0000_u64.saturating_add(u64::from(i));
-        match client.classify(tenant, id, 1_000, &frame) {
+        match client.classify(tenant, id, 1_000, frame) {
             Ok(resp) => report.flood.record(&resp, None),
             Err(_) => report.flood.record_wire_error(),
         }

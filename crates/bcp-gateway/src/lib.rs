@@ -30,14 +30,14 @@
 //!
 //! ```no_run
 //! use bcp_gateway::{Gateway, GatewayClient, GatewayConfig, ShardSpec};
-//! use bcp_serve::{canary_frame, ServeConfig};
+//! use bcp_serve::ServeConfig;
 //!
 //! let specs = (0..3)
 //!     .map(|_| ShardSpec::synthetic(2, ServeConfig::default()))
 //!     .collect();
 //! let gw = Gateway::start(specs, GatewayConfig::default(), None).unwrap();
 //! let mut client = GatewayClient::connect(gw.local_addr()).unwrap();
-//! let resp = client.classify(7, 1, 250, &canary_frame(3, 8, 8)).unwrap();
+//! let resp = client.classify(7, 1, 250, gw.probe_frame()).unwrap();
 //! println!("tenant 7 got class {} from shard {}", resp.class, resp.shard);
 //! gw.shutdown();
 //! ```

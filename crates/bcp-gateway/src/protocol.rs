@@ -178,6 +178,7 @@ impl Status {
             ServeError::WorkerFault { .. } => Status::WorkerFault,
             ServeError::NoHealthyWorkers => Status::NoHealthyShard,
             ServeError::ShuttingDown => Status::ShuttingDown,
+            ServeError::BadFrame => Status::BadRequest,
         }
     }
 }

@@ -26,9 +26,9 @@ use crate::protocol::{
 };
 use crate::shard::{Router, ShardSpec};
 use crate::tenant::{Admission, TenantPolicy, TenantTable};
-use bcp_serve::canary_frame;
 use bcp_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use bcp_sync::Mutex;
+use bcp_tensor::Tensor;
 use bcp_trace::{Counter, Histogram, Registry};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,9 +57,8 @@ pub struct GatewayConfig {
     /// kill or revive.
     pub probe_interval: Duration,
     /// Frame the health prober classifies; must match the replicas'
-    /// expected input shape. `None` falls back to a 3×8×8 gradient frame,
-    /// which suits shape-agnostic replicas (e.g. the synthetic one).
-    pub probe_frame: Option<bcp_tensor::Tensor>,
+    /// input shape. `None` — the default — takes shard 0's canary frame.
+    pub probe_frame: Option<Tensor>,
 }
 
 impl Default for GatewayConfig {
@@ -78,6 +77,8 @@ impl Default for GatewayConfig {
 
 struct Ctx {
     cfg: GatewayConfig,
+    /// The frame the prober (and a chaos flood) sends, resolved at start.
+    probe: Tensor,
     router: Router,
     tenants: TenantTable,
     registry: Registry,
@@ -136,7 +137,8 @@ pub struct Gateway {
 impl Gateway {
     /// Bind, stand up one shard per spec, and start serving. Every
     /// `gateway.*` and shard `serve.*` metric goes to `registry`, or to a
-    /// registry of the gateway's own when `None`.
+    /// registry of the gateway's own when `None`. Fails when it has
+    /// neither a probe frame nor a shard to take one from.
     pub fn start(
         specs: Vec<ShardSpec>,
         cfg: GatewayConfig,
@@ -146,11 +148,15 @@ impl Gateway {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let router = Router::new(specs, registry.clone());
+        let probe = cfg.probe_frame.clone();
+        let probe = probe.or_else(|| router.shards().first()?.canary_frame());
+        let probe = probe.ok_or_else(|| std::io::Error::other("a gateway needs a shard"))?;
         let mut tenants = TenantTable::new(cfg.tenant_policy, Some(registry.clone()));
         for (t, p) in &cfg.tenant_overrides {
             tenants = tenants.with_override(*t, *p);
         }
         let ctx = Arc::new(Ctx {
+            probe,
             router,
             tenants,
             start: Instant::now(),
@@ -197,6 +203,12 @@ impl Gateway {
     /// The shard router (chaos plans kill/revive through it).
     pub fn router(&self) -> &Router {
         &self.ctx.router
+    }
+
+    /// The frame the health prober classifies: [`GatewayConfig::probe_frame`]
+    /// or, when that is `None`, shard 0's canary frame.
+    pub fn probe_frame(&self) -> &Tensor {
+        &self.ctx.probe
     }
 
     /// The metric registry this gateway reports into.
@@ -259,16 +271,11 @@ fn accept_loop(
 }
 
 fn prober_loop(ctx: &Arc<Ctx>) {
-    let probe = ctx
-        .cfg
-        .probe_frame
-        .clone()
-        .unwrap_or_else(|| canary_frame(3, 8, 8));
     // ordering: Relaxed — shutdown-flag poll; see `shutdown`.
     while !ctx.shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(ctx.cfg.probe_interval);
         for shard in ctx.router.shards() {
-            shard.probe(&probe, PROBE_BUDGET);
+            shard.probe(&ctx.probe, PROBE_BUDGET);
         }
     }
 }

@@ -165,6 +165,15 @@ impl Shard {
         self.id
     }
 
+    /// Its engine's canary frame, a frame of the shape it takes; `None`
+    /// while killed.
+    pub fn canary_frame(&self) -> Option<Tensor> {
+        self.engine
+            .lock()
+            .as_ref()
+            .map(|e| e.canary_frame().clone())
+    }
+
     /// Current health state.
     pub fn state(&self) -> ShardState {
         self.state.load()
@@ -440,10 +449,11 @@ impl Router {
                         attempts,
                     };
                 }
-                Err(ServeError::DeadlineExpired) => {
-                    // The budget is spent; retrying elsewhere cannot help.
+                // The budget is spent, or the frame is one no shard takes:
+                // retrying elsewhere cannot help.
+                Err(e @ (ServeError::DeadlineExpired | ServeError::BadFrame)) => {
                     return DispatchOutcome {
-                        result: Err(Status::DeadlineExpired),
+                        result: Err(Status::from_serve_error(&e)),
                         shard: s,
                         attempts,
                     };

@@ -26,7 +26,7 @@ fn classifies_over_the_wire_with_correct_answers() {
     let gw = gateway(2, GatewayConfig::default());
     let mut client = GatewayClient::connect(gw.local_addr()).unwrap();
     for i in 0..20u64 {
-        let frame = canary_frame(3, 8 + (i as usize % 3), 8);
+        let frame = canary_frame(3, 8, 8).map(|v| v + (i % 3) as f32);
         let resp = client.classify(7, i, 1_000, &frame).unwrap();
         assert_eq!(resp.request_id, i);
         assert_eq!(resp.status, Status::Ok);

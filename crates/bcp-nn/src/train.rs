@@ -115,7 +115,7 @@ pub fn gather_batch(images: &Tensor, indices: &[usize]) -> Tensor {
     Tensor::from_vec(Shape::nchw(indices.len(), c, h, w), data)
 }
 
-/// Extended single-epoch result from [`train_epoch_detailed`].
+/// Single-epoch result from [`train_epoch`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochDetail {
     /// Mean minibatch loss.
@@ -128,7 +128,7 @@ pub struct EpochDetail {
 }
 
 /// One epoch of minibatch training with gradient-norm tracking.
-pub fn train_epoch_detailed(
+pub fn train_epoch(
     net: &mut Sequential,
     opt: &mut Adam,
     images: &Tensor,
@@ -177,20 +177,6 @@ pub fn train_epoch_detailed(
         train_accuracy: correct as f32 / n as f32,
         grad_norm: (total_grad_norm / b) as f32,
     }
-}
-
-/// One epoch of minibatch training. Returns (mean loss, training accuracy).
-pub fn train_epoch(
-    net: &mut Sequential,
-    opt: &mut Adam,
-    images: &Tensor,
-    labels: &[usize],
-    batch_size: usize,
-    loss: LossKind,
-    shuffle_seed: u64,
-) -> (f32, f32) {
-    let d = train_epoch_detailed(net, opt, images, labels, batch_size, loss, shuffle_seed);
-    (d.loss, d.train_accuracy)
 }
 
 /// Signs of every latent binary weight (`clip_unit` params), in
@@ -246,36 +232,13 @@ pub fn evaluate(
 
 /// Full training run with optional validation and LR schedule. The callback
 /// receives each epoch's stats (use it for logging or early stopping by
-/// returning `false`).
-#[allow(clippy::too_many_arguments)]
-pub fn fit(
-    net: &mut Sequential,
-    opt: &mut Adam,
-    train_images: &Tensor,
-    train_labels: &[usize],
-    val: Option<(&Tensor, &[usize])>,
-    cfg: &TrainConfig,
-    on_epoch: impl FnMut(&EpochStats) -> bool,
-) -> Vec<EpochStats> {
-    fit_instrumented(
-        net,
-        opt,
-        train_images,
-        train_labels,
-        val,
-        cfg,
-        None,
-        on_epoch,
-    )
-}
-
-/// [`fit`] with an optional telemetry registry. Per epoch this exports
+/// returning `false`). With a telemetry registry, each epoch also exports
 /// `train.epoch.{loss,train_accuracy,val_accuracy,grad_norm,sign_flip_rate,lr}`
 /// gauges, a `train.epoch_ns` histogram, `train.{epochs,samples}` counters
 /// and — when the registry has an event sink — one `train.epoch` mark
 /// event carrying the same numbers as JSONL fields.
 #[allow(clippy::too_many_arguments)]
-pub fn fit_instrumented(
+pub fn fit(
     net: &mut Sequential,
     opt: &mut Adam,
     train_images: &Tensor,
@@ -293,7 +256,7 @@ pub fn fit_instrumented(
         let t0 = std::time::Instant::now();
         net.take_profile();
         let signs_before = latent_signs(net);
-        let detail = train_epoch_detailed(
+        let detail = train_epoch(
             net,
             opt,
             train_images,
@@ -426,7 +389,16 @@ mod tests {
             batch_size: 32,
             ..Default::default()
         };
-        let history = fit(&mut net, &mut opt, &images, &labels, None, &cfg, |_| true);
+        let history = fit(
+            &mut net,
+            &mut opt,
+            &images,
+            &labels,
+            None,
+            &cfg,
+            None,
+            |_| true,
+        );
         assert!(history.len() == 30);
         assert!(
             history.last().unwrap().loss < history.first().unwrap().loss,
@@ -458,7 +430,16 @@ mod tests {
             batch_size: 32,
             ..Default::default()
         };
-        fit(&mut net, &mut opt, &images, &labels, None, &cfg, |_| true);
+        fit(
+            &mut net,
+            &mut opt,
+            &images,
+            &labels,
+            None,
+            &cfg,
+            None,
+            |_| true,
+        );
         let acc = evaluate(&mut net, &images, &labels, 64, None);
         assert!(acc > 0.85, "binary blob accuracy {acc} too low");
     }
@@ -483,9 +464,16 @@ mod tests {
             batch_size: 16,
             ..Default::default()
         };
-        let history = fit(&mut net, &mut opt, &images, &labels, None, &cfg, |s| {
-            s.epoch < 2
-        });
+        let history = fit(
+            &mut net,
+            &mut opt,
+            &images,
+            &labels,
+            None,
+            &cfg,
+            None,
+            |s| s.epoch < 2,
+        );
         assert_eq!(history.len(), 3); // epochs 0,1,2 run; callback stops after 2.
     }
 
@@ -507,7 +495,16 @@ mod tests {
             batch_size: 16,
             ..Default::default()
         };
-        let history = fit(&mut net, &mut opt, &images, &labels, None, &cfg, |_| true);
+        let history = fit(
+            &mut net,
+            &mut opt,
+            &images,
+            &labels,
+            None,
+            &cfg,
+            None,
+            |_| true,
+        );
         for s in &history {
             assert!(s.grad_norm > 0.0, "epoch {} grad norm", s.epoch);
             assert!((0.0..=1.0).contains(&s.sign_flip_rate), "epoch {}", s.epoch);
@@ -536,7 +533,7 @@ mod tests {
             batch_size: 16,
             ..Default::default()
         };
-        fit_instrumented(
+        fit(
             &mut net,
             &mut opt,
             &images,

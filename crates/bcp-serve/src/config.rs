@@ -3,7 +3,6 @@
 // Lives with the queue that enforces it, which the model build compiles.
 pub use crate::queue::BackpressurePolicy;
 use crate::recovery::RecoveryPolicy;
-use bcp_tensor::Tensor;
 use std::time::Duration;
 
 /// Tuning knobs for [`Engine`](crate::Engine). Worker count is implied by
@@ -26,20 +25,14 @@ pub struct ServeConfig {
     /// [`ServeError::DeadlineExpired`]; a successful response is only ever
     /// delivered inside the deadline.
     pub deadline: Option<Duration>,
-    /// Integrity canary: a frame whose golden output is captured from the
-    /// replicas at startup. Workers re-run it before every batch (each
-    /// pass timed into the `serve.canary_ns` histogram); a
-    /// mismatch (e.g. an SEU-style stuck-at fault in that worker's weight
-    /// memory) marks the worker unhealthy, fails only its current batch,
-    /// and takes it out of rotation — healthy workers keep serving.
-    pub canary: Option<Tensor>,
-    /// Self-healing: when set, a canary-failed worker is quarantined
-    /// instead of permanently removed — its thread attempts
+    /// How a worker that failed its integrity canary (or panicked) earns
+    /// its way back: its thread attempts
     /// [`Replica::repair`](crate::Replica::repair) off the hot path, then
     /// must pass `probation_passes` consecutive canaries to rejoin
-    /// rotation (see [`RecoveryPolicy`]). `None` keeps the original
-    /// one-way removal.
-    pub recovery: Option<RecoveryPolicy>,
+    /// rotation, and retires after `max_strikes` failed attempts (see
+    /// [`RecoveryPolicy`]). The canary itself is not configured: the
+    /// engine derives it from its replicas' input shape.
+    pub recovery: RecoveryPolicy,
     /// Background scrubbing: when set, each worker calls
     /// [`Replica::scrub_tick`](crate::Replica::scrub_tick) with this many
     /// scrub units between inference batches, interleaving integrity
@@ -59,8 +52,7 @@ impl Default for ServeConfig {
             max_batch: 8,
             policy: BackpressurePolicy::Block,
             deadline: None,
-            canary: None,
-            recovery: None,
+            recovery: RecoveryPolicy::default(),
             background_scrub: None,
             trace: None,
         }
@@ -87,6 +79,8 @@ pub enum ServeError {
     NoHealthyWorkers,
     /// The engine is shutting down and no longer accepts requests.
     ShuttingDown,
+    /// The frame's shape is not the model's input shape; never enqueued.
+    BadFrame,
 }
 
 impl std::fmt::Display for ServeError {
@@ -100,6 +94,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::NoHealthyWorkers => write!(f, "no healthy workers remain"),
             ServeError::ShuttingDown => write!(f, "engine is shutting down"),
+            ServeError::BadFrame => write!(f, "frame shape does not match the model's input"),
         }
     }
 }
@@ -115,7 +110,7 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.queue_cap >= c.max_batch);
         assert_eq!(c.policy, BackpressurePolicy::Block);
-        assert!(c.deadline.is_none() && c.canary.is_none());
+        assert!(c.deadline.is_none());
     }
 
     #[test]

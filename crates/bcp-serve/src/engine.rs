@@ -42,18 +42,19 @@
 //!   beyond it the configured
 //!   [`BackpressurePolicy`](crate::BackpressurePolicy) decides, and no
 //!   policy can deadlock the engine.
-//! * **Fault isolation**: a replica that fails its integrity canary (or
-//!   panics) fails only its current batch and stops pulling, so it holds
-//!   nothing anyone could wedge behind. With a
-//!   [`RecoveryPolicy`](crate::RecoveryPolicy) configured, the worker then
-//!   runs the self-healing lifecycle off the hot path — `Quarantined` →
-//!   repair → `Probation` → K consecutive canary passes → `Healthy` —
-//!   instead of ending its thread (see [`crate::recovery`]).
+//! * **Fault isolation**: every batch is gated on a canary frame at the
+//!   replicas' input shape, whose golden output the engine captures at
+//!   start. A replica that fails it (or panics) fails only its current
+//!   batch and stops pulling, so it holds nothing anyone could wedge
+//!   behind. The worker then runs the self-healing lifecycle of its
+//!   [`RecoveryPolicy`](crate::RecoveryPolicy) off the hot path —
+//!   `Quarantined` → repair → `Probation` → K consecutive canary passes →
+//!   `Healthy`, or strikes → `Retired` (see [`crate::recovery`]).
 
 use crate::config::{ServeConfig, ServeError};
 use crate::oneshot::{Expired, Slot};
 use crate::queue::{Admission, Push};
-use crate::recovery::{RecoveryPolicy, WorkerState, WorkerStateCell, RETRY_INTERVAL};
+use crate::recovery::{WorkerState, WorkerStateCell, RETRY_INTERVAL};
 use crate::replica::Replica;
 use bcp_dataset::MaskClass;
 use bcp_sync::Mutex;
@@ -144,6 +145,11 @@ struct Shared {
     cfg: ServeConfig,
     registry: Registry,
     metrics: Metrics,
+    /// The integrity canary: a gradient frame at the replicas' input shape
+    /// (`submit` refuses any other) and the output every healthy replica
+    /// gives for it.
+    canary: Tensor,
+    golden: Vec<i64>,
     /// The admission queue: submitters push under `cfg.policy`, healthy
     /// workers pull their batches, whoever finds no healthy worker drains
     /// it, and closing it is what begins a drain or shutdown.
@@ -320,29 +326,29 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawn one worker thread per replica. All replicas
-    /// must be functionally identical copies of the same model; when a
-    /// canary is configured this is verified up front against replica 0's
-    /// golden output. The engine's `serve.*` metrics (and the tracer's
-    /// `trace.*`) are resolved in `registry` here, once; the hot path
-    /// only bumps the handles.
+    /// Spawn one worker thread per replica. All replicas must be
+    /// functionally identical copies of the same model: this is verified
+    /// up front against replica 0's golden output on the canary frame, a
+    /// [`canary_frame`](crate::canary_frame) of replica 0's input shape.
+    /// The engine's `serve.*` metrics (and the tracer's `trace.*`) are
+    /// resolved in `registry` here, once; the hot path only bumps the
+    /// handles.
     pub fn start<R: Replica>(replicas: Vec<R>, cfg: ServeConfig, registry: Registry) -> Engine {
         assert!(!replicas.is_empty(), "engine needs at least one replica");
         assert!(cfg.queue_cap > 0, "queue capacity must be positive");
         assert!(cfg.max_batch > 0, "max_batch must be positive");
         let workers = replicas.len();
 
-        let canary: Option<(Tensor, Vec<i64>)> = cfg.canary.clone().map(|frame| {
-            let expected = replicas[0].canary(&frame);
-            for (i, r) in replicas.iter().enumerate().skip(1) {
-                assert_eq!(
-                    r.canary(&frame),
-                    expected,
-                    "replica {i} disagrees with replica 0 on the canary frame"
-                );
-            }
-            (frame, expected)
-        });
+        let [c, h, w] = replicas[0].input_dims();
+        let canary = crate::replica::canary_frame(c, h, w);
+        let golden = replicas[0].canary(&canary);
+        for (i, r) in replicas.iter().enumerate().skip(1) {
+            assert_eq!(
+                r.canary(&canary),
+                golden,
+                "replica {i} disagrees with replica 0 on the canary frame"
+            );
+        }
 
         let metrics = Metrics::new(&registry, workers);
         let tracer = cfg
@@ -357,6 +363,8 @@ impl Engine {
             cfg,
             registry,
             metrics,
+            canary,
+            golden,
             states: (0..workers)
                 .map(|_| WorkerStateCell::new(WorkerState::Healthy))
                 .collect(),
@@ -370,10 +378,9 @@ impl Engine {
             .enumerate()
             .map(|(w, replica)| {
                 let shared = shared.clone();
-                let canary = canary.clone();
                 std::thread::Builder::new()
                     .name(format!("bcp-serve-worker-{w}"))
-                    .spawn(move || worker_loop(w, replica, canary, shared))
+                    .spawn(move || worker_loop(w, replica, shared))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -384,9 +391,10 @@ impl Engine {
     }
 
     /// Enqueue one frame for classification. Returns a [`Ticket`] to wait
-    /// on, or an immediate error when the backpressure policy refuses
-    /// admission ([`ServeError::Rejected`]) or the engine is draining.
-    /// The deadline, if any, comes from [`ServeConfig::deadline`].
+    /// on, or an immediate error when the frame is not of the replicas'
+    /// input shape ([`ServeError::BadFrame`]), the backpressure policy
+    /// refuses admission ([`ServeError::Rejected`]) or the engine is
+    /// draining. The deadline, if any, comes from [`ServeConfig::deadline`].
     // bcp:hot-path — request admission and policy enforcement
     pub fn submit(&self, frame: &Tensor) -> Result<Ticket, ServeError> {
         let deadline = self
@@ -410,6 +418,10 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
         self.shared.metrics.requests.inc();
+        if frame.shape() != self.shared.canary.shape() {
+            self.shared.metrics.failed.inc();
+            return Err(ServeError::BadFrame);
+        }
         let now = Instant::now();
         let slot = self.shared.acquire_slot();
         // Head-sampling decision; a sampled trace is already stamped with
@@ -488,6 +500,13 @@ impl Engine {
             .collect()
     }
 
+    /// The canary frame every batch is gated on: a
+    /// [`canary_frame`](crate::canary_frame) of the replicas' input shape,
+    /// the one shape `submit` accepts.
+    pub fn canary_frame(&self) -> &Tensor {
+        &self.shared.canary
+    }
+
     /// Requests currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.len()
@@ -529,16 +548,11 @@ impl Drop for Engine {
 /// One worker: owns a replica and, while it reads itself `Healthy`, pulls
 /// its own batches off the admission queue (module docs), gates each on
 /// the integrity canary, infers, completes slots. Off rotation it pulls
-/// nothing: with a recovery policy it runs repair attempts and probation
-/// canaries every [`RETRY_INTERVAL`] until it is reinstated, retired
-/// or the engine drains; with no way back it ends its thread.
+/// nothing: it runs repair attempts and probation canaries every
+/// [`RETRY_INTERVAL`] until it is reinstated, retired or the engine
+/// drains.
 // bcp:hot-path — batch formation, execution and completion
-fn worker_loop<R: Replica>(
-    w: usize,
-    mut replica: R,
-    canary: Option<(Tensor, Vec<i64>)>,
-    shared: Arc<Shared>,
-) {
+fn worker_loop<R: Replica>(w: usize, mut replica: R, shared: Arc<Shared>) {
     let mut strikes = 0u32;
     let mut probation_passes = 0u32;
     // The batch under construction and the scratch its frames are moved
@@ -548,26 +562,21 @@ fn worker_loop<R: Replica>(
     // audit: allow(alloc): one-time per-worker scratch; its capacity is retained for the thread's lifetime
     let mut frames: Vec<Tensor> = Vec::new();
     loop {
-        match (shared.state(w), shared.cfg.recovery) {
-            (WorkerState::Healthy, _) => {}
-            (WorkerState::Quarantined | WorkerState::Probation, Some(policy))
-                if !shared.queue.is_closed() =>
-            {
+        match shared.state(w) {
+            WorkerState::Healthy => {}
+            WorkerState::Quarantined | WorkerState::Probation if !shared.queue.is_closed() => {
                 // audit: allow(block): timed off-rotation wait — the heartbeat of repair and probation work
                 std::thread::sleep(RETRY_INTERVAL);
                 recovery_step(
                     w,
                     &mut replica,
-                    &canary,
                     &shared,
-                    policy,
                     &mut strikes,
                     &mut probation_passes,
                 );
                 continue;
             }
-            // No way back: retired, no recovery policy, or nothing left
-            // to come back for.
+            // No way back: retired, or nothing left to come back for.
             _ => break,
         }
 
@@ -612,7 +621,7 @@ fn worker_loop<R: Replica>(
         } else {
             m.seal_idle.inc();
         }
-        match run_batch(w, &mut replica, &mut batch, &mut frames, &canary, &shared) {
+        match run_batch(w, &mut replica, &mut batch, &mut frames, &shared) {
             Some(classes) => {
                 deliver(w, &mut batch, classes, &shared);
                 if let Some(units) = shared.cfg.background_scrub {
@@ -634,19 +643,20 @@ fn worker_loop<R: Replica>(
 }
 
 /// One recovery increment for an off-rotation worker: a quarantined
-/// replica attempts `repair()`; a probation replica runs one canary.
-/// Transitions (and their `serve.worker.*` metrics) happen here, on the
-/// worker's own thread — the single writer of its state byte.
+/// replica attempts `repair()` (a replica that cannot repair strikes out
+/// on every attempt and retires after `max_strikes` of them); a probation
+/// replica runs one canary. Transitions (and their `serve.worker.*`
+/// metrics) happen here, on the worker's own thread — the single writer
+/// of its state byte.
 // audit: cold — repair and probation run off-rotation, never on the serving path
 fn recovery_step<R: Replica>(
     w: usize,
     replica: &mut R,
-    canary: &Option<(Tensor, Vec<i64>)>,
     shared: &Shared,
-    policy: RecoveryPolicy,
     strikes: &mut u32,
     probation_passes: &mut u32,
 ) {
+    let policy = shared.cfg.recovery;
     let strike_out = |strikes: &mut u32, fallback: WorkerState| {
         *strikes = strikes.saturating_add(1);
         if *strikes >= policy.max_strikes {
@@ -668,16 +678,10 @@ fn recovery_step<R: Replica>(
             }
         }
         WorkerState::Probation => {
-            let pass = match canary {
-                Some((frame, expected)) => {
-                    catch_unwind(AssertUnwindSafe(|| replica.canary(frame)))
-                        .ok()
-                        .as_deref()
-                        == Some(expected.as_slice())
-                }
-                // No canary configured: nothing to prove against.
-                None => true,
-            };
+            let pass = catch_unwind(AssertUnwindSafe(|| replica.canary(&shared.canary)))
+                .ok()
+                .as_deref()
+                == Some(shared.golden.as_slice());
             if pass {
                 *probation_passes = probation_passes.saturating_add(1);
                 if *probation_passes >= policy.probation_passes {
@@ -707,7 +711,6 @@ fn run_batch<R: Replica>(
     replica: &mut R,
     batch: &mut [Request],
     frames: &mut Vec<Tensor>,
-    canary: &Option<(Tensor, Vec<i64>)>,
     shared: &Shared,
 ) -> Option<Vec<MaskClass>> {
     let fault = || {
@@ -718,14 +721,12 @@ fn run_batch<R: Replica>(
     // Integrity gate: a corrupted replica can never emit a wrong
     // classification, because every batch is preceded by a golden-output
     // check, timed into `serve.canary_ns`.
-    if let Some((frame, expected)) = canary {
-        let t0 = Instant::now();
-        // audit: external — the canary runs the replica's own inference, audited at the kernel roots
-        let got = catch_unwind(AssertUnwindSafe(|| replica.canary(frame))).ok();
-        shared.metrics.canary_ns.record_duration(t0.elapsed());
-        if got.as_deref() != Some(expected.as_slice()) {
-            return fault();
-        }
+    let t0 = Instant::now();
+    // audit: external — the canary runs the replica's own inference, audited at the kernel roots
+    let got = catch_unwind(AssertUnwindSafe(|| replica.canary(&shared.canary))).ok();
+    shared.metrics.canary_ns.record_duration(t0.elapsed());
+    if got.as_deref() != Some(shared.golden.as_slice()) {
+        return fault();
     }
 
     frames.clear();
@@ -784,13 +785,17 @@ fn deliver(w: usize, batch: &mut Vec<Request>, classes: Vec<MaskClass>, shared: 
 mod tests {
     #![allow(clippy::arithmetic_side_effects)]
     use super::*;
+    use crate::recovery::RecoveryPolicy;
     use crate::replica::{canary_frame, SyntheticReplica};
     use crate::BackpressurePolicy;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// `n` frames at the synthetic replica's 3×8×8, five distinct ones.
     fn frames(n: usize) -> Vec<Tensor> {
-        (0..n).map(|i| canary_frame(3, 8, 8 + i % 5)).collect()
+        (0..n)
+            .map(|i| canary_frame(3, 8, 8).map(|v| v + (i % 5) as f32))
+            .collect()
     }
 
     fn engine(workers: usize, cfg: ServeConfig) -> Engine {
@@ -954,7 +959,6 @@ mod tests {
     #[test]
     fn canary_fault_takes_one_worker_out_of_rotation() {
         let cfg = ServeConfig {
-            canary: Some(canary_frame(3, 8, 8)),
             max_batch: 1,
             ..ServeConfig::default()
         };
@@ -981,30 +985,59 @@ mod tests {
 
     #[test]
     fn all_workers_faulted_yields_no_healthy_workers() {
-        // Off rotation two ways: a worker whose thread has ended because
-        // it has no way back, and one that sits in quarantine for good
-        // (its replica cannot repair and the strikes never run out).
-        // Either way requests still resolve, and `shutdown` still joins.
+        // Off rotation for good: the replica cannot repair and the strikes
+        // never run out, so the worker sits in quarantine. Requests still
+        // resolve, and `shutdown` still joins.
         let stuck = RecoveryPolicy {
             max_strikes: u32::MAX,
             ..RecoveryPolicy::default()
         };
-        for recovery in [None, Some(stuck)] {
-            let cfg = ServeConfig {
-                canary: Some(canary_frame(3, 8, 8)),
-                max_batch: 1,
-                recovery,
-                ..ServeConfig::default()
-            };
-            let e = engine(1, cfg);
-            e.inject_faults(0, 1, 7);
-            let f = frames(1).remove(0);
-            assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
-            assert_eq!(e.healthy_workers(), 0);
-            assert_eq!(e.classify(&f), Err(ServeError::NoHealthyWorkers));
-            e.shutdown();
-            assert_eq!(e.worker_state(0), WorkerState::Quarantined);
-        }
+        let cfg = ServeConfig {
+            max_batch: 1,
+            recovery: stuck,
+            ..ServeConfig::default()
+        };
+        let e = engine(1, cfg);
+        e.inject_faults(0, 1, 7);
+        let f = frames(1).remove(0);
+        assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
+        assert_eq!(e.healthy_workers(), 0);
+        assert_eq!(e.classify(&f), Err(ServeError::NoHealthyWorkers));
+        e.shutdown();
+        assert_eq!(e.worker_state(0), WorkerState::Quarantined);
+    }
+
+    #[test]
+    fn the_default_config_guards_and_retires_an_unrepairable_worker() {
+        let e = engine(1, ServeConfig::default());
+        e.inject_faults(0, 1, 7);
+        let f = frames(1).remove(0);
+        assert_eq!(e.classify(&f), Err(ServeError::WorkerFault { worker: 0 }));
+        assert!(
+            eventually(|| e.worker_state(0) == WorkerState::Retired),
+            "unrepairable worker must retire, stuck in {}",
+            e.worker_state(0)
+        );
+        e.shutdown();
+        let snap = e.registry().snapshot();
+        assert_eq!(snap.counters["serve.worker.retired"], 1);
+    }
+
+    #[test]
+    fn a_wrong_shaped_frame_is_refused_at_the_door() {
+        let e = engine(1, ServeConfig::default());
+        let wrong = canary_frame(3, 16, 16);
+        assert!(matches!(e.submit(&wrong), Err(ServeError::BadFrame)));
+        // The worker never saw it: the next frame is served as usual.
+        let f = frames(1).remove(0);
+        let want = SyntheticReplica::new().infer_batch(std::slice::from_ref(&f))[0];
+        assert_eq!(e.classify(&f), Ok(want));
+        assert_eq!(e.worker_state(0), WorkerState::Healthy);
+        e.shutdown();
+        let snap = e.registry().snapshot();
+        assert_eq!(snap.counters["serve.worker_fault"], 0);
+        assert_eq!(snap.counters["serve.failed"], 1);
+        assert_eq!(snap.counters["serve.ok"], 1);
     }
 
     /// Poll `cond` for up to two seconds — recovery runs on worker
@@ -1022,12 +1055,11 @@ mod tests {
 
     fn recovery_cfg() -> ServeConfig {
         ServeConfig {
-            canary: Some(canary_frame(3, 8, 8)),
             max_batch: 1,
-            recovery: Some(RecoveryPolicy {
+            recovery: RecoveryPolicy {
                 probation_passes: 2,
                 max_strikes: 3,
-            }),
+            },
             ..ServeConfig::default()
         }
     }
@@ -1245,6 +1277,10 @@ mod tests {
     // Relaxed throughout: the engine's own hand-offs (and the shutdown
     // join) order every test-side read after the write it checks.
     impl Replica for Probe {
+        fn input_dims(&self) -> [usize; 3] {
+            self.inner.input_dims()
+        }
+
         fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
             self.infers.fetch_add(1, Ordering::Relaxed);
             self.gate.pass();
@@ -1498,7 +1534,11 @@ mod tests {
     #[test]
     fn blocked_submitter_is_released_when_the_last_worker_faults() {
         let gate = Gate::closed();
-        let probe = Probe::new(&gate);
+        // Unrepairable, so it never comes back to take the blocked request.
+        let probe = Probe {
+            inner: SyntheticReplica::new(),
+            ..Probe::new(&gate)
+        };
         probe.panic_once.store(true, Ordering::Relaxed);
         let e = Engine::start(
             vec![probe],
@@ -1538,7 +1578,6 @@ mod tests {
         let e = Engine::start(
             vec![probe],
             ServeConfig {
-                canary: Some(canary_frame(3, 8, 8)),
                 max_batch: 1,
                 ..ServeConfig::default()
             },

@@ -24,10 +24,13 @@
 //!   `Ok(MaskClass)` or one [`ServeError`] via a single-use oneshot
 //!   [`Slot`](oneshot::Slot), including under deadline expiry, overload,
 //!   worker faults and shutdown.
-//! * **Fault isolation** — an optional canary frame re-checked between
-//!   batches turns silent weight-memory corruption (the SEU model of
-//!   `bcp_finn::fault`) into a detected [`ServeError::WorkerFault`] that
-//!   takes only that worker out of rotation.
+//! * **Fault isolation** — a canary frame at the replicas' input shape,
+//!   re-checked before every batch, turns silent weight-memory corruption
+//!   (the SEU model of `bcp_finn::fault`) into a detected
+//!   [`ServeError::WorkerFault`] that takes only that worker out of
+//!   rotation, until its [`RecoveryPolicy`] reinstates or retires it. A
+//!   frame of any other shape is refused at submit
+//!   ([`ServeError::BadFrame`]).
 //! * **Observability** — queue depth, batch-size, latency and canary-gate
 //!   histograms, outcome counters and how batches closed
 //!   (`serve.seal.{full,idle}`) under the `serve.*` namespace of the

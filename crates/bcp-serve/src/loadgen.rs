@@ -29,7 +29,8 @@ pub struct LoadReport {
     pub shed: usize,
     /// Deadline expiries (engine- or client-side).
     pub expired: usize,
-    /// Worker-fault and no-healthy-worker failures.
+    /// Every other failure: a worker fault, no healthy worker, shutdown,
+    /// or a frame of the wrong shape.
     pub faulted: usize,
     /// Wall-clock time for the whole run.
     pub wall: Duration,
@@ -145,7 +146,8 @@ fn record_outcome(
         Err(
             ServeError::WorkerFault { .. }
             | ServeError::NoHealthyWorkers
-            | ServeError::ShuttingDown,
+            | ServeError::ShuttingDown
+            | ServeError::BadFrame,
         ) => tally[4] = tally[4].saturating_add(1),
     }
 }
@@ -200,7 +202,9 @@ mod tests {
             ServeConfig::default(),
             Registry::new(),
         );
-        let frames: Vec<Tensor> = (0..8).map(|i| canary_frame(3, 8, 8 + i)).collect();
+        let frames: Vec<Tensor> = (0..8)
+            .map(|i| canary_frame(3, 8, 8).map(|v| v + i as f32))
+            .collect();
         let report = run_closed_loop(&e, &frames, 4, 25);
         assert!(report.accounted());
         assert_eq!(report.ok, 100, "lossless config: every request succeeds");

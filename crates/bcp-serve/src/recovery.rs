@@ -1,9 +1,9 @@
 //! Worker health lifecycle: quarantine, repair, probation, reinstatement.
 //!
-//! The original fault story was one-way: a worker that failed its
-//! integrity canary left dispatch forever, so every transient SEU
-//! permanently cost a replica. With a [`RecoveryPolicy`] the engine runs
-//! the full self-healing loop instead:
+//! A worker that fails its integrity canary (or panics) leaves dispatch,
+//! and every engine's [`RecoveryPolicy`] decides whether it comes back —
+//! the full self-healing loop, so a transient SEU does not permanently
+//! cost a replica:
 //!
 //! ```text
 //!            canary fail / panic
@@ -21,9 +21,8 @@
 //! off-rotation worker holds no requests and nothing can wedge behind it;
 //! it wakes every [`RETRY_INTERVAL`] instead. A replica that cannot
 //! repair itself (the default [`Replica::repair`](crate::Replica::repair)
-//! returns `false`) accumulates strikes and is retired — the old
-//! permanent-removal behavior, reached deliberately instead of by
-//! omission. When the last `Healthy` worker leaves, nobody pulls any more:
+//! returns `false`) accumulates strikes and is retired after
+//! `max_strikes` of them. When the last `Healthy` worker leaves, nobody pulls any more:
 //! [`WorkerStateCell::none_healthy`] is how that is noticed.
 
 use bcp_sync::atomic::{AtomicU8, Ordering};

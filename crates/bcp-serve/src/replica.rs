@@ -14,6 +14,11 @@ use bcp_tensor::Tensor;
 /// mutably, which is what makes fault isolation possible: a stuck-at fault
 /// or panic corrupts exactly one replica, never its siblings.
 pub trait Replica: Send + 'static {
+    /// The `[channels, height, width]` of the frames this model takes. The
+    /// engine refuses any other shape at submit and derives its integrity
+    /// canary from it.
+    fn input_dims(&self) -> [usize; 3];
+
     /// Classify frames in order, one result per frame.
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass>;
 
@@ -31,8 +36,9 @@ pub trait Replica: Send + 'static {
     /// deployed content (e.g. a full scrub against a golden copy, as
     /// `bcp-guard` does). Returns `true` when the replica believes it is
     /// clean again; the engine still demands consecutive canary passes
-    /// before trusting it. The default cannot self-repair, which makes
-    /// quarantine permanent — the pre-recovery behavior.
+    /// before trusting it. The default cannot self-repair: each attempt
+    /// is a strike, and the worker retires once its
+    /// [`RecoveryPolicy`](crate::RecoveryPolicy) runs out of them.
     fn repair(&mut self) -> bool {
         false
     }
@@ -49,6 +55,10 @@ pub trait Replica: Send + 'static {
 /// engines from `Vec<Box<dyn Replica>>` factories so one factory type can
 /// stand up heterogeneous pools and rebuild an engine after a shard kill.
 impl Replica for Box<dyn Replica> {
+    fn input_dims(&self) -> [usize; 3] {
+        (**self).input_dims()
+    }
+
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         (**self).infer_batch(frames)
     }
@@ -70,9 +80,9 @@ impl Replica for Box<dyn Replica> {
     }
 }
 
-/// A trivial deterministic "model" for engine tests: classifies by a hash
-/// of the frame contents, costs an optional fixed delay per frame, and
-/// supports fault injection by corrupting its (single) weight.
+/// A trivial deterministic "model" for engine tests: 3×8×8 frames in, a
+/// class by a hash of their contents out, an optional fixed delay per
+/// frame, and fault injection by corrupting its (single) weight.
 pub struct SyntheticReplica {
     /// Artificial per-frame compute time, to make saturation reproducible.
     pub delay: std::time::Duration,
@@ -127,6 +137,10 @@ impl Default for SyntheticReplica {
 }
 
 impl Replica for SyntheticReplica {
+    fn input_dims(&self) -> [usize; 3] {
+        [3, 8, 8]
+    }
+
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         frames
             .iter()

@@ -14,9 +14,10 @@ fn tenant_for(gateway: &Gateway, shard: usize) -> Option<u32> {
 /// `bcp gateway-bench`: multi-process closed-loop load against a live
 /// gateway, with an optional deterministic chaos plan injected mid-run.
 /// Asserts (exit 1 on violation): exactly one response per request, zero
-/// wrong answers, exact client↔server counter reconciliation, and — after
-/// the chaos window — full recovery (a verification burst must come back
-/// all-Ok with correct classes).
+/// wrong answers, exact client↔server counter reconciliation, no worker
+/// fault (no chaos event corrupts weights), and — after the chaos window —
+/// full recovery (a verification burst must come back all-Ok with correct
+/// classes).
 pub fn gateway_bench(args: &Args) {
     if args.has("connect") {
         return client(args);
@@ -221,6 +222,10 @@ pub fn gateway_bench(args: &Args) {
         (count("serve.ok") != shard_ok).then(|| {
             let ok = count("serve.ok");
             format!("serve ledger mismatch: serve.ok = {ok} vs {shard_ok} shard oks")
+        }),
+        (count("serve.worker_fault") != 0).then(|| {
+            let faults = count("serve.worker_fault");
+            format!("serve.worker_fault = {faults}, but no chaos event corrupts weights")
         }),
     ];
     violations.extend(ledger.into_iter().flatten());

@@ -41,8 +41,6 @@ fn setup(args: &Args) -> (BinaryCoP, Vec<ShardSpec>, GatewayConfig) {
         burst: args.int("tenant-burst", 10_000) as u64,
         quota: args.parse_as("tenant-quota", "an integer"),
     };
-    let s = predictor.arch().input_size;
-    gw_cfg.probe_frame = Some(bcp_serve::canary_frame(3, s, s));
     (predictor, specs, gw_cfg)
 }
 

@@ -6,7 +6,7 @@ use bcp_dataset::ppm::{decode_ppm, resize_to};
 use binarycop::arch::ArchKind;
 use binarycop::model::{build_bnn, untrained_predictor};
 use binarycop::predictor::{BinaryCoP, OperatingMode};
-use binarycop::recipe::{run_instrumented, Recipe};
+use binarycop::recipe::{run, Recipe};
 use std::process::exit;
 
 /// `bcp check`: the `bcp-check` static verifier over one or every
@@ -71,7 +71,7 @@ pub fn train(args: &Args) {
         recipe.arch.name
     );
     let telemetry = args.telemetry();
-    let mut model = run_instrumented(&recipe, telemetry.registry(), |s| {
+    let mut model = run(&recipe, telemetry.registry(), |s| {
         eprintln!(
             "  epoch {:>3}: loss {:.4}, train acc {:.1}%",
             s.epoch,
@@ -155,7 +155,7 @@ pub fn demo(args: &Args) {
     };
     eprintln!("demo: training {} …", recipe.arch.name);
     let telemetry = args.telemetry();
-    let model = run_instrumented(&recipe, telemetry.registry(), |_| {});
+    let model = run(&recipe, telemetry.registry(), |_| {});
     eprintln!("test accuracy: {:.1}%", model.test_accuracy * 100.0);
     let predictor = telemetry.attach(BinaryCoP::from_trained(&model.net, &model.arch));
     let gen = GeneratorConfig {

@@ -30,10 +30,12 @@ pub fn serve_bench(args: &Args) {
 
     let frames = bench_frames(predictor.arch().input_size, n_frames, 0x5EEE);
 
-    // Baseline: one caller, one frame in flight, no batching.
+    // Baseline: one caller, one frame in flight, no batching — on a copy
+    // with its own registry, so the engine's books count only what it served.
+    let direct = predictor.clone().with_telemetry(bcp_trace::Registry::new());
     let t0 = Instant::now();
     for f in &frames {
-        let _ = predictor.classify(f);
+        let _ = direct.classify(f);
     }
     let seq_fps = frames.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
     println!(

@@ -97,7 +97,7 @@ fn train_logged(recipe: &Recipe, label: &str) -> TrainedModel {
         "[train] {label}: {}/class train (+{} aug), {} epochs",
         recipe.train_per_class, recipe.augment_copies, recipe.epochs
     );
-    let model = run(recipe, |s| {
+    let model = run(recipe, None, |s| {
         eprintln!(
             "[train] {label} epoch {:>3}: loss {:.4}, train acc {:.1}%",
             s.epoch,

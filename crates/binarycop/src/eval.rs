@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn deployed_pipeline_answers_as_the_trained_network_does() {
-        let mut model = crate::recipe::run(&crate::recipe::Recipe::test_scale(), |_| {});
+        let mut model = crate::recipe::run(&crate::recipe::Recipe::test_scale(), None, |_| {});
         let frames = model.test_set.len();
         let deployed = deployed_confusion_matrix(&mut model.net, &model.arch, &model.test_set, 8);
         assert_eq!(deployed.confusion.total(), frames as u64);

@@ -694,6 +694,7 @@ pub fn variant_ablation(
             &train.labels,
             None,
             &cfg,
+            None,
             |_| true,
         );
         let acc = evaluate(&mut net, &test_images, &test.labels, 32, None);
@@ -980,12 +981,13 @@ pub fn data_pipeline_ablation() -> String {
         epochs: 6,
         ..Recipe::test_scale()
     };
-    let balanced = run(&base, |_| {});
+    let balanced = run(&base, None, |_| {});
     let augmented = run(
         &Recipe {
             augment_copies: 1,
             ..base.clone()
         },
+        None,
         |_| {},
     );
 
@@ -1366,7 +1368,7 @@ mod tests {
     fn ledger_fields_repeat_between_runs() {
         let entry = || {
             let recipe = Recipe::test_scale();
-            let mut model = run(&recipe, |_| {});
+            let mut model = run(&recipe, None, |_| {});
             let (net, arch, test) = (&mut model.net, &model.arch, &model.test_set);
             let deployed = crate::eval::deployed_confusion_matrix(net, arch, test, 8);
             let mut entry = arch_ledger(&recipe, &model, &deployed, 0.0);

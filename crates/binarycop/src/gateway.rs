@@ -11,24 +11,19 @@
 use crate::guard::GuardedReplica;
 use crate::predictor::BinaryCoP;
 use bcp_gateway::ShardSpec;
-use bcp_serve::{canary_frame, RecoveryPolicy, Replica, ServeConfig};
+use bcp_serve::{Replica, ServeConfig};
 use std::sync::Arc;
 
 /// Build `shards` identical shard specs, each serving `workers` guarded
-/// replicas of `predictor`. Unless the config already carries them, the
-/// integrity canary defaults to a gradient frame at the architecture's
-/// input size and worker recovery to [`RecoveryPolicy::default`] — the
-/// same defaults as [`crate::guard::guarded_engine`], so a gateway shard
-/// self-heals exactly like a single-process engine does.
+/// replicas of `predictor` — the replicas of
+/// [`crate::guard::guarded_engine`], so a gateway shard self-heals exactly
+/// like a single-process engine does.
 pub fn shard_specs(
     predictor: &BinaryCoP,
     shards: usize,
     workers: usize,
-    mut cfg: ServeConfig,
+    cfg: ServeConfig,
 ) -> Vec<ShardSpec> {
-    let s = predictor.arch().input_size;
-    cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
-    cfg.recovery.get_or_insert_with(RecoveryPolicy::default);
     let template = Arc::new(predictor.clone());
     (0..shards.max(1))
         .map(|_| {
@@ -53,6 +48,7 @@ mod tests {
     use crate::model::untrained_predictor;
     use crate::recipe::tiny_arch;
     use bcp_gateway::{Gateway, GatewayClient, GatewayConfig, Status};
+    use bcp_serve::canary_frame;
 
     fn predictor() -> BinaryCoP {
         untrained_predictor(&tiny_arch(), 5, 6)
@@ -81,5 +77,31 @@ mod tests {
             assert_ne!(resp.shard as usize, affinity);
         }
         gw.shutdown();
+    }
+
+    #[test]
+    fn a_wrong_shaped_frame_reads_bad_request_and_poisons_nothing() {
+        let p = predictor();
+        let registry = bcp_trace::Registry::new();
+        let specs = shard_specs(&p, 2, 1, ServeConfig::default());
+        let cfg = GatewayConfig::default();
+        let gw = Gateway::start(specs, cfg, Some(registry.clone())).unwrap();
+        // With no probe frame configured, the prober sends one the model takes.
+        let s = p.arch().input_size;
+        assert_eq!(gw.probe_frame().shape().dims(), &[3, s, s]);
+        let mut client = GatewayClient::connect(gw.local_addr()).unwrap();
+        let resp = client
+            .classify(3, 1, 2_000, &canary_frame(3, 8, 8))
+            .unwrap();
+        assert_eq!(resp.status, Status::BadRequest);
+        // The same connection still serves, and correctly.
+        let good = canary_frame(3, s, s);
+        let resp = client.classify(3, 2, 2_000, &good).unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.class as usize, p.classify(&good).label());
+        gw.shutdown();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["serve.worker_fault"], 0);
+        assert_eq!(snap.counters["gateway.retries"], 0);
     }
 }

@@ -4,7 +4,8 @@
 //! [`GuardedReplica`] pairs one deployed pipeline with its own
 //! [`Scrubber`] (captured from the pipeline at construction, while it is
 //! still trusted); [`guarded_engine`] stands up a `bcp-serve` pool of
-//! them with a [`RecoveryPolicy`] enabled, completing the loop the paper's
+//! them, whose repair turns the engine's recovery policy into a way back
+//! rather than a countdown to retirement, completing the loop the paper's
 //! robustness experiment only measures passively: an SEU is detected at
 //! the canary gate, the worker is quarantined, its scrubber restores the
 //! golden weights off the hot path, and the worker re-earns rotation
@@ -13,7 +14,7 @@
 use crate::predictor::BinaryCoP;
 use bcp_dataset::MaskClass;
 use bcp_guard::Scrubber;
-use bcp_serve::{canary_frame, Engine, RecoveryPolicy, Replica, ServeConfig};
+use bcp_serve::{Engine, Replica, ServeConfig};
 use bcp_tensor::Tensor;
 
 impl BinaryCoP {
@@ -57,6 +58,10 @@ impl GuardedReplica {
 }
 
 impl Replica for GuardedReplica {
+    fn input_dims(&self) -> [usize; 3] {
+        self.predictor.input_dims()
+    }
+
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         self.predictor.infer_batch(frames)
     }
@@ -84,15 +89,11 @@ impl Replica for GuardedReplica {
     }
 }
 
-/// Stand up a self-healing serving engine: `workers` guarded replicas,
-/// a default canary at the architecture's input size, and (unless the
-/// config overrides it) the default [`RecoveryPolicy`]. The predictor's
-/// telemetry registry receives the engine's `serve.*` metrics and every
-/// replica's `predict.*` and `guard.scrub.*` metrics.
-pub fn guarded_engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> Engine {
-    let s = predictor.arch().input_size;
-    cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
-    cfg.recovery.get_or_insert_with(RecoveryPolicy::default);
+/// Stand up a self-healing serving engine over `workers` guarded
+/// replicas. The predictor's telemetry registry receives the engine's
+/// `serve.*` metrics and every replica's `predict.*` and `guard.scrub.*`
+/// metrics.
+pub fn guarded_engine(predictor: &BinaryCoP, workers: usize, cfg: ServeConfig) -> Engine {
     let registry = predictor.telemetry().clone();
     let replicas: Vec<GuardedReplica> = predictor
         .replicate(workers)
@@ -108,7 +109,7 @@ mod tests {
     use crate::model::untrained_predictor;
     use crate::recipe::tiny_arch;
     use bcp_finn::fault::inject_random_faults;
-    use bcp_serve::WorkerState;
+    use bcp_serve::{canary_frame, RecoveryPolicy, WorkerState};
     use std::time::{Duration, Instant};
 
     fn predictor() -> BinaryCoP {
@@ -151,10 +152,10 @@ mod tests {
         let p = predictor();
         let cfg = ServeConfig {
             max_batch: 1,
-            recovery: Some(RecoveryPolicy {
+            recovery: RecoveryPolicy {
                 probation_passes: 2,
                 max_strikes: 3,
-            }),
+            },
             ..ServeConfig::default()
         };
         let e = guarded_engine(&p, 1, cfg);

@@ -6,7 +6,7 @@ use crate::model::{build_bnn, build_fp32};
 use bcp_dataset::{Dataset, GeneratorConfig};
 use bcp_nn::metrics::ConfusionMatrix;
 use bcp_nn::optim::{Adam, StepDecay};
-use bcp_nn::train::{fit_instrumented, EpochStats, LossKind, TrainConfig};
+use bcp_nn::train::{fit, EpochStats, LossKind, TrainConfig};
 use bcp_nn::Sequential;
 
 /// A complete training configuration.
@@ -157,16 +157,11 @@ pub struct TrainedModel {
 }
 
 /// Execute a recipe end to end: generate → balance (generation is already
-/// balanced) → augment → train → evaluate.
-pub fn run(recipe: &Recipe, log: impl FnMut(&EpochStats)) -> TrainedModel {
-    run_instrumented(recipe, None, log)
-}
-
-/// [`run`] with an optional telemetry registry threaded through to
-/// [`bcp_nn::train::fit_instrumented`]: per-epoch `train.epoch.*` gauges,
+/// balanced) → augment → train → evaluate. A telemetry registry is handed
+/// to [`bcp_nn::train::fit`]: per-epoch `train.epoch.*` gauges,
 /// `train.{epochs,samples}` counters, a `train.epoch_ns` histogram and
 /// (with an event sink) one `train.epoch` mark event per epoch.
-pub fn run_instrumented(
+pub fn run(
     recipe: &Recipe,
     telemetry: Option<&bcp_trace::Registry>,
     mut log: impl FnMut(&EpochStats),
@@ -194,7 +189,7 @@ pub fn run_instrumented(
         }),
     };
     let train_images = train.normalized_images();
-    let history = fit_instrumented(
+    let history = fit(
         &mut net,
         &mut opt,
         &train_images,
@@ -231,7 +226,7 @@ mod tests {
     fn test_scale_recipe_learns_the_task() {
         // The end-to-end claim in miniature: a BNN trained on the synthetic
         // masked-face data beats chance by a wide margin within seconds.
-        let model = run(&Recipe::test_scale(), |_| {});
+        let model = run(&Recipe::test_scale(), None, |_| {});
         assert_eq!(model.confusion.classes(), 4);
         assert!(
             model.test_accuracy > 0.5,
@@ -250,7 +245,7 @@ mod tests {
             ..Recipe::test_scale()
         }
         .as_fp32();
-        let model = run(&recipe, |_| {});
+        let model = run(&recipe, None, |_| {});
         assert!(
             model.test_accuracy > 0.4,
             "fp32 accuracy {}",
@@ -267,8 +262,8 @@ mod tests {
             test_per_class: 4,
             ..Recipe::test_scale()
         };
-        let a = run(&r, |_| {});
-        let b = run(&r, |_| {});
+        let a = run(&r, None, |_| {});
+        let b = run(&r, None, |_| {});
         assert_eq!(a.test_accuracy, b.test_accuracy);
         assert_eq!(
             a.history.last().unwrap().loss,

@@ -4,16 +4,21 @@
 //! stream frames at an edge accelerator. This module is the glue between
 //! that accelerator model and the generic serving layer — it implements
 //! [`Replica`] for [`BinaryCoP`] (each worker owns an independent deployed
-//! pipeline) and provides [`engine`] to stand up a pool of replicas with a
-//! sensible integrity canary.
+//! pipeline, taking 3×s×s frames at the architecture's input size) and
+//! provides [`engine`] to stand up a pool of replicas.
 
 use crate::predictor::BinaryCoP;
 use bcp_dataset::MaskClass;
 use bcp_finn::fault::inject_random_faults;
-use bcp_serve::{canary_frame, Engine, Replica, ServeConfig};
+use bcp_serve::{Engine, Replica, ServeConfig};
 use bcp_tensor::Tensor;
 
 impl Replica for BinaryCoP {
+    fn input_dims(&self) -> [usize; 3] {
+        let s = self.arch().input_size;
+        [3, s, s]
+    }
+
     /// Micro-batch dispatch: one in-thread pass through the
     /// register-blocked multi-frame kernel, so a batch of B frames streams
     /// each dense weight row once instead of B times. Bit-identical to
@@ -35,13 +40,9 @@ impl Replica for BinaryCoP {
 }
 
 /// Stand up a serving engine over `workers` independent replicas of
-/// `predictor`. Unless the config already carries one, the integrity
-/// canary defaults to a deterministic gradient frame at the architecture's
-/// input size. The predictor's telemetry registry receives the engine's
+/// `predictor`. The predictor's telemetry registry receives the engine's
 /// `serve.*` metrics next to the replicas' `predict.*` ones.
-pub fn engine(predictor: &BinaryCoP, workers: usize, mut cfg: ServeConfig) -> Engine {
-    let s = predictor.arch().input_size;
-    cfg.canary.get_or_insert_with(|| canary_frame(3, s, s));
+pub fn engine(predictor: &BinaryCoP, workers: usize, cfg: ServeConfig) -> Engine {
     let registry = predictor.telemetry().clone();
     Engine::start(predictor.replicate(workers), cfg, registry)
 }
@@ -52,6 +53,7 @@ mod tests {
     use crate::model::untrained_predictor;
     use crate::recipe::tiny_arch;
     use bcp_dataset::{Dataset, GeneratorConfig};
+    use bcp_serve::canary_frame;
 
     fn predictor() -> BinaryCoP {
         untrained_predictor(&tiny_arch(), 5, 6)

@@ -127,6 +127,32 @@ fn audit_json_reports_its_exception_counts() {
 }
 
 #[test]
+fn serve_bench_metrics_count_only_served_requests() {
+    let out = bcp(&[
+        "serve-bench",
+        "--workers",
+        "1",
+        "--clients",
+        "2",
+        "--requests",
+        "10",
+        "--frames",
+        "4",
+        "--dump-metrics",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let counter = |name: &str| {
+        let line = stdout.lines().find_map(|l| l.strip_prefix(name));
+        let value = line.and_then(|v| v.trim().parse::<u64>().ok());
+        value.unwrap_or_else(|| panic!("no {name} in:\n{stdout}"))
+    };
+    // The sequential baseline's 4 frames are not the engine's.
+    assert_eq!(counter("serve.ok "), 20);
+    assert_eq!(counter("predict.frames "), counter("serve.ok "));
+}
+
+#[test]
 fn the_readme_shows_the_usage_text() {
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
         .expect("README.md is readable");

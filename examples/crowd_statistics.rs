@@ -17,7 +17,7 @@ use bcp_dataset::{GeneratorConfig, MaskClass};
 use bcp_trace::Registry;
 use binarycop::arch::ArchKind;
 use binarycop::predictor::BinaryCoP;
-use binarycop::recipe::{run_instrumented, Recipe};
+use binarycop::recipe::{run, Recipe};
 
 fn main() {
     let telemetry = Registry::new();
@@ -29,7 +29,7 @@ fn main() {
         ..Recipe::quick(ArchKind::NCnv)
     };
     println!("training n-CNV for crowd statistics …");
-    let model = run_instrumented(&recipe, Some(&telemetry), |_| {});
+    let model = run(&recipe, Some(&telemetry), |_| {});
     println!("test accuracy {:.1}%\n", model.test_accuracy * 100.0);
     let predictor =
         BinaryCoP::from_trained(&model.net, &model.arch).with_telemetry(telemetry.clone());

@@ -19,7 +19,7 @@ use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_trace::Registry;
 use binarycop::arch::ArchKind;
 use binarycop::predictor::{BinaryCoP, OperatingMode};
-use binarycop::recipe::{run_instrumented, Recipe};
+use binarycop::recipe::{run, Recipe};
 
 fn main() {
     let telemetry = Registry::new();
@@ -31,7 +31,7 @@ fn main() {
         ..Recipe::quick(ArchKind::NCnv)
     };
     println!("training n-CNV for the gate …");
-    let model = run_instrumented(&recipe, Some(&telemetry), |s| {
+    let model = run(&recipe, Some(&telemetry), |s| {
         println!("  epoch {:>2}: loss {:.4}", s.epoch, s.loss);
     });
     println!("test accuracy {:.1}%\n", model.test_accuracy * 100.0);

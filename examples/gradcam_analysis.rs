@@ -33,7 +33,7 @@ fn main() {
         ..Recipe::quick(ArchKind::NCnv)
     };
     println!("training n-CNV for Grad-CAM analysis …");
-    let model = run(&recipe, |s| {
+    let model = run(&recipe, None, |s| {
         println!("  epoch {:>2}: loss {:.4}", s.epoch, s.loss);
     });
     println!("test accuracy {:.1}%\n", model.test_accuracy * 100.0);

@@ -25,7 +25,7 @@ fn main() {
         "training {} on {} samples/class …",
         recipe.arch.name, recipe.train_per_class
     );
-    let model = run(&recipe, |s| {
+    let model = run(&recipe, None, |s| {
         println!(
             "  epoch {:>2}: loss {:.4}  train acc {:.1}%",
             s.epoch,

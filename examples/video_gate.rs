@@ -25,7 +25,7 @@ fn main() {
         ..Recipe::quick(ArchKind::NCnv)
     };
     println!("training n-CNV for the video gate …");
-    let model = run(&recipe, |_| {});
+    let model = run(&recipe, None, |_| {});
     println!("test accuracy {:.1}%\n", model.test_accuracy * 100.0);
     let predictor = BinaryCoP::from_trained(&model.net, &model.arch);
 

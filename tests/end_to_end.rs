@@ -26,7 +26,7 @@ fn train_deploy_classify_roundtrip() {
     // The headline flow: synthetic data → BNN training → threshold folding
     // → XNOR pipeline → classification, with the deployed pipeline
     // agreeing with the independent integer reference on every frame.
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     assert!(
         model.test_accuracy > 0.35,
         "accuracy {}",
@@ -58,7 +58,7 @@ fn train_deploy_classify_roundtrip() {
 
 #[test]
 fn predictor_beats_chance_on_fresh_data() {
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let predictor = BinaryCoP::from_trained(&model.net, &model.arch);
     let gen = GeneratorConfig {
         img_size: model.arch.input_size,
@@ -78,7 +78,7 @@ fn predictor_beats_chance_on_fresh_data() {
 
 #[test]
 fn crowd_batch_equals_single_frame_classification() {
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let predictor = BinaryCoP::from_trained(&model.net, &model.arch);
     let gen = GeneratorConfig {
         img_size: model.arch.input_size,
@@ -99,7 +99,7 @@ fn training_accuracy_transfers_to_the_pipeline() {
     // The trained float network's test-set accuracy must survive
     // deployment: the pipeline's accuracy on the same test set should be
     // close (generally identical classifications).
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let mut net = model.net;
     let predictor = BinaryCoP::from_trained(&net, &model.arch);
     let test = &model.test_set;
@@ -127,7 +127,7 @@ fn training_accuracy_transfers_to_the_pipeline() {
 
 #[test]
 fn perf_and_power_models_are_consistent_across_modes() {
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let predictor = BinaryCoP::from_trained(&model.net, &model.arch);
     let perf = predictor.perf();
     // The timing model's per-frame capacity bounds the gate duty cycle.
@@ -150,7 +150,7 @@ fn perf_and_power_models_are_consistent_across_modes() {
 fn checkpoint_roundtrip_preserves_deployment() {
     // Save → load through bcp-nn's JSON state dict, then deploy both and
     // compare pipelines on frames.
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let mut original = model.net;
     let sd = bcp_nn::serialize::state_dict(&mut original);
     let mut restored = binarycop::model::build_bnn(&model.arch, 12345);
@@ -187,7 +187,7 @@ fn tiny_arch_deploys_with_exact_foldings() {
 fn all_four_classes_reachable_by_pipeline() {
     // Sanity against degenerate collapse: across many inputs, a trained
     // pipeline emits more than one class, and the generator covers all 4.
-    let model = run(&small_recipe(), |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let predictor = BinaryCoP::from_trained(&model.net, &model.arch);
     let gen = GeneratorConfig {
         img_size: model.arch.input_size,

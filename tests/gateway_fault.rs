@@ -20,7 +20,9 @@ const REQUESTS: usize = 60;
 const PROBE: Duration = Duration::from_millis(20);
 
 fn frames() -> Vec<Tensor> {
-    (0..6).map(|i| canary_frame(3, 8 + i % 3, 8)).collect()
+    (0..6)
+        .map(|i| canary_frame(3, 8, 8).map(|v| v + (i % 3) as f32))
+        .collect()
 }
 
 fn expected_classes(frames: &[Tensor]) -> Vec<u8> {

@@ -173,10 +173,10 @@ fn serve_pool_heals_under_fire_and_never_lies() {
     let p = predictor().clone().with_telemetry(registry.clone());
     let cfg = ServeConfig {
         max_batch: 1,
-        recovery: Some(RecoveryPolicy {
+        recovery: RecoveryPolicy {
             probation_passes: 2,
             max_strikes: 100, // storms below must never exhaust the strike budget
-        }),
+        },
         background_scrub: Some(4),
         ..ServeConfig::default()
     };

@@ -5,7 +5,7 @@
 use bcp_dataset::{Dataset, GeneratorConfig, MaskClass};
 use bcp_trace::Registry;
 use binarycop::predictor::BinaryCoP;
-use binarycop::recipe::{run_instrumented, Recipe};
+use binarycop::recipe::{run, Recipe};
 use serde::Value;
 
 fn small_recipe() -> Recipe {
@@ -20,7 +20,7 @@ fn small_recipe() -> Recipe {
 #[test]
 fn one_registry_meters_training_and_inference() {
     let registry = Registry::with_event_buffer();
-    let model = run_instrumented(&small_recipe(), Some(&registry), |_| {});
+    let model = run(&small_recipe(), Some(&registry), |_| {});
     let predictor =
         BinaryCoP::from_trained(&model.net, &model.arch).with_telemetry(registry.clone());
 
@@ -64,7 +64,7 @@ fn one_registry_meters_training_and_inference() {
 #[test]
 fn artifacts_round_trip_through_json() {
     let registry = Registry::with_event_buffer();
-    let model = run_instrumented(&small_recipe(), Some(&registry), |_| {});
+    let model = run(&small_recipe(), Some(&registry), |_| {});
     let predictor =
         BinaryCoP::from_trained(&model.net, &model.arch).with_telemetry(registry.clone());
     let gen = GeneratorConfig {
@@ -106,7 +106,7 @@ fn artifacts_round_trip_through_json() {
 #[test]
 fn concurrent_classification_counts_are_exact() {
     let registry = Registry::new();
-    let model = run_instrumented(&small_recipe(), None, |_| {});
+    let model = run(&small_recipe(), None, |_| {});
     let predictor =
         BinaryCoP::from_trained(&model.net, &model.arch).with_telemetry(registry.clone());
     let gen = GeneratorConfig {

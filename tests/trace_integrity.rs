@@ -223,6 +223,10 @@ struct Held {
 }
 
 impl Replica for Held {
+    fn input_dims(&self) -> [usize; 3] {
+        self.inner.input_dims()
+    }
+
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         let mut st = self.gate.state.lock().unwrap();
         st.0 += 1;
@@ -263,7 +267,9 @@ fn time_series_sees_the_queue_behind_a_held_worker() {
         ..ServeConfig::default()
     };
     let e = Engine::start(vec![held], cfg, Registry::new());
-    let frames: Vec<Tensor> = (0..=K).map(|i| canary_frame(3, 8, 8 + i)).collect();
+    let frames: Vec<Tensor> = (0..=K)
+        .map(|i| canary_frame(3, 8, 8).map(|v| v + i as f32))
+        .collect();
     let head = e.submit(&frames[0]).expect("Block policy never refuses");
     drop(
         gate.cv
