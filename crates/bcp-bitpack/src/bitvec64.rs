@@ -163,11 +163,14 @@ impl BitVec64 {
         }
     }
 
-    /// Decode back to ±1 floats.
+    /// Decode back to ±1 floats, a word at a time.
     pub fn to_signs(&self) -> Vec<f32> {
-        (0..self.len)
-            .map(|i| if self.get(i) { 1.0 } else { -1.0 })
-            .collect()
+        let mut out = Vec::with_capacity(self.len);
+        for &w in &self.words {
+            let n = self.len.saturating_sub(out.len()).min(WORD_BITS);
+            out.extend((0..n).map(|b| if (w >> b) & 1 == 1 { 1.0 } else { -1.0 }));
+        }
+        out
     }
 
     fn clear_padding(&mut self) {

@@ -30,19 +30,41 @@ pub fn sign_f32(x: f32) -> f32 {
     }
 }
 
+/// One word of `bit` tests over at most [`WORD_BITS`] values, LSB first.
+#[inline]
+fn word_of(chunk: &[f32], bit: impl Fn(f32) -> bool) -> u64 {
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0u64, |w, (i, &x)| w | u64::from(bit(x)) << i)
+}
+
+/// Pack `bit(x)` of every value into a bit vector, one word of 64 tests at
+/// a time: sign bits, or a training-time pass mask such as `|x| ≤ 1`.
+pub fn pack_with(xs: &[f32], bit: impl Fn(f32) -> bool + Copy) -> BitVec64 {
+    let words = xs.chunks(WORD_BITS).map(|c| word_of(c, bit)).collect();
+    BitVec64::from_words(xs.len(), words)
+}
+
 /// Pack a float slice into a bit vector via [`sign_bit`], one word of 64
 /// tests at a time. Deploy-time and ablation-time only: no frame reaches it.
 pub fn pack_signs(xs: &[f32]) -> BitVec64 {
-    let words = xs
-        .chunks(WORD_BITS)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .fold(0u64, |w, (i, &x)| w | u64::from(sign_bit(x)) << i)
-        })
-        .collect();
-    BitVec64::from_words(xs.len(), words)
+    pack_with(xs, sign_bit)
+}
+
+/// [`pack_signs`] of a slice whose every value is exactly ±1, and `None`
+/// when one is not. The test and the pack share one pass, a word at a
+/// time, which stops at the first word that holds another value; then
+/// [`unpack_signs`] gives back the very slice.
+pub fn pack_exact_signs(xs: &[f32]) -> Option<BitVec64> {
+    let mut words = Vec::with_capacity(words_for(xs.len()));
+    for chunk in xs.chunks(WORD_BITS) {
+        if !chunk.iter().fold(true, |ok, x| ok & (x.abs() == 1.0)) {
+            return None;
+        }
+        words.push(word_of(chunk, sign_bit));
+    }
+    Some(BitVec64::from_words(xs.len(), words))
 }
 
 /// Pack a row-major `rows × cols` float buffer into a [`BitMatrix`], each
@@ -299,6 +321,39 @@ mod tests {
         ]);
         assert_eq!(v.words(), &[0b010_1011]);
         assert_eq!(pack_matrix(0, 5, &[]), BitMatrix::zeros(0, 5));
+    }
+
+    #[test]
+    fn exact_signs_pack_only_all_unit_slices() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let xs: Vec<f32> = (0..len)
+                .map(|i| if i % 3 == 0 { -1.0 } else { 1.0 })
+                .collect();
+            let packed = pack_exact_signs(&xs).expect("every value is ±1");
+            assert_eq!(packed, pack_signs(&xs), "{len}");
+            assert_eq!(unpack_signs(&packed), xs, "{len}");
+            // One other value anywhere, in any word, refuses the slice.
+            for at in [0, len / 2, len.saturating_sub(1)]
+                .into_iter()
+                .filter(|_| len > 0)
+            {
+                for other in [0.0, -0.0, 0.5, 1.0 + f32::EPSILON, f32::NAN, f32::INFINITY] {
+                    let mut ys = xs.clone();
+                    ys[at] = other;
+                    assert_eq!(pack_exact_signs(&ys), None, "{len}, {other} at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_with_is_the_per_value_test() {
+        let xs: Vec<f32> = (0..130).map(|i| (i as f32 - 60.0) / 40.0).collect();
+        let mask = pack_with(&xs, |x| x.abs() <= 1.0);
+        assert_eq!(mask.len(), xs.len());
+        for (i, x) in xs.iter().enumerate() {
+            assert_eq!(mask.get(i), x.abs() <= 1.0, "{x}");
+        }
     }
 
     #[test]

@@ -124,8 +124,8 @@ impl Ctx {
 }
 
 /// A running gateway: accept loop + prober + N shards behind a router.
-/// Dropping without [`shutdown`](Gateway::shutdown) leaks the listener
-/// thread; tests always shut down.
+/// Dropping it shuts it down, so a caller that unwinds (a failed test
+/// assert) leaves no thread behind.
 pub struct Gateway {
     addr: SocketAddr,
     ctx: Arc<Ctx>,
@@ -216,8 +216,15 @@ impl Gateway {
         &self.ctx.registry
     }
 
-    /// Stop accepting, join every connection, drain every shard.
-    pub fn shutdown(mut self) {
+    /// Stop accepting, join every connection, drain every shard: what
+    /// dropping the gateway does, spelled out at the call site.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for Gateway {
+    fn drop(&mut self) {
         // ordering: Relaxed — the flag is a shutdown request, observed by
         // loops at their next poll tick; no data is published under it.
         self.ctx.shutdown.store(true, Ordering::Relaxed);

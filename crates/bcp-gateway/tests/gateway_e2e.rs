@@ -36,6 +36,26 @@ fn classifies_over_the_wire_with_correct_answers() {
 }
 
 #[test]
+fn a_dropped_gateway_stops_its_threads() {
+    let gw = gateway(2, GatewayConfig::default());
+    let addr = gw.local_addr();
+    let mut client = GatewayClient::connect(addr).unwrap();
+    let frame = canary_frame(3, 8, 8);
+    assert_eq!(
+        client.classify(7, 1, 1_000, &frame).unwrap().status,
+        Status::Ok
+    );
+    drop(client);
+    // No `shutdown()`: dropping joins the accept thread, which closes the
+    // listener.
+    drop(gw);
+    assert!(
+        std::net::TcpStream::connect(addr).is_err(),
+        "the accept thread still answers on {addr}"
+    );
+}
+
+#[test]
 fn tenants_are_isolated_under_flood() {
     // Tenant 1 gets a starved bucket; tenant 2 a roomy one. Flood as
     // tenant 1 and interleave tenant 2: tenant 2 must never be throttled.

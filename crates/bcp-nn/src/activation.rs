@@ -1,15 +1,21 @@
 //! Activation layers: the binarizing [`SignSte`] plus float baselines.
 
-use crate::layer::{take_cache, Layer, LayerKind, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mask, Mode};
 use bcp_tensor::Tensor;
+
+/// The straight-through pass region `|x| ≤ 1` (false for NaN).
+fn unit_interval(v: f32) -> bool {
+    v.abs() <= 1.0
+}
 
 /// Binarizing activation: forward is Eq. 1's `sign()` (ties at 0 → +1);
 /// backward is the straight-through estimator with the canonical clipping
 /// `d sign(x)/dx ≈ 1{|x| ≤ 1}` [Hubara et al. 2016], without which gradients
 /// either vanish (true derivative is 0 a.e.) or explode (unclipped STE).
+/// It keeps that `|x| ≤ 1` mask, one bit an element, not its input.
 pub struct SignSte {
     name: String,
-    cache_x: Option<Tensor>,
+    cache: Option<Mask>,
 }
 
 impl SignSte {
@@ -17,7 +23,7 @@ impl SignSte {
     pub fn new(name: impl Into<String>) -> Self {
         SignSte {
             name: name.into(),
-            cache_x: None,
+            cache: None,
         }
     }
 }
@@ -40,22 +46,20 @@ impl Layer for SignSte {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = x.map(|v| if v >= 0.0 { 1.0 } else { -1.0 });
-        self.cache_x = Some(x.clone());
-        y
+        self.cache = Some(Mask::of(x, unit_interval));
+        x.map(|v| if v >= 0.0 { 1.0 } else { -1.0 })
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut x = take_cache(&mut self.cache_x, &self.name);
-        x.zip_inplace(dy, |v, g| if v.abs() <= 1.0 { g } else { 0.0 });
-        x
+        take_cache(&mut self.cache, &self.name).apply(dy)
     }
 }
 
-/// Rectified linear unit (FP32 baseline network).
+/// Rectified linear unit (FP32 baseline network). It keeps its `x > 0`
+/// mask as bits, not its input.
 pub struct Relu {
     name: String,
-    cache_x: Option<Tensor>,
+    cache: Option<Mask>,
 }
 
 impl Relu {
@@ -63,7 +67,7 @@ impl Relu {
     pub fn new(name: impl Into<String>) -> Self {
         Relu {
             name: name.into(),
-            cache_x: None,
+            cache: None,
         }
     }
 }
@@ -86,23 +90,21 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = x.map(|v| v.max(0.0));
-        self.cache_x = Some(x.clone());
-        y
+        self.cache = Some(Mask::of(x, |v| v > 0.0));
+        x.map(|v| v.max(0.0))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut x = take_cache(&mut self.cache_x, &self.name);
-        x.zip_inplace(dy, |v, g| if v > 0.0 { g } else { 0.0 });
-        x
+        take_cache(&mut self.cache, &self.name).apply(dy)
     }
 }
 
 /// Hard tanh: `clamp(x, −1, 1)`. Used in BinaryNet-style stacks as the
-/// float stand-in for sign during ablations.
+/// float stand-in for sign during ablations. Like [`SignSte`], it keeps its
+/// `|x| ≤ 1` mask as bits.
 pub struct HardTanh {
     name: String,
-    cache_x: Option<Tensor>,
+    cache: Option<Mask>,
 }
 
 impl HardTanh {
@@ -110,7 +112,7 @@ impl HardTanh {
     pub fn new(name: impl Into<String>) -> Self {
         HardTanh {
             name: name.into(),
-            cache_x: None,
+            cache: None,
         }
     }
 }
@@ -133,15 +135,12 @@ impl Layer for HardTanh {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = x.map(|v| v.clamp(-1.0, 1.0));
-        self.cache_x = Some(x.clone());
-        y
+        self.cache = Some(Mask::of(x, unit_interval));
+        x.map(|v| v.clamp(-1.0, 1.0))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mut x = take_cache(&mut self.cache_x, &self.name);
-        x.zip_inplace(dy, |v, g| if (-1.0..=1.0).contains(&v) { g } else { 0.0 });
-        x
+        take_cache(&mut self.cache, &self.name).apply(dy)
     }
 }
 

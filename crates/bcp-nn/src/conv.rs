@@ -1,8 +1,8 @@
 //! The 2-D convolution layer, in any [`WeightForm`].
 
-use crate::layer::{take_cache, Layer, LayerKind, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode, SavedInput};
 use crate::param::Param;
-use crate::weight::{owned, Weight, WeightForm};
+use crate::weight::{Weight, WeightForm};
 use bcp_tensor::init::kaiming;
 use bcp_tensor::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, Conv2dSpec, Tensor,
@@ -12,13 +12,13 @@ use std::borrow::Cow;
 /// 2-D convolution of whatever activations the previous layer produced —
 /// raw pixels for Conv1.1, ±1 maps after a sign activation — with the
 /// weight of its [`WeightForm`]. Bias-free: every conv is followed by
-/// batch-norm.
+/// batch-norm. Backward needs `x` (as bits when it is ±1) and re-derives
+/// the multiplied weight from `W`, which does not change in between.
 pub struct Conv2d {
     name: String,
     spec: Conv2dSpec,
     weight: Weight,
-    // (x, the multiplied weight unless it is W itself, input h/w)
-    cache: Option<(Tensor, Option<Tensor>, (usize, usize))>,
+    cache: Option<SavedInput>,
 }
 
 impl Conv2d {
@@ -63,18 +63,17 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let w = self.weight.effective();
-        let y = conv2d_forward(x, &w, self.spec);
-        self.cache = Some((x.clone(), owned(w), (x.shape().dim(2), x.shape().dim(3))));
+        let y = conv2d_forward(x, &self.weight.effective(), self.spec);
+        self.cache = Some(SavedInput::of(x));
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, w, in_hw) = take_cache(&mut self.cache, &self.name);
+        let x = take_cache(&mut self.cache, &self.name).into_tensor();
+        let in_hw = (x.shape().dim(2), x.shape().dim(3));
         let dw = conv2d_backward_weight(&x, dy, self.spec);
         self.weight.param.accumulate_grad(&dw);
-        let w = w.as_ref().unwrap_or(&self.weight.param.value);
-        conv2d_backward_input(w, dy, self.spec, in_hw)
+        conv2d_backward_input(&self.weight.effective(), dy, self.spec, in_hw)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,8 +1,8 @@
 //! The fully-connected layer, in any [`WeightForm`].
 
-use crate::layer::{take_cache, Layer, LayerKind, Mode};
+use crate::layer::{take_cache, Layer, LayerKind, Mode, SavedInput};
 use crate::param::Param;
-use crate::weight::{owned, Weight, WeightForm};
+use crate::weight::{Weight, WeightForm};
 use bcp_tensor::init::kaiming;
 use bcp_tensor::matmul::{matmul, matmul_ta, matmul_tb};
 use bcp_tensor::{Shape, Tensor};
@@ -14,11 +14,14 @@ use std::borrow::Cow;
 /// The BNN's dense layers are bias-free: each is followed by batch-norm
 /// (whose β subsumes a bias) except the final logits layer, which FINN also
 /// implements bias-free.
+///
+/// Backward needs `x` (as bits when it is ±1) and re-derives `Wₑ` from
+/// `W`, which does not change in between.
 pub struct Linear {
     name: String,
     weight: Weight,
     bias: Option<Param>,
-    cache: Option<(Tensor, Option<Tensor>)>, // (x, Wₑ unless it is W itself)
+    cache: Option<SavedInput>,
 }
 
 impl Linear {
@@ -81,8 +84,7 @@ impl Layer for Linear {
             "dense input must be N×F, got {}",
             x.shape()
         );
-        let w = self.weight.effective();
-        let mut y = matmul_tb(x, &w); // (N×Fi)·(Fo×Fi)ᵀ = N×Fo
+        let mut y = matmul_tb(x, &self.weight.effective()); // (N×Fi)·(Fo×Fi)ᵀ = N×Fo
         if let Some(b) = &self.bias {
             for row in y.as_mut_slice().chunks_exact_mut(b.value.numel()) {
                 for (v, &bv) in row.iter_mut().zip(b.value.as_slice()) {
@@ -90,12 +92,12 @@ impl Layer for Linear {
                 }
             }
         }
-        self.cache = Some((x.clone(), owned(w)));
+        self.cache = Some(SavedInput::of(x));
         y
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, w) = take_cache(&mut self.cache, &self.name);
+        let x = take_cache(&mut self.cache, &self.name).into_tensor();
         let dw = matmul_ta(dy, &x); // (N×Fo)ᵀ·(N×Fi) = Fo×Fi
         self.weight.param.accumulate_grad(&dw);
         if let Some(b) = &mut self.bias {
@@ -107,8 +109,7 @@ impl Layer for Linear {
             }
             b.accumulate_grad(&db);
         }
-        let w = w.as_ref().unwrap_or(&self.weight.param.value);
-        matmul(dy, w) // (N×Fo)·(Fo×Fi) = N×Fi
+        matmul(dy, &self.weight.effective()) // (N×Fo)·(Fo×Fi) = N×Fi
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

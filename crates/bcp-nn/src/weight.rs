@@ -66,15 +66,6 @@ impl Weight {
     }
 }
 
-/// The copy a forward pass keeps for its backward pass: none when the
-/// multiplied weight is `W` itself.
-pub(crate) fn owned(w: Cow<'_, Tensor>) -> Option<Tensor> {
-    match w {
-        Cow::Borrowed(_) => None,
-        Cow::Owned(w) => Some(w),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,7 +79,8 @@ pub enum ServeError {
     NoHealthyWorkers,
     /// The engine is shutting down and no longer accepts requests.
     ShuttingDown,
-    /// The frame's shape is not the model's input shape; never enqueued.
+    /// The frame's shape is not the model's input shape, or one of its
+    /// values lies outside the model's input range; never enqueued.
     BadFrame,
 }
 
@@ -94,7 +95,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::NoHealthyWorkers => write!(f, "no healthy workers remain"),
             ServeError::ShuttingDown => write!(f, "engine is shutting down"),
-            ServeError::BadFrame => write!(f, "frame shape does not match the model's input"),
+            ServeError::BadFrame => {
+                write!(f, "frame does not fit the model's input shape or range")
+            }
         }
     }
 }

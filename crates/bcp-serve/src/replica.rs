@@ -9,6 +9,7 @@
 
 use bcp_dataset::MaskClass;
 use bcp_tensor::Tensor;
+use std::ops::RangeInclusive;
 
 /// One worker's private copy of the model. Workers own their replica
 /// mutably, which is what makes fault isolation possible: a stuck-at fault
@@ -18,6 +19,11 @@ pub trait Replica: Send + 'static {
     /// engine refuses any other shape at submit and derives its integrity
     /// canary from it.
     fn input_dims(&self) -> [usize; 3];
+
+    /// The values a frame's pixels may take. The engine refuses a frame
+    /// with any value outside it (NaN included) at submit, as it refuses
+    /// another shape, so no such frame reaches [`Replica::infer_batch`].
+    fn input_range(&self) -> RangeInclusive<f32>;
 
     /// Classify frames in order, one result per frame.
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass>;
@@ -57,6 +63,10 @@ pub trait Replica: Send + 'static {
 impl Replica for Box<dyn Replica> {
     fn input_dims(&self) -> [usize; 3] {
         (**self).input_dims()
+    }
+
+    fn input_range(&self) -> RangeInclusive<f32> {
+        (**self).input_range()
     }
 
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
@@ -139,6 +149,11 @@ impl Default for SyntheticReplica {
 impl Replica for SyntheticReplica {
     fn input_dims(&self) -> [usize; 3] {
         [3, 8, 8]
+    }
+
+    /// Any finite value: the label is a hash of the frame's bits.
+    fn input_range(&self) -> RangeInclusive<f32> {
+        f32::MIN..=f32::MAX
     }
 
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {

@@ -104,4 +104,29 @@ mod tests {
         assert_eq!(snap.counters["serve.worker_fault"], 0);
         assert_eq!(snap.counters["gateway.retries"], 0);
     }
+
+    #[test]
+    fn an_out_of_range_pixel_reads_bad_request_and_faults_no_worker() {
+        let p = predictor();
+        let registry = bcp_trace::Registry::new();
+        let specs = shard_specs(&p, 2, 1, ServeConfig::default());
+        let gw = Gateway::start(specs, GatewayConfig::default(), Some(registry.clone())).unwrap();
+        let mut client = GatewayClient::connect(gw.local_addr()).unwrap();
+        let s = p.arch().input_size;
+        let bad = [2.0, -0.5, 1.0001, f32::NAN, f32::INFINITY];
+        for i in 0..10 {
+            // A correctly shaped frame with one pixel the quantizer refuses.
+            let mut frame = canary_frame(3, s, s);
+            frame.as_mut_slice()[i * 37] = bad[i % bad.len()];
+            let resp = client.classify(3, i as u64, 2_000, &frame).unwrap();
+            assert_eq!(resp.status, Status::BadRequest, "request {i}");
+        }
+        let good = canary_frame(3, s, s);
+        let resp = client.classify(3, 10, 2_000, &good).unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        gw.shutdown();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["serve.worker_fault"], 0);
+        assert_eq!(snap.counters["gateway.retries"], 0);
+    }
 }

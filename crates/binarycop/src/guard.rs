@@ -62,6 +62,10 @@ impl Replica for GuardedReplica {
         self.predictor.input_dims()
     }
 
+    fn input_range(&self) -> std::ops::RangeInclusive<f32> {
+        self.predictor.input_range()
+    }
+
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         self.predictor.infer_batch(frames)
     }

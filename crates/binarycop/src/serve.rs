@@ -12,11 +12,17 @@ use bcp_dataset::MaskClass;
 use bcp_finn::fault::inject_random_faults;
 use bcp_serve::{Engine, Replica, ServeConfig};
 use bcp_tensor::Tensor;
+use std::ops::RangeInclusive;
 
 impl Replica for BinaryCoP {
     fn input_dims(&self) -> [usize; 3] {
         let s = self.arch().input_size;
         [3, s, s]
+    }
+
+    /// The unit pixel grid that [`BinaryCoP::quantize`] maps onto 8 bits.
+    fn input_range(&self) -> RangeInclusive<f32> {
+        0.0..=1.0
     }
 
     /// Micro-batch dispatch: one in-thread pass through the

@@ -4,8 +4,9 @@
 # workspace), `cargo fmt --check` and both clippy invocations of ci.yml,
 # the frozen benchmark's smoke, the source analyzers and the perf gate, so
 # local green means CI green. Run from anywhere inside the repository;
-# takes ~7 min on two cores from a clean checkout (the two clippy passes
-# are ~30 s of that, the three traced benchmark runs ~4 min).
+# takes ~12 min on two cores from a clean checkout (the two clippy passes
+# are ~30 s of that, the three traced benchmark runs ~4 min, the fresh
+# paper ledger ~4-5 min).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,3 +53,8 @@ python3 scripts/perf_gate.py benchmark/out/gate.json
 # one before it outside `timings` wherever the recipe is unchanged (no
 # training here).
 python3 scripts/paper_gate.py $(ls PAPER_*.json | sort -Vr | head -2)
+
+# Trained bits: a quick ledger trained from this checkout (~4-5 min) must
+# equal the newest committed one outside `timings`, as in CI.
+cargo run --release --offline -q -p binarycop --bin experiments -- all --quick --json target/paper-fresh.json
+python3 scripts/paper_gate.py target/paper-fresh.json $(ls PAPER_*.json | sort -Vr | head -1)

@@ -227,6 +227,10 @@ impl Replica for Held {
         self.inner.input_dims()
     }
 
+    fn input_range(&self) -> std::ops::RangeInclusive<f32> {
+        self.inner.input_range()
+    }
+
     fn infer_batch(&mut self, frames: &[Tensor]) -> Vec<MaskClass> {
         let mut st = self.gate.state.lock().unwrap();
         st.0 += 1;
